@@ -28,7 +28,7 @@ const MethodInvoke = "svc.invoke"
 const MetaCaller = "rpc.caller"
 
 // InvokeReq is a remote service invocation. Args are restricted to scalar
-// LVM values (int, bool, str, bytes).
+// LVM values (nil, int, bool, str, bytes); see ErrNotScalar.
 type InvokeReq struct {
 	Service string
 	Method  string
@@ -40,6 +40,8 @@ type InvokeReq struct {
 type InvokeResp struct {
 	Result lvm.Value
 }
+
+func init() { transport.RegisterRemoteSentinel(ErrNotScalar) }
 
 // Handler implements one service method natively.
 type Handler func(args []lvm.Value) (lvm.Value, error)
@@ -97,6 +99,9 @@ func (r *Registry) Invoke(service, methodName, caller string, args []lvm.Value) 
 func (r *Registry) ServeOn(mux *transport.Mux) {
 	transport.Register(mux, MethodInvoke, func(_ context.Context, req InvokeReq) (InvokeResp, error) {
 		v, err := r.Invoke(req.Service, req.Method, req.Caller, req.Args)
+		if err == nil {
+			err = checkScalar(v, "result of "+req.Service+"."+req.Method)
+		}
 		if err != nil {
 			return InvokeResp{}, err
 		}
@@ -104,8 +109,15 @@ func (r *Registry) ServeOn(mux *transport.Mux) {
 	})
 }
 
-// Call invokes a remote service method at addr on behalf of caller.
+// Call invokes a remote service method at addr on behalf of caller. An
+// argument that is not a scalar LVM value fails with ErrNotScalar before
+// anything is sent.
 func Call(c transport.Caller, addr, service, methodName, caller string, args ...lvm.Value) (lvm.Value, error) {
+	for i, a := range args {
+		if err := checkScalar(a, fmt.Sprintf("argument %d of %s.%s", i, service, methodName)); err != nil {
+			return lvm.Nil(), err
+		}
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	resp, err := transport.Invoke[InvokeReq, InvokeResp](ctx, c, addr, MethodInvoke, InvokeReq{

@@ -6,12 +6,10 @@ import "repro/internal/wire"
 // trace propagation costs two length-prefixed strings instead of a gob
 // descriptor.
 //
-// Flags is deliberately NOT part of this layout: old decoders read exactly
-// two strings and then the body's length prefix, so a byte inserted here
-// would be swallowed as body length and break every old peer. The sampling
-// flags instead ride at the tail of the TCP envelope, where old servers see
-// only tolerated trailing bytes (gob envelopes carry Flags as a struct field,
-// which gob versions naturally).
+// Flags is deliberately NOT part of this layout, which the span_context
+// golden vector freezes. The sampling flags ride in their own byte after the
+// body of the TCP wire envelope (gob envelopes carry Flags as a struct
+// field, which gob versions naturally).
 
 // MarshalWire encodes sc with the wire codec.
 func (sc SpanContext) MarshalWire(e *wire.Encoder) {

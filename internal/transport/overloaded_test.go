@@ -1,13 +1,10 @@
 package transport
 
 import (
-	"bufio"
 	"context"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
-	"io"
-	"net"
 	"strings"
 	"testing"
 	"time"
@@ -60,8 +57,9 @@ func TestOverloadedRemoteSentinel(t *testing.T) {
 }
 
 // overloadedEnvelopeGolden is the frozen wire response envelope for a
-// handler that shed with Overloaded(250ms): errText string + empty body.
-const overloadedEnvelopeGolden = "297472616e73706f72743a206f7665726c6f616465643b2072657472792d61667465722d6d733d32353000"
+// handler that shed with Overloaded(250ms): request ID 1, errText string,
+// empty body.
+const overloadedEnvelopeGolden = "01297472616e73706f72743a206f7665726c6f616465643b2072657472792d61667465722d6d733d32353000"
 
 // TestOverloadedEnvelopeGolden drives a raw TCP wire exchange against a
 // shedding handler and compares the response envelope byte for byte.
@@ -75,27 +73,16 @@ func TestOverloadedEnvelopeGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	conn, err := net.DialTimeout("tcp", srv.Addr(), time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
-
-	if _, err := conn.Write([]byte{0x00, 0xC6, wire.Version}); err != nil {
-		t.Fatal(err)
-	}
-	br := bufio.NewReader(conn)
-	var ack [2]byte
-	if _, err := io.ReadFull(br, ack[:]); err != nil {
-		t.Fatal(err)
-	}
+	conn, br := muxDial(t, srv.Addr())
 
 	e := wire.GetEncoder()
+	e.Uvarint(1) // request ID
 	e.String("shed")
 	e.String("") // trace ID
 	e.String("") // span ID
 	e.Bytes(nil)
+	e.Byte(0)   // flags
+	e.Varint(0) // budget
 	payload := append([]byte{}, e.Data()...)
 	wire.PutEncoder(e)
 	var lenBuf [binary.MaxVarintLen64]byte
@@ -104,15 +91,7 @@ func TestOverloadedEnvelopeGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	plen, err := binary.ReadUvarint(br)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rpayload := make([]byte, plen)
-	if _, err := io.ReadFull(br, rpayload); err != nil {
-		t.Fatal(err)
-	}
-	if got := hex.EncodeToString(rpayload); got != overloadedEnvelopeGolden {
+	if got := hex.EncodeToString(rawEnvelope(t, br)); got != overloadedEnvelopeGolden {
 		t.Fatalf("shed response envelope drifted:\n got: %s\nwant: %s", got, overloadedEnvelopeGolden)
 	}
 }

@@ -100,8 +100,9 @@ func TestTCPDeadlineMidCallIsTransient(t *testing.T) {
 	if !RetryTransient(callErr) {
 		t.Fatal("timed-out call should be retryable")
 	}
-	// The poisoned connection was dropped: a fresh call dials anew and works
-	// once the handlers are released.
+	// Nothing came back on the connection before the deadline, so it was
+	// retired as silent: a fresh call dials anew and works once the handlers
+	// are released.
 	release()
 	var out string
 	if err := caller.Call(context.Background(), srv.Addr(), "slow", "y", &out); err != nil {

@@ -211,111 +211,148 @@ func TestTCPServesLegacyGobClient(t *testing.T) {
 	}
 }
 
-// TestTCPWireEnvelopeLayout is the regression test pinning the frame layout:
-// it speaks the protocol with raw socket reads and writes, byte for byte —
-// preface, ack, then an envelope of (uvarint length, method, trace, body)
-// where the body is one wire frame copied in verbatim. If any of this
-// drifts, old nodes stop interoperating; change the codec version instead.
+// muxDial opens a raw connection to addr and performs the wire handshake
+// byte for byte: the 4-byte preface [0x00, Magic, envTag, wire.Version] and
+// the 3-byte ack [Magic, envTag, wire.Version].
+func muxDial(t *testing.T, addr string) (net.Conn, *bufio.Reader) {
+	t.Helper()
+	conn, err := net.DialTimeout("tcp", addr, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+	if _, err := conn.Write([]byte{0x00, 0xC6, 0x81, wire.Version}); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(conn)
+	var ack [3]byte
+	if _, err := io.ReadFull(br, ack[:]); err != nil {
+		t.Fatal(err)
+	}
+	if ack != [3]byte{0xC6, 0x81, wire.Version} {
+		t.Fatalf("ack = %#v, want [0xC6, 0x81, wire.Version]", ack)
+	}
+	return conn, br
+}
+
+// rawEnvelope reads one length-prefixed envelope and returns its payload.
+func rawEnvelope(t *testing.T, br *bufio.Reader) []byte {
+	t.Helper()
+	plen, err := binary.ReadUvarint(br)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := make([]byte, plen)
+	if _, err := io.ReadFull(br, payload); err != nil {
+		t.Fatal(err)
+	}
+	return payload
+}
+
+// TestTCPWireEnvelopeLayout is the regression test pinning the multiplexed
+// envelope layout: it speaks the protocol with raw socket reads and writes,
+// byte for byte — handshake, then request envelopes of (uvarint length,
+// request ID, method, trace, body, flags, budget) where the body is one wire
+// frame copied in verbatim, and response envelopes of (uvarint length,
+// request ID, error text, body). If any of this drifts, deployed peers stop
+// interoperating; bump envelopeVersion instead.
 func TestTCPWireEnvelopeLayout(t *testing.T) {
 	srv, err := ServeTCP("127.0.0.1:0", newWireEchoMux())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	conn, br := muxDial(t, srv.Addr())
+
+	// Two requests, assembled by hand and written back to back: ID 7 with
+	// no trace and no deadline, ID 9 sampled with a 1500 ms budget. The body
+	// is the wire frame for wireReq{Msg:"ab", N:2} and must appear in each
+	// envelope verbatim (encoded exactly once; the double-gob these
+	// envelopes replaced put a gob stream inside a gob stream here).
+	body := wire.Marshal(wireReq{Msg: "ab", N: 2})
+	request := func(id uint64, flags byte, budgetMillis int64) []byte {
+		e := wire.GetEncoder()
+		defer wire.PutEncoder(e)
+		e.Uvarint(id)
+		e.String("wecho") // method
+		e.String("")      // trace ID (absent)
+		e.String("")      // span ID (absent)
+		e.Bytes(body)
+		e.Byte(flags)
+		e.Varint(budgetMillis)
+		var lenBuf [binary.MaxVarintLen64]byte
+		n := binary.PutUvarint(lenBuf[:], uint64(len(e.Data())))
+		return append(lenBuf[:n:n], e.Data()...)
+	}
+	first := request(7, 0, 0)
+	wantFirst := []byte{
+		0x13,                          // payload length 19
+		0x07,                          // request ID
+		0x05, 'w', 'e', 'c', 'h', 'o', // method
+		0x00, 0x00, // trace ID, span ID
+		0x07, 0x00, 0xC6, wire.Version, // body: length, frame header...
+		0x02, 'a', 'b', 0x04, // ...Msg "ab", N 2 (zigzag)
+		0x00, // flags
+		0x00, // budget (none)
+	}
+	if !bytes.Equal(first, wantFirst) {
+		t.Fatalf("request envelope drifted:\n got: % x\nwant: % x", first, wantFirst)
+	}
+	second := request(9, 0x03, 1500) // FlagSampleKnown | FlagSampled
+	if !bytes.Contains(second, body) {
+		t.Fatal("request body not embedded verbatim in the envelope")
+	}
+	if _, err := conn.Write(append(first, second...)); err != nil {
+		t.Fatal(err)
+	}
+
+	// Response envelopes: uvarint length, then the request's ID, the error
+	// text and the body, again one verbatim wire frame. The two requests are
+	// handled concurrently, so their responses may come back in either
+	// order.
+	respBody := wire.Marshal(wireResp{Msg: "abab"})
+	want := map[byte][]byte{}
+	for _, id := range []byte{0x07, 0x09} {
+		want[id] = append([]byte{id, 0x00, byte(len(respBody))}, respBody...)
+	}
+	for len(want) > 0 {
+		got := rawEnvelope(t, br)
+		if len(got) == 0 || !bytes.Equal(got, want[got[0]]) {
+			t.Fatalf("response envelope drifted:\n got: % x\nwant: % x or % x", got, want[0x07], want[0x09])
+		}
+		delete(want, got[0])
+	}
+}
+
+// TestTCPRefusesPreMuxPreface pins the handshake's version gate: a client
+// built before the multiplexed envelope opens with the 3-byte preface
+// [0x00, Magic, wire.Version], and the server must hang up without an ack,
+// so that client falls back to gob at the handshake instead of exchanging
+// envelopes it would misparse.
+func TestTCPRefusesPreMuxPreface(t *testing.T) {
+	srv, err := ServeTCP("127.0.0.1:0", newWireEchoMux())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	sreg := metrics.New()
+	srv.Instrument(sreg)
 	conn, err := net.DialTimeout("tcp", srv.Addr(), time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
 	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
-
-	// Preface and ack, as raw bytes.
 	if _, err := conn.Write([]byte{0x00, 0xC6, wire.Version}); err != nil {
 		t.Fatal(err)
 	}
-	br := bufio.NewReader(conn)
-	var ack [2]byte
-	if _, err := io.ReadFull(br, ack[:]); err != nil {
-		t.Fatal(err)
+	var ack [1]byte
+	if n, err := conn.Read(ack[:]); err != io.EOF {
+		t.Fatalf("pre-change preface answered: read %d bytes (% x), err %v; want EOF", n, ack[:n], err)
 	}
-	if ack != [2]byte{0xC6, wire.Version} {
-		t.Fatalf("ack = %#v, want [0xC6, wire.Version]", ack)
-	}
-
-	// Request envelope, assembled by hand. The body is the wire frame for
-	// wireReq{Msg:"ab", N:2} — and must appear in the envelope verbatim
-	// (encoded exactly once; the double-gob these envelopes replaced put a
-	// gob stream inside a gob stream here).
-	body := wire.Marshal(wireReq{Msg: "ab", N: 2})
-	e := wire.GetEncoder()
-	e.String("wecho") // method
-	e.String("")      // trace ID (absent)
-	e.String("")      // span ID (absent)
-	e.Bytes(body)
-	payload := append([]byte{}, e.Data()...)
-	wire.PutEncoder(e)
-	if !bytes.Contains(payload, body) {
-		t.Fatal("request body not embedded verbatim in the envelope")
-	}
-	var lenBuf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(lenBuf[:], uint64(len(payload)))
-	if _, err := conn.Write(append(lenBuf[:n], payload...)); err != nil {
-		t.Fatal(err)
-	}
-
-	// Response envelope: uvarint length, then errText string + body bytes,
-	// the body again one verbatim wire frame.
-	plen, err := binary.ReadUvarint(br)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rpayload := make([]byte, plen)
-	if _, err := io.ReadFull(br, rpayload); err != nil {
-		t.Fatal(err)
-	}
-	d := wire.NewDecoder(rpayload)
-	if errText := d.String(); errText != "" {
-		t.Fatalf("remote error: %q", errText)
-	}
-	rbody := d.Bytes()
-	if err := d.Err(); err != nil {
-		t.Fatal(err)
-	}
-	want := wire.Marshal(wireResp{Msg: "abab"})
-	if !bytes.Equal(rbody, want) {
-		t.Fatalf("response body drifted:\n got: % x\nwant: % x", rbody, want)
-	}
-
-	// Second request on the same connection, this time with the sampling
-	// flags byte appended after the body — the envelope's optional trailing
-	// field. New clients send it; the first request above pins that servers
-	// still accept envelopes without it.
-	e = wire.GetEncoder()
-	e.String("wecho")
-	e.String("") // trace ID
-	e.String("") // span ID
-	e.Bytes(body)
-	e.Byte(0x03) // FlagSampleKnown | FlagSampled
-	payload = append([]byte{}, e.Data()...)
-	wire.PutEncoder(e)
-	n = binary.PutUvarint(lenBuf[:], uint64(len(payload)))
-	if _, err := conn.Write(append(lenBuf[:n], payload...)); err != nil {
-		t.Fatal(err)
-	}
-	plen, err = binary.ReadUvarint(br)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rpayload = make([]byte, plen)
-	if _, err := io.ReadFull(br, rpayload); err != nil {
-		t.Fatal(err)
-	}
-	d = wire.NewDecoder(rpayload)
-	if errText := d.String(); errText != "" {
-		t.Fatalf("flagged request remote error: %q", errText)
-	}
-	if !bytes.Equal(d.Bytes(), want) {
-		t.Fatal("flagged request got a different response body")
+	if got := testutil.Counter(sreg, "transport.serve_wire_conns"); got != 0 {
+		t.Fatalf("serve_wire_conns = %d, want 0", got)
 	}
 }
 

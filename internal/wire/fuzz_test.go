@@ -15,8 +15,10 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/lvm"
 	"repro/internal/registry"
 	"repro/internal/sign"
+	"repro/internal/svc"
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
@@ -68,6 +70,11 @@ func buildMessages(s1, s2, s3 string, i1, i2 int64, b1 []byte, ok bool) []wire.M
 		registry.FindResp{Items: []registry.ServiceItem{{ID: s1, Name: s2, Addr: s3}}},
 		registry.WatchReq{Tmpl: registry.Template{Name: s3}, DurMillis: i1, Addr: s1, Method: s2},
 		trace.SpanContext{TraceID: s1, SpanID: s2},
+		svc.InvokeReq{Service: s1, Method: s2, Caller: s3, Args: []lvm.Value{
+			lvm.Nil(), lvm.Int(i1), lvm.Bool(ok), lvm.Str(s3), lvm.Bytes(b1), {K: lvm.KBool, I: i2},
+		}},
+		svc.InvokeResp{Result: lvm.Int(i2)},
+		svc.InvokeResp{Result: lvm.Bytes(b1)},
 	}
 }
 
@@ -121,6 +128,8 @@ func FuzzWireDecode(f *testing.F) {
 			&registry.FindResp{},
 			&registry.WatchReq{},
 			&trace.SpanContext{},
+			&svc.InvokeReq{},
+			&svc.InvokeResp{},
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -16,8 +16,10 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/lvm"
 	"repro/internal/registry"
 	"repro/internal/sign"
+	"repro/internal/svc"
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
@@ -90,6 +92,11 @@ func goldenMessages() map[string]wire.Marshaler {
 		"renew_watch_req":  registry.RenewWatchReq{WatchID: "w-5", DurMillis: 60_000},
 		"unwatch_req":      registry.UnwatchReq{WatchID: "w-5"},
 		"span_context":     trace.SpanContext{TraceID: "t-0123456789abcdef", SpanID: "s-00ff"},
+		// The adapted remote call: one argument of every scalar kind.
+		"invoke_req": svc.InvokeReq{Service: "Robot", Method: "moveArm", Caller: "operator", Args: []lvm.Value{
+			lvm.Nil(), lvm.Int(-300), lvm.Bool(true), lvm.Str("arm-2"), lvm.Bytes([]byte{0xCA, 0xFE}),
+		}},
+		"invoke_resp": svc.InvokeResp{Result: lvm.Int(600)},
 	}
 }
 
