@@ -215,6 +215,9 @@ func benchRenewScheduler(b *testing.B, name string, observed bool) {
 			leases := f.base.ScheduledRenewals()
 			window := 30 * time.Second // LeaseDur * RenewFraction
 			runtime.GC()               // earlier sub-benchmarks' garbage is not this bench's cost
+			b.ReportAllocs()
+			var ms0, ms1 runtime.MemStats
+			runtime.ReadMemStats(&ms0)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				f.clk.Advance(window)
@@ -223,14 +226,18 @@ func benchRenewScheduler(b *testing.B, name string, observed bool) {
 				}
 			}
 			b.StopTimer()
+			runtime.ReadMemStats(&ms1)
 			perLease := float64(b.Elapsed().Nanoseconds()) / float64(b.N) / float64(leases)
+			allocsPerLease := float64(ms1.Mallocs-ms0.Mallocs) / float64(b.N) / float64(leases)
 			b.ReportMetric(perLease, "ns/lease")
+			b.ReportMetric(allocsPerLease, "allocs/lease")
 			b.ReportMetric(float64(runtime.NumGoroutine()), "goroutines")
 			vals := map[string]float64{
-				"ns_per_window": float64(b.Elapsed().Nanoseconds()) / float64(b.N),
-				"ns_per_lease":  perLease,
-				"leases":        float64(leases),
-				"goroutines":    float64(runtime.NumGoroutine()),
+				"ns_per_window":    float64(b.Elapsed().Nanoseconds()) / float64(b.N),
+				"ns_per_lease":     perLease,
+				"allocs_per_lease": allocsPerLease,
+				"leases":           float64(leases),
+				"goroutines":       float64(runtime.NumGoroutine()),
 			}
 			if observed {
 				vals["reports"] = float64(f.base.FleetStatus().Reports)

@@ -1,20 +1,27 @@
 package clock
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 	"time"
 )
 
 // Wheel is a hashed timer wheel: a fixed ring of slots advanced by one
-// background goroutine, giving O(1) insert and cancel regardless of how many
-// timers are armed. It exists so that a base station keeping tens of
+// background goroutine. It exists so that a base station keeping tens of
 // thousands of leases alive runs one goroutine per wheel instead of one per
 // lease.
 //
+// Each slot is an intrusive doubly linked list of the timers due in it, so
+// arming, re-arming and cancelling a timer are O(1) pointer splices that
+// allocate nothing and leave no per-slot storage behind. A timer is created
+// once with its callback (NewTimer) and re-armed in place (Reset) as often as
+// its owner needs: a renewal scheduler keeps one timer per lease for the
+// lease's whole life.
+//
 // Deadlines are quantised up to the wheel's tick: a timer never fires early,
 // and fires at the first tick boundary at or after its deadline. Within one
-// processed tick timers fire ordered by (deadline, schedule order), so firing
+// processed tick timers fire ordered by (deadline, arm order), so firing
 // order matches the order a sorted timer list would produce.
 //
 // The wheel aligns its wake-ups to its own tick grid (anchored at creation
@@ -26,9 +33,9 @@ type Wheel struct {
 	tick time.Duration
 
 	mu         sync.Mutex
-	slots      []map[*WheelTimer]struct{}
-	cursor     int       // slot processed by the most recent tick
-	lastTick   time.Time // instant of the most recent processed tick boundary
+	slots      []*WheelTimer // head of each slot's timer list
+	cursor     int           // slot processed by the most recent tick
+	lastTick   time.Time     // instant of the most recent processed tick boundary
 	seq        uint64
 	n          int
 	stopped    bool
@@ -37,29 +44,35 @@ type Wheel struct {
 	// fired callbacks have run. A scheduler uses it to coalesce everything
 	// that came due in one advance before dispatching work.
 	onFlush func()
+	// fired is advance's scratch list of the timers one wake-up fired,
+	// reused across wake-ups. Only the wheel goroutine touches it.
+	fired []firedTimer
 
 	stop chan struct{}
 	done chan struct{}
 }
 
-// WheelTimer is one armed timer. Cancel is O(1).
+// WheelTimer is one timer of a Wheel. It is armed while it sits in a slot
+// list; firing or cancelling unlinks it, and Reset links it again.
 type WheelTimer struct {
-	w        *Wheel
-	fn       func()
-	deadline time.Time
-	seq      uint64
-	rounds   int
-	slot     int
-	state    timerState
+	w          *Wheel
+	fn         func()
+	deadline   time.Time
+	seq        uint64
+	rounds     int
+	slot       int
+	prev, next *WheelTimer
+	armed      bool
 }
 
-type timerState uint8
-
-const (
-	timerPending timerState = iota
-	timerFired
-	timerCancelled
-)
+// firedTimer is a fired timer with the arm it fired for. The arm is copied
+// under the wheel lock: the callbacks are ordered after the lock is dropped,
+// when an owner may already be re-arming the timer.
+type firedTimer struct {
+	t        *WheelTimer
+	deadline time.Time
+	seq      uint64
+}
 
 // NewWheel starts a wheel on clk with the given tick granularity and slot
 // count (defaults: 10ms, 512 slots).
@@ -76,13 +89,10 @@ func NewWheel(clk Clock, tick time.Duration, slots int) *Wheel {
 	w := &Wheel{
 		clk:      clk,
 		tick:     tick,
-		slots:    make([]map[*WheelTimer]struct{}, slots),
+		slots:    make([]*WheelTimer, slots),
 		lastTick: clk.Now(),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
-	}
-	for i := range w.slots {
-		w.slots[i] = make(map[*WheelTimer]struct{})
 	}
 	go w.run()
 	return w
@@ -111,26 +121,40 @@ func (w *Wheel) Synced() bool {
 }
 
 // OnFlush registers fn to run after each wake-up that fired timers, once all
-// their callbacks have run. Must be set before timers are scheduled.
+// their callbacks have run. Must be set before timers are armed.
 func (w *Wheel) OnFlush(fn func()) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.onFlush = fn
 }
 
-// Schedule arms a timer that runs fn (on the wheel goroutine) at the first
-// tick boundary at or after d from now. A non-positive d fires on the next
-// tick. Returns the timer handle; on a stopped wheel the timer is returned
-// already cancelled and never fires.
-func (w *Wheel) Schedule(d time.Duration, fn func()) *WheelTimer {
+// NewTimer returns an unarmed timer that runs fn on the wheel goroutine each
+// time it fires. Arm it with Reset.
+func (w *Wheel) NewTimer(fn func()) *WheelTimer {
+	return &WheelTimer{w: w, fn: fn}
+}
+
+// Reset arms t to fire at the first tick boundary at or after d from now,
+// moving it if it is already armed; a non-positive d fires on the next tick.
+// The new arm orders after every earlier one with the same deadline. On a
+// stopped wheel t is left unarmed and Reset reports false.
+//
+// Like time.Timer's Reset, re-arming a timer that fired but whose callback
+// has not run yet does not withdraw that callback: it still runs once, and
+// the new arm fires again later.
+func (t *WheelTimer) Reset(d time.Duration) bool {
+	w := t.w
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	t := &WheelTimer{w: w, fn: fn, deadline: w.clk.Now().Add(d), seq: w.seq}
-	w.seq++
-	if w.stopped {
-		t.state = timerCancelled
-		return t
+	if t.armed {
+		w.unlinkLocked(t)
 	}
+	if w.stopped {
+		return false
+	}
+	t.deadline = w.clk.Now().Add(d)
+	t.seq = w.seq
+	w.seq++
 	// Ticks until due, relative to the last processed boundary: never early,
 	// at most one tick late, and at least one tick out.
 	due := t.deadline.Sub(w.lastTick)
@@ -140,26 +164,46 @@ func (w *Wheel) Schedule(d time.Duration, fn func()) *WheelTimer {
 	}
 	t.slot = (w.cursor + int(ticks%int64(len(w.slots)))) % len(w.slots)
 	t.rounds = int((ticks - 1) / int64(len(w.slots)))
-	w.slots[t.slot][t] = struct{}{}
+	t.prev = nil
+	t.next = w.slots[t.slot]
+	if t.next != nil {
+		t.next.prev = t
+	}
+	w.slots[t.slot] = t
+	t.armed = true
 	w.n++
-	return t
+	return true
 }
 
-// Cancel disarms the timer; it reports false if the timer already fired or
-// was cancelled. A fired timer's callback may still be running.
+// Cancel disarms the timer; it reports false if the timer was not armed
+// (it already fired, was cancelled, or was never armed). A fired timer's
+// callback may still be running.
 func (t *WheelTimer) Cancel() bool {
 	if t == nil || t.w == nil {
 		return false
 	}
 	t.w.mu.Lock()
 	defer t.w.mu.Unlock()
-	if t.state != timerPending {
+	if !t.armed {
 		return false
 	}
-	t.state = timerCancelled
-	delete(t.w.slots[t.slot], t)
-	t.w.n--
+	t.w.unlinkLocked(t)
 	return true
+}
+
+// unlinkLocked removes an armed timer from its slot list.
+func (w *Wheel) unlinkLocked(t *WheelTimer) {
+	if t.prev != nil {
+		t.prev.next = t.next
+	} else {
+		w.slots[t.slot] = t.next
+	}
+	if t.next != nil {
+		t.next.prev = t.prev
+	}
+	t.prev, t.next = nil, nil
+	t.armed = false
+	w.n--
 }
 
 // Stop halts the wheel goroutine. Armed timers never fire; on a Manual clock
@@ -213,18 +257,18 @@ func (w *Wheel) run() {
 func (w *Wheel) advance() {
 	w.mu.Lock()
 	steps := int64(w.clk.Now().Sub(w.lastTick) / w.tick)
-	var fired []*WheelTimer
+	fired := w.fired[:0]
 	for i := int64(0); i < steps; i++ {
 		w.cursor = (w.cursor + 1) % len(w.slots)
-		for t := range w.slots[w.cursor] {
+		for t := w.slots[w.cursor]; t != nil; {
+			next := t.next
 			if t.rounds > 0 {
 				t.rounds--
-				continue
+			} else {
+				w.unlinkLocked(t)
+				fired = append(fired, firedTimer{t: t, deadline: t.deadline, seq: t.seq})
 			}
-			t.state = timerFired
-			delete(w.slots[w.cursor], t)
-			w.n--
-			fired = append(fired, t)
+			t = next
 		}
 	}
 	w.lastTick = w.lastTick.Add(time.Duration(steps) * w.tick)
@@ -236,18 +280,20 @@ func (w *Wheel) advance() {
 		return
 	}
 	defer func() {
+		clear(fired) // drop the references; the backing array is kept
+		w.fired = fired[:0]
 		w.mu.Lock()
 		w.processing = false
 		w.mu.Unlock()
 	}()
-	sort.Slice(fired, func(i, j int) bool {
-		if !fired[i].deadline.Equal(fired[j].deadline) {
-			return fired[i].deadline.Before(fired[j].deadline)
+	slices.SortFunc(fired, func(a, b firedTimer) int {
+		if c := a.deadline.Compare(b.deadline); c != 0 {
+			return c
 		}
-		return fired[i].seq < fired[j].seq
+		return cmp.Compare(a.seq, b.seq)
 	})
-	for _, t := range fired {
-		t.fn()
+	for _, f := range fired {
+		f.t.fn()
 	}
 	if flush != nil {
 		flush()

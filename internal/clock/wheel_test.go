@@ -25,10 +25,11 @@ func wheelSeeds(t *testing.T) []int64 {
 }
 
 // TestWheelMatchesSortedListOracle drives a wheel through random seeded
-// insert/cancel/advance sequences on the manual clock and checks, against a
-// naive sorted-list oracle, that every surviving deadline fires exactly once,
-// in (deadline, schedule-order) order, and that no cancelled timer ever
-// fires.
+// insert/re-arm/cancel/advance sequences on the manual clock and checks,
+// against a naive sorted-list oracle, that every surviving arm fires exactly
+// once, in (deadline, arm-order) order, and that no cancelled arm ever
+// fires. Re-arms reuse the timer in place, so a stale arm firing under the
+// new one would show up as an extra or misordered fire.
 func TestWheelMatchesSortedListOracle(t *testing.T) {
 	for _, seed := range wheelSeeds(t) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -51,35 +52,51 @@ func runWheelOracle(t *testing.T, seed int64) {
 	var fired []int // timer ids in fire order
 
 	rng := rand.New(rand.NewSource(seed))
-	type armed struct {
+	type arm struct {
 		id       int
 		deadline time.Time
-		timer    *WheelTimer
 	}
-	var all []armed // every timer still expected to fire, in schedule order
+	var timers []*WheelTimer // by id
+	var all []arm            // every arm still expected to fire, in arm order
+	live := map[int]int{}    // timer id -> index in all of its armed arm
 	cancelled := map[int]bool{}
-	nextID := 0
 
 	for op := 0; op < ops; op++ {
 		switch r := rng.Float64(); {
-		case r < 0.55:
-			// Schedule with a delay up to three full wheel revolutions.
+		case r < 0.45:
+			// Arm a new timer with a delay up to three full wheel
+			// revolutions.
 			d := time.Duration(rng.Int63n(int64(3 * slots * tick)))
-			id := nextID
-			nextID++
-			tm := w.Schedule(d, func() {
+			id := len(timers)
+			tm := w.NewTimer(func() {
 				mu.Lock()
 				fired = append(fired, id)
 				mu.Unlock()
 			})
-			all = append(all, armed{id: id, deadline: clk.Now().Add(d), timer: tm})
-		case r < 0.75 && len(all) > 0:
-			// Cancel a random armed timer. Cancel's return value is the
-			// truth: true means it will never fire, false means it already
+			timers = append(timers, tm)
+			tm.Reset(d)
+			live[id] = len(all)
+			all = append(all, arm{id: id, deadline: clk.Now().Add(d)})
+		case r < 0.6 && len(timers) > 0:
+			// Re-arm a random timer in place. Cancel first so its return
+			// value settles whether the previous arm still fires: true
+			// withdraws it, false means it already fired.
+			id := rng.Intn(len(timers))
+			if i, ok := live[id]; ok && timers[id].Cancel() {
+				cancelled[i] = true
+			}
+			d := time.Duration(rng.Int63n(int64(3 * slots * tick)))
+			timers[id].Reset(d)
+			live[id] = len(all)
+			all = append(all, arm{id: id, deadline: clk.Now().Add(d)})
+		case r < 0.75 && len(timers) > 0:
+			// Cancel a random timer. Cancel's return value is the truth:
+			// true means its arm will never fire, false means it already
 			// did (or was cancelled before) and stays in the oracle.
-			pick := all[rng.Intn(len(all))]
-			if !cancelled[pick.id] && pick.timer.Cancel() {
-				cancelled[pick.id] = true
+			id := rng.Intn(len(timers))
+			if i, ok := live[id]; ok && timers[id].Cancel() {
+				cancelled[i] = true
+				delete(live, id)
 			}
 		default:
 			clk.Advance(time.Duration(rng.Int63n(int64(5 * tick))))
@@ -89,9 +106,9 @@ func runWheelOracle(t *testing.T, seed int64) {
 	// Drain: advance far past the last deadline, then wait for the wheel
 	// goroutine to deliver everything.
 	clk.Advance(time.Duration(4*slots) * tick)
-	var oracle []armed
-	for _, a := range all {
-		if !cancelled[a.id] {
+	var oracle []arm
+	for i, a := range all {
+		if !cancelled[i] {
 			oracle = append(oracle, a)
 		}
 	}
@@ -113,22 +130,12 @@ func runWheelOracle(t *testing.T, seed int64) {
 	mu.Lock()
 	defer mu.Unlock()
 	if len(fired) != len(oracle) {
-		t.Fatalf("fired %d timers, oracle expects %d", len(fired), len(oracle))
-	}
-	seen := map[int]int{}
-	for _, id := range fired {
-		seen[id]++
-		if cancelled[id] {
-			t.Fatalf("cancelled timer %d fired", id)
-		}
+		t.Fatalf("fired %d arms, oracle expects %d", len(fired), len(oracle))
 	}
 	for i, want := range oracle {
 		if got := fired[i]; got != want.id {
 			t.Fatalf("fire order diverges at %d: got timer %d, oracle says %d (deadline %v)",
 				i, got, want.id, want.deadline)
-		}
-		if seen[want.id] != 1 {
-			t.Fatalf("timer %d fired %d times, want exactly once", want.id, seen[want.id])
 		}
 	}
 	if got := w.Len(); got != 0 {
@@ -137,8 +144,8 @@ func runWheelOracle(t *testing.T, seed int64) {
 }
 
 // TestWheelCancelAndStopSemantics pins the edge cases the scheduler relies
-// on: Cancel is O(1) truth, a stopped wheel never fires, and the flush hook
-// runs after a batch of fires.
+// on: Cancel is O(1) truth, a fired timer re-arms in place, a stopped wheel
+// never fires, and the flush hook runs after a batch of fires.
 func TestWheelCancelAndStopSemantics(t *testing.T) {
 	clk := NewManual(time.Unix(0, 0))
 	w := NewWheel(clk, 10*time.Millisecond, 8)
@@ -152,12 +159,17 @@ func TestWheelCancelAndStopSemantics(t *testing.T) {
 		mu.Unlock()
 	})
 
-	a := w.Schedule(30*time.Millisecond, func() {
+	a := w.NewTimer(func() {
 		mu.Lock()
 		firedA = true
 		mu.Unlock()
 	})
-	b := w.Schedule(50*time.Millisecond, func() { t.Error("cancelled timer fired") })
+	a.Reset(30 * time.Millisecond)
+	b := w.NewTimer(func() { t.Error("cancelled timer fired") })
+	if b.Cancel() {
+		t.Fatal("Cancel of a never-armed timer reported true")
+	}
+	b.Reset(50 * time.Millisecond)
 	if !b.Cancel() {
 		t.Fatal("Cancel of an armed timer reported false")
 	}
@@ -175,10 +187,30 @@ func TestWheelCancelAndStopSemantics(t *testing.T) {
 		t.Fatal("Cancel of a fired timer reported true")
 	}
 
+	// The fired timer re-arms in place and fires again.
+	mu.Lock()
+	firedA = false
+	mu.Unlock()
+	if !a.Reset(20 * time.Millisecond) {
+		t.Fatal("Reset on a running wheel reported false")
+	}
+	if got := w.Len(); got != 1 {
+		t.Fatalf("Len = %d after re-arm, want 1", got)
+	}
+	clk.Advance(20 * time.Millisecond)
+	waitUntilWheel(t, func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return firedA && flushes == 2
+	})
+
 	w.Stop()
-	c := w.Schedule(10*time.Millisecond, func() { t.Error("timer scheduled on stopped wheel fired") })
+	c := w.NewTimer(func() { t.Error("timer armed on stopped wheel fired") })
+	if c.Reset(10 * time.Millisecond) {
+		t.Fatal("Reset on a stopped wheel reported true")
+	}
 	if c.Cancel() {
-		t.Fatal("timer scheduled on a stopped wheel should be born cancelled")
+		t.Fatal("timer armed on a stopped wheel should stay unarmed")
 	}
 	clk.Advance(time.Second)
 	time.Sleep(5 * time.Millisecond)
@@ -197,4 +229,26 @@ func waitUntilWheel(t *testing.T, cond func() bool) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	t.Fatal("condition not reached before deadline")
+}
+
+// TestWheelRearmAllocsNothing pins the allocation budget of the renewal hot
+// path's timer work: re-arming an armed timer, and re-arming one that fired,
+// allocate nothing.
+func TestWheelRearmAllocsNothing(t *testing.T) {
+	clk := NewManual(time.Unix(0, 0))
+	w := NewWheel(clk, 10*time.Millisecond, 64)
+	defer w.Stop()
+	tm := w.NewTimer(func() {})
+	tm.Reset(time.Second)
+	if got := testing.AllocsPerRun(1000, func() {
+		tm.Reset(time.Duration(1+len(w.slots)) * time.Second)
+	}); got != 0 {
+		t.Errorf("re-arming an armed timer: %v allocs, want 0", got)
+	}
+	if got := testing.AllocsPerRun(1000, func() {
+		tm.Cancel()
+		tm.Reset(time.Second)
+	}); got != 0 {
+		t.Errorf("cancel and re-arm: %v allocs, want 0", got)
+	}
 }

@@ -353,7 +353,7 @@ func NewBase(cfg BaseConfig) (*Base, error) {
 		MaxBatch: cfg.RenewBatch,
 		Workers:  cfg.RenewWorkers,
 		Renew:    b.renewNodeBatch,
-		OnRenew:  b.noteRenewal,
+		OnRenew:  b.noteRenewals,
 		OnNodeFail: func(node string, err error) {
 			// Renewals failed for good: the node is out of reach. Handle the
 			// departure asynchronously so a slow roam hint never stalls the
@@ -942,15 +942,16 @@ func (b *Base) trackGrant(n *adaptedNode, extName string, g grantInfo, window ti
 	}
 	n.grants[extName] = g
 	b.journalNode(n)
-	b.sched.Add(n.addr, g.leaseID, window)
+	b.sched.Add(n.addr, g.leaseID, extName, window)
 	s.mu.Unlock()
 	return true
 }
 
-// noteRenewal records a successful renewal's new absolute deadline and
-// checkpoints it. It is the scheduler's OnRenew callback, so the lease is
-// identified by (node, lease ID) rather than extension name.
-func (b *Base) noteRenewal(node string, id lease.ID, granted time.Duration) {
+// noteRenewals records one renew call's successful renewals — their new
+// absolute deadlines — and checkpoints the node once. It is the scheduler's
+// OnRenew callback; each renewal names the extension its lease was added
+// under, and only counts while that extension's grant still holds the lease.
+func (b *Base) noteRenewals(node string, renewed []lease.Renewal) {
 	s := b.nodes.shard(node)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -958,15 +959,20 @@ func (b *Base) noteRenewal(node string, id lease.ID, granted time.Duration) {
 	if !ok {
 		return
 	}
-	for name, g := range n.grants {
-		if g.leaseID != id {
+	now := b.cfg.Clock.Now()
+	changed := false
+	for _, r := range renewed {
+		g, held := n.grants[r.Name]
+		if !held || g.leaseID != r.ID {
 			continue
 		}
-		g.dur = granted
-		g.deadline = b.cfg.Clock.Now().Add(granted)
-		n.grants[name] = g
+		g.dur = r.Granted
+		g.deadline = now.Add(r.Granted)
+		n.grants[r.Name] = g
+		changed = true
+	}
+	if changed {
 		b.journalNode(n)
-		return
 	}
 }
 

@@ -112,22 +112,28 @@ func (r *Receiver) serveBatch(mux *transport.Mux) {
 }
 
 // renewNodeBatch is the scheduler's BatchRenewFunc: it renews every due lease
-// held at node. A single due lease keeps the singleton midas.renew call (and
-// its familiar one-span-per-renewal trace shape); multiple due leases
-// coalesce into one midas.renewBatch call, falling back to singletons for old
-// peers. A call-level error fails the whole batch — the scheduler's retry
-// pacing takes over from there.
-func (b *Base) renewNodeBatch(node string, items []lease.BatchItem) ([]lease.BatchResult, error) {
-	metas, legacy, ok := b.renewMeta(node, items)
+// held at node, storing each outcome in out. A single due lease keeps the
+// singleton midas.renew call (and its familiar one-span-per-renewal trace
+// shape); multiple due leases coalesce into one midas.renewBatch call,
+// falling back to singletons for old peers. A call-level error fails the
+// whole batch — the scheduler's retry pacing takes over from there.
+func (b *Base) renewNodeBatch(node string, items []lease.BatchItem, out []lease.BatchResult) error {
+	// The per-item trace metadata of a small batch lives on the stack; a
+	// larger one pays one allocation, amortised over its leases.
+	var metaBuf [8]renewItemMeta
+	metas := metaBuf[:0]
+	if len(items) > len(metaBuf) {
+		metas = make([]renewItemMeta, 0, len(items))
+	}
+	metas, legacy, ok := b.renewMeta(node, items, metas)
 	if !ok {
-		return nil, fmt.Errorf("core: node %s is no longer tracked", node)
+		return fmt.Errorf("core: node %s is no longer tracked", node)
 	}
 	if len(items) == 1 || legacy {
-		out := make([]lease.BatchResult, len(items))
 		for i, it := range items {
 			out[i] = b.renewOne(node, it.ID, metas[i])
 		}
-		return out, nil
+		return nil
 	}
 
 	m, tr, wantObs := b.renewRefs()
@@ -154,20 +160,18 @@ func (b *Base) renewNodeBatch(node string, items []lease.BatchItem) ([]lease.Bat
 		// Old peer: remember it and renew one by one from now on.
 		b.markLegacyRenew(node)
 		m.batchFallbacks.Inc()
-		out := make([]lease.BatchResult, len(items))
 		for i, it := range items {
 			out[i] = b.renewOne(node, it.ID, metas[i])
 		}
-		return out, nil
+		return nil
 	}
 	if err != nil {
-		return nil, err
+		return err
 	}
 	m.renewBatches.Inc()
 	m.renewBatchLeases.Add(uint64(len(items)))
 	b.mergeObs(node, resp.Obs)
 
-	out := make([]lease.BatchResult, len(items))
 	for i, it := range items {
 		out[i] = lease.BatchResult{ID: it.ID}
 		var ierr error
@@ -190,29 +194,27 @@ func (b *Base) renewNodeBatch(node string, items []lease.BatchItem) ([]lease.Bat
 		lsp.Tag("node", meta.nodeID)
 		lsp.End(ierr)
 	}
-	return out, nil
+	return nil
 }
 
 // renewMeta snapshots per-lease trace metadata (and the node's legacy flag)
-// under the node's shard lock. The result is a slice aligned with items —
-// this runs for every due batch across the fleet, and the map it used to
-// build was the renewal window's single biggest allocation.
-func (b *Base) renewMeta(node string, items []lease.BatchItem) ([]renewItemMeta, bool, bool) {
+// under the node's shard lock, appending to meta one entry per item. Each
+// item names the extension its lease was added under, so a lease whose grant
+// still holds it is found without walking the node's grants.
+func (b *Base) renewMeta(node string, items []lease.BatchItem, meta []renewItemMeta) ([]renewItemMeta, bool, bool) {
 	s := b.nodes.shard(node)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := s.adapted[node]
 	if n == nil {
-		return nil, false, false
+		return meta, false, false
 	}
-	meta := make([]renewItemMeta, len(items))
-	for i, it := range items {
-		for name, g := range n.grants {
-			if g.leaseID == it.ID {
-				meta[i] = renewItemMeta{ext: name, nodeID: n.id, sc: n.spanCtxs[name]}
-				break
-			}
+	for _, it := range items {
+		var m renewItemMeta
+		if g, held := n.grants[it.Name]; held && g.leaseID == it.ID {
+			m = renewItemMeta{ext: it.Name, nodeID: n.id, sc: n.spanCtxs[it.Name]}
 		}
+		meta = append(meta, m)
 	}
 	return meta, n.legacyRenew, true
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/lease"
 	"repro/internal/metrics"
 	"repro/internal/sign"
 	"repro/internal/transport"
@@ -313,5 +314,137 @@ func TestRenewalStormLegacyPeerFallsBack(t *testing.T) {
 	}
 	if got := caller.count(MethodRenewE); got != 2*nExts {
 		t.Fatalf("singleton renews = %d, want %d after second window", got, 2*nExts)
+	}
+}
+
+// TestRenewalJournalsOncePerCall checks that a renewal window checkpoints
+// each node once per renew call, not once per lease, and that the journalled
+// deadlines are exactly the ones per-lease journalling would have written:
+// each renewed lease's new deadline, now + granted.
+func TestRenewalJournalsOncePerCall(t *testing.T) {
+	const nExts, batch = 24, 8
+	clk := clock.NewManual(time.Unix(1000, 0))
+	caller := newStormCaller()
+	journal, err := OpenBaseJournal(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	signer, err := sign.NewSigner("hall-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewBase(BaseConfig{
+		Name: "hall-1", Addr: "base-1", Caller: caller, Signer: signer, Clock: clk,
+		Journal: journal, LeaseDur: time.Minute, RenewFraction: 0.5,
+		RenewBatch: batch, CallTimeout: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(b.Close)
+	for i := 0; i < nExts; i++ {
+		if err := b.AddExtension(noopExt(fmt.Sprintf("ext-%02d", i), 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.AdaptNode("robot1", "robot1"); err != nil {
+		t.Fatal(err)
+	}
+
+	key := nodeKeyPrefix + "robot1"
+	for window := 1; window <= 2; window++ {
+		writes, calls := journal.kv.Version(key), caller.count(MethodRenewBatch)
+		drainRenewals(t, clk, b, 30*time.Second, 30*time.Second)
+		calls = caller.count(MethodRenewBatch) - calls
+		if want := (nExts + batch - 1) / batch; calls != want {
+			t.Fatalf("window %d: %d renew calls, want %d", window, calls, want)
+		}
+		if got := journal.kv.Version(key) - writes; got != int64(calls) {
+			t.Fatalf("window %d: %d journal writes for %d renew calls of %d leases, want one per call",
+				window, got, calls, nExts)
+		}
+		recs, err := journal.Nodes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := recs["robot1"]
+		if len(rec.Exts) != nExts {
+			t.Fatalf("window %d: journal holds %d grants, want %d", window, len(rec.Exts), nExts)
+		}
+		want := clk.Now().Add(time.Minute).UnixMilli()
+		for name, g := range rec.Exts {
+			if g.DeadlineMillis != want || g.DurMillis != time.Minute.Milliseconds() {
+				t.Fatalf("window %d: %s journalled deadline %d dur %d, want %d and %d",
+					window, name, g.DeadlineMillis, g.DurMillis, want, time.Minute.Milliseconds())
+			}
+		}
+	}
+}
+
+// TestRenewNodeBatchAllocBudget pins what one 2-lease midas.renewBatch costs
+// the base over the in-process fabric, node side included: request and
+// response bodies, the wire codec and the call context. Per-lease metadata
+// and results live in caller and stack buffers and add nothing.
+func TestRenewNodeBatchAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the wire codec's buffer pool drops items at random under -race")
+	}
+	fabric := transport.NewInProc()
+	mux := transport.NewMux()
+	transport.Register(mux, MethodApplyBatch, func(_ context.Context, req ApplyBatchReq) (ApplyBatchResp, error) {
+		resp := ApplyBatchResp{Installs: make([]InstallItemResp, len(req.Installs))}
+		for i := range req.Installs {
+			resp.Installs[i].LeaseID = fmt.Sprintf("L%d", i)
+		}
+		return resp, nil
+	})
+	transport.Register(mux, MethodRenewBatch, func(_ context.Context, req RenewBatchReq) (RenewBatchResp, error) {
+		resp := RenewBatchResp{Items: make([]RenewItemResp, len(req.Items))}
+		for i, it := range req.Items {
+			resp.Items[i].DurMillis = it.DurMillis
+		}
+		return resp, nil
+	})
+	stop, err := fabric.Serve("robot1", mux)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	signer, err := sign.NewSigner("hall-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewBase(BaseConfig{
+		Name: "hall-1", Addr: "base-1", Caller: fabric.Node("base-1"), Signer: signer,
+		Clock: clock.NewManual(time.Unix(1000, 0)), LeaseDur: time.Minute, CallTimeout: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	for _, name := range []string{"a", "b"} {
+		if err := b.AddExtension(noopExt(name, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.AdaptNode("robot1", "robot1"); err != nil {
+		t.Fatal(err)
+	}
+	items := []lease.BatchItem{{ID: "L0", Name: "a"}, {ID: "L1", Name: "b"}}
+	out := make([]lease.BatchResult, len(items))
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := b.renewNodeBatch("robot1", items, out); err != nil {
+			t.Fatal(err)
+		}
+	})
+	for i, r := range out {
+		if r.ID != items[i].ID || r.Err != nil || r.Granted != time.Minute {
+			t.Fatalf("result %d = %+v, want %s renewed for a minute", i, r, items[i].ID)
+		}
+	}
+	const budget = 20
+	t.Logf("%.0f allocs per 2-lease renew call", allocs)
+	if allocs > budget {
+		t.Errorf("2-lease renew call: %.0f allocs, budget %d", allocs, budget)
 	}
 }

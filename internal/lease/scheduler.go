@@ -1,9 +1,11 @@
 package lease
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/clock"
@@ -13,6 +15,10 @@ import (
 // BatchItem names one lease due for renewal in a batched renew call.
 type BatchItem struct {
 	ID ID
+	// Name is the label the lease was added under (the base passes the
+	// extension the lease keeps alive), so a renew func needs no lookup to
+	// find it.
+	Name string
 }
 
 // BatchResult reports one lease's renewal outcome. A zero Granted on success
@@ -23,10 +29,19 @@ type BatchResult struct {
 	Err     error
 }
 
+// Renewal is one successful renewal, as reported to OnRenew.
+type Renewal struct {
+	BatchItem
+	Granted time.Duration
+}
+
 // BatchRenewFunc renews all items held at one node in a single exchange. A
 // call-level error fails every item (the node was unreachable); otherwise the
-// per-item results decide.
-type BatchRenewFunc func(node string, items []BatchItem) ([]BatchResult, error)
+// per-item results decide. results is aligned with items and zeroed: the func
+// stores item i's outcome in results[i], and a result whose ID is not its
+// item's counts as no result for that item. Both slices are the scheduler's
+// buffers, valid only for the duration of the call.
+type BatchRenewFunc func(node string, items []BatchItem, results []BatchResult) error
 
 // SchedulerConfig assembles a renewal Scheduler.
 type SchedulerConfig struct {
@@ -44,11 +59,13 @@ type SchedulerConfig struct {
 	// which keeps traffic ordering deterministic for traced scenarios).
 	MaxBatch int
 	Workers  int
-	// Renew performs the batched renewal; OnRenew observes each success (for
-	// journaling); OnNodeFail fires once per node per terminal failure — the
-	// base's departure path. Both callbacks run off the scheduler's locks.
+	// Renew performs the batched renewal; OnRenew observes each call's
+	// successes at once (for journaling; the slice is valid only for the
+	// duration of the callback); OnNodeFail fires once per node per terminal
+	// failure — the base's departure path. Both callbacks run off the
+	// scheduler's locks.
 	Renew      BatchRenewFunc
-	OnRenew    func(node string, id ID, granted time.Duration)
+	OnRenew    func(node string, renewed []Renewal)
 	OnNodeFail func(node string, err error)
 }
 
@@ -58,15 +75,30 @@ type SchedulerConfig struct {
 // batched renew call (chunked at MaxBatch). Retry pacing and terminal
 // failure semantics mirror Renewer's: a failed renewal gets Retries more
 // attempts spaced slack/(retries+1) apart, then the node is reported failed.
+//
+// Each tracked lease owns one wheel timer for its whole life, re-armed in
+// place after every renewal, and carries its own removed flag, so the
+// steady-state renewal window neither allocates per lease nor looks leases
+// up to see whether they are still tracked.
 type Scheduler struct {
 	cfg   SchedulerConfig
 	wheel *clock.Wheel
 
-	mu      sync.Mutex
-	entries map[entryKey]*schedEntry
-	byNode  map[string]map[ID]*schedEntry
-	due     []*schedEntry // came due since the last flush, in wheel order
-	queue   []renewJob
+	// fired collects the entries whose timers fired in the current wheel
+	// advance. Only the wheel goroutine touches it: the timer callbacks
+	// append, flush drains. unflushed mirrors its length for Backlog.
+	fired     []*schedEntry
+	unflushed atomic.Int64
+
+	mu     sync.Mutex
+	byNode map[string]map[ID]*schedEntry
+	n      int // tracked leases
+	// groupOf, groups and order are flush's scratch, reused across flushes.
+	groupOf map[string]int
+	groups  []dueGroup
+	order   []int
+	queue   []renewJob // jobs queue[qhead:] are waiting for a worker
+	qhead   int
 	qcond   *sync.Cond
 	pending int // queued + in-flight jobs, for Quiesced
 	stopped bool
@@ -77,16 +109,25 @@ type Scheduler struct {
 	scheduled *metrics.Gauge
 }
 
-type entryKey struct {
-	node string
-	id   ID
-}
-
 type schedEntry struct {
-	key      entryKey
+	node     string
+	id       ID
+	name     string
 	granted  time.Duration // current lease window; retry slack derives from it
 	attempts int           // retries consumed for the renewal in progress
 	timer    *clock.WheelTimer
+	// removed is set, under the scheduler lock, when the entry stops being
+	// tracked (cancelled, replaced by a re-Add, or failed for good). A fired,
+	// queued or in-flight entry checks it instead of looking itself up.
+	removed bool
+	group   int // flush scratch: index of the entry's node group
+}
+
+// dueGroup is one node's share of a flush.
+type dueGroup struct {
+	node  string
+	n     int // live due entries
+	start int // offset of the group in the flush's backing array
 }
 
 type renewJob struct {
@@ -116,8 +157,8 @@ func NewScheduler(clk clock.Clock, cfg SchedulerConfig) *Scheduler {
 	}
 	s := &Scheduler{
 		cfg:     cfg,
-		entries: make(map[entryKey]*schedEntry),
 		byNode:  make(map[string]map[ID]*schedEntry),
+		groupOf: make(map[string]int),
 	}
 	s.qcond = sync.NewCond(&s.mu)
 	s.wheel = clock.NewWheel(clk, cfg.Tick, cfg.Slots)
@@ -143,34 +184,42 @@ func (s *Scheduler) Instrument(reg *metrics.Registry) {
 		failures: reg.Counter("lease.renew_failures"),
 	}
 	s.scheduled = reg.Gauge("lease.scheduled")
-	s.scheduled.Set(int64(len(s.entries)))
+	s.scheduled.Set(int64(s.n))
 }
 
-// Add tracks one lease held at node. The first renewal fires at
-// window*fraction from now (the full lease duration on a fresh grant, the
-// remaining window on recovery); a non-positive window renews on the next
-// tick. Re-adding an existing (node, id) pair resets its schedule.
-func (s *Scheduler) Add(node string, id ID, window time.Duration) {
+// Add tracks one lease held at node; name labels it on every BatchItem and
+// Renewal. The first renewal fires at window*fraction from now (the full
+// lease duration on a fresh grant, the remaining window on recovery); a
+// non-positive window renews on the next tick. Re-adding an existing
+// (node, id) pair resets its schedule.
+func (s *Scheduler) Add(node string, id ID, name string, window time.Duration) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.stopped {
 		return
 	}
-	key := entryKey{node: node, id: id}
-	if old, ok := s.entries[key]; ok {
-		old.timer.Cancel()
+	if old := s.byNode[node][id]; old != nil {
+		// A fresh entry, not the old one reset: a renewal of the old one
+		// may be in flight, and its outcome must not touch the new
+		// schedule.
 		s.removeLocked(old)
 	}
 	if window <= 0 {
 		window = time.Millisecond
 	}
-	e := &schedEntry{key: key, granted: window}
-	s.entries[key] = e
-	if s.byNode[node] == nil {
-		s.byNode[node] = make(map[ID]*schedEntry)
+	e := &schedEntry{node: node, id: id, name: name, granted: window}
+	e.timer = s.wheel.NewTimer(func() {
+		s.fired = append(s.fired, e)
+		s.unflushed.Add(1)
+	})
+	leases := s.byNode[node]
+	if leases == nil {
+		leases = make(map[ID]*schedEntry)
+		s.byNode[node] = leases
 	}
-	s.byNode[node][id] = e
-	s.armLocked(e, time.Duration(float64(window)*s.cfg.Fraction))
+	leases[id] = e
+	s.n++
+	e.timer.Reset(time.Duration(float64(window) * s.cfg.Fraction))
 	s.gaugeLocked()
 }
 
@@ -178,8 +227,7 @@ func (s *Scheduler) Add(node string, id ID, window time.Duration) {
 func (s *Scheduler) Cancel(node string, id ID) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if e, ok := s.entries[entryKey{node: node, id: id}]; ok {
-		e.timer.Cancel()
+	if e := s.byNode[node][id]; e != nil {
 		s.removeLocked(e)
 		s.gaugeLocked()
 	}
@@ -190,10 +238,8 @@ func (s *Scheduler) CancelNode(node string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, e := range s.byNode[node] {
-		e.timer.Cancel()
-		delete(s.entries, e.key)
+		s.removeLocked(e)
 	}
-	delete(s.byNode, node)
 	s.gaugeLocked()
 }
 
@@ -201,7 +247,7 @@ func (s *Scheduler) CancelNode(node string) {
 func (s *Scheduler) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.entries)
+	return s.n
 }
 
 // Backlog reports the renewal work outstanding right now: leases that came
@@ -211,7 +257,7 @@ func (s *Scheduler) Len() int {
 func (s *Scheduler) Backlog() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.due) + s.pending
+	return int(s.unflushed.Load()) + s.pending
 }
 
 // Quiesced reports whether every tick the clock has passed was fully
@@ -224,7 +270,7 @@ func (s *Scheduler) Quiesced() bool {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.due) == 0 && s.pending == 0
+	return s.pending == 0
 }
 
 // Stop halts the wheel and the workers. Armed renewals never fire again;
@@ -238,104 +284,141 @@ func (s *Scheduler) Stop() {
 		return
 	}
 	s.stopped = true
-	s.pending -= len(s.queue)
-	s.queue = nil
+	s.pending -= len(s.queue) - s.qhead
+	s.queue, s.qhead = nil, 0
 	s.qcond.Broadcast()
 	s.mu.Unlock()
 	s.wg.Wait()
 }
 
+// removeLocked stops tracking e: its timer is disarmed and every fired,
+// queued or in-flight reference to it sees removed.
 func (s *Scheduler) removeLocked(e *schedEntry) {
-	delete(s.entries, e.key)
-	if m := s.byNode[e.key.node]; m != nil {
-		delete(m, e.key.id)
+	e.timer.Cancel()
+	e.removed = true
+	s.n--
+	if m := s.byNode[e.node]; m != nil {
+		delete(m, e.id)
 		if len(m) == 0 {
-			delete(s.byNode, e.key.node)
+			delete(s.byNode, e.node)
 		}
 	}
 }
 
-func (s *Scheduler) armLocked(e *schedEntry, d time.Duration) {
-	e.timer = s.wheel.Schedule(d, func() {
-		s.mu.Lock()
-		if s.entries[e.key] == e { // not cancelled since firing
-			s.due = append(s.due, e)
-		}
-		s.mu.Unlock()
-	})
-}
-
 func (s *Scheduler) gaugeLocked() {
 	if s.scheduled != nil {
-		s.scheduled.Set(int64(len(s.entries)))
+		s.scheduled.Set(int64(s.n))
 	}
 }
 
 // flush runs on the wheel goroutine after each advance that fired timers: it
 // groups everything that came due by node — the coalescing step — and hands
-// the worker pool one job per node per MaxBatch chunk.
+// the worker pool one job per node per MaxBatch chunk. The due entries of
+// one flush share one backing array, laid out node by node.
 func (s *Scheduler) flush() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.due) == 0 {
+	fired := s.fired
+	if len(fired) == 0 {
 		return
 	}
-	perNode := make(map[string][]*schedEntry)
-	var nodes []string
-	for _, e := range s.due {
-		if s.entries[e.key] != e {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	clear(s.groupOf)
+	groups := s.groups[:0]
+	live := 0
+	for _, e := range fired {
+		if e.removed {
 			continue // cancelled between firing and flush
 		}
-		if _, ok := perNode[e.key.node]; !ok {
-			nodes = append(nodes, e.key.node)
+		g, ok := s.groupOf[e.node]
+		if !ok {
+			g = len(groups)
+			s.groupOf[e.node] = g
+			groups = append(groups, dueGroup{node: e.node})
 		}
-		perNode[e.key.node] = append(perNode[e.key.node], e)
+		groups[g].n++
+		e.group = g
+		live++
 	}
-	s.due = s.due[:0]
-	sort.Strings(nodes) // deterministic dispatch order
-	for _, node := range nodes {
-		es := perNode[node]
+	// Deterministic dispatch order: nodes sorted by name. order lists the
+	// group indices in that order.
+	order := s.order[:0]
+	for i := range groups {
+		order = append(order, i)
+	}
+	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(groups[a].node, groups[b].node) })
+	at := 0
+	for _, g := range order {
+		groups[g].start = at
+		at += groups[g].n
+	}
+	due := make([]*schedEntry, live)
+	for _, e := range fired {
+		if e.removed {
+			continue
+		}
+		g := &groups[e.group]
+		due[g.start] = e
+		g.start++
+	}
+	for _, g := range order {
+		es := due[groups[g].start-groups[g].n : groups[g].start]
 		for len(es) > 0 {
 			n := min(len(es), s.cfg.MaxBatch)
-			s.queue = append(s.queue, renewJob{node: node, entries: es[:n]})
+			s.queue = append(s.queue, renewJob{node: groups[g].node, entries: es[:n:n]})
 			s.pending++
 			es = es[n:]
 		}
 	}
+	s.groups, s.order = groups, order
+	clear(fired)
+	s.fired = fired[:0]
+	s.unflushed.Store(0)
 	s.qcond.Broadcast()
 }
 
 func (s *Scheduler) worker() {
 	defer s.wg.Done()
+	// Reused across jobs: the batch's live entries, its request items, their
+	// results and the successes among them.
+	var (
+		live    []*schedEntry
+		items   []BatchItem
+		results []BatchResult
+		renewed []Renewal
+	)
 	for {
 		s.mu.Lock()
-		for len(s.queue) == 0 && !s.stopped {
+		for s.qhead == len(s.queue) && !s.stopped {
 			s.qcond.Wait()
 		}
 		if s.stopped {
 			s.mu.Unlock()
 			return
 		}
-		job := s.queue[0]
-		s.queue = s.queue[1:]
+		job := s.queue[s.qhead]
+		s.queue[s.qhead] = renewJob{}
+		s.qhead++
+		if s.qhead == len(s.queue) {
+			s.queue, s.qhead = s.queue[:0], 0
+		}
 		// Drop entries cancelled while queued; the batch carries only leases
 		// still tracked at dispatch time.
-		live := make([]*schedEntry, 0, len(job.entries))
-		items := make([]BatchItem, 0, len(job.entries))
+		live, items = live[:0], items[:0]
 		for _, e := range job.entries {
-			if s.entries[e.key] == e {
+			if !e.removed {
 				live = append(live, e)
-				items = append(items, BatchItem{ID: e.key.id})
+				items = append(items, BatchItem{ID: e.id, Name: e.name})
 			}
 		}
 		s.mu.Unlock()
 
-		var results []BatchResult
+		results = slices.Grow(results[:0], len(items))[:len(items)]
+		clear(results)
 		var callErr error
 		if len(items) > 0 {
-			results, callErr = s.cfg.Renew(job.node, items)
+			callErr = s.cfg.Renew(job.node, items, results)
 		}
-		s.settle(job.node, live, results, callErr)
+		renewed = s.settle(job.node, live, results, callErr, renewed[:0])
 
 		s.mu.Lock()
 		s.pending--
@@ -345,44 +428,29 @@ func (s *Scheduler) worker() {
 
 // settle applies one renew call's outcome: successes re-arm at
 // granted*fraction, failures retry across the slack, exhausted retries drop
-// the lease and report the node failed (once per call).
-func (s *Scheduler) settle(node string, live []*schedEntry, results []BatchResult, callErr error) {
-	byID := make(map[ID]BatchResult, len(results))
-	if callErr == nil {
-		for _, r := range results {
-			byID[r.ID] = r
-		}
-	}
-	type renewed struct {
-		id      ID
-		granted time.Duration
-	}
-	var oks []renewed
+// the lease and report the node failed (once per call). Successes are
+// appended to renewed, which is returned for reuse.
+func (s *Scheduler) settle(node string, live []*schedEntry, results []BatchResult, callErr error, renewed []Renewal) []Renewal {
 	var failErr error
 	s.mu.Lock()
-	for _, e := range live {
-		if s.entries[e.key] != e {
+	for i, e := range live {
+		if e.removed {
 			continue // cancelled while the call was in flight
 		}
 		rerr := callErr
 		if callErr == nil {
-			r, ok := byID[e.key.id]
-			switch {
-			case !ok:
-				rerr = fmt.Errorf("lease: batch renew of %s: no result for %s", node, e.key.id)
-			default:
-				rerr = r.Err
-			}
-			if rerr == nil {
-				granted := r.Granted
+			if results[i].ID != e.id {
+				rerr = fmt.Errorf("lease: batch renew of %s: no result for %s", node, e.id)
+			} else if rerr = results[i].Err; rerr == nil {
+				granted := results[i].Granted
 				if granted <= 0 {
 					granted = e.granted
 				}
 				e.granted = granted
 				e.attempts = 0
 				s.m.renews.Inc()
-				s.armLocked(e, time.Duration(float64(granted)*s.cfg.Fraction))
-				oks = append(oks, renewed{id: e.key.id, granted: granted})
+				e.timer.Reset(time.Duration(float64(granted) * s.cfg.Fraction))
+				renewed = append(renewed, Renewal{BatchItem: BatchItem{ID: e.id, Name: e.name}, Granted: granted})
 				continue
 			}
 		}
@@ -396,7 +464,7 @@ func (s *Scheduler) settle(node string, live []*schedEntry, results []BatchResul
 			if gap <= 0 {
 				gap = time.Millisecond
 			}
-			s.armLocked(e, gap)
+			e.timer.Reset(gap)
 			continue
 		}
 		s.m.failures.Inc()
@@ -408,12 +476,11 @@ func (s *Scheduler) settle(node string, live []*schedEntry, results []BatchResul
 	s.gaugeLocked()
 	s.mu.Unlock()
 
-	if s.cfg.OnRenew != nil {
-		for _, ok := range oks {
-			s.cfg.OnRenew(node, ok.id, ok.granted)
-		}
+	if len(renewed) > 0 && s.cfg.OnRenew != nil {
+		s.cfg.OnRenew(node, renewed)
 	}
 	if failErr != nil && s.cfg.OnNodeFail != nil {
 		s.cfg.OnNodeFail(node, failErr)
 	}
+	return renewed
 }

@@ -2,6 +2,8 @@ package lease
 
 import (
 	"errors"
+	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -30,24 +32,25 @@ func newSchedHarness(granted time.Duration) *schedHarness {
 	return &schedHarness{granted: granted, fail: map[string]error{}, failIDs: map[ID]error{}}
 }
 
-func (h *schedHarness) renew(node string, items []BatchItem) ([]BatchResult, error) {
+func (h *schedHarness) renew(node string, items []BatchItem, results []BatchResult) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.calls = append(h.calls, schedCall{node: node, items: append([]BatchItem(nil), items...)})
 	if err := h.fail[node]; err != nil {
-		return nil, err
+		return err
 	}
-	out := make([]BatchResult, len(items))
 	for i, it := range items {
-		out[i] = BatchResult{ID: it.ID, Granted: h.granted, Err: h.failIDs[it.ID]}
+		results[i] = BatchResult{ID: it.ID, Granted: h.granted, Err: h.failIDs[it.ID]}
 	}
-	return out, nil
+	return nil
 }
 
-func (h *schedHarness) onRenew(node string, id ID, granted time.Duration) {
+func (h *schedHarness) onRenew(node string, renewed []Renewal) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.renewed = append(h.renewed, id)
+	for _, r := range renewed {
+		h.renewed = append(h.renewed, r.ID)
+	}
 }
 
 func (h *schedHarness) onFail(node string, err error) {
@@ -94,7 +97,7 @@ func TestSchedulerCoalescesPerNode(t *testing.T) {
 		if i%2 == 1 {
 			node = "node-b"
 		}
-		s.Add(node, ID(string(rune('a'+i))), 10*time.Second)
+		s.Add(node, ID(string(rune('a'+i))), "", 10*time.Second)
 	}
 	if got := s.Len(); got != 40 {
 		t.Fatalf("Len = %d, want 40", got)
@@ -134,7 +137,7 @@ func TestSchedulerChunksAtMaxBatch(t *testing.T) {
 	defer s.Stop()
 
 	for i := 0; i < 50; i++ {
-		s.Add("node-a", ID(string(rune('0'+i))), 10*time.Second)
+		s.Add("node-a", ID(string(rune('0'+i))), "", 10*time.Second)
 	}
 	clk.Advance(5 * time.Second)
 	waitSched(t, "chunked wave", func() bool {
@@ -166,8 +169,8 @@ func TestSchedulerRetriesThenFailsNode(t *testing.T) {
 	s.Instrument(reg)
 	defer s.Stop()
 
-	s.Add("node-a", "lease-1", 10*time.Second)
-	s.Add("node-b", "lease-2", 10*time.Second)
+	s.Add("node-a", "lease-1", "", 10*time.Second)
+	s.Add("node-b", "lease-2", "", 10*time.Second)
 
 	// First attempt at 5s; retries spaced slack/(retries+1) land within the
 	// remaining 5s of lease. node-b renews fine throughout.
@@ -209,16 +212,16 @@ func TestSchedulerCancelNodeDropsInFlight(t *testing.T) {
 	s := NewScheduler(clk, SchedulerConfig{
 		Tick:     time.Second,
 		Fraction: 0.5,
-		Renew: func(node string, items []BatchItem) ([]BatchResult, error) {
+		Renew: func(node string, items []BatchItem, results []BatchResult) error {
 			started <- node
 			<-release
-			return h.renew(node, items)
+			return h.renew(node, items, results)
 		},
 		OnRenew: h.onRenew,
 	})
 	defer s.Stop()
 
-	s.Add("node-a", "lease-1", 10*time.Second)
+	s.Add("node-a", "lease-1", "", 10*time.Second)
 	clk.Advance(5 * time.Second)
 	<-started // renew call for node-a is now parked mid-flight
 	s.CancelNode("node-a")
@@ -232,5 +235,49 @@ func TestSchedulerCancelNodeDropsInFlight(t *testing.T) {
 	waitSched(t, "post-cancel settle", s.Quiesced)
 	if got := h.callCount(); got != 1 {
 		t.Fatalf("renew calls = %d, want 1 (no renewals after CancelNode)", got)
+	}
+}
+
+// TestSchedulerWindowAllocBudget pins the steady-state cost of a renewal
+// window with a no-op renew func: leases keep their timers and the workers
+// their buffers, so a window allocates a few objects per flush, not per
+// lease.
+func TestSchedulerWindowAllocBudget(t *testing.T) {
+	const (
+		nodes, perNode = 50, 4
+		leases         = nodes * perNode
+		window         = 10 * time.Second
+	)
+	clk := clock.NewManual(time.Unix(0, 0))
+	s := NewScheduler(clk, SchedulerConfig{
+		Tick:     time.Second,
+		Fraction: 0.5,
+		Renew: func(node string, items []BatchItem, results []BatchResult) error {
+			for i, it := range items {
+				results[i] = BatchResult{ID: it.ID, Granted: window}
+			}
+			return nil
+		},
+		OnRenew: func(string, []Renewal) {},
+	})
+	defer s.Stop()
+	for n := 0; n < nodes; n++ {
+		for l := 0; l < perNode; l++ {
+			s.Add(fmt.Sprintf("node-%02d", n), ID(fmt.Sprintf("L%d", l)), "ext", window)
+		}
+	}
+	step := func() {
+		clk.Advance(window / 2)
+		for !s.Quiesced() {
+			runtime.Gosched()
+		}
+	}
+	for i := 0; i < 3; i++ {
+		step() // grow the reused buffers
+	}
+	perLease := testing.AllocsPerRun(20, step) / leases
+	t.Logf("%.3f allocs per lease per window", perLease)
+	if perLease > 0.05 {
+		t.Errorf("steady-state window: %.3f allocs per lease, budget 0.05", perLease)
 	}
 }
