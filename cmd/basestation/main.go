@@ -79,7 +79,6 @@ func run() error {
 		renewBat  = flag.Int("renew-batch", 64, "max leases coalesced into one batched renewal RPC per node")
 		renewTick = flag.Duration("renew-tick", 0, "renewal timer-wheel granularity (0 = lease*fraction/4)")
 		renewWrk  = flag.Int("renew-workers", 8, "concurrent renewal RPC workers")
-		wireOn    = flag.Bool("wire", true, "negotiate the binary wire codec with peers (false = gob only, for mixed fleets)")
 		ovlOn     = flag.Bool("overload", true, "enable the overload control plane (adaptive concurrency limit, priority shedding)")
 		ovlInit   = flag.Int("overload-initial", 16, "starting concurrency limit")
 		ovlMin    = flag.Int("overload-min", 4, "concurrency limit floor under sustained saturation")
@@ -127,10 +126,6 @@ func run() error {
 	mux := transport.NewMux()
 	caller := transport.NewTCPCaller()
 	defer caller.Close()
-	if !*wireOn {
-		caller.DisableWire()
-		mux.SetGobOnly(true)
-	}
 
 	lookup := registry.NewLookup(clock.Real{})
 	lookup.Grantor().Start(time.Second)
@@ -228,10 +223,6 @@ func run() error {
 		}
 	}
 
-	serveTCP := transport.ServeTCP
-	if !*wireOn {
-		serveTCP = transport.ServeTCPLegacy
-	}
 	// The overload front sits innermost — after tracing has opened the server
 	// span, so sheds are visible in traces, but before any handler runs.
 	var handler transport.Handler = mux
@@ -264,7 +255,7 @@ func run() error {
 		handler = ovl
 		base.SetOverload(ovl.Snapshot)
 	}
-	srv, err := serveTCP(*addr, transport.REDHandling(transport.TraceHandling(handler, tracer, *name), reg))
+	srv, err := transport.ServeTCP(*addr, transport.REDHandling(transport.TraceHandling(handler, tracer, *name), reg))
 	if err != nil {
 		return err
 	}

@@ -65,7 +65,6 @@ func run() error {
 		faults   = flag.String("faults", "", "inject outbound faults, e.g. loss=0.1,dup=0.05,latmax=50ms (empty disables)")
 		seed     = flag.Int64("seed", 1, "fault-injection RNG seed (used with -faults)")
 		pprofOn  = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the -http listener")
-		wireOn   = flag.Bool("wire", true, "negotiate the binary wire codec with peers (false = gob only, for mixed fleets)")
 		smpRate  = flag.Float64("trace-sample", 1, "head-sampling rate for new traces, 0..1 (1 = record everything)")
 		smpSlow  = flag.Duration("trace-slow", 100*time.Millisecond, "tail-keep threshold: sampled-out spans at least this slow are retained anyway")
 	)
@@ -116,9 +115,6 @@ func run() error {
 
 	tcp := transport.NewTCPCaller()
 	defer tcp.Close()
-	if !*wireOn {
-		tcp.DisableWire()
-	}
 	var caller transport.Caller = tcp
 	var chaos *simnet.Chaos
 	if *faults != "" {
@@ -142,12 +138,7 @@ func run() error {
 
 	mux := transport.NewMux()
 	services.ServeOn(mux)
-	serveTCP := transport.ServeTCP
-	if !*wireOn {
-		mux.SetGobOnly(true)
-		serveTCP = transport.ServeTCPLegacy
-	}
-	srv, err := serveTCP(*addr, transport.REDHandling(transport.TraceHandling(mux, tracer, *name), reg))
+	srv, err := transport.ServeTCP(*addr, transport.REDHandling(transport.TraceHandling(mux, tracer, *name), reg))
 	if err != nil {
 		return err
 	}

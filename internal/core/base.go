@@ -142,11 +142,6 @@ type adaptedNode struct {
 	// journal checkpoints, so deadlines are absolute. An extension present
 	// here is being kept alive by the base's renewal scheduler.
 	grants map[string]grantInfo
-	// legacyRenew/legacyApply remember that this peer answered a batched RPC
-	// with ErrNoMethod: an old receiver without the batch surface, served
-	// singleton RPCs from then on.
-	legacyRenew bool
-	legacyApply bool
 }
 
 // grantInfo is the base's view of one pushed extension's lease.
@@ -232,12 +227,10 @@ type baseMetrics struct {
 	reconAdopts   *metrics.Counter
 	reconErrors   *metrics.Counter
 	// Batch-surface counters: batched renew RPCs (and the leases they
-	// carried), batched apply RPCs, and fallbacks to singleton RPCs for old
-	// peers without the batch surface.
+	// carried) and batched apply RPCs.
 	renewBatches     *metrics.Counter
 	renewBatchLeases *metrics.Counter
 	pushBatches      *metrics.Counter
-	batchFallbacks   *metrics.Counter
 	adapted          *metrics.Gauge
 	degraded         *metrics.Gauge
 }
@@ -275,7 +268,6 @@ func (b *Base) Instrument(reg *metrics.Registry) {
 		renewBatches:     reg.Counter("base.renew_batch"),
 		renewBatchLeases: reg.Counter("base.renew_batch_leases"),
 		pushBatches:      reg.Counter("base.push_batch"),
-		batchFallbacks:   reg.Counter("base.batch_fallbacks"),
 		adapted:          reg.Gauge("base.adapted_nodes"),
 		degraded:         reg.Gauge("base.degraded_nodes"),
 	}

@@ -15,9 +15,9 @@ import (
 // Batched RPC surface: at fleet scale the base coalesces per-node traffic —
 // all of a node's due lease renewals ride one midas.renewBatch call, and the
 // installs+revokes a reconcile diff (or a multi-extension adapt) produces for
-// one node ride one midas.applyBatch call. Old peers that do not serve the
-// batch methods are detected through ErrNoMethod and remembered, and the base
-// falls back to the singleton RPCs for them.
+// one node ride one midas.applyBatch call. Every receiver serves the batch
+// methods; a peer that answers one with ErrNoMethod fails that renewal or
+// push like any other error.
 
 // RPC method names of the batch surface.
 const (
@@ -114,9 +114,9 @@ func (r *Receiver) serveBatch(mux *transport.Mux) {
 // renewNodeBatch is the scheduler's BatchRenewFunc: it renews every due lease
 // held at node, storing each outcome in out. A single due lease keeps the
 // singleton midas.renew call (and its familiar one-span-per-renewal trace
-// shape); multiple due leases coalesce into one midas.renewBatch call,
-// falling back to singletons for old peers. A call-level error fails the
-// whole batch — the scheduler's retry pacing takes over from there.
+// shape); multiple due leases coalesce into one midas.renewBatch call. A
+// call-level error fails the whole batch — the scheduler's retry pacing takes
+// over from there.
 func (b *Base) renewNodeBatch(node string, items []lease.BatchItem, out []lease.BatchResult) error {
 	// The per-item trace metadata of a small batch lives on the stack; a
 	// larger one pays one allocation, amortised over its leases.
@@ -125,14 +125,12 @@ func (b *Base) renewNodeBatch(node string, items []lease.BatchItem, out []lease.
 	if len(items) > len(metaBuf) {
 		metas = make([]renewItemMeta, 0, len(items))
 	}
-	metas, legacy, ok := b.renewMeta(node, items, metas)
+	metas, ok := b.renewMeta(node, items, metas)
 	if !ok {
 		return fmt.Errorf("core: node %s is no longer tracked", node)
 	}
-	if len(items) == 1 || legacy {
-		for i, it := range items {
-			out[i] = b.renewOne(node, it.ID, metas[i])
-		}
+	if len(items) == 1 {
+		out[0] = b.renewOne(node, items[0].ID, metas[0])
 		return nil
 	}
 
@@ -156,15 +154,6 @@ func (b *Base) renewNodeBatch(node string, items []lease.BatchItem, out []lease.
 	resp, err := transport.Invoke[RenewBatchReq, RenewBatchResp](rctx, b.caller, node, MethodRenewBatch, req)
 	cancel()
 	sp.End(err)
-	if errors.Is(err, transport.ErrNoMethod) {
-		// Old peer: remember it and renew one by one from now on.
-		b.markLegacyRenew(node)
-		m.batchFallbacks.Inc()
-		for i, it := range items {
-			out[i] = b.renewOne(node, it.ID, metas[i])
-		}
-		return nil
-	}
 	if err != nil {
 		return err
 	}
@@ -197,17 +186,17 @@ func (b *Base) renewNodeBatch(node string, items []lease.BatchItem, out []lease.
 	return nil
 }
 
-// renewMeta snapshots per-lease trace metadata (and the node's legacy flag)
-// under the node's shard lock, appending to meta one entry per item. Each
-// item names the extension its lease was added under, so a lease whose grant
-// still holds it is found without walking the node's grants.
-func (b *Base) renewMeta(node string, items []lease.BatchItem, meta []renewItemMeta) ([]renewItemMeta, bool, bool) {
+// renewMeta snapshots per-lease trace metadata under the node's shard lock,
+// appending to meta one entry per item. Each item names the extension its
+// lease was added under, so a lease whose grant still holds it is found
+// without walking the node's grants.
+func (b *Base) renewMeta(node string, items []lease.BatchItem, meta []renewItemMeta) ([]renewItemMeta, bool) {
 	s := b.nodes.shard(node)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := s.adapted[node]
 	if n == nil {
-		return meta, false, false
+		return meta, false
 	}
 	for _, it := range items {
 		var m renewItemMeta
@@ -216,22 +205,13 @@ func (b *Base) renewMeta(node string, items []lease.BatchItem, meta []renewItemM
 		}
 		meta = append(meta, m)
 	}
-	return meta, n.legacyRenew, true
+	return meta, true
 }
 
 type renewItemMeta struct {
 	ext    string
 	nodeID string
 	sc     trace.SpanContext
-}
-
-func (b *Base) markLegacyRenew(node string) {
-	s := b.nodes.shard(node)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if n := s.adapted[node]; n != nil {
-		n.legacyRenew = true
-	}
 }
 
 // renewOne performs a singleton midas.renew, preserving the pre-batching
@@ -260,32 +240,23 @@ func (b *Base) renewOne(node string, id lease.ID, meta renewItemMeta) lease.Batc
 }
 
 // applyToNode delivers installs and revokes to one node, batched into a
-// single midas.applyBatch exchange when there is more than one operation and
-// the peer supports it. It returns per-extension outcomes; push successes are
-// logged (and counted) here, push failures and revoke outcomes are the
-// caller's to log, mirroring the singleton paths.
+// single midas.applyBatch exchange when there is more than one operation. It
+// returns per-extension outcomes; push successes are logged (and counted)
+// here, push failures and revoke outcomes are the caller's to log, mirroring
+// the singleton paths.
 func (b *Base) applyToNode(ctx context.Context, n *adaptedNode, installs []Extension, revokes []string) (installErrs, revokeErrs map[string]error) {
 	installErrs = make(map[string]error, len(installs))
 	revokeErrs = make(map[string]error, len(revokes))
 	if len(installs)+len(revokes) == 0 {
 		return installErrs, revokeErrs
 	}
-
-	s := b.nodes.shard(n.addr)
-	s.mu.Lock()
-	legacy := n.legacyApply
-	s.mu.Unlock()
-
-	singleton := func() {
+	if len(installs)+len(revokes) == 1 {
 		for _, ext := range installs {
 			installErrs[ext.Name] = b.pushExtension(ctx, n, ext)
 		}
 		for _, name := range revokes {
 			revokeErrs[name] = b.revokeExtension(ctx, n, name)
 		}
-	}
-	if legacy || len(installs)+len(revokes) == 1 {
-		singleton()
 		return installErrs, revokeErrs
 	}
 
@@ -314,16 +285,6 @@ func (b *Base) applyToNode(ctx context.Context, n *adaptedNode, installs []Exten
 	ictx, cancel := context.WithTimeout(pctx, b.cfg.CallTimeout)
 	resp, err := transport.Invoke[ApplyBatchReq, ApplyBatchResp](ictx, b.caller, n.addr, MethodApplyBatch, req)
 	cancel()
-	if errors.Is(err, transport.ErrNoMethod) {
-		sp.Annotatef("peer has no batch surface; falling back to singletons")
-		sp.End(nil)
-		s.mu.Lock()
-		n.legacyApply = true
-		s.mu.Unlock()
-		m.batchFallbacks.Inc()
-		singleton()
-		return installErrs, revokeErrs
-	}
 	// Capture the identity before End: a sampled-out span is recycled there,
 	// and Context on the recycled handle would mint an ID for whatever span
 	// owns the pooled storage next.

@@ -16,14 +16,12 @@ import (
 
 // stormCaller is a fake fleet node fabric for renewal-storm tests: it answers
 // the batch surface directly (no receiver needed), counts calls per method,
-// and can mark nodes crashed (every call to them fails) or legacy (batch
-// methods answer ErrNoMethod).
+// and can mark nodes crashed (every call to them fails).
 type stormCaller struct {
 	mu          sync.Mutex
 	calls       map[string]int  // method -> count
 	perNode     map[string]int  // node|method -> count
 	crashed     map[string]bool // node -> every call fails
-	legacy      map[string]bool // node -> batch methods unserved
 	leaseSeq    int
 	obsPerBatch bool // answer WantObs batches with a synthetic report
 	wantObs     int  // renewBatch requests that asked for obs
@@ -34,7 +32,6 @@ func newStormCaller() *stormCaller {
 		calls:   make(map[string]int),
 		perNode: make(map[string]int),
 		crashed: make(map[string]bool),
-		legacy:  make(map[string]bool),
 	}
 }
 
@@ -56,24 +53,19 @@ func (c *stormCaller) wantObsSeen() int {
 	return c.wantObs
 }
 
-func (c *stormCaller) crash(node string)      { c.mu.Lock(); c.crashed[node] = true; c.mu.Unlock() }
-func (c *stormCaller) makeLegacy(node string) { c.mu.Lock(); c.legacy[node] = true; c.mu.Unlock() }
+func (c *stormCaller) crash(node string) { c.mu.Lock(); c.crashed[node] = true; c.mu.Unlock() }
 
 func (c *stormCaller) Call(_ context.Context, to, method string, req, resp any) error {
 	c.mu.Lock()
 	c.calls[method]++
 	c.perNode[to+"|"+method]++
 	crashed := c.crashed[to]
-	legacy := c.legacy[to]
 	c.leaseSeq++
 	seq := c.leaseSeq
 	c.mu.Unlock()
 
 	if crashed {
 		return fmt.Errorf("dial %s: %w", to, transport.ErrUnreachable)
-	}
-	if legacy && (method == MethodRenewBatch || method == MethodApplyBatch) {
-		return transport.ErrNoMethod
 	}
 	minute := time.Minute.Milliseconds()
 	switch method {
@@ -267,53 +259,6 @@ func TestRenewalStormCrashParksNodeWithoutStallingOthers(t *testing.T) {
 	drainRenewals(t, clk, b, 30*time.Second, 10*time.Second)
 	if got := caller.nodeCount("robot-b", MethodRenewBatch); got <= before {
 		t.Fatalf("robot-b renew batches stuck at %d after another window", got)
-	}
-}
-
-// TestRenewalStormLegacyPeerFallsBack pins the compatibility path: a peer
-// without the batch surface answers ErrNoMethod, the base remembers it and
-// renews that node's leases through singleton midas.renew calls instead.
-func TestRenewalStormLegacyPeerFallsBack(t *testing.T) {
-	const nExts = 5
-	clk := clock.NewManual(time.Unix(1000, 0))
-	caller := newStormCaller()
-	b, reg := newStormBase(t, clk, caller, nil, 8, 1)
-
-	caller.makeLegacy("robot-old")
-	for i := 0; i < nExts; i++ {
-		if err := b.AddExtension(noopExt(fmt.Sprintf("ext-%02d", i), 1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// The adapt's batched apply already falls back to singleton installs.
-	if err := b.AdaptNode("robot-old", "robot-old"); err != nil {
-		t.Fatal(err)
-	}
-	if got := caller.count(MethodInstall); got != nExts {
-		t.Fatalf("singleton installs = %d, want %d", got, nExts)
-	}
-
-	drainRenewals(t, clk, b, 30*time.Second, 30*time.Second)
-
-	snap := reg.Snapshot()
-	if got := snap.Counters["base.batch_fallbacks"]; got < 1 {
-		t.Fatalf("base.batch_fallbacks = %d, want >= 1", got)
-	}
-	if got := snap.Counters["base.renew_batch"]; got != 0 {
-		t.Fatalf("base.renew_batch = %d, want 0 for a legacy peer", got)
-	}
-	if got := caller.count(MethodRenewE); got != nExts {
-		t.Fatalf("singleton renews = %d, want %d", got, nExts)
-	}
-	// The legacy flag sticks: the next window goes straight to singletons
-	// without probing the batch method again.
-	probes := caller.count(MethodRenewBatch)
-	drainRenewals(t, clk, b, 30*time.Second, 30*time.Second)
-	if got := caller.count(MethodRenewBatch); got != probes {
-		t.Fatalf("midas.renewBatch probed again (%d -> %d) after legacy flag", probes, got)
-	}
-	if got := caller.count(MethodRenewE); got != 2*nExts {
-		t.Fatalf("singleton renews = %d, want %d after second window", got, 2*nExts)
 	}
 }
 

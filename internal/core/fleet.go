@@ -20,11 +20,9 @@ import (
 // on — and the base merges them into per-node and fleet-rollup views served
 // at /fleet and over the base.fleet RPC (rendered live by `midasctl top`).
 //
-// Interop follows the PR 6/7 playbook: the new fields are optional trailing
-// fields of the existing batch messages. Old nodes wire-decoding a WantObs
-// request fail with ErrDecode, which the fabric already translates into a
-// remembered per-peer gob fallback — and gob ignores unknown fields — so
-// mixed fleets keep renewing; they simply contribute no observability.
+// The new fields are optional trailing fields of the existing batch messages,
+// encoded only when set, so a renewal that asks for no report keeps the bytes
+// its golden vector pins.
 
 // MethodBaseFleet serves the merged fleet observability view.
 const MethodBaseFleet = "base.fleet"
@@ -78,8 +76,7 @@ type (
 		Reports  uint64
 		// Overload is the base's overload-control status (concurrency limit,
 		// queue depth, shed counters) when the control plane is enabled; nil
-		// otherwise. FleetResp travels as gob, which tolerates the field's
-		// absence in either direction, so old peers interoperate untouched.
+		// otherwise. FleetResp has no wire codec, so it travels as gob.
 		Overload *overload.Snapshot
 	}
 )

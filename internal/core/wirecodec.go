@@ -8,7 +8,8 @@ import "repro/internal/wire"
 // type writes its fields in declaration order; slices and maps go through the
 // codec's count-prefixed, key-sorted forms so equal values always produce
 // equal bytes (golden vectors and same-seed replays depend on it). The cold
-// surface (list/metrics/trace) stays on gob — transport falls back per type.
+// surface (metrics/trace/fleet and other operator RPCs) has no wire codec
+// and travels as gob; the codec is picked per type.
 
 // MarshalWire encodes a with the wire codec.
 func (a AdviceSpec) MarshalWire(e *wire.Encoder) {

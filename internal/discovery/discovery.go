@@ -1,13 +1,13 @@
 // Package discovery implements the announce/listen protocol through which
 // nodes find lookup services when they enter a new environment (the Jini
 // discovery role). Two carriers are provided: an in-process bus scoped by the
-// mobility simulator, and UDP datagrams for real deployments.
+// mobility simulator, and UDP datagrams for real deployments. A datagram
+// carries one wire-encoded Announcement (internal/wire): datagrams arrive from
+// anyone on the link, and the wire decoder bounds every length it reads.
 package discovery
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"fmt"
 	"net"
 	"sync"
@@ -17,6 +17,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/trace"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // Announcement advertises a lookup service.
@@ -27,6 +28,21 @@ type Announcement struct {
 	LookupAddr string
 	// Area optionally names the physical area the announcement covers.
 	Area string
+}
+
+// MarshalWire encodes a with the wire codec.
+func (a Announcement) MarshalWire(e *wire.Encoder) {
+	e.String(a.Name)
+	e.String(a.LookupAddr)
+	e.String(a.Area)
+}
+
+// UnmarshalWire decodes a from the wire codec.
+func (a *Announcement) UnmarshalWire(d *wire.Decoder) error {
+	a.Name = d.String()
+	a.LookupAddr = d.String()
+	a.Area = d.String()
+	return d.Err()
 }
 
 // Bus is an in-process announcement channel. Subscribers receive every
@@ -196,7 +212,8 @@ type UDPListener struct {
 }
 
 // ListenUDP binds addr (e.g. "127.0.0.1:0") and invokes fn for every received
-// announcement.
+// announcement. A datagram that is not one well-formed wire Announcement is
+// dropped.
 func ListenUDP(addr string, fn func(Announcement)) (*UDPListener, error) {
 	udpAddr, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {
@@ -216,7 +233,7 @@ func ListenUDP(addr string, fn func(Announcement)) (*UDPListener, error) {
 				return
 			}
 			var a Announcement
-			if err := gob.NewDecoder(bytes.NewReader(buf[:n])).Decode(&a); err != nil {
+			if err := wire.Unmarshal(buf[:n], &a); err != nil {
 				continue // ignore malformed datagrams
 			}
 			fn(a)
@@ -237,16 +254,12 @@ func (l *UDPListener) Close() error {
 
 // AnnounceUDP sends one announcement datagram to target.
 func AnnounceUDP(target string, a Announcement) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&a); err != nil {
-		return fmt.Errorf("discovery: encode: %w", err)
-	}
 	conn, err := net.Dial("udp", target)
 	if err != nil {
 		return fmt.Errorf("discovery: dial %s: %w", target, err)
 	}
 	defer conn.Close()
-	if _, err := conn.Write(buf.Bytes()); err != nil {
+	if _, err := conn.Write(wire.Marshal(a)); err != nil {
 		return fmt.Errorf("discovery: send: %w", err)
 	}
 	return nil

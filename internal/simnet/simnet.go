@@ -13,7 +13,6 @@ package simnet
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
@@ -75,9 +74,6 @@ type netMetrics struct {
 	reorders       *metrics.Counter
 	partitionDrops *metrics.Counter
 	downDrops      *metrics.Counter
-	wireBodies     *metrics.Counter
-	gobBodies      *metrics.Counter
-	codecFallbacks *metrics.Counter
 }
 
 func newNetMetrics(reg *metrics.Registry) netMetrics {
@@ -89,9 +85,6 @@ func newNetMetrics(reg *metrics.Registry) netMetrics {
 		reorders:       reg.Counter("simnet.reorders"),
 		partitionDrops: reg.Counter("simnet.partition_drops"),
 		downDrops:      reg.Counter("simnet.down_drops"),
-		wireBodies:     reg.Counter("simnet.wire_bodies"),
-		gobBodies:      reg.Counter("simnet.gob_bodies"),
-		codecFallbacks: reg.Counter("simnet.codec_fallbacks"),
 	}
 }
 
@@ -105,8 +98,6 @@ type Net struct {
 	links  map[linkKey]*link
 	def    LinkProfile
 	m      netMetrics
-	noWire bool
-	legacy map[string]bool // peers that rejected a wire frame; gob from then on
 	closed bool
 
 	stop chan struct{}
@@ -120,36 +111,12 @@ func New(clk clock.Clock, seed int64) *Net {
 		clk = clock.Real{}
 	}
 	return &Net{
-		clk:    clk,
-		seed:   seed,
-		nodes:  make(map[string]*simNode),
-		links:  make(map[linkKey]*link),
-		legacy: make(map[string]bool),
-		stop:   make(chan struct{}),
+		clk:   clk,
+		seed:  seed,
+		nodes: make(map[string]*simNode),
+		links: make(map[linkKey]*link),
+		stop:  make(chan struct{}),
 	}
-}
-
-// DisableWire forces every body onto gob, as if no peer spoke the wire
-// codec. Ablation runs and legacy-caller scenarios use it; it does not
-// consume any RNG draws, so fault schedules replay identically either way.
-func (n *Net) DisableWire() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.noWire = true
-}
-
-// peerWire reports whether bodies to addr should use the wire codec.
-func (n *Net) peerWire(addr string) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return !n.noWire && !n.legacy[addr]
-}
-
-// markLegacy remembers that addr rejected a wire frame.
-func (n *Net) markLegacy(addr string) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.legacy[addr] = true
 }
 
 // Instrument records simulated traffic and injected faults in reg. A nil reg
@@ -394,14 +361,9 @@ func (c *caller) Call(ctx context.Context, to, method string, req, resp any) err
 	if err := n.wait(ctx, plan.latency); err != nil {
 		return err
 	}
-	body, usedWire, err := transport.EncodeBody(req, n.peerWire(to))
+	body, _, err := transport.EncodeBody(req, true)
 	if err != nil {
 		return err
-	}
-	if usedWire {
-		n.m.wireBodies.Inc()
-	} else {
-		n.m.gobBodies.Inc()
 	}
 
 	out, herr := h.Handle(transport.WithPeer(ctx, c.from), method, body)
@@ -435,18 +397,7 @@ func (c *caller) Call(ctx context.Context, to, method string, req, resp any) err
 	}
 
 	if herr != nil {
-		rerr := transport.NewRemoteError(method, herr.Error())
-		if usedWire && errors.Is(rerr, transport.ErrDecode) {
-			// The peer could not decode a wire frame (an old binary):
-			// remember it and re-issue this one call in gob. The request
-			// never reached its handler, so the retry cannot double-apply;
-			// the retry is a fresh message, so it draws a fresh fault plan —
-			// deterministic, because the legacy discovery itself is.
-			n.markLegacy(to)
-			n.m.codecFallbacks.Inc()
-			return c.Call(ctx, to, method, req, resp)
-		}
-		return rerr
+		return transport.NewRemoteError(method, herr.Error())
 	}
 	if resp == nil {
 		return nil

@@ -110,7 +110,7 @@ func TestCallRefusesObjectArgTCP(t *testing.T) {
 	if !errors.Is(err, ErrNotScalar) {
 		t.Fatalf("err = %v, want ErrNotScalar", err)
 	}
-	if got := testutil.Counter(sreg, "transport.serve_wire_conns") + testutil.Counter(sreg, "transport.serve_gob_conns"); got != 0 {
+	if got := testutil.Counter(sreg, "transport.serve_wire_conns"); got != 0 {
 		t.Fatalf("server accepted %d connections, want 0 (refused before sending)", got)
 	}
 	// Scalar calls on the same caller still work, over the wire codec.
@@ -137,36 +137,28 @@ func TestServeOnRefusesObjectResult(t *testing.T) {
 	}
 }
 
-// BenchmarkSvcInvokeCodec prices one adapted call's four codec passes
-// (request encode and decode, response encode and decode) on the wire codec
-// and, for comparison, on gob.
+// BenchmarkSvcInvokeCodec prices one adapted call's four codec passes on the
+// wire codec: request encode and decode, response encode and decode.
 func BenchmarkSvcInvokeCodec(b *testing.B) {
 	req := InvokeReq{Service: "Robot", Method: "moveArm", Caller: "operator", Args: []lvm.Value{lvm.Int(123456)}}
 	resp := InvokeResp{Result: lvm.Int(123456)}
-	for _, c := range []struct {
-		name    string
-		useWire bool
-	}{{"wire", true}, {"gob", false}} {
-		b.Run(c.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				body, _, err := transport.EncodeBody(req, c.useWire)
-				if err != nil {
-					b.Fatal(err)
-				}
-				var r InvokeReq
-				if err := transport.Decode(body, &r); err != nil {
-					b.Fatal(err)
-				}
-				body, _, err = transport.EncodeBody(resp, c.useWire)
-				if err != nil {
-					b.Fatal(err)
-				}
-				var out InvokeResp
-				if err := transport.Decode(body, &out); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		body, _, err := transport.EncodeBody(req, true)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var r InvokeReq
+		if err := transport.Decode(body, &r); err != nil {
+			b.Fatal(err)
+		}
+		body, _, err = transport.EncodeBody(resp, true)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var out InvokeResp
+		if err := transport.Decode(body, &out); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -40,9 +40,9 @@ const (
 	FlagSampled uint8 = 1 << 1
 )
 
-// SpanContext identifies a span within a trace. It is a plain value type so
-// the transport layer can gob-encode it inside request envelopes. The zero
-// value means "no trace".
+// SpanContext identifies a span within a trace. It is a plain value type
+// that every fabric carries beside the request body. The zero value means
+// "no trace".
 type SpanContext struct {
 	TraceID string
 	SpanID  string

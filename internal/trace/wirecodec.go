@@ -8,8 +8,7 @@ import "repro/internal/wire"
 //
 // Flags is deliberately NOT part of this layout, which the span_context
 // golden vector freezes. The sampling flags ride in their own byte after the
-// body of the TCP wire envelope (gob envelopes carry Flags as a struct
-// field, which gob versions naturally).
+// body of the TCP envelope.
 
 // MarshalWire encodes sc with the wire codec.
 func (sc SpanContext) MarshalWire(e *wire.Encoder) {

@@ -14,42 +14,24 @@ import (
 // fabricMetrics is the RPC accounting shared by the in-proc and TCP fabrics;
 // all fields are nil-safe no-ops when un-instrumented.
 type fabricMetrics struct {
-	calls     *metrics.Counter
-	errors    *metrics.Counter
-	timeouts  *metrics.Counter
-	losses    *metrics.Counter
-	bytesOut  *metrics.Counter
-	bytesIn   *metrics.Counter
-	wireReqs  *metrics.Counter
-	gobReqs   *metrics.Counter
-	fallbacks *metrics.Counter
-	callNs    *metrics.Histogram
+	calls    *metrics.Counter
+	errors   *metrics.Counter
+	timeouts *metrics.Counter
+	losses   *metrics.Counter
+	bytesOut *metrics.Counter
+	bytesIn  *metrics.Counter
+	callNs   *metrics.Histogram
 }
 
 func newFabricMetrics(reg *metrics.Registry) *fabricMetrics {
 	return &fabricMetrics{
-		calls:     reg.Counter("transport.calls"),
-		errors:    reg.Counter("transport.call_errors"),
-		timeouts:  reg.Counter("transport.timeouts"),
-		losses:    reg.Counter("transport.injected_losses"),
-		bytesOut:  reg.Counter("transport.bytes_sent"),
-		bytesIn:   reg.Counter("transport.bytes_received"),
-		wireReqs:  reg.Counter("transport.wire_bodies"),
-		gobReqs:   reg.Counter("transport.gob_bodies"),
-		fallbacks: reg.Counter("transport.codec_fallbacks"),
-		callNs:    reg.Histogram("transport.call_ns", nil),
-	}
-}
-
-// countBody records which codec one request body used.
-func (fm *fabricMetrics) countBody(usedWire bool) {
-	if fm == nil {
-		return
-	}
-	if usedWire {
-		fm.wireReqs.Inc()
-	} else {
-		fm.gobReqs.Inc()
+		calls:    reg.Counter("transport.calls"),
+		errors:   reg.Counter("transport.call_errors"),
+		timeouts: reg.Counter("transport.timeouts"),
+		losses:   reg.Counter("transport.injected_losses"),
+		bytesOut: reg.Counter("transport.bytes_sent"),
+		bytesIn:  reg.Counter("transport.bytes_received"),
+		callNs:   reg.Histogram("transport.call_ns", nil),
 	}
 }
 
@@ -81,8 +63,6 @@ type InProc struct {
 	lossNum  uint64 // drop lossNum out of every lossDen calls
 	lossDen  uint64
 	lossTick uint64
-	noWire   bool
-	legacy   map[string]bool // peers that rejected a wire frame; gob from then on
 	m        *fabricMetrics
 }
 
@@ -100,30 +80,7 @@ func (n *InProc) Instrument(reg *metrics.Registry) {
 
 // NewInProc returns a fully connected fabric with zero latency.
 func NewInProc() *InProc {
-	return &InProc{nodes: make(map[string]Handler), legacy: make(map[string]bool)}
-}
-
-// DisableWire forces every body onto gob, as if no peer spoke the wire
-// codec. Ablation benchmarks and legacy-caller tests use it.
-func (n *InProc) DisableWire() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.noWire = true
-}
-
-// peerWire reports whether bodies to addr should use the wire codec.
-func (n *InProc) peerWire(addr string) bool {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return !n.noWire && !n.legacy[addr]
-}
-
-// markLegacy remembers that addr rejected a wire frame; every later body to
-// it is gob, exactly like the per-node ErrNoMethod batch fallback.
-func (n *InProc) markLegacy(addr string) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.legacy[addr] = true
+	return &InProc{nodes: make(map[string]Handler)}
 }
 
 // SetLinkFunc installs the connectivity oracle. A nil oracle means fully
@@ -221,28 +178,16 @@ func (c *inprocCaller) Call(ctx context.Context, to, method string, req, resp an
 			return ctx.Err()
 		}
 	}
-	body, usedWire, err := EncodeBody(req, c.net.peerWire(to))
+	body, _, err := EncodeBody(req, true)
 	if err != nil {
 		return err
 	}
-	fm.countBody(usedWire)
 	if fm != nil {
 		fm.bytesOut.Add(uint64(len(body)))
 	}
 	out, herr := h.Handle(WithPeer(ctx, c.from), method, body)
 	if herr != nil {
-		rerr := NewRemoteError(method, herr.Error())
-		if usedWire && errors.Is(rerr, ErrDecode) {
-			// The peer could not decode a wire frame (an old binary):
-			// remember it and retry this one call in gob. The request never
-			// reached its handler, so the retry cannot double-apply.
-			c.net.markLegacy(to)
-			if fm != nil {
-				fm.fallbacks.Inc()
-			}
-			return c.Call(ctx, to, method, req, resp)
-		}
-		return rerr
+		return NewRemoteError(method, herr.Error())
 	}
 	if fm != nil {
 		fm.bytesIn.Add(uint64(len(out)))

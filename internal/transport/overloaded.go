@@ -11,9 +11,8 @@ import (
 // control plane (internal/overload) refuses a request answers with it instead
 // of doing work. It is registered as a remote sentinel, so errors.Is holds
 // whether the shed happened in-process or across any fabric, and it carries
-// an optional retry-after hint as plain text in the error message — the one
-// representation that survives both the wire and the legacy gob envelope,
-// which transmit remote failures as strings.
+// an optional retry-after hint as plain text in the error message, because
+// every fabric transmits a remote failure as its error text.
 //
 // The rest of the transport layer treats sheds specially in two ways:
 //   - Policy retries an overloaded call, but only after the hinted delay
@@ -23,8 +22,9 @@ import (
 var ErrOverloaded = errors.New("transport: overloaded")
 
 // retryAfterToken introduces the retry-after hint inside an overload error's
-// text. The format is frozen — old peers relay the text verbatim and new
-// peers parse it back out — and pinned by golden vectors in the tests.
+// text. The format is frozen — a relaying peer passes the text on verbatim
+// and the caller parses it back out — and pinned by golden vectors in the
+// tests.
 const retryAfterToken = "retry-after-ms="
 
 // Overloaded builds the error a shedding server returns. A positive
@@ -41,8 +41,8 @@ func Overloaded(retryAfter time.Duration) error {
 
 // RetryAfterHint reports whether err is a load shed (local or remote) and the
 // server's retry-after hint, 0 when the shed carried none. The hint is parsed
-// from the error text, so it round-trips through every envelope — including a
-// legacy gob peer that only relayed the string.
+// from the error text, so it round-trips through every fabric and through
+// any peer that only relayed the string.
 func RetryAfterHint(err error) (time.Duration, bool) {
 	if err == nil || !errors.Is(err, ErrOverloaded) {
 		return 0, false

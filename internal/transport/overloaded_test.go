@@ -96,54 +96,6 @@ func TestOverloadedEnvelopeGolden(t *testing.T) {
 	}
 }
 
-// TestOverloadedGobInterop proves the shed sentinel crosses the legacy gob
-// envelope in both mixed-version directions: a new wire-preferring caller
-// against a server predating the wire codec, and a gob-only caller against a
-// new server.
-func TestOverloadedGobInterop(t *testing.T) {
-	newMux := func() *Mux {
-		m := NewMux()
-		m.HandleRaw("shed", func(ctx context.Context, body []byte) ([]byte, error) {
-			return nil, Overloaded(250 * time.Millisecond)
-		})
-		return m
-	}
-	check := func(t *testing.T, err error) {
-		t.Helper()
-		if !errors.Is(err, ErrOverloaded) {
-			t.Fatalf("err = %v, want ErrOverloaded", err)
-		}
-		if hint, ok := RetryAfterHint(err); !ok || hint != 250*time.Millisecond {
-			t.Fatalf("hint = %v, %v; want 250ms, true", hint, ok)
-		}
-	}
-
-	t.Run("new caller, legacy server", func(t *testing.T) {
-		mux := newMux()
-		mux.SetGobOnly(true)
-		srv, err := ServeTCPLegacy("127.0.0.1:0", mux)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
-		c := NewTCPCaller()
-		defer c.Close()
-		check(t, c.Call(context.Background(), srv.Addr(), "shed", &struct{ N int }{1}, nil))
-	})
-
-	t.Run("legacy caller, new server", func(t *testing.T) {
-		srv, err := ServeTCP("127.0.0.1:0", newMux())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
-		c := NewTCPCaller()
-		c.DisableWire()
-		defer c.Close()
-		check(t, c.Call(context.Background(), srv.Addr(), "shed", &struct{ N int }{1}, nil))
-	})
-}
-
 // shedThenOKCaller returns remote overload errors for the first n calls,
 // then succeeds — a server that recovered after shedding.
 type shedThenOKCaller struct {

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"context"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -18,34 +17,24 @@ import (
 	"repro/internal/wire"
 )
 
-// The TCP fabric speaks two envelope protocols on one port and negotiates
-// per connection:
+// The TCP fabric speaks one protocol. The client opens with the 4-byte
+// preface [0x00, Magic, envTag, wire.Version]; the server answers with its
+// own 3-byte ack [Magic, envTag, wire.Version], and when the two agree both
+// sides switch to request-ID multiplexed envelopes — uvarint payload length,
+// then request ID · method · trace · body · flags · budget as wire fields
+// (responses: request ID · error text · body), the body copied in verbatim
+// (whatever codec its type picked), so nothing is encoded twice. Many calls
+// share one connection: the server handles a connection's requests
+// concurrently and answers in completion order, and the client's one reader
+// goroutine per connection hands each response to the call its ID names.
 //
-//   - wire: the client opens with the 4-byte preface [0x00, Magic, envTag,
-//     wire.Version]; the server answers with the 3-byte ack [Magic, envTag,
-//     wire.Version] and both sides switch to request-ID multiplexed
-//     envelopes — uvarint payload length, then request ID · method · trace ·
-//     body · flags · budget as wire fields (responses: request ID · error
-//     text · body), the body copied in verbatim (whatever codec EncodeBody
-//     picked), so nothing is encoded twice. Many calls share one connection:
-//     the server handles a connection's requests concurrently and answers in
-//     completion order, and the client's one reader goroutine per connection
-//     hands each response to the call its ID names.
-//   - gob: anything else is the legacy protocol — gob tcpRequest/tcpResponse
-//     envelopes around an already-encoded body (the historical double-gob),
-//     one round trip at a time.
-//
-// envTag (0x80|envelopeVersion) is the envelope version. It sits where
-// binaries built before the multiplexed envelope put wire.Version, which is
-// always below 0x80, and both generations compare that byte exactly: an old
-// server hangs up on the new preface (so does an old gob decoder — a gob
-// message length can never be 0x00), and a new server hangs up on the old
-// 3-byte preface [0x00, Magic, wire.Version]. Either way the client reads
-// EOF at the handshake, remembers the destination as legacy — exactly like
-// the ErrNoMethod legacy-batch fallback — and redials in gob, instead of
-// misparsing envelopes mid-stream. Old gob clients never send a preface, and
-// the server routes them to the gob loop off the first byte, so mixed fleets
-// interoperate in both directions.
+// envTag (0x80|envelopeVersion) is the envelope version. A well-formed
+// preface is one whose first three bytes are [0x00, Magic, tag] with the
+// tag's high bit set; the server acks every well-formed preface, then hangs up
+// if the envelope or wire version differs from its own, so the client reads
+// the mismatch in the ack and fails with ErrIncompatible instead of
+// misparsing envelopes mid-stream. Anything else — a gob stream, or a preface
+// with wire.Version where envTag belongs — is hung up on before any ack.
 
 const (
 	// maxEnvelope caps one wire envelope (64 MiB): a corrupt or hostile
@@ -61,30 +50,10 @@ const (
 	maxInFlight = 64
 )
 
-// gob envelope types of the legacy protocol. Trace carries the caller's span
-// context so a trace stitches across processes; BudgetMillis carries the
-// remaining time to the caller's deadline (0 = none) so an overloaded server
-// can drop a request whose caller already gave up — it is relative, not an
-// absolute timestamp, so clock skew between peers cannot corrupt it. gob
-// tolerates fields being absent (older peers) or unknown (newer peers), so
-// the envelope stays wire-compatible in both directions.
-type tcpRequest struct {
-	Method       string
-	Body         []byte
-	Trace        trace.SpanContext
-	BudgetMillis int64
-}
-
-type tcpResponse struct {
-	Body []byte
-	Err  string
-}
-
 // TCPServer serves a Handler over real TCP connections.
 type TCPServer struct {
 	ln      net.Listener
 	handler Handler
-	gobOnly bool
 
 	mu     sync.Mutex
 	closed bool
@@ -101,14 +70,13 @@ type serverMetrics struct {
 	bytesIn   *metrics.Counter
 	bytesOut  *metrics.Counter
 	wireConns *metrics.Counter
-	gobConns  *metrics.Counter
 	handleNs  *metrics.Histogram
 	openConns *metrics.Gauge
 }
 
 // Instrument records served requests (count, errors, payload bytes, handler
-// latency), the per-protocol connection counters and the open-connection
-// gauge in reg. Safe to call while serving; a nil reg is a no-op.
+// latency), the accepted-connection counter and the open-connection gauge in
+// reg. Safe to call while serving; a nil reg is a no-op.
 func (s *TCPServer) Instrument(reg *metrics.Registry) {
 	if reg == nil {
 		return
@@ -119,7 +87,6 @@ func (s *TCPServer) Instrument(reg *metrics.Registry) {
 		bytesIn:   reg.Counter("transport.serve_bytes_received"),
 		bytesOut:  reg.Counter("transport.serve_bytes_sent"),
 		wireConns: reg.Counter("transport.serve_wire_conns"),
-		gobConns:  reg.Counter("transport.serve_gob_conns"),
 		handleNs:  reg.Histogram("transport.serve_ns", nil),
 		openConns: reg.Gauge("transport.serve_open_conns"),
 	})
@@ -127,23 +94,11 @@ func (s *TCPServer) Instrument(reg *metrics.Registry) {
 
 // ServeTCP starts a server on addr ("127.0.0.1:0" picks a free port).
 func ServeTCP(addr string, h Handler) (*TCPServer, error) {
-	return serveTCP(addr, h, false)
-}
-
-// ServeTCPLegacy starts a server that behaves like a binary predating the
-// wire codec: the negotiation preface is answered by closing the connection
-// (as an old gob decoder would) and only the gob envelope is spoken.
-// Interop tests pair it with Mux.SetGobOnly to model a fully legacy peer.
-func ServeTCPLegacy(addr string, h Handler) (*TCPServer, error) {
-	return serveTCP(addr, h, true)
-}
-
-func serveTCP(addr string, h Handler, gobOnly bool) (*TCPServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
 	}
-	s := &TCPServer{ln: ln, handler: h, gobOnly: gobOnly, conns: make(map[net.Conn]struct{})}
+	s := &TCPServer{ln: ln, handler: h, conns: make(map[net.Conn]struct{})}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
@@ -204,68 +159,41 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 		}
 	}()
 
-	// The first byte routes the connection: 0x00 can only be the wire
-	// preface (a gob message length is never zero), anything else is a gob
-	// client mid-first-message.
 	br := bufio.NewReader(conn)
-	first, err := br.Peek(1)
-	if err != nil {
+	if !acceptPreface(conn, br) {
 		return
+	}
+	if sm := s.m.Load(); sm != nil {
+		sm.wireConns.Inc()
 	}
 	peer := ""
 	if ra := conn.RemoteAddr(); ra != nil {
 		peer = ra.String()
 	}
-	if first[0] == 0x00 {
-		if s.gobOnly {
-			return // what an old binary's gob decoder does: error out, hang up
-		}
-		// Three bytes decide: a preface from a client predating the
-		// multiplexed envelope ends there, with wire.Version where envTag
-		// belongs, and is refused by hanging up before any ack.
-		var preface [4]byte
-		if _, err := io.ReadFull(br, preface[:3]); err != nil {
-			return
-		}
-		if !wire.IsFrame(preface[:3]) || preface[2] != envTag {
-			return
-		}
-		if _, err := io.ReadFull(br, preface[3:]); err != nil || preface[3] != wire.Version {
-			return
-		}
-		if _, err := conn.Write([]byte{wire.Magic, envTag, wire.Version}); err != nil {
-			return
-		}
-		if sm := s.m.Load(); sm != nil {
-			sm.wireConns.Inc()
-		}
-		s.serveMux(conn, br, peer)
-		return
-	}
-	if sm := s.m.Load(); sm != nil {
-		sm.gobConns.Inc()
-	}
-	s.serveGob(conn, br, peer)
+	s.serveMux(conn, br, peer)
 }
 
-// serveGob runs the legacy gob envelope loop.
-func (s *TCPServer) serveGob(conn net.Conn, br *bufio.Reader, peer string) {
-	dec := gob.NewDecoder(br)
-	enc := gob.NewEncoder(conn)
-	for {
-		var req tcpRequest
-		if err := dec.Decode(&req); err != nil {
-			return
-		}
-		body, err := s.handle(req.Trace, peer, req.BudgetMillis, req.Method, req.Body)
-		resp := tcpResponse{Body: body}
-		if err != nil {
-			resp.Err = err.Error()
-		}
-		if err := enc.Encode(&resp); err != nil {
-			return
-		}
+// handshakeAck is the server's answer to every well-formed preface.
+var handshakeAck = [3]byte{wire.Magic, envTag, wire.Version}
+
+// acceptPreface reads the client's preface and acks it when well-formed. It
+// reports whether the client speaks this build's envelope and wire version.
+func acceptPreface(conn net.Conn, br *bufio.Reader) bool {
+	var preface [4]byte
+	// Three bytes decide whether this is a client of the protocol at all: a
+	// gob stream never starts with 0x00, and a preface from before the
+	// multiplexed envelope ends there, with wire.Version (below 0x80) where
+	// envTag belongs. Either way the server hangs up without an ack.
+	if _, err := io.ReadFull(br, preface[:3]); err != nil || !wire.IsFrame(preface[:3]) || preface[2]&0x80 == 0 {
+		return false
 	}
+	if _, err := io.ReadFull(br, preface[3:]); err != nil {
+		return false
+	}
+	if _, err := conn.Write(handshakeAck[:]); err != nil {
+		return false
+	}
+	return preface[2] == envTag && preface[3] == wire.Version
 }
 
 // muxServe is the server side of one multiplexed connection, served by a
@@ -450,23 +378,20 @@ func (s *TCPServer) handle(sc trace.SpanContext, peer string, budgetMillis int64
 }
 
 // TCPCaller issues calls over TCP, keeping one pooled connection per
-// destination and remembering which destinations fell back to gob. Calls to
-// one destination share its connection: on the wire protocol any number are
-// in flight at once.
+// destination. Calls to one destination share its connection, any number in
+// flight at once.
 type TCPCaller struct {
 	DialTimeout time.Duration
 
-	mu     sync.Mutex
-	conns  map[string]clientConn
-	noWire bool
-	legacy map[string]bool // peers that rejected the preface or a wire body
+	mu    sync.Mutex
+	conns map[string]*muxConn
 
 	m atomic.Pointer[fabricMetrics]
 }
 
 // Instrument records every outbound call (count, errors, timeouts, payload
-// bytes, codec mix, latency) in reg, sharing metric names with the in-proc
-// fabric. Safe to call while calls are in flight; a nil reg is a no-op.
+// bytes, latency) in reg, sharing metric names with the in-proc fabric. Safe
+// to call while calls are in flight; a nil reg is a no-op.
 func (c *TCPCaller) Instrument(reg *metrics.Registry) {
 	if reg == nil {
 		return
@@ -474,102 +399,37 @@ func (c *TCPCaller) Instrument(reg *metrics.Registry) {
 	c.m.Store(newFabricMetrics(reg))
 }
 
-// clientConn is one pooled connection, multiplexed (wire) or serial (gob).
-type clientConn interface {
-	// roundTrip performs one call with an already-encoded body. unsent
-	// reports that the request provably never left this process — the
-	// connection was dead before the write or the write itself failed — so
-	// re-sending it on a fresh connection cannot apply it twice.
-	roundTrip(ctx context.Context, fm *fabricMetrics, to, method string, body []byte, resp any) (err error, unsent bool)
-	// alive reports whether the connection can take another call; the pool
-	// replaces dead ones on the next call.
-	alive() bool
-	close()
-}
-
 // NewTCPCaller returns a caller with a 2s dial timeout.
 func NewTCPCaller() *TCPCaller {
 	return &TCPCaller{
 		DialTimeout: 2 * time.Second,
-		conns:       make(map[string]clientConn),
-		legacy:      make(map[string]bool),
+		conns:       make(map[string]*muxConn),
 	}
 }
 
-// DisableWire forces every connection and body onto gob, behaving like a
-// client predating the wire codec (-wire=false on the cmds).
-func (c *TCPCaller) DisableWire() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.noWire = true
-}
-
-// peerWire reports whether bodies to addr should use the wire codec.
-func (c *TCPCaller) peerWire(addr string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return !c.noWire && !c.legacy[addr]
-}
-
-// markLegacy remembers that addr cannot decode wire bodies.
-func (c *TCPCaller) markLegacy(addr string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.legacy == nil { // zero-value TCPCaller
-		c.legacy = make(map[string]bool)
-	}
-	c.legacy[addr] = true
-}
-
-// Call implements Caller. to is a host:port address.
+// Call implements Caller. to is a host:port address. A request that provably
+// never left is re-sent once on a fresh connection; one that may have reached
+// the server never is.
 func (c *TCPCaller) Call(ctx context.Context, to, method string, req, resp any) (err error) {
 	if fm := c.m.Load(); fm != nil {
 		fm.calls.Inc()
 		start := time.Now() //lint:allow clockcheck (real RPC latency metric)
 		defer func() { fm.finishCall(start, err) }()
 	}
-	err, usedWire := c.callOnce(ctx, to, method, req, resp)
-	if err != nil && usedWire {
-		var re *RemoteError
-		if errors.As(err, &re) && errors.Is(err, ErrDecode) {
-			// The connection negotiated wire envelopes but the remote could
-			// not decode this wire body (a peer of an intermediate version):
-			// remember it and re-issue the call in gob. The request never
-			// reached its handler, so the retry cannot double-apply.
-			c.markLegacy(to)
-			if fm := c.m.Load(); fm != nil {
-				fm.fallbacks.Inc()
-			}
-			err, _ = c.callOnce(ctx, to, method, req, resp)
-		}
+	body, _, err := EncodeBody(req, true)
+	if err != nil {
+		return err
 	}
-	return err
-}
-
-// callOnce performs one call, reporting whether the body went out as a wire
-// frame. A request that provably never left is re-sent once on a fresh
-// connection; one that may have reached the server never is.
-func (c *TCPCaller) callOnce(ctx context.Context, to, method string, req, resp any) (error, bool) {
 	for redialed := false; ; redialed = true {
-		cc, err := c.conn(ctx, to)
+		mc, err := c.conn(ctx, to)
 		if err != nil {
-			if ctxErr := ctx.Err(); ctxErr != nil {
-				return fmt.Errorf("transport: dial %s: %w", to, ctxErr), false
-			}
-			return fmt.Errorf("%w: %s: %v", ErrUnreachable, to, err), false
+			return err
 		}
-		_, wireConn := cc.(*muxConn)
-		body, usedWire, err := EncodeBody(req, wireConn && c.peerWire(to))
-		if err != nil {
-			return err, false
-		}
-		fm := c.m.Load()
-		err, unsent := cc.roundTrip(ctx, fm, to, method, body, resp)
+		err, unsent := mc.roundTrip(ctx, c.m.Load(), to, method, body, resp)
 		if unsent && !redialed {
 			continue
 		}
-		fm.countBody(usedWire)
-		return err, usedWire
+		return err
 	}
 }
 
@@ -589,48 +449,53 @@ func envelopeFields(ctx context.Context) (trace.SpanContext, int64) {
 	return sc, budgetMillis
 }
 
-// decodeResponse turns a response's error text and body into the call's
-// result.
-func decodeResponse(fm *fabricMetrics, method, errText string, rbody []byte, resp any) error {
-	if fm != nil {
-		fm.bytesIn.Add(uint64(len(rbody)))
-	}
-	if errText != "" {
-		return NewRemoteError(method, errText)
-	}
-	if resp == nil {
-		return nil
-	}
-	return Decode(rbody, resp)
-}
-
 // Close closes all pooled connections, failing the calls still waiting on
 // them, and returns once their reader goroutines have exited.
 func (c *TCPCaller) Close() {
 	c.mu.Lock()
 	conns := c.conns
-	c.conns = make(map[string]clientConn)
+	c.conns = make(map[string]*muxConn)
 	c.mu.Unlock()
-	for _, cc := range conns {
-		cc.close()
+	for _, mc := range conns {
+		mc.close()
 	}
 }
 
 // conn returns the pooled connection to `to`, dialing a new one when there
-// is none or the pooled one died.
-func (c *TCPCaller) conn(ctx context.Context, to string) (clientConn, error) {
+// is none or the pooled one died. A connection whose handshake fails is never
+// pooled.
+func (c *TCPCaller) conn(ctx context.Context, to string) (*muxConn, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if cc, ok := c.conns[to]; ok {
-		if cc.alive() {
-			return cc, nil
+	if mc, ok := c.conns[to]; ok {
+		if mc.alive() {
+			return mc, nil
 		}
-		cc.close()
+		mc.close()
 		delete(c.conns, to)
 	}
 	if c.conns == nil { // zero-value TCPCaller
-		c.conns = make(map[string]clientConn)
+		c.conns = make(map[string]*muxConn)
 	}
+	mc, err := c.dial(ctx, to)
+	if err != nil {
+		if errors.Is(err, ErrIncompatible) {
+			return nil, err
+		}
+		if ctxErr := ctx.Err(); ctxErr != nil {
+			return nil, fmt.Errorf("transport: dial %s: %w", to, ctxErr)
+		}
+		return nil, fmt.Errorf("%w: %s: %v", ErrUnreachable, to, err)
+	}
+	c.conns[to] = mc
+	return mc, nil
+}
+
+// dial connects to `to`, sends the preface and waits briefly for the ack. On
+// success it starts the connection's reader; on any failure the connection is
+// closed. An ack naming another envelope or wire version fails with
+// ErrIncompatible.
+func (c *TCPCaller) dial(ctx context.Context, to string) (*muxConn, error) {
 	// DialContext caps the dial at DialTimeout but also honors the caller's
 	// ctx, so a tight deadline or cancellation cuts the dial short instead of
 	// always waiting out the full timeout.
@@ -639,37 +504,6 @@ func (c *TCPCaller) conn(ctx context.Context, to string) (clientConn, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !c.noWire && !c.legacy[to] {
-		if mc, ok := c.handshake(ctx, conn); ok {
-			c.conns[to] = mc
-			return mc, nil
-		}
-		// The preface was rejected, timed out or mis-acked: the server
-		// predates this envelope (or is unreadably slow — treating it as
-		// legacy stays correct either way). Remember and redial in gob; the
-		// handshake connection is closed because the preface bytes already
-		// sent would corrupt a gob stream.
-		if c.legacy == nil { // zero-value TCPCaller
-			c.legacy = make(map[string]bool)
-		}
-		c.legacy[to] = true
-		if fm := c.m.Load(); fm != nil {
-			fm.fallbacks.Inc()
-		}
-		conn, err = d.DialContext(ctx, "tcp", to)
-		if err != nil {
-			return nil, err
-		}
-	}
-	gc := &gobConn{conn: conn, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn)}
-	c.conns[to] = gc
-	return gc, nil
-}
-
-// handshake sends the wire preface and waits briefly for the ack. On success
-// it starts the connection's reader; on any failure the connection is
-// closed and (nil, false) returned.
-func (c *TCPCaller) handshake(ctx context.Context, conn net.Conn) (*muxConn, bool) {
 	ackTimeout := c.DialTimeout
 	if ackTimeout <= 0 {
 		ackTimeout = 2 * time.Second
@@ -681,13 +515,17 @@ func (c *TCPCaller) handshake(ctx context.Context, conn net.Conn) (*muxConn, boo
 	_ = conn.SetDeadline(deadline)
 	if _, err := conn.Write([]byte{0x00, wire.Magic, envTag, wire.Version}); err != nil {
 		conn.Close()
-		return nil, false
+		return nil, err
 	}
 	br := bufio.NewReader(conn)
 	var ack [3]byte
-	if _, err := io.ReadFull(br, ack[:]); err != nil || ack != [3]byte{wire.Magic, envTag, wire.Version} {
+	if _, err := io.ReadFull(br, ack[:]); err != nil {
 		conn.Close()
-		return nil, false
+		return nil, err
+	}
+	if ack != handshakeAck {
+		conn.Close()
+		return nil, fmt.Errorf("%w: %s acked % x, want % x", ErrIncompatible, to, ack, handshakeAck)
 	}
 	_ = conn.SetDeadline(time.Time{})
 	mc := &muxConn{
@@ -697,7 +535,7 @@ func (c *TCPCaller) handshake(ctx context.Context, conn net.Conn) (*muxConn, boo
 		readerDone: make(chan struct{}),
 	}
 	go mc.readLoop(br)
-	return mc, true
+	return mc, nil
 }
 
 // Connection-level failures of a multiplexed connection.
@@ -801,7 +639,11 @@ func (mc *muxConn) readLoop(br *bufio.Reader) {
 	}
 }
 
-func (mc *muxConn) roundTrip(ctx context.Context, fm *fabricMetrics, to, method string, body []byte, resp any) (error, bool) {
+// roundTrip performs one call with an already-encoded body. unsent reports
+// that the request provably never left this process — the connection was dead
+// before the write or the write itself failed — so re-sending it on a fresh
+// connection cannot apply it twice.
+func (mc *muxConn) roundTrip(ctx context.Context, fm *fabricMetrics, to, method string, body []byte, resp any) (err error, unsent bool) {
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("transport: call %s %s: %w", to, method, err), false
 	}
@@ -864,80 +706,14 @@ func (mc *muxConn) roundTrip(ctx context.Context, fm *fabricMetrics, to, method 
 	if r.err != nil {
 		return fmt.Errorf("transport: call %s %s: %w", to, method, r.err), false
 	}
-	return decodeResponse(fm, method, r.errText, r.body, resp), false
-}
-
-// gobConn is one legacy gob connection: one round trip at a time under its
-// mutex, with cancellation observed by a per-call watcher that forces a
-// deadline in the past. Any connection-level failure retires it.
-type gobConn struct {
-	mu   sync.Mutex
-	conn net.Conn
-	enc  *gob.Encoder
-	dec  *gob.Decoder
-	dead atomic.Bool
-}
-
-func (gc *gobConn) alive() bool { return !gc.dead.Load() }
-
-func (gc *gobConn) close() {
-	gc.dead.Store(true)
-	gc.conn.Close()
-}
-
-func (gc *gobConn) roundTrip(ctx context.Context, fm *fabricMetrics, to, method string, body []byte, resp any) (error, bool) {
-	gc.mu.Lock()
-	defer gc.mu.Unlock()
-	if deadline, ok := ctx.Deadline(); ok {
-		_ = gc.conn.SetDeadline(deadline)
-	} else {
-		_ = gc.conn.SetDeadline(time.Time{})
-	}
-	// A deadline alone does not observe cancellation: watch ctx and abort the
-	// in-flight round trip by forcing a deadline in the past.
-	watchDone := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			_ = gc.conn.SetDeadline(time.Unix(1, 0))
-		case <-watchDone:
-		}
-	}()
-	sc, budgetMillis := envelopeFields(ctx)
-	callErr := gc.exchange(fm, method, sc, budgetMillis, body, resp)
-	close(watchDone)
-	if callErr != nil {
-		ctxErr := ctx.Err()
-		if ctxErr == nil {
-			// The conn deadline equals the ctx deadline and its poller can
-			// fire a moment before the ctx timer: map that to expiry too.
-			if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) { //lint:allow clockcheck (compares against the conn's real deadline)
-				ctxErr = context.DeadlineExceeded
-			}
-		}
-		if ctxErr != nil {
-			// Surface cancellation/expiry as the context error, not the I/O
-			// error the forced deadline produced.
-			callErr = fmt.Errorf("transport: call %s %s: %w", to, method, ctxErr)
-		}
-		if _, isRemote := callErr.(*RemoteError); !isRemote {
-			gc.close()
-		}
-	}
-	return callErr, false
-}
-
-// exchange writes one legacy gob envelope and reads its response.
-func (gc *gobConn) exchange(fm *fabricMetrics, method string, sc trace.SpanContext, budgetMillis int64, body []byte, resp any) error {
-	if err := gc.enc.Encode(&tcpRequest{Method: method, Body: body, Trace: sc, BudgetMillis: budgetMillis}); err != nil {
-		return err
-	}
 	if fm != nil {
-		fm.bytesOut.Add(uint64(len(body)))
+		fm.bytesIn.Add(uint64(len(r.body)))
 	}
-	var out tcpResponse
-	if err := gc.dec.Decode(&out); err != nil {
-		return err
+	if r.errText != "" {
+		return NewRemoteError(method, r.errText), false
 	}
-	return decodeResponse(fm, method, out.Err, out.Body, resp)
+	if resp == nil {
+		return nil, false
+	}
+	return Decode(r.body, resp), false
 }

@@ -20,12 +20,11 @@ import (
 // Regression tests for the multiplexed TCP connection: many calls share one
 // pooled connection, each waiting on its own request ID.
 
-// pooledMux returns the caller's pooled wire connection to addr, or nil.
+// pooledMux returns the caller's pooled connection to addr, or nil.
 func pooledMux(c *TCPCaller, addr string) *muxConn {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	mc, _ := c.conns[addr].(*muxConn)
-	return mc
+	return c.conns[addr]
 }
 
 // blockingMux serves "block", which waits until release is closed, and

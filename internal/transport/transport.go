@@ -1,9 +1,9 @@
 // Package transport provides the RPC layer the platform's distributed pieces
 // (lookup service, extension bases, adaptation services) communicate over.
-// Hot message types ride the zero-reflection wire codec (internal/wire);
-// everything else is gob-encoded, and the two are distinguished on the
-// receiving side by the wire frame header, so mixed fleets interoperate. Two
-// interchangeable fabrics are provided: an in-process fabric whose
+// A body's codec is a property of its message type alone: types with a wire
+// codec (internal/wire) always travel as wire frames, every other type as
+// gob, and the receiving side tells the two apart by the wire frame header.
+// Two interchangeable fabrics are provided: an in-process fabric whose
 // connectivity is steered by the mobility simulator (standing in for the
 // wireless network of the paper's testbed) and a real TCP fabric.
 package transport
@@ -38,11 +38,13 @@ var (
 	// ErrNoMethod indicates the destination does not serve the method.
 	ErrNoMethod = errors.New("transport: no such method")
 	// ErrDecode indicates a request or response body failed to decode. Its
-	// text is the prefix every decode failure has always carried, so a
-	// RemoteError from an old, gob-only peer that choked on a wire frame
-	// unwraps to it via the sentinel machinery — that match is what triggers
-	// the caller's remembered per-peer gob fallback.
+	// text is the prefix every decode failure carries, so a RemoteError from
+	// a handler that could not decode its request unwraps to it.
 	ErrDecode = errors.New("transport: decode:")
+	// ErrIncompatible indicates the TCP peer acked the handshake with another
+	// envelope or wire.Version. It holds for as long as the two builds do, so
+	// RetryTransient never retries it.
+	ErrIncompatible = errors.New("transport: incompatible peer")
 )
 
 // RemoteError wraps an error string returned by the remote handler. When the
@@ -129,8 +131,7 @@ func Encode(v any) ([]byte, error) {
 
 // EncodeBody encodes v for a fabric: with the wire codec when useWire is set
 // and v implements it, gob otherwise. The second result reports whether the
-// body is a wire frame, which the fabrics record (metrics) and mirror in
-// their responses.
+// body is a wire frame. The fabrics always pass useWire.
 func EncodeBody(v any, useWire bool) ([]byte, bool, error) {
 	if useWire {
 		if m, ok := v.(wire.Marshaler); ok {
@@ -155,13 +156,6 @@ func Decode(data []byte, v any) error {
 		}
 		return nil
 	}
-	return DecodeGob(data, v)
-}
-
-// DecodeGob gob-decodes data into v (a pointer) with no frame dispatch — the
-// behavior of peers that predate the wire codec. Mux.SetGobOnly routes
-// request decoding through it to model such a peer in tests.
-func DecodeGob(data []byte, v any) error {
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(v); err != nil {
 		return fmt.Errorf("%w %v", ErrDecode, err)
 	}
@@ -173,29 +167,11 @@ func DecodeGob(data []byte, v any) error {
 type Mux struct {
 	mu       sync.RWMutex
 	handlers map[string]func(ctx context.Context, body []byte) ([]byte, error)
-	gobOnly  bool
 }
 
 // NewMux returns an empty Mux.
 func NewMux() *Mux {
 	return &Mux{handlers: make(map[string]func(ctx context.Context, body []byte) ([]byte, error))}
-}
-
-// SetGobOnly makes typed handlers on this mux behave like a peer that
-// predates the wire codec: request bodies are always gob-decoded (so wire
-// frames fail with the decode error old binaries produce) and responses are
-// always gob-encoded. Mixed-fleet tests use it to stand up legacy receivers.
-func (m *Mux) SetGobOnly(on bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.gobOnly = on
-}
-
-// GobOnly reports whether SetGobOnly is in effect.
-func (m *Mux) GobOnly() bool {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.gobOnly
 }
 
 // HandleRaw registers a raw body handler for method.
@@ -227,26 +203,21 @@ func (m *Mux) Methods() []string {
 	return out
 }
 
-// Register installs a typed handler for method on mux. The response mirrors
-// the request's codec: a wire-framed request gets a wire-framed response
-// (when Resp has a codec) and a gob request gets a gob response, so old
-// callers never receive bytes they cannot decode.
+// Register installs a typed handler for method on mux. The response is
+// encoded by its own type, like every other body: a wire frame when Resp has
+// a wire codec, gob otherwise.
 func Register[Req, Resp any](mux *Mux, method string, fn func(ctx context.Context, req Req) (Resp, error)) {
 	mux.HandleRaw(method, func(ctx context.Context, body []byte) ([]byte, error) {
 		var req Req
-		if mux.GobOnly() {
-			if err := DecodeGob(body, &req); err != nil {
-				return nil, err
-			}
-		} else if err := Decode(body, &req); err != nil {
+		if err := Decode(body, &req); err != nil {
 			return nil, err
 		}
 		resp, err := fn(ctx, req)
 		if err != nil {
 			return nil, err
 		}
-		out, _, eerr := EncodeBody(resp, wire.IsFrame(body) && !mux.GobOnly())
-		return out, eerr
+		out, _, err := EncodeBody(resp, true)
+		return out, err
 	})
 }
 

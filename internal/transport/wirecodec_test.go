@@ -5,9 +5,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/gob"
 	"errors"
 	"io"
 	"net"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -101,42 +104,18 @@ func TestInProcWireBodiesCounted(t *testing.T) {
 	fabric.Instrument(reg)
 	stop, _ := fabric.Serve("b", newWireEchoMux())
 	defer stop()
-	resp, err := Invoke[wireReq, wireResp](context.Background(), fabric.Node("a"), "b", "wecho", wireReq{Msg: "ab", N: 2})
+	req := wireReq{Msg: "ab", N: 2}
+	resp, err := Invoke[wireReq, wireResp](context.Background(), fabric.Node("a"), "b", "wecho", req)
 	if err != nil || resp.Msg != "abab" {
 		t.Fatalf("resp=%q err=%v", resp.Msg, err)
 	}
-	if got := testutil.Counter(reg, "transport.wire_bodies"); got != 1 {
-		t.Fatalf("wire_bodies = %d, want 1", got)
+	// Both directions travel as wire frames: the byte counters read exactly
+	// the frames' lengths.
+	if got, want := testutil.Counter(reg, "transport.bytes_sent"), uint64(len(wire.Marshal(req))); got != want {
+		t.Fatalf("bytes_sent = %d, want %d (one wire frame)", got, want)
 	}
-	if got := testutil.Counter(reg, "transport.codec_fallbacks"); got != 0 {
-		t.Fatalf("codec_fallbacks = %d, want 0", got)
-	}
-}
-
-func TestInProcFallsBackToGobOnlyPeer(t *testing.T) {
-	fabric := NewInProc()
-	reg := metrics.New()
-	fabric.Instrument(reg)
-	legacyMux := newWireEchoMux()
-	legacyMux.SetGobOnly(true)
-	stop, _ := fabric.Serve("old", legacyMux)
-	defer stop()
-	caller := fabric.Node("base")
-	for i := 0; i < 3; i++ {
-		resp, err := Invoke[wireReq, wireResp](context.Background(), caller, "old", "wecho", wireReq{Msg: "x", N: 3})
-		if err != nil || resp.Msg != "xxx" {
-			t.Fatalf("call %d: resp=%q err=%v", i, resp.Msg, err)
-		}
-	}
-	// One wire attempt, one remembered fallback, all later calls gob.
-	if got := testutil.Counter(reg, "transport.codec_fallbacks"); got != 1 {
-		t.Fatalf("codec_fallbacks = %d, want 1", got)
-	}
-	if got := testutil.Counter(reg, "transport.wire_bodies"); got != 1 {
-		t.Fatalf("wire_bodies = %d, want 1", got)
-	}
-	if got := testutil.Counter(reg, "transport.gob_bodies"); got != 3 {
-		t.Fatalf("gob_bodies = %d, want 3 (the fallback retry plus two remembered)", got)
+	if got, want := testutil.Counter(reg, "transport.bytes_received"), uint64(len(wire.Marshal(resp))); got != want {
+		t.Fatalf("bytes_received = %d, want %d (one wire frame)", got, want)
 	}
 }
 
@@ -152,46 +131,78 @@ func TestTCPNegotiatesWireEnvelope(t *testing.T) {
 	defer caller.Close()
 	creg := metrics.New()
 	caller.Instrument(creg)
-	resp, err := Invoke[wireReq, wireResp](context.Background(), caller, srv.Addr(), "wecho", wireReq{Msg: "ab", N: 3})
+	req := wireReq{Msg: "ab", N: 3}
+	resp, err := Invoke[wireReq, wireResp](context.Background(), caller, srv.Addr(), "wecho", req)
 	if err != nil || resp.Msg != "ababab" {
 		t.Fatalf("resp=%q err=%v", resp.Msg, err)
 	}
 	if got := testutil.Counter(sreg, "transport.serve_wire_conns"); got != 1 {
 		t.Fatalf("serve_wire_conns = %d, want 1", got)
 	}
-	if got := testutil.Counter(creg, "transport.wire_bodies"); got != 1 {
-		t.Fatalf("wire_bodies = %d, want 1", got)
+	if got, want := testutil.Counter(creg, "transport.bytes_sent"), uint64(len(wire.Marshal(req))); got != want {
+		t.Fatalf("bytes_sent = %d, want %d (one wire frame)", got, want)
 	}
 }
 
-func TestTCPFallsBackToLegacyServer(t *testing.T) {
-	legacyMux := newWireEchoMux()
-	legacyMux.SetGobOnly(true)
-	srv, err := ServeTCPLegacy("127.0.0.1:0", legacyMux)
+// TestTCPIncompatibleAckRefused pins the client side of a version mismatch: a
+// peer that acks the handshake with another wire.Version fails the call with
+// ErrIncompatible, which is not retried, and the refused connection is not
+// pooled, so every call dials exactly once.
+func TestTCPIncompatibleAckRefused(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
-	caller := NewTCPCaller()
-	caller.DialTimeout = time.Second
-	defer caller.Close()
-	reg := metrics.New()
-	caller.Instrument(reg)
-	for i := 0; i < 2; i++ {
-		resp, err := Invoke[wireReq, wireResp](context.Background(), caller, srv.Addr(), "wecho", wireReq{Msg: "y", N: 2})
-		if err != nil || resp.Msg != "yy" {
-			t.Fatalf("call %d: resp=%q err=%v", i, resp.Msg, err)
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer ln.Close()
+	var dials atomic.Int64
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			dials.Add(1)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer conn.Close()
+				var preface [4]byte
+				if _, err := io.ReadFull(conn, preface[:]); err != nil {
+					return
+				}
+				_, _ = conn.Write([]byte{wire.Magic, envTag, wire.Version + 1})
+				_, _ = io.Copy(io.Discard, conn)
+			}()
 		}
-	}
-	if got := testutil.Counter(reg, "transport.codec_fallbacks"); got != 1 {
-		t.Fatalf("codec_fallbacks = %d, want 1", got)
-	}
-	if got := testutil.Counter(reg, "transport.wire_bodies"); got != 0 {
-		t.Fatalf("wire_bodies = %d, want 0 (legacy peer remembered at dial)", got)
+	}()
+	caller := NewTCPCaller()
+	defer caller.Close()
+	for i := int64(1); i <= 3; i++ {
+		err := caller.Call(context.Background(), ln.Addr().String(), "wecho", wireReq{Msg: "x", N: 1}, nil)
+		if !errors.Is(err, ErrIncompatible) {
+			t.Fatalf("call %d: err = %v, want ErrIncompatible", i, err)
+		}
+		if RetryTransient(err) {
+			t.Fatalf("call %d: RetryTransient(%v) = true, want false", i, err)
+		}
+		if got := dials.Load(); got != i {
+			t.Fatalf("after call %d: %d dials, want %d", i, got, i)
+		}
+		if mc := pooledMux(caller, ln.Addr().String()); mc != nil {
+			t.Fatalf("call %d: refused connection was pooled", i)
+		}
 	}
 }
 
-func TestTCPServesLegacyGobClient(t *testing.T) {
+// TestTCPIncompatiblePrefaceAckedThenClosed pins the server side: a
+// well-formed preface naming another wire.Version still gets the server's own
+// ack, so the client can name the mismatch, and then the server hangs up
+// without serving the connection.
+func TestTCPIncompatiblePrefaceAckedThenClosed(t *testing.T) {
 	srv, err := ServeTCP("127.0.0.1:0", newWireEchoMux())
 	if err != nil {
 		t.Fatal(err)
@@ -199,15 +210,83 @@ func TestTCPServesLegacyGobClient(t *testing.T) {
 	defer srv.Close()
 	sreg := metrics.New()
 	srv.Instrument(sreg)
-	caller := NewTCPCaller()
-	caller.DisableWire() // a client binary predating the codec
-	defer caller.Close()
-	resp, err := Invoke[wireReq, wireResp](context.Background(), caller, srv.Addr(), "wecho", wireReq{Msg: "z", N: 4})
-	if err != nil || resp.Msg != "zzzz" {
-		t.Fatalf("resp=%q err=%v", resp.Msg, err)
+	conn, err := net.DialTimeout("tcp", srv.Addr(), time.Second)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := testutil.Counter(sreg, "transport.serve_gob_conns"); got != 1 {
-		t.Fatalf("serve_gob_conns = %d, want 1", got)
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+	if _, err := conn.Write([]byte{0x00, wire.Magic, envTag, wire.Version + 1}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := io.ReadAll(conn)
+	if err != nil {
+		t.Fatalf("read: %v", err)
+	}
+	if want := []byte{wire.Magic, envTag, wire.Version}; !bytes.Equal(got, want) {
+		t.Fatalf("server sent % x then closed, want exactly its ack % x", got, want)
+	}
+	if got := testutil.Counter(sreg, "transport.serve_wire_conns"); got != 0 {
+		t.Fatalf("serve_wire_conns = %d, want 0", got)
+	}
+}
+
+// TestTCPRefusesGobClient pins that the server speaks one protocol: a client
+// opening with a gob envelope is hung up on before any handler runs, and wire
+// clients of the same server are unaffected.
+func TestTCPRefusesGobClient(t *testing.T) {
+	var handled atomic.Int64
+	mux := newWireEchoMux()
+	mux.HandleRaw("count", func(_ context.Context, body []byte) ([]byte, error) {
+		handled.Add(1)
+		return body, nil
+	})
+	srv, err := ServeTCP("127.0.0.1:0", mux)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	sreg := metrics.New()
+	srv.Instrument(sreg)
+
+	conn, err := net.DialTimeout("tcp", srv.Addr(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+	body, err := Encode(echoReq{Msg: "x", N: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	envelope := struct {
+		Method string
+		Body   []byte
+	}{"count", body}
+	if err := gob.NewEncoder(conn).Encode(&envelope); err != nil {
+		t.Fatal(err)
+	}
+	var buf [1]byte
+	n, err := conn.Read(buf[:])
+	var ne net.Error
+	if n != 0 || err == nil || (errors.As(err, &ne) && ne.Timeout()) {
+		t.Fatalf("gob client answered: read %d bytes, err %v; want a hang-up", n, err)
+	}
+	if got := handled.Load(); got != 0 {
+		t.Fatalf("handler ran %d times for a gob client, want 0", got)
+	}
+
+	caller := NewTCPCaller()
+	defer caller.Close()
+	resp, err := Invoke[wireReq, wireResp](context.Background(), caller, srv.Addr(), "wecho", wireReq{Msg: "w", N: 2})
+	if err != nil || resp.Msg != "ww" {
+		t.Fatalf("wire client after the gob client: resp=%q err=%v", resp.Msg, err)
+	}
+	if got := testutil.Counter(sreg, "transport.serve_requests"); got != 1 {
+		t.Fatalf("serve_requests = %d, want 1 (the wire call only)", got)
+	}
+	if got := testutil.Counter(sreg, "transport.serve_wire_conns"); got != 1 {
+		t.Fatalf("serve_wire_conns = %d, want 1", got)
 	}
 }
 
@@ -327,9 +406,9 @@ func TestTCPWireEnvelopeLayout(t *testing.T) {
 
 // TestTCPRefusesPreMuxPreface pins the handshake's version gate: a client
 // built before the multiplexed envelope opens with the 3-byte preface
-// [0x00, Magic, wire.Version], and the server must hang up without an ack,
-// so that client falls back to gob at the handshake instead of exchanging
-// envelopes it would misparse.
+// [0x00, Magic, wire.Version], which is not a well-formed preface, and the
+// server must hang up without an ack instead of exchanging envelopes that
+// client would misparse.
 func TestTCPRefusesPreMuxPreface(t *testing.T) {
 	srv, err := ServeTCP("127.0.0.1:0", newWireEchoMux())
 	if err != nil {
@@ -356,32 +435,40 @@ func TestTCPRefusesPreMuxPreface(t *testing.T) {
 	}
 }
 
-// TestWireResponseMirrorsRequestCodec pins the compatibility rule that old
-// gob callers never receive wire bytes: the same handler answers a gob
-// request in gob and a wire request in wire.
-func TestWireResponseMirrorsRequestCodec(t *testing.T) {
+// TestWireResponseCodecFollowsResponseType pins that a Register handler
+// encodes its response by the response's type alone, whatever codec the
+// request came in: a wire-capable response is a wire frame, any other is gob.
+func TestWireResponseCodecFollowsResponseType(t *testing.T) {
 	mux := newWireEchoMux()
+	Register(mux, "toGob", func(_ context.Context, req wireReq) (echoResp, error) {
+		return echoResp{Msg: req.Msg}, nil
+	})
+	Register(mux, "toWire", func(_ context.Context, req echoReq) (wireResp, error) {
+		return wireResp{Msg: req.Msg}, nil
+	})
 	ctx := context.Background()
-	gobBody, _, err := EncodeBody(wireReq{Msg: "a", N: 1}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := mux.Handle(ctx, "wecho", gobBody)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wire.IsFrame(out) {
-		t.Fatal("gob request got a wire response")
-	}
-	wireBody, _, err := EncodeBody(wireReq{Msg: "a", N: 1}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err = mux.Handle(ctx, "wecho", wireBody)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !wire.IsFrame(out) {
-		t.Fatal("wire request got a gob response")
+	for _, tc := range []struct {
+		method    string
+		req       any
+		useWire   bool
+		wantFrame bool
+	}{
+		{"toGob", wireReq{Msg: "a", N: 1}, true, false},
+		{"toWire", echoReq{Msg: "a", N: 1}, true, true},
+		// A gob body for a wire-capable request type still decodes, and the
+		// response is a wire frame all the same.
+		{"wecho", wireReq{Msg: "a", N: 1}, false, true},
+	} {
+		body, _, err := EncodeBody(tc.req, tc.useWire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := mux.Handle(ctx, tc.method, body)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.method, err)
+		}
+		if wire.IsFrame(out) != tc.wantFrame {
+			t.Fatalf("%s (request frame %v): response frame = %v, want %v", tc.method, tc.useWire, wire.IsFrame(out), tc.wantFrame)
+		}
 	}
 }

@@ -1,20 +1,14 @@
-// Codec micro-benchmarks: the wire codec against encoding/gob on the hottest
-// message type, RenewBatchReq, at singleton, one-batch and storm sizes. The
-// gob side is measured the way the fabrics actually used it — a fresh
-// encoder/decoder per message, so type descriptors are re-sent every time —
-// because that is the cost the codec replaces. Run with:
+// Codec micro-benchmarks: the wire codec on the hottest message type,
+// RenewBatchReq, at singleton, one-batch and storm sizes. Run with:
 //
 //	go test -run '^$' -bench WireCodec -benchmem ./internal/wire/
 package wire_test
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -52,38 +46,6 @@ func BenchmarkWireCodecDecode(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				var out core.RenewBatchReq
 				if err := wire.Unmarshal(data, &out); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkGobCodecEncode(b *testing.B) {
-	for _, n := range benchSizes {
-		req := benchRenewBatch(n)
-		b.Run(fmt.Sprintf("renewBatch-%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := transport.Encode(req); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkGobCodecDecode(b *testing.B) {
-	for _, n := range benchSizes {
-		data, err := transport.Encode(benchRenewBatch(n))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("renewBatch-%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				var out core.RenewBatchReq
-				if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&out); err != nil {
 					b.Fatal(err)
 				}
 			}

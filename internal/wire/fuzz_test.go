@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/discovery"
 	"repro/internal/lvm"
 	"repro/internal/registry"
 	"repro/internal/sign"
@@ -130,6 +131,7 @@ func FuzzWireDecode(f *testing.F) {
 			&trace.SpanContext{},
 			&svc.InvokeReq{},
 			&svc.InvokeResp{},
+			&discovery.Announcement{},
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

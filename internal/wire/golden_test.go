@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/discovery"
 	"repro/internal/lvm"
 	"repro/internal/registry"
 	"repro/internal/sign"
@@ -97,6 +98,8 @@ func goldenMessages() map[string]wire.Marshaler {
 			lvm.Nil(), lvm.Int(-300), lvm.Bool(true), lvm.Str("arm-2"), lvm.Bytes([]byte{0xCA, 0xFE}),
 		}},
 		"invoke_resp": svc.InvokeResp{Result: lvm.Int(600)},
+		// The UDP discovery beacon.
+		"announcement": discovery.Announcement{Name: "hall-1", LookupAddr: "10.0.0.1:7000", Area: "north"},
 	}
 }
 

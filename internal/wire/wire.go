@@ -16,10 +16,9 @@
 //	offset 1: 0xC6  — the wire magic
 //	offset 2: 0x01  — the codec version
 //
-// The header is what lets transport.Decode dispatch between the two codecs,
-// old peers reject frames with their familiar gob error (which the fabrics
-// translate into a remembered per-peer gob fallback), and the version byte
-// evolve the format without flag days.
+// The header is what lets transport.Decode tell a wire body from a gob body
+// (message types without a wire codec still travel as gob), and the version
+// byte makes a format change explicit: a decoder refuses any other version.
 package wire
 
 import (
@@ -33,12 +32,13 @@ import (
 // Version is the wire-format version emitted by this build. Decoders accept
 // exactly this version; bumping it is a format change and must come with new
 // golden vectors. Version 2 added Extension.Flows (declared information-flow
-// rules) between Caps and Meta; version-1 peers interoperate through the gob
-// fallback, which the transport negotiates per type.
+// rules) between Caps and Meta. Peers of different versions do not talk: the
+// TCP handshake carries Version and refuses a mismatch
+// (transport.ErrIncompatible).
 const Version = 2
 
 // Magic is the second frame-header byte. The TCP fabric reuses it in its
-// codec-negotiation ack.
+// handshake preface and ack.
 const Magic = 0xC6
 
 // Frame header bytes (see the package comment for the layout).

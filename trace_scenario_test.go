@@ -149,10 +149,18 @@ func TestScenarioTracedLifecycle(t *testing.T) {
 	waitFor(t, "adaptation via lookup", func() bool { return n.receiver.Has("policy") })
 	waitFor(t, "base adapted the node", func() bool { return len(b.base.Adapted()) == 1 })
 
-	// At least one renewal cycle.
+	// The node counts as adapted before the push (and its retry) has
+	// finished and handed the lease to the renewal scheduler. Advancing the
+	// clock any earlier arms the renewal past the advance, and it never runs.
+	waitFor(t, "the base scheduled the lease's renewal", func() bool { return b.base.ScheduledRenewals() == 1 })
+
+	// At least one renewal cycle. The node counts it inside its handler,
+	// before the base's lease.renew span ends, so wait for the span too.
 	renewalsBefore := n.counter("lease.renewals")
 	w.advance(6*time.Second, 500*time.Millisecond)
-	waitFor(t, "a lease renewal", func() bool { return n.counter("lease.renewals") > renewalsBefore })
+	waitFor(t, "a lease renewal", func() bool {
+		return n.counter("lease.renewals") > renewalsBefore && len(tr.Spans(trace.Filter{Name: "lease.renew"})) > 0
+	})
 
 	// Revocation.
 	if err := b.base.RemoveExtension("policy"); err != nil {
