@@ -5,7 +5,6 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/lvm"
 	"repro/internal/lvm/analysis"
 	"repro/internal/sandbox"
 )
@@ -85,7 +84,16 @@ func (r *AnalysisReport) Demand() []sandbox.Capability {
 // their registered capability sets. The returned report's Caps is the union,
 // which is exactly what the extension can ever demand from a node's sandbox.
 func AnalyzeExtension(ext Extension) (*AnalysisReport, error) {
+	rep, _, err := analyzeExtension(ext)
+	return rep, err
+}
+
+// analyzeExtension is AnalyzeExtension that also returns each mobile advice
+// as analysed, aligned with ext.Advices (nil for builtins), so a receiver
+// compiles the very programs it vetted instead of assembling them again.
+func analyzeExtension(ext Extension) (*AnalysisReport, []*adviceProgram, error) {
 	rep := &AnalysisReport{Ext: ext.Name, Version: ext.Version, FuelBounded: true}
+	progs := make([]*adviceProgram, len(ext.Advices))
 	capSet := make(map[sandbox.Capability]bool)
 	callSet := make(map[string]bool)
 	flowSet := make(map[string]bool)
@@ -108,11 +116,13 @@ func AnalyzeExtension(ext Extension) (*AnalysisReport, error) {
 			}
 			continue
 		}
-		mrep, warns, err := analyzeAdviceCode(spec.Code)
+		a, err := analyzeAdvice(spec.Code)
 		if err != nil {
-			return nil, fmt.Errorf("core: extension %q advice %q: %w", ext.Name, spec.Name, err)
+			return nil, nil, fmt.Errorf("core: extension %q advice %q: %w", ext.Name, spec.Name, err)
 		}
-		for _, w := range warns {
+		progs[i] = a
+		mrep := a.rep
+		for _, w := range a.warnings {
 			rep.Warnings = append(rep.Warnings, fmt.Sprintf("advice %q: %s", spec.Name, w))
 		}
 		for _, c := range mrep.Caps {
@@ -145,33 +155,7 @@ func AnalyzeExtension(ext Extension) (*AnalysisReport, error) {
 	if !rep.FuelBounded {
 		rep.FuelSteps = 0
 	}
-	return rep, nil
-}
-
-// analyzeAdviceCode assembles one mobile advice and analyses its entry
-// method, enforcing the same structural shape CompileAdvice requires.
-func analyzeAdviceCode(source string) (*analysis.MethodReport, []string, error) {
-	prog, err := lvm.Assemble(source)
-	if err != nil {
-		return nil, nil, err
-	}
-	cls := prog.Class(AdviceClass)
-	if cls == nil {
-		return nil, nil, fmt.Errorf("advice code must define class %s", AdviceClass)
-	}
-	meth := cls.Methods[AdviceMethod]
-	if meth == nil {
-		return nil, nil, fmt.Errorf("advice code must define %s.%s()", AdviceClass, AdviceMethod)
-	}
-	if meth.Arity() != 0 {
-		return nil, nil, fmt.Errorf("%s.%s must take no parameters", AdviceClass, AdviceMethod)
-	}
-	full, err := analysis.AnalyzeProgram(prog)
-	if err != nil {
-		return nil, nil, err
-	}
-	mrep := full.Method(AdviceClass, AdviceMethod)
-	return mrep, full.Warnings, nil
+	return rep, progs, nil
 }
 
 // FlowError reports an information flow refused at admission: either the

@@ -627,9 +627,9 @@ func (b *Base) revokeExtension(ctx context.Context, n *adaptedNode, name string)
 	rctx, sp := tr.StartSpan(trace.NewContext(ctx, b.pushSpanCtx(n.addr, name)), "base.revoke")
 	sp.Tag("ext", name)
 	sp.Tag("node", n.id)
-	ictx, cancel := context.WithTimeout(rctx, b.cfg.CallTimeout)
+	ictx := transport.WithCallDeadline(rctx, b.cfg.CallTimeout)
 	_, err := transport.Invoke[RevokeReq, EmptyResp](ictx, b.caller, n.addr, MethodRevoke, RevokeReq{Name: name})
-	cancel()
+	ictx.Cancel()
 	sp.End(err)
 	return err
 }
@@ -866,13 +866,13 @@ func (b *Base) pushExtension(ctx context.Context, n *adaptedNode, ext Extension)
 		sp.End(err)
 		return err
 	}
-	ictx, cancel := context.WithTimeout(pctx, b.cfg.CallTimeout)
+	ictx := transport.WithCallDeadline(pctx, b.cfg.CallTimeout)
 	resp, err := transport.Invoke[InstallReq, InstallResp](ictx, b.caller, n.addr, MethodInstall, InstallReq{
 		Signed:    signed,
 		BaseAddr:  b.cfg.Addr,
 		DurMillis: b.cfg.LeaseDur.Milliseconds(),
 	})
-	cancel()
+	ictx.Cancel()
 	if err != nil {
 		sp.End(err)
 		return fmt.Errorf("core: push %q to %s: %w", ext.Name, n.addr, err)
@@ -1059,10 +1059,10 @@ func (b *Base) nodeDeparted(nodeAddr string) {
 	// Simple roaming: hint neighbour bases that the node may have entered
 	// their area.
 	for _, nb := range neighbors {
-		ctx, cancel := context.WithTimeout(context.Background(), b.cfg.CallTimeout)
+		ctx := transport.WithCallDeadline(context.Background(), b.cfg.CallTimeout)
 		_, err := transport.Invoke[RoamReq, EmptyResp](ctx, b.caller, nb, MethodBaseRoam,
 			RoamReq{NodeID: n.id, NodeAddr: n.addr})
-		cancel()
+		ctx.Cancel()
 		detail := nb
 		if err != nil {
 			detail = nb + " failed: " + err.Error()

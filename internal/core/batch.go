@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/lease"
@@ -140,19 +141,23 @@ func (b *Base) renewNodeBatch(node string, items []lease.BatchItem, out []lease.
 	// A tag, not an annotation: tags on a sampled-out span are free (the pool
 	// keeps their backing array), while Annotatef pays fmt on every batch.
 	sp.Tag("leases", strconv.Itoa(len(items)))
-	req := RenewBatchReq{Items: make([]RenewExtReq, len(items)), WantObs: wantObs}
-	for i, it := range items {
-		req.Items[i] = RenewExtReq{LeaseID: string(it.ID), DurMillis: b.cfg.LeaseDur.Milliseconds()}
+	rc := getRenewCall()
+	defer putRenewCall(rc)
+	req, resp := &rc.batchReq, &rc.batchResp
+	req.WantObs = wantObs
+	for _, it := range items {
+		req.Items = append(req.Items, RenewExtReq{LeaseID: string(it.ID), DurMillis: b.cfg.LeaseDur.Milliseconds()})
 	}
-	rctx, cancel := context.WithTimeout(context.Background(), b.cfg.CallTimeout)
+	pctx := context.Background()
 	if sc := sp.Context(); sc.TraceID != "" {
 		// Parent the rpc.call span under this batch span. Besides the trace
 		// tree reading right, a sampled-out child rides the context's decision
 		// instead of minting a root trace ID per call on the shared RNG.
-		rctx = trace.NewContext(rctx, sc)
+		pctx = trace.NewContext(pctx, sc)
 	}
-	resp, err := transport.Invoke[RenewBatchReq, RenewBatchResp](rctx, b.caller, node, MethodRenewBatch, req)
-	cancel()
+	rctx := transport.WithCallDeadline(pctx, b.cfg.CallTimeout)
+	err := b.caller.Call(rctx, node, MethodRenewBatch, req, resp)
+	rctx.Cancel()
 	sp.End(err)
 	if err != nil {
 		return err
@@ -184,6 +189,36 @@ func (b *Base) renewNodeBatch(node string, items []lease.BatchItem, out []lease.
 		lsp.End(ierr)
 	}
 	return nil
+}
+
+// renewCall holds one renewal exchange's request and response. The base
+// renews every lease of the fleet once per window, so the pair is pooled:
+// passing pooled pointers to the Caller spares boxing the request and the
+// response per call, and the batch request's Items and the batch response's
+// decoded Items keep their capacity across calls. A Caller decodes into the
+// response before it returns and keeps neither, so the pair is free to reuse
+// once the call is over.
+type renewCall struct {
+	batchReq  RenewBatchReq
+	batchResp RenewBatchResp
+	oneReq    RenewExtReq
+	oneResp   RenewExtResp
+}
+
+var renewCalls = sync.Pool{New: func() any { return new(renewCall) }}
+
+func getRenewCall() *renewCall { return renewCalls.Get().(*renewCall) }
+
+// putRenewCall clears rc, keeping the Items capacity but no strings or
+// reports from the call, and pools it.
+func putRenewCall(rc *renewCall) {
+	clear(rc.batchReq.Items)
+	clear(rc.batchResp.Items)
+	*rc = renewCall{
+		batchReq:  RenewBatchReq{Items: rc.batchReq.Items[:0]},
+		batchResp: RenewBatchResp{Items: rc.batchResp.Items[:0]},
+	}
+	renewCalls.Put(rc)
 }
 
 // renewMeta snapshots per-lease trace metadata under the node's shard lock,
@@ -222,17 +257,17 @@ func (b *Base) renewOne(node string, id lease.ID, meta renewItemMeta) lease.Batc
 	lctx, lsp := tr.StartSpan(trace.NewContext(context.Background(), meta.sc), "lease.renew")
 	lsp.Tag("ext", meta.ext)
 	lsp.Tag("node", meta.nodeID)
-	rctx, cancel := context.WithTimeout(lctx, b.cfg.CallTimeout)
-	resp, err := transport.Invoke[RenewExtReq, RenewExtResp](rctx, b.caller, node, MethodRenewE, RenewExtReq{
-		LeaseID:   string(id),
-		DurMillis: b.cfg.LeaseDur.Milliseconds(),
-	})
-	cancel()
+	rc := getRenewCall()
+	defer putRenewCall(rc)
+	rc.oneReq = RenewExtReq{LeaseID: string(id), DurMillis: b.cfg.LeaseDur.Milliseconds()}
+	rctx := transport.WithCallDeadline(lctx, b.cfg.CallTimeout)
+	err := b.caller.Call(rctx, node, MethodRenewE, &rc.oneReq, &rc.oneResp)
+	rctx.Cancel()
 	lsp.End(err)
 	if err != nil {
 		return lease.BatchResult{ID: id, Err: err}
 	}
-	granted := time.Duration(resp.DurMillis) * time.Millisecond
+	granted := time.Duration(rc.oneResp.DurMillis) * time.Millisecond
 	if granted <= 0 {
 		granted = b.cfg.LeaseDur
 	}
@@ -282,9 +317,9 @@ func (b *Base) applyToNode(ctx context.Context, n *adaptedNode, installs []Exten
 		sent = append(sent, ext)
 	}
 
-	ictx, cancel := context.WithTimeout(pctx, b.cfg.CallTimeout)
+	ictx := transport.WithCallDeadline(pctx, b.cfg.CallTimeout)
 	resp, err := transport.Invoke[ApplyBatchReq, ApplyBatchResp](ictx, b.caller, n.addr, MethodApplyBatch, req)
-	cancel()
+	ictx.Cancel()
 	// Capture the identity before End: a sampled-out span is recycled there,
 	// and Context on the recycled handle would mint an ID for whatever span
 	// owns the pooled storage next.

@@ -12,6 +12,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/sign"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // stormCaller is a fake fleet node fabric for renewal-storm tests: it answers
@@ -84,7 +85,7 @@ func (c *stormCaller) Call(_ context.Context, to, method string, req, resp any) 
 	case MethodRenewE:
 		*(resp.(*RenewExtResp)) = RenewExtResp{DurMillis: minute}
 	case MethodRenewBatch:
-		r := req.(RenewBatchReq)
+		r := *req.(*RenewBatchReq) // the base passes its pooled request
 		out := RenewBatchResp{}
 		for range r.Items {
 			out.Items = append(out.Items, RenewItemResp{DurMillis: minute})
@@ -326,14 +327,11 @@ func TestRenewalJournalsOncePerCall(t *testing.T) {
 	}
 }
 
-// TestRenewNodeBatchAllocBudget pins what one 2-lease midas.renewBatch costs
-// the base over the in-process fabric, node side included: request and
-// response bodies, the wire codec and the call context. Per-lease metadata
-// and results live in caller and stack buffers and add nothing.
-func TestRenewNodeBatchAllocBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the wire codec's buffer pool drops items at random under -race")
-	}
+// newAllocBase serves a renewal-only node, robot1, over the in-process
+// fabric (node-side handlers as lean as a receiver's) and returns a base that
+// has adapted it with extensions a and b.
+func newAllocBase(t *testing.T) *Base {
+	t.Helper()
 	fabric := transport.NewInProc()
 	mux := transport.NewMux()
 	transport.Register(mux, MethodApplyBatch, func(_ context.Context, req ApplyBatchReq) (ApplyBatchResp, error) {
@@ -350,11 +348,14 @@ func TestRenewNodeBatchAllocBudget(t *testing.T) {
 		}
 		return resp, nil
 	})
+	transport.Register(mux, MethodRenewE, func(_ context.Context, req RenewExtReq) (RenewExtResp, error) {
+		return RenewExtResp{DurMillis: req.DurMillis}, nil
+	})
 	stop, err := fabric.Serve("robot1", mux)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer stop()
+	t.Cleanup(stop)
 	signer, err := sign.NewSigner("hall-1")
 	if err != nil {
 		t.Fatal(err)
@@ -366,7 +367,7 @@ func TestRenewNodeBatchAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer b.Close()
+	t.Cleanup(b.Close)
 	for _, name := range []string{"a", "b"} {
 		if err := b.AddExtension(noopExt(name, 1)); err != nil {
 			t.Fatal(err)
@@ -375,6 +376,20 @@ func TestRenewNodeBatchAllocBudget(t *testing.T) {
 	if err := b.AdaptNode("robot1", "robot1"); err != nil {
 		t.Fatal(err)
 	}
+	return b
+}
+
+// TestRenewNodeBatchAllocBudget pins what one 2-lease midas.renewBatch costs
+// the base over the in-process fabric, node side included: the call deadline,
+// the peer stamp and both bodies, plus the node's request and response boxes,
+// decoded items and lease IDs and built response items. The base's request and
+// response are pooled, and per-lease metadata and results live in caller and
+// stack buffers; none of them adds an allocation.
+func TestRenewNodeBatchAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the wire codec's buffer pool drops items at random under -race")
+	}
+	b := newAllocBase(t)
 	items := []lease.BatchItem{{ID: "L0", Name: "a"}, {ID: "L1", Name: "b"}}
 	out := make([]lease.BatchResult, len(items))
 	allocs := testing.AllocsPerRun(200, func() {
@@ -387,9 +402,52 @@ func TestRenewNodeBatchAllocBudget(t *testing.T) {
 			t.Fatalf("result %d = %+v, want %s renewed for a minute", i, r, items[i].ID)
 		}
 	}
-	const budget = 20
+	const budget = 10
 	t.Logf("%.0f allocs per 2-lease renew call", allocs)
 	if allocs > budget {
 		t.Errorf("2-lease renew call: %.0f allocs, budget %d", allocs, budget)
+	}
+}
+
+// TestRenewOneAllocBudget pins the singleton midas.renew the same way: the
+// call deadline, the peer stamp and both bodies, plus the node's request and
+// response boxes and decoded lease ID.
+func TestRenewOneAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the wire codec's buffer pool drops items at random under -race")
+	}
+	b := newAllocBase(t)
+	var r lease.BatchResult
+	allocs := testing.AllocsPerRun(200, func() {
+		r = b.renewOne("robot1", "L0", renewItemMeta{})
+	})
+	if r.ID != "L0" || r.Err != nil || r.Granted != time.Minute {
+		t.Fatalf("result = %+v, want L0 renewed for a minute", r)
+	}
+	const budget = 7
+	t.Logf("%.0f allocs per singleton renew call", allocs)
+	if allocs > budget {
+		t.Errorf("singleton renew call: %.0f allocs, budget %d", allocs, budget)
+	}
+}
+
+// TestRenewExtRespUnmarshalAllocs pins the singleton renewal's response decode
+// at zero allocations: the decoder is pooled and the message has no strings.
+func TestRenewExtRespUnmarshalAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the wire codec's decoder pool drops items at random under -race")
+	}
+	frame := wire.Marshal(RenewExtResp{DurMillis: time.Minute.Milliseconds()})
+	var resp RenewExtResp
+	allocs := testing.AllocsPerRun(1000, func() {
+		if err := wire.Unmarshal(frame, &resp); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if resp.DurMillis != time.Minute.Milliseconds() {
+		t.Fatalf("decoded %+v", resp)
+	}
+	if allocs != 0 {
+		t.Fatalf("wire.Unmarshal of RenewExtResp: %.0f allocs, want 0", allocs)
 	}
 }

@@ -91,33 +91,59 @@ const defaultAdviceMaxSteps = 200_000
 // whose host calls go through the node's sandboxed host plus the ctx.*
 // join-point accessors.
 func CompileAdvice(source string, host lvm.Host) (aop.Body, error) {
-	prog, err := lvm.Assemble(source)
-	if err != nil {
-		return nil, fmt.Errorf("core: advice code: %w", err)
-	}
-	cls := prog.Class(AdviceClass)
-	if cls == nil {
-		return nil, fmt.Errorf("core: advice code must define class %s", AdviceClass)
-	}
-	meth := cls.Methods[AdviceMethod]
-	if meth == nil {
-		return nil, fmt.Errorf("core: advice code must define %s.%s()", AdviceClass, AdviceMethod)
-	}
-	if meth.Arity() != 0 {
-		return nil, fmt.Errorf("core: %s.%s must take no parameters", AdviceClass, AdviceMethod)
-	}
-	// Mobile code is verified before it is ever executed: the static analyzer
-	// checks operand ranges, jump targets, stack discipline and typed operand
-	// use across all paths (strictly stronger than lvm.VerifyProgram), and
-	// its cost analysis sizes the interpreter's fuel budget.
-	rep, err := analysis.AnalyzeProgram(prog)
+	a, err := analyzeAdvice(source)
 	if err != nil {
 		return nil, fmt.Errorf("core: advice code rejected: %w", err)
 	}
-	b := &codeBody{prog: prog, meth: meth, self: cls.New()}
-	b.interp = lvm.NewInterp(prog, &ctxHost{inner: host, body: b})
-	b.interp.MaxSteps = int64(adviceMaxSteps(rep.Method(AdviceClass, AdviceMethod).Fuel))
-	return b, nil
+	return a.compile(host), nil
+}
+
+// adviceProgram is one mobile advice, assembled, shape-checked and analysed
+// once: admission reads its report, and compile builds bodies from it.
+type adviceProgram struct {
+	prog     *lvm.Program
+	cls      *lvm.Class
+	meth     *lvm.Method
+	rep      *analysis.MethodReport
+	warnings []string
+}
+
+// analyzeAdvice assembles mobile advice source, checks that it has the
+// required shape (a class AdviceClass with a niladic AdviceMethod) and runs
+// the static analyzer over it. Mobile code is verified before it is ever
+// executed: the analyzer checks operand ranges, jump targets, stack
+// discipline and typed operand use across all paths (strictly stronger than
+// lvm.VerifyProgram), and its cost analysis sizes the interpreter's fuel
+// budget.
+func analyzeAdvice(source string) (*adviceProgram, error) {
+	prog, err := lvm.Assemble(source)
+	if err != nil {
+		return nil, err
+	}
+	cls := prog.Class(AdviceClass)
+	if cls == nil {
+		return nil, fmt.Errorf("advice code must define class %s", AdviceClass)
+	}
+	meth := cls.Methods[AdviceMethod]
+	if meth == nil {
+		return nil, fmt.Errorf("advice code must define %s.%s()", AdviceClass, AdviceMethod)
+	}
+	if meth.Arity() != 0 {
+		return nil, fmt.Errorf("%s.%s must take no parameters", AdviceClass, AdviceMethod)
+	}
+	full, err := analysis.AnalyzeProgram(prog)
+	if err != nil {
+		return nil, err
+	}
+	return &adviceProgram{prog: prog, cls: cls, meth: meth, rep: full.Method(AdviceClass, AdviceMethod), warnings: full.Warnings}, nil
+}
+
+// compile wraps the analysed advice as a body dispatching host calls to host.
+func (a *adviceProgram) compile(host lvm.Host) aop.Body {
+	b := &codeBody{prog: a.prog, meth: a.meth, self: a.cls.New()}
+	b.interp = lvm.NewInterp(a.prog, &ctxHost{inner: host, body: b})
+	b.interp.MaxSteps = int64(adviceMaxSteps(a.rep.Fuel))
+	return b
 }
 
 // adviceMaxSteps converts a static fuel verdict into an interpreter budget:

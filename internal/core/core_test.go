@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -123,6 +124,45 @@ func TestInstallWeavesAspect(t *testing.T) {
 	infos := n.receiver.Installed()
 	if len(infos) != 1 || infos[0].Name != "monitor" || infos[0].BaseAddr != "base-1" {
 		t.Errorf("Installed = %+v", infos)
+	}
+}
+
+// TestWithdrawVisibleWithActivity pins that a removal becomes visible all at
+// once: whoever sees Has turn false finds the withdraw event already in
+// Activity and the aspect already gone from the weaver.
+func TestWithdrawVisibleWithActivity(t *testing.T) {
+	n := newTestNode(t)
+	signed, err := Sign(n.signer, builtinExt("monitor", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	withdrawals := func() int {
+		c := 0
+		for _, a := range n.receiver.Activity() {
+			if a.Event == "withdraw" && a.Ext == "monitor" {
+				c++
+			}
+		}
+		return c
+	}
+	for round := 1; round <= 50; round++ {
+		if _, err := n.receiver.Install(signed, "base-1", time.Minute); err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() { done <- n.receiver.Withdraw("monitor") }()
+		for n.receiver.Has("monitor") {
+			runtime.Gosched()
+		}
+		if got := withdrawals(); got != round {
+			t.Fatalf("round %d: Has is false but Activity holds %d withdraw events", round, got)
+		}
+		if n.weaver.Has("monitor") {
+			t.Fatalf("round %d: Has is false but the aspect is still woven", round)
+		}
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -74,7 +74,7 @@ func (c *slowPushCaller) Call(_ context.Context, _, method string, req, resp any
 	case MethodRenewBatch:
 		c.renews.Add(1)
 		out := RenewBatchResp{}
-		for range req.(RenewBatchReq).Items {
+		for range req.(*RenewBatchReq).Items {
 			out.Items = append(out.Items, RenewItemResp{DurMillis: time.Minute.Milliseconds()})
 		}
 		*(resp.(*RenewBatchResp)) = out

@@ -78,6 +78,11 @@ type installedExt struct {
 	system   bool
 	refs     int // dependents, for system extensions
 	bodies   []aop.Body
+	// removing is set while remove unweaves the extension. The entry stays
+	// in installed until the weaver has let go of it, and leaves together
+	// with its activity record, so a Has that turns false already finds the
+	// withdraw or expire event in Activity.
+	removing bool
 	// sc is the span context of the install, so an autonomous expiry years
 	// of renewals later still joins the trace that installed the extension.
 	sc trace.SpanContext
@@ -268,7 +273,7 @@ func (r *Receiver) journalExt(signed SignedExtension, baseAddr string, id lease.
 
 func (r *Receiver) installImplicit(ctx context.Context, name, baseAddr string) error {
 	r.mu.Lock()
-	if ie, ok := r.installed[name]; ok {
+	if ie, ok := r.installed[name]; ok && !ie.removing {
 		ie.refs++
 		r.mu.Unlock()
 		return nil
@@ -301,7 +306,7 @@ func (r *Receiver) install(ctx context.Context, ext Extension, signer, baseAddr 
 	// advice bodies are built so a refresh allocates nothing.
 	r.mu.Lock()
 	var refreshID lease.ID
-	if old, ok := r.installed[ext.Name]; ok && !system && !old.system &&
+	if old, ok := r.installed[ext.Name]; ok && !system && !old.system && !old.removing &&
 		ext.Version == old.ext.Version && old.baseAddr == baseAddr && old.leaseID != "" {
 		refreshID = old.leaseID
 	}
@@ -324,7 +329,7 @@ func (r *Receiver) install(ctx context.Context, ext Extension, signer, baseAddr 
 	// capabilities exceed both its declaration and this node's grant — the
 	// signature would still verify, so the receiver must not take the
 	// declared set at face value.
-	rep, err := AnalyzeExtension(ext)
+	rep, progs, err := analyzeExtension(ext)
 	if err != nil {
 		return "", "", fmt.Errorf("core: extension %q rejected by pre-weave analysis: %w", ext.Name, err)
 	}
@@ -353,7 +358,7 @@ func (r *Receiver) install(ctx context.Context, ext Extension, signer, baseAddr 
 		if spec.Builtin != "" {
 			body, err = r.cfg.Builtins.New(spec.Builtin, env, spec.Config)
 		} else {
-			body, err = CompileAdvice(spec.Code, gated)
+			body = progs[i].compile(gated)
 		}
 		if err != nil {
 			return "", "", fmt.Errorf("core: extension %q advice %q: %w", ext.Name, spec.Name, err)
@@ -384,10 +389,14 @@ func (r *Receiver) install(ctx context.Context, ext Extension, signer, baseAddr 
 
 	r.mu.Lock()
 	old, exists := r.installed[ext.Name]
+	removing := exists && old.removing
 	r.mu.Unlock()
 
 	event := "install"
 	if exists {
+		if removing {
+			return "", "", fmt.Errorf("core: extension %q is being withdrawn; retry the install", ext.Name)
+		}
 		if ext.Version <= old.ext.Version {
 			return "", "", fmt.Errorf("core: extension %q version %d already installed (have %d)",
 				ext.Name, ext.Version, old.ext.Version)
@@ -535,7 +544,7 @@ func (r *Receiver) Inventory() []InventoryItem {
 	r.mu.Lock()
 	items := make([]InventoryItem, 0, len(r.installed))
 	for _, ie := range r.installed {
-		if ie.system {
+		if ie.system || ie.removing {
 			continue
 		}
 		items = append(items, InventoryItem{
@@ -589,14 +598,19 @@ func (r *Receiver) expire(name string) {
 	sp.End(r.remove(ctx, name, "expire"))
 }
 
+// remove unweaves the named extension and releases its implicit
+// dependencies. The extension stays installed, marked removing, until the
+// weaver has withdrawn it; it then leaves installed in the same critical
+// section that records event in the activity log. A second remove of the same
+// extension meanwhile reports ErrNotInstalled.
 func (r *Receiver) remove(ctx context.Context, name, event string) error {
 	r.mu.Lock()
 	ie, ok := r.installed[name]
-	if !ok {
+	if !ok || ie.removing {
 		r.mu.Unlock()
 		return fmt.Errorf("core: extension %q %w", name, ErrNotInstalled)
 	}
-	delete(r.installed, name)
+	ie.removing = true
 	requires := ie.ext.Requires
 	baseAddr := ie.baseAddr
 	leaseID := ie.leaseID
@@ -611,17 +625,25 @@ func (r *Receiver) remove(ctx context.Context, name, event string) error {
 	if leaseID != "" {
 		_ = r.grantor.Cancel(leaseID)
 	}
-	if err := r.cfg.Weaver.WithdrawCtx(ctx, name); err != nil {
-		return err
+	werr := r.cfg.Weaver.WithdrawCtx(ctx, name)
+	r.mu.Lock()
+	if r.installed[name] == ie {
+		delete(r.installed, name)
 	}
-	r.log(event, name, baseAddr, "")
+	if werr == nil {
+		r.logLocked(event, name, baseAddr, "")
+	}
+	r.mu.Unlock()
+	if werr != nil {
+		return werr
+	}
 
 	// Release implicit dependencies.
 	for _, req := range requires {
 		r.mu.Lock()
 		dep, ok := r.installed[req]
 		var drop bool
-		if ok && dep.system {
+		if ok && dep.system && !dep.removing {
 			dep.refs--
 			drop = dep.refs <= 0
 		}
@@ -671,6 +693,11 @@ func (r *Receiver) Activity() []Activity {
 func (r *Receiver) log(event, ext, base, detail string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.logLocked(event, ext, base, detail)
+}
+
+// logLocked is log for a caller that holds r.mu.
+func (r *Receiver) logLocked(event, ext, base, detail string) {
 	r.activity = append(r.activity, Activity{
 		AtMillis: r.cfg.Clock.Now().UnixMilli(),
 		Event:    event,

@@ -143,9 +143,9 @@ func (b *Base) reconcileNode(ctx context.Context, addr string) ReconcileResult {
 	rctx, sp := tr.StartSpan(ctx, "base.reconcile")
 	sp.Tag("node", addr)
 
-	ictx, cancel := context.WithTimeout(rctx, b.cfg.CallTimeout)
+	ictx := transport.WithCallDeadline(rctx, b.cfg.CallTimeout)
 	inv, err := transport.Invoke[EmptyResp, InventoryResp](ictx, b.caller, addr, MethodInventory, EmptyResp{})
-	cancel()
+	ictx.Cancel()
 	if err != nil {
 		res.Err = err.Error()
 		sp.End(err)

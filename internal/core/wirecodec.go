@@ -245,10 +245,16 @@ func (r RenewBatchResp) MarshalWire(e *wire.Encoder) {
 	}
 }
 
-// UnmarshalWire decodes r from the wire codec.
+// UnmarshalWire decodes r from the wire codec. It decodes into the Items
+// capacity r already holds, so a response the base recycles across renewal
+// calls allocates its items once.
 func (r *RenewBatchResp) UnmarshalWire(d *wire.Decoder) error {
 	if n := d.Len(); n > 0 {
-		r.Items = make([]RenewItemResp, n)
+		if cap(r.Items) >= n {
+			r.Items = r.Items[:n]
+		} else {
+			r.Items = make([]RenewItemResp, n)
+		}
 		for i := range r.Items {
 			if err := r.Items[i].UnmarshalWire(d); err != nil {
 				return err

@@ -65,6 +65,22 @@ func (sc SpanContext) SampleDecision() (sampled, known bool) {
 
 type ctxKey struct{}
 
+// spanCtx is the context NewContext returns. Unlike context.WithValue, which
+// would box the SpanContext in a second allocation, it holds sc inline and
+// answers ctxKey with a pointer to it.
+type spanCtx struct {
+	context.Context
+	sc SpanContext
+}
+
+// Value implements context.Context.
+func (c *spanCtx) Value(key any) any {
+	if key == (ctxKey{}) {
+		return &c.sc
+	}
+	return c.Context.Value(key)
+}
+
 // NewContext returns ctx carrying sc. An invalid sc returns ctx unchanged.
 func NewContext(ctx context.Context, sc SpanContext) context.Context {
 	if !sc.Valid() {
@@ -73,7 +89,7 @@ func NewContext(ctx context.Context, sc SpanContext) context.Context {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return context.WithValue(ctx, ctxKey{}, sc)
+	return &spanCtx{Context: ctx, sc: sc}
 }
 
 // FromContext extracts the span context carried by ctx, if any.
@@ -81,8 +97,11 @@ func FromContext(ctx context.Context) (SpanContext, bool) {
 	if ctx == nil {
 		return SpanContext{}, false
 	}
-	sc, ok := ctx.Value(ctxKey{}).(SpanContext)
-	return sc, ok && sc.Valid()
+	sc, ok := ctx.Value(ctxKey{}).(*SpanContext)
+	if !ok {
+		return SpanContext{}, false
+	}
+	return *sc, sc.Valid()
 }
 
 // Detach returns a fresh background context carrying only the span context of

@@ -106,7 +106,8 @@ func (n *InProc) SetLoss(num, den uint64) {
 	n.lossNum, n.lossDen, n.lossTick = num, den, 0
 }
 
-// dropCall reports whether the current call falls into a loss slot.
+// dropCall reports whether the current call falls into a loss slot. Call
+// takes it, and with it the write lock, only while loss is on.
 func (n *InProc) dropCall() bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -141,12 +142,13 @@ func (n *InProc) Serve(addr string, h Handler) (func(), error) {
 // Node returns a Caller whose calls originate from addr, so the connectivity
 // oracle sees the correct link endpoints.
 func (n *InProc) Node(addr string) Caller {
-	return &inprocCaller{net: n, from: addr}
+	return &inprocCaller{net: n, from: addr, peer: boxPeer(addr)}
 }
 
 type inprocCaller struct {
 	net  *InProc
 	from string
+	peer any // from, boxed once for withBoxedPeer
 }
 
 // Call implements Caller.
@@ -156,6 +158,7 @@ func (c *inprocCaller) Call(ctx context.Context, to, method string, req, resp an
 	linked := c.net.linked
 	latency := c.net.latency
 	fm := c.net.m
+	lossy := c.net.lossNum != 0 && c.net.lossDen != 0
 	c.net.mu.RUnlock()
 	if fm != nil {
 		fm.calls.Inc()
@@ -168,7 +171,7 @@ func (c *inprocCaller) Call(ctx context.Context, to, method string, req, resp an
 	if linked != nil && c.from != to && !linked(c.from, to) {
 		return fmt.Errorf("%w: %s -> %s (out of range)", ErrUnreachable, c.from, to)
 	}
-	if c.net.dropCall() {
+	if lossy && c.net.dropCall() {
 		return fmt.Errorf("%w: %s -> %s (message lost)", ErrUnreachable, c.from, to)
 	}
 	if latency > 0 {
@@ -185,7 +188,7 @@ func (c *inprocCaller) Call(ctx context.Context, to, method string, req, resp an
 	if fm != nil {
 		fm.bytesOut.Add(uint64(len(body)))
 	}
-	out, herr := h.Handle(WithPeer(ctx, c.from), method, body)
+	out, herr := h.Handle(withBoxedPeer(ctx, c.peer), method, body)
 	if herr != nil {
 		return NewRemoteError(method, herr.Error())
 	}

@@ -362,9 +362,9 @@ func (s *TCPServer) handle(sc trace.SpanContext, peer string, budgetMillis int64
 	}
 	ctx := WithPeer(trace.NewContext(context.Background(), sc), peer)
 	if budgetMillis > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(budgetMillis)*time.Millisecond)
-		defer cancel()
+		dctx := WithCallDeadline(ctx, time.Duration(budgetMillis)*time.Millisecond)
+		defer dctx.Cancel()
+		ctx = dctx
 	}
 	out, err := s.handler.Handle(ctx, method, body)
 	if sm != nil {

@@ -25,7 +25,9 @@ type Handler interface {
 	Handle(ctx context.Context, method string, body []byte) ([]byte, error)
 }
 
-// Caller issues RPC requests to remote nodes.
+// Caller issues RPC requests to remote nodes. Call encodes req and decodes
+// into resp (a pointer, or nil) before it returns, and keeps neither
+// afterwards, so a caller may reuse both for its next call.
 type Caller interface {
 	Call(ctx context.Context, to, method string, req, resp any) error
 }

@@ -226,3 +226,69 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		t.Errorf("roundtrip = %+v", out)
 	}
 }
+
+// TestInProcConcurrentCallsLossOff drives concurrent calls with loss off,
+// for the race detector, while the test itself holds the fabric's read lock:
+// a call that took the write lock would block behind it.
+func TestInProcConcurrentCallsLossOff(t *testing.T) {
+	fabric := NewInProc()
+	stop, _ := fabric.Serve("b", newEchoMux())
+	defer stop()
+	fabric.SetLoss(1, 2)
+	fabric.SetLoss(0, 0)
+
+	fabric.mu.RLock()
+	defer fabric.mu.RUnlock()
+	const workers, calls = 8, 50
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			caller := fabric.Node("a")
+			for i := 0; i < calls; i++ {
+				if _, err := Invoke[echoReq, echoResp](context.Background(), caller, "b", "echo", echoReq{Msg: "x", N: 1}); err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for w := 0; w < workers; w++ {
+		select {
+		case err := <-errs:
+			if err != nil {
+				t.Fatalf("call with loss off: %v", err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("calls with loss off blocked behind a held read lock")
+		}
+	}
+}
+
+// TestInProcSetLossDropsDeterministically pins the loss schedule: SetLoss(1, 3)
+// drops exactly every third call, and SetLoss(0, 0) stops the drops.
+func TestInProcSetLossDropsDeterministically(t *testing.T) {
+	fabric := NewInProc()
+	stop, _ := fabric.Serve("b", newEchoMux())
+	defer stop()
+	caller := fabric.Node("a")
+	call := func() error {
+		_, err := Invoke[echoReq, echoResp](context.Background(), caller, "b", "echo", echoReq{Msg: "x", N: 1})
+		return err
+	}
+	for round := 0; round < 2; round++ {
+		fabric.SetLoss(1, 3) // also restarts the schedule
+		for i := 1; i <= 9; i++ {
+			err := call()
+			if dropped := i%3 == 0; dropped != errors.Is(err, ErrUnreachable) {
+				t.Fatalf("round %d call %d: err = %v, want dropped=%v", round, i, err, dropped)
+			}
+		}
+	}
+	fabric.SetLoss(0, 0)
+	for i := 0; i < 9; i++ {
+		if err := call(); err != nil {
+			t.Fatalf("call %d with loss off: %v", i, err)
+		}
+	}
+}

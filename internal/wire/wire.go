@@ -57,7 +57,8 @@ type Marshaler interface {
 // Unmarshaler is implemented by message types that unmarshal themselves with
 // the wire codec. Implementations read fields from d in the order they were
 // written and report d.Err(); the decoder carries a sticky error so field
-// reads need no individual checks.
+// reads need no individual checks. Unmarshal recycles d once UnmarshalWire
+// returns, so implementations must not retain it.
 type Unmarshaler interface {
 	UnmarshalWire(d *Decoder) error
 }
@@ -102,18 +103,23 @@ func Unmarshal(data []byte, u Unmarshaler) error {
 	if data[2] != Version {
 		return fmt.Errorf("wire: unsupported version %d (have %d)", data[2], Version)
 	}
-	d := Decoder{data: data[headerLen:]}
-	if err := u.UnmarshalWire(&d); err != nil {
-		return err
+	d := decPool.Get().(*Decoder)
+	*d = Decoder{data: data[headerLen:]}
+	err := u.UnmarshalWire(d)
+	if err == nil {
+		err = d.err
 	}
-	if d.err != nil {
-		return d.err
+	if err == nil && d.off != len(d.data) {
+		err = fmt.Errorf("%w: %d of %d bytes consumed", ErrTrailing, d.off, len(d.data))
 	}
-	if d.off != len(d.data) {
-		return fmt.Errorf("%w: %d of %d bytes consumed", ErrTrailing, d.off, len(d.data))
-	}
-	return nil
+	*d = Decoder{}
+	decPool.Put(d)
+	return err
 }
+
+// decPool recycles Unmarshal's decoders. Passed to an interface method, a
+// decoder escapes to the heap; without the pool every decode allocates one.
+var decPool = sync.Pool{New: func() any { return new(Decoder) }}
 
 // Encoder appends wire-encoded fields to a byte buffer. The zero value is
 // ready to use; hot paths take pooled encoders through GetEncoder.

@@ -210,3 +210,41 @@ func TestEncoderPoolReuse(t *testing.T) {
 	}
 	PutEncoder(e2)
 }
+
+// varintMsg is a message without strings or slices, whose decode needs no
+// allocation of its own.
+type varintMsg struct{ A, B int64 }
+
+func (m varintMsg) MarshalWire(e *Encoder) { e.Varint(m.A); e.Varint(m.B) }
+
+func (m *varintMsg) UnmarshalWire(d *Decoder) error {
+	m.A, m.B = d.Varint(), d.Varint()
+	return d.Err()
+}
+
+// TestUnmarshalAllocs pins that Unmarshal itself allocates nothing: its
+// decoder comes from a pool, on success and on a trailing-bytes failure alike.
+func TestUnmarshalAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the decoder pool drops items at random under -race")
+	}
+	frame := Marshal(varintMsg{A: -7, B: 1 << 40})
+	var m varintMsg
+	if allocs := testing.AllocsPerRun(1000, func() {
+		if err := Unmarshal(frame, &m); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("Unmarshal: %.0f allocs, want 0", allocs)
+	}
+	if m != (varintMsg{A: -7, B: 1 << 40}) {
+		t.Fatalf("decoded %+v", m)
+	}
+	// A decoder recycled after a failed decode starts clean.
+	if err := Unmarshal(append(frame[:len(frame):len(frame)], 0), &m); !errors.Is(err, ErrTrailing) {
+		t.Fatalf("trailing byte: %v", err)
+	}
+	if err := Unmarshal(frame, &m); err != nil {
+		t.Fatalf("decode after a failure: %v", err)
+	}
+}
