@@ -21,7 +21,6 @@
 package main
 
 import (
-	"context"
 	"encoding/hex"
 	"flag"
 	"fmt"
@@ -195,12 +194,6 @@ func run() error {
 	lookup.Instrument(reg)
 	caller.Instrument(reg)
 	base.Instrument(reg)
-	transport.Register(mux, core.MethodMetrics, func(_ context.Context, _ core.EmptyResp) (core.MetricsResp, error) {
-		return core.MetricsResp{Snap: reg.Snapshot()}, nil
-	})
-	transport.Register(mux, core.MethodTrace, func(_ context.Context, req core.TraceReq) (core.TraceResp, error) {
-		return core.CollectTrace(tracer, req), nil
-	})
 
 	for i, spec := range exts {
 		e, err := presetExtension(*name, i, spec)
@@ -263,39 +256,42 @@ func run() error {
 	srv.Instrument(reg)
 	log.Printf("base station %s serving on %s (signer %s)", *name, srv.Addr(), signer.Fingerprint())
 
+	health := metrics.NewHealth()
+	health.Register("transport", func() error {
+		conn, err := net.DialTimeout("tcp", srv.Addr(), 500*time.Millisecond)
+		if err != nil {
+			return err
+		}
+		return conn.Close()
+	})
+	health.Register("nodes", func() error {
+		if d := base.Degraded(); len(d) > 0 {
+			return fmt.Errorf("%d node(s) degraded: %s", len(d), strings.Join(d, ", "))
+		}
+		return nil
+	})
+	health.RegisterValue("base.degraded_nodes", func() int64 { return int64(len(base.Degraded())) })
+	health.RegisterValue("base.renewal_backlog", func() int64 { return int64(base.RenewalBacklog()) })
+	health.RegisterValue("trace.spans_dropped", func() int64 { return int64(tracer.SpansDropped()) })
+	if ovl != nil {
+		health.RegisterValue("overload.limit", func() int64 { return int64(ovl.Snapshot().Limit) })
+		health.RegisterValue("overload.queued", func() int64 { return int64(ovl.Snapshot().Queued) })
+		health.RegisterValue("overload.sheds", func() int64 { return int64(ovl.Snapshot().Sheds()) })
+		health.RegisterValue("overload.expired_drops", func() int64 { return int64(ovl.Snapshot().ExpiredDrops) })
+	}
+	// One observability handler serves the ops RPC and the -http listener.
+	docs := metrics.NewHandler(reg, health, append([]metrics.Mount{
+		{Pattern: "/trace", Handler: trace.Handler(tracer)},
+		{Pattern: "/events", Handler: trace.EventsHandler(tracer)},
+	}, base.Mounts()...)...)
+	transport.ServeOps(mux, docs)
+
 	if *httpAddr != "" {
-		health := metrics.NewHealth()
-		health.Register("transport", func() error {
-			conn, err := net.DialTimeout("tcp", srv.Addr(), 500*time.Millisecond)
-			if err != nil {
-				return err
-			}
-			return conn.Close()
-		})
-		health.Register("nodes", func() error {
-			if d := base.Degraded(); len(d) > 0 {
-				return fmt.Errorf("%d node(s) degraded: %s", len(d), strings.Join(d, ", "))
-			}
-			return nil
-		})
-		health.RegisterValue("base.degraded_nodes", func() int64 { return int64(len(base.Degraded())) })
-		health.RegisterValue("base.renewal_backlog", func() int64 { return int64(base.RenewalBacklog()) })
-		health.RegisterValue("trace.spans_dropped", func() int64 { return int64(tracer.SpansDropped()) })
-		if ovl != nil {
-			health.RegisterValue("overload.limit", func() int64 { return int64(ovl.Snapshot().Limit) })
-			health.RegisterValue("overload.queued", func() int64 { return int64(ovl.Snapshot().Queued) })
-			health.RegisterValue("overload.sheds", func() int64 { return int64(ovl.Snapshot().Sheds()) })
-			health.RegisterValue("overload.expired_drops", func() int64 { return int64(ovl.Snapshot().ExpiredDrops) })
-		}
-		mounts := []metrics.Mount{
-			{Pattern: "/trace", Handler: trace.Handler(tracer)},
-			{Pattern: "/events", Handler: trace.EventsHandler(tracer)},
-			{Pattern: "/fleet", Handler: core.FleetHandler(base)},
-		}
+		web := docs
 		if *pprofOn {
-			mounts = append(mounts, metrics.PprofMounts()...)
+			web = metrics.WithPprof(docs)
 		}
-		maddr, stopHTTP, err := metrics.ServeHTTP(*httpAddr, reg, health, mounts...)
+		maddr, stopHTTP, err := metrics.ServeHTTP(*httpAddr, web)
 		if err != nil {
 			return err
 		}

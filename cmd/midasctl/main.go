@@ -17,14 +17,21 @@
 // The metrics and top subcommands accept -watch <interval> to poll and
 // re-render in place (Ctrl-C exits); top shows the base's merged fleet
 // observability view, slowest methods first.
+//
+// metrics, trace, records, status, analyze and top read the daemon's JSON
+// documents (/metrics, /trace + /events, /records, /status, /analyze, /fleet)
+// over the ops RPC and render them as text: midasctl prints what curl sees on
+// the daemon's -http listener.
 package main
 
 import (
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"log"
+	"net/url"
 	"os"
 	"sort"
 	"strings"
@@ -100,11 +107,11 @@ func run() error {
 			return fmt.Errorf("metrics needs -node or -base")
 		}
 		return watchLoop(*watch, func(ctx context.Context) error {
-			resp, err := transport.Invoke[core.EmptyResp, core.MetricsResp](ctx, caller, target, core.MethodMetrics, core.EmptyResp{})
-			if err != nil {
+			var snap metrics.Snapshot
+			if err := getDoc(ctx, caller, target, "/metrics", &snap); err != nil {
 				return err
 			}
-			metrics.WriteText(os.Stdout, resp.Snap)
+			metrics.WriteText(os.Stdout, snap)
 			return nil
 		})
 	case "top":
@@ -112,11 +119,11 @@ func run() error {
 			return fmt.Errorf("top needs -base")
 		}
 		return watchLoop(*watch, func(ctx context.Context) error {
-			resp, err := transport.Invoke[core.EmptyResp, core.FleetResp](ctx, caller, *baseAddr, core.MethodBaseFleet, core.EmptyResp{})
-			if err != nil {
+			var fleet core.FleetResp
+			if err := getDoc(ctx, caller, *baseAddr, "/fleet", &fleet); err != nil {
 				return err
 			}
-			writeFleet(os.Stdout, resp)
+			writeFleet(os.Stdout, fleet)
 			return nil
 		})
 	case "trace":
@@ -131,18 +138,18 @@ func run() error {
 		if len(args) > 1 {
 			query = args[1]
 		}
-		resp, err := transport.Invoke[core.TraceReq, core.TraceResp](ctx, caller, target, core.MethodTrace, core.TraceReq{Query: query})
+		spans, events, err := getTrace(ctx, caller, target, query)
 		if err != nil {
 			return err
 		}
-		if len(resp.Spans) == 0 {
+		if len(spans) == 0 {
 			fmt.Println("no matching spans")
 		} else {
-			trace.WriteText(os.Stdout, resp.Spans)
+			trace.WriteText(os.Stdout, spans)
 		}
-		if len(resp.Events) > 0 {
+		if len(events) > 0 {
 			fmt.Println()
-			trace.WriteEventsText(os.Stdout, resp.Events)
+			trace.WriteEventsText(os.Stdout, events)
 		}
 	case "services":
 		if *lookupAddr == "" {
@@ -161,41 +168,81 @@ func run() error {
 		if *baseAddr == "" {
 			return fmt.Errorf("records needs -base")
 		}
-		filter := store.Filter{}
+		path := "/records"
 		if len(args) > 1 {
-			filter.Robot = args[1]
+			path += "?robot=" + url.QueryEscape(args[1])
 		}
-		resp, err := transport.Invoke[core.QueryReq, core.QueryResp](ctx, caller, *baseAddr, core.MethodBaseQuery, core.QueryReq{Filter: filter})
-		if err != nil {
+		var recs []store.Record
+		if err := getDoc(ctx, caller, *baseAddr, path, &recs); err != nil {
 			return err
 		}
-		for _, r := range resp.Records {
+		for _, r := range recs {
 			fmt.Printf("%6d  %-14s %-10s %-12s %6d  at %d\n", r.Seq, r.Robot, r.Device, r.Action, r.Value, r.AtMillis)
 		}
-		fmt.Printf("%d records\n", len(resp.Records))
+		fmt.Printf("%d records\n", len(recs))
 	case "analyze":
 		if *baseAddr == "" || len(args) < 2 {
 			return fmt.Errorf("analyze needs -base and an extension name")
 		}
-		resp, err := transport.Invoke[core.AnalyzeReq, core.AnalyzeResp](ctx, caller, *baseAddr,
-			core.MethodBaseAnalyze, core.AnalyzeReq{Ext: args[1]})
-		if err != nil {
+		var rep core.AnalysisReport
+		if err := getDoc(ctx, caller, *baseAddr, "/analyze?ext="+url.QueryEscape(args[1]), &rep); err != nil {
 			return err
 		}
-		writeAnalysis(os.Stdout, resp.Report)
+		writeAnalysis(os.Stdout, rep)
 	case "status":
 		if *baseAddr == "" {
 			return fmt.Errorf("status needs -base")
 		}
-		resp, err := transport.Invoke[core.EmptyResp, core.BaseStatusResp](ctx, caller, *baseAddr, core.MethodBaseStatus, core.EmptyResp{})
-		if err != nil {
+		var st core.BaseStatusResp
+		if err := getDoc(ctx, caller, *baseAddr, "/status", &st); err != nil {
 			return err
 		}
-		writeStatus(os.Stdout, resp)
+		writeStatus(os.Stdout, st)
 	default:
 		return fmt.Errorf("unknown subcommand %q", args[0])
 	}
 	return nil
+}
+
+// getDoc reads the JSON document at path from the daemon at addr over the
+// ops RPC into v.
+func getDoc(ctx context.Context, c transport.Caller, addr, path string, v any) error {
+	body, err := transport.Ops(ctx, c, addr, path)
+	if err != nil {
+		return err
+	}
+	if err := json.Unmarshal(body, v); err != nil {
+		return fmt.Errorf("%s %s: %w", addr, path, err)
+	}
+	return nil
+}
+
+// getTrace resolves a trace query: the spans /trace?q= finds plus every
+// buffered event of their traces from /events (all events for an empty
+// query).
+func getTrace(ctx context.Context, c transport.Caller, addr, query string) ([]trace.SpanSnapshot, []trace.Event, error) {
+	var spans []trace.SpanSnapshot
+	if err := getDoc(ctx, c, addr, "/trace?q="+url.QueryEscape(query), &spans); err != nil {
+		return nil, nil, err
+	}
+	var events []trace.Event
+	if err := getDoc(ctx, c, addr, "/events", &events); err != nil {
+		return nil, nil, err
+	}
+	if query == "" {
+		return spans, events, nil
+	}
+	ids := make(map[string]bool, len(spans))
+	for _, s := range spans {
+		ids[s.TraceID] = true
+	}
+	var kept []trace.Event
+	for _, e := range events {
+		if ids[e.TraceID] {
+			kept = append(kept, e)
+		}
+	}
+	return spans, kept, nil
 }
 
 // watchLoop renders once, or — with a positive interval — clears the screen

@@ -193,28 +193,32 @@ func run() error {
 
 	log.Printf("node %s serving on %s", *name, srv.Addr())
 
+	health := metrics.NewHealth()
+	health.Register("transport", func() error {
+		conn, err := net.DialTimeout("tcp", srv.Addr(), 500*time.Millisecond)
+		if err != nil {
+			return err
+		}
+		return conn.Close()
+	})
+	health.RegisterValue("trace.spans_dropped", func() int64 { return int64(tracer.SpansDropped()) })
+	health.RegisterValue("trace.tail_kept", func() int64 {
+		_, kept := tracer.SamplerStats()
+		return int64(kept)
+	})
+	// One observability handler serves the ops RPC and the -http listener.
+	docs := metrics.NewHandler(reg, health,
+		metrics.Mount{Pattern: "/trace", Handler: trace.Handler(tracer)},
+		metrics.Mount{Pattern: "/events", Handler: trace.EventsHandler(tracer)},
+	)
+	transport.ServeOps(mux, docs)
+
 	if *httpAddr != "" {
-		health := metrics.NewHealth()
-		health.Register("transport", func() error {
-			conn, err := net.DialTimeout("tcp", srv.Addr(), 500*time.Millisecond)
-			if err != nil {
-				return err
-			}
-			return conn.Close()
-		})
-		health.RegisterValue("trace.spans_dropped", func() int64 { return int64(tracer.SpansDropped()) })
-		health.RegisterValue("trace.tail_kept", func() int64 {
-			_, kept := tracer.SamplerStats()
-			return int64(kept)
-		})
-		mounts := []metrics.Mount{
-			{Pattern: "/trace", Handler: trace.Handler(tracer)},
-			{Pattern: "/events", Handler: trace.EventsHandler(tracer)},
-		}
+		web := docs
 		if *pprofOn {
-			mounts = append(mounts, metrics.PprofMounts()...)
+			web = metrics.WithPprof(docs)
 		}
-		maddr, stopHTTP, err := metrics.ServeHTTP(*httpAddr, reg, health, mounts...)
+		maddr, stopHTTP, err := metrics.ServeHTTP(*httpAddr, web)
 		if err != nil {
 			return err
 		}

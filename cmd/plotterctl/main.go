@@ -14,14 +14,15 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
+	"net/url"
 	"strconv"
 	"strings"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/lvm"
 	"repro/internal/plotter"
 	"repro/internal/store"
@@ -142,17 +143,21 @@ func fetch(tcp transport.Caller, baseAddr string, args []string) ([]store.Record
 	if baseAddr == "" {
 		return nil, fmt.Errorf("%s needs -base", args[0])
 	}
-	filter := store.Filter{}
+	path := "/records"
 	if len(args) > 1 {
-		filter.Robot = args[1]
+		path += "?robot=" + url.QueryEscape(args[1])
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	resp, err := transport.Invoke[core.QueryReq, core.QueryResp](ctx, tcp, baseAddr, core.MethodBaseQuery, core.QueryReq{Filter: filter})
+	body, err := transport.Ops(ctx, tcp, baseAddr, path)
 	if err != nil {
 		return nil, err
 	}
-	return resp.Records, nil
+	var recs []store.Record
+	if err := json.Unmarshal(body, &recs); err != nil {
+		return nil, fmt.Errorf("%s %s: %w", baseAddr, path, err)
+	}
+	return recs, nil
 }
 
 func parsePoints(src string) ([][2]int64, error) {

@@ -279,10 +279,11 @@ func BenchmarkFleetOverloadGoodput(b *testing.B) {
 			})
 			bk := overload.NewBuckets(overload.BucketConfig{
 				Rate: floodAdmitRate, Burst: floodBurst,
-				Methods: []string{core.MethodBaseQuery},
+				Methods: []string{transport.MethodOps},
 			})
 			baseMux := transport.NewMux()
 			f.base.ServeOn(baseMux)
+			transport.ServeOps(baseMux, metrics.NewHandler(nil, nil, f.base.Mounts()...))
 			stop, err := f.fabric.Serve("bench-base", overload.Wrap(baseMux, lim, bk, nil))
 			if err != nil {
 				b.Fatal(err)
@@ -329,8 +330,7 @@ func BenchmarkFleetOverloadGoodput(b *testing.B) {
 						default:
 						}
 						if floodActive.Load() {
-							err := cli.Call(context.Background(), "bench-base",
-								core.MethodBaseQuery, core.QueryReq{}, &core.QueryResp{})
+							_, err := transport.Ops(context.Background(), cli, "bench-base", "/records")
 							atomic.AddUint64(&floodCalls, 1)
 							if errors.Is(err, transport.ErrOverloaded) {
 								atomic.AddUint64(&floodSheds, 1)

@@ -104,12 +104,13 @@ func runFleetHerd(t *testing.T, seed int64, nNodes int) herdRun {
 	lim.Instrument(reg)
 	buckets := overload.NewBuckets(overload.BucketConfig{
 		Rate: 1, Burst: 5,
-		Methods: []string{core.MethodBaseQuery},
+		Methods: []string{transport.MethodOps},
 		Clock:   clk,
 	})
 	buckets.Instrument(reg)
 	baseMux := transport.NewMux()
 	base.ServeOn(baseMux)
+	transport.ServeOps(baseMux, metrics.NewHandler(nil, nil, base.Mounts()...))
 	ovl := overload.Wrap(baseMux, lim, buckets, nil)
 	base.SetOverload(ovl.Snapshot)
 	stopBase, err := net.Serve("fleet-base", ovl)
@@ -175,8 +176,7 @@ func runFleetHerd(t *testing.T, seed int64, nNodes int) herdRun {
 		flooders++
 		cli := net.Node(name)
 		for j := 0; j < 8; j++ {
-			err := cli.Call(context.Background(), "fleet-base", core.MethodBaseQuery,
-				core.QueryReq{}, &core.QueryResp{})
+			_, err := transport.Ops(context.Background(), cli, "fleet-base", "/records")
 			if j < 5 && err != nil {
 				t.Fatalf("flood %s call %d: %v", name, j, err)
 			}
@@ -227,15 +227,11 @@ func runFleetHerd(t *testing.T, seed int64, nNodes int) herdRun {
 		t.Fatalf("limiter did not settle: %+v", snap)
 	}
 
-	// The overload status travels the fleet RPC (gob tolerates the new field,
-	// so old peers just see it absent).
-	rpcView, err := transport.Invoke[core.EmptyResp, core.FleetResp](
-		context.Background(), net.Node("probe"), "fleet-base", core.MethodBaseFleet, core.EmptyResp{})
-	if err != nil {
-		t.Fatalf("base.fleet RPC: %v", err)
-	}
+	// The overload status travels in the /fleet document.
+	var rpcView core.FleetResp
+	opsDoc(t, net.Node("probe"), "fleet-base", "/fleet", &rpcView)
 	if rpcView.Overload == nil || rpcView.Overload.ShedRead != wantSheds {
-		t.Fatalf("base.fleet overload view = %+v, want ShedRead %d", rpcView.Overload, wantSheds)
+		t.Fatalf("/fleet overload view = %+v, want ShedRead %d", rpcView.Overload, wantSheds)
 	}
 
 	final := ovl.Snapshot()

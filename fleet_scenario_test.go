@@ -9,6 +9,7 @@ package repro
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
@@ -488,6 +489,18 @@ type obsFleetRun struct {
 	audits     []trace.SpanSnapshot
 }
 
+// opsDoc reads the JSON document at path from addr over the ops RPC into v.
+func opsDoc(t *testing.T, c transport.Caller, addr, path string, v any) {
+	t.Helper()
+	body, err := transport.Ops(context.Background(), c, addr, path)
+	if err != nil {
+		t.Fatalf("ops %s: %v", path, err)
+	}
+	if err := json.Unmarshal(body, v); err != nil {
+		t.Fatalf("ops %s: %v", path, err)
+	}
+}
+
 // normalizeFleet zeroes the wall-clock latency sums, which are the only
 // non-deterministic part of the fleet view.
 func normalizeFleet(f core.FleetResp) core.FleetResp {
@@ -578,6 +591,7 @@ func runObsFleet(t *testing.T, seed int64, nNodes int) obsFleetRun {
 	base.Trace(tracer)
 	baseMux := transport.NewMux()
 	base.ServeOn(baseMux)
+	transport.ServeOps(baseMux, metrics.NewHandler(nil, nil, base.Mounts()...))
 	stopBase, err := net.Serve("fleet-base", baseMux)
 	if err != nil {
 		t.Fatal(err)
@@ -695,14 +709,12 @@ func runObsFleet(t *testing.T, seed int64, nNodes int) obsFleetRun {
 		t.Errorf("rollup methods = %v, want the batch surface present", st.Methods)
 	}
 
-	// The same view over the base.fleet RPC — the surface midasctl top polls.
-	rpcView, err := transport.Invoke[core.EmptyResp, core.FleetResp](
-		context.Background(), net.Node("probe"), "fleet-base", core.MethodBaseFleet, core.EmptyResp{})
-	if err != nil {
-		t.Fatalf("base.fleet RPC: %v", err)
-	}
+	// The same view as the /fleet document over the ops RPC — the surface
+	// midasctl top polls.
+	var rpcView core.FleetResp
+	opsDoc(t, net.Node("probe"), "fleet-base", "/fleet", &rpcView)
 	if got, want := normalizeFleet(rpcView), normalizeFleet(st); !reflect.DeepEqual(got, want) {
-		t.Errorf("base.fleet RPC view diverges from FleetStatus:\n got: %+v\nwant: %+v", got, want)
+		t.Errorf("/fleet over ops diverges from FleetStatus:\n got: %+v\nwant: %+v", got, want)
 	}
 
 	return obsFleetRun{

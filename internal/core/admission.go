@@ -36,10 +36,10 @@ func BuiltinCaps(name string) ([]sandbox.Capability, bool) {
 	return append([]sandbox.Capability(nil), caps...), ok
 }
 
-// AnalysisReport is the stored (and wire) form of one extension's admission
+// AnalysisReport is the stored (and /analyze) form of one extension's admission
 // analysis: the exact capability set its advice can exercise, the static fuel
 // verdict of its mobile code, and non-fatal findings. Bases keep the report
-// of every admitted extension and serve it over base.analyze.
+// of every admitted extension and serve it at /analyze.
 type AnalysisReport struct {
 	Ext     string
 	Version int
@@ -240,19 +240,3 @@ func CheckAdmission(ext Extension, rep *AnalysisReport, policy sandbox.Policy, f
 	}
 	return nil
 }
-
-// Wire surface for stored analysis reports.
-
-// MethodBaseAnalyze serves the stored admission report of an extension.
-const MethodBaseAnalyze = "base.analyze"
-
-type (
-	// AnalyzeReq names the extension whose report is wanted.
-	AnalyzeReq struct {
-		Ext string
-	}
-	// AnalyzeResp returns the stored report.
-	AnalyzeResp struct {
-		Report AnalysisReport
-	}
-)

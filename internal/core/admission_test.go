@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"reflect"
 	"strings"
@@ -221,9 +222,11 @@ end`)
 		t.Errorf("stored report = %+v (have %v)", rep, have)
 	}
 
-	// The stored report is retrievable over the wire (midasctl analyze path).
+	// The stored report is retrievable over the ops RPC (midasctl analyze
+	// path).
 	mux := transport.NewMux()
 	base.ServeOn(mux)
+	transport.ServeOps(mux, metrics.NewHandler(nil, nil, base.Mounts()...))
 	stop, err := fabric.Serve("base-1", mux)
 	if err != nil {
 		t.Fatal(err)
@@ -231,17 +234,19 @@ end`)
 	defer stop()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	resp, err := transport.Invoke[AnalyzeReq, AnalyzeResp](ctx, fabric.Node("ctl"), "base-1",
-		MethodBaseAnalyze, AnalyzeReq{Ext: "audit"})
+	body, err := transport.Ops(ctx, fabric.Node("ctl"), "base-1", "/analyze?ext=audit")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(resp.Report.Caps, []string{"clock", "store"}) {
-		t.Errorf("served report caps = %v", resp.Report.Caps)
+	var served AnalysisReport
+	if err := json.Unmarshal(body, &served); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := transport.Invoke[AnalyzeReq, AnalyzeResp](ctx, fabric.Node("ctl"), "base-1",
-		MethodBaseAnalyze, AnalyzeReq{Ext: "leak"}); err == nil {
-		t.Error("base.analyze served a report for a rejected extension")
+	if !reflect.DeepEqual(served.Caps, []string{"clock", "store"}) {
+		t.Errorf("served report caps = %v", served.Caps)
+	}
+	if _, err := transport.Ops(ctx, fabric.Node("ctl"), "base-1", "/analyze?ext=leak"); err == nil {
+		t.Error("/analyze served a report for a rejected extension")
 	}
 }
 

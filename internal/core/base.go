@@ -26,7 +26,6 @@ import (
 // RPC method names served by a base.
 const (
 	MethodBasePost      = "base.post"      // monitoring extensions post records here
-	MethodBaseQuery     = "base.query"     // clients query the movement database
 	MethodBaseOnService = "base.onservice" // lookup watcher callback
 	MethodBaseRoam      = "base.roam"      // roaming hint from a neighbour base
 )
@@ -41,14 +40,6 @@ type (
 	RoamReq struct {
 		NodeID   string
 		NodeAddr string
-	}
-	// QueryReq filters the base's movement database.
-	QueryReq struct {
-		Filter store.Filter
-	}
-	// QueryResp returns matching records.
-	QueryResp struct {
-		Records []store.Record
 	}
 )
 
@@ -179,7 +170,7 @@ type Base struct {
 	mu         sync.Mutex
 	extensions []Extension
 	// reports holds the admission analysis of every accepted extension, by
-	// name; served over base.analyze and consulted by midasctl analyze.
+	// name; served at /analyze and read by midasctl analyze.
 	reports       map[string]AnalysisReport
 	signed        map[string]SignedExtension // push signature cache, name@version
 	lastReconcile map[string]ReconcileResult
@@ -441,7 +432,7 @@ func (b *Base) AddNeighbor(addr string) {
 // verification, capability inference, cost bounds), then check the inferred
 // demand against the declaration and the base's Admission policy. A rejection
 // increments base.admission_rejected; an accepted extension's report is
-// stored for the base.analyze RPC. The whole decision is one traced
+// stored for /analyze. The whole decision is one traced
 // "base.admit" span.
 func (b *Base) admit(ext Extension) error {
 	_, sp := b.traceRef().StartSpan(context.Background(), "base.admit")
@@ -1130,7 +1121,8 @@ func (b *Base) log(ev, node, ext, detail string) {
 }
 
 // ServeOn registers the base's RPC surface on mux: the monitoring record
-// sink, the lookup watcher callback and the roaming hint endpoint.
+// sink, the lookup watcher callback and the roaming hint endpoint. Operator
+// reads are documents (see Mounts), served over the ops RPC.
 func (b *Base) ServeOn(mux *transport.Mux) {
 	transport.Register(mux, MethodBasePost, func(_ context.Context, req PostReq) (EmptyResp, error) {
 		if b.cfg.Store == nil {
@@ -1139,16 +1131,10 @@ func (b *Base) ServeOn(mux *transport.Mux) {
 		_, err := b.cfg.Store.Append(req.Record)
 		return EmptyResp{}, err
 	})
-	transport.Register(mux, MethodBaseQuery, func(_ context.Context, req QueryReq) (QueryResp, error) {
-		if b.cfg.Store == nil {
-			return QueryResp{}, fmt.Errorf("core: base %s has no store", b.cfg.Name)
-		}
-		return QueryResp{Records: b.cfg.Store.Query(req.Filter)}, nil
-	})
-	transport.Register(mux, MethodBaseOnService, func(ctx context.Context, n event.Notification) (EmptyResp, error) {
+	transport.Register(mux, MethodBaseOnService, func(ctx context.Context, n event.Notification) (event.Ack, error) {
 		var ev registry.Event
 		if err := n.DecodeBody(&ev); err != nil {
-			return EmptyResp{}, err
+			return event.Ack{}, err
 		}
 		if ev.Kind == registry.Added && ev.Item.Name == AdaptationService {
 			// Adapt inside the trace of the discovery announcement: prefer
@@ -1160,25 +1146,12 @@ func (b *Base) ServeOn(mux *transport.Mux) {
 			}
 			go func() { _ = b.AdaptNodeCtx(actx, ev.Item.ID, ev.Item.Addr) }()
 		}
-		return EmptyResp{}, nil
+		return event.Ack{}, nil
 	})
 	transport.Register(mux, MethodBaseRoam, func(ctx context.Context, req RoamReq) (EmptyResp, error) {
 		actx := trace.Detach(ctx)
 		go func() { _ = b.AdaptNodeCtx(actx, req.NodeID, req.NodeAddr) }()
 		return EmptyResp{}, nil
-	})
-	transport.Register(mux, MethodBaseStatus, func(_ context.Context, _ EmptyResp) (BaseStatusResp, error) {
-		return b.Status(), nil
-	})
-	transport.Register(mux, MethodBaseFleet, func(_ context.Context, _ EmptyResp) (FleetResp, error) {
-		return b.FleetStatus(), nil
-	})
-	transport.Register(mux, MethodBaseAnalyze, func(_ context.Context, req AnalyzeReq) (AnalyzeResp, error) {
-		rep, ok := b.AnalysisFor(req.Ext)
-		if !ok {
-			return AnalyzeResp{}, fmt.Errorf("core: base %s has no analysis for extension %q", b.cfg.Name, req.Ext)
-		}
-		return AnalyzeResp{Report: rep}, nil
 	})
 }
 

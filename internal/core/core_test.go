@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"errors"
 	"runtime"
 	"strings"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/sandbox"
 	"repro/internal/sign"
 	"repro/internal/weave"
+	"repro/internal/wire"
 )
 
 // testNode bundles a receiver with its weaver and a trusted signer.
@@ -194,6 +196,63 @@ func TestInstallRejectsTampered(t *testing.T) {
 	signed.Ext.Advices[0].Pattern = "*.*(..)" // tamper after signing
 	if _, err := n.receiver.Install(signed, "base-1", time.Minute); !errors.Is(err, sign.ErrBadSignature) {
 		t.Fatalf("want bad signature, got %v", err)
+	}
+}
+
+// An extension signed with empty (not nil) maps and slices — the logger
+// preset's Config is one — still verifies after the wire codec, which
+// decodes them as nil, carried it to the receiver.
+func TestSignatureSurvivesWireWithEmptyFields(t *testing.T) {
+	signer, err := sign.NewSigner("hall-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ext := Extension{
+		ID: "hall-1/logger-0", Name: "logger", Version: 1,
+		Advices: []AdviceSpec{{
+			Name: "log", Kind: KindCallBefore, Pattern: "*.*(..)",
+			Builtin: "logger", Config: map[string]string{},
+		}},
+		Requires: []string{},
+		Caps:     []string{},
+		Meta:     map[string]string{},
+	}
+	signed, err := Sign(signer, ext)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got InstallReq
+	if err := wire.Unmarshal(wire.Marshal(InstallReq{Signed: signed, BaseAddr: "base-1", DurMillis: 1000}), &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.Signed.Ext.Advices[0].Config != nil || got.Signed.Ext.Meta != nil {
+		t.Fatalf("wire codec kept empty maps: %+v", got.Signed.Ext)
+	}
+	trust := sign.NewTrustStore()
+	trust.Trust(signer.Name, signer.PublicKey())
+	if err := got.Signed.Verify(trust); err != nil {
+		t.Fatalf("verify after the wire: %v", err)
+	}
+}
+
+// Canonical bytes of an extension whose maps and slices are nil or
+// non-empty are plain JSON, so signatures made before empty fields were
+// normalised stay valid.
+func TestCanonicalUnchangedForNilAndNonEmptyFields(t *testing.T) {
+	for _, ext := range []Extension{
+		builtinExt("monitor", 1),
+		{ID: "x", Name: "x", Advices: []AdviceSpec{{Name: "a", Config: map[string]string{"k": "v"}}},
+			Requires: []string{"session"}, Caps: []string{"log"}, Flows: []string{"store->net"}, Meta: map[string]string{"m": "1"}},
+		{ID: "y", Name: "y"},
+	} {
+		want, err := json.Marshal(&ext)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ext.Canonical()
+		if err != nil || string(got) != string(want) {
+			t.Fatalf("Canonical = %s, %v; want %s", got, err, want)
+		}
 	}
 }
 

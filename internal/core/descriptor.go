@@ -134,13 +134,41 @@ func (e *Extension) Capabilities() []sandbox.Capability {
 }
 
 // Canonical returns the deterministic byte encoding that signatures cover
-// (JSON: map keys are sorted, field order is fixed).
+// (JSON: map keys are sorted, field order is fixed). Empty maps and slices
+// encode like nil ones, as null: the wire codec decodes both as nil, so a
+// receiver re-deriving the bytes from a decoded extension gets the signer's
+// bytes. Extensions whose maps and slices are nil or non-empty encode exactly
+// as plain JSON does.
 func (e *Extension) Canonical() ([]byte, error) {
-	b, err := json.Marshal(e)
+	c := *e
+	c.Advices = nil
+	for _, a := range e.Advices {
+		a.Config = nilIfEmptyMap(a.Config)
+		c.Advices = append(c.Advices, a)
+	}
+	c.Requires = nilIfEmpty(c.Requires)
+	c.Caps = nilIfEmpty(c.Caps)
+	c.Flows = nilIfEmpty(c.Flows)
+	c.Meta = nilIfEmptyMap(c.Meta)
+	b, err := json.Marshal(&c)
 	if err != nil {
 		return nil, fmt.Errorf("core: canonical encoding: %w", err)
 	}
 	return b, nil
+}
+
+func nilIfEmpty[S ~[]E, E any](s S) S {
+	if len(s) == 0 {
+		return nil
+	}
+	return s
+}
+
+func nilIfEmptyMap(m map[string]string) map[string]string {
+	if len(m) == 0 {
+		return nil
+	}
+	return m
 }
 
 // SignedExtension is an extension plus its originator's signature over the

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"encoding/json"
-	"net/http"
 	"sort"
 	"strings"
 	"sync"
@@ -18,14 +16,11 @@ import (
 // midas.renewBatch responses they were sending anyway — the base asks with
 // WantObs, so a node never volunteers trailing bytes an old base would choke
 // on — and the base merges them into per-node and fleet-rollup views served
-// at /fleet and over the base.fleet RPC (rendered live by `midasctl top`).
+// at /fleet (rendered live by `midasctl top`).
 //
 // The new fields are optional trailing fields of the existing batch messages,
 // encoded only when set, so a renewal that asks for no report keeps the bytes
 // its golden vector pins.
-
-// MethodBaseFleet serves the merged fleet observability view.
-const MethodBaseFleet = "base.fleet"
 
 type (
 	// ObsMethodDelta is one method's RED delta since the node's last report:
@@ -65,7 +60,7 @@ type (
 		TailKept         uint64
 		LastReportMillis int64
 	}
-	// FleetResp is the base.fleet report: per-method rollup, per-node totals,
+	// FleetResp is the fleet document served at /fleet: per-method rollup, per-node totals,
 	// the currently degraded nodes and how many obs reports were merged. The
 	// rollup and the node rows are two groupings of the same deltas, so their
 	// grand totals always agree.
@@ -76,7 +71,7 @@ type (
 		Reports  uint64
 		// Overload is the base's overload-control status (concurrency limit,
 		// queue depth, shed counters) when the control plane is enabled; nil
-		// otherwise. FleetResp has no wire codec, so it travels as gob.
+		// otherwise.
 		Overload *overload.Snapshot
 	}
 )
@@ -197,17 +192,6 @@ func (b *Base) mergeObs(node string, rep *ObsReport) {
 		return
 	}
 	b.fleet.merge(node, *rep, b.cfg.Clock.Now().UnixMilli())
-}
-
-// FleetHandler serves FleetStatus as JSON — mounted at /fleet on the base's
-// observability listener.
-func FleetHandler(b *Base) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(b.FleetStatus())
-	})
 }
 
 // obsCum is one method's cumulative counters at the node, remembered so the

@@ -129,8 +129,8 @@ type receiverMetrics struct {
 
 // Instrument records extension installs, replacements, withdrawals, lease
 // expiries and signature/policy rejections in reg, plus the installed-set
-// gauge. The receiver's grantor joins the same registry, and ServeOn gains a
-// midas.metrics method exposing the full snapshot. A nil reg is a no-op.
+// gauge. The receiver's grantor joins the same registry, and the node's
+// renewal responses report its RPC deltas from it. A nil reg is a no-op.
 func (r *Receiver) Instrument(reg *metrics.Registry) {
 	if reg == nil {
 		return
@@ -178,8 +178,7 @@ func (r *Receiver) Grantor() *lease.Grantor { return r.grantor }
 // Trace records the receiver's lifecycle (install, refresh, withdraw,
 // expire) as spans in tr and threads the tracer into the weaver and grantor,
 // so a pushed extension's whole journey on this node reads as one trace.
-// ServeOn additionally gains a midas.trace method exposing tr's spans and
-// events over the fabric. Call before serving; a nil tr is a no-op.
+// Call before serving; a nil tr is a no-op.
 func (r *Receiver) Trace(tr *trace.Tracer) {
 	if tr == nil {
 		return
@@ -777,8 +776,6 @@ const (
 	MethodRenewE  = "midas.renew"
 	MethodRevoke  = "midas.revoke"
 	MethodList    = "midas.list"
-	MethodMetrics = "midas.metrics"
-	MethodTrace   = "midas.trace"
 )
 
 // Wire types for the receiver RPC surface.
@@ -811,20 +808,6 @@ type (
 	// ListResp describes installed extensions.
 	ListResp struct {
 		Extensions []ExtensionInfo
-	}
-	// MetricsResp carries a node's metrics snapshot.
-	MetricsResp struct {
-		Snap metrics.Snapshot
-	}
-	// TraceReq queries recorded spans by trace ID, extension or node name;
-	// an empty query returns everything.
-	TraceReq struct {
-		Query string
-	}
-	// TraceResp carries the matching spans plus the events of their traces.
-	TraceResp struct {
-		Spans  []trace.SpanSnapshot
-		Events []trace.Event
 	}
 	// EmptyResp is the empty response.
 	EmptyResp struct{}
@@ -861,42 +844,4 @@ func (r *Receiver) ServeOn(mux *transport.Mux) {
 	transport.Register(mux, MethodList, func(_ context.Context, _ EmptyResp) (ListResp, error) {
 		return ListResp{Extensions: r.Installed()}, nil
 	})
-	transport.Register(mux, MethodMetrics, func(_ context.Context, _ EmptyResp) (MetricsResp, error) {
-		r.mu.Lock()
-		reg := r.reg
-		r.mu.Unlock()
-		if reg == nil {
-			return MetricsResp{}, fmt.Errorf("core: node %s is not instrumented", r.cfg.NodeName)
-		}
-		return MetricsResp{Snap: reg.Snapshot()}, nil
-	})
-	transport.Register(mux, MethodTrace, func(_ context.Context, req TraceReq) (TraceResp, error) {
-		tr := r.traceRef()
-		if tr == nil {
-			return TraceResp{}, fmt.Errorf("core: node %s is not traced", r.cfg.NodeName)
-		}
-		return CollectTrace(tr, req), nil
-	})
-}
-
-// CollectTrace resolves a trace query against tr: the spans QuerySpans finds
-// plus every buffered event belonging to their traces (all events for an
-// empty query). Daemons that are not receivers (the base station) register
-// MethodTrace with this directly.
-func CollectTrace(tr *trace.Tracer, req TraceReq) TraceResp {
-	spans := tr.QuerySpans(req.Query)
-	if req.Query == "" {
-		return TraceResp{Spans: spans, Events: tr.Events(trace.EventFilter{})}
-	}
-	ids := make(map[string]bool, len(spans))
-	for _, s := range spans {
-		ids[s.TraceID] = true
-	}
-	var events []trace.Event
-	for _, e := range tr.Events(trace.EventFilter{}) {
-		if ids[e.TraceID] {
-			events = append(events, e)
-		}
-	}
-	return TraceResp{Spans: spans, Events: events}
 }

@@ -19,14 +19,8 @@ import (
 // revoke, and adopting the receiver's live leases instead of blindly
 // re-pushing what is already there.
 
-// RPC method names of the reconciliation surface.
-const (
-	// MethodInventory asks a receiver for its non-system extension inventory.
-	MethodInventory = "midas.inventory"
-	// MethodBaseStatus reports the base's per-node health and reconciliation
-	// state (midasctl status).
-	MethodBaseStatus = "base.status"
-)
+// MethodInventory asks a receiver for its non-system extension inventory.
+const MethodInventory = "midas.inventory"
 
 // Wire types for the reconciliation surface.
 type (
@@ -70,7 +64,7 @@ type (
 		Adopts   uint64
 		Errors   uint64
 	}
-	// BaseStatusResp is the base.status report.
+	// BaseStatusResp is the base's status document, served at /status.
 	BaseStatusResp struct {
 		Name       string
 		Addr       string
@@ -309,7 +303,7 @@ func (b *Base) noteReconcile(addr string, res ReconcileResult) {
 
 // Status reports the base's per-node state — adapted or degraded, circuit
 // state, held extensions, last reconcile outcome — plus the aggregate drift
-// counters. Served over the fabric as base.status for midasctl.
+// counters. Served at /status for midasctl status.
 func (b *Base) Status() BaseStatusResp {
 	b.mu.Lock()
 	resp := BaseStatusResp{Name: b.cfg.Name, Addr: b.cfg.Addr, Drift: b.stats}

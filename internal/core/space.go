@@ -8,8 +8,8 @@ import (
 	"repro/internal/clock"
 	"repro/internal/lease"
 	"repro/internal/sign"
-	"repro/internal/transport"
 	"repro/internal/tuplespace"
+	"repro/internal/wire"
 )
 
 // Tuple-space distribution: the alternative extension-distribution substrate
@@ -30,10 +30,7 @@ func PublishExtension(sp *tuplespace.Space, signer *sign.Signer, ext Extension, 
 	if err != nil {
 		return nil, err
 	}
-	payload, err := transport.Encode(signed)
-	if err != nil {
-		return nil, err
-	}
+	payload := wire.Marshal(signed)
 	t := tuplespace.Tuple{
 		tuplespace.FStr(extensionTupleTag),
 		tuplespace.FStr(ext.Name),
@@ -122,7 +119,7 @@ func (l *SpaceListener) Scan(leaseDur time.Duration) {
 			delete(l.leases, key)
 		}
 		var signed SignedExtension
-		if err := transport.Decode(t[4].B, &signed); err != nil {
+		if err := wire.Unmarshal(t[4].B, &signed); err != nil {
 			continue // malformed tuple: ignore, it is not for us
 		}
 		id, err := l.Receiver.Install(signed, baseAddr, leaseDur)

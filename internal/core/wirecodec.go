@@ -2,14 +2,14 @@ package core
 
 import "repro/internal/wire"
 
-// Wire codecs for the hot RPC message types: renew/renewBatch (the renewal
+// Wire codecs for every MIDAS RPC body: renew/renewBatch (the renewal
 // window's per-lease cost), applyBatch install/revoke items (adapt and
-// reconcile pushes), and the inventory exchange (anti-entropy rounds). Each
-// type writes its fields in declaration order; slices and maps go through the
-// codec's count-prefixed, key-sorted forms so equal values always produce
-// equal bytes (golden vectors and same-seed replays depend on it). The cold
-// surface (metrics/trace/fleet and other operator RPCs) has no wire codec
-// and travels as gob; the codec is picked per type.
+// reconcile pushes), the inventory exchange (anti-entropy rounds), and the
+// base's record sink and roaming hint. Each type writes its fields in
+// declaration order; slices and maps go through the codec's count-prefixed,
+// key-sorted forms so equal values always produce equal bytes (golden vectors
+// and same-seed replays depend on it). Operator reads have no message types
+// of their own: they are JSON documents fetched over the ops RPC.
 
 // MarshalWire encodes a with the wire codec.
 func (a AdviceSpec) MarshalWire(e *wire.Encoder) {
@@ -444,5 +444,41 @@ func (r *InventoryResp) UnmarshalWire(d *wire.Decoder) error {
 	} else {
 		r.Items = nil
 	}
+	return d.Err()
+}
+
+// MarshalWire encodes r, one monitoring record, with the wire codec.
+func (r PostReq) MarshalWire(e *wire.Encoder) {
+	e.Varint(r.Record.Seq)
+	e.String(r.Record.Robot)
+	e.String(r.Record.Device)
+	e.String(r.Record.Action)
+	e.Varint(r.Record.Value)
+	e.Varint(r.Record.AtMillis)
+	e.Varint(r.Record.DurMilli)
+}
+
+// UnmarshalWire decodes r from the wire codec.
+func (r *PostReq) UnmarshalWire(d *wire.Decoder) error {
+	r.Record.Seq = d.Varint()
+	r.Record.Robot = d.String()
+	r.Record.Device = d.String()
+	r.Record.Action = d.String()
+	r.Record.Value = d.Varint()
+	r.Record.AtMillis = d.Varint()
+	r.Record.DurMilli = d.Varint()
+	return d.Err()
+}
+
+// MarshalWire encodes r with the wire codec.
+func (r RoamReq) MarshalWire(e *wire.Encoder) {
+	e.String(r.NodeID)
+	e.String(r.NodeAddr)
+}
+
+// UnmarshalWire decodes r from the wire codec.
+func (r *RoamReq) UnmarshalWire(d *wire.Decoder) error {
+	r.NodeID = d.String()
+	r.NodeAddr = d.String()
 	return d.Err()
 }

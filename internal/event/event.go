@@ -15,6 +15,7 @@ import (
 	"repro/internal/lease"
 	"repro/internal/trace"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // Notification is one delivered event. Seq increases per subscription, so
@@ -31,9 +32,12 @@ type Notification struct {
 }
 
 // DecodeBody decodes the notification payload into v.
-func (n *Notification) DecodeBody(v any) error {
+func (n *Notification) DecodeBody(v wire.Unmarshaler) error {
 	return transport.Decode(n.Body, v)
 }
+
+// Ack is a listener's empty answer to a delivered Notification.
+type Ack struct{}
 
 // Subscription describes one leased remote listener.
 type Subscription struct {
@@ -142,20 +146,12 @@ func (d *Dispatcher) Subscribers() []string {
 	return out
 }
 
-// Publish encodes v and enqueues a notification of the given kind to every
-// subscriber. Returns the number of subscribers targeted.
-func (d *Dispatcher) Publish(kind string, v any) (int, error) {
-	return d.PublishCtx(context.Background(), kind, v)
-}
-
-// PublishCtx is Publish carrying the span context from ctx (if any) in the
-// notification envelope, so asynchronous delivery still joins the publishing
-// operation's trace.
-func (d *Dispatcher) PublishCtx(ctx context.Context, kind string, v any) (int, error) {
-	body, err := transport.Encode(v)
-	if err != nil {
-		return 0, err
-	}
+// Publish encodes body and enqueues a notification of the given kind to
+// every subscriber, carrying the span context from ctx (if any) so
+// asynchronous delivery still joins the publishing operation's trace.
+// Returns the number of subscribers targeted.
+func (d *Dispatcher) Publish(ctx context.Context, kind string, body wire.Marshaler) int {
+	data := wire.Marshal(body)
 	sc, _ := trace.FromContext(ctx)
 	d.mu.Lock()
 	targets := make([]*subscriber, 0, len(d.subs))
@@ -164,30 +160,22 @@ func (d *Dispatcher) PublishCtx(ctx context.Context, kind string, v any) (int, e
 	}
 	d.mu.Unlock()
 	for _, s := range targets {
-		d.enqueue(s, kind, body, sc)
+		d.enqueue(s, kind, data, sc)
 	}
-	return len(targets), nil
+	return len(targets)
 }
 
-// PublishTo notifies a single subscription.
-func (d *Dispatcher) PublishTo(id, kind string, v any) error {
-	return d.PublishToCtx(context.Background(), id, kind, v)
-}
-
-// PublishToCtx is PublishTo carrying the span context from ctx (if any).
-func (d *Dispatcher) PublishToCtx(ctx context.Context, id, kind string, v any) error {
-	body, err := transport.Encode(v)
-	if err != nil {
-		return err
-	}
-	sc, _ := trace.FromContext(ctx)
+// PublishTo notifies a single subscription, carrying the span context from
+// ctx (if any).
+func (d *Dispatcher) PublishTo(ctx context.Context, id, kind string, body wire.Marshaler) error {
 	d.mu.Lock()
 	s, ok := d.subs[id]
 	d.mu.Unlock()
 	if !ok {
 		return lease.ErrUnknownLease
 	}
-	d.enqueue(s, kind, body, sc)
+	sc, _ := trace.FromContext(ctx)
+	d.enqueue(s, kind, wire.Marshal(body), sc)
 	return nil
 }
 

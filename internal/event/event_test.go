@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/testutil"
 	"repro/internal/transport"
 )
 
@@ -37,9 +38,9 @@ func (c *collected) snapshot() []Notification {
 
 func listenerMux(c *collected) *transport.Mux {
 	mux := transport.NewMux()
-	transport.Register(mux, "notify", func(_ context.Context, n Notification) (struct{}, error) {
+	transport.Register(mux, "notify", func(_ context.Context, n Notification) (Ack, error) {
 		c.add(n)
-		return struct{}{}, nil
+		return Ack{}, nil
 	})
 	return mux
 }
@@ -56,9 +57,7 @@ func waitFor(t *testing.T, cond func() bool) {
 	}
 }
 
-type payload struct {
-	X int
-}
+type payload = testutil.WireReq
 
 func TestPublishDelivers(t *testing.T) {
 	fabric := transport.NewInProc()
@@ -73,9 +72,7 @@ func TestPublishDelivers(t *testing.T) {
 		t.Fatal("empty subscription id")
 	}
 	for i := 1; i <= 3; i++ {
-		if _, err := d.Publish("tick", payload{X: i}); err != nil {
-			t.Fatal(err)
-		}
+		d.Publish(context.Background(), "tick", payload{N: int64(i)})
 	}
 	waitFor(t, func() bool { return got.len() == 3 })
 
@@ -88,7 +85,7 @@ func TestPublishDelivers(t *testing.T) {
 			t.Errorf("note = %+v", n)
 		}
 		var p payload
-		if err := n.DecodeBody(&p); err != nil || p.X != i+1 {
+		if err := n.DecodeBody(&p); err != nil || p.N != int64(i+1) {
 			t.Errorf("body[%d] = %+v, %v", i, p, err)
 		}
 	}
@@ -107,7 +104,7 @@ func TestPublishToTargetsOne(t *testing.T) {
 	idA, _ := d.Subscribe("a", "notify", time.Minute)
 	d.Subscribe("b", "notify", time.Minute)
 
-	if err := d.PublishTo(idA, "only-a", payload{X: 9}); err != nil {
+	if err := d.PublishTo(context.Background(), idA, "only-a", payload{N: 9}); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool { return a.len() == 1 })
@@ -126,7 +123,7 @@ func TestCancelStopsDelivery(t *testing.T) {
 	defer d.Close()
 	id, _ := d.Subscribe("l", "notify", time.Minute)
 	d.Cancel(id)
-	if n, _ := d.Publish("tick", payload{}); n != 0 {
+	if n := d.Publish(context.Background(), "tick", payload{}); n != 0 {
 		t.Errorf("published to %d subscribers after cancel", n)
 	}
 	if len(d.Subscribers()) != 0 {
@@ -159,9 +156,7 @@ func TestUnreachableSubscriberDropped(t *testing.T) {
 	defer d.Close()
 	d.Subscribe("ghost", "notify", time.Minute)
 	for i := 0; i < maxFailures; i++ {
-		if _, err := d.Publish("tick", payload{}); err != nil {
-			t.Fatal(err)
-		}
+		d.Publish(context.Background(), "tick", payload{})
 		time.Sleep(5 * time.Millisecond)
 	}
 	waitFor(t, func() bool { return len(d.Subscribers()) == 0 })

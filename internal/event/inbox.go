@@ -129,8 +129,8 @@ func (in *Inbox) Pending() int {
 // Register serves the inbox as a notification listener method on mux, the
 // shape dispatchers deliver to.
 func (in *Inbox) Register(mux *transport.Mux, method string) {
-	transport.Register(mux, method, func(_ context.Context, n Notification) (struct{}, error) {
+	transport.Register(mux, method, func(_ context.Context, n Notification) (Ack, error) {
 		in.Deliver(n)
-		return struct{}{}, nil
+		return Ack{}, nil
 	})
 }

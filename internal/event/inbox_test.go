@@ -1,12 +1,14 @@
 package event
 
 import (
+	"context"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/simnet"
+	"repro/internal/testutil"
 	"repro/internal/transport"
 )
 
@@ -110,9 +112,7 @@ func TestInboxExactlyOnceOverDuplicatingLink(t *testing.T) {
 	d.Subscribe("base-1", "notify", time.Minute)
 	const events = 20
 	for i := 0; i < events; i++ {
-		if _, err := d.Publish("changed", i); err != nil {
-			t.Fatal(err)
-		}
+		d.Publish(context.Background(), "changed", testutil.WireReq{N: int64(i)})
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for applied.Load() != events {

@@ -185,18 +185,17 @@ func (h *Health) Handler() http.Handler {
 	})
 }
 
-// Mount attaches an extra handler to the observability listener — tracing
-// endpoints, pprof, anything a daemon wants on the same port as /metrics.
+// Mount attaches an extra document to a daemon's observability handler:
+// tracing endpoints, the fleet view, anything served next to /metrics.
 type Mount struct {
 	Pattern string
 	Handler http.Handler
 }
 
-// ServeHTTP starts an HTTP server on addr exposing /metrics (the registry
-// snapshot) and /healthz (the health checks), plus any extra mounts. It
-// returns the bound address and a shutdown function. addr may end in ":0" to
-// pick a free port.
-func ServeHTTP(addr string, r *Registry, h *Health, extra ...Mount) (string, func(), error) {
+// NewHandler returns a daemon's observability handler: /metrics (the
+// registry snapshot), /healthz (the health checks) and the extra mounts. The
+// same handler backs the -http listener and the ops RPC.
+func NewHandler(r *Registry, h *Health, extra ...Mount) http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", Handler(r))
 	if h == nil {
@@ -208,7 +207,13 @@ func ServeHTTP(addr string, r *Registry, h *Health, extra ...Mount) (string, fun
 			mux.Handle(m.Pattern, m.Handler)
 		}
 	}
-	srv := &http.Server{Handler: mux}
+	return mux
+}
+
+// ServeHTTP starts an HTTP server on addr serving h. It returns the bound
+// address and a shutdown function. addr may end in ":0" to pick a free port.
+func ServeHTTP(addr string, h http.Handler) (string, func(), error) {
+	srv := &http.Server{Handler: h}
 	ln, err := listen(addr)
 	if err != nil {
 		return "", nil, err

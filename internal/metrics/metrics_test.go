@@ -238,12 +238,12 @@ func TestHTTPEndpoints(t *testing.T) {
 	}
 }
 
-// TestServeHTTP exercises the one-call server used by cmd/node and
-// cmd/basestation.
+// TestServeHTTP exercises the listener and handler cmd/node and
+// cmd/basestation serve.
 func TestServeHTTP(t *testing.T) {
 	r := New()
 	r.Counter("served").Inc()
-	addr, stop, err := ServeHTTP("127.0.0.1:0", r, nil)
+	addr, stop, err := ServeHTTP("127.0.0.1:0", NewHandler(r, nil))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,16 +5,18 @@ import (
 	"net/http/pprof"
 )
 
-// PprofMounts returns the standard net/http/pprof handlers as mounts for
-// ServeHTTP, so daemons can expose CPU/heap/goroutine profiling on the same
-// listener as /metrics. Callers should gate this behind a flag: the profile
-// endpoints are debugging surface and cost CPU while sampled.
-func PprofMounts() []Mount {
-	return []Mount{
-		{Pattern: "/debug/pprof/", Handler: http.HandlerFunc(pprof.Index)},
-		{Pattern: "/debug/pprof/cmdline", Handler: http.HandlerFunc(pprof.Cmdline)},
-		{Pattern: "/debug/pprof/profile", Handler: http.HandlerFunc(pprof.Profile)},
-		{Pattern: "/debug/pprof/symbol", Handler: http.HandlerFunc(pprof.Symbol)},
-		{Pattern: "/debug/pprof/trace", Handler: http.HandlerFunc(pprof.Trace)},
-	}
+// WithPprof returns h with the standard net/http/pprof handlers added under
+// /debug/pprof/, for the -http listener only: the ops RPC serves h itself,
+// so profiling never reaches the RPC fabric. Callers should gate this behind
+// a flag: the profile endpoints are debugging surface and cost CPU while
+// sampled.
+func WithPprof(h http.Handler) http.Handler {
+	mux := http.NewServeMux()
+	mux.Handle("/", h)
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return mux
 }

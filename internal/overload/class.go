@@ -59,15 +59,10 @@ var defaultClasses = map[string]Class{
 	"lookup.watch":      ClassMutation,
 	"lookup.unwatch":    ClassMutation,
 
-	// Reads: lookups, status surfaces, observability pulls.
-	"midas.list":    ClassRead,
-	"midas.metrics": ClassRead,
-	"midas.trace":   ClassRead,
-	"base.query":    ClassRead,
-	"base.status":   ClassRead,
-	"base.fleet":    ClassRead,
-	"base.analyze":  ClassRead,
-	"lookup.find":   ClassRead,
+	// Reads: lookups and the operator documents.
+	"midas.list":  ClassRead,
+	"ops":         ClassRead,
+	"lookup.find": ClassRead,
 }
 
 // Classify maps a method name to its priority class. Unknown methods land in

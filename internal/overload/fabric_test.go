@@ -11,10 +11,11 @@ import (
 	"repro/internal/simnet"
 	"repro/internal/testutil"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
-// ping is a trivial gob-encodable request body for fabric tests.
-type ping struct{ N int }
+// ping is the request body of fabric tests.
+type ping = testutil.WireReq
 
 // blockingHandler counts invocations and parks each one on release until the
 // test lets it finish.
@@ -31,7 +32,7 @@ func (h *blockingHandler) Handle(ctx context.Context, method string, body []byte
 	if h.release != nil {
 		<-h.release
 	}
-	return transport.Encode(&ping{})
+	return wire.Marshal(testutil.WireResp{}), nil
 }
 
 func (h *blockingHandler) callCount() int {
@@ -52,13 +53,13 @@ func testDeadlineShed(t *testing.T, serve func(t *testing.T, h transport.Handler
 
 	done := make(chan error, 1)
 	go func() {
-		done <- newCaller().Call(context.Background(), addr, "midas.list", &ping{N: 1}, nil)
+		done <- newCaller().Call(context.Background(), addr, "midas.list", ping{N: 1}, nil)
 	}()
 	testutil.WaitFor(t, "first call inflight", func() bool { return lim.Snapshot().Inflight == 1 })
 
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	if err := newCaller().Call(ctx, addr, "midas.list", &ping{N: 2}, nil); err == nil {
+	if err := newCaller().Call(ctx, addr, "midas.list", ping{N: 2}, nil); err == nil {
 		t.Fatal("expired call succeeded, want deadline drop")
 	}
 	// The expiry is recorded server-side even when the client saw only its
@@ -130,7 +131,7 @@ func TestDeadlineShedTCP(t *testing.T) {
 func TestHandlerPeerRateShed(t *testing.T) {
 	clk := clock.NewManual(t0)
 	inner := &blockingHandler{} // nil release: never blocks
-	bk := NewBuckets(BucketConfig{Rate: 1, Burst: 2, Methods: []string{"base.query"}, Clock: clk})
+	bk := NewBuckets(BucketConfig{Rate: 1, Burst: 2, Methods: []string{"ops"}, Clock: clk})
 	lim := NewLimiter(Config{Clock: clk})
 	h := Wrap(inner, lim, bk, nil)
 
@@ -140,11 +141,11 @@ func TestHandlerPeerRateShed(t *testing.T) {
 	}
 	cli := net.Node("node-1")
 	for i := 0; i < 2; i++ {
-		if err := cli.Call(context.Background(), "base", "base.query", &ping{N: i}, nil); err != nil {
+		if err := cli.Call(context.Background(), "base", "ops", ping{N: int64(i)}, nil); err != nil {
 			t.Fatalf("burst call %d: %v", i, err)
 		}
 	}
-	err := cli.Call(context.Background(), "base", "base.query", &ping{N: 3}, nil)
+	err := cli.Call(context.Background(), "base", "ops", ping{N: 3}, nil)
 	if !errors.Is(err, transport.ErrOverloaded) {
 		t.Fatalf("third call err = %v, want ErrOverloaded", err)
 	}
@@ -152,11 +153,11 @@ func TestHandlerPeerRateShed(t *testing.T) {
 		t.Fatalf("hint = %v, %v; want 1s, true", hint, ok)
 	}
 	// Ungoverned method from the rated-down peer still passes.
-	if err := cli.Call(context.Background(), "base", "midas.list", &ping{}, nil); err != nil {
+	if err := cli.Call(context.Background(), "base", "midas.list", ping{}, nil); err != nil {
 		t.Fatalf("ungoverned call: %v", err)
 	}
 	// Another peer has a fresh bucket.
-	if err := net.Node("node-2").Call(context.Background(), "base", "base.query", &ping{}, nil); err != nil {
+	if err := net.Node("node-2").Call(context.Background(), "base", "ops", ping{}, nil); err != nil {
 		t.Fatalf("other peer call: %v", err)
 	}
 	if got := inner.callCount(); got != 4 {

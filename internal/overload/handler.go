@@ -59,7 +59,7 @@ func (h *Handler) shedSpan(ctx context.Context, method string, class Class, reas
 }
 
 // Snapshot merges the limiter's state with the bucket counters into the
-// status surface served over base.fleet and /healthz.
+// status surface served in /fleet and /healthz.
 func (h *Handler) Snapshot() Snapshot {
 	s := h.lim.Snapshot()
 	s.PeerSheds = h.buckets.Sheds()

@@ -347,7 +347,7 @@ func (l *Limiter) gaugesLocked() {
 }
 
 // Snapshot is the control plane's status surface: rendered by midasctl top
-// (via the base.fleet RPC), exposed as /healthz values, and compared bit for
+// (via the /fleet document), exposed as /healthz values, and compared bit for
 // bit by the seeded herd scenario's replay.
 type Snapshot struct {
 	Limit         int

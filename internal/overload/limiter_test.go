@@ -202,8 +202,8 @@ func TestClassify(t *testing.T) {
 		"midas.applyBatch": ClassMutation,
 		"base.post":        ClassMutation,
 		"lookup.register":  ClassMutation,
-		"base.query":       ClassRead,
-		"base.fleet":       ClassRead,
+		"ops":              ClassRead,
+		"midas.list":       ClassRead,
 		"lookup.find":      ClassRead,
 		"no.such.method":   ClassMutation, // unknown defaults to the middle band
 	}
@@ -220,7 +220,7 @@ func TestClassify(t *testing.T) {
 func TestBucketsDeterministic(t *testing.T) {
 	run := func() (sheds uint64, hints []time.Duration) {
 		clk := clock.NewManual(t0)
-		b := NewBuckets(BucketConfig{Rate: 1, Burst: 2, Methods: []string{"base.query"}, Clock: clk})
+		b := NewBuckets(BucketConfig{Rate: 1, Burst: 2, Methods: []string{"ops"}, Clock: clk})
 		step := func(peer, method string, wantOK bool) {
 			t.Helper()
 			retry, ok := b.Admit(peer, method)
@@ -231,15 +231,15 @@ func TestBucketsDeterministic(t *testing.T) {
 				hints = append(hints, retry)
 			}
 		}
-		step("n1", "base.query", true)  // burst token 1
-		step("n1", "base.query", true)  // burst token 2
-		step("n1", "base.query", false) // empty → shed, ~1s to next token
-		step("n1", "midas.list", true)  // ungoverned method passes
-		step("", "base.query", true)    // anonymous peer passes
-		step("n2", "base.query", true)  // other peer has its own bucket
+		step("n1", "ops", true)        // burst token 1
+		step("n1", "ops", true)        // burst token 2
+		step("n1", "ops", false)       // empty → shed, ~1s to next token
+		step("n1", "midas.list", true) // ungoverned method passes
+		step("", "ops", true)          // anonymous peer passes
+		step("n2", "ops", true)        // other peer has its own bucket
 		clk.Advance(time.Second)
-		step("n1", "base.query", true) // refilled exactly one token
-		step("n1", "base.query", false)
+		step("n1", "ops", true) // refilled exactly one token
+		step("n1", "ops", false)
 		return b.Sheds(), hints
 	}
 	sheds1, hints1 := run()
@@ -259,7 +259,7 @@ func TestBucketsNilSafe(t *testing.T) {
 	if b != nil {
 		t.Fatalf("NewBuckets with no methods = %v, want nil", b)
 	}
-	if _, ok := b.Admit("n1", "base.query"); !ok {
+	if _, ok := b.Admit("n1", "ops"); !ok {
 		t.Fatal("nil Buckets must admit")
 	}
 	if b.Sheds() != 0 || b.Peers() != 0 {

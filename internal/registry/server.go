@@ -144,7 +144,7 @@ func (s *Server) watch(req WatchReq) (WatchResp, error) {
 			// Deliver under the registrant's span context so the watcher's
 			// reaction joins its trace.
 			ectx := trace.NewContext(context.Background(), ev.Trace)
-			_ = s.dispatcher.PublishToCtx(ectx, subID, "registry."+ev.Kind.String(), ev)
+			_ = s.dispatcher.PublishTo(ectx, subID, "registry."+ev.Kind.String(), ev)
 		},
 		func() {
 			s.dispatcher.Cancel(subID)

@@ -62,7 +62,7 @@ func TestServerWatchDeliversRemoteEvents(t *testing.T) {
 	var mu sync.Mutex
 	var events []Event
 	listener := transport.NewMux()
-	transport.Register(listener, "onchange", func(_ context.Context, n event.Notification) (struct{}, error) {
+	transport.Register(listener, "onchange", func(_ context.Context, n event.Notification) (event.Ack, error) {
 		var ev Event
 		if err := n.DecodeBody(&ev); err != nil {
 			t.Errorf("decode: %v", err)
@@ -70,7 +70,7 @@ func TestServerWatchDeliversRemoteEvents(t *testing.T) {
 		mu.Lock()
 		events = append(events, ev)
 		mu.Unlock()
-		return struct{}{}, nil
+		return event.Ack{}, nil
 	})
 	stop, err := fabric.Serve("base1", listener)
 	if err != nil {

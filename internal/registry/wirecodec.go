@@ -176,3 +176,20 @@ func (r Empty) MarshalWire(e *wire.Encoder) {}
 
 // UnmarshalWire decodes r from the wire codec.
 func (r *Empty) UnmarshalWire(d *wire.Decoder) error { return d.Err() }
+
+// MarshalWire encodes ev, the body of a watcher notification, with the wire
+// codec.
+func (ev Event) MarshalWire(e *wire.Encoder) {
+	e.Byte(byte(ev.Kind))
+	ev.Item.MarshalWire(e)
+	ev.Trace.MarshalWire(e)
+}
+
+// UnmarshalWire decodes ev from the wire codec.
+func (ev *Event) UnmarshalWire(d *wire.Decoder) error {
+	ev.Kind = EventKind(d.Byte())
+	if err := ev.Item.UnmarshalWire(d); err != nil {
+		return err
+	}
+	return ev.Trace.UnmarshalWire(d)
+}

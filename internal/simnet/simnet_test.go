@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/metrics"
+	"repro/internal/testutil"
 	"repro/internal/transport"
 )
 
@@ -19,9 +20,9 @@ func echoServer(t *testing.T, n *Net, addr string) (*atomic.Int64, func()) {
 	t.Helper()
 	var count atomic.Int64
 	mux := transport.NewMux()
-	transport.Register(mux, "echo", func(_ context.Context, req string) (string, error) {
+	transport.Register(mux, "echo", func(_ context.Context, req testutil.WireReq) (testutil.WireResp, error) {
 		count.Add(1)
-		return req, nil
+		return testutil.WireResp{Msg: req.Msg}, nil
 	})
 	stop, err := n.Serve(addr, mux)
 	if err != nil {
@@ -32,20 +33,40 @@ func echoServer(t *testing.T, n *Net, addr string) (*atomic.Int64, func()) {
 }
 
 func call(c transport.Caller, to string) error {
-	var resp string
-	return c.Call(context.Background(), to, "echo", "ping", &resp)
+	var resp testutil.WireResp
+	return c.Call(context.Background(), to, "echo", testutil.WireReq{Msg: "ping"}, &resp)
 }
 
 func TestFaultFreeRoundTrip(t *testing.T) {
 	n := New(nil, 1)
 	defer n.Close()
 	count, _ := echoServer(t, n, "b")
-	var resp string
-	if err := n.Node("a").Call(context.Background(), "b", "echo", "hello", &resp); err != nil {
+	var resp testutil.WireResp
+	if err := n.Node("a").Call(context.Background(), "b", "echo", testutil.WireReq{Msg: "hello"}, &resp); err != nil {
 		t.Fatal(err)
 	}
-	if resp != "hello" || count.Load() != 1 {
-		t.Fatalf("resp=%q count=%d", resp, count.Load())
+	if resp.Msg != "hello" || count.Load() != 1 {
+		t.Fatalf("resp=%q count=%d", resp.Msg, count.Load())
+	}
+}
+
+// A response body that is not a wire frame fails the call with
+// transport.ErrDecode, as on the other fabrics.
+func TestNonFrameBodyIsErrDecode(t *testing.T) {
+	n := New(nil, 1)
+	defer n.Close()
+	mux := transport.NewMux()
+	mux.HandleRaw("raw", func(context.Context, []byte) ([]byte, error) {
+		return []byte("not a frame"), nil
+	})
+	stop, err := n.Serve("b", mux)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	var resp testutil.WireResp
+	if err := n.Node("a").Call(context.Background(), "b", "raw", testutil.WireReq{}, &resp); !errors.Is(err, transport.ErrDecode) {
+		t.Fatalf("err = %v, want ErrDecode", err)
 	}
 }
 

@@ -3,8 +3,7 @@ package trace
 import "repro/internal/wire"
 
 // Wire codec for SpanContext: it rides in every TCP request envelope, so
-// trace propagation costs two length-prefixed strings instead of a gob
-// descriptor.
+// trace propagation costs two length-prefixed strings.
 //
 // Flags is deliberately NOT part of this layout, which the span_context
 // golden vector freezes. The sampling flags ride in their own byte after the

@@ -23,7 +23,7 @@ import (
 // sides switch to request-ID multiplexed envelopes — uvarint payload length,
 // then request ID · method · trace · body · flags · budget as wire fields
 // (responses: request ID · error text · body), the body copied in verbatim
-// (whatever codec its type picked), so nothing is encoded twice. Many calls
+// (already a wire frame), so nothing is encoded twice. Many calls
 // share one connection: the server handles a connection's requests
 // concurrently and answers in completion order, and the client's one reader
 // goroutine per connection hands each response to the call its ID names.

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // A context canceled before the dial must fail immediately with the context
@@ -19,8 +21,8 @@ func TestTCPDialHonorsCanceledContext(t *testing.T) {
 	start := time.Now()
 	// DialContext refuses a dead context up front, so this must not wait out
 	// the 2s DialTimeout no matter where the address routes.
-	var resp string
-	err := caller.Call(ctx, "192.0.2.1:9", "echo", "x", &resp)
+	var resp wireResp
+	err := caller.Call(ctx, "192.0.2.1:9", "echo", wireResp{Msg: "x"}, &resp)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -37,7 +39,7 @@ func (h *slowHandler) Handle(_ context.Context, method string, _ []byte) ([]byte
 	case <-h.release:
 	case <-time.After(30 * time.Second):
 	}
-	return Encode("late")
+	return wire.Marshal(wireResp{Msg: "late"}), nil
 }
 
 // Cancellation mid-round-trip unblocks the in-flight call promptly instead of
@@ -56,8 +58,8 @@ func TestTCPCancelMidCallUnblocks(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		var resp string
-		done <- caller.Call(ctx, srv.Addr(), "slow", "x", &resp)
+		var resp wireResp
+		done <- caller.Call(ctx, srv.Addr(), "slow", wireResp{Msg: "x"}, &resp)
 	}()
 	time.Sleep(50 * time.Millisecond) // let the request reach the server
 	cancel()
@@ -89,8 +91,8 @@ func TestTCPDeadlineMidCallIsTransient(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	var resp string
-	callErr := caller.Call(ctx, srv.Addr(), "slow", "x", &resp)
+	var resp wireResp
+	callErr := caller.Call(ctx, srv.Addr(), "slow", wireResp{Msg: "x"}, &resp)
 	if !errors.Is(callErr, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", callErr)
 	}
@@ -104,12 +106,12 @@ func TestTCPDeadlineMidCallIsTransient(t *testing.T) {
 	// retired as silent: a fresh call dials anew and works once the handlers
 	// are released.
 	release()
-	var out string
-	if err := caller.Call(context.Background(), srv.Addr(), "slow", "y", &out); err != nil {
+	var out wireResp
+	if err := caller.Call(context.Background(), srv.Addr(), "slow", wireResp{Msg: "y"}, &out); err != nil {
 		t.Fatalf("call after dropped conn: %v", err)
 	}
-	if out != "late" {
-		t.Fatalf("out = %q", out)
+	if out.Msg != "late" {
+		t.Fatalf("out = %q", out.Msg)
 	}
 }
 
@@ -125,8 +127,8 @@ func TestTCPUnreachableStillUnreachable(t *testing.T) {
 	}
 	addr := ln.Addr().String()
 	ln.Close() // nothing listens here now: connection refused
-	var resp string
-	callErr := caller.Call(context.Background(), addr, "echo", "x", &resp)
+	var resp wireResp
+	callErr := caller.Call(context.Background(), addr, "echo", wireResp{Msg: "x"}, &resp)
 	if !errors.Is(callErr, ErrUnreachable) {
 		t.Fatalf("err = %v, want ErrUnreachable", callErr)
 	}

@@ -146,13 +146,13 @@ func TestMuxOutOfOrderCompletion(t *testing.T) {
 
 	first := make(chan error, 1)
 	go func() {
-		var out string
-		first <- caller.Call(context.Background(), srv.Addr(), "block", "one", &out)
+		var out wireResp
+		first <- caller.Call(context.Background(), srv.Addr(), "block", wireResp{Msg: "one"}, &out)
 	}()
 	<-entered
-	var out string
-	if err := caller.Call(context.Background(), srv.Addr(), "quick", "two", &out); err != nil || out != "two" {
-		t.Fatalf("second call: %q, %v", out, err)
+	var out wireResp
+	if err := caller.Call(context.Background(), srv.Addr(), "quick", wireResp{Msg: "two"}, &out); err != nil || out.Msg != "two" {
+		t.Fatalf("second call: %q, %v", out.Msg, err)
 	}
 	select {
 	case err := <-first:
@@ -234,16 +234,16 @@ func TestMuxUnsentRequestResentOnce(t *testing.T) {
 	srv.Instrument(sreg)
 	caller := NewTCPCaller()
 	defer caller.Close()
-	var out string
-	if err := caller.Call(context.Background(), srv.Addr(), "count", "a", &out); err != nil {
+	var out wireResp
+	if err := caller.Call(context.Background(), srv.Addr(), "count", wireResp{Msg: "a"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	// Kill the socket under the pooled connection: whether the reader has
 	// noticed by the time of the next call or the write finds out, nothing
 	// of that call can have reached the server.
 	pooledMux(caller, srv.Addr()).conn.Close()
-	if err := caller.Call(context.Background(), srv.Addr(), "count", "b", &out); err != nil || out != "b" {
-		t.Fatalf("call after the socket died: %q, %v", out, err)
+	if err := caller.Call(context.Background(), srv.Addr(), "count", wireResp{Msg: "b"}, &out); err != nil || out.Msg != "b" {
+		t.Fatalf("call after the socket died: %q, %v", out.Msg, err)
 	}
 	if got := handled.Load(); got != 2 {
 		t.Fatalf("handled %d requests, want 2", got)
@@ -269,8 +269,8 @@ func TestMuxCloseFailsPendingCalls(t *testing.T) {
 	errs := make(chan error, 3)
 	for i := 0; i < 3; i++ {
 		go func() {
-			var out string
-			errs <- caller.Call(context.Background(), srv.Addr(), "block", "x", &out)
+			var out wireResp
+			errs <- caller.Call(context.Background(), srv.Addr(), "block", wireResp{Msg: "x"}, &out)
 		}()
 	}
 	for i := 0; i < 3; i++ {
@@ -314,8 +314,8 @@ func TestMuxDeadlineWithoutDoneTimesOut(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	var out string
-	err = caller.Call(deadlineNoDone{ctx}, srv.Addr(), "block", "x", &out)
+	var out wireResp
+	err = caller.Call(deadlineNoDone{ctx}, srv.Addr(), "block", wireResp{Msg: "x"}, &out)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -338,8 +338,8 @@ func TestMuxSilentConnRetired(t *testing.T) {
 	defer close(release)
 	caller := NewTCPCaller()
 	defer caller.Close()
-	var out string
-	if err := caller.Call(context.Background(), srv.Addr(), "quick", "x", &out); err != nil {
+	var out wireResp
+	if err := caller.Call(context.Background(), srv.Addr(), "quick", wireResp{Msg: "x"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	live := pooledMux(caller, srv.Addr())
@@ -349,11 +349,11 @@ func TestMuxSilentConnRetired(t *testing.T) {
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
 		defer cancel()
-		var out string
-		timedOut <- caller.Call(ctx, srv.Addr(), "block", "x", &out)
+		var out wireResp
+		timedOut <- caller.Call(ctx, srv.Addr(), "block", wireResp{Msg: "x"}, &out)
 	}()
 	<-entered
-	if err := caller.Call(context.Background(), srv.Addr(), "quick", "y", &out); err != nil {
+	if err := caller.Call(context.Background(), srv.Addr(), "quick", wireResp{Msg: "y"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-timedOut; !errors.Is(err, context.DeadlineExceeded) {
@@ -366,7 +366,7 @@ func TestMuxSilentConnRetired(t *testing.T) {
 	// Nothing arrives while the blocked call waits.
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
-	if err := caller.Call(ctx, srv.Addr(), "block", "x", &out); !errors.Is(err, context.DeadlineExceeded) {
+	if err := caller.Call(ctx, srv.Addr(), "block", wireResp{Msg: "x"}, &out); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
 	if live.alive() {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/trace"
+	"repro/internal/wire"
 )
 
 // TestRemoteErrorSentinelRoundTrip is the regression test for the lost
@@ -19,7 +20,7 @@ func TestRemoteErrorSentinelRoundTrip(t *testing.T) {
 		fabric := NewInProc()
 		stop, _ := fabric.Serve("b", mux)
 		defer stop()
-		_, err := Invoke[echoReq, echoResp](context.Background(), fabric.Node("a"), "b", "nope", echoReq{})
+		_, err := Invoke[wireReq, wireResp](context.Background(), fabric.Node("a"), "b", "nope", wireReq{})
 		if !errors.Is(err, ErrNoMethod) {
 			t.Fatalf("in-proc unknown method: errors.Is(err, ErrNoMethod) = false, err = %v", err)
 		}
@@ -33,7 +34,7 @@ func TestRemoteErrorSentinelRoundTrip(t *testing.T) {
 		defer srv.Close()
 		caller := NewTCPCaller()
 		defer caller.Close()
-		_, err = Invoke[echoReq, echoResp](context.Background(), caller, srv.Addr(), "nope", echoReq{})
+		_, err = Invoke[wireReq, wireResp](context.Background(), caller, srv.Addr(), "nope", wireReq{})
 		if !errors.Is(err, ErrNoMethod) {
 			t.Fatalf("TCP unknown method: errors.Is(err, ErrNoMethod) = false, err = %v", err)
 		}
@@ -68,10 +69,10 @@ func TestRegisterRemoteSentinel(t *testing.T) {
 func TestTraceEnvelopeOverTCP(t *testing.T) {
 	got := make(chan trace.SpanContext, 1)
 	mux := NewMux()
-	Register(mux, "probe", func(ctx context.Context, _ echoReq) (echoResp, error) {
+	Register(mux, "probe", func(ctx context.Context, _ wireReq) (wireResp, error) {
 		sc, _ := trace.FromContext(ctx)
 		got <- sc
-		return echoResp{}, nil
+		return wireResp{}, nil
 	})
 	srv, err := ServeTCP("127.0.0.1:0", mux)
 	if err != nil {
@@ -83,7 +84,7 @@ func TestTraceEnvelopeOverTCP(t *testing.T) {
 
 	tr := trace.New(1)
 	ctx, sp := tr.StartSpan(context.Background(), "client")
-	if _, err := Invoke[echoReq, echoResp](ctx, caller, srv.Addr(), "probe", echoReq{}); err != nil {
+	if _, err := Invoke[wireReq, wireResp](ctx, caller, srv.Addr(), "probe", wireReq{}); err != nil {
 		t.Fatal(err)
 	}
 	sp.End(nil)
@@ -92,7 +93,7 @@ func TestTraceEnvelopeOverTCP(t *testing.T) {
 	}
 
 	// Without a span on ctx the envelope carries the zero context.
-	if _, err := Invoke[echoReq, echoResp](context.Background(), caller, srv.Addr(), "probe", echoReq{}); err != nil {
+	if _, err := Invoke[wireReq, wireResp](context.Background(), caller, srv.Addr(), "probe", wireReq{}); err != nil {
 		t.Fatal(err)
 	}
 	if sc := <-got; sc.Valid() {
@@ -153,7 +154,7 @@ func TestTraceHandling(t *testing.T) {
 	tr := trace.New(3)
 	h := TraceHandling(newEchoMux(), tr, "n1")
 	ctx, sp := tr.StartSpan(context.Background(), "caller")
-	body, _ := Encode(echoReq{Msg: "x", N: 1})
+	body := wire.Marshal(wireReq{Msg: "x", N: 1})
 	if _, err := h.Handle(ctx, "echo", body); err != nil {
 		t.Fatal(err)
 	}
@@ -171,32 +172,25 @@ func TestTraceHandling(t *testing.T) {
 }
 
 // TestSampledBitPropagatesAcrossTCP pins head-sampling coherence across the
-// fabric for both body codecs: the root's decision must override whatever the
-// remote tracer would decide locally — a sampled-in trace is recorded even by
-// a server whose own sampler drops everything, and a sampled-out trace stays
-// out even where the server's sampler would keep it. The decision rides in
-// the envelope, so a gob-bodied request carries it like a wire-bodied one.
+// fabric: the root's decision must override whatever the remote tracer would
+// decide locally — a sampled-in trace is recorded even by a server whose own
+// sampler drops everything, and a sampled-out trace stays out even where the
+// server's sampler would keep it. The decision rides in the envelope, not in
+// the body.
 func TestSampledBitPropagatesAcrossTCP(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
-		gobBody    bool
 		clientRate float64
 		serverRate float64
 		wantServed int
 	}{
-		{"wire/sampled-in-overrides-server-drop", false, 1, 0, 1},
-		{"wire/sampled-out-overrides-server-keep", false, 0, 1, 0},
-		{"gob/sampled-in-overrides-server-drop", true, 1, 0, 1},
-		{"gob/sampled-out-overrides-server-keep", true, 0, 1, 0},
+		{"wire/sampled-in-overrides-server-drop", 1, 0, 1},
+		{"wire/sampled-out-overrides-server-keep", 0, 1, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			srvTr := trace.New(2)
 			srvTr.SetSampler(trace.SamplerConfig{Rate: tc.serverRate, Seed: 2})
-			mux := newWireEchoMux()
-			Register(mux, "echo", func(_ context.Context, req echoReq) (echoResp, error) {
-				return echoResp{Msg: req.Msg}, nil
-			})
-			srv, err := ServeTCP("127.0.0.1:0", TraceHandling(mux, srvTr, "n1"))
+			srv, err := ServeTCP("127.0.0.1:0", TraceHandling(newWireEchoMux(), srvTr, "n1"))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -206,11 +200,7 @@ func TestSampledBitPropagatesAcrossTCP(t *testing.T) {
 			cliTr := trace.New(1)
 			cliTr.SetSampler(trace.SamplerConfig{Rate: tc.clientRate, Seed: 1})
 			c := TraceCalls(caller, cliTr)
-			if tc.gobBody {
-				_, err = Invoke[echoReq, echoResp](context.Background(), c, srv.Addr(), "echo", echoReq{Msg: "a", N: 2})
-			} else {
-				_, err = Invoke[wireReq, wireResp](context.Background(), c, srv.Addr(), "wecho", wireReq{Msg: "a", N: 2})
-			}
+			_, err = Invoke[wireReq, wireResp](context.Background(), c, srv.Addr(), "wecho", wireReq{Msg: "a", N: 2})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,17 +1,16 @@
 // Package transport provides the RPC layer the platform's distributed pieces
 // (lookup service, extension bases, adaptation services) communicate over.
-// A body's codec is a property of its message type alone: types with a wire
-// codec (internal/wire) always travel as wire frames, every other type as
-// gob, and the receiving side tells the two apart by the wire frame header.
+// Every request and response body is a wire frame (internal/wire): a message
+// type travels only if it has a wire codec, Register refuses a handler whose
+// request or response type lacks one, and a body that is not a frame fails
+// to decode with ErrDecode.
 // Two interchangeable fabrics are provided: an in-process fabric whose
 // connectivity is steered by the mobility simulator (standing in for the
 // wireless network of the paper's testbed) and a real TCP fabric.
 package transport
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"strings"
@@ -122,43 +121,26 @@ func matchRemoteSentinel(msg string) error {
 	return best
 }
 
-// Encode gob-encodes v.
-func Encode(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, fmt.Errorf("transport: encode: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// EncodeBody encodes v for a fabric: with the wire codec when useWire is set
-// and v implements it, gob otherwise. The second result reports whether the
-// body is a wire frame. The fabrics always pass useWire.
+// EncodeBody encodes v, which must have a wire codec, as a wire frame. The
+// second result is always true when err is nil; it and the useWire
+// parameter, which every caller sets, survive only for existing callers.
 func EncodeBody(v any, useWire bool) ([]byte, bool, error) {
-	if useWire {
-		if m, ok := v.(wire.Marshaler); ok {
-			return wire.Marshal(m), true, nil
-		}
+	m, ok := v.(wire.Marshaler)
+	if !ok {
+		return nil, false, fmt.Errorf("transport: encode: %T has no wire codec", v)
 	}
-	data, err := Encode(v)
-	return data, false, err
+	return wire.Marshal(m), true, nil
 }
 
-// Decode decodes a fabric body into v (a pointer), dispatching on the body's
-// first bytes: wire frames go through the value's wire codec, everything
-// else through gob. Failures wrap ErrDecode.
+// Decode decodes a wire-frame body into v, a pointer to a type with a wire
+// codec. Every failure, a body that is not a frame included, wraps
+// ErrDecode.
 func Decode(data []byte, v any) error {
-	if wire.IsFrame(data) {
-		u, ok := v.(wire.Unmarshaler)
-		if !ok {
-			return fmt.Errorf("%w wire frame for %T, which has no wire codec", ErrDecode, v)
-		}
-		if err := wire.Unmarshal(data, u); err != nil {
-			return fmt.Errorf("%w %v", ErrDecode, err)
-		}
-		return nil
+	u, ok := v.(wire.Unmarshaler)
+	if !ok {
+		return fmt.Errorf("%w %T has no wire codec", ErrDecode, v)
 	}
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(v); err != nil {
+	if err := wire.Unmarshal(data, u); err != nil {
 		return fmt.Errorf("%w %v", ErrDecode, err)
 	}
 	return nil
@@ -205,10 +187,17 @@ func (m *Mux) Methods() []string {
 	return out
 }
 
-// Register installs a typed handler for method on mux. The response is
-// encoded by its own type, like every other body: a wire frame when Resp has
-// a wire codec, gob otherwise.
+// Register installs a typed handler for method on mux. Both Req (through its
+// pointer) and Resp must have a wire codec; Register panics otherwise, so a
+// type that could never cross the wire fails where it is registered rather
+// than on its first call.
 func Register[Req, Resp any](mux *Mux, method string, fn func(ctx context.Context, req Req) (Resp, error)) {
+	if _, ok := any(new(Req)).(wire.Unmarshaler); !ok {
+		panic(fmt.Sprintf("transport: Register %s: request type %T has no wire codec", method, *new(Req)))
+	}
+	if _, ok := any(*new(Resp)).(wire.Marshaler); !ok {
+		panic(fmt.Sprintf("transport: Register %s: response type %T has no wire codec", method, *new(Resp)))
+	}
 	mux.HandleRaw(method, func(ctx context.Context, body []byte) ([]byte, error) {
 		var req Req
 		if err := Decode(body, &req); err != nil {

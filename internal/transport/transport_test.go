@@ -9,22 +9,13 @@ import (
 	"time"
 )
 
-type echoReq struct {
-	Msg string
-	N   int
-}
-
-type echoResp struct {
-	Msg string
-}
-
 func newEchoMux() *Mux {
 	mux := NewMux()
-	Register(mux, "echo", func(_ context.Context, req echoReq) (echoResp, error) {
-		return echoResp{Msg: strings.Repeat(req.Msg, req.N)}, nil
+	Register(mux, "echo", func(_ context.Context, req wireReq) (wireResp, error) {
+		return wireResp{Msg: strings.Repeat(req.Msg, int(req.N))}, nil
 	})
-	Register(mux, "fail", func(_ context.Context, _ echoReq) (echoResp, error) {
-		return echoResp{}, errors.New("deliberate failure")
+	Register(mux, "fail", func(_ context.Context, _ wireReq) (wireResp, error) {
+		return wireResp{}, errors.New("deliberate failure")
 	})
 	return mux
 }
@@ -38,7 +29,7 @@ func TestInProcRoundTrip(t *testing.T) {
 	defer stop()
 
 	caller := fabric.Node("nodeA")
-	resp, err := Invoke[echoReq, echoResp](context.Background(), caller, "nodeB", "echo", echoReq{Msg: "ab", N: 3})
+	resp, err := Invoke[wireReq, wireResp](context.Background(), caller, "nodeB", "echo", wireReq{Msg: "ab", N: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +42,7 @@ func TestInProcRemoteError(t *testing.T) {
 	fabric := NewInProc()
 	stop, _ := fabric.Serve("b", newEchoMux())
 	defer stop()
-	_, err := Invoke[echoReq, echoResp](context.Background(), fabric.Node("a"), "b", "fail", echoReq{})
+	_, err := Invoke[wireReq, wireResp](context.Background(), fabric.Node("a"), "b", "fail", wireReq{})
 	var remote *RemoteError
 	if !errors.As(err, &remote) || !strings.Contains(remote.Msg, "deliberate failure") {
 		t.Fatalf("want RemoteError, got %v", err)
@@ -63,12 +54,12 @@ func TestInProcUnknownMethodAndNode(t *testing.T) {
 	stop, _ := fabric.Serve("b", newEchoMux())
 	defer stop()
 	caller := fabric.Node("a")
-	_, err := Invoke[echoReq, echoResp](context.Background(), caller, "b", "nope", echoReq{})
+	_, err := Invoke[wireReq, wireResp](context.Background(), caller, "b", "nope", wireReq{})
 	var remote *RemoteError
 	if !errors.As(err, &remote) {
 		t.Fatalf("unknown method: %v", err)
 	}
-	_, err = Invoke[echoReq, echoResp](context.Background(), caller, "ghost", "echo", echoReq{})
+	_, err = Invoke[wireReq, wireResp](context.Background(), caller, "ghost", "echo", wireReq{})
 	if !errors.Is(err, ErrUnreachable) {
 		t.Fatalf("unknown node: %v", err)
 	}
@@ -86,13 +77,13 @@ func TestInProcLinkFunc(t *testing.T) {
 		return up
 	})
 	caller := fabric.Node("a")
-	if _, err := Invoke[echoReq, echoResp](context.Background(), caller, "b", "echo", echoReq{Msg: "x", N: 1}); err != nil {
+	if _, err := Invoke[wireReq, wireResp](context.Background(), caller, "b", "echo", wireReq{Msg: "x", N: 1}); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
 	up = false
 	mu.Unlock()
-	_, err := Invoke[echoReq, echoResp](context.Background(), caller, "b", "echo", echoReq{Msg: "x", N: 1})
+	_, err := Invoke[wireReq, wireResp](context.Background(), caller, "b", "echo", wireReq{Msg: "x", N: 1})
 	if !errors.Is(err, ErrUnreachable) {
 		t.Fatalf("partitioned call: %v", err)
 	}
@@ -124,7 +115,7 @@ func TestInProcLatencyRespectsContext(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := Invoke[echoReq, echoResp](ctx, fabric.Node("a"), "b", "echo", echoReq{Msg: "x", N: 1})
+	_, err := Invoke[wireReq, wireResp](ctx, fabric.Node("a"), "b", "echo", wireReq{Msg: "x", N: 1})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want deadline exceeded, got %v", err)
 	}
@@ -143,7 +134,7 @@ func TestTCPRoundTrip(t *testing.T) {
 	caller := NewTCPCaller()
 	defer caller.Close()
 	for i := 0; i < 3; i++ { // exercise connection reuse
-		resp, err := Invoke[echoReq, echoResp](context.Background(), caller, srv.Addr(), "echo", echoReq{Msg: "hi", N: 2})
+		resp, err := Invoke[wireReq, wireResp](context.Background(), caller, srv.Addr(), "echo", wireReq{Msg: "hi", N: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,13 +152,13 @@ func TestTCPRemoteError(t *testing.T) {
 	defer srv.Close()
 	caller := NewTCPCaller()
 	defer caller.Close()
-	_, err = Invoke[echoReq, echoResp](context.Background(), caller, srv.Addr(), "fail", echoReq{})
+	_, err = Invoke[wireReq, wireResp](context.Background(), caller, srv.Addr(), "fail", wireReq{})
 	var remote *RemoteError
 	if !errors.As(err, &remote) {
 		t.Fatalf("want RemoteError, got %v", err)
 	}
 	// The connection survives a remote error.
-	if _, err := Invoke[echoReq, echoResp](context.Background(), caller, srv.Addr(), "echo", echoReq{Msg: "a", N: 1}); err != nil {
+	if _, err := Invoke[wireReq, wireResp](context.Background(), caller, srv.Addr(), "echo", wireReq{Msg: "a", N: 1}); err != nil {
 		t.Fatalf("call after remote error: %v", err)
 	}
 }
@@ -176,7 +167,7 @@ func TestTCPUnreachable(t *testing.T) {
 	caller := NewTCPCaller()
 	caller.DialTimeout = 100 * time.Millisecond
 	defer caller.Close()
-	err := caller.Call(context.Background(), "127.0.0.1:1", "echo", echoReq{}, nil)
+	err := caller.Call(context.Background(), "127.0.0.1:1", "echo", wireReq{}, nil)
 	if !errors.Is(err, ErrUnreachable) {
 		t.Fatalf("want unreachable, got %v", err)
 	}
@@ -190,7 +181,7 @@ func TestTCPServerClose(t *testing.T) {
 	addr := srv.Addr()
 	caller := NewTCPCaller()
 	defer caller.Close()
-	if _, err := Invoke[echoReq, echoResp](context.Background(), caller, addr, "echo", echoReq{Msg: "x", N: 1}); err != nil {
+	if _, err := Invoke[wireReq, wireResp](context.Background(), caller, addr, "echo", wireReq{Msg: "x", N: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := srv.Close(); err != nil {
@@ -199,7 +190,7 @@ func TestTCPServerClose(t *testing.T) {
 	caller.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
 	defer cancel()
-	if err := caller.Call(ctx, addr, "echo", echoReq{Msg: "x", N: 1}, nil); err == nil {
+	if err := caller.Call(ctx, addr, "echo", wireReq{Msg: "x", N: 1}, nil); err == nil {
 		t.Fatal("call to closed server should fail")
 	}
 }
@@ -213,12 +204,12 @@ func TestMuxMethods(t *testing.T) {
 }
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
-	in := echoReq{Msg: "payload", N: 7}
-	b, err := Encode(in)
+	in := wireReq{Msg: "payload", N: 7}
+	b, _, err := EncodeBody(in, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out echoReq
+	var out wireReq
 	if err := Decode(b, &out); err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +236,7 @@ func TestInProcConcurrentCallsLossOff(t *testing.T) {
 		go func() {
 			caller := fabric.Node("a")
 			for i := 0; i < calls; i++ {
-				if _, err := Invoke[echoReq, echoResp](context.Background(), caller, "b", "echo", echoReq{Msg: "x", N: 1}); err != nil {
+				if _, err := Invoke[wireReq, wireResp](context.Background(), caller, "b", "echo", wireReq{Msg: "x", N: 1}); err != nil {
 					errs <- err
 					return
 				}
@@ -273,7 +264,7 @@ func TestInProcSetLossDropsDeterministically(t *testing.T) {
 	defer stop()
 	caller := fabric.Node("a")
 	call := func() error {
-		_, err := Invoke[echoReq, echoResp](context.Background(), caller, "b", "echo", echoReq{Msg: "x", N: 1})
+		_, err := Invoke[wireReq, wireResp](context.Background(), caller, "b", "echo", wireReq{Msg: "x", N: 1})
 		return err
 	}
 	for round := 0; round < 2; round++ {

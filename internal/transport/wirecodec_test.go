@@ -19,34 +19,11 @@ import (
 	"repro/internal/wire"
 )
 
-// wireReq/wireResp carry wire codecs, so they ride the zero-reflection path;
-// echoReq/echoResp (transport_test.go) have none and pin the gob-body path.
-type wireReq struct {
-	Msg string
-	N   int64
-}
-
-func (r wireReq) MarshalWire(e *wire.Encoder) {
-	e.String(r.Msg)
-	e.Varint(r.N)
-}
-
-func (r *wireReq) UnmarshalWire(d *wire.Decoder) error {
-	r.Msg = d.String()
-	r.N = d.Varint()
-	return d.Err()
-}
-
-type wireResp struct {
-	Msg string
-}
-
-func (r wireResp) MarshalWire(e *wire.Encoder) { e.String(r.Msg) }
-
-func (r *wireResp) UnmarshalWire(d *wire.Decoder) error {
-	r.Msg = d.String()
-	return d.Err()
-}
+// wireReq/wireResp are the wire-coded bodies every test here sends.
+type (
+	wireReq  = testutil.WireReq
+	wireResp = testutil.WireResp
+)
 
 func newWireEchoMux() *Mux {
 	mux := NewMux()
@@ -60,41 +37,110 @@ func newWireEchoMux() *Mux {
 	return mux
 }
 
+// noCodec has no wire codec, so it can never be a body.
+type noCodec struct{ X int }
+
 func TestEncodeBodyPicksCodecPerType(t *testing.T) {
-	data, usedWire, err := EncodeBody(wireReq{Msg: "x", N: 1}, true)
-	if err != nil || !usedWire || !wire.IsFrame(data) {
-		t.Fatalf("wire-capable type: usedWire=%v frame=%v err=%v", usedWire, wire.IsFrame(data), err)
+	for _, useWire := range []bool{true, false} {
+		data, usedWire, err := EncodeBody(wireReq{Msg: "x", N: 1}, useWire)
+		if err != nil || !usedWire || !wire.IsFrame(data) {
+			t.Fatalf("useWire=%v: usedWire=%v frame=%v err=%v", useWire, usedWire, wire.IsFrame(data), err)
+		}
 	}
-	data, usedWire, err = EncodeBody(echoReq{Msg: "x", N: 1}, true)
-	if err != nil || usedWire || wire.IsFrame(data) {
-		t.Fatalf("gob-only type: usedWire=%v frame=%v err=%v", usedWire, wire.IsFrame(data), err)
-	}
-	data, usedWire, err = EncodeBody(wireReq{Msg: "x", N: 1}, false)
-	if err != nil || usedWire || wire.IsFrame(data) {
-		t.Fatalf("wire disabled: usedWire=%v frame=%v err=%v", usedWire, wire.IsFrame(data), err)
+	if data, _, err := EncodeBody(noCodec{X: 1}, true); err == nil {
+		t.Fatalf("type without a codec encoded to % x, want an error", data)
 	}
 }
 
 func TestDecodeDispatchesOnFrameHeader(t *testing.T) {
 	in := wireReq{Msg: "hello", N: 42}
-	for _, useWire := range []bool{true, false} {
-		data, _, err := EncodeBody(in, useWire)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var out wireReq
-		if err := Decode(data, &out); err != nil {
-			t.Fatalf("useWire=%v: %v", useWire, err)
-		}
-		if out != in {
-			t.Fatalf("useWire=%v: got %+v want %+v", useWire, out, in)
+	var out wireReq
+	if err := Decode(wire.Marshal(in), &out); err != nil || out != in {
+		t.Fatalf("frame: got %+v err %v, want %+v", out, err, in)
+	}
+	// A body without the frame header is refused, whatever it holds.
+	var gobBody bytes.Buffer
+	if err := gob.NewEncoder(&gobBody).Encode(in); err != nil {
+		t.Fatal(err)
+	}
+	for _, body := range [][]byte{nil, []byte("not a frame"), gobBody.Bytes()} {
+		if err := Decode(body, &out); !errors.Is(err, ErrDecode) {
+			t.Fatalf("non-frame % x: err = %v, want ErrDecode", body, err)
 		}
 	}
-	// A wire frame for a codec-less type errors with ErrDecode rather than
+	// A frame for a codec-less type errors with ErrDecode rather than
 	// guessing.
-	var eo echoReq
-	if err := Decode(wire.Marshal(wireReq{}), &eo); !errors.Is(err, ErrDecode) {
+	var nc noCodec
+	if err := Decode(wire.Marshal(in), &nc); !errors.Is(err, ErrDecode) {
 		t.Fatalf("frame into codec-less type: %v", err)
+	}
+}
+
+// Register refuses a request or response type without a wire codec when the
+// handler is registered, not on its first call.
+func TestRegisterPanicsWithoutCodec(t *testing.T) {
+	for name, register := range map[string]func(*Mux){
+		"request": func(m *Mux) {
+			Register(m, "bad", func(context.Context, noCodec) (wireResp, error) { return wireResp{}, nil })
+		},
+		"response": func(m *Mux) {
+			Register(m, "bad", func(context.Context, wireReq) (noCodec, error) { return noCodec{}, nil })
+		},
+		"struct{}": func(m *Mux) {
+			Register(m, "bad", func(context.Context, wireReq) (struct{}, error) { return struct{}{}, nil })
+		},
+	} {
+		mux := NewMux()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s without a codec: Register did not panic", name)
+				}
+			}()
+			register(mux)
+		}()
+		if len(mux.Methods()) != 0 {
+			t.Errorf("%s without a codec: method registered anyway", name)
+		}
+	}
+}
+
+// A response body that is not a wire frame fails the call with ErrDecode on
+// every fabric, and a request body that is not one fails the handler with
+// ErrDecode before it runs.
+func TestNonFrameBodyIsErrDecode(t *testing.T) {
+	mux := newWireEchoMux()
+	mux.HandleRaw("raw", func(context.Context, []byte) ([]byte, error) {
+		return []byte("not a frame"), nil
+	})
+	if _, err := mux.Handle(context.Background(), "wecho", []byte("not a frame")); !errors.Is(err, ErrDecode) {
+		t.Fatalf("non-frame request: err = %v, want ErrDecode", err)
+	}
+
+	fabric := NewInProc()
+	stop, err := fabric.Serve("b", mux)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	srv, err := ServeTCP("127.0.0.1:0", mux)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	tcp := NewTCPCaller()
+	defer tcp.Close()
+	for name, call := range map[string]func() error{
+		"inproc": func() error {
+			return fabric.Node("a").Call(context.Background(), "b", "raw", wireReq{}, &wireResp{})
+		},
+		"tcp": func() error {
+			return tcp.Call(context.Background(), srv.Addr(), "raw", wireReq{}, &wireResp{})
+		},
+	} {
+		if err := call(); !errors.Is(err, ErrDecode) {
+			t.Errorf("%s: err = %v, want ErrDecode", name, err)
+		}
 	}
 }
 
@@ -255,14 +301,10 @@ func TestTCPRefusesGobClient(t *testing.T) {
 	}
 	defer conn.Close()
 	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
-	body, err := Encode(echoReq{Msg: "x", N: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
 	envelope := struct {
 		Method string
 		Body   []byte
-	}{"count", body}
+	}{"count", wire.Marshal(wireReq{Msg: "x", N: 1})}
 	if err := gob.NewEncoder(conn).Encode(&envelope); err != nil {
 		t.Fatal(err)
 	}
@@ -436,39 +478,14 @@ func TestTCPRefusesPreMuxPreface(t *testing.T) {
 }
 
 // TestWireResponseCodecFollowsResponseType pins that a Register handler
-// encodes its response by the response's type alone, whatever codec the
-// request came in: a wire-capable response is a wire frame, any other is gob.
+// answers with a wire frame of its response type.
 func TestWireResponseCodecFollowsResponseType(t *testing.T) {
-	mux := newWireEchoMux()
-	Register(mux, "toGob", func(_ context.Context, req wireReq) (echoResp, error) {
-		return echoResp{Msg: req.Msg}, nil
-	})
-	Register(mux, "toWire", func(_ context.Context, req echoReq) (wireResp, error) {
-		return wireResp{Msg: req.Msg}, nil
-	})
-	ctx := context.Background()
-	for _, tc := range []struct {
-		method    string
-		req       any
-		useWire   bool
-		wantFrame bool
-	}{
-		{"toGob", wireReq{Msg: "a", N: 1}, true, false},
-		{"toWire", echoReq{Msg: "a", N: 1}, true, true},
-		// A gob body for a wire-capable request type still decodes, and the
-		// response is a wire frame all the same.
-		{"wecho", wireReq{Msg: "a", N: 1}, false, true},
-	} {
-		body, _, err := EncodeBody(tc.req, tc.useWire)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := mux.Handle(ctx, tc.method, body)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.method, err)
-		}
-		if wire.IsFrame(out) != tc.wantFrame {
-			t.Fatalf("%s (request frame %v): response frame = %v, want %v", tc.method, tc.useWire, wire.IsFrame(out), tc.wantFrame)
-		}
+	out, err := newWireEchoMux().Handle(context.Background(), "wecho", wire.Marshal(wireReq{Msg: "a", N: 2}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var resp wireResp
+	if err := wire.Unmarshal(out, &resp); err != nil || resp.Msg != "aa" {
+		t.Fatalf("response %q (% x): %v", resp.Msg, out, err)
 	}
 }

@@ -17,11 +17,14 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/discovery"
+	"repro/internal/event"
 	"repro/internal/lvm"
 	"repro/internal/registry"
 	"repro/internal/sign"
+	"repro/internal/store"
 	"repro/internal/svc"
 	"repro/internal/trace"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -100,6 +103,21 @@ func goldenMessages() map[string]wire.Marshaler {
 		"invoke_resp": svc.InvokeResp{Result: lvm.Int(600)},
 		// The UDP discovery beacon.
 		"announcement": discovery.Announcement{Name: "hall-1", LookupAddr: "10.0.0.1:7000", Area: "north"},
+		// The base's record sink and roaming hint.
+		"post_req": core.PostReq{Record: store.Record{Seq: 7, Robot: "robot:1:1", Device: "motor:x", Action: "rotate",
+			Value: -120, AtMillis: 1_060_000, DurMilli: 250}},
+		"roam_req": core.RoamReq{NodeID: "svc-9", NodeAddr: "10.0.0.9:4410"},
+		// Remote events: the notification envelope, its ack, and the lookup's
+		// watcher event carried in its body.
+		"notification": event.Notification{Source: "hall-1/lookup", Seq: 3, Kind: "registry.added",
+			Body: []byte{0x00, 0xC6, 0x02, 0x01}, Trace: trace.SpanContext{TraceID: "t-0123456789abcdef", SpanID: "s-00ff"}},
+		"notification_ack": event.Ack{},
+		"registry_event": registry.Event{Kind: registry.Added,
+			Item:  registry.ServiceItem{ID: "svc-9", Name: "midas.adaptation", Addr: "10.0.0.9:4410", Attrs: map[string]string{"kind": "plotter"}},
+			Trace: trace.SpanContext{TraceID: "t-0123456789abcdef", SpanID: "s-00ff"}},
+		// The operator read RPC.
+		"ops_req":  transport.OpsReq{Path: "/records?robot=robot%3A1%3A1"},
+		"ops_resp": transport.OpsResp{Status: 200, Body: []byte("[]\n")},
 	}
 }
 

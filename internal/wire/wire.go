@@ -1,24 +1,23 @@
-// Package wire is the platform's hand-rolled, zero-reflection binary codec
-// for the hot RPC message types. Where encoding/gob walks every value through
-// reflection and re-transmits type descriptors on every message (a fresh
-// encoder per RPC never amortizes them), wire messages marshal themselves
-// field by field into a flat byte buffer: unsigned varints for counts and
-// lengths, zigzag varints for signed integers, length-prefixed UTF-8 for
-// strings and raw bytes, and key-sorted entries for string maps so the same
-// value always produces the same bytes (replays and golden vectors are
-// bit-for-bit stable).
+// Package wire is the platform's hand-rolled, zero-reflection binary codec,
+// the one codec every RPC body travels in. Messages marshal themselves field
+// by field into a flat byte buffer: unsigned varints for counts and lengths,
+// zigzag varints for signed integers, length-prefixed UTF-8 for strings and
+// raw bytes, and key-sorted entries for string maps so the same value always
+// produces the same bytes (replays and golden vectors are bit-for-bit
+// stable).
 //
 // Every marshalled message is framed with a 3-byte self-describing header:
 //
-//	offset 0: 0x00  — a byte no gob stream can start with (gob's leading
-//	                  message-length varint is never zero), so a frame is
-//	                  distinguishable from a gob body at a glance
+//	offset 0: 0x00  — a lead byte no gob stream can start with (gob's
+//	                  leading message-length varint is never zero)
 //	offset 1: 0xC6  — the wire magic
-//	offset 2: 0x01  — the codec version
+//	offset 2: Version — the codec version
 //
-// The header is what lets transport.Decode tell a wire body from a gob body
-// (message types without a wire codec still travel as gob), and the version
-// byte makes a format change explicit: a decoder refuses any other version.
+// A body without the header is not a message: transport.Decode refuses it.
+// The 0x00 lead byte matters only for the TCP handshake, whose preface
+// starts with the same bytes, so the server hangs up on a gob client before
+// it reads an envelope. The version byte makes a format change explicit: a
+// decoder refuses any other version.
 package wire
 
 import (

@@ -71,6 +71,7 @@ type scenarioNode struct {
 	name      string
 	receiver  *core.Receiver
 	reg       *metrics.Registry
+	mux       *transport.Mux
 	shutdowns atomic.Int64
 }
 
@@ -107,9 +108,9 @@ func (w *simWorld) newNode(name string, trusted *sign.Signer) *scenarioNode {
 	receiver.Instrument(n.reg)
 	receiver.Grantor().Start(time.Second)
 	w.t.Cleanup(receiver.Grantor().Stop)
-	mux := transport.NewMux()
-	receiver.ServeOn(mux)
-	stop, err := w.net.Serve(name, mux)
+	n.mux = transport.NewMux()
+	receiver.ServeOn(n.mux)
+	stop, err := w.net.Serve(name, n.mux)
 	if err != nil {
 		w.t.Fatal(err)
 	}

@@ -131,6 +131,9 @@ func TestScenarioTracedLifecycle(t *testing.T) {
 	// Node, traced.
 	n := w.newNode("robot1", b.signer)
 	n.receiver.Trace(tr)
+	transport.ServeOps(n.mux, metrics.NewHandler(n.reg, nil,
+		metrics.Mount{Pattern: "/trace", Handler: trace.Handler(tr)},
+		metrics.Mount{Pattern: "/events", Handler: trace.EventsHandler(tr)}))
 
 	// Watch first, then advertise: the advertisement roots the trace.
 	if _, err := b.base.WatchLookup(
@@ -226,19 +229,14 @@ func TestScenarioTracedLifecycle(t *testing.T) {
 		}
 	}
 
-	// --- The trace is retrievable over the fabric (midasctl trace path). ---
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	resp, err := transport.Invoke[core.TraceReq, core.TraceResp](ctx, w.net.Node("ctl"), "robot1",
-		core.MethodTrace, core.TraceReq{Query: "policy"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := spansByName(resp.Spans)
+	// --- The trace is retrievable over the ops RPC (midasctl trace path). ---
+	var spans []trace.SpanSnapshot
+	opsDoc(t, w.net.Node("ctl"), "robot1", "/trace?q=policy", &spans)
+	got := spansByName(spans)
 	if len(got["ext.install"]) != 2 || len(got["base.push"]) != 1 {
-		t.Errorf("midas.trace query 'policy' returned %v, want the full lifecycle", names(resp.Spans))
+		t.Errorf("/trace?q=policy returned %v, want the full lifecycle", names(spans))
 	}
-	for _, s := range resp.Spans {
+	for _, s := range spans {
 		// Admission runs when the extension is added at the base, before any
 		// node exists — its span starts a trace of its own.
 		if s.Name == "base.admit" {
@@ -248,25 +246,25 @@ func TestScenarioTracedLifecycle(t *testing.T) {
 			t.Errorf("queried span %s belongs to trace %s, want %s", s.Name, s.TraceID, root.TraceID)
 		}
 	}
-	// Structured events of the trace ride along (the lease renewals at least).
+	// Structured events of the trace are served next to it (the lease
+	// renewals at least).
+	var events []trace.Event
+	opsDoc(t, w.net.Node("ctl"), "robot1", "/events?trace="+root.TraceID, &events)
 	hasLeaseEvent := false
-	for _, e := range resp.Events {
+	for _, e := range events {
 		if e.Component == "lease" {
 			hasLeaseEvent = true
 		}
 	}
 	if !hasLeaseEvent {
-		t.Errorf("no lease events returned with the trace (got %d events)", len(resp.Events))
+		t.Errorf("no lease events returned with the trace (got %d events)", len(events))
 	}
 
 	// Unknown queries return nothing rather than everything.
-	empty, err := transport.Invoke[core.TraceReq, core.TraceResp](ctx, w.net.Node("ctl"), "robot1",
-		core.MethodTrace, core.TraceReq{Query: "no-such-ext"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(empty.Spans) != 0 {
-		t.Errorf("query for unknown extension returned %d spans", len(empty.Spans))
+	var empty []trace.SpanSnapshot
+	opsDoc(t, w.net.Node("ctl"), "robot1", "/trace?q=no-such-ext", &empty)
+	if len(empty) != 0 {
+		t.Errorf("query for unknown extension returned %d spans", len(empty))
 	}
 }
 
