@@ -8,6 +8,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -502,7 +503,7 @@ func BenchmarkE7WeaveTime(b *testing.B) {
 				if err := w.Insert(a); err != nil {
 					b.Fatal(err)
 				}
-				if err := w.Withdraw("a"); err != nil {
+				if err := w.Withdraw(context.Background(), "a"); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -302,7 +302,7 @@ func run() error {
 		}
 	}
 
-	if _, err := base.WatchLookup(&registry.Client{Caller: caller, Addr: srv.Addr()}, 24*time.Hour); err != nil {
+	if _, err := base.WatchLookup(&registry.Client{Caller: caller, Addr: srv.Addr()}, *leaseDur); err != nil {
 		return err
 	}
 

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -80,7 +81,7 @@ func run() error {
 	call(200) // vetoed by the policy
 
 	fmt.Println("\n3. Robot leaves the hall; the extension is discarded:")
-	if err := weaver.Withdraw("hall-policy"); err != nil {
+	if err := weaver.Withdraw(context.Background(), "hall-policy"); err != nil {
 		return err
 	}
 	call(200) // no policy anymore

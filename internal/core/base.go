@@ -103,7 +103,7 @@ type BaseConfig struct {
 	// RenewTick is the renewal timer wheel's granularity (default
 	// LeaseDur*RenewFraction/4, so a fresh lease's first renewal lands on its
 	// familiar window*fraction instant). One wheel goroutine plus RenewWorkers
-	// workers replace the former goroutine-per-lease renewers.
+	// workers keep every extension lease alive, not one goroutine per lease.
 	RenewTick time.Duration
 	// RenewBatch caps how many of a node's due leases coalesce into one
 	// batched midas.renewBatch RPC (default 64). RenewWorkers bounds
@@ -166,6 +166,8 @@ type Base struct {
 	nodes  *nodeTable
 	sched  *lease.Scheduler
 	closed atomic.Bool
+	// watch keeps the lookup watch (WatchLookup) alive; Close stops it.
+	watch atomic.Pointer[lease.Scheduler]
 
 	mu         sync.Mutex
 	extensions []Extension
@@ -228,7 +230,8 @@ type baseMetrics struct {
 
 // Instrument records node adaptations, extension pushes (and push failures),
 // departures, revocations and roaming hints in reg, plus the adapted-node
-// gauge. Lease renewers started for pushed extensions join the same registry.
+// gauge. The renewal scheduler that keeps pushed extensions alive joins the
+// same registry.
 // A nil reg is a no-op.
 func (b *Base) Instrument(reg *metrics.Registry) {
 	if reg == nil {
@@ -356,10 +359,14 @@ func NewBase(cfg BaseConfig) (*Base, error) {
 // alive — O(shards + wheels) goroutines do that work, not O(leases).
 func (b *Base) ScheduledRenewals() int { return b.sched.Len() }
 
-// RenewalsQuiesced reports whether the renewal scheduler has fully processed
-// every elapsed wheel tick with no renew calls queued or in flight.
-// Deterministic fleet tests use it as a barrier between manual clock steps.
-func (b *Base) RenewalsQuiesced() bool { return b.sched.Quiesced() }
+// RenewalsQuiesced reports whether the renewal scheduler, and the lookup
+// watch's keeper if any, have fully processed every elapsed wheel tick with
+// no renew calls queued or in flight. Deterministic tests use it as a
+// barrier between manual clock steps.
+func (b *Base) RenewalsQuiesced() bool {
+	w := b.watch.Load()
+	return b.sched.Quiesced() && (w == nil || w.Quiesced())
+}
 
 // RenewalBacklog reports renewals due but not yet completed — queued plus in
 // flight. A persistently non-zero backlog means the renewal workers are not
@@ -766,6 +773,9 @@ func (b *Base) Close() {
 		close(stop)
 		<-done
 	}
+	if w := b.watch.Swap(nil); w != nil {
+		w.Stop()
+	}
 	nodes := b.nodes.clear()
 	b.sched.Stop()
 	sort.Slice(nodes, func(i, j int) bool { return nodes[i].addr < nodes[j].addr })
@@ -1157,12 +1167,16 @@ func (b *Base) ServeOn(mux *transport.Mux) {
 
 // WatchLookup subscribes the base to adaptation-service arrivals at the
 // lookup service behind client, and adapts all already-registered nodes. The
-// base must already be served on its own mux (ServeOn) so the watcher
-// callback can reach it.
+// watch is leased for watchDur and kept alive on a registry.Keep scheduler
+// until Close. The base must already be served on its own mux (ServeOn) so
+// the watcher callback can reach it.
 func (b *Base) WatchLookup(client *registry.Client, watchDur time.Duration) (string, error) {
 	watchID, err := client.Watch(registry.Template{Name: AdaptationService}, watchDur, b.cfg.Addr, MethodBaseOnService)
 	if err != nil {
 		return "", fmt.Errorf("core: watch lookup: %w", err)
+	}
+	if old := b.watch.Swap(registry.Keep(b.cfg.Clock, nil, watchID, watchDur, client.RenewWatch)); old != nil {
+		old.Stop()
 	}
 	items, err := client.Find(registry.Template{Name: AdaptationService})
 	if err != nil {

@@ -474,3 +474,97 @@ func TestAdaptNodeRetriesThroughTransientPartition(t *testing.T) {
 		t.Fatal("partition never forced a retry")
 	}
 }
+
+// serveLookup serves a lookup service on clk at "lookup-1" on fabric, with
+// its lease sweeper running every second of clk.
+func serveLookup(t *testing.T, fabric *transport.InProc, clk clock.Clock) *registry.Lookup {
+	t.Helper()
+	lookup := registry.NewLookup(clk)
+	lookup.Grantor().Start(time.Second)
+	t.Cleanup(lookup.Grantor().Stop)
+	mux := transport.NewMux()
+	srv := registry.NewServer("lookup-1", lookup, mux, fabric.Node("lookup-1"), clock.Real{})
+	stop, err := fabric.Serve("lookup-1", mux)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { stop(); srv.Close() })
+	return lookup
+}
+
+// TestAdvertiseKeepsRegistrationAlive: a node's advertisement outlives three
+// lease windows because the receiver renews it, and the stop function
+// deregisters it.
+func TestAdvertiseKeepsRegistrationAlive(t *testing.T) {
+	clk := clock.NewManual(time.Unix(0, 0))
+	fabric := transport.NewInProc()
+	lookup := serveLookup(t, fabric, clk)
+	signer, err := sign.NewSigner("hall-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, reg, stop := serveReceiver(t, fabric, clk, signer)
+	defer stop()
+
+	stopAdv, err := r.Advertise(&registry.Client{Caller: fabric.Node("robot1"), Addr: "lookup-1"}, 10*time.Second, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Renewals land every 5s; each one is awaited before the clock moves on.
+	for sec := 1; sec <= 30; sec++ {
+		clk.Advance(time.Second)
+		if sec%5 == 0 {
+			testutil.WaitForCounter(t, reg, "lease.renews_sent", uint64(sec/5))
+		}
+		lookup.ExpireNow()
+		if n := len(lookup.Find(registry.Template{Name: AdaptationService})); n != 1 {
+			t.Fatalf("at t=%ds the lookup holds %d registrations, want 1", sec, n)
+		}
+	}
+	stopAdv()
+	if n := len(lookup.Find(registry.Template{Name: AdaptationService})); n != 0 {
+		t.Fatalf("%d registrations after stop, want 0 (deregistered)", n)
+	}
+}
+
+// TestBaseWatchOutlivesItsLease: a base watching the lookup for one minute
+// still hears a node that arrives five minutes later, because it renews the
+// watch while the lookup's sweeper runs.
+func TestBaseWatchOutlivesItsLease(t *testing.T) {
+	clk := clock.NewManual(time.Unix(0, 0))
+	fabric := transport.NewInProc()
+	serveLookup(t, fabric, clk)
+	signer, err := sign.NewSigner("hall-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := newRecoveryBase(t, fabric, clk, signer, "", nil)
+	baseMux := transport.NewMux()
+	b.ServeOn(baseMux)
+	stopBase, err := fabric.Serve("base-1", baseMux)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stopBase()
+	if err := b.AddExtension(recoveryExt("policy", 1)); err != nil {
+		t.Fatal(err)
+	}
+	r, _, stopNode := serveReceiver(t, fabric, clk, signer)
+	defer stopNode()
+
+	if _, err := b.WatchLookup(&registry.Client{Caller: fabric.Node("base-1"), Addr: "lookup-1"}, time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	for elapsed := time.Duration(0); elapsed < 5*time.Minute; elapsed += time.Second {
+		clk.Advance(time.Second)
+		waitUntil(t, "renewals quiesced", b.RenewalsQuiesced)
+	}
+
+	stopAdv, err := r.Advertise(&registry.Client{Caller: fabric.Node("robot1"), Addr: "lookup-1"}, time.Minute, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stopAdv()
+	waitUntil(t, "node adapted after the watch's first lease", func() bool { return len(b.Adapted()) == 1 })
+	waitUntil(t, "extension installed", func() bool { return r.Has("policy") })
+}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"runtime"
@@ -152,7 +153,7 @@ func TestWithdrawVisibleWithActivity(t *testing.T) {
 			t.Fatal(err)
 		}
 		done := make(chan error, 1)
-		go func() { done <- n.receiver.Withdraw("monitor") }()
+		go func() { done <- n.receiver.Withdraw(context.Background(), "monitor") }()
 		for n.receiver.Has("monitor") {
 			runtime.Gosched()
 		}
@@ -360,7 +361,7 @@ func TestImplicitExtensionAutoInstalled(t *testing.T) {
 		}
 	}
 	// Withdrawing the dependent removes the implicit one too.
-	if err := n.receiver.Withdraw("needsbundle"); err != nil {
+	if err := n.receiver.Withdraw(context.Background(), "needsbundle"); err != nil {
 		t.Fatal(err)
 	}
 	if n.receiver.Has("base-bundle") {
@@ -382,13 +383,13 @@ func TestImplicitSharedByDependents(t *testing.T) {
 	if _, err := n.receiver.Install(s2, "base-1", time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.receiver.Withdraw("dep1"); err != nil {
+	if err := n.receiver.Withdraw(context.Background(), "dep1"); err != nil {
 		t.Fatal(err)
 	}
 	if !n.receiver.Has("base-bundle") {
 		t.Fatal("implicit extension removed while dep2 still needs it")
 	}
-	if err := n.receiver.Withdraw("dep2"); err != nil {
+	if err := n.receiver.Withdraw(context.Background(), "dep2"); err != nil {
 		t.Fatal(err)
 	}
 	if n.receiver.Has("base-bundle") {
@@ -569,7 +570,7 @@ func TestShutdownBodyRuns(t *testing.T) {
 	if _, err := n.receiver.Install(signed, "base-1", time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.receiver.Withdraw("s"); err != nil {
+	if err := n.receiver.Withdraw(context.Background(), "s"); err != nil {
 		t.Fatal(err)
 	}
 	if !shut {

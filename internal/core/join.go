@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"time"
 
 	"repro/internal/discovery"
@@ -32,7 +33,7 @@ func (r *Receiver) AutoJoin(bus *discovery.Bus, clientFor func(lookupAddr string
 		}
 		// Registration is idempotent (same service ID refreshes); a failed
 		// attempt is retried naturally on the next beacon.
-		_, _ = client.Register(item, dur)
+		_, _ = client.Register(context.Background(), item, dur)
 	}, filter)
 	return cancel
 }

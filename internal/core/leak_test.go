@@ -8,13 +8,15 @@ import (
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/registry"
 	"repro/internal/sign"
 )
 
 // TestNoGoroutineLeaksOnTeardown spins up the full cluster (lookup, base,
-// receiver, renewers, sweepers), exercises it, tears it down, and checks
-// that the goroutine count returns to its baseline — every background
-// goroutine in the platform must be stoppable and stopped.
+// receiver, renewal schedulers, the node's advertisement and the base's
+// lookup watch, sweepers), exercises it, tears it down, and checks that the
+// goroutine count returns to its baseline — every background goroutine in
+// the platform must be stoppable and stopped.
 func TestNoGoroutineLeaksOnTeardown(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
@@ -27,6 +29,14 @@ func TestNoGoroutineLeaksOnTeardown(t *testing.T) {
 			t.Fatal(err)
 		}
 		waitUntil(t, "install", func() bool { return c.receiver.Has("policy") })
+		if _, err := c.base.WatchLookup(&registry.Client{Caller: c.fabric.Node("base-1"), Addr: "lookup-1"}, time.Minute); err != nil {
+			t.Fatal(err)
+		}
+		stopAdv, err := c.receiver.Advertise(&registry.Client{Caller: c.fabric.Node("robot1"), Addr: "lookup-1"}, time.Minute, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.stops = append(c.stops, stopAdv)
 		c.close()
 	}
 

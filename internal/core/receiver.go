@@ -311,7 +311,7 @@ func (r *Receiver) install(ctx context.Context, ext Extension, signer, baseAddr 
 	}
 	r.mu.Unlock()
 	if refreshID != "" {
-		if _, err := r.grantor.RenewCtx(ctx, refreshID, dur); err == nil {
+		if _, err := r.grantor.Renew(ctx, refreshID, dur); err == nil {
 			r.log("refresh", ext.Name, baseAddr, fmt.Sprintf("version %d", ext.Version))
 			return refreshID, "refresh", nil
 		}
@@ -400,7 +400,7 @@ func (r *Receiver) install(ctx context.Context, ext Extension, signer, baseAddr 
 			return "", "", fmt.Errorf("core: extension %q version %d already installed (have %d)",
 				ext.Name, ext.Version, old.ext.Version)
 		}
-		if err := r.cfg.Weaver.ReplaceCtx(ctx, ext.Name, aspect); err != nil {
+		if err := r.cfg.Weaver.Replace(ctx, ext.Name, aspect); err != nil {
 			return "", "", err
 		}
 		_ = r.grantor.Cancel(old.leaseID)
@@ -423,7 +423,7 @@ func (r *Receiver) install(ctx context.Context, ext Extension, signer, baseAddr 
 				time.Duration(restore.DurMillis)*time.Millisecond, func(lease.ID) { r.expire(name) })
 			ie.leaseID = l.ID
 		} else {
-			l := r.grantor.GrantCtx(ctx, dur, func(lease.ID) { r.expire(name) })
+			l := r.grantor.Grant(ctx, dur, func(lease.ID) { r.expire(name) })
 			ie.leaseID = l.ID
 		}
 	}
@@ -446,7 +446,7 @@ func (r *Receiver) Renew(id lease.ID, dur time.Duration) error {
 
 // renewLease extends a lease and checkpoints the new deadline.
 func (r *Receiver) renewLease(ctx context.Context, id lease.ID, dur time.Duration) (lease.Lease, error) {
-	l, err := r.grantor.RenewCtx(ctx, id, dur)
+	l, err := r.grantor.Renew(ctx, id, dur)
 	if err != nil {
 		return l, err
 	}
@@ -564,14 +564,9 @@ func (r *Receiver) Inventory() []InventoryItem {
 }
 
 // Withdraw removes the named extension immediately (explicit revocation by
-// the base, or local policy), running its shutdown procedure.
-func (r *Receiver) Withdraw(name string) error {
-	return r.WithdrawCtx(context.Background(), name)
-}
-
-// WithdrawCtx is Withdraw joining the trace carried by ctx (normally the
-// base's revoke RPC).
-func (r *Receiver) WithdrawCtx(ctx context.Context, name string) error {
+// the base, or local policy), running its shutdown procedure, inside the
+// trace carried by ctx (normally the base's revoke RPC).
+func (r *Receiver) Withdraw(ctx context.Context, name string) error {
 	ctx, sp := r.traceRef().StartSpan(ctx, "ext.withdraw")
 	sp.Tag("ext", name)
 	sp.Tag("node", r.cfg.NodeName)
@@ -624,7 +619,7 @@ func (r *Receiver) remove(ctx context.Context, name, event string) error {
 	if leaseID != "" {
 		_ = r.grantor.Cancel(leaseID)
 	}
-	werr := r.cfg.Weaver.WithdrawCtx(ctx, name)
+	werr := r.cfg.Weaver.Withdraw(ctx, name)
 	r.mu.Lock()
 	if r.installed[name] == ie {
 		delete(r.installed, name)
@@ -731,8 +726,9 @@ type ShutdownBody interface {
 }
 
 // Advertise registers the receiver as a midas.adaptation service at the
-// lookup service behind client and keeps the registration alive. The
-// returned stop function deregisters.
+// lookup service behind client and keeps the registration alive on a
+// registry.Keep scheduler. The returned stop function stops renewing and
+// deregisters.
 func (r *Receiver) Advertise(client *registry.Client, dur time.Duration, attrs map[string]string) (func(), error) {
 	item := registry.ServiceItem{
 		ID:    r.cfg.NodeName,
@@ -745,27 +741,19 @@ func (r *Receiver) Advertise(client *registry.Client, dur time.Duration, attrs m
 	// inside it, and the pushes/weaves/renewals that follow join it.
 	ctx, sp := r.traceRef().StartSpan(context.Background(), "discovery.advertise")
 	sp.Tag("node", r.cfg.NodeName)
-	leaseID, err := client.RegisterCtx(ctx, item, dur)
+	leaseID, err := client.Register(ctx, item, dur)
 	sp.End(err)
 	if err != nil {
 		return nil, fmt.Errorf("core: advertise: %w", err)
 	}
-	renewer := lease.NewRenewer(r.cfg.Clock,
-		lease.Lease{ID: leaseID, Duration: dur},
-		func(id lease.ID, d time.Duration) (lease.Lease, error) {
-			if err := client.Renew(id, d); err != nil {
-				return lease.Lease{}, err
-			}
-			return lease.Lease{ID: id, Duration: d}, nil
-		},
-		0.5, nil)
 	r.mu.Lock()
 	reg := r.reg
 	r.mu.Unlock()
-	renewer.Instrument(reg)
-	renewer.Start()
+	keeper := registry.Keep(r.cfg.Clock, reg, string(leaseID), dur, func(id string, d time.Duration) error {
+		return client.Renew(lease.ID(id), d)
+	})
 	return func() {
-		renewer.Stop()
+		keeper.Stop()
 		_ = client.Deregister(item.ID)
 	}, nil
 }
@@ -836,7 +824,7 @@ func (r *Receiver) ServeOn(mux *transport.Mux) {
 	transport.Register(mux, MethodRevoke, func(ctx context.Context, req RevokeReq) (EmptyResp, error) {
 		// A revoke of something already gone is a success: the base may be
 		// retrying a revocation whose response was lost.
-		if err := r.WithdrawCtx(ctx, req.Name); err != nil && !errors.Is(err, ErrNotInstalled) {
+		if err := r.Withdraw(ctx, req.Name); err != nil && !errors.Is(err, ErrNotInstalled) {
 			return EmptyResp{}, err
 		}
 		return EmptyResp{}, nil

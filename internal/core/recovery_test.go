@@ -325,7 +325,7 @@ func TestReconcileRepairsDrift(t *testing.T) {
 	if _, err := recv.Install(staleSigned, "base-1", time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	if err := recv.Withdraw("policy"); err != nil {
+	if err := recv.Withdraw(context.Background(), "policy"); err != nil {
 		t.Fatal(err)
 	}
 

@@ -81,7 +81,7 @@ func TestReceiverRenewUnknownLease(t *testing.T) {
 
 func TestReceiverWithdrawUnknown(t *testing.T) {
 	n := newTestNode(t)
-	if err := n.receiver.Withdraw("ghost"); err == nil {
+	if err := n.receiver.Withdraw(context.Background(), "ghost"); err == nil {
 		t.Fatal("want error")
 	}
 }

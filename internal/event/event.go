@@ -104,7 +104,7 @@ func (d *Dispatcher) Subscribe(addr, method string, dur time.Duration) (string, 
 	d.subs[id] = s
 	d.mu.Unlock()
 
-	l := d.grantor.Grant(dur, func(lease.ID) { d.remove(id) })
+	l := d.grantor.Grant(context.Background(), dur, func(lease.ID) { d.remove(id) })
 	d.mu.Lock()
 	s.leaseID = l.ID
 	d.mu.Unlock()
@@ -121,7 +121,7 @@ func (d *Dispatcher) Renew(id string, dur time.Duration) (lease.Lease, error) {
 	if !ok {
 		return lease.Lease{}, lease.ErrUnknownLease
 	}
-	return d.grantor.Renew(s.leaseID, dur)
+	return d.grantor.Renew(context.Background(), s.leaseID, dur)
 }
 
 // Cancel removes a subscription.

@@ -1,6 +1,7 @@
 package jit
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -174,7 +175,7 @@ end`)
 	if v, err := m.Call("App", "val", nil); err != nil || v.I != 100 {
 		t.Fatalf("woven: %v %v", v, err)
 	}
-	if err := w.Withdraw("boost"); err != nil {
+	if err := w.Withdraw(context.Background(), "boost"); err != nil {
 		t.Fatal(err)
 	}
 	if v, err := m.Call("App", "val", nil); err != nil || v.I != 10 {
@@ -248,7 +249,7 @@ end`)
 		if err := w.Insert(a); err != nil {
 			t.Fatal(err)
 		}
-		if err := w.Withdraw("a"); err != nil {
+		if err := w.Withdraw(context.Background(), "a"); err != nil {
 			t.Fatal(err)
 		}
 	}

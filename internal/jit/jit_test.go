@@ -1,6 +1,7 @@
 package jit
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -366,7 +367,7 @@ func TestWithdrawRestoresBehaviour(t *testing.T) {
 	if count != 1 {
 		t.Fatalf("count = %d", count)
 	}
-	if err := w.Withdraw("c"); err != nil {
+	if err := w.Withdraw(context.Background(), "c"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := m.Call("Math", "sumTo", nil, lvm.Int(3)); err != nil {

@@ -3,6 +3,11 @@
 // leased to its receiver, the extension base keeps the lease alive while the
 // node is in its area, and when renewals stop (the node left, the base died)
 // the holder autonomously expires the grant.
+//
+// A Grantor is the landlord side: it issues, renews and expires leases. A
+// Scheduler is the holder side, and the only thing that keeps a lease
+// alive: a base's extension leases, a node's lookup advertisement and a
+// base's lookup watch all renew on one.
 package lease
 
 import (
@@ -41,10 +46,6 @@ func init() {
 	// from remote errors on every fabric.
 	transport.RegisterRemoteSentinel(ErrUnknownLease, ErrExpired)
 }
-
-// errStopped marks a renewal abandoned because the renewer was stopped
-// mid-retry; it must not be reported as a renewal failure.
-var errStopped = errors.New("lease: renewer stopped")
 
 type grant struct {
 	lease    Lease
@@ -124,14 +125,10 @@ func (g *Grantor) traceRef() *trace.Tracer {
 }
 
 // Grant issues a lease for d. onExpire (may be nil) runs when the lease
-// lapses without renewal; it does not run on Cancel.
-func (g *Grantor) Grant(d time.Duration, onExpire func(ID)) Lease {
-	return g.GrantCtx(context.Background(), d, onExpire)
-}
-
-// GrantCtx is Grant stamping the grant event with the trace carried by ctx
-// (normally the install that holds the lease).
-func (g *Grantor) GrantCtx(ctx context.Context, d time.Duration, onExpire func(ID)) Lease {
+// lapses without renewal; it does not run on Cancel. The grant event is
+// stamped with the trace carried by ctx (normally the install that holds the
+// lease).
+func (g *Grantor) Grant(ctx context.Context, d time.Duration, onExpire func(ID)) Lease {
 	id := ID(randomID())
 	l := Lease{ID: id, Expiry: g.clk.Now().Add(d), Duration: d}
 	g.mu.Lock()
@@ -171,14 +168,10 @@ func (g *Grantor) Deadline(id ID) (time.Time, bool) {
 	return gr.lease.Expiry, true
 }
 
-// Renew extends the lease by d from now.
-func (g *Grantor) Renew(id ID, d time.Duration) (Lease, error) {
-	return g.RenewCtx(context.Background(), id, d)
-}
-
-// RenewCtx is Renew stamping the renewal event with the trace carried by ctx
-// (normally the remote renewal RPC, which joins the install's trace).
-func (g *Grantor) RenewCtx(ctx context.Context, id ID, d time.Duration) (Lease, error) {
+// Renew extends the lease by d from now, stamping the renewal event with the
+// trace carried by ctx (normally the remote renewal RPC, which joins the
+// install's trace).
+func (g *Grantor) Renew(ctx context.Context, id ID, d time.Duration) (Lease, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	gr, ok := g.grants[id]
@@ -291,156 +284,6 @@ func (g *Grantor) Stop() {
 		close(stop)
 		<-done
 	}
-}
-
-// RenewFunc renews a lease at its (possibly remote) grantor.
-type RenewFunc func(id ID, d time.Duration) (Lease, error)
-
-// Renewer keeps one lease alive from the holder side, renewing at a fraction
-// of the lease duration. When a renewal fails — after the configured number
-// of in-lease retries, which matter on lossy wireless links — OnFail runs
-// once and the renewer stops; this is the trigger for a MIDAS base to
-// consider a node departed.
-type Renewer struct {
-	clk      clock.Clock
-	renew    RenewFunc
-	onFail   func(error)
-	lease    Lease
-	fraction float64
-	retries  int
-	m        renewerMetrics
-	tracer   *trace.Tracer
-
-	stop chan struct{}
-	done chan struct{}
-	once sync.Once
-}
-
-// renewerMetrics counts holder-side renewal traffic; nil-safe until
-// Instrument.
-type renewerMetrics struct {
-	renews   *metrics.Counter
-	retries  *metrics.Counter
-	failures *metrics.Counter
-}
-
-// Instrument records the renewals this holder sends, the in-lease retries it
-// needs on lossy links, and terminal renewal failures. Like SetRetries it
-// must be called before Start. A nil reg is a no-op.
-func (r *Renewer) Instrument(reg *metrics.Registry) {
-	if reg == nil {
-		return
-	}
-	r.m = renewerMetrics{
-		renews:   reg.Counter("lease.renews_sent"),
-		retries:  reg.Counter("lease.renew_retries"),
-		failures: reg.Counter("lease.renew_failures"),
-	}
-}
-
-// NewRenewer returns a renewer for l. fraction in (0,1) controls when the
-// renewal fires relative to the lease duration (default 0.5).
-func NewRenewer(clk clock.Clock, l Lease, renew RenewFunc, fraction float64, onFail func(error)) *Renewer {
-	if clk == nil {
-		clk = clock.Real{}
-	}
-	if fraction <= 0 || fraction >= 1 {
-		fraction = 0.5
-	}
-	return &Renewer{
-		clk:      clk,
-		renew:    renew,
-		onFail:   onFail,
-		lease:    l,
-		fraction: fraction,
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
-	}
-}
-
-// Trace logs holder-side renewal retries and terminal failures to tr's
-// structured event ring under the "lease" component. Like Instrument it must
-// be called before Start. A nil tr is a no-op.
-func (r *Renewer) Trace(tr *trace.Tracer) {
-	r.tracer = tr
-}
-
-// SetRetries configures how many additional renewal attempts are made within
-// the remaining lease time before the renewer declares failure (default 0).
-// Retries are spaced so they all fit before the lease would lapse.
-func (r *Renewer) SetRetries(n int) {
-	if n >= 0 {
-		r.retries = n
-	}
-}
-
-// Start launches the renewal loop.
-func (r *Renewer) Start() {
-	go func() {
-		defer close(r.done)
-		for {
-			wait := time.Duration(float64(r.lease.Duration) * r.fraction)
-			if wait <= 0 {
-				wait = time.Millisecond
-			}
-			select {
-			case <-r.stop:
-				return
-			case <-r.clk.After(wait):
-			}
-			l, err := r.renewWithRetry()
-			if err != nil {
-				if errors.Is(err, errStopped) {
-					// Stop() raced an in-flight retry: a deliberate halt,
-					// not a departure — never report failure.
-					return
-				}
-				r.m.failures.Inc()
-				r.tracer.Eventf(nil, "lease", "renewal of %s failed for good: %v", r.lease.ID, err)
-				if r.onFail != nil {
-					r.onFail(err)
-				}
-				return
-			}
-			r.m.renews.Inc()
-			r.lease = l
-		}
-	}()
-}
-
-func (r *Renewer) renewWithRetry() (Lease, error) {
-	l, err := r.renew(r.lease.ID, r.lease.Duration)
-	if err == nil || r.retries == 0 {
-		return l, err
-	}
-	// Space the retries across the slack remaining before expiry.
-	slack := time.Duration(float64(r.lease.Duration) * (1 - r.fraction))
-	gap := slack / time.Duration(r.retries+1)
-	if gap <= 0 {
-		gap = time.Millisecond
-	}
-	for attempt := 0; attempt < r.retries; attempt++ {
-		select {
-		case <-r.stop:
-			return Lease{}, errStopped
-		case <-r.clk.After(gap):
-		}
-		r.m.retries.Inc()
-		r.tracer.Eventf(nil, "lease", "retrying renewal of %s (attempt %d of %d): %v", r.lease.ID, attempt+1, r.retries, err)
-		if l, rerr := r.renew(r.lease.ID, r.lease.Duration); rerr == nil {
-			return l, nil
-		} else {
-			err = rerr
-		}
-	}
-	return Lease{}, err
-}
-
-// Stop halts renewal and waits for the loop to exit. Safe to call multiple
-// times.
-func (r *Renewer) Stop() {
-	r.once.Do(func() { close(r.stop) })
-	<-r.done
 }
 
 func randomID() string {

@@ -22,7 +22,7 @@ type BatchItem struct {
 }
 
 // BatchResult reports one lease's renewal outcome. A zero Granted on success
-// means the renewer keeps its previous duration.
+// means the lease keeps its previous duration.
 type BatchResult struct {
 	ID      ID
 	Granted time.Duration
@@ -51,7 +51,7 @@ type SchedulerConfig struct {
 	Slots int
 	// Fraction controls when a renewal fires relative to the lease duration
 	// (default 0.5); Retries how many in-lease retries follow a failed
-	// renewal, spaced across the remaining slack like Renewer's.
+	// renewal, spaced evenly across the slack left before the lease lapses.
 	Fraction float64
 	Retries  int
 	// MaxBatch caps how many leases ride in one batched renew call (default
@@ -69,12 +69,17 @@ type SchedulerConfig struct {
 	OnNodeFail func(node string, err error)
 }
 
-// Scheduler keeps every lease a base holds alive using one hashed timer
+// Scheduler keeps leases alive from the holder side using one hashed timer
 // wheel and a small worker pool, instead of one goroutine per lease. All of
 // a node's leases that come due in the same wheel advance coalesce into one
-// batched renew call (chunked at MaxBatch). Retry pacing and terminal
-// failure semantics mirror Renewer's: a failed renewal gets Retries more
-// attempts spaced slack/(retries+1) apart, then the node is reported failed.
+// batched renew call (chunked at MaxBatch).
+//
+// A renewal fires at Fraction of the lease's current window, and a shorter
+// grant returned by the renew func is adopted for the next one. A failed
+// renewal gets Retries more attempts, spaced slack/(Retries+1) apart, where
+// slack is the (1-Fraction) share of the window left before the lease
+// lapses. When they are spent the lease is dropped and OnNodeFail reports
+// the node failed, once per renew call.
 //
 // Each tracked lease owns one wheel timer for its whole life, re-armed in
 // place after every renewal, and carries its own removed flag, so the
@@ -121,6 +126,14 @@ type schedEntry struct {
 	// queued or in-flight entry checks it instead of looking itself up.
 	removed bool
 	group   int // flush scratch: index of the entry's node group
+}
+
+// renewerMetrics counts holder-side renewal traffic; nil-safe until
+// Instrument.
+type renewerMetrics struct {
+	renews   *metrics.Counter
+	retries  *metrics.Counter
+	failures *metrics.Counter
 }
 
 // dueGroup is one node's share of a flush.
@@ -273,9 +286,10 @@ func (s *Scheduler) Quiesced() bool {
 	return s.pending == 0
 }
 
-// Stop halts the wheel and the workers. Armed renewals never fire again;
-// queued-but-unstarted work is dropped; an in-flight renew call is waited
-// for, mirroring Renewer.Stop.
+// Stop halts the wheel and the workers and returns once they have exited.
+// Armed renewals and pending retries never fire again and queued work is
+// dropped, so none of them reports a failure. An in-flight renew call is
+// waited for, and its outcome is settled as usual.
 func (s *Scheduler) Stop() {
 	s.wheel.Stop()
 	s.mu.Lock()
@@ -455,8 +469,7 @@ func (s *Scheduler) settle(node string, live []*schedEntry, results []BatchResul
 			}
 		}
 		if e.attempts < s.cfg.Retries {
-			// Space the retries across the slack remaining before expiry,
-			// exactly like Renewer.renewWithRetry.
+			// Space the retries across the slack remaining before expiry.
 			e.attempts++
 			s.m.retries.Inc()
 			slack := time.Duration(float64(e.granted) * (1 - s.cfg.Fraction))

@@ -1,6 +1,7 @@
 package lease
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -152,7 +153,7 @@ func TestSchedulerChunksAtMaxBatch(t *testing.T) {
 
 // TestSchedulerRetriesThenFailsNode drives one node's renewals into terminal
 // failure and checks the retry pacing, the single OnNodeFail report, and the
-// metric counters, mirroring Renewer semantics.
+// metric counters.
 func TestSchedulerRetriesThenFailsNode(t *testing.T) {
 	clk := clock.NewManual(time.Unix(0, 0))
 	reg := metrics.New()
@@ -279,5 +280,217 @@ func TestSchedulerWindowAllocBudget(t *testing.T) {
 	t.Logf("%.3f allocs per lease per window", perLease)
 	if perLease > 0.05 {
 		t.Errorf("steady-state window: %.3f allocs per lease, budget 0.05", perLease)
+	}
+}
+
+// stepSched advances clk by total in one-second steps, letting s settle after
+// each one.
+func stepSched(t *testing.T, clk *clock.Manual, s *Scheduler, total time.Duration) {
+	t.Helper()
+	for elapsed := time.Duration(0); elapsed < total; elapsed += time.Second {
+		clk.Advance(time.Second)
+		waitSched(t, "tick settle", s.Quiesced)
+	}
+}
+
+// TestSchedulerAdoptsShorterLease: a grantor may return a shorter lease than
+// requested. The scheduler must adopt it and renew on the shorter period, or
+// the lease lapses between renewals.
+func TestSchedulerAdoptsShorterLease(t *testing.T) {
+	clk := clock.NewManual(time.Unix(0, 0))
+	var mu sync.Mutex
+	var at []time.Time
+	s := NewScheduler(clk, SchedulerConfig{
+		Tick:     time.Second,
+		Fraction: 0.5,
+		Renew: func(_ string, items []BatchItem, results []BatchResult) error {
+			mu.Lock()
+			at = append(at, clk.Now())
+			mu.Unlock()
+			// Grant only 4s of the requested 10s.
+			results[0] = BatchResult{ID: items[0].ID, Granted: 4 * time.Second}
+			return nil
+		},
+	})
+	defer s.Stop()
+
+	s.Add("node-a", "l", "", 10*time.Second)
+	stepSched(t, clk, s, 7*time.Second)
+	mu.Lock()
+	defer mu.Unlock()
+	// Half of the original 10s, then half of the granted 4s, not 5s.
+	want := []time.Time{time.Unix(5, 0), time.Unix(7, 0)}
+	if len(at) != len(want) || !at[0].Equal(want[0]) || !at[1].Equal(want[1]) {
+		t.Fatalf("renewals at %v, want %v (shorter lease adopted)", at, want)
+	}
+}
+
+// TestSchedulerKeepsGrantorLeaseAlive renews a real Grantor's lease: it
+// stays alive for many windows while the scheduler runs, and expires once
+// the scheduler is stopped.
+func TestSchedulerKeepsGrantorLeaseAlive(t *testing.T) {
+	clk := clock.NewManual(time.Unix(0, 0))
+	g := NewGrantor(clk)
+	expired := make(chan ID, 1)
+	l := g.Grant(context.Background(), 10*time.Second, func(id ID) { expired <- id })
+	s := NewScheduler(clk, SchedulerConfig{
+		Tick:     time.Second,
+		Fraction: 0.5,
+		Renew: func(_ string, items []BatchItem, results []BatchResult) error {
+			for i, it := range items {
+				rl, err := g.Renew(context.Background(), it.ID, 10*time.Second)
+				results[i] = BatchResult{ID: it.ID, Granted: rl.Duration, Err: err}
+			}
+			return nil
+		},
+	})
+	s.Add("node-a", l.ID, "", l.Duration)
+
+	for i := 0; i < 40; i++ {
+		stepSched(t, clk, s, time.Second)
+		g.ExpireNow()
+	}
+	select {
+	case <-expired:
+		t.Fatal("lease expired while the scheduler kept it")
+	default:
+	}
+	s.Stop()
+	clk.Advance(11 * time.Second)
+	if n := g.ExpireNow(); n != 1 {
+		t.Fatalf("expired %d leases after Stop, want 1", n)
+	}
+	if id := <-expired; id != l.ID {
+		t.Fatalf("expired %s, want %s", id, l.ID)
+	}
+}
+
+// TestRenewerFailureCallback renews, through the scheduler, a lease its
+// grantor has cancelled: the renewal fails with ErrUnknownLease, and that
+// error reaches OnNodeFail for the lease's node.
+func TestRenewerFailureCallback(t *testing.T) {
+	clk := clock.NewManual(time.Unix(0, 0))
+	g := NewGrantor(clk)
+	l := g.Grant(context.Background(), 10*time.Second, nil)
+	if err := g.Cancel(l.ID); err != nil {
+		t.Fatal(err)
+	}
+	failed := make(chan error, 1)
+	s := NewScheduler(clk, SchedulerConfig{
+		Tick:     time.Second,
+		Fraction: 0.5,
+		Renew: func(_ string, items []BatchItem, results []BatchResult) error {
+			_, err := g.Renew(context.Background(), items[0].ID, 10*time.Second)
+			results[0] = BatchResult{ID: items[0].ID, Err: err}
+			return nil
+		},
+		OnNodeFail: func(node string, err error) {
+			if node != "node-a" {
+				t.Errorf("OnNodeFail node = %q, want node-a", node)
+			}
+			failed <- err
+		},
+	})
+	defer s.Stop()
+
+	s.Add("node-a", l.ID, "", l.Duration)
+	stepSched(t, clk, s, 5*time.Second)
+	select {
+	case err := <-failed:
+		if !errors.Is(err, ErrUnknownLease) {
+			t.Errorf("failure err = %v, want ErrUnknownLease", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("scheduler did not report the failed renewal")
+	}
+}
+
+// TestRenewerRetriesExhaustedReportsOnce renews, through the scheduler, a
+// lease its grantor no longer knows: every retry stays inside the lease,
+// and once the retries are exhausted ErrUnknownLease reaches OnNodeFail
+// exactly once.
+func TestRenewerRetriesExhaustedReportsOnce(t *testing.T) {
+	clk := clock.NewManual(time.Unix(0, 0))
+	g := NewGrantor(clk)
+	l := g.Grant(context.Background(), 8*time.Second, nil)
+	if err := g.Cancel(l.ID); err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var attempts []time.Time
+	var failures []error
+	s := NewScheduler(clk, SchedulerConfig{
+		Tick:     time.Second,
+		Fraction: 0.5,
+		Retries:  3,
+		Renew: func(_ string, items []BatchItem, results []BatchResult) error {
+			mu.Lock()
+			attempts = append(attempts, clk.Now())
+			mu.Unlock()
+			_, err := g.Renew(context.Background(), items[0].ID, 8*time.Second)
+			results[0] = BatchResult{ID: items[0].ID, Err: err}
+			return nil
+		},
+		OnNodeFail: func(_ string, err error) {
+			mu.Lock()
+			failures = append(failures, err)
+			mu.Unlock()
+		},
+	})
+	defer s.Stop()
+
+	s.Add("node-a", l.ID, "", l.Duration)
+	stepSched(t, clk, s, 20*time.Second)
+	mu.Lock()
+	defer mu.Unlock()
+	// The first attempt at 4s; the 4s of slack space the 3 retries 1s apart,
+	// all inside the 8s lease.
+	if len(attempts) != 4 {
+		t.Fatalf("attempts at %v, want 4 (1 + 3 retries)", attempts)
+	}
+	for i, at := range attempts {
+		if want := time.Unix(int64(4+i), 0); !at.Equal(want) {
+			t.Errorf("attempt %d at %v, want %v", i, at, want)
+		}
+	}
+	if len(failures) != 1 || !errors.Is(failures[0], ErrUnknownLease) {
+		t.Fatalf("failures = %v, want exactly one ErrUnknownLease", failures)
+	}
+}
+
+// TestSchedulerStopDuringRetryReportsNoFailure stops the scheduler while a
+// failed renewal's retry waits on the wheel. Stop is a deliberate halt: it
+// must not report the node failed, which would make a base treat an orderly
+// release as a departure.
+func TestSchedulerStopDuringRetryReportsNoFailure(t *testing.T) {
+	clk := clock.NewManual(time.Unix(0, 0))
+	h := newSchedHarness(10 * time.Second)
+	h.failIDs["l"] = ErrUnknownLease
+	s := NewScheduler(clk, SchedulerConfig{
+		Tick:       time.Second,
+		Fraction:   0.5,
+		Retries:    3,
+		Renew:      h.renew,
+		OnNodeFail: h.onFail,
+	})
+
+	s.Add("node-a", "l", "", 10*time.Second)
+	stepSched(t, clk, s, 5*time.Second) // the first renewal fails
+	if got := h.callCount(); got != 1 {
+		t.Fatalf("renew calls = %d, want 1", got)
+	}
+	if got := s.Len(); got != 1 {
+		t.Fatalf("Len = %d, want 1 (retry armed)", got)
+	}
+	s.Stop()
+	clk.Advance(20 * time.Second)
+
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if len(h.failed) != 0 {
+		t.Fatalf("Stop during a retry reported failures for %v", h.failed)
+	}
+	if len(h.calls) != 1 {
+		t.Fatalf("renew calls = %d after Stop, want 1", len(h.calls))
 	}
 }

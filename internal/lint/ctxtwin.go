@@ -6,9 +6,13 @@ import (
 
 // CtxTwin flags calls to a context-less API from a function that has a
 // context.Context in scope, when every type declaring that API also offers a
-// FooCtx twin. Such calls silently drop cancellation: the platform grew Ctx
-// variants (InstallCtx, AdaptNodeCtx, GrantCtx, ...) precisely so RPC
-// deadlines propagate into lease and weave operations.
+// FooCtx twin. Such calls silently drop cancellation and the caller's trace.
+//
+// Every other operation takes its context first, so three twins remain:
+// Base.AdaptNode/AdaptNodeCtx, Receiver.Install/InstallCtx and
+// Weaver.Insert/InsertCtx. They remain because cmd/benchledger calls their
+// context-less forms, and its calls are pinned until the benchmark's next
+// revision (ROADMAP item 1).
 var CtxTwin = &Analyzer{
 	Name: "ctxtwin",
 	Doc:  "flag Foo(...) calls with a context.Context in scope when FooCtx exists on every declaring type",

@@ -98,7 +98,7 @@ func NewServer(name string, lookup *Lookup, mux *transport.Mux, caller transport
 	}
 
 	transport.Register(mux, MethodRegister, func(ctx context.Context, req RegisterReq) (LeaseResp, error) {
-		l, err := lookup.RegisterCtx(ctx, req.Item, time.Duration(req.DurMillis)*time.Millisecond)
+		l, err := lookup.Register(ctx, req.Item, time.Duration(req.DurMillis)*time.Millisecond)
 		if err != nil {
 			return LeaseResp{}, err
 		}
@@ -181,14 +181,9 @@ func (c *Client) ctxFrom(parent context.Context) (context.Context, context.Cance
 	return context.WithTimeout(parent, d)
 }
 
-// Register advertises item.
-func (c *Client) Register(item ServiceItem, dur time.Duration) (lease.ID, error) {
-	return c.RegisterCtx(context.Background(), item, dur)
-}
-
-// RegisterCtx is Register preserving the caller's context (and any span
-// context on it) so the registration joins an ongoing trace.
-func (c *Client) RegisterCtx(ctx context.Context, item ServiceItem, dur time.Duration) (lease.ID, error) {
+// Register advertises item. The call keeps ctx (and any span context on it),
+// so the registration joins an ongoing trace.
+func (c *Client) Register(ctx context.Context, item ServiceItem, dur time.Duration) (lease.ID, error) {
 	ctx, cancel := c.ctxFrom(ctx)
 	defer cancel()
 	resp, err := transport.Invoke[RegisterReq, LeaseResp](ctx, c.Caller, c.Addr, MethodRegister,

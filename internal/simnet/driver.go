@@ -8,7 +8,8 @@ import (
 
 // Advance moves a manual clock forward by total in increments of step,
 // yielding real time between increments so goroutines woken by one increment
-// (renewers, sweepers, retry backoffs) run before the next. It is the
+// (renewal scheduler wheels, grantor sweepers, retry backoffs) run before the
+// next. It is the
 // scenario driver's "let simulated time pass" primitive.
 func Advance(clk *clock.Manual, total, step time.Duration) {
 	if step <= 0 {
@@ -47,7 +48,8 @@ func Drive(clk *clock.Manual, step time.Duration) (stop func()) {
 // Settle advances a manual clock while timers are pending and returns once
 // none have appeared for a few scheduling rounds — i.e. the simulated world
 // has gone quiet. Only useful when no component keeps a perpetual timer
-// armed (renewers and sweepers re-arm forever; use Advance for those).
+// armed (a lease.Scheduler wheel and a grantor sweeper re-arm forever; use
+// Advance for those).
 func Settle(clk *clock.Manual, step time.Duration) {
 	idle := 0
 	for idle < 20 {

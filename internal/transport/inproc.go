@@ -54,12 +54,12 @@ func (fm *fabricMetrics) finishCall(start time.Time, err error) {
 // InProc is an in-process RPC fabric. It simulates the wireless network of
 // the paper's testbed: a LinkFunc (typically wired to the mobility
 // simulator's range oracle) decides which node pairs can currently talk, and
-// an optional per-call latency models the air interface.
+// SetLoss drops calls deterministically. Delivery is instant: simnet is the
+// fabric that models link latency.
 type InProc struct {
 	mu       sync.RWMutex
 	nodes    map[string]Handler
 	linked   func(from, to string) bool
-	latency  time.Duration
 	lossNum  uint64 // drop lossNum out of every lossDen calls
 	lossDen  uint64
 	lossTick uint64
@@ -78,7 +78,7 @@ func (n *InProc) Instrument(reg *metrics.Registry) {
 	n.m = newFabricMetrics(reg)
 }
 
-// NewInProc returns a fully connected fabric with zero latency.
+// NewInProc returns a fully connected, lossless fabric.
 func NewInProc() *InProc {
 	return &InProc{nodes: make(map[string]Handler)}
 }
@@ -89,13 +89,6 @@ func (n *InProc) SetLinkFunc(f func(from, to string) bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.linked = f
-}
-
-// SetLatency sets the simulated one-way message latency.
-func (n *InProc) SetLatency(d time.Duration) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.latency = d
 }
 
 // SetLoss drops num out of every den calls deterministically (evenly
@@ -156,7 +149,6 @@ func (c *inprocCaller) Call(ctx context.Context, to, method string, req, resp an
 	c.net.mu.RLock()
 	h, ok := c.net.nodes[to]
 	linked := c.net.linked
-	latency := c.net.latency
 	fm := c.net.m
 	lossy := c.net.lossNum != 0 && c.net.lossDen != 0
 	c.net.mu.RUnlock()
@@ -174,13 +166,6 @@ func (c *inprocCaller) Call(ctx context.Context, to, method string, req, resp an
 	if lossy && c.net.dropCall() {
 		return fmt.Errorf("%w: %s -> %s (message lost)", ErrUnreachable, c.from, to)
 	}
-	if latency > 0 {
-		select {
-		case <-time.After(latency): //lint:allow clockcheck (simulated link latency elapses in real time)
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
 	body, _, err := EncodeBody(req, true)
 	if err != nil {
 		return err
@@ -194,13 +179,6 @@ func (c *inprocCaller) Call(ctx context.Context, to, method string, req, resp an
 	}
 	if fm != nil {
 		fm.bytesIn.Add(uint64(len(out)))
-	}
-	if latency > 0 {
-		select {
-		case <-time.After(latency): //lint:allow clockcheck (simulated link latency elapses in real time)
-		case <-ctx.Done():
-			return ctx.Err()
-		}
 	}
 	if resp == nil {
 		return nil

@@ -107,23 +107,6 @@ func TestInProcDuplicateAddress(t *testing.T) {
 	stop2()
 }
 
-func TestInProcLatencyRespectsContext(t *testing.T) {
-	fabric := NewInProc()
-	stop, _ := fabric.Serve("b", newEchoMux())
-	defer stop()
-	fabric.SetLatency(500 * time.Millisecond)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	_, err := Invoke[wireReq, wireResp](ctx, fabric.Node("a"), "b", "echo", wireReq{Msg: "x", N: 1})
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("want deadline exceeded, got %v", err)
-	}
-	if time.Since(start) > 200*time.Millisecond {
-		t.Error("call did not respect context deadline")
-	}
-}
-
 func TestTCPRoundTrip(t *testing.T) {
 	srv, err := ServeTCP("127.0.0.1:0", newEchoMux())
 	if err != nil {

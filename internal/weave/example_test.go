@@ -1,6 +1,7 @@
 package weave_test
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/aop"
@@ -37,7 +38,7 @@ end`), weaver, nil)
 		fmt.Println(err)
 		return
 	}
-	if err := weaver.Withdraw("monitor"); err != nil {
+	if err := weaver.Withdraw(context.Background(), "monitor"); err != nil {
 		fmt.Println(err)
 		return
 	}

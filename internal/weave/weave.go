@@ -248,8 +248,17 @@ func (w *Weaver) Insert(a *aop.Aspect) error {
 }
 
 // Withdraw removes the named aspect, running its shutdown procedure first so
-// it can reach a consistent state (per §3.2).
-func (w *Weaver) Withdraw(name string) error {
+// it can reach a consistent state (per §3.2). It records a "weave.withdraw"
+// span in the trace carried by ctx.
+func (w *Weaver) Withdraw(ctx context.Context, name string) error {
+	_, sp := w.traceRef().StartSpan(ctx, "weave.withdraw")
+	sp.Tag("aspect", name)
+	err := w.withdraw(name)
+	sp.End(err)
+	return err
+}
+
+func (w *Weaver) withdraw(name string) error {
 	w.mu.Lock()
 	ins, ok := w.aspects[name]
 	if !ok {
@@ -278,7 +287,19 @@ func (w *Weaver) Withdraw(name string) error {
 // Replace atomically swaps an old aspect for a new one, supporting the
 // paper's "allow the replacement of obsolete extensions with new ones in case
 // the local policy evolves". The old aspect's shutdown runs after the swap.
-func (w *Weaver) Replace(oldName string, a *aop.Aspect) error {
+// It records a "weave.replace" span in the trace carried by ctx.
+func (w *Weaver) Replace(ctx context.Context, oldName string, a *aop.Aspect) error {
+	_, sp := w.traceRef().StartSpan(ctx, "weave.replace")
+	sp.Tag("aspect", a.Name)
+	if oldName != a.Name {
+		sp.Tag("replaces", oldName)
+	}
+	err := w.replace(oldName, a)
+	sp.End(err)
+	return err
+}
+
+func (w *Weaver) replace(oldName string, a *aop.Aspect) error {
 	if err := a.Validate(); err != nil {
 		return err
 	}
@@ -345,29 +366,6 @@ func (w *Weaver) InsertCtx(ctx context.Context, a *aop.Aspect) error {
 	_, sp := w.traceRef().StartSpan(ctx, "weave.insert")
 	sp.Tag("aspect", a.Name)
 	err := w.Insert(a)
-	sp.End(err)
-	return err
-}
-
-// WithdrawCtx is Withdraw recording a "weave.withdraw" span in the trace
-// carried by ctx.
-func (w *Weaver) WithdrawCtx(ctx context.Context, name string) error {
-	_, sp := w.traceRef().StartSpan(ctx, "weave.withdraw")
-	sp.Tag("aspect", name)
-	err := w.Withdraw(name)
-	sp.End(err)
-	return err
-}
-
-// ReplaceCtx is Replace recording a "weave.replace" span in the trace
-// carried by ctx.
-func (w *Weaver) ReplaceCtx(ctx context.Context, oldName string, a *aop.Aspect) error {
-	_, sp := w.traceRef().StartSpan(ctx, "weave.replace")
-	sp.Tag("aspect", a.Name)
-	if oldName != a.Name {
-		sp.Tag("replaces", oldName)
-	}
-	err := w.Replace(oldName, a)
 	sp.End(err)
 	return err
 }

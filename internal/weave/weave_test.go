@@ -1,6 +1,7 @@
 package weave
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -42,7 +43,7 @@ func TestInsertWithdraw(t *testing.T) {
 		t.Fatalf("advice ran %d times, want 1", len(log))
 	}
 
-	if err := w.Withdraw("log"); err != nil {
+	if err := w.Withdraw(context.Background(), "log"); err != nil {
 		t.Fatal(err)
 	}
 	if site.Active() {
@@ -66,7 +67,7 @@ func TestInsertDuplicateFails(t *testing.T) {
 
 func TestWithdrawUnknownFails(t *testing.T) {
 	w := New()
-	if err := w.Withdraw("ghost"); err == nil {
+	if err := w.Withdraw(context.Background(), "ghost"); err == nil {
 		t.Fatal("withdrawing unknown aspect should fail")
 	}
 }
@@ -162,7 +163,7 @@ func TestReplaceSwapsAtomically(t *testing.T) {
 		t.Fatal(err)
 	}
 	v2 := simpleAspect("policy", "C.*(..)", traceBody(&log, "v2"))
-	if err := w.Replace("policy", v2); err != nil {
+	if err := w.Replace(context.Background(), "policy", v2); err != nil {
 		t.Fatal(err)
 	}
 	if !shutdownRan {
@@ -181,7 +182,7 @@ func TestReplaceSwapsAtomically(t *testing.T) {
 
 func TestReplaceUnknownFails(t *testing.T) {
 	w := New()
-	if err := w.Replace("nope", simpleAspect("x", "*.*(..)", aop.BodyFunc(func(*aop.Context) error { return nil }))); err == nil {
+	if err := w.Replace(context.Background(), "nope", simpleAspect("x", "*.*(..)", aop.BodyFunc(func(*aop.Context) error { return nil }))); err == nil {
 		t.Fatal("replace of unknown aspect should fail")
 	}
 }
@@ -353,7 +354,7 @@ func TestWeaverRandomizedConsistency(t *testing.T) {
 	for step := 0; step < 200; step++ {
 		name := "a" + string(rune('0'+next(8)))
 		if _, ok := active[name]; ok && next(2) == 0 {
-			if err := w.Withdraw(name); err != nil {
+			if err := w.Withdraw(context.Background(), name); err != nil {
 				t.Fatal(err)
 			}
 			delete(active, name)
