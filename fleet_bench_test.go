@@ -16,6 +16,7 @@ import (
 	"os"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -423,8 +424,24 @@ func trimmedSum(ds []time.Duration) (time.Duration, int) {
 	return sum, len(kept)
 }
 
+// fleetNote is the ledger's regeneration recipe.
+const fleetNote = "fleet-scale base station benchmarks; regenerate with: go test -run '^$' -bench 'Fleet|RenewScheduler' -benchtime=1x -count=5 . " +
+	"A row run n times, n above 1, records each metric's median, and for ns_* and allocs_* metrics also their _min and _max, with n."
+
+// fleetRuns collects each row's samples across the repeats of one go test
+// process (-count), so the ledger records their median and spread. Only
+// samples at the largest b.N seen count: with -benchtime=Kx every repeat
+// first runs once with b.N=1, and that probe is not a sample.
+var fleetRuns = map[string]*fleetSamples{}
+
+type fleetSamples struct {
+	n    int // b.N of the samples
+	vals []map[string]float64
+}
+
 // writeFleetBench merges one benchmark's numbers into BENCH_fleet.json at
-// the repo root (benchmarks run with the package directory as cwd).
+// the repo root (benchmarks run with the package directory as cwd), as the
+// aggregate of every sample of the row this process took so far.
 // BENCH_FLEET_OUT overrides the path; setting it empty-but-present skips the
 // write. Benchmarks run serially, so read-merge-write needs no locking.
 func writeFleetBench(b *testing.B, name string, nodes int, vals map[string]float64) {
@@ -436,6 +453,17 @@ func writeFleetBench(b *testing.B, name string, nodes int, vals map[string]float
 		}
 		path = v
 	}
+	key := fmt.Sprintf("%s/nodes=%d", name, nodes)
+	runs := fleetRuns[key]
+	switch {
+	case runs == nil || b.N > runs.n:
+		runs = &fleetSamples{n: b.N}
+		fleetRuns[key] = runs
+	case b.N < runs.n:
+		return
+	}
+	runs.vals = append(runs.vals, vals)
+
 	type doc struct {
 		Note       string                        `json:"note"`
 		Go         string                        `json:"go"`
@@ -448,11 +476,11 @@ func writeFleetBench(b *testing.B, name string, nodes int, vals map[string]float
 	if d.Benchmarks == nil {
 		d.Benchmarks = make(map[string]map[string]float64)
 	}
-	d.Note = "fleet-scale base station benchmarks; regenerate with: go test -run '^$' -bench 'Fleet|RenewScheduler' -benchtime=1x ."
+	d.Note = fleetNote
 	d.Go = runtime.Version()
-	key := fmt.Sprintf("%s/nodes=%d", name, nodes)
-	vals["nodes"] = float64(nodes)
-	d.Benchmarks[key] = vals
+	row := aggregateFleetSamples(runs.vals)
+	row["nodes"] = float64(nodes)
+	d.Benchmarks[key] = row
 	raw, err := json.MarshalIndent(d, "", "  ")
 	if err != nil {
 		b.Fatalf("marshal %s: %v", path, err)
@@ -460,4 +488,29 @@ func writeFleetBench(b *testing.B, name string, nodes int, vals map[string]float
 	if err := os.WriteFile(path, append(raw, '\n'), 0o644); err != nil {
 		b.Fatalf("write %s: %v", path, err)
 	}
+}
+
+// aggregateFleetSamples reduces one row's samples to each metric's median
+// (the mean of the middle two for an even count) and n. With more than one
+// sample, ns_* and allocs_* metrics also get _min and _max.
+func aggregateFleetSamples(samples []map[string]float64) map[string]float64 {
+	row := map[string]float64{"n": float64(len(samples))}
+	for k := range samples[0] {
+		xs := make([]float64, 0, len(samples))
+		for _, s := range samples {
+			if v, ok := s[k]; ok {
+				xs = append(xs, v)
+			}
+		}
+		sort.Float64s(xs)
+		mid := len(xs) / 2
+		row[k] = xs[mid]
+		if len(xs)%2 == 0 {
+			row[k] = (xs[mid-1] + xs[mid]) / 2
+		}
+		if len(samples) > 1 && (strings.HasPrefix(k, "ns_") || strings.HasPrefix(k, "allocs_")) {
+			row[k+"_min"], row[k+"_max"] = xs[0], xs[len(xs)-1]
+		}
+	}
+	return row
 }

@@ -146,13 +146,40 @@ func (t *WheelTimer) Reset(d time.Duration) bool {
 	w := t.w
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	return w.resetLocked(t, w.clk.Now(), d)
+}
+
+// Rearm is one timer and the delay ResetAll arms it for.
+type Rearm struct {
+	T *WheelTimer
+	D time.Duration
+}
+
+// ResetAll re-arms every timer of rs, which must all belong to w, as
+// consecutive Reset calls in slice order would, but under one lock
+// acquisition and with one clock read: a renewal scheduler re-arms a whole
+// batch's timers at once. Arms order by slice position within one deadline.
+// On a stopped wheel the timers are left unarmed and ResetAll reports false.
+func (w *Wheel) ResetAll(rs []Rearm) bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	now := w.clk.Now()
+	ok := true
+	for _, r := range rs {
+		ok = w.resetLocked(r.T, now, r.D) && ok
+	}
+	return ok
+}
+
+// resetLocked arms t for d from now; see Reset.
+func (w *Wheel) resetLocked(t *WheelTimer, now time.Time, d time.Duration) bool {
 	if t.armed {
 		w.unlinkLocked(t)
 	}
 	if w.stopped {
 		return false
 	}
-	t.deadline = w.clk.Now().Add(d)
+	t.deadline = now.Add(d)
 	t.seq = w.seq
 	w.seq++
 	// Ticks until due, relative to the last processed boundary: never early,

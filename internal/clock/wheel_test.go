@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -77,6 +78,21 @@ func runWheelOracle(t *testing.T, seed int64) {
 			tm.Reset(d)
 			live[id] = len(all)
 			all = append(all, arm{id: id, deadline: clk.Now().Add(d)})
+		case r < 0.53 && len(timers) > 0:
+			// Re-arm a batch of distinct random timers with one ResetAll,
+			// the renewal scheduler's settle: arms order by slice position.
+			// Cancel first, as for a single re-arm below.
+			var batch []Rearm
+			for _, id := range rng.Perm(len(timers))[:1+rng.Intn(min(5, len(timers)))] {
+				if i, ok := live[id]; ok && timers[id].Cancel() {
+					cancelled[i] = true
+				}
+				d := time.Duration(rng.Int63n(int64(3 * slots * tick)))
+				batch = append(batch, Rearm{T: timers[id], D: d})
+				live[id] = len(all)
+				all = append(all, arm{id: id, deadline: clk.Now().Add(d)})
+			}
+			w.ResetAll(batch)
 		case r < 0.6 && len(timers) > 0:
 			// Re-arm a random timer in place. Cancel first so its return
 			// value settles whether the previous arm still fires: true
@@ -251,4 +267,45 @@ func TestWheelRearmAllocsNothing(t *testing.T) {
 	}); got != 0 {
 		t.Errorf("cancel and re-arm: %v allocs, want 0", got)
 	}
+	batch := []Rearm{{T: tm, D: time.Second}, {T: w.NewTimer(func() {}), D: 2 * time.Second}}
+	if got := testing.AllocsPerRun(1000, func() {
+		w.ResetAll(batch)
+	}); got != 0 {
+		t.Errorf("re-arming a batch: %v allocs, want 0", got)
+	}
+}
+
+// TestWheelResetAllReadsTheClockOnce: a batch re-arm reads the clock once
+// and takes the lock once, so every timer of the batch gets the same base
+// instant, and a stopped wheel leaves every timer of the batch unarmed.
+func TestWheelResetAllReadsTheClockOnce(t *testing.T) {
+	clk := &countingClock{Manual: NewManual(time.Unix(0, 0))}
+	w := NewWheel(clk, 10*time.Millisecond, 64)
+	a, b := w.NewTimer(func() {}), w.NewTimer(func() {})
+	b.Reset(time.Hour)
+	before := clk.nows.Load()
+	if !w.ResetAll([]Rearm{{T: a, D: time.Second}, {T: b, D: time.Second}}) {
+		t.Fatal("ResetAll on a running wheel reported false")
+	}
+	if got := clk.nows.Load() - before; got != 1 {
+		t.Fatalf("ResetAll of 2 timers read the clock %d times, want 1", got)
+	}
+	if a.deadline != b.deadline || a.seq >= b.seq {
+		t.Fatalf("batch arms: deadlines %v/%v seqs %d/%d, want equal deadlines in slice order", a.deadline, b.deadline, a.seq, b.seq)
+	}
+	w.Stop()
+	if w.ResetAll([]Rearm{{T: a, D: time.Second}, {T: b, D: time.Second}}) || a.armed || b.armed {
+		t.Fatal("ResetAll on a stopped wheel armed a timer or reported true")
+	}
+}
+
+// countingClock counts Now calls.
+type countingClock struct {
+	*Manual
+	nows atomic.Int64
+}
+
+func (c *countingClock) Now() time.Time {
+	c.nows.Add(1)
+	return c.Manual.Now()
 }

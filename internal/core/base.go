@@ -126,13 +126,11 @@ type BaseActivity struct {
 type adaptedNode struct {
 	id   string
 	addr string
-	// spanCtxs remembers, per extension, the span under which the push
-	// succeeded, so later renewals and revokes join the install's trace.
-	spanCtxs map[string]trace.SpanContext
 	// grants mirrors the lease state per pushed extension; it is what the
 	// journal checkpoints, so deadlines are absolute. An extension present
-	// here is being kept alive by the base's renewal scheduler.
-	grants map[string]grantInfo
+	// here is being kept alive by the base's renewal scheduler. Entries are
+	// pointers, so a renewal updates its grant in place.
+	grants map[string]*grantInfo
 }
 
 // grantInfo is the base's view of one pushed extension's lease.
@@ -141,14 +139,16 @@ type grantInfo struct {
 	leaseID  lease.ID
 	dur      time.Duration
 	deadline time.Time
+	// sc is the span under which the push succeeded, so renewals and the
+	// revoke join the install's trace.
+	sc trace.SpanContext
 }
 
 func newAdaptedNode(id, addr string) *adaptedNode {
 	return &adaptedNode{
-		id:       id,
-		addr:     addr,
-		spanCtxs: make(map[string]trace.SpanContext),
-		grants:   make(map[string]grantInfo),
+		id:     id,
+		addr:   addr,
+		grants: make(map[string]*grantInfo),
 	}
 }
 
@@ -604,8 +604,8 @@ func (b *Base) RemoveExtension(name string) error {
 		go func(nodes []*adaptedNode) {
 			defer wg.Done()
 			for _, n := range nodes {
-				b.stopTracking(n.addr, name)
-				err := b.revokeExtension(context.Background(), n, name)
+				sc := b.stopTracking(n.addr, name)
+				err := b.revokeExtension(context.Background(), n, name, sc)
 				detail := ""
 				if err != nil {
 					detail = "failed: " + err.Error()
@@ -619,10 +619,11 @@ func (b *Base) RemoveExtension(name string) error {
 }
 
 // revokeExtension withdraws one extension at one node, inside the trace that
-// installed it there. The caller logs the outcome.
-func (b *Base) revokeExtension(ctx context.Context, n *adaptedNode, name string) error {
+// installed it there (sc, the push's span; zero: ctx's trace). The caller
+// logs the outcome.
+func (b *Base) revokeExtension(ctx context.Context, n *adaptedNode, name string, sc trace.SpanContext) error {
 	tr := b.traceRef()
-	rctx, sp := tr.StartSpan(trace.NewContext(ctx, b.pushSpanCtx(n.addr, name)), "base.revoke")
+	rctx, sp := tr.StartSpan(trace.NewContext(ctx, sc), "base.revoke")
 	sp.Tag("ext", name)
 	sp.Tag("node", n.id)
 	ictx := transport.WithCallDeadline(rctx, b.cfg.CallTimeout)
@@ -630,18 +631,6 @@ func (b *Base) revokeExtension(ctx context.Context, n *adaptedNode, name string)
 	ictx.Cancel()
 	sp.End(err)
 	return err
-}
-
-// pushSpanCtx returns the span context under which ext was pushed to the
-// node at addr, or the zero context.
-func (b *Base) pushSpanCtx(nodeAddr, extName string) trace.SpanContext {
-	s := b.nodes.shard(nodeAddr)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if n, ok := s.adapted[nodeAddr]; ok {
-		return n.spanCtxs[extName]
-	}
-	return trace.SpanContext{}
 }
 
 // Extensions lists the base's policy set names in order.
@@ -926,14 +915,11 @@ func (b *Base) trackGrant(n *adaptedNode, extName string, g grantInfo, window ti
 		// longer ours to keep alive.
 		b.sched.Cancel(n.addr, old.leaseID)
 	}
-	if n.spanCtxs == nil {
-		n.spanCtxs = make(map[string]trace.SpanContext)
-	}
-	n.spanCtxs[extName] = sc
 	if n.grants == nil {
-		n.grants = make(map[string]grantInfo)
+		n.grants = make(map[string]*grantInfo)
 	}
-	n.grants[extName] = g
+	g.sc = sc
+	n.grants[extName] = &g
 	b.journalNode(n)
 	b.sched.Add(n.addr, g.leaseID, extName, window)
 	s.mu.Unlock()
@@ -955,13 +941,12 @@ func (b *Base) noteRenewals(node string, renewed []lease.Renewal) {
 	now := b.cfg.Clock.Now()
 	changed := false
 	for _, r := range renewed {
-		g, held := n.grants[r.Name]
-		if !held || g.leaseID != r.ID {
+		g := n.grants[r.Name]
+		if g == nil || g.leaseID != r.ID {
 			continue
 		}
 		g.dur = r.Granted
 		g.deadline = now.Add(r.Granted)
-		n.grants[r.Name] = g
 		changed = true
 	}
 	if changed {
@@ -1076,21 +1061,24 @@ func (b *Base) nodeDeparted(nodeAddr string) {
 }
 
 // stopTracking forgets the grant for extName at nodeAddr and cancels its
-// scheduled renewal. The push span context is kept: revocation spans join the
-// original install trace even after the grant is gone.
-func (b *Base) stopTracking(nodeAddr, extName string) {
+// scheduled renewal. It returns the grant's push span context, so the revoke
+// that follows joins the original install trace.
+func (b *Base) stopTracking(nodeAddr, extName string) trace.SpanContext {
 	s := b.nodes.shard(nodeAddr)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n, ok := s.adapted[nodeAddr]
 	if !ok {
-		return
+		return trace.SpanContext{}
 	}
-	if g, held := n.grants[extName]; held {
+	var sc trace.SpanContext
+	if g := n.grants[extName]; g != nil {
 		b.sched.Cancel(nodeAddr, g.leaseID)
+		sc = g.sc
 	}
 	delete(n.grants, extName)
 	b.journalNode(n)
+	return sc
 }
 
 func (b *Base) log(ev, node, ext, detail string) {

@@ -118,15 +118,17 @@ func (r *Receiver) serveBatch(mux *transport.Mux) {
 // shape); multiple due leases coalesce into one midas.renewBatch call. A
 // call-level error fails the whole batch — the scheduler's retry pacing takes
 // over from there.
+//
+// The call costs the base a fixed number of allocations whatever the batch's
+// size: its call context (deadline, span context and, on the in-proc fabric,
+// the peer stamp, in one), the request body, and for a sampled-out trace the
+// root span's IDs. Request, response and per-item metadata are pooled, and a
+// sampled-out item span is only counted.
 func (b *Base) renewNodeBatch(node string, items []lease.BatchItem, out []lease.BatchResult) error {
-	// The per-item trace metadata of a small batch lives on the stack; a
-	// larger one pays one allocation, amortised over its leases.
-	var metaBuf [8]renewItemMeta
-	metas := metaBuf[:0]
-	if len(items) > len(metaBuf) {
-		metas = make([]renewItemMeta, 0, len(items))
-	}
-	metas, ok := b.renewMeta(node, items, metas)
+	rc := getRenewCall()
+	defer putRenewCall(rc)
+	metas, ok := b.renewMeta(node, items, rc.metas[:0])
+	rc.metas = metas
 	if !ok {
 		return fmt.Errorf("core: node %s is no longer tracked", node)
 	}
@@ -136,26 +138,20 @@ func (b *Base) renewNodeBatch(node string, items []lease.BatchItem, out []lease.
 	}
 
 	m, tr, wantObs := b.renewRefs()
-	sp := tr.StartSpanFrom(trace.SpanContext{}, "lease.renewBatch")
+	sp := tr.StartRootSpan("lease.renewBatch")
 	sp.Tag("node", node)
 	// A tag, not an annotation: tags on a sampled-out span are free (the pool
 	// keeps their backing array), while Annotatef pays fmt on every batch.
 	sp.Tag("leases", strconv.Itoa(len(items)))
-	rc := getRenewCall()
-	defer putRenewCall(rc)
 	req, resp := &rc.batchReq, &rc.batchResp
 	req.WantObs = wantObs
 	for _, it := range items {
 		req.Items = append(req.Items, RenewExtReq{LeaseID: string(it.ID), DurMillis: b.cfg.LeaseDur.Milliseconds()})
 	}
-	pctx := context.Background()
-	if sc := sp.Context(); sc.TraceID != "" {
-		// Parent the rpc.call span under this batch span. Besides the trace
-		// tree reading right, a sampled-out child rides the context's decision
-		// instead of minting a root trace ID per call on the shared RNG.
-		pctx = trace.NewContext(pctx, sc)
-	}
-	rctx := transport.WithCallDeadline(pctx, b.cfg.CallTimeout)
+	// The call runs under this batch span. Besides the trace tree reading
+	// right, a sampled-out rpc.call child rides the context's decision
+	// instead of minting a root trace ID per call.
+	rctx := transport.WithCallSpan(context.Background(), b.cfg.CallTimeout, sp.Context())
 	err := b.caller.Call(rctx, node, MethodRenewBatch, req, resp)
 	rctx.Cancel()
 	sp.End(err)
@@ -182,49 +178,48 @@ func (b *Base) renewNodeBatch(node string, items []lease.BatchItem, out []lease.
 		out[i].Err = ierr
 		// Each lease's renewal is still a span of the trace that installed
 		// the extension, batched or not.
-		meta := metas[i]
-		lsp := tr.StartSpanFrom(meta.sc, "lease.renew")
-		lsp.Tag("ext", meta.ext)
-		lsp.Tag("node", meta.nodeID)
-		lsp.End(ierr)
+		meta := &metas[i]
+		tr.Child(meta.sc, "lease.renew", ierr, trace.Tag{Key: "ext", Value: meta.ext}, trace.Tag{Key: "node", Value: meta.nodeID})
 	}
 	return nil
 }
 
-// renewCall holds one renewal exchange's request and response. The base
-// renews every lease of the fleet once per window, so the pair is pooled:
-// passing pooled pointers to the Caller spares boxing the request and the
-// response per call, and the batch request's Items and the batch response's
-// decoded Items keep their capacity across calls. A Caller decodes into the
-// response before it returns and keeps neither, so the pair is free to reuse
-// once the call is over.
+// renewCall holds one renewal exchange's request, response and per-lease
+// trace metadata. The base renews every lease of the fleet once per window,
+// so they are pooled: passing pooled pointers to the Caller spares boxing the
+// request and the response per call, and the batch request's Items, the
+// batch response's decoded Items and the metadata keep their capacity across
+// calls. A Caller decodes into the response before it returns and keeps
+// neither, so the pair is free to reuse once the call is over.
 type renewCall struct {
 	batchReq  RenewBatchReq
 	batchResp RenewBatchResp
 	oneReq    RenewExtReq
 	oneResp   RenewExtResp
+	metas     []renewItemMeta
 }
 
 var renewCalls = sync.Pool{New: func() any { return new(renewCall) }}
 
 func getRenewCall() *renewCall { return renewCalls.Get().(*renewCall) }
 
-// putRenewCall clears rc, keeping the Items capacity but no strings or
+// putRenewCall clears rc, keeping the slices' capacity but no strings or
 // reports from the call, and pools it.
 func putRenewCall(rc *renewCall) {
 	clear(rc.batchReq.Items)
 	clear(rc.batchResp.Items)
+	clear(rc.metas)
 	*rc = renewCall{
 		batchReq:  RenewBatchReq{Items: rc.batchReq.Items[:0]},
 		batchResp: RenewBatchResp{Items: rc.batchResp.Items[:0]},
+		metas:     rc.metas[:0],
 	}
 	renewCalls.Put(rc)
 }
 
 // renewMeta snapshots per-lease trace metadata under the node's shard lock,
 // appending to meta one entry per item. Each item names the extension its
-// lease was added under, so a lease whose grant still holds it is found
-// without walking the node's grants.
+// lease was added under, so one lookup in the node's grants finds it.
 func (b *Base) renewMeta(node string, items []lease.BatchItem, meta []renewItemMeta) ([]renewItemMeta, bool) {
 	s := b.nodes.shard(node)
 	s.mu.Lock()
@@ -235,8 +230,8 @@ func (b *Base) renewMeta(node string, items []lease.BatchItem, meta []renewItemM
 	}
 	for _, it := range items {
 		var m renewItemMeta
-		if g, held := n.grants[it.Name]; held && g.leaseID == it.ID {
-			m = renewItemMeta{ext: it.Name, nodeID: n.id, sc: n.spanCtxs[it.Name]}
+		if g := n.grants[it.Name]; g != nil && g.leaseID == it.ID {
+			m = renewItemMeta{ext: it.Name, nodeID: n.id, sc: g.sc}
 		}
 		meta = append(meta, m)
 	}
@@ -254,14 +249,16 @@ type renewItemMeta struct {
 // installed the extension.
 func (b *Base) renewOne(node string, id lease.ID, meta renewItemMeta) lease.BatchResult {
 	tr := b.traceRef()
-	lctx, lsp := tr.StartSpan(trace.NewContext(context.Background(), meta.sc), "lease.renew")
-	lsp.Tag("ext", meta.ext)
-	lsp.Tag("node", meta.nodeID)
 	rc := getRenewCall()
 	defer putRenewCall(rc)
 	rc.oneReq = RenewExtReq{LeaseID: string(id), DurMillis: b.cfg.LeaseDur.Milliseconds()}
-	rctx := transport.WithCallDeadline(lctx, b.cfg.CallTimeout)
-	err := b.caller.Call(rctx, node, MethodRenewE, &rc.oneReq, &rc.oneResp)
+	// The call context carries the push's span, so a sampled-out renewal
+	// span runs on it as is, with no context of its own.
+	rctx := transport.WithCallSpan(context.Background(), b.cfg.CallTimeout, meta.sc)
+	lctx, lsp := tr.StartSpan(rctx, "lease.renew")
+	lsp.Tag("ext", meta.ext)
+	lsp.Tag("node", meta.nodeID)
+	err := b.caller.Call(lctx, node, MethodRenewE, &rc.oneReq, &rc.oneResp)
 	rctx.Cancel()
 	lsp.End(err)
 	if err != nil {
@@ -290,7 +287,7 @@ func (b *Base) applyToNode(ctx context.Context, n *adaptedNode, installs []Exten
 			installErrs[ext.Name] = b.pushExtension(ctx, n, ext)
 		}
 		for _, name := range revokes {
-			revokeErrs[name] = b.revokeExtension(ctx, n, name)
+			revokeErrs[name] = b.revokeExtension(ctx, n, name, trace.SpanContext{})
 		}
 		return installErrs, revokeErrs
 	}

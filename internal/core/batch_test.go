@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/lease"
 	"repro/internal/metrics"
 	"repro/internal/sign"
+	"repro/internal/trace"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -329,8 +331,9 @@ func TestRenewalJournalsOncePerCall(t *testing.T) {
 
 // newAllocBase serves a renewal-only node, robot1, over the in-process
 // fabric (node-side handlers as lean as a receiver's) and returns a base that
-// has adapted it with extensions a and b.
-func newAllocBase(t *testing.T) *Base {
+// has adapted it with nExts extensions, traced by tr when it is not nil,
+// together with the batch items that renew all of the node's leases.
+func newAllocBase(t *testing.T, nExts int, tr *trace.Tracer) (*Base, []lease.BatchItem) {
 	t.Helper()
 	fabric := transport.NewInProc()
 	mux := transport.NewMux()
@@ -368,29 +371,47 @@ func newAllocBase(t *testing.T) *Base {
 		t.Fatal(err)
 	}
 	t.Cleanup(b.Close)
-	for _, name := range []string{"a", "b"} {
-		if err := b.AddExtension(noopExt(name, 1)); err != nil {
+	if tr != nil {
+		b.Trace(tr)
+	}
+	for i := 0; i < nExts; i++ {
+		if err := b.AddExtension(noopExt(fmt.Sprintf("e%02d", i), 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := b.AdaptNode("robot1", "robot1"); err != nil {
 		t.Fatal(err)
 	}
-	return b
+	s := b.nodes.shard("robot1")
+	s.mu.Lock()
+	var items []lease.BatchItem
+	for name, g := range s.adapted["robot1"].grants {
+		items = append(items, lease.BatchItem{ID: g.leaseID, Name: name})
+	}
+	s.mu.Unlock()
+	if len(items) != nExts {
+		t.Fatalf("node holds %d grants, want %d", len(items), nExts)
+	}
+	sort.Slice(items, func(i, j int) bool { return items[i].Name < items[j].Name })
+	return b, items
 }
 
-// TestRenewNodeBatchAllocBudget pins what one 2-lease midas.renewBatch costs
-// the base over the in-process fabric, node side included: the call deadline,
-// the peer stamp and both bodies, plus the node's request and response boxes,
-// decoded items and lease IDs and built response items. The base's request and
-// response are pooled, and per-lease metadata and results live in caller and
-// stack buffers; none of them adds an allocation.
-func TestRenewNodeBatchAllocBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the wire codec's buffer pool drops items at random under -race")
-	}
-	b := newAllocBase(t)
-	items := []lease.BatchItem{{ID: "L0", Name: "a"}, {ID: "L1", Name: "b"}}
+// Renewal call allocation budgets, node side included, over the in-process
+// fabric. A 2-lease midas.renewBatch costs the base its call context (which
+// holds the deadline, the span context and the fabric's peer stamp) and the
+// request body, and the node its decoded Items and built response Items; the
+// node's request and response boxes are pooled, its lease IDs are views into
+// the request body, and its response body is recycled by the fabric. None of
+// these grows with the lease count.
+const (
+	renewBatchAllocBudget = 4
+	renewOneAllocBudget   = 3
+)
+
+// renewAllocs runs one renewNodeBatch of items per iteration and checks every
+// lease was renewed.
+func renewAllocs(t *testing.T, b *Base, items []lease.BatchItem) float64 {
+	t.Helper()
 	out := make([]lease.BatchResult, len(items))
 	allocs := testing.AllocsPerRun(200, func() {
 		if err := b.renewNodeBatch("robot1", items, out); err != nil {
@@ -402,21 +423,159 @@ func TestRenewNodeBatchAllocBudget(t *testing.T) {
 			t.Fatalf("result %d = %+v, want %s renewed for a minute", i, r, items[i].ID)
 		}
 	}
-	const budget = 10
+	return allocs
+}
+
+// TestRenewNodeBatchAllocBudget pins what one 2-lease midas.renewBatch costs.
+func TestRenewNodeBatchAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the wire codec's buffer pool drops items at random under -race")
+	}
+	b, items := newAllocBase(t, 2, nil)
+	allocs := renewAllocs(t, b, items)
 	t.Logf("%.0f allocs per 2-lease renew call", allocs)
-	if allocs > budget {
-		t.Errorf("2-lease renew call: %.0f allocs, budget %d", allocs, budget)
+	if allocs > renewBatchAllocBudget {
+		t.Errorf("2-lease renew call: %.0f allocs, budget %d", allocs, renewBatchAllocBudget)
 	}
 }
 
+// TestRenewNodeBatch64AllocBudget holds a 64-lease batch (the scheduler's
+// default MaxBatch) to the 2-lease budget: the count is constant in the
+// batch's lease count.
+func TestRenewNodeBatch64AllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the wire codec's buffer pool drops items at random under -race")
+	}
+	b, items := newAllocBase(t, 64, nil)
+	allocs := renewAllocs(t, b, items)
+	t.Logf("%.0f allocs per 64-lease renew call", allocs)
+	if allocs > renewBatchAllocBudget {
+		t.Errorf("64-lease renew call: %.0f allocs, budget %d (the 2-lease budget)", allocs, renewBatchAllocBudget)
+	}
+}
+
+// TestRenewNodeBatchTracedAllocBudget runs the 2- and 64-lease batches on a
+// base traced with the production sampler (1%, tail-keep at 50ms), whose
+// install traces were sampled out. The batch root's trace and span IDs share
+// one allocation, the call context carries the span, and every sampled-out
+// lease.renew item span is only counted: at most one allocation over the
+// untraced budget, at either size.
+func TestRenewNodeBatchTracedAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the wire codec's buffer pool drops items at random under -race")
+	}
+	for _, n := range []int{2, 64} {
+		tr := trace.New(1)
+		tr.SetSampler(trace.SamplerConfig{Rate: 0.01, Seed: 1, SlowThreshold: 50 * time.Millisecond})
+		b, items := newAllocBase(t, n, tr)
+		metas, _ := b.renewMeta("robot1", items, nil)
+		for _, m := range metas {
+			if sampled, known := m.sc.SampleDecision(); sampled || !known {
+				t.Fatalf("%d leases: install trace of %s has flags %#x, want sampled out", n, m.ext, m.sc.Flags)
+			}
+		}
+		allocs := renewAllocs(t, b, items)
+		t.Logf("%.0f allocs per traced %d-lease renew call", allocs, n)
+		if allocs > renewBatchAllocBudget+1 {
+			t.Errorf("traced %d-lease renew call: %.0f allocs, budget %d", n, allocs, renewBatchAllocBudget+1)
+		}
+	}
+}
+
+// TestRenewItemSpansAllocBudget checks the per-item lease.renew spans of a
+// batch. Under sampled-out install traces each item adds exactly one to
+// SamplerStats' sampled-out count and nothing to the ring, at no allocation;
+// a failed item is tail-kept with its ext and node tags; an item whose
+// install trace was sampled in is recorded.
+func TestRenewItemSpansAllocBudget(t *testing.T) {
+	tr := trace.New(1)
+	tr.SetSampler(trace.SamplerConfig{Rate: 0.01, Seed: 1, SlowThreshold: 50 * time.Millisecond})
+	b, items := newAllocBase(t, 4, tr)
+	out := make([]lease.BatchResult, len(items))
+	renews := func() int { return len(tr.Spans(trace.Filter{Name: "lease.renew"})) }
+	before, kept0 := tr.SamplerStats()
+	recorded0 := renews()
+	if err := b.renewNodeBatch("robot1", items, out); err != nil {
+		t.Fatal(err)
+	}
+	after, kept := tr.SamplerStats()
+	// The batch root and the fabric's rpc.call span are sampled out too.
+	if got := after - before - 2; got != uint64(len(items)) || kept != kept0 || renews() != recorded0 {
+		t.Fatalf("a %d-lease batch counted %d item spans sampled out (tail-kept %d->%d, recorded %d->%d), want one each and none kept",
+			len(items), got, kept0, kept, recorded0, renews())
+	}
+	if !raceEnabled {
+		metas, _ := b.renewMeta("robot1", items, nil)
+		allocs := testing.AllocsPerRun(100, func() {
+			for _, m := range metas {
+				tr.Child(m.sc, "lease.renew", nil, trace.Tag{Key: "ext", Value: m.ext}, trace.Tag{Key: "node", Value: m.nodeID})
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("sampled-out item spans: %.0f allocs per batch, want 0", allocs)
+		}
+	}
+
+	// A lease the node no longer knows fails its item, which tail-keep keeps.
+	fail := transport.NewMux()
+	transport.Register(fail, MethodRenewBatch, func(_ context.Context, req RenewBatchReq) (RenewBatchResp, error) {
+		resp := RenewBatchResp{Items: make([]RenewItemResp, len(req.Items))}
+		resp.Items[0].Err = "lease: unknown lease " + req.Items[0].LeaseID
+		for i := 1; i < len(req.Items); i++ {
+			resp.Items[i].DurMillis = req.Items[i].DurMillis
+		}
+		return resp, nil
+	})
+	b.caller = failingNode{fail}
+	if err := b.renewNodeBatch("robot1", items, out); err != nil {
+		t.Fatal(err)
+	}
+	failed := tr.Spans(trace.Filter{Name: "lease.renew", Tags: map[string]string{"ext": items[0].Name, "node": "robot1"}})
+	if len(failed) != 1 || failed[0].Err == "" {
+		t.Fatalf("failed item spans = %+v, want one tail-kept span with ext=%s node=robot1", failed, items[0].Name)
+	}
+	if _, k := tr.SamplerStats(); k != kept+1 {
+		t.Fatalf("tail-kept %d -> %d, want one more", kept, k)
+	}
+
+	// An install trace sampled in records its item.
+	s := b.nodes.shard("robot1")
+	s.mu.Lock()
+	g := s.adapted["robot1"].grants[items[1].Name]
+	g.sc.Flags |= trace.FlagSampled
+	s.mu.Unlock()
+	if err := b.renewNodeBatch("robot1", items, out); err != nil {
+		t.Fatal(err)
+	}
+	rec := tr.Spans(trace.Filter{Name: "lease.renew", Tags: map[string]string{"ext": items[1].Name, "node": "robot1"}})
+	if len(rec) != 1 || rec[0].Err != "" || rec[0].ParentID != g.sc.SpanID {
+		t.Fatalf("sampled-in item spans = %+v, want one recorded under the push span %s", rec, g.sc.SpanID)
+	}
+}
+
+// failingNode delivers calls straight to a mux, standing in for a node.
+type failingNode struct{ h transport.Handler }
+
+func (f failingNode) Call(ctx context.Context, _, method string, req, resp any) error {
+	body, _, err := transport.EncodeBody(req, true)
+	if err != nil {
+		return err
+	}
+	out, err := f.h.Handle(ctx, method, body)
+	if err != nil {
+		return err
+	}
+	return transport.Decode(out, resp)
+}
+
 // TestRenewOneAllocBudget pins the singleton midas.renew the same way: the
-// call deadline, the peer stamp and both bodies, plus the node's request and
-// response boxes and decoded lease ID.
+// call context and the request body; the node's boxes are pooled, its lease
+// ID is a view and its response body is recycled.
 func TestRenewOneAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the wire codec's buffer pool drops items at random under -race")
 	}
-	b := newAllocBase(t)
+	b, _ := newAllocBase(t, 2, nil)
 	var r lease.BatchResult
 	allocs := testing.AllocsPerRun(200, func() {
 		r = b.renewOne("robot1", "L0", renewItemMeta{})
@@ -424,10 +583,9 @@ func TestRenewOneAllocBudget(t *testing.T) {
 	if r.ID != "L0" || r.Err != nil || r.Granted != time.Minute {
 		t.Fatalf("result = %+v, want L0 renewed for a minute", r)
 	}
-	const budget = 7
 	t.Logf("%.0f allocs per singleton renew call", allocs)
-	if allocs > budget {
-		t.Errorf("singleton renew call: %.0f allocs, budget %d", allocs, budget)
+	if allocs > renewOneAllocBudget {
+		t.Errorf("singleton renew call: %.0f allocs, budget %d", allocs, renewOneAllocBudget)
 	}
 }
 

@@ -223,9 +223,8 @@ func (b *Base) reconcileNode(ctx context.Context, addr string) ReconcileResult {
 				// A renewal is already scheduled: the receiver's deadline is
 				// the truth — adopt it into the checkpoint.
 				s.mu.Lock()
-				if g, ok := n.grants[ext.Name]; ok && g.deadline.UnixMilli() != it.DeadlineMillis {
+				if g := n.grants[ext.Name]; g != nil && g.deadline.UnixMilli() != it.DeadlineMillis {
 					g.deadline = time.UnixMilli(it.DeadlineMillis)
-					n.grants[ext.Name] = g
 					b.journalNode(n)
 				}
 				s.mu.Unlock()

@@ -136,9 +136,11 @@ func (r RenewExtReq) MarshalWire(e *wire.Encoder) {
 	e.Varint(r.DurMillis)
 }
 
-// UnmarshalWire decodes r from the wire codec.
+// UnmarshalWire decodes r from the wire codec. The lease ID is a view into a
+// handed-over body (wire.UnmarshalView), so a renewal batch decodes no string
+// per lease.
 func (r *RenewExtReq) UnmarshalWire(d *wire.Decoder) error {
-	r.LeaseID = d.String()
+	r.LeaseID = d.StringView()
 	r.DurMillis = d.Varint()
 	return d.Err()
 }

@@ -390,16 +390,20 @@ func (s *Scheduler) flush() {
 	s.qcond.Broadcast()
 }
 
+// workerBufs are one worker's buffers, reused across jobs: the batch's live
+// entries, its request items, their results, the successes among them and
+// the timers to re-arm.
+type workerBufs struct {
+	live    []*schedEntry
+	items   []BatchItem
+	results []BatchResult
+	renewed []Renewal
+	rearm   []clock.Rearm
+}
+
 func (s *Scheduler) worker() {
 	defer s.wg.Done()
-	// Reused across jobs: the batch's live entries, its request items, their
-	// results and the successes among them.
-	var (
-		live    []*schedEntry
-		items   []BatchItem
-		results []BatchResult
-		renewed []Renewal
-	)
+	var b workerBufs
 	for {
 		s.mu.Lock()
 		for s.qhead == len(s.queue) && !s.stopped {
@@ -417,22 +421,22 @@ func (s *Scheduler) worker() {
 		}
 		// Drop entries cancelled while queued; the batch carries only leases
 		// still tracked at dispatch time.
-		live, items = live[:0], items[:0]
+		b.live, b.items = b.live[:0], b.items[:0]
 		for _, e := range job.entries {
 			if !e.removed {
-				live = append(live, e)
-				items = append(items, BatchItem{ID: e.id, Name: e.name})
+				b.live = append(b.live, e)
+				b.items = append(b.items, BatchItem{ID: e.id, Name: e.name})
 			}
 		}
 		s.mu.Unlock()
 
-		results = slices.Grow(results[:0], len(items))[:len(items)]
-		clear(results)
+		b.results = slices.Grow(b.results[:0], len(b.items))[:len(b.items)]
+		clear(b.results)
 		var callErr error
-		if len(items) > 0 {
-			callErr = s.cfg.Renew(job.node, items, results)
+		if len(b.items) > 0 {
+			callErr = s.cfg.Renew(job.node, b.items, b.results)
 		}
-		renewed = s.settle(job.node, live, results, callErr, renewed[:0])
+		s.settle(job.node, &b, callErr)
 
 		s.mu.Lock()
 		s.pending--
@@ -440,31 +444,32 @@ func (s *Scheduler) worker() {
 	}
 }
 
-// settle applies one renew call's outcome: successes re-arm at
+// settle applies one renew call's outcome to b.live: successes re-arm at
 // granted*fraction, failures retry across the slack, exhausted retries drop
-// the lease and report the node failed (once per call). Successes are
-// appended to renewed, which is returned for reuse.
-func (s *Scheduler) settle(node string, live []*schedEntry, results []BatchResult, callErr error, renewed []Renewal) []Renewal {
+// the lease and report the node failed (once per call). Every timer the call
+// re-arms is re-armed in one wheel acquisition, in the order of b.live.
+func (s *Scheduler) settle(node string, b *workerBufs, callErr error) {
 	var failErr error
+	b.renewed, b.rearm = b.renewed[:0], b.rearm[:0]
 	s.mu.Lock()
-	for i, e := range live {
+	for i, e := range b.live {
 		if e.removed {
 			continue // cancelled while the call was in flight
 		}
 		rerr := callErr
 		if callErr == nil {
-			if results[i].ID != e.id {
+			if b.results[i].ID != e.id {
 				rerr = fmt.Errorf("lease: batch renew of %s: no result for %s", node, e.id)
-			} else if rerr = results[i].Err; rerr == nil {
-				granted := results[i].Granted
+			} else if rerr = b.results[i].Err; rerr == nil {
+				granted := b.results[i].Granted
 				if granted <= 0 {
 					granted = e.granted
 				}
 				e.granted = granted
 				e.attempts = 0
 				s.m.renews.Inc()
-				e.timer.Reset(time.Duration(float64(granted) * s.cfg.Fraction))
-				renewed = append(renewed, Renewal{BatchItem: BatchItem{ID: e.id, Name: e.name}, Granted: granted})
+				b.rearm = append(b.rearm, clock.Rearm{T: e.timer, D: time.Duration(float64(granted) * s.cfg.Fraction)})
+				b.renewed = append(b.renewed, Renewal{BatchItem: BatchItem{ID: e.id, Name: e.name}, Granted: granted})
 				continue
 			}
 		}
@@ -477,7 +482,7 @@ func (s *Scheduler) settle(node string, live []*schedEntry, results []BatchResul
 			if gap <= 0 {
 				gap = time.Millisecond
 			}
-			e.timer.Reset(gap)
+			b.rearm = append(b.rearm, clock.Rearm{T: e.timer, D: gap})
 			continue
 		}
 		s.m.failures.Inc()
@@ -486,14 +491,17 @@ func (s *Scheduler) settle(node string, live []*schedEntry, results []BatchResul
 			failErr = rerr
 		}
 	}
+	if len(b.rearm) > 0 {
+		s.wheel.ResetAll(b.rearm)
+		clear(b.rearm) // drop the timer references until the next job
+	}
 	s.gaugeLocked()
 	s.mu.Unlock()
 
-	if len(renewed) > 0 && s.cfg.OnRenew != nil {
-		s.cfg.OnRenew(node, renewed)
+	if len(b.renewed) > 0 && s.cfg.OnRenew != nil {
+		s.cfg.OnRenew(node, b.renewed)
 	}
 	if failErr != nil && s.cfg.OnNodeFail != nil {
 		s.cfg.OnNodeFail(node, failErr)
 	}
-	return renewed
 }

@@ -81,6 +81,18 @@ func (c *spanCtx) Value(key any) any {
 	return c.Context.Value(key)
 }
 
+// ContextValue answers a context's Value(key) for a span context the
+// context holds inline: it returns &sc for the key FromContext looks up and
+// reports false for any other key. It lets another package fold a span
+// context into its own call-scoped context instead of wrapping it with
+// NewContext, which costs an allocation per call.
+func ContextValue(key any, sc *SpanContext) (any, bool) {
+	if key == (ctxKey{}) {
+		return sc, true
+	}
+	return nil, false
+}
+
 // NewContext returns ctx carrying sc. An invalid sc returns ctx unchanged.
 func NewContext(ctx context.Context, sc SpanContext) context.Context {
 	if !sc.Valid() {
@@ -283,8 +295,9 @@ type sampler struct {
 
 // keep is the head decision: a pure function of (seed, traceID), so every
 // tracer sharing a seed — local or across the fabric — agrees, and a replay
-// reproduces the run's decisions bit for bit.
-func (s *sampler) keep(traceID string) bool {
+// reproduces the run's decisions bit for bit. The trace ID may still be the
+// digits StartRootSpan has not made a string yet.
+func keep[ID string | []byte](s *sampler, traceID ID) bool {
 	switch s.threshold {
 	case math.MaxUint64:
 		return true
@@ -427,7 +440,14 @@ func (t *Tracer) lazyID() string {
 	if t == nil {
 		return ""
 	}
-	return hex16(mix64(t.lazySalt ^ t.lazySeq.Add(1)))
+	var id [16]byte
+	t.putLazyID(id[:])
+	return string(id[:])
+}
+
+// putLazyID writes the next lazy span ID's 16 digits to dst.
+func (t *Tracer) putLazyID(dst []byte) {
+	putHex16(dst, mix64(t.lazySalt^t.lazySeq.Add(1)))
 }
 
 // hex16 renders v as exactly 16 lowercase hex digits — what %016x produces,
@@ -436,14 +456,6 @@ func (t *Tracer) lazyID() string {
 func hex16(v uint64) string {
 	var b [16]byte
 	putHex16(b[:], v)
-	return string(b[:])
-}
-
-// hex32 renders hi then lo as 32 lowercase hex digits (%016x%016x).
-func hex32(hi, lo uint64) string {
-	var b [32]byte
-	putHex16(b[:16], hi)
-	putHex16(b[16:], lo)
 	return string(b[:])
 }
 
@@ -491,7 +503,7 @@ func (t *Tracer) StartSpan(ctx context.Context, name string) (context.Context, *
 	if !known {
 		// No decision travelled (new root, or a parent from a legacy peer):
 		// resolve it here from the trace ID.
-		sampled = smp.keep(parent.TraceID)
+		sampled = keep(smp, parent.TraceID)
 	}
 	flags := FlagSampleKnown
 	if sampled {
@@ -531,7 +543,7 @@ func (t *Tracer) StartSpanFrom(parent SpanContext, name string) *Span {
 		parent.TraceID = t.mintTraceID()
 	}
 	if !known {
-		sampled = smp.keep(parent.TraceID)
+		sampled = keep(smp, parent.TraceID)
 	}
 	flags := FlagSampleKnown
 	if sampled {
@@ -541,6 +553,61 @@ func (t *Tracer) StartSpanFrom(parent SpanContext, name string) *Span {
 		return t.newRecorded(parent, flags, name)
 	}
 	return t.newLazy(parent, flags, name, smp.slowNs)
+}
+
+// StartRootSpan opens a root span, like StartSpanFrom(SpanContext{}, name),
+// for a caller that will propagate its context. A sampled-out root mints its
+// span ID at once, and its trace and span IDs share one allocation, where
+// StartSpanFrom and the first Context would pay one each. The IDs and the
+// decision are the ones those two calls produce.
+func (t *Tracer) StartRootSpan(name string) *Span {
+	if t == nil {
+		return nil
+	}
+	smp := t.smp.Load()
+	if smp == nil {
+		return t.newRecorded(SpanContext{}, 0, name)
+	}
+	// The trace ID's digits are hashed for the decision before they become a
+	// string, so a sampled-out root converts trace and span ID at once.
+	var ids [48]byte
+	t.putTraceID(ids[:32])
+	if keep(smp, ids[:32]) {
+		return t.newRecorded(SpanContext{TraceID: string(ids[:32])}, FlagSampleKnown|FlagSampled, name)
+	}
+	t.putLazyID(ids[32:])
+	both := string(ids[:])
+	sp := t.newLazy(SpanContext{TraceID: both[:32]}, FlagSampleKnown, name, smp.slowNs)
+	sp.snap.SpanID = both[32:]
+	return sp
+}
+
+// Tag is one key/value label of a span recorded by Child.
+type Tag struct{ Key, Value string }
+
+// Child records a span that is already over as a child of parent: the
+// per-item span of a batch, whose work the batch's call did. It is
+// StartSpanFrom, one Tag per tag and End(err) in one call, with one
+// shortcut: when parent carries a sampled-out decision and err is nil, the
+// span would be discarded at End, so Child only counts it in SamplerStats,
+// with no pool, clock read or lock. Such a span opens and closes within the
+// call, so it can never have been slow enough to tail-keep. A failed child of
+// a sampled-out parent is still tail-kept, a child of a sampled-in parent is
+// recorded, and a parent with no decision takes the full path, so same-seed
+// replays mint the same IDs.
+func (t *Tracer) Child(parent SpanContext, name string, err error, tags ...Tag) {
+	if t == nil {
+		return
+	}
+	if sampled, known := parent.SampleDecision(); known && !sampled && err == nil && t.smp.Load() != nil {
+		t.sampledOut.Add(1)
+		return
+	}
+	sp := t.StartSpanFrom(parent, name)
+	for _, tg := range tags {
+		sp.Tag(tg.Key, tg.Value)
+	}
+	sp.End(err)
 }
 
 // lazyPool recycles sampled-out spans. The fleet steady state starts and
@@ -607,8 +674,16 @@ func (t *Tracer) newRecorded(parent SpanContext, flags uint8, name string) *Span
 // same sequence values in the same order, so the IDs — and the decisions
 // derived from them — reproduce bit for bit.
 func (t *Tracer) mintTraceID() string {
+	var id [32]byte
+	t.putTraceID(id[:])
+	return string(id[:])
+}
+
+// putTraceID writes the next root trace ID's 32 digits to dst.
+func (t *Tracer) putTraceID(dst []byte) {
 	n := t.lazySeq.Add(1)
-	return hex32(mix64(t.lazySalt^n), mix64(n+0x9e3779b97f4a7c15))
+	putHex16(dst[:16], mix64(t.lazySalt^n))
+	putHex16(dst[16:32], mix64(n+0x9e3779b97f4a7c15))
 }
 
 // insert places sp in the span ring, evicting the oldest span when full.

@@ -475,3 +475,164 @@ func TestSamplerKeepsRingBounded(t *testing.T) {
 		t.Fatalf("tail-keep rescued %d, want at least the %d errors", tailKept, errs)
 	}
 }
+
+// TestStartRootSpanMintsWhatStartSpanFromDoes pins the replay contract of the
+// one-allocation root: for every root of a same-seed run, StartRootSpan
+// yields the trace ID, span ID and decision that StartSpanFrom followed by
+// Context yields, sampled-in roots included, and later IDs stay aligned.
+func TestStartRootSpanMintsWhatStartSpanFromDoes(t *testing.T) {
+	newTracer := func() *Tracer {
+		tr := New(11)
+		tr.SetNow(func() time.Time { return time.Unix(0, 5) })
+		tr.SetSampler(SamplerConfig{Rate: 0.3, Seed: 11})
+		return tr
+	}
+	a, b := newTracer(), newTracer()
+	kept := 0
+	for i := 0; i < 200; i++ {
+		spA := a.StartSpanFrom(SpanContext{}, "root")
+		scA := spA.Context()
+		spB := b.StartRootSpan("root")
+		scB := spB.Context()
+		if scA != scB {
+			t.Fatalf("root %d: StartRootSpan context %+v, StartSpanFrom+Context %+v", i, scB, scA)
+		}
+		if sampled, _ := scB.SampleDecision(); sampled {
+			kept++
+		}
+		spA.End(nil)
+		spB.End(nil)
+	}
+	if kept == 0 || kept == 200 {
+		t.Fatalf("rate 0.3 kept %d of 200 roots, want both outcomes", kept)
+	}
+	if !reflect.DeepEqual(a.Spans(Filter{}), b.Spans(Filter{})) {
+		t.Fatal("the two tracers recorded different spans")
+	}
+	if ida, idb := a.lazyID(), b.lazyID(); ida != idb {
+		t.Fatalf("next lazy ID %s vs %s: the sequences drifted", ida, idb)
+	}
+}
+
+// TestStartRootSpanSampledOutAllocs pins a sampled-out root at one
+// allocation for both of its IDs, with Context minting nothing more.
+func TestStartRootSpanSampledOutAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	tr := New(1)
+	tr.SetSampler(SamplerConfig{Rate: 0, Seed: 1})
+	allocs := testing.AllocsPerRun(200, func() {
+		sp := tr.StartRootSpan("root")
+		sp.Tag("node", "n1")
+		if sc := sp.Context(); !sc.Valid() {
+			t.Fatal("sampled-out root has no span context")
+		}
+		sp.End(nil)
+	})
+	if allocs != 1 {
+		t.Fatalf("sampled-out root: %.0f allocs, want 1", allocs)
+	}
+}
+
+// TestChildOneShot covers the three ways a one-shot child goes: counted only
+// under a sampled-out parent, tail-kept with its tags on failure, recorded
+// under a sampled-in parent. A parent without a decision takes StartSpanFrom's
+// path, so it draws the same IDs.
+func TestChildOneShot(t *testing.T) {
+	tr := New(5)
+	tr.SetSampler(SamplerConfig{Rate: 0, Seed: 5})
+	out := tr.StartRootSpan("batch")
+	outSC := out.Context()
+	out.End(nil)
+	base, _ := tr.SamplerStats()
+
+	tags := []Tag{{Key: "ext", Value: "policy"}, {Key: "node", Value: "n1"}}
+	for i := 0; i < 3; i++ {
+		tr.Child(outSC, "item", nil, tags...)
+	}
+	if got, kept := tr.SamplerStats(); got != base+3 || kept != 0 {
+		t.Fatalf("stats after 3 sampled-out items = (%d, %d), want (%d, 0)", got, kept, base+3)
+	}
+	if spans := tr.Spans(Filter{}); len(spans) != 0 {
+		t.Fatalf("sampled-out items recorded %d spans", len(spans))
+	}
+
+	tr.Child(outSC, "item", errors.New("unknown lease"), tags...)
+	got, kept := tr.SamplerStats()
+	if got != base+4 || kept != 1 {
+		t.Fatalf("stats after a failed item = (%d, %d), want (%d, 1)", got, kept, base+4)
+	}
+	failed := tr.Spans(Filter{Name: "item"})
+	if len(failed) != 1 || failed[0].Err != "unknown lease" || failed[0].Tags["ext"] != "policy" ||
+		failed[0].Tags["node"] != "n1" || failed[0].ParentID != outSC.SpanID || failed[0].TraceID != outSC.TraceID {
+		t.Fatalf("tail-kept item = %+v, want the failure with ext/node tags under the batch", failed)
+	}
+
+	in := SpanContext{TraceID: outSC.TraceID, SpanID: outSC.SpanID, Flags: FlagSampleKnown | FlagSampled}
+	tr.Child(in, "kept-item", nil, tags...)
+	rec := tr.Spans(Filter{Name: "kept-item"})
+	if len(rec) != 1 || rec[0].Tags["ext"] != "policy" || rec[0].Tags["node"] != "n1" || rec[0].EndUnixNano == 0 {
+		t.Fatalf("item under a sampled-in parent = %+v, want it recorded, ended, with both tags", rec)
+	}
+	if got2, _ := tr.SamplerStats(); got2 != got {
+		t.Fatalf("a sampled-in item counted as sampled out: %d -> %d", got, got2)
+	}
+
+	// No decision: same IDs as the long form on a same-seed tracer.
+	a, b := New(9), New(9)
+	a.SetSampler(SamplerConfig{Rate: 1, Seed: 9})
+	b.SetSampler(SamplerConfig{Rate: 1, Seed: 9})
+	legacy := SpanContext{TraceID: "t", SpanID: "s"}
+	a.Child(legacy, "item", nil, tags...)
+	sp := b.StartSpanFrom(legacy, "item")
+	sp.Tag("ext", "policy")
+	sp.Tag("node", "n1")
+	sp.End(nil)
+	sa, sb := a.Spans(Filter{}), b.Spans(Filter{})
+	if len(sa) != 1 || len(sb) != 1 || sa[0].SpanID != sb[0].SpanID || !reflect.DeepEqual(sa[0].Tags, sb[0].Tags) {
+		t.Fatalf("no-decision item: Child %+v, long form %+v", sa, sb)
+	}
+}
+
+// TestChildSampledOutAllocs pins the sampled-out one-shot at zero
+// allocations: no span, no pool, no clock.
+func TestChildSampledOutAllocs(t *testing.T) {
+	tr := New(2)
+	tr.SetSampler(SamplerConfig{Rate: 0, Seed: 2})
+	tr.SetNow(func() time.Time { t.Fatal("a sampled-out one-shot read the clock"); return time.Time{} })
+	parent := SpanContext{TraceID: "t", SpanID: "s", Flags: FlagSampleKnown}
+	ext, node := "policy", "n1"
+	allocs := testing.AllocsPerRun(100, func() {
+		tr.Child(parent, "lease.renew", nil, Tag{Key: "ext", Value: ext}, Tag{Key: "node", Value: node})
+	})
+	if allocs != 0 {
+		t.Fatalf("sampled-out one-shot: %.0f allocs, want 0", allocs)
+	}
+}
+
+// TestContextValueAnswersOnlyTheSpanKey: a context type that folds a span
+// context in answers FromContext through ContextValue and nothing else.
+func TestContextValueAnswersOnlyTheSpanKey(t *testing.T) {
+	sc := SpanContext{TraceID: "t", SpanID: "s", Flags: FlagSampleKnown}
+	ctx := foldedCtx{Context: context.Background(), sc: sc}
+	got, ok := FromContext(ctx)
+	if !ok || got != sc {
+		t.Fatalf("FromContext = %+v, %v; want %+v", got, ok, sc)
+	}
+	if v, ok := ContextValue("other", &sc); ok || v != nil {
+		t.Fatalf("ContextValue answered a foreign key: %v", v)
+	}
+}
+
+type foldedCtx struct {
+	context.Context
+	sc SpanContext
+}
+
+func (c foldedCtx) Value(key any) any {
+	if v, ok := ContextValue(key, &c.sc); ok {
+		return v
+	}
+	return c.Context.Value(key)
+}

@@ -5,6 +5,9 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"repro/internal/trace"
+	"repro/internal/wire"
 )
 
 // closedWithin reports whether ch closes within d.
@@ -195,5 +198,133 @@ func TestCallDeadlineAllocs(t *testing.T) {
 	})
 	if allocs != 1 {
 		t.Fatalf("unarmed call deadline: %.0f allocs, want 1", allocs)
+	}
+}
+
+// TestCallDeadlineCarriesSpanAndPeer checks the values a call context holds
+// inline: the span context from WithCallSpan, and the peer a fabric stamps
+// when it serves the call, once.
+func TestCallDeadlineCarriesSpanAndPeer(t *testing.T) {
+	sc := trace.SpanContext{TraceID: "t1", SpanID: "s1", Flags: trace.FlagSampleKnown}
+	parent := WithPeer(context.Background(), "outer")
+	c := WithCallSpan(parent, time.Hour, sc)
+	defer c.Cancel()
+	if got, ok := trace.FromContext(c); !ok || got != sc {
+		t.Fatalf("FromContext = %+v, %v; want %+v", got, ok, sc)
+	}
+	if got := Peer(c); got != "outer" {
+		t.Fatalf("Peer before the call is served = %q, want the parent's", got)
+	}
+	if !c.serve("base-1") {
+		t.Fatal("a fresh call context refused to serve")
+	}
+	if got := Peer(c); got != "base-1" {
+		t.Fatalf("Peer while served = %q, want base-1", got)
+	}
+	if c.serve("base-2") {
+		t.Fatal("a call context served a second call")
+	}
+	if got := Peer(c); got != "base-1" {
+		t.Fatalf("a refused second serve changed Peer to %q", got)
+	}
+	// Armed, the context still answers its own values first.
+	child, cancel := context.WithCancel(c)
+	defer cancel()
+	if got, ok := trace.FromContext(child); !ok || got != sc || Peer(child) != "base-1" {
+		t.Fatalf("derived context lost the folded values: %+v %v %q", got, ok, Peer(child))
+	}
+	if plain := WithCallDeadline(context.Background(), time.Hour); func() bool { _, ok := trace.FromContext(plain); return ok }() {
+		t.Fatal("WithCallDeadline carries a span context")
+	}
+}
+
+// TestCallDeadlineRecyclesOnlyItsOwnBody pins the body hand-back: a body is
+// left only while a fabric serves the context, only once, and recycled only
+// when it is the body the fabric read.
+func TestCallDeadlineRecyclesOnlyItsOwnBody(t *testing.T) {
+	e := wire.GetEncoder()
+	e.Frame(wireResp{Msg: "x"})
+	unserved := WithCallDeadline(context.Background(), time.Hour)
+	if unserved.keepBody(e) {
+		t.Fatal("a context no fabric serves kept a body")
+	}
+	c := WithCallDeadline(context.Background(), time.Hour)
+	c.serve("p")
+	if !c.keepBody(e) {
+		t.Fatal("a served context refused the body")
+	}
+	if c.keepBody(wire.GetEncoder()) {
+		t.Fatal("a served context kept a second body")
+	}
+	other := append([]byte(nil), e.Data()...)
+	c.served(other)
+	if c.keepBody(e) {
+		t.Fatal("a context kept a body after its call was served")
+	}
+	if !sameBytes(e.Data(), e.Data()) || sameBytes(e.Data(), other) || sameBytes(nil, nil) {
+		t.Fatal("sameBytes compares memory, not contents")
+	}
+}
+
+// TestServerCallWithoutBudget: a TCP request that carried no budget gets a
+// context with no deadline that still holds the peer and span context.
+func TestServerCallWithoutBudget(t *testing.T) {
+	sc := trace.SpanContext{TraceID: "t", SpanID: "s"}
+	c := serverCall(sc, "10.0.0.1:5", 0)
+	if _, ok := c.Deadline(); ok {
+		t.Fatal("a request without budget has a deadline")
+	}
+	if err := c.Err(); err != nil {
+		t.Fatalf("Err = %v", err)
+	}
+	if Peer(c) != "10.0.0.1:5" {
+		t.Fatalf("Peer = %q", Peer(c))
+	}
+	if got, _ := trace.FromContext(c); got != sc {
+		t.Fatalf("span context = %+v", got)
+	}
+	select {
+	case <-c.Done():
+		t.Fatal("Done closed without a deadline or Cancel")
+	default:
+	}
+	c.Cancel()
+	if !closedWithin(c.Done(), time.Second) || !errors.Is(c.Err(), context.Canceled) {
+		t.Fatal("Cancel did not end a context without deadline")
+	}
+	if d, ok := serverCall(sc, "", 50*time.Millisecond).Deadline(); !ok || time.Until(d) > 50*time.Millisecond {
+		t.Fatalf("budgeted request deadline = %v, %v", d, ok)
+	}
+}
+
+// TestInProcCallUnderCallDeadlineAllocs pins an in-proc echo round trip run
+// under a CallDeadline at five allocations: the deadline (which also stamps
+// the peer), the request body, the strings the server decodes and the
+// handler builds, and the caller's decoded string. The server's boxes are
+// pooled, and the response body goes back to the pool once decoded. Under a
+// plain context the same call pays a peer wrapper and a response body more.
+func TestInProcCallUnderCallDeadlineAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under -race")
+	}
+	fabric := NewInProc()
+	stop, _ := fabric.Serve("b", newEchoMux())
+	defer stop()
+	caller := fabric.Node("a")
+	req := &wireReq{Msg: "ab", N: 2}
+	var resp wireResp
+	call := func(ctx context.Context) {
+		if err := caller.Call(ctx, "b", "echo", req, &resp); err != nil || resp.Msg != "abab" {
+			t.Fatalf("echo = %q, %v", resp.Msg, err)
+		}
+	}
+	deadline := testing.AllocsPerRun(500, func() {
+		c := WithCallDeadline(context.Background(), time.Hour)
+		call(c)
+		c.Cancel()
+	})
+	plain := testing.AllocsPerRun(500, func() { call(context.Background()) })
+	if deadline != 5 || plain != 6 {
+		t.Fatalf("echo round trip: %.0f allocs under a CallDeadline (want 5), %.0f under a plain context (want 6)", deadline, plain)
 	}
 }

@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/metrics"
@@ -56,14 +58,50 @@ func (fm *fabricMetrics) finishCall(start time.Time, err error) {
 // simulator's range oracle) decides which node pairs can currently talk, and
 // SetLoss drops calls deterministically. Delivery is instant: simnet is the
 // fabric that models link latency.
+//
+// Calls read the fabric's state from an immutable snapshot behind an atomic
+// pointer, so they take no lock. Every change (Serve, a stop, SetLinkFunc,
+// SetLoss, Instrument) happens under the mutex and drops the snapshot; the
+// next call publishes a fresh copy. A fleet served node by node before its
+// first call is copied once, not once per node.
 type InProc struct {
-	mu       sync.RWMutex
+	mu       sync.Mutex
 	nodes    map[string]Handler
 	linked   func(from, to string) bool
 	lossNum  uint64 // drop lossNum out of every lossDen calls
 	lossDen  uint64
 	lossTick uint64
 	m        *fabricMetrics
+
+	snap atomic.Pointer[inprocSnap] // nil: changed since the last call
+}
+
+// inprocSnap is what a call reads of the fabric.
+type inprocSnap struct {
+	nodes  map[string]Handler // a copy, never written once published
+	linked func(from, to string) bool
+	m      *fabricMetrics
+	lossy  bool
+}
+
+// state returns the current snapshot, publishing one if a change dropped it.
+func (n *InProc) state() *inprocSnap {
+	if s := n.snap.Load(); s != nil {
+		return s
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if s := n.snap.Load(); s != nil {
+		return s
+	}
+	s := &inprocSnap{
+		nodes:  maps.Clone(n.nodes),
+		linked: n.linked,
+		m:      n.m,
+		lossy:  n.lossNum != 0 && n.lossDen != 0,
+	}
+	n.snap.Store(s)
+	return s
 }
 
 // Instrument records every call through the fabric (count, errors, timeouts,
@@ -76,6 +114,7 @@ func (n *InProc) Instrument(reg *metrics.Registry) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.m = newFabricMetrics(reg)
+	n.snap.Store(nil)
 }
 
 // NewInProc returns a fully connected, lossless fabric.
@@ -89,6 +128,7 @@ func (n *InProc) SetLinkFunc(f func(from, to string) bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.linked = f
+	n.snap.Store(nil)
 }
 
 // SetLoss drops num out of every den calls deterministically (evenly
@@ -97,10 +137,11 @@ func (n *InProc) SetLoss(num, den uint64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.lossNum, n.lossDen, n.lossTick = num, den, 0
+	n.snap.Store(nil)
 }
 
 // dropCall reports whether the current call falls into a loss slot. Call
-// takes it, and with it the write lock, only while loss is on.
+// takes it, and with it the mutex, only while loss is on.
 func (n *InProc) dropCall() bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -125,10 +166,12 @@ func (n *InProc) Serve(addr string, h Handler) (func(), error) {
 		return nil, fmt.Errorf("transport: inproc address %q in use", addr)
 	}
 	n.nodes[addr] = h
+	n.snap.Store(nil)
 	return func() {
 		n.mu.Lock()
 		defer n.mu.Unlock()
 		delete(n.nodes, addr)
+		n.snap.Store(nil)
 	}, nil
 }
 
@@ -141,18 +184,18 @@ func (n *InProc) Node(addr string) Caller {
 type inprocCaller struct {
 	net  *InProc
 	from string
-	peer any // from, boxed once for withBoxedPeer
+	peer any // from, boxed once for the peer stamp
 }
 
-// Call implements Caller.
+// Call implements Caller. The handler gets the request body for good. A call
+// made under a CallDeadline the fabric has not served yet is delivered under
+// that same context, with the peer stamped in it, and a response body
+// Register left there is recycled once decoded; any other context is
+// wrapped with the peer stamp.
 func (c *inprocCaller) Call(ctx context.Context, to, method string, req, resp any) (err error) {
-	c.net.mu.RLock()
-	h, ok := c.net.nodes[to]
-	linked := c.net.linked
-	fm := c.net.m
-	lossy := c.net.lossNum != 0 && c.net.lossDen != 0
-	c.net.mu.RUnlock()
-	if fm != nil {
+	st := c.net.state()
+	h, ok := st.nodes[to]
+	if fm := st.m; fm != nil {
 		fm.calls.Inc()
 		start := time.Now() //lint:allow clockcheck (real RPC latency metric)
 		defer func() { fm.finishCall(start, err) }()
@@ -160,25 +203,34 @@ func (c *inprocCaller) Call(ctx context.Context, to, method string, req, resp an
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnreachable, to)
 	}
-	if linked != nil && c.from != to && !linked(c.from, to) {
+	if st.linked != nil && c.from != to && !st.linked(c.from, to) {
 		return fmt.Errorf("%w: %s -> %s (out of range)", ErrUnreachable, c.from, to)
 	}
-	if lossy && c.net.dropCall() {
+	if st.lossy && c.net.dropCall() {
 		return fmt.Errorf("%w: %s -> %s (message lost)", ErrUnreachable, c.from, to)
 	}
 	body, _, err := EncodeBody(req, true)
 	if err != nil {
 		return err
 	}
-	if fm != nil {
-		fm.bytesOut.Add(uint64(len(body)))
+	if st.m != nil {
+		st.m.bytesOut.Add(uint64(len(body)))
 	}
-	out, herr := h.Handle(withBoxedPeer(ctx, c.peer), method, body)
+	hctx := ctx
+	cd, own := ctx.(*CallDeadline)
+	own = own && cd.serve(c.peer)
+	if !own {
+		hctx = withBoxedPeer(ctx, c.peer)
+	}
+	out, herr := h.Handle(hctx, method, body)
+	if own {
+		defer cd.served(out)
+	}
 	if herr != nil {
 		return NewRemoteError(method, herr.Error())
 	}
-	if fm != nil {
-		fm.bytesIn.Add(uint64(len(out)))
+	if st.m != nil {
+		st.m.bytesIn.Add(uint64(len(out)))
 	}
 	if resp == nil {
 		return nil

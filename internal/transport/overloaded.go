@@ -3,6 +3,7 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"time"
 )
@@ -53,11 +54,13 @@ func RetryAfterHint(err error) (time.Duration, bool) {
 		return 0, true
 	}
 	rest := msg[i+len(retryAfterToken):]
+	// The largest hint a time.Duration holds, in milliseconds.
+	const maxMs = int64(math.MaxInt64 / time.Millisecond)
 	var ms int64
 	j := 0
 	for j < len(rest) && rest[j] >= '0' && rest[j] <= '9' {
 		d := int64(rest[j] - '0')
-		if ms > (1<<62-d)/10 {
+		if ms > (maxMs-d)/10 {
 			return 0, true // absurd hint: treat as unhinted rather than overflow
 		}
 		ms = ms*10 + d

@@ -2,7 +2,9 @@ package transport
 
 import (
 	"context"
+	"maps"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/metrics"
@@ -34,37 +36,41 @@ type redMethod struct {
 	errs *metrics.Counter
 }
 
-// redSet caches per-method instruments behind a read lock so steady-state
-// calls never rebuild instrument names or hit the registry's maps.
+// redSet caches per-method instruments so steady-state calls never rebuild
+// instrument names or hit the registry's maps. Calls read an immutable
+// method table behind an atomic pointer, lock-free; the first call of a new
+// method copies the table under the mutex and publishes the copy.
 type redSet struct {
 	reg    *metrics.Registry
 	prefix string
 
-	mu      sync.RWMutex
-	methods map[string]*redMethod
+	mu      sync.Mutex // serialises publishing a new table
+	methods atomic.Pointer[map[string]*redMethod]
 }
 
 func newRedSet(reg *metrics.Registry, prefix string) *redSet {
-	return &redSet{reg: reg, prefix: prefix, methods: make(map[string]*redMethod)}
+	rs := &redSet{reg: reg, prefix: prefix}
+	rs.methods.Store(&map[string]*redMethod{})
+	return rs
 }
 
 func (rs *redSet) get(method string) *redMethod {
-	rs.mu.RLock()
-	m, ok := rs.methods[method]
-	rs.mu.RUnlock()
-	if ok {
+	if m, ok := (*rs.methods.Load())[method]; ok {
 		return m
 	}
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	if m, ok := rs.methods[method]; ok {
+	old := *rs.methods.Load()
+	if m, ok := old[method]; ok {
 		return m
 	}
-	m = &redMethod{
+	m := &redMethod{
 		ns:   rs.reg.Histogram(REDSuffix(rs.prefix, "ns", method), nil),
 		errs: rs.reg.Counter(REDSuffix(rs.prefix, "errors", method)),
 	}
-	rs.methods[method] = m
+	next := maps.Clone(old)
+	next[method] = m
+	rs.methods.Store(&next)
 	return m
 }
 

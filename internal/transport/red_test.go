@@ -3,6 +3,8 @@ package transport
 import (
 	"context"
 	"errors"
+	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/metrics"
@@ -72,5 +74,36 @@ func TestREDNilRegistryPassesThrough(t *testing.T) {
 	mux := newWireEchoMux()
 	if REDHandling(mux, nil) != Handler(mux) {
 		t.Fatal("REDHandling(nil reg) should return the handler unchanged")
+	}
+}
+
+// TestREDSetConcurrentFirstCalls: new methods publish a fresh table while
+// other goroutines read it lock-free; every method resolves to one
+// instrument pair however many goroutines race its first call.
+func TestREDSetConcurrentFirstCalls(t *testing.T) {
+	rs := newRedSet(metrics.New(), REDClientPrefix)
+	const workers, methods = 4, 32
+	got := make([][]*redMethod, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < methods; i++ {
+				got[w] = append(got[w], rs.get(fmt.Sprintf("m%d", (i+w*7)%methods)))
+			}
+		}(w)
+	}
+	wg.Wait()
+	table := *rs.methods.Load()
+	if len(table) != methods {
+		t.Fatalf("table holds %d methods, want %d", len(table), methods)
+	}
+	for w := range got {
+		for i, m := range got[w] {
+			if want := table[fmt.Sprintf("m%d", (i+w*7)%methods)]; m != want {
+				t.Fatalf("worker %d call %d got a second instrument pair for its method", w, i)
+			}
+		}
 	}
 }

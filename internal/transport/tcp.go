@@ -292,9 +292,12 @@ func (m *muxServe) read() (muxRequest, error) {
 	return req, d.Err()
 }
 
-// serve handles one request and writes its response.
+// serve handles one request and writes its response. The response body is
+// copied into the envelope, so a body Register left with the request's
+// context is recycled right after.
 func (m *muxServe) serve(req muxRequest) {
-	rbody, herr := m.s.handle(req.sc, m.peer, req.budgetMillis, req.method, req.body)
+	ctx := serverCall(req.sc, m.peer, time.Duration(req.budgetMillis)*time.Millisecond)
+	rbody, herr := m.s.handle(ctx, req.method, req.body)
 	e := wire.GetEncoder()
 	e.Uvarint(req.id)
 	if herr != nil {
@@ -303,6 +306,7 @@ func (m *muxServe) serve(req muxRequest) {
 		e.String("")
 	}
 	e.Bytes(rbody)
+	ctx.served(rbody)
 	// A failed write means the connection is gone; the reader sees that too
 	// and winds the connection down.
 	_ = m.w.write(e.Data())
@@ -349,10 +353,12 @@ func readEnvelope(br *bufio.Reader) ([]byte, error) {
 }
 
 // handle dispatches one request to the handler with metrics accounting. The
-// handler context carries the peer's address and, when the caller sent a
-// deadline budget, a matching local deadline — so the overload layer can drop
-// a request whose caller already gave up without invoking the handler.
-func (s *TCPServer) handle(sc trace.SpanContext, peer string, budgetMillis int64, method string, body []byte) ([]byte, error) {
+// handler context carries the peer's address, the caller's span context and,
+// when the caller sent a deadline budget, a matching local deadline — so the
+// overload layer can drop a request whose caller already gave up without
+// invoking the handler. The request body is the envelope's fresh copy,
+// handed over for good.
+func (s *TCPServer) handle(ctx *CallDeadline, method string, body []byte) ([]byte, error) {
 	sm := s.m.Load()
 	start := time.Time{}
 	if sm != nil {
@@ -360,11 +366,8 @@ func (s *TCPServer) handle(sc trace.SpanContext, peer string, budgetMillis int64
 		sm.bytesIn.Add(uint64(len(body)))
 		start = time.Now() //lint:allow clockcheck (real RPC latency metric)
 	}
-	ctx := WithPeer(trace.NewContext(context.Background(), sc), peer)
-	if budgetMillis > 0 {
-		dctx := WithCallDeadline(ctx, time.Duration(budgetMillis)*time.Millisecond)
-		defer dctx.Cancel()
-		ctx = dctx
+	if _, ok := ctx.Deadline(); ok {
+		defer ctx.Cancel()
 	}
 	out, err := s.handler.Handle(ctx, method, body)
 	if sm != nil {

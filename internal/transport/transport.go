@@ -13,6 +13,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 
@@ -20,13 +21,26 @@ import (
 )
 
 // Handler serves RPC requests addressed to one node.
+//
+// Body ownership, which every fabric keeps: the request body passed to
+// Handle is handed over for good. No fabric writes to it or reuses its
+// memory afterwards, so a handler may keep views into it (Register decodes
+// StringView fields as views) for as long as it likes. Several Handle calls
+// may share one body, as simnet's duplicate delivery does, so a handler must
+// not write to it either. The response body Handle returns is handed to the
+// fabric in turn: a wrapper passes it on unchanged or replaces it, and keeps
+// no reference to it, because a fabric may recycle a body Register encoded
+// once it has read it.
 type Handler interface {
 	Handle(ctx context.Context, method string, body []byte) ([]byte, error)
 }
 
 // Caller issues RPC requests to remote nodes. Call encodes req and decodes
 // into resp (a pointer, or nil) before it returns, and keeps neither
-// afterwards, so a caller may reuse both for its next call.
+// afterwards, so a caller may reuse both for its next call. The request body
+// Call encodes is handed to the handler for good (see Handler). resp owns
+// everything decoded into it: its strings and byte slices are copies, never
+// views into a response body, which the fabric may recycle.
 type Caller interface {
 	Call(ctx context.Context, to, method string, req, resp any) error
 }
@@ -133,14 +147,20 @@ func EncodeBody(v any, useWire bool) ([]byte, bool, error) {
 }
 
 // Decode decodes a wire-frame body into v, a pointer to a type with a wire
-// codec. Every failure, a body that is not a frame included, wraps
-// ErrDecode.
+// codec. v keeps nothing of data: decoded strings are copies. Every failure,
+// a body that is not a frame included, wraps ErrDecode.
 func Decode(data []byte, v any) error {
+	return decode(data, v, wire.Unmarshal)
+}
+
+// decode is Decode with the unmarshal function chosen: Register decodes a
+// handed-over request body with wire.UnmarshalView.
+func decode(data []byte, v any, unmarshal func([]byte, wire.Unmarshaler) error) error {
 	u, ok := v.(wire.Unmarshaler)
 	if !ok {
 		return fmt.Errorf("%w %T has no wire codec", ErrDecode, v)
 	}
-	if err := wire.Unmarshal(data, u); err != nil {
+	if err := unmarshal(data, u); err != nil {
 		return fmt.Errorf("%w %v", ErrDecode, err)
 	}
 	return nil
@@ -191,6 +211,17 @@ func (m *Mux) Methods() []string {
 // pointer) and Resp must have a wire codec; Register panics otherwise, so a
 // type that could never cross the wire fails where it is registered rather
 // than on its first call.
+//
+// Per call Register allocates no box: the request and response live in
+// pooled boxes shared by every registration of their type, and fn gets a
+// copy of the request. The request decodes with wire.UnmarshalView: the
+// fields its type reads with StringView, such as a renewal's lease IDs, are
+// views into the request body, which the fabric handed over for good (see
+// Handler), so fn may keep them, as map keys for instance, and a batch of
+// them costs no allocation each. The response is encoded into a pooled
+// buffer. When the call arrived under a CallDeadline the fabric serves, the
+// fabric recycles that buffer once it has read the body; otherwise the body
+// is a copy.
 func Register[Req, Resp any](mux *Mux, method string, fn func(ctx context.Context, req Req) (Resp, error)) {
 	if _, ok := any(new(Req)).(wire.Unmarshaler); !ok {
 		panic(fmt.Sprintf("transport: Register %s: request type %T has no wire codec", method, *new(Req)))
@@ -198,18 +229,53 @@ func Register[Req, Resp any](mux *Mux, method string, fn func(ctx context.Contex
 	if _, ok := any(*new(Resp)).(wire.Marshaler); !ok {
 		panic(fmt.Sprintf("transport: Register %s: response type %T has no wire codec", method, *new(Resp)))
 	}
+	reqs, resps := boxPool[Req](), boxPool[Resp]()
 	mux.HandleRaw(method, func(ctx context.Context, body []byte) ([]byte, error) {
-		var req Req
-		if err := Decode(body, &req); err != nil {
-			return nil, err
+		req := reqs.Get().(*Req)
+		err := decode(body, req, wire.UnmarshalView)
+		var resp Resp
+		if err == nil {
+			resp, err = fn(ctx, *req)
 		}
-		resp, err := fn(ctx, req)
+		*req = *new(Req)
+		reqs.Put(req)
 		if err != nil {
 			return nil, err
 		}
-		out, _, err := EncodeBody(resp, true)
-		return out, err
+		box := resps.Get().(*Resp)
+		*box = resp
+		out := encodeResponse(ctx, any(box).(wire.Marshaler))
+		*box = *new(Resp)
+		resps.Put(box)
+		return out, nil
 	})
+}
+
+// boxPools holds one *sync.Pool of *T per type T Register boxes, keyed by
+// reflect.Type: one pool per type, however many methods register it.
+var boxPools sync.Map
+
+func boxPool[T any]() *sync.Pool {
+	key := reflect.TypeFor[T]()
+	if p, ok := boxPools.Load(key); ok {
+		return p.(*sync.Pool)
+	}
+	p, _ := boxPools.LoadOrStore(key, &sync.Pool{New: func() any { return new(T) }})
+	return p.(*sync.Pool)
+}
+
+// encodeResponse frames m into a pooled encoder. It leaves the encoder with
+// the CallDeadline ctx is, if a fabric serves it, and returns the encoder's
+// bytes; otherwise it returns a copy and pools the encoder at once.
+func encodeResponse(ctx context.Context, m wire.Marshaler) []byte {
+	e := wire.GetEncoder()
+	e.Frame(m)
+	if cd, ok := ctx.(*CallDeadline); ok && cd.keepBody(e) {
+		return e.Data()
+	}
+	out := append([]byte(nil), e.Data()...)
+	wire.PutEncoder(e)
+	return out
 }
 
 // Invoke performs a typed call through c.

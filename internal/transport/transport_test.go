@@ -202,8 +202,9 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 // TestInProcConcurrentCallsLossOff drives concurrent calls with loss off,
-// for the race detector, while the test itself holds the fabric's read lock:
-// a call that took the write lock would block behind it.
+// for the race detector, while the test itself holds the fabric's mutex once
+// the snapshot is published: a call that took the lock would block behind
+// it.
 func TestInProcConcurrentCallsLossOff(t *testing.T) {
 	fabric := NewInProc()
 	stop, _ := fabric.Serve("b", newEchoMux())
@@ -211,8 +212,9 @@ func TestInProcConcurrentCallsLossOff(t *testing.T) {
 	fabric.SetLoss(1, 2)
 	fabric.SetLoss(0, 0)
 
-	fabric.mu.RLock()
-	defer fabric.mu.RUnlock()
+	fabric.state()
+	fabric.mu.Lock()
+	defer fabric.mu.Unlock()
 	const workers, calls = 8, 50
 	errs := make(chan error, workers)
 	for w := 0; w < workers; w++ {
@@ -265,4 +267,69 @@ func TestInProcSetLossDropsDeterministically(t *testing.T) {
 			t.Fatalf("call %d with loss off: %v", i, err)
 		}
 	}
+}
+
+// TestInProcChangesReachTheNextCall: calls read a published snapshot without
+// a lock, and every change — a node served or stopped, a link oracle, loss —
+// reaches the very next call. Calls race the changes for the race detector.
+func TestInProcChangesReachTheNextCall(t *testing.T) {
+	fabric := NewInProc()
+	caller := fabric.Node("a")
+	call := func(to string) error {
+		_, err := Invoke[wireReq, wireResp](context.Background(), caller, to, "echo", wireReq{Msg: "x", N: 1})
+		return err
+	}
+	stopB, _ := fabric.Serve("b", newEchoMux())
+	if err := call("b"); err != nil {
+		t.Fatal(err)
+	}
+	stopC, _ := fabric.Serve("c", newEchoMux())
+	if err := call("c"); err != nil {
+		t.Fatalf("node served after the snapshot was published: %v", err)
+	}
+	stopB()
+	if err := call("b"); !errors.Is(err, ErrUnreachable) {
+		t.Fatalf("call to a stopped node = %v, want ErrUnreachable", err)
+	}
+	fabric.SetLinkFunc(func(from, to string) bool { return false })
+	if err := call("c"); !errors.Is(err, ErrUnreachable) {
+		t.Fatalf("call over a cut link = %v, want ErrUnreachable", err)
+	}
+	fabric.SetLinkFunc(nil)
+	fabric.SetLoss(1, 1)
+	if err := call("c"); !errors.Is(err, ErrUnreachable) {
+		t.Fatalf("call under total loss = %v, want ErrUnreachable", err)
+	}
+	fabric.SetLoss(0, 0)
+
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if err := call("c"); err != nil {
+					t.Errorf("call to a node that stays served: %v", err)
+					return
+				}
+				_ = call("d")
+			}
+		}()
+	}
+	for i := 0; i < 50; i++ {
+		stopD, err := fabric.Serve("d", newEchoMux())
+		if err != nil {
+			t.Fatal(err)
+		}
+		stopD()
+	}
+	close(done)
+	wg.Wait()
+	stopC()
 }

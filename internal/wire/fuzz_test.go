@@ -153,11 +153,20 @@ func FuzzWireDecode(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, u := range targets() {
+		views := targets()
+		for i, u := range targets() {
 			// Must never panic and never allocate beyond the input's size
-			// (hostile length prefixes are bounds-checked inside).
-			if err := wire.Unmarshal(data, u); err != nil {
+			// (hostile length prefixes are bounds-checked inside). Decoding
+			// with strings as views must agree with decoding copies.
+			err := wire.Unmarshal(data, u)
+			if verr := wire.UnmarshalView(data, views[i]); (err == nil) != (verr == nil) {
+				t.Fatalf("%T: Unmarshal err %v, UnmarshalView err %v", u, err, verr)
+			}
+			if err != nil {
 				continue
+			}
+			if !reflect.DeepEqual(u, views[i]) {
+				t.Fatalf("%T: UnmarshalView decoded %+v, Unmarshal %+v", u, views[i], u)
 			}
 			// Decoded cleanly: the value must be a valid message, i.e. its
 			// own encoding decodes again.

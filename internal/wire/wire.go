@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"unsafe"
 )
 
 // Version is the wire-format version emitted by this build. Decoders accept
@@ -85,17 +86,34 @@ var (
 // freshly allocated (safe to retain); the scratch encoder is pooled.
 func Marshal(m Marshaler) []byte {
 	e := GetEncoder()
-	e.buf = append(e.buf, headerZero, Magic, Version)
-	m.MarshalWire(e)
+	e.Frame(m)
 	out := make([]byte, len(e.buf))
 	copy(out, e.buf)
 	PutEncoder(e)
 	return out
 }
 
+// Frame appends m to e as a framed message, header then fields. With a pooled
+// encoder, the frame is e.Data() until e is reset or returned to the pool.
+func (e *Encoder) Frame(m Marshaler) {
+	e.buf = append(e.buf, headerZero, Magic, Version)
+	m.MarshalWire(e)
+}
+
 // Unmarshal decodes a framed message into u, rejecting bad headers,
-// unsupported versions, truncation and trailing garbage.
-func Unmarshal(data []byte, u Unmarshaler) error {
+// unsupported versions, truncation and trailing garbage. Decoded strings and
+// byte slices are copies: u keeps nothing of data.
+func Unmarshal(data []byte, u Unmarshaler) error { return unmarshal(data, u, false) }
+
+// UnmarshalView is Unmarshal with the fields u reads by StringView decoded as
+// views into data, not copies: a batch of lease IDs costs no allocation per
+// ID. The caller must own data for good: nobody may write to data, or reuse
+// its memory, for as long as any decoded string lives. A body the transport
+// handed over to a handler qualifies; a pooled or reused buffer never does.
+// Fields read by String and byte slices are still copied.
+func UnmarshalView(data []byte, u Unmarshaler) error { return unmarshal(data, u, true) }
+
+func unmarshal(data []byte, u Unmarshaler, view bool) error {
 	if !IsFrame(data) {
 		return ErrNotFrame
 	}
@@ -103,7 +121,7 @@ func Unmarshal(data []byte, u Unmarshaler) error {
 		return fmt.Errorf("wire: unsupported version %d (have %d)", data[2], Version)
 	}
 	d := decPool.Get().(*Decoder)
-	*d = Decoder{data: data[headerLen:]}
+	*d = Decoder{data: data[headerLen:], view: view}
 	err := u.UnmarshalWire(d)
 	if err == nil {
 		err = d.err
@@ -216,10 +234,17 @@ func (e *Encoder) StringMap(m map[string]string) {
 // Decoder reads wire-encoded fields from a byte buffer. The first malformed
 // field sets a sticky error; every later read returns a zero value, so
 // unmarshal code reads all fields straight through and checks Err once.
+//
+// Body ownership: a decoder made by NewDecoder or Unmarshal copies every
+// string out of its buffer. One made by UnmarshalView returns StringView
+// fields as views into the buffer, which is sound only while nobody writes
+// to that buffer or reuses its memory; UnmarshalView's caller promises that
+// for the buffer's whole life, not just for the frame's decode.
 type Decoder struct {
 	data []byte
 	off  int
 	err  error
+	view bool // StringView returns views into data (UnmarshalView)
 }
 
 // NewDecoder returns a decoder over data (no frame header expected — use
@@ -302,7 +327,17 @@ func (d *Decoder) Bool() bool {
 
 // String reads a length-prefixed string. The bytes are copied, so the result
 // does not alias the input buffer.
-func (d *Decoder) String() string {
+func (d *Decoder) String() string { return d.string(false) }
+
+// StringView reads a length-prefixed string like String, but as a view into
+// the decoder's buffer when the decoder came from UnmarshalView (a copy
+// otherwise). A message decodes a field with it when the field is short-lived
+// and read in bulk, like a renewal's lease IDs, so a batch of them costs no
+// allocation each. A kept view pins its whole frame, so a field a handler
+// keeps for long, like an extension's name, decodes with String.
+func (d *Decoder) StringView() string { return d.string(d.view) }
+
+func (d *Decoder) string(view bool) string {
 	n := d.Uvarint()
 	if d.err != nil {
 		return ""
@@ -311,7 +346,15 @@ func (d *Decoder) String() string {
 		d.fail(fmt.Errorf("%w: string of %d bytes with %d left", ErrTruncated, n, d.remaining()))
 		return ""
 	}
-	s := string(d.data[d.off : d.off+int(n)])
+	if n == 0 {
+		return ""
+	}
+	var s string
+	if view {
+		s = unsafe.String(&d.data[d.off], int(n))
+	} else {
+		s = string(d.data[d.off : d.off+int(n)])
+	}
 	d.off += int(n)
 	return s
 }
