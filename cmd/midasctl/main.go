@@ -18,10 +18,11 @@
 // re-render in place (Ctrl-C exits); top shows the base's merged fleet
 // observability view, slowest methods first.
 //
-// metrics, trace, records, status, analyze and top read the daemon's JSON
-// documents (/metrics, /trace + /events, /records, /status, /analyze, /fleet)
-// over the ops RPC and render them as text: midasctl prints what curl sees on
-// the daemon's -http listener.
+// list, metrics, trace, records, status, analyze and top read the daemon's
+// JSON documents (/extensions, /metrics, /trace + /events, /records, /status,
+// /analyze, /fleet) over the ops RPC and render them as text: midasctl prints
+// what curl sees on the daemon's -http listener. revoke sends the node a
+// midas.applyBatch of one revoke, the same call a base makes.
 package main
 
 import (
@@ -75,15 +76,15 @@ func run() error {
 		if *nodeAddr == "" {
 			return fmt.Errorf("list needs -node")
 		}
-		resp, err := transport.Invoke[core.EmptyResp, core.ListResp](ctx, caller, *nodeAddr, core.MethodList, core.EmptyResp{})
-		if err != nil {
+		var exts []core.ExtensionInfo
+		if err := getDoc(ctx, caller, *nodeAddr, "/extensions", &exts); err != nil {
 			return err
 		}
-		if len(resp.Extensions) == 0 {
+		if len(exts) == 0 {
 			fmt.Println("no extensions installed")
 			return nil
 		}
-		for _, e := range resp.Extensions {
+		for _, e := range exts {
 			tag := ""
 			if e.System {
 				tag = " (implicit)"
@@ -94,8 +95,15 @@ func run() error {
 		if *nodeAddr == "" || len(args) < 2 {
 			return fmt.Errorf("revoke needs -node and an extension name")
 		}
-		if _, err := transport.Invoke[core.RevokeReq, core.EmptyResp](ctx, caller, *nodeAddr, core.MethodRevoke, core.RevokeReq{Name: args[1]}); err != nil {
+		resp, err := transport.Invoke[core.ApplyBatchReq, core.ApplyBatchResp](ctx, caller, *nodeAddr, core.MethodApplyBatch, core.ApplyBatchReq{Revokes: args[1:2]})
+		if err != nil {
 			return err
+		}
+		if len(resp.Revokes) != 1 {
+			return fmt.Errorf("revoke %s: %d outcomes in the response, want 1", args[1], len(resp.Revokes))
+		}
+		if e := resp.Revokes[0].Err; e != "" {
+			return fmt.Errorf("revoke %s: %s", args[1], e)
 		}
 		fmt.Printf("revoked %s\n", args[1])
 	case "metrics":

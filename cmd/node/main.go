@@ -207,10 +207,10 @@ func run() error {
 		return int64(kept)
 	})
 	// One observability handler serves the ops RPC and the -http listener.
-	docs := metrics.NewHandler(reg, health,
-		metrics.Mount{Pattern: "/trace", Handler: trace.Handler(tracer)},
-		metrics.Mount{Pattern: "/events", Handler: trace.EventsHandler(tracer)},
-	)
+	docs := metrics.NewHandler(reg, health, append([]metrics.Mount{
+		{Pattern: "/trace", Handler: trace.Handler(tracer)},
+		{Pattern: "/events", Handler: trace.EventsHandler(tracer)},
+	}, receiver.Mounts()...)...)
 	transport.ServeOps(mux, docs)
 
 	if *httpAddr != "" {

@@ -61,8 +61,8 @@ type fleetGrant struct {
 }
 
 // fleetNode is a lightweight mobile node for fleet runs: it serves the full
-// receiver wire surface (install, renew, revoke, inventory, singleton and
-// batched) straight out of a grant map, with none of a real receiver's
+// receiver wire surface (apply, singleton and batched renew, inventory)
+// straight out of a grant map, with none of a real receiver's
 // weaving or sandboxing. Lease IDs come from a per-node counter so a fleet's
 // state is independent of cross-node call order.
 type fleetNode struct {
@@ -116,11 +116,6 @@ func (n *fleetNode) renewLocked(id string, durMillis int64) (int64, string) {
 }
 
 func (n *fleetNode) serveOn(mux *transport.Mux) {
-	transport.Register(mux, core.MethodInstall, func(_ context.Context, req core.InstallReq) (core.InstallResp, error) {
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		return core.InstallResp{LeaseID: n.installLocked(req)}, nil
-	})
 	transport.Register(mux, core.MethodApplyBatch, func(_ context.Context, req core.ApplyBatchReq) (core.ApplyBatchResp, error) {
 		n.mu.Lock()
 		defer n.mu.Unlock()
@@ -156,12 +151,6 @@ func (n *fleetNode) serveOn(mux *transport.Mux) {
 			resp.Obs = n.obsDeltaLocked()
 		}
 		return resp, nil
-	})
-	transport.Register(mux, core.MethodRevoke, func(_ context.Context, req core.RevokeReq) (core.EmptyResp, error) {
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		delete(n.grants, req.Name)
-		return core.EmptyResp{}, nil
 	})
 	transport.Register(mux, core.MethodInventory, func(_ context.Context, _ core.EmptyResp) (core.InventoryResp, error) {
 		n.mu.Lock()

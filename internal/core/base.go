@@ -506,10 +506,20 @@ func (b *Base) AddExtension(ext Extension) error {
 	return nil
 }
 
-// pushToAllNodes distributes one extension to every adapted node, one worker
-// goroutine per shard — an adapt round parallelises across shards instead of
-// serialising under a global lock.
+// pushToAllNodes distributes one extension to every adapted node.
 func (b *Base) pushToAllNodes(ext Extension) {
+	installs := []Extension{ext}
+	b.eachAdapted(func(n *adaptedNode) {
+		if errs, _ := b.applyToNode(context.Background(), n, installs, nil); errs[0] != nil {
+			b.log("push", n.id, ext.Name, "failed: "+errs[0].Error())
+		}
+	})
+}
+
+// eachAdapted runs fn on every adapted node, one worker goroutine per shard
+// taking its nodes in address order: a policy change parallelises across
+// shards instead of serialising under a global lock.
+func (b *Base) eachAdapted(fn func(n *adaptedNode)) {
 	var wg sync.WaitGroup
 	for i := range b.nodes.shards {
 		s := &b.nodes.shards[i]
@@ -524,14 +534,12 @@ func (b *Base) pushToAllNodes(ext Extension) {
 		}
 		sort.Slice(nodes, func(a, b int) bool { return nodes[a].addr < nodes[b].addr })
 		wg.Add(1)
-		go func(nodes []*adaptedNode) {
+		go func() {
 			defer wg.Done()
 			for _, n := range nodes {
-				if err := b.pushExtension(context.Background(), n, ext); err != nil {
-					b.log("push", n.id, ext.Name, "failed: "+err.Error())
-				}
+				fn(n)
 			}
-		}(nodes)
+		}()
 	}
 	wg.Wait()
 }
@@ -587,50 +595,18 @@ func (b *Base) RemoveExtension(name string) error {
 	delete(b.reports, name)
 	b.mu.Unlock()
 
-	var wg sync.WaitGroup
-	for i := range b.nodes.shards {
-		s := &b.nodes.shards[i]
-		s.mu.Lock()
-		nodes := make([]*adaptedNode, 0, len(s.adapted))
-		for _, n := range s.adapted {
-			nodes = append(nodes, n)
+	// Each revoke joins the trace that installed the extension at its node.
+	revokes := []string{name}
+	b.eachAdapted(func(n *adaptedNode) {
+		sc := b.stopTracking(n.addr, name)
+		_, errs := b.applyToNode(trace.NewContext(context.Background(), sc), n, nil, revokes)
+		detail := ""
+		if errs[0] != nil {
+			detail = "failed: " + errs[0].Error()
 		}
-		s.mu.Unlock()
-		if len(nodes) == 0 {
-			continue
-		}
-		sort.Slice(nodes, func(a, b int) bool { return nodes[a].addr < nodes[b].addr })
-		wg.Add(1)
-		go func(nodes []*adaptedNode) {
-			defer wg.Done()
-			for _, n := range nodes {
-				sc := b.stopTracking(n.addr, name)
-				err := b.revokeExtension(context.Background(), n, name, sc)
-				detail := ""
-				if err != nil {
-					detail = "failed: " + err.Error()
-				}
-				b.log("revoke", n.id, name, detail)
-			}
-		}(nodes)
-	}
-	wg.Wait()
+		b.log("revoke", n.id, name, detail)
+	})
 	return nil
-}
-
-// revokeExtension withdraws one extension at one node, inside the trace that
-// installed it there (sc, the push's span; zero: ctx's trace). The caller
-// logs the outcome.
-func (b *Base) revokeExtension(ctx context.Context, n *adaptedNode, name string, sc trace.SpanContext) error {
-	tr := b.traceRef()
-	rctx, sp := tr.StartSpan(trace.NewContext(ctx, sc), "base.revoke")
-	sp.Tag("ext", name)
-	sp.Tag("node", n.id)
-	ictx := transport.WithCallDeadline(rctx, b.cfg.CallTimeout)
-	_, err := transport.Invoke[RevokeReq, EmptyResp](ictx, b.caller, n.addr, MethodRevoke, RevokeReq{Name: name})
-	ictx.Cancel()
-	sp.End(err)
-	return err
 }
 
 // Extensions lists the base's policy set names in order.
@@ -685,12 +661,12 @@ func (b *Base) AdaptNodeCtx(ctx context.Context, nodeID, nodeAddr string) error 
 	sp.Annotatef("%d extensions to push", len(exts))
 
 	b.log("adapt", nodeID, "", fmt.Sprintf("%d extensions", len(exts)))
-	// The whole policy set rides one batched apply when the peer supports it.
+	// The whole policy set rides one apply.
 	installErrs, _ := b.applyToNode(ctx, n, exts, nil)
 	var firstErr error
-	for _, ext := range exts {
-		if err := installErrs[ext.Name]; err != nil {
-			b.log("push", nodeID, ext.Name, "failed: "+err.Error())
+	for i, err := range installErrs {
+		if err != nil {
+			b.log("push", nodeID, exts[i].Name, "failed: "+err.Error())
 			if firstErr == nil {
 				firstErr = err
 			}
@@ -844,50 +820,6 @@ func (b *Base) Recover() (int, error) {
 // Degraded lists the addresses of nodes parked for reconciliation, sorted.
 func (b *Base) Degraded() []string {
 	return b.nodes.degradedAddrs()
-}
-
-func (b *Base) pushExtension(ctx context.Context, n *adaptedNode, ext Extension) error {
-	tr := b.traceRef()
-	pctx, sp := tr.StartSpan(ctx, "base.push")
-	sp.Tag("ext", ext.Name)
-	sp.Tag("node", n.id)
-	signed, err := b.signedFor(ext)
-	if err != nil {
-		sp.End(err)
-		return err
-	}
-	ictx := transport.WithCallDeadline(pctx, b.cfg.CallTimeout)
-	resp, err := transport.Invoke[InstallReq, InstallResp](ictx, b.caller, n.addr, MethodInstall, InstallReq{
-		Signed:    signed,
-		BaseAddr:  b.cfg.Addr,
-		DurMillis: b.cfg.LeaseDur.Milliseconds(),
-	})
-	ictx.Cancel()
-	if err != nil {
-		sp.End(err)
-		return fmt.Errorf("core: push %q to %s: %w", ext.Name, n.addr, err)
-	}
-	// Capture the identity before End: a sampled-out span is recycled there,
-	// and Context on the recycled handle would mint an ID for whatever span
-	// owns the pooled storage next.
-	pushSC := sp.Context()
-	sp.End(nil)
-	b.log("push", n.id, ext.Name, "")
-
-	// Keep the extension alive until the node leaves our space.
-	g := grantInfo{
-		version:  ext.Version,
-		leaseID:  lease.ID(resp.LeaseID),
-		dur:      b.cfg.LeaseDur,
-		deadline: b.cfg.Clock.Now().Add(b.cfg.LeaseDur),
-	}
-	if !b.trackGrant(n, ext.Name, g, b.cfg.LeaseDur, pushSC) {
-		// The node departed (or the base closed) while the push was in
-		// flight: there is no tracked node to keep alive, so no renewal is
-		// scheduled — the receiver's lease will lapse on its own.
-		b.log("push", n.id, ext.Name, "node gone mid-push; lease left to expire")
-	}
-	return nil
 }
 
 // trackGrant records the lease granted for ext at n and hands it to the

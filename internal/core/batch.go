@@ -14,11 +14,11 @@ import (
 )
 
 // Batched RPC surface: at fleet scale the base coalesces per-node traffic —
-// all of a node's due lease renewals ride one midas.renewBatch call, and the
-// installs+revokes a reconcile diff (or a multi-extension adapt) produces for
-// one node ride one midas.applyBatch call. Every receiver serves the batch
-// methods; a peer that answers one with ErrNoMethod fails that renewal or
-// push like any other error.
+// all of a node's due lease renewals ride one midas.renewBatch call, and every
+// change the base makes to a node (an adapt's policy set, one pushed or
+// revoked extension, a reconcile diff) rides one midas.applyBatch call. Every
+// receiver serves the batch methods; a peer that answers one with ErrNoMethod
+// fails that renewal or change like any other error.
 
 // RPC method names of the batch surface.
 const (
@@ -50,8 +50,8 @@ type (
 		Items []RenewItemResp
 		Obs   *ObsReport
 	}
-	// ApplyBatchReq bundles the installs and revokes one reconcile diff (or
-	// adapt round) produced for one node.
+	// ApplyBatchReq bundles the installs and revokes the base sends one node
+	// at a time: an adapt round, a policy change or a reconcile diff.
 	ApplyBatchReq struct {
 		Installs []InstallReq
 		Revokes  []string
@@ -62,7 +62,8 @@ type (
 		Err     string
 	}
 	// RevokeItemResp is one revoke's outcome; revoking an extension that is
-	// already gone succeeds, like the singleton revoke.
+	// already gone succeeds, so a base retrying a revoke whose response was
+	// lost stays idempotent.
 	RevokeItemResp struct {
 		Err string
 	}
@@ -271,39 +272,23 @@ func (b *Base) renewOne(node string, id lease.ID, meta renewItemMeta) lease.Batc
 	return lease.BatchResult{ID: id, Granted: granted}
 }
 
-// applyToNode delivers installs and revokes to one node, batched into a
-// single midas.applyBatch exchange when there is more than one operation. It
-// returns per-extension outcomes; push successes are logged (and counted)
-// here, push failures and revoke outcomes are the caller's to log, mirroring
-// the singleton paths.
-func (b *Base) applyToNode(ctx context.Context, n *adaptedNode, installs []Extension, revokes []string) (installErrs, revokeErrs map[string]error) {
-	installErrs = make(map[string]error, len(installs))
-	revokeErrs = make(map[string]error, len(revokes))
-	if len(installs)+len(revokes) == 0 {
-		return installErrs, revokeErrs
-	}
-	if len(installs)+len(revokes) == 1 {
-		for _, ext := range installs {
-			installErrs[ext.Name] = b.pushExtension(ctx, n, ext)
-		}
-		for _, name := range revokes {
-			revokeErrs[name] = b.revokeExtension(ctx, n, name, trace.SpanContext{})
-		}
-		return installErrs, revokeErrs
-	}
-
-	m := b.metricsRef()
-	tr := b.traceRef()
-	pctx, sp := tr.StartSpan(ctx, "base.pushBatch")
-	sp.Tag("node", n.id)
-	sp.Annotatef("%d installs, %d revokes", len(installs), len(revokes))
-
+// applyToNode delivers installs and revokes to one node in one
+// midas.applyBatch exchange: every change the base makes to a node rides it,
+// a push of one extension included. It returns the per-item outcomes, aligned
+// with installs and revokes. Push successes are logged (and counted) here,
+// push failures and revoke outcomes are the caller's to log.
+//
+// The apply span carries its non-zero item counts as tags, not an
+// annotation: tags on a sampled-out span are free, while Annotatef pays fmt
+// on every push.
+func (b *Base) applyToNode(ctx context.Context, n *adaptedNode, installs []Extension, revokes []string) (installErrs, revokeErrs []error) {
+	installErrs = make([]error, len(installs))
+	revokeErrs = make([]error, len(revokes))
 	req := ApplyBatchReq{Revokes: revokes}
-	sent := make([]Extension, 0, len(installs))
-	for _, ext := range installs {
+	for i, ext := range installs {
 		signed, err := b.signedFor(ext)
 		if err != nil {
-			installErrs[ext.Name] = err
+			installErrs[i] = err
 			continue
 		}
 		req.Installs = append(req.Installs, InstallReq{
@@ -311,60 +296,86 @@ func (b *Base) applyToNode(ctx context.Context, n *adaptedNode, installs []Exten
 			BaseAddr:  b.cfg.Addr,
 			DurMillis: b.cfg.LeaseDur.Milliseconds(),
 		})
-		sent = append(sent, ext)
+	}
+	if len(req.Installs)+len(req.Revokes) == 0 {
+		return installErrs, revokeErrs
 	}
 
+	m := b.metricsRef()
+	tr := b.traceRef()
+	pctx, sp := tr.StartSpan(ctx, "base.apply")
+	sp.Tag("node", n.id)
+	// Only non-zero counts: the span keeps to two tags (node and one count),
+	// the size its tag slice starts at.
+	if k := len(req.Installs); k > 0 {
+		sp.Tag("installs", strconv.Itoa(k))
+	}
+	if k := len(req.Revokes); k > 0 {
+		sp.Tag("revokes", strconv.Itoa(k))
+	}
 	ictx := transport.WithCallDeadline(pctx, b.cfg.CallTimeout)
 	resp, err := transport.Invoke[ApplyBatchReq, ApplyBatchResp](ictx, b.caller, n.addr, MethodApplyBatch, req)
 	ictx.Cancel()
-	// Capture the identity before End: a sampled-out span is recycled there,
-	// and Context on the recycled handle would mint an ID for whatever span
-	// owns the pooled storage next.
-	batchSC := sp.Context()
+	// The installs' leases keep the apply's identity, which their renewals
+	// and revokes join. Capture it before End: a sampled-out span is recycled
+	// there, and Context on the recycled handle would mint an ID for whatever
+	// span owns the pooled storage next. A revoke-only apply skips it, which
+	// spares a sampled-out span minting an ID.
+	var applySC trace.SpanContext
+	if len(req.Installs) > 0 {
+		applySC = sp.Context()
+	}
 	sp.End(err)
 	if err != nil {
-		werr := fmt.Errorf("core: apply batch to %s: %w", n.addr, err)
-		for _, ext := range sent {
-			installErrs[ext.Name] = werr
+		err = fmt.Errorf("core: apply batch to %s: %w", n.addr, err)
+		for i := range installErrs {
+			if installErrs[i] == nil {
+				installErrs[i] = err
+			}
 		}
-		for _, name := range revokes {
-			revokeErrs[name] = werr
+		for i := range revokeErrs {
+			revokeErrs[i] = err
 		}
 		return installErrs, revokeErrs
 	}
 	m.pushBatches.Inc()
 
-	for i, ext := range sent {
-		if i >= len(resp.Installs) {
-			installErrs[ext.Name] = fmt.Errorf("core: apply batch to %s: truncated response", n.addr)
+	next := 0 // the response's item for installs[i]: unsigned installs were not sent
+	for i, ext := range installs {
+		if installErrs[i] != nil {
 			continue
 		}
-		if e := resp.Installs[i].Err; e != "" {
-			installErrs[ext.Name] = fmt.Errorf("core: push %q to %s: %w", ext.Name, n.addr, transport.NewRemoteError(MethodApplyBatch, e))
+		item := next
+		next++
+		switch {
+		case item >= len(resp.Installs):
+			installErrs[i] = fmt.Errorf("core: apply batch to %s: truncated response", n.addr)
+			continue
+		case resp.Installs[item].Err != "":
+			installErrs[i] = fmt.Errorf("core: push %q to %s: %w", ext.Name, n.addr, transport.NewRemoteError(MethodApplyBatch, resp.Installs[item].Err))
 			continue
 		}
-		installErrs[ext.Name] = nil
 		b.log("push", n.id, ext.Name, "")
 		g := grantInfo{
 			version:  ext.Version,
-			leaseID:  lease.ID(resp.Installs[i].LeaseID),
+			leaseID:  lease.ID(resp.Installs[item].LeaseID),
 			dur:      b.cfg.LeaseDur,
 			deadline: b.cfg.Clock.Now().Add(b.cfg.LeaseDur),
 		}
-		if !b.trackGrant(n, ext.Name, g, b.cfg.LeaseDur, batchSC) {
+		if !b.trackGrant(n, ext.Name, g, b.cfg.LeaseDur, applySC) {
+			// The node departed (or the base closed) while the push was in
+			// flight: there is no tracked node to keep alive, so no renewal is
+			// scheduled — the receiver's lease will lapse on its own.
 			b.log("push", n.id, ext.Name, "node gone mid-push; lease left to expire")
 		}
 	}
-	for i, name := range revokes {
-		if i >= len(resp.Revokes) {
-			revokeErrs[name] = fmt.Errorf("core: apply batch to %s: truncated response", n.addr)
-			continue
+	for i := range revokes {
+		switch {
+		case i >= len(resp.Revokes):
+			revokeErrs[i] = fmt.Errorf("core: apply batch to %s: truncated response", n.addr)
+		case resp.Revokes[i].Err != "":
+			revokeErrs[i] = transport.NewRemoteError(MethodApplyBatch, resp.Revokes[i].Err)
 		}
-		if e := resp.Revokes[i].Err; e != "" {
-			revokeErrs[name] = transport.NewRemoteError(MethodApplyBatch, e)
-			continue
-		}
-		revokeErrs[name] = nil
 	}
 	return installErrs, revokeErrs
 }

@@ -44,6 +44,17 @@ func (c *stormCaller) count(method string) int {
 	return c.calls[method]
 }
 
+// snapshot copies the per-method call counts.
+func (c *stormCaller) snapshot() map[string]int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make(map[string]int, len(c.calls))
+	for m, n := range c.calls {
+		out[m] = n
+	}
+	return out
+}
+
 func (c *stormCaller) nodeCount(node, method string) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -72,8 +83,6 @@ func (c *stormCaller) Call(_ context.Context, to, method string, req, resp any) 
 	}
 	minute := time.Minute.Milliseconds()
 	switch method {
-	case MethodInstall:
-		*(resp.(*InstallResp)) = InstallResp{LeaseID: fmt.Sprintf("L%d", seq)}
 	case MethodApplyBatch:
 		out := ApplyBatchResp{}
 		r := req.(ApplyBatchReq)
@@ -198,6 +207,44 @@ func TestRenewalStormCoalesces(t *testing.T) {
 	}
 	if got := caller.count(MethodRenewE); got != 0 {
 		t.Fatalf("singleton midas.renew RPCs = %d, want 0 during a batched storm", got)
+	}
+}
+
+// TestPolicyChangesRideOneApply pins the base's one way to change a node:
+// adding, replacing and removing an extension each send an adapted node
+// exactly one midas.applyBatch, and no other call.
+func TestPolicyChangesRideOneApply(t *testing.T) {
+	clk := clock.NewManual(time.Unix(1000, 0))
+	caller := newStormCaller()
+	b, _ := newStormBase(t, clk, caller, nil, 8, 1)
+	if err := b.AdaptNode("robot1", "robot1"); err != nil {
+		t.Fatal(err)
+	}
+	for _, step := range []struct {
+		name string
+		do   func() error
+	}{
+		{"AddExtension", func() error { return b.AddExtension(noopExt("policy", 1)) }},
+		{"ReplaceExtension", func() error { return b.ReplaceExtension(noopExt("policy", 2)) }},
+		{"RemoveExtension", func() error { return b.RemoveExtension("policy") }},
+	} {
+		before := caller.snapshot()
+		if err := step.do(); err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		sent := caller.snapshot()
+		for m, n := range before {
+			sent[m] -= n
+			if sent[m] == 0 {
+				delete(sent, m)
+			}
+		}
+		if len(sent) != 1 || sent[MethodApplyBatch] != 1 {
+			t.Errorf("%s sent %v, want exactly one %s", step.name, sent, MethodApplyBatch)
+		}
+	}
+	if got := b.ScheduledRenewals(); got != 0 {
+		t.Fatalf("%d renewals scheduled after the remove, want 0", got)
 	}
 }
 
@@ -329,7 +376,7 @@ func TestRenewalJournalsOncePerCall(t *testing.T) {
 	}
 }
 
-// newAllocBase serves a renewal-only node, robot1, over the in-process
+// newAllocBase serves a lease-table node, robot1, over the in-process
 // fabric (node-side handlers as lean as a receiver's) and returns a base that
 // has adapted it with nExts extensions, traced by tr when it is not nil,
 // together with the batch items that renew all of the node's leases.
@@ -338,7 +385,7 @@ func newAllocBase(t *testing.T, nExts int, tr *trace.Tracer) (*Base, []lease.Bat
 	fabric := transport.NewInProc()
 	mux := transport.NewMux()
 	transport.Register(mux, MethodApplyBatch, func(_ context.Context, req ApplyBatchReq) (ApplyBatchResp, error) {
-		resp := ApplyBatchResp{Installs: make([]InstallItemResp, len(req.Installs))}
+		resp := ApplyBatchResp{Installs: make([]InstallItemResp, len(req.Installs)), Revokes: make([]RevokeItemResp, len(req.Revokes))}
 		for i := range req.Installs {
 			resp.Installs[i].LeaseID = fmt.Sprintf("L%d", i)
 		}
@@ -607,5 +654,74 @@ func TestRenewExtRespUnmarshalAllocs(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Fatalf("wire.Unmarshal of RenewExtResp: %.0f allocs, want 0", allocs)
+	}
+}
+
+// Apply call allocation budgets, under the production sampler (1%) over the
+// in-process fabric, node side included: a one-install midas.applyBatch, the
+// path of every single-extension push (AddExtension, ReplaceExtension), and a
+// one-revoke midas.applyBatch, the path of RemoveExtension's per-node revoke.
+// An install pays for its lease's renewal schedule, its sampled-out root span
+// and the signed extension the node decodes; a revoke only for its call. The
+// apply span tags its item counts instead of annotating them, so a
+// sampled-out apply formats no text.
+const (
+	applyOneInstallAllocBudget = 32
+	applyOneRevokeAllocBudget  = 10
+)
+
+// applyAllocs runs apply once per iteration against robot1 of a base traced
+// under the production sampler, and checks its outcome.
+func applyAllocs(t *testing.T, apply func(b *Base, n *adaptedNode) error) float64 {
+	t.Helper()
+	tr := trace.New(1)
+	tr.SetSampler(trace.SamplerConfig{Rate: 0.01, Seed: 1, SlowThreshold: 50 * time.Millisecond})
+	b, _ := newAllocBase(t, 1, tr)
+	n := b.nodes.get("robot1")
+	var err error
+	allocs := testing.AllocsPerRun(200, func() { err = apply(b, n) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return allocs
+}
+
+// TestApplyOneInstallAllocBudget pins what pushing one extension to one node
+// costs.
+func TestApplyOneInstallAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the wire codec's buffer pool drops items at random under -race")
+	}
+	installs := []Extension{noopExt("e00", 1)}
+	allocs := applyAllocs(t, func(b *Base, n *adaptedNode) error {
+		errs, _ := b.applyToNode(context.Background(), n, installs, nil)
+		return errs[0]
+	})
+	t.Logf("%.0f allocs per one-install apply", allocs)
+	if allocs > applyOneInstallAllocBudget {
+		t.Errorf("one-install apply: %.0f allocs, budget %d", allocs, applyOneInstallAllocBudget)
+	}
+}
+
+// TestApplyOneRevokeAllocBudget pins what revoking one extension at one node
+// costs, inside the sampled-out trace that installed it.
+func TestApplyOneRevokeAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the wire codec's buffer pool drops items at random under -race")
+	}
+	revokes := []string{"e00"}
+	allocs := applyAllocs(t, func(b *Base, n *adaptedNode) error {
+		// As RemoveExtension does: the revoke joins the install's trace.
+		s := b.nodes.shard(n.addr)
+		s.mu.Lock()
+		sc := n.grants["e00"].sc
+		s.mu.Unlock()
+		ctx := trace.NewContext(context.Background(), sc)
+		_, errs := b.applyToNode(ctx, n, nil, revokes)
+		return errs[0]
+	})
+	t.Logf("%.0f allocs per one-revoke apply", allocs)
+	if allocs > applyOneRevokeAllocBudget {
+		t.Errorf("one-revoke apply: %.0f allocs, budget %d", allocs, applyOneRevokeAllocBudget)
 	}
 }

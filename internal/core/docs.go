@@ -48,6 +48,19 @@ func (b *Base) Mounts() []metrics.Mount {
 	}
 }
 
+// Mounts returns the receiver's operator documents as JSON, for the node
+// daemon's observability handler (the -http listener and the ops RPC serve
+// the same handler):
+//
+//	/extensions         Installed, the extensions the node holds
+func (r *Receiver) Mounts() []metrics.Mount {
+	return []metrics.Mount{
+		{Pattern: "/extensions", Handler: http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+			writeJSON(w, r.Installed())
+		})},
+	}
+}
+
 // writeJSON renders v as indented JSON, the shape every document shares.
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")

@@ -39,16 +39,17 @@ func TestObsPiggybackOverRPC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, err := transport.Invoke[InstallReq, InstallResp](ctx, caller, "node-1", MethodInstall, InstallReq{
-		Signed: signed, BaseAddr: "base-1", DurMillis: 60_000,
+	applied, err := transport.Invoke[ApplyBatchReq, ApplyBatchResp](ctx, caller, "node-1", MethodApplyBatch, ApplyBatchReq{
+		Installs: []InstallReq{{Signed: signed, BaseAddr: "base-1", DurMillis: 60_000}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	leaseID := applied.Installs[0].LeaseID
 
 	// Without WantObs the response must carry nothing extra.
 	bare, err := transport.Invoke[RenewBatchReq, RenewBatchResp](ctx, caller, "node-1", MethodRenewBatch, RenewBatchReq{
-		Items: []RenewExtReq{{LeaseID: inst.LeaseID, DurMillis: 60_000}},
+		Items: []RenewExtReq{{LeaseID: leaseID, DurMillis: 60_000}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -58,7 +59,7 @@ func TestObsPiggybackOverRPC(t *testing.T) {
 	}
 
 	resp, err := transport.Invoke[RenewBatchReq, RenewBatchResp](ctx, caller, "node-1", MethodRenewBatch, RenewBatchReq{
-		Items:   []RenewExtReq{{LeaseID: inst.LeaseID, DurMillis: 60_000}},
+		Items:   []RenewExtReq{{LeaseID: leaseID, DurMillis: 60_000}},
 		WantObs: true,
 	})
 	if err != nil {
@@ -71,11 +72,11 @@ func TestObsPiggybackOverRPC(t *testing.T) {
 	for _, m := range resp.Obs.Methods {
 		deltas[m.Method] = m
 	}
-	// The install and both renewBatch calls went through the RED handler; the
+	// The apply and both renewBatch calls went through the RED handler; the
 	// report must carry their counts (the in-flight renewBatch observes after
 	// the handler returns, so the report sees the previous two).
-	if d := deltas[MethodInstall]; d.Count != 1 || d.SumNs < 0 {
-		t.Fatalf("install delta = %+v, want count 1", d)
+	if d := deltas[MethodApplyBatch]; d.Count != 1 || d.SumNs < 0 {
+		t.Fatalf("apply delta = %+v, want count 1", d)
 	}
 	if d := deltas[MethodRenewBatch]; d.Count != 1 {
 		t.Fatalf("renewBatch delta = %+v, want count 1 (the un-instrumented probe)", d)
@@ -84,9 +85,10 @@ func TestObsPiggybackOverRPC(t *testing.T) {
 		t.Fatalf("report sampled-out = 0, want the receiver's dropped spans counted")
 	}
 
-	// The next report carries only what happened since: install must be gone.
+	// The next report carries only what happened since: the apply must be
+	// gone.
 	resp2, err := transport.Invoke[RenewBatchReq, RenewBatchResp](ctx, caller, "node-1", MethodRenewBatch, RenewBatchReq{
-		Items:   []RenewExtReq{{LeaseID: inst.LeaseID, DurMillis: 60_000}},
+		Items:   []RenewExtReq{{LeaseID: leaseID, DurMillis: 60_000}},
 		WantObs: true,
 	})
 	if err != nil {
@@ -96,8 +98,8 @@ func TestObsPiggybackOverRPC(t *testing.T) {
 		t.Fatal("second WantObs response carried no report")
 	}
 	for _, m := range resp2.Obs.Methods {
-		if m.Method == MethodInstall {
-			t.Fatalf("install re-reported in the second delta: %+v", m)
+		if m.Method == MethodApplyBatch {
+			t.Fatalf("apply re-reported in the second delta: %+v", m)
 		}
 		if m.Method == MethodRenewBatch && m.Count != 1 {
 			t.Fatalf("second renewBatch delta = %+v, want exactly the one call since", m)

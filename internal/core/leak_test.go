@@ -55,21 +55,17 @@ func TestNoGoroutineLeaksOnTeardown(t *testing.T) {
 		baseline, runtime.NumGoroutine(), buf[:n])
 }
 
-// slowPushCaller parks install traffic (singleton and batched) until release
-// is closed, so a test can interleave Release/Close with an in-flight push,
-// and counts renewal attempts arriving afterwards.
+// slowPushCaller parks every apply until release is closed, so a test can
+// interleave Release/Close with an in-flight push, and counts renewal
+// attempts arriving afterwards.
 type slowPushCaller struct {
-	installing chan struct{} // receives once per install call, before parking
+	installing chan struct{} // receives once per apply call, before parking
 	release    chan struct{}
 	renews     atomic.Int32
 }
 
 func (c *slowPushCaller) Call(_ context.Context, _, method string, req, resp any) error {
 	switch method {
-	case MethodInstall:
-		c.installing <- struct{}{}
-		<-c.release
-		*(resp.(*InstallResp)) = InstallResp{LeaseID: "L1"}
 	case MethodApplyBatch:
 		c.installing <- struct{}{}
 		<-c.release

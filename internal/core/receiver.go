@@ -25,8 +25,8 @@ import (
 const AdaptationService = "midas.adaptation"
 
 // ErrNotInstalled reports an operation on an extension that is not installed.
-// The wire revoke handler treats it as already-done so a base retrying a
-// revocation whose response was lost stays idempotent.
+// A revoke item of midas.applyBatch treats it as already-done so a base
+// retrying a revocation whose response was lost stays idempotent.
 var ErrNotInstalled = errors.New("not installed")
 
 func init() {
@@ -62,7 +62,8 @@ type Activity struct {
 	Detail   string
 }
 
-// ExtensionInfo describes one installed extension.
+// ExtensionInfo describes one installed extension, as Installed and the
+// /extensions document list it.
 type ExtensionInfo struct {
 	ID       string
 	Name     string
@@ -758,23 +759,22 @@ func (r *Receiver) Advertise(client *registry.Client, dur time.Duration, attrs m
 	}, nil
 }
 
-// RPC method names served by a receiver.
+// RPC method names of the receiver surface, next to the batch methods
+// (batch.go) and the inventory (reconcile.go).
 const (
-	MethodInstall = "midas.install"
+	MethodInstall = "midas.install" // served by no receiver; kept for cmd/benchledger's fake node
 	MethodRenewE  = "midas.renew"
-	MethodRevoke  = "midas.revoke"
-	MethodList    = "midas.list"
 )
 
 // Wire types for the receiver RPC surface.
 type (
-	// InstallReq pushes a signed extension.
+	// InstallReq pushes a signed extension, as one item of an ApplyBatchReq.
 	InstallReq struct {
 		Signed    SignedExtension
 		BaseAddr  string
 		DurMillis int64
 	}
-	// InstallResp returns the lease handle.
+	// InstallResp answers MethodInstall; kept for cmd/benchledger's fake node.
 	InstallResp struct {
 		LeaseID string
 	}
@@ -789,28 +789,15 @@ type (
 	RenewExtResp struct {
 		DurMillis int64
 	}
-	// RevokeReq withdraws an extension by name.
-	RevokeReq struct {
-		Name string
-	}
-	// ListResp describes installed extensions.
-	ListResp struct {
-		Extensions []ExtensionInfo
-	}
 	// EmptyResp is the empty response.
 	EmptyResp struct{}
 )
 
-// ServeOn registers the receiver's RPC surface on mux.
+// ServeOn registers the receiver's RPC surface on mux: the apply and renewal
+// batches, the singleton renewal and the inventory. Operator reads are
+// documents (see Mounts), served over the ops RPC.
 func (r *Receiver) ServeOn(mux *transport.Mux) {
 	r.serveBatch(mux)
-	transport.Register(mux, MethodInstall, func(ctx context.Context, req InstallReq) (InstallResp, error) {
-		id, err := r.InstallCtx(ctx, req.Signed, req.BaseAddr, time.Duration(req.DurMillis)*time.Millisecond)
-		if err != nil {
-			return InstallResp{}, err
-		}
-		return InstallResp{LeaseID: string(id)}, nil
-	})
 	transport.Register(mux, MethodRenewE, func(ctx context.Context, req RenewExtReq) (RenewExtResp, error) {
 		l, err := r.renewLease(ctx, lease.ID(req.LeaseID), time.Duration(req.DurMillis)*time.Millisecond)
 		if err != nil {
@@ -820,16 +807,5 @@ func (r *Receiver) ServeOn(mux *transport.Mux) {
 	})
 	transport.Register(mux, MethodInventory, func(_ context.Context, _ EmptyResp) (InventoryResp, error) {
 		return InventoryResp{Node: r.cfg.NodeName, Items: r.Inventory()}, nil
-	})
-	transport.Register(mux, MethodRevoke, func(ctx context.Context, req RevokeReq) (EmptyResp, error) {
-		// A revoke of something already gone is a success: the base may be
-		// retrying a revocation whose response was lost.
-		if err := r.Withdraw(ctx, req.Name); err != nil && !errors.Is(err, ErrNotInstalled) {
-			return EmptyResp{}, err
-		}
-		return EmptyResp{}, nil
-	})
-	transport.Register(mux, MethodList, func(_ context.Context, _ EmptyResp) (ListResp, error) {
-		return ListResp{Extensions: r.Installed()}, nil
 	})
 }

@@ -245,11 +245,10 @@ func (b *Base) reconcileNode(ctx context.Context, addr string) ReconcileResult {
 		b.stopTracking(addr, name)
 	}
 
-	// The whole repair — missing re-pushes and orphan revokes — rides one
-	// batched apply when the peer supports it.
+	// The whole repair — missing re-pushes and orphan revokes — rides one apply.
 	installErrs, revokeErrs := b.applyToNode(rctx, n, missing, orphans)
-	for _, ext := range missing {
-		if err := installErrs[ext.Name]; err != nil {
+	for i, ext := range missing {
+		if err := installErrs[i]; err != nil {
 			if res.Err == "" {
 				res.Err = err.Error()
 			}
@@ -258,8 +257,8 @@ func (b *Base) reconcileNode(ctx context.Context, addr string) ReconcileResult {
 		}
 		res.Repushed = append(res.Repushed, ext.Name)
 	}
-	for _, name := range orphans {
-		if err := revokeErrs[name]; err != nil {
+	for i, name := range orphans {
+		if err := revokeErrs[i]; err != nil {
 			if res.Err == "" {
 				res.Err = err.Error()
 			}

@@ -2,19 +2,23 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"testing"
 	"time"
 
 	"repro/internal/lease"
+	"repro/internal/metrics"
 	"repro/internal/transport"
 )
 
-// TestReceiverRPCSurface exercises every midas.* method over a real
-// transport, including the TCP fabric.
+// TestReceiverRPCSurface exercises the receiver's lifecycle over the TCP
+// fabric: a one-install midas.applyBatch, a renewal, the /extensions document
+// over ops, and a one-revoke midas.applyBatch after which the lease is gone.
 func TestReceiverRPCSurface(t *testing.T) {
 	n := newTestNode(t)
 	mux := transport.NewMux()
 	n.receiver.ServeOn(mux)
+	transport.ServeOps(mux, metrics.NewHandler(metrics.New(), nil, n.receiver.Mounts()...))
 	srv, err := transport.ServeTCP("127.0.0.1:0", mux)
 	if err != nil {
 		t.Fatal(err)
@@ -28,35 +32,44 @@ func TestReceiverRPCSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	installResp, err := transport.Invoke[InstallReq, InstallResp](ctx, caller, srv.Addr(), MethodInstall, InstallReq{
-		Signed:    signed,
-		BaseAddr:  "base-1",
-		DurMillis: 60_000,
+	applied, err := transport.Invoke[ApplyBatchReq, ApplyBatchResp](ctx, caller, srv.Addr(), MethodApplyBatch, ApplyBatchReq{
+		Installs: []InstallReq{{Signed: signed, BaseAddr: "base-1", DurMillis: 60_000}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if installResp.LeaseID == "" {
-		t.Fatal("no lease over RPC")
+	if len(applied.Installs) != 1 || applied.Installs[0].Err != "" || applied.Installs[0].LeaseID == "" {
+		t.Fatalf("install outcomes = %+v, want one lease", applied.Installs)
 	}
+	leaseID := applied.Installs[0].LeaseID
 
 	if _, err := transport.Invoke[RenewExtReq, RenewExtResp](ctx, caller, srv.Addr(), MethodRenewE, RenewExtReq{
-		LeaseID:   installResp.LeaseID,
+		LeaseID:   leaseID,
 		DurMillis: 60_000,
 	}); err != nil {
 		t.Fatal(err)
 	}
 
-	listResp, err := transport.Invoke[EmptyResp, ListResp](ctx, caller, srv.Addr(), MethodList, EmptyResp{})
+	body, err := transport.Ops(ctx, caller, srv.Addr(), "/extensions")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(listResp.Extensions) != 1 || listResp.Extensions[0].Name != "remote-ext" {
-		t.Fatalf("list = %+v", listResp.Extensions)
+	var exts []ExtensionInfo
+	if err := json.Unmarshal(body, &exts); err != nil {
+		t.Fatal(err)
+	}
+	if len(exts) != 1 || exts[0].Name != "remote-ext" || exts[0].Version != 1 || exts[0].BaseAddr != "base-1" {
+		t.Fatalf("/extensions = %+v", exts)
 	}
 
-	if _, err := transport.Invoke[RevokeReq, EmptyResp](ctx, caller, srv.Addr(), MethodRevoke, RevokeReq{Name: "remote-ext"}); err != nil {
+	revoked, err := transport.Invoke[ApplyBatchReq, ApplyBatchResp](ctx, caller, srv.Addr(), MethodApplyBatch, ApplyBatchReq{
+		Revokes: []string{"remote-ext"},
+	})
+	if err != nil {
 		t.Fatal(err)
+	}
+	if len(revoked.Revokes) != 1 || revoked.Revokes[0].Err != "" {
+		t.Fatalf("revoke outcomes = %+v, want one success", revoked.Revokes)
 	}
 	if n.receiver.Has("remote-ext") {
 		t.Fatal("revoked extension still installed")
@@ -64,7 +77,7 @@ func TestReceiverRPCSurface(t *testing.T) {
 
 	// Renewing the cancelled lease now fails remotely.
 	_, err = transport.Invoke[RenewExtReq, RenewExtResp](ctx, caller, srv.Addr(), MethodRenewE, RenewExtReq{
-		LeaseID:   installResp.LeaseID,
+		LeaseID:   leaseID,
 		DurMillis: 60_000,
 	})
 	if err == nil {

@@ -3,8 +3,8 @@ package core
 import "repro/internal/wire"
 
 // Wire codecs for every MIDAS RPC body: renew/renewBatch (the renewal
-// window's per-lease cost), applyBatch install/revoke items (adapt and
-// reconcile pushes), the inventory exchange (anti-entropy rounds), and the
+// window's per-lease cost), applyBatch install/revoke items (every push and
+// revoke), the inventory exchange (anti-entropy rounds), and the
 // base's record sink and roaming hint. Each type writes its fields in
 // declaration order; slices and maps go through the codec's count-prefixed,
 // key-sorted forms so equal values always produce equal bytes (golden vectors
@@ -85,25 +85,6 @@ func (s *SignedExtension) UnmarshalWire(d *wire.Decoder) error {
 	return s.Sig.UnmarshalWire(d)
 }
 
-// MarshalWire encodes i with the wire codec.
-func (i ExtensionInfo) MarshalWire(e *wire.Encoder) {
-	e.String(i.ID)
-	e.String(i.Name)
-	e.Varint(int64(i.Version))
-	e.String(i.BaseAddr)
-	e.Bool(i.System)
-}
-
-// UnmarshalWire decodes i from the wire codec.
-func (i *ExtensionInfo) UnmarshalWire(d *wire.Decoder) error {
-	i.ID = d.String()
-	i.Name = d.String()
-	i.Version = int(d.Varint())
-	i.BaseAddr = d.String()
-	i.System = d.Bool()
-	return d.Err()
-}
-
 // MarshalWire encodes r with the wire codec.
 func (r InstallReq) MarshalWire(e *wire.Encoder) {
 	r.Signed.MarshalWire(e)
@@ -151,38 +132,6 @@ func (r RenewExtResp) MarshalWire(e *wire.Encoder) { e.Varint(r.DurMillis) }
 // UnmarshalWire decodes r from the wire codec.
 func (r *RenewExtResp) UnmarshalWire(d *wire.Decoder) error {
 	r.DurMillis = d.Varint()
-	return d.Err()
-}
-
-// MarshalWire encodes r with the wire codec.
-func (r RevokeReq) MarshalWire(e *wire.Encoder) { e.String(r.Name) }
-
-// UnmarshalWire decodes r from the wire codec.
-func (r *RevokeReq) UnmarshalWire(d *wire.Decoder) error {
-	r.Name = d.String()
-	return d.Err()
-}
-
-// MarshalWire encodes r with the wire codec.
-func (r ListResp) MarshalWire(e *wire.Encoder) {
-	e.Len(len(r.Extensions))
-	for _, x := range r.Extensions {
-		x.MarshalWire(e)
-	}
-}
-
-// UnmarshalWire decodes r from the wire codec.
-func (r *ListResp) UnmarshalWire(d *wire.Decoder) error {
-	if n := d.Len(); n > 0 {
-		r.Extensions = make([]ExtensionInfo, n)
-		for i := range r.Extensions {
-			if err := r.Extensions[i].UnmarshalWire(d); err != nil {
-				return err
-			}
-		}
-	} else {
-		r.Extensions = nil
-	}
 	return d.Err()
 }
 

@@ -46,11 +46,9 @@ var defaultClasses = map[string]Class{
 	"lookup.renew":      ClassKeepalive,
 	"lookup.renewWatch": ClassKeepalive,
 
-	// Mutations: extension pushes, adaptation lifecycle, service registry
-	// writes.
-	"midas.install":     ClassMutation,
+	// Mutations: extension pushes and revokes, adaptation lifecycle, service
+	// registry writes, and the adapted application calls a node serves.
 	"midas.applyBatch":  ClassMutation,
-	"midas.revoke":      ClassMutation,
 	"base.post":         ClassMutation,
 	"base.onservice":    ClassMutation,
 	"base.roam":         ClassMutation,
@@ -58,9 +56,9 @@ var defaultClasses = map[string]Class{
 	"lookup.deregister": ClassMutation,
 	"lookup.watch":      ClassMutation,
 	"lookup.unwatch":    ClassMutation,
+	"svc.invoke":        ClassMutation,
 
 	// Reads: lookups and the operator documents.
-	"midas.list":  ClassRead,
 	"ops":         ClassRead,
 	"lookup.find": ClassRead,
 }

@@ -53,13 +53,13 @@ func testDeadlineShed(t *testing.T, serve func(t *testing.T, h transport.Handler
 
 	done := make(chan error, 1)
 	go func() {
-		done <- newCaller().Call(context.Background(), addr, "midas.list", ping{N: 1}, nil)
+		done <- newCaller().Call(context.Background(), addr, "lookup.find", ping{N: 1}, nil)
 	}()
 	testutil.WaitFor(t, "first call inflight", func() bool { return lim.Snapshot().Inflight == 1 })
 
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	if err := newCaller().Call(ctx, addr, "midas.list", ping{N: 2}, nil); err == nil {
+	if err := newCaller().Call(ctx, addr, "lookup.find", ping{N: 2}, nil); err == nil {
 		t.Fatal("expired call succeeded, want deadline drop")
 	}
 	// The expiry is recorded server-side even when the client saw only its
@@ -153,7 +153,7 @@ func TestHandlerPeerRateShed(t *testing.T) {
 		t.Fatalf("hint = %v, %v; want 1s, true", hint, ok)
 	}
 	// Ungoverned method from the rated-down peer still passes.
-	if err := cli.Call(context.Background(), "base", "midas.list", ping{}, nil); err != nil {
+	if err := cli.Call(context.Background(), "base", "lookup.find", ping{}, nil); err != nil {
 		t.Fatalf("ungoverned call: %v", err)
 	}
 	// Another peer has a fresh bucket.

@@ -197,13 +197,14 @@ func TestLimiterExpiredInQueue(t *testing.T) {
 func TestClassify(t *testing.T) {
 	cases := map[string]Class{
 		"midas.renewBatch": ClassKeepalive,
+		"midas.renew":      ClassKeepalive,
 		"midas.inventory":  ClassKeepalive,
 		"lookup.renew":     ClassKeepalive,
 		"midas.applyBatch": ClassMutation,
 		"base.post":        ClassMutation,
 		"lookup.register":  ClassMutation,
+		"svc.invoke":       ClassMutation,
 		"ops":              ClassRead,
-		"midas.list":       ClassRead,
 		"lookup.find":      ClassRead,
 		"no.such.method":   ClassMutation, // unknown defaults to the middle band
 	}
@@ -231,12 +232,12 @@ func TestBucketsDeterministic(t *testing.T) {
 				hints = append(hints, retry)
 			}
 		}
-		step("n1", "ops", true)        // burst token 1
-		step("n1", "ops", true)        // burst token 2
-		step("n1", "ops", false)       // empty → shed, ~1s to next token
-		step("n1", "midas.list", true) // ungoverned method passes
-		step("", "ops", true)          // anonymous peer passes
-		step("n2", "ops", true)        // other peer has its own bucket
+		step("n1", "ops", true)         // burst token 1
+		step("n1", "ops", true)         // burst token 2
+		step("n1", "ops", false)        // empty → shed, ~1s to next token
+		step("n1", "lookup.find", true) // ungoverned method passes
+		step("", "ops", true)           // anonymous peer passes
+		step("n2", "ops", true)         // other peer has its own bucket
 		clk.Advance(time.Second)
 		step("n1", "ops", true) // refilled exactly one token
 		step("n1", "ops", false)

@@ -1,0 +1,86 @@
+package overload_test
+
+import (
+	"sort"
+	"testing"
+
+	"repro/internal/clock"
+	"repro/internal/core"
+	"repro/internal/lvm"
+	"repro/internal/overload"
+	"repro/internal/registry"
+	"repro/internal/sandbox"
+	"repro/internal/sign"
+	"repro/internal/svc"
+	"repro/internal/transport"
+	"repro/internal/weave"
+)
+
+// servedMethods lists every method a base station's mux (cmd/basestation:
+// lookup service, base, ops) or a node's mux (cmd/node: services, receiver,
+// ops) serves.
+func servedMethods(t *testing.T) map[string]bool {
+	t.Helper()
+	caller := transport.NewInProc().Node("hall-1")
+	signer, err := sign.NewSigner("hall-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := core.NewBase(core.BaseConfig{Name: "hall-1", Addr: "hall-1", Caller: caller, Signer: signer})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(base.Close)
+	baseMux := transport.NewMux()
+	lookup := registry.NewServer("hall-1/lookup", registry.NewLookup(clock.Real{}), baseMux, caller, clock.Real{})
+	t.Cleanup(lookup.Close)
+	base.ServeOn(baseMux)
+	transport.ServeOps(baseMux, nil)
+
+	weaver := weave.New()
+	receiver, err := core.NewReceiver(core.ReceiverConfig{
+		NodeName: "robot-1", Addr: "robot-1", Weaver: weaver, Trust: sign.NewTrustStore(),
+		Policy: sandbox.AllowAll(), Host: lvm.HostMap{},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodeMux := transport.NewMux()
+	svc.NewRegistry(weaver).ServeOn(nodeMux)
+	receiver.ServeOn(nodeMux)
+	transport.ServeOps(nodeMux, nil)
+
+	served := make(map[string]bool)
+	for _, mux := range []*transport.Mux{baseMux, nodeMux} {
+		for _, m := range mux.Methods() {
+			served[m] = true
+		}
+	}
+	return served
+}
+
+// TestClassTableMatchesServedMethods keeps the overload table and the served
+// RPC surface in step: every served method has an explicit class, and no
+// class row names a method that nothing serves.
+func TestClassTableMatchesServedMethods(t *testing.T) {
+	served := servedMethods(t)
+	var unclassified, unserved []string
+	for m := range served {
+		if _, ok := overload.DefaultClasses[m]; !ok {
+			unclassified = append(unclassified, m)
+		}
+	}
+	for m := range overload.DefaultClasses {
+		if !served[m] {
+			unserved = append(unserved, m)
+		}
+	}
+	sort.Strings(unclassified)
+	sort.Strings(unserved)
+	if len(unclassified) > 0 {
+		t.Errorf("served methods without a class row: %v", unclassified)
+	}
+	if len(unserved) > 0 {
+		t.Errorf("class rows for methods nothing serves: %v", unserved)
+	}
+}

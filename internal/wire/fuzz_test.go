@@ -64,8 +64,10 @@ func buildMessages(s1, s2, s3 string, i1, i2 int64, b1 []byte, ok bool) []wire.M
 			Installs: []core.InstallItemResp{{LeaseID: s1, Err: s2}},
 			Revokes:  []core.RevokeItemResp{{Err: s3}},
 		},
-		core.RevokeReq{Name: s1},
-		core.ListResp{Extensions: []core.ExtensionInfo{{ID: s1, Name: s2, Version: int(int32(i1)), BaseAddr: s3, System: ok}}},
+		// A one-revoke apply and its outcome: what RemoveExtension and
+		// midasctl revoke send a node, and what it answers.
+		core.ApplyBatchReq{Revokes: []string{s2}},
+		core.ApplyBatchResp{Revokes: []core.RevokeItemResp{{Err: s1}}},
 		core.InventoryResp{Node: s1, Items: []core.InventoryItem{{Name: s2, Version: int(int32(i2)), BaseAddr: s3, LeaseID: s1, DeadlineMillis: i1}}},
 		core.EmptyResp{},
 		registry.RegisterReq{Item: registry.ServiceItem{ID: s1, Name: s2, Addr: s3, Attrs: map[string]string{s1: s2}}, DurMillis: i1},
@@ -135,7 +137,7 @@ func FuzzWireDecode(f *testing.F) {
 			&core.ApplyBatchReq{},
 			&core.InstallReq{},
 			&core.InventoryResp{},
-			&core.ListResp{},
+			&core.ApplyBatchResp{},
 			&registry.RegisterReq{},
 			&registry.FindResp{},
 			&registry.WatchReq{},

@@ -81,8 +81,6 @@ func goldenMessages() map[string]wire.Marshaler {
 		"install_resp":     core.InstallResp{LeaseID: "lease-77"},
 		"apply_batch_req":  core.ApplyBatchReq{Installs: []core.InstallReq{{Signed: signed, BaseAddr: "base-1", DurMillis: 60_000}}, Revokes: []string{"stale-ext"}},
 		"apply_batch_resp": core.ApplyBatchResp{Installs: []core.InstallItemResp{{LeaseID: "lease-78"}}, Revokes: []core.RevokeItemResp{{}}},
-		"revoke_req":       core.RevokeReq{Name: "policy"},
-		"list_resp":        core.ListResp{Extensions: []core.ExtensionInfo{{ID: "ext-0001", Name: "policy", Version: 3, BaseAddr: "base-1", System: false}, {ID: "ext-0002", Name: "session", Version: 1, BaseAddr: "base-1", System: true}}},
 		"empty_resp":       core.EmptyResp{},
 		"inventory_resp":   core.InventoryResp{Node: "node-00017", Items: []core.InventoryItem{{Name: "policy", Version: 3, BaseAddr: "base-1", LeaseID: "lease-42", DeadlineMillis: 1_060_000}}},
 		"register_req":     registry.RegisterReq{Item: registry.ServiceItem{ID: "svc-9", Name: "midas.adaptation", Addr: "10.0.0.9:4410", Attrs: map[string]string{"cell": "north", "tier": "edge"}}, DurMillis: 120_000},

@@ -1,6 +1,7 @@
-// Integration test for the operator read RPC: a base station's observability
-// handler, assembled the way cmd/basestation assembles it, serves every
-// document identically over ops and over HTTP.
+// Integration tests for the operator read RPC and the node's RPC surface: a
+// base station's and a node's observability handlers, assembled the way
+// cmd/basestation and cmd/node assemble them, serve every document
+// identically over ops and over HTTP.
 package repro
 
 import (
@@ -8,16 +9,75 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sort"
+	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/ext"
 	"repro/internal/metrics"
+	"repro/internal/plotter"
+	"repro/internal/sandbox"
 	"repro/internal/sign"
 	"repro/internal/store"
+	"repro/internal/svc"
 	"repro/internal/trace"
 	"repro/internal/transport"
+	"repro/internal/weave"
 )
+
+// cmdNode is a node assembled the way cmd/node assembles one: the plotter
+// service and the adaptation receiver on one mux, and one observability
+// handler, with the receiver's documents, that the ops RPC serves.
+type cmdNode struct {
+	receiver *core.Receiver
+	mux      *transport.Mux
+	docs     http.Handler
+}
+
+func newCmdNode(t *testing.T, name string, trusted *sign.Signer) *cmdNode {
+	t.Helper()
+	weaver := weave.New()
+	plot, err := plotter.New(weaver, plotter.NewCanvas(40, 20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	services := svc.NewRegistry(weaver)
+	plot.RegisterService(services)
+	trust := sign.NewTrustStore()
+	trust.Trust("base", trusted.PublicKey())
+	builtins := core.NewBuiltins()
+	ext.RegisterAll(builtins)
+	receiver, err := core.NewReceiver(core.ReceiverConfig{
+		NodeName: name,
+		Addr:     name,
+		Weaver:   weaver,
+		Trust:    trust,
+		Policy:   sandbox.AllowAll(),
+		Host:     ext.NewNodeHost(ext.NodeHostConfig{Clock: clock.Real{}}),
+		Builtins: builtins,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := metrics.New()
+	tracer := trace.New(1)
+	receiver.Instrument(reg)
+	receiver.Trace(tracer)
+	mux := transport.NewMux()
+	services.ServeOn(mux)
+	receiver.ServeOn(mux)
+	receiver.Grantor().Start(time.Second)
+	t.Cleanup(receiver.Grantor().Stop)
+	docs := metrics.NewHandler(reg, metrics.NewHealth(), append([]metrics.Mount{
+		{Pattern: "/trace", Handler: trace.Handler(tracer)},
+		{Pattern: "/events", Handler: trace.EventsHandler(tracer)},
+	}, receiver.Mounts()...)...)
+	transport.ServeOps(mux, docs)
+	return &cmdNode{receiver: receiver, mux: mux, docs: docs}
+}
 
 func TestOpsServesEveryDocumentLikeHTTP(t *testing.T) {
 	fabric := transport.NewInProc()
@@ -68,26 +128,75 @@ func TestOpsServesEveryDocumentLikeHTTP(t *testing.T) {
 	}
 	t.Cleanup(stop)
 
-	for _, path := range []string{
-		"/metrics", "/metrics?format=prom", "/healthz",
-		"/trace", "/trace?q=" + sp.Context().TraceID, "/events", "/events?component=ops",
-		"/fleet", "/status",
-		"/analyze?ext=logger", "/analyze?ext=missing",
-		"/records", "/records?robot=robot:2",
+	// A node the base adapts, so its /extensions document lists the logger.
+	node := newCmdNode(t, "robot-1", signer)
+	stopNode, err := fabric.Serve("robot-1", node.mux)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(stopNode)
+	if err := base.AdaptNode("robot-1", "robot-1"); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, d := range []struct {
+		addr  string
+		docs  http.Handler
+		paths []string
+	}{
+		{"hall-1", docs, []string{
+			"/metrics", "/metrics?format=prom", "/healthz",
+			"/trace", "/trace?q=" + sp.Context().TraceID, "/events", "/events?component=ops",
+			"/fleet", "/status",
+			"/analyze?ext=logger", "/analyze?ext=missing",
+			"/records", "/records?robot=robot:2",
+		}},
+		{"robot-1", node.docs, []string{
+			"/metrics", "/metrics?format=prom", "/healthz",
+			"/trace?q=logger", "/events",
+			"/extensions",
+		}},
 	} {
-		resp, err := transport.Invoke[transport.OpsReq, transport.OpsResp](context.Background(),
-			fabric.Node("ctl"), "hall-1", transport.MethodOps, transport.OpsReq{Path: path})
-		if err != nil {
-			t.Fatalf("ops %s: %v", path, err)
+		for _, path := range d.paths {
+			resp, err := transport.Invoke[transport.OpsReq, transport.OpsResp](context.Background(),
+				fabric.Node("ctl"), d.addr, transport.MethodOps, transport.OpsReq{Path: path})
+			if err != nil {
+				t.Fatalf("%s ops %s: %v", d.addr, path, err)
+			}
+			rec := httptest.NewRecorder()
+			d.docs.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+			want, _ := io.ReadAll(rec.Result().Body)
+			if resp.Status != int64(rec.Code) || string(resp.Body) != string(want) {
+				t.Errorf("%s %s: ops %d\n%s\nGET %d\n%s", d.addr, path, resp.Status, resp.Body, rec.Code, want)
+			}
+			if len(want) == 0 {
+				t.Errorf("%s %s: empty document", d.addr, path)
+			}
 		}
-		rec := httptest.NewRecorder()
-		docs.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
-		want, _ := io.ReadAll(rec.Result().Body)
-		if resp.Status != int64(rec.Code) || string(resp.Body) != string(want) {
-			t.Errorf("%s: ops %d\n%s\nGET %d\n%s", path, resp.Status, resp.Body, rec.Code, want)
-		}
-		if len(want) == 0 {
-			t.Errorf("%s: empty document", path)
-		}
+	}
+	body, err := transport.Ops(context.Background(), fabric.Node("ctl"), "robot-1", "/extensions")
+	if err != nil || !strings.Contains(string(body), `"Name": "logger"`) {
+		t.Errorf("robot-1 /extensions = %s (%v), want the adapted logger listed", body, err)
+	}
+}
+
+// TestNodeRPCSurface pins what a node built like cmd/node's serves: the
+// receiver's four lifecycle methods, the plotter's service invocations and
+// the ops RPC. Pushes and revokes ride midas.applyBatch, and the extension
+// list is the /extensions document, so nothing else is served.
+func TestNodeRPCSurface(t *testing.T) {
+	signer, err := sign.NewSigner("hall-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := newCmdNode(t, "robot-1", signer).mux.Methods()
+	sort.Strings(got)
+	want := []string{
+		core.MethodApplyBatch, core.MethodInventory, core.MethodRenewE, core.MethodRenewBatch,
+		transport.MethodOps, svc.MethodInvoke,
+	}
+	sort.Strings(want)
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("node serves %v, want %v", got, want)
 	}
 }

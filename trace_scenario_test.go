@@ -121,8 +121,9 @@ func TestScenarioTracedLifecycle(t *testing.T) {
 	}
 	t.Cleanup(stop)
 
-	// Base whose first install response is lost on the "wireless" link.
-	lossy := &respLossCaller{inner: w.net.Node("base-1"), drop: map[string]bool{core.MethodInstall: true}}
+	// Base whose first apply response (the adapt's push) is lost on the
+	// "wireless" link.
+	lossy := &respLossCaller{inner: w.net.Node("base-1"), drop: map[string]bool{core.MethodApplyBatch: true}}
 	b := newTracedBase(w, "base-1", tr, lossy)
 	if err := b.base.AddExtension(noopScenarioExt("policy", 1)); err != nil {
 		t.Fatal(err)
@@ -185,11 +186,25 @@ func TestScenarioTracedLifecycle(t *testing.T) {
 	lifecycle := tr.Spans(trace.Filter{TraceID: root.TraceID})
 	byName := spansByName(lifecycle)
 
-	wantOne := []string{"base.adapt", "base.push", "base.revoke", "ext.withdraw", "weave.insert", "weave.withdraw"}
+	wantOne := []string{"base.adapt", "ext.withdraw", "weave.insert", "weave.withdraw"}
 	for _, name := range wantOne {
 		if len(byName[name]) != 1 {
 			t.Errorf("trace %s: got %d %q spans, want 1 (have: %v)", root.TraceID, len(byName[name]), name, names(lifecycle))
 		}
+	}
+	// Both changes to the node are one midas.applyBatch each: the adapt's
+	// push and the revoke.
+	var push, revoke trace.SpanSnapshot
+	for _, s := range byName["base.apply"] {
+		switch {
+		case s.Tags["installs"] == "1" && s.Tags["revokes"] == "":
+			push = s
+		case s.Tags["installs"] == "" && s.Tags["revokes"] == "1":
+			revoke = s
+		}
+	}
+	if len(byName["base.apply"]) != 2 || push.SpanID == "" || revoke.SpanID == "" {
+		t.Fatalf("trace %s: base.apply spans %+v, want one push and one revoke", root.TraceID, byName["base.apply"])
 	}
 
 	// The lost response forced a retry: two attempts under the push's call,
@@ -217,9 +232,13 @@ func TestScenarioTracedLifecycle(t *testing.T) {
 	if adapt.TraceID != root.TraceID {
 		t.Errorf("base.adapt in trace %s, want %s", adapt.TraceID, root.TraceID)
 	}
-	push := byName["base.push"][0]
 	if push.ParentID != adapt.SpanID {
-		t.Errorf("base.push parent = %s, want the adapt span %s", push.ParentID, adapt.SpanID)
+		t.Errorf("push base.apply parent = %s, want the adapt span %s", push.ParentID, adapt.SpanID)
+	}
+	// The revoke joins the trace inside the push that installed the
+	// extension.
+	if revoke.ParentID != push.SpanID {
+		t.Errorf("revoke base.apply parent = %s, want the push span %s", revoke.ParentID, push.SpanID)
 	}
 
 	// Open spans must not leak: everything in the lifecycle trace ended.
@@ -233,7 +252,7 @@ func TestScenarioTracedLifecycle(t *testing.T) {
 	var spans []trace.SpanSnapshot
 	opsDoc(t, w.net.Node("ctl"), "robot1", "/trace?q=policy", &spans)
 	got := spansByName(spans)
-	if len(got["ext.install"]) != 2 || len(got["base.push"]) != 1 {
+	if len(got["ext.install"]) != 2 || len(got["base.apply"]) != 2 {
 		t.Errorf("/trace?q=policy returned %v, want the full lifecycle", names(spans))
 	}
 	for _, s := range spans {
