@@ -309,7 +309,7 @@ func run() error {
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 	<-sigCh
-	log.Printf("shutting down; activity log:")
+	log.Printf("shutting down; activity log (newest entries only; base.* counters in /metrics count every event):")
 	for _, a := range base.Activity() {
 		log.Printf("  %d %-10s node=%s ext=%s %s", a.AtMillis, a.Event, a.Node, a.Ext, a.Detail)
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -158,6 +159,10 @@ func newAdaptedNode(id, addr string) *adaptedNode {
 type Base struct {
 	cfg    BaseConfig
 	caller transport.Caller // cfg.Caller, wrapped by cfg.Policy when set
+	// countTags holds strconv.Itoa(i) for every renewal batch size i up to
+	// cfg.RenewBatch, so a batch span's leases tag never formats a number
+	// (strconv.Itoa allocates from 100 on). Read-only after NewBase.
+	countTags []string
 
 	// nodes shards the adapted/degraded node state; sched keeps every pushed
 	// extension's lease alive on one timer wheel. closed is atomic so shard
@@ -169,16 +174,18 @@ type Base struct {
 	// watch keeps the lookup watch (WatchLookup) alive; Close stops it.
 	watch atomic.Pointer[lease.Scheduler]
 
-	mu         sync.Mutex
-	extensions []Extension
+	mu sync.Mutex
+	// extensions is the policy set, each extension signed once when
+	// AddExtension or ReplaceExtension admitted it: every push to every node
+	// sends these signed forms.
+	extensions []SignedExtension
 	// reports holds the admission analysis of every accepted extension, by
 	// name; served at /analyze and read by midasctl analyze.
 	reports       map[string]AnalysisReport
-	signed        map[string]SignedExtension // push signature cache, name@version
 	lastReconcile map[string]ReconcileResult
 	stats         DriftCounters
 	neighbors     []string
-	activity      []BaseActivity
+	activity      ring[BaseActivity]
 	reg           *metrics.Registry
 	m             baseMetrics
 	tracer        *trace.Tracer
@@ -322,6 +329,13 @@ func NewBase(cfg BaseConfig) (*Base, error) {
 	if cfg.RenewTick < time.Millisecond {
 		cfg.RenewTick = time.Millisecond
 	}
+	if cfg.RenewBatch <= 0 {
+		cfg.RenewBatch = 64
+	}
+	countTags := make([]string, cfg.RenewBatch+1)
+	for i := range countTags {
+		countTags[i] = strconv.Itoa(i)
+	}
 	b := &Base{
 		cfg: cfg,
 		// nil Policy / nil Breaker leave the caller bare. The breaker wraps
@@ -329,8 +343,8 @@ func NewBase(cfg BaseConfig) (*Base, error) {
 		caller:        cfg.Breaker.Wrap(cfg.Policy.Wrap(cfg.Caller)),
 		nodes:         newNodeTable(cfg.Shards),
 		reports:       make(map[string]AnalysisReport),
-		signed:        make(map[string]SignedExtension),
 		lastReconcile: make(map[string]ReconcileResult),
+		countTags:     countTags,
 	}
 	b.sched = lease.NewScheduler(cfg.Clock, lease.SchedulerConfig{
 		Tick:     cfg.RenewTick,
@@ -372,26 +386,6 @@ func (b *Base) RenewalsQuiesced() bool {
 // flight. A persistently non-zero backlog means the renewal workers are not
 // keeping up with the wheel; /healthz exposes it for exactly that reason.
 func (b *Base) RenewalBacklog() int { return b.sched.Backlog() }
-
-// signedFor returns ext signed by this base, caching per name@version: a
-// fleet-scale adapt round signs each extension once, not once per node.
-func (b *Base) signedFor(ext Extension) (SignedExtension, error) {
-	key := fmt.Sprintf("%s@%d", ext.Name, ext.Version)
-	b.mu.Lock()
-	s, ok := b.signed[key]
-	b.mu.Unlock()
-	if ok {
-		return s, nil
-	}
-	s, err := Sign(b.cfg.Signer, ext)
-	if err != nil {
-		return SignedExtension{}, err
-	}
-	b.mu.Lock()
-	b.signed[key] = s
-	b.mu.Unlock()
-	return s, nil
-}
 
 // Signer returns the base's signing identity (receivers must trust its
 // public key).
@@ -437,27 +431,22 @@ func (b *Base) AddNeighbor(addr string) {
 
 // admit runs the static admission pipeline over ext: analyze (typed
 // verification, capability inference, cost bounds), then check the inferred
-// demand against the declaration and the base's Admission policy. A rejection
-// increments base.admission_rejected; an accepted extension's report is
-// stored for /analyze. The whole decision is one traced
-// "base.admit" span.
-func (b *Base) admit(ext Extension) error {
+// demand against the declaration and the base's Admission policy, and sign an
+// extension that passes. A rejection increments base.admission_rejected. The
+// whole decision is one traced "base.admit" span. The caller stores the
+// signed extension and its report when it changes the policy set.
+func (b *Base) admit(ext Extension) (SignedExtension, *AnalysisReport, error) {
 	_, sp := b.traceRef().StartSpan(context.Background(), "base.admit")
 	sp.Tag("ext", ext.Name)
-	err := func() error {
-		rep, err := AnalyzeExtension(ext)
-		if err != nil {
-			return err
-		}
+	var signed SignedExtension
+	rep, err := AnalyzeExtension(ext)
+	if err == nil {
 		sp.Annotatef("inferred caps %v flows %v", rep.Caps, rep.Flows)
-		if err := CheckAdmission(ext, rep, b.cfg.Admission, b.cfg.AdmissionFlows, b.cfg.Signer.Name); err != nil {
-			return err
-		}
-		b.mu.Lock()
-		b.reports[ext.Name] = *rep
-		b.mu.Unlock()
-		return nil
-	}()
+		err = CheckAdmission(ext, rep, b.cfg.Admission, b.cfg.AdmissionFlows, b.cfg.Signer.Name)
+	}
+	if err == nil {
+		signed, err = Sign(b.cfg.Signer, ext)
+	}
 	sp.End(err)
 	if err != nil {
 		var fe *FlowError
@@ -469,8 +458,9 @@ func (b *Base) admit(ext Extension) error {
 		}
 		b.mu.Unlock()
 		b.log("admit-reject", "", ext.Name, err.Error())
+		return SignedExtension{}, nil, err
 	}
-	return err
+	return signed, rep, nil
 }
 
 // AnalysisFor returns the stored admission report of a policy-set extension.
@@ -482,86 +472,99 @@ func (b *Base) AnalysisFor(name string) (AnalysisReport, bool) {
 }
 
 // AddExtension analyses ext, admits it against the base's admission policy,
-// adds it to the policy set and pushes it to every currently adapted node. An
-// extension whose inferred capability demand exceeds its declaration or the
-// admission policy never gets signed or pushed.
+// signs it into the policy set and pushes it to every currently adapted node.
+// An extension whose inferred capability demand exceeds its declaration or
+// the admission policy never gets signed or pushed, and neither does one
+// whose signing fails: the policy set is unchanged.
 func (b *Base) AddExtension(ext Extension) error {
 	if err := ext.Validate(); err != nil {
 		return err
 	}
-	if err := b.admit(ext); err != nil {
+	signed, rep, err := b.admit(ext)
+	if err != nil {
 		return err
 	}
 	b.mu.Lock()
 	for _, e := range b.extensions {
-		if e.Name == ext.Name {
+		if e.Ext.Name == ext.Name {
 			b.mu.Unlock()
 			return fmt.Errorf("core: base already has extension %q (use ReplaceExtension)", ext.Name)
 		}
 	}
-	b.extensions = append(b.extensions, ext)
+	b.extensions = append(b.extensions, signed)
+	b.reports[ext.Name] = *rep
 	b.mu.Unlock()
 
-	b.pushToAllNodes(ext)
+	b.pushToAllNodes(signed)
 	return nil
 }
 
-// pushToAllNodes distributes one extension to every adapted node.
-func (b *Base) pushToAllNodes(ext Extension) {
-	installs := []Extension{ext}
+// pushToAllNodes distributes one signed extension to every adapted node.
+func (b *Base) pushToAllNodes(signed SignedExtension) {
+	installs := []SignedExtension{signed}
 	b.eachAdapted(func(n *adaptedNode) {
 		if errs, _ := b.applyToNode(context.Background(), n, installs, nil); errs[0] != nil {
-			b.log("push", n.id, ext.Name, "failed: "+errs[0].Error())
+			b.log("push", n.id, signed.Ext.Name, "failed: "+errs[0].Error())
 		}
 	})
 }
 
-// eachAdapted runs fn on every adapted node, one worker goroutine per shard
-// taking its nodes in address order: a policy change parallelises across
-// shards instead of serialising under a global lock.
+// policyFanOut is how many nodes one policy change works on at once. Each
+// node's change is one apply round trip that mostly waits on the network and
+// the receiver, so overlapping them makes a change cost about one round trip
+// up to this many nodes, while bounding the goroutines and in-flight calls a
+// change spawns whatever the fleet's size.
+const policyFanOut = 16
+
+// eachAdapted runs fn once on every adapted node and returns when all calls
+// have. It snapshots the adapted nodes across shards (one shard lock at a
+// time, never b.mu) in address order, and policyFanOut workers, the calling
+// goroutine among them, take the next node from the snapshot until it is
+// used up: at most policyFanOut calls run at once, and each node's one at a
+// time.
 func (b *Base) eachAdapted(fn func(n *adaptedNode)) {
+	nodes := b.nodes.allAdapted()
+	sort.Slice(nodes, func(i, j int) bool { return nodes[i].addr < nodes[j].addr })
+	var next atomic.Int64
+	work := func() {
+		for i := next.Add(1) - 1; i < int64(len(nodes)); i = next.Add(1) - 1 {
+			fn(nodes[i])
+		}
+	}
 	var wg sync.WaitGroup
-	for i := range b.nodes.shards {
-		s := &b.nodes.shards[i]
-		s.mu.Lock()
-		nodes := make([]*adaptedNode, 0, len(s.adapted))
-		for _, n := range s.adapted {
-			nodes = append(nodes, n)
-		}
-		s.mu.Unlock()
-		if len(nodes) == 0 {
-			continue
-		}
-		sort.Slice(nodes, func(a, b int) bool { return nodes[a].addr < nodes[b].addr })
+	for range min(policyFanOut, len(nodes)) - 1 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for _, n := range nodes {
-				fn(n)
-			}
+			work()
 		}()
 	}
+	work()
 	wg.Wait()
 }
 
-// ReplaceExtension swaps in a newer version of an existing extension and
-// pushes it to every adapted node (policy evolution, §3.2).
+// ReplaceExtension swaps in a newer version of an existing extension, signed
+// once into the policy set, and pushes it to every adapted node (policy
+// evolution, §3.2). A version that fails validation, admission or signing,
+// or is not newer, leaves the policy set and every node unchanged.
 func (b *Base) ReplaceExtension(ext Extension) error {
 	if err := ext.Validate(); err != nil {
 		return err
 	}
-	if err := b.admit(ext); err != nil {
+	signed, rep, err := b.admit(ext)
+	if err != nil {
 		return err
 	}
 	b.mu.Lock()
 	found := false
 	for i, e := range b.extensions {
-		if e.Name == ext.Name {
-			if ext.Version <= e.Version {
+		if e.Ext.Name == ext.Name {
+			if ext.Version <= e.Ext.Version {
 				b.mu.Unlock()
-				return fmt.Errorf("core: replacement of %q needs version > %d", ext.Name, e.Version)
+				return fmt.Errorf("core: replacement of %q needs version > %d", ext.Name, e.Ext.Version)
 			}
-			b.extensions[i] = ext
+			b.extensions[i] = signed
+			b.reports[ext.Name] = *rep
 			found = true
 			break
 		}
@@ -572,7 +575,7 @@ func (b *Base) ReplaceExtension(ext Extension) error {
 	}
 	b.mu.Unlock()
 
-	b.pushToAllNodes(ext)
+	b.pushToAllNodes(signed)
 	return nil
 }
 
@@ -582,7 +585,7 @@ func (b *Base) RemoveExtension(name string) error {
 	b.mu.Lock()
 	idx := -1
 	for i, e := range b.extensions {
-		if e.Name == name {
+		if e.Ext.Name == name {
 			idx = i
 			break
 		}
@@ -615,7 +618,7 @@ func (b *Base) Extensions() []string {
 	defer b.mu.Unlock()
 	out := make([]string, len(b.extensions))
 	for i, e := range b.extensions {
-		out[i] = e.Name
+		out[i] = e.Ext.Name
 	}
 	return out
 }
@@ -653,7 +656,7 @@ func (b *Base) AdaptNodeCtx(ctx context.Context, nodeID, nodeAddr string) error 
 	s.adapted[nodeAddr] = n
 	s.mu.Unlock()
 	b.mu.Lock()
-	exts := append([]Extension(nil), b.extensions...)
+	exts := append([]SignedExtension(nil), b.extensions...)
 	b.mu.Unlock()
 
 	ctx, sp := b.traceRef().StartSpan(ctx, "base.adapt")
@@ -666,7 +669,7 @@ func (b *Base) AdaptNodeCtx(ctx context.Context, nodeID, nodeAddr string) error 
 	var firstErr error
 	for i, err := range installErrs {
 		if err != nil {
-			b.log("push", nodeID, exts[i].Name, "failed: "+err.Error())
+			b.log("push", nodeID, exts[i].Ext.Name, "failed: "+err.Error())
 			if firstErr == nil {
 				firstErr = err
 			}
@@ -690,13 +693,12 @@ func (b *Base) Adapted() []string {
 	return b.nodes.adaptedAddrs()
 }
 
-// Activity returns the distribution log.
+// Activity returns the newest entries of the distribution log (at most
+// activityLogCap), oldest first.
 func (b *Base) Activity() []BaseActivity {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	out := make([]BaseActivity, len(b.activity))
-	copy(out, b.activity)
-	return out
+	return b.activity.entries()
 }
 
 // Release stops renewing all leases held at the node and forgets it (journal
@@ -1019,7 +1021,7 @@ func (b *Base) log(ev, node, ext, detail string) {
 	nAdapted, nDegraded := b.nodes.counts()
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.activity = append(b.activity, BaseActivity{
+	b.activity.add(BaseActivity{
 		AtMillis: b.cfg.Clock.Now().UnixMilli(),
 		Event:    ev,
 		Node:     node,

@@ -143,7 +143,7 @@ func (b *Base) renewNodeBatch(node string, items []lease.BatchItem, out []lease.
 	sp.Tag("node", node)
 	// A tag, not an annotation: tags on a sampled-out span are free (the pool
 	// keeps their backing array), while Annotatef pays fmt on every batch.
-	sp.Tag("leases", strconv.Itoa(len(items)))
+	sp.Tag("leases", b.countTag(len(items)))
 	req, resp := &rc.batchReq, &rc.batchResp
 	req.WantObs = wantObs
 	for _, it := range items {
@@ -183,6 +183,15 @@ func (b *Base) renewNodeBatch(node string, items []lease.BatchItem, out []lease.
 		tr.Child(meta.sc, "lease.renew", ierr, trace.Tag{Key: "ext", Value: meta.ext}, trace.Tag{Key: "node", Value: meta.nodeID})
 	}
 	return nil
+}
+
+// countTag formats a renewal batch's lease count without allocating for any
+// batch the scheduler sends (at most RenewBatch leases).
+func (b *Base) countTag(n int) string {
+	if n < len(b.countTags) {
+		return b.countTags[n]
+	}
+	return strconv.Itoa(n)
 }
 
 // renewCall holds one renewal exchange's request, response and per-lease
@@ -272,33 +281,29 @@ func (b *Base) renewOne(node string, id lease.ID, meta renewItemMeta) lease.Batc
 	return lease.BatchResult{ID: id, Granted: granted}
 }
 
-// applyToNode delivers installs and revokes to one node in one
-// midas.applyBatch exchange: every change the base makes to a node rides it,
-// a push of one extension included. It returns the per-item outcomes, aligned
-// with installs and revokes. Push successes are logged (and counted) here,
-// push failures and revoke outcomes are the caller's to log.
+// applyToNode delivers installs, signed forms from the policy set, and
+// revokes to one node in one midas.applyBatch exchange: every change the base
+// makes to a node rides it, a push of one extension included. It returns the
+// per-item outcomes, aligned with installs and revokes. Push successes are
+// logged (and counted) here, push failures and revoke outcomes are the
+// caller's to log.
 //
 // The apply span carries its non-zero item counts as tags, not an
 // annotation: tags on a sampled-out span are free, while Annotatef pays fmt
 // on every push.
-func (b *Base) applyToNode(ctx context.Context, n *adaptedNode, installs []Extension, revokes []string) (installErrs, revokeErrs []error) {
+func (b *Base) applyToNode(ctx context.Context, n *adaptedNode, installs []SignedExtension, revokes []string) (installErrs, revokeErrs []error) {
 	installErrs = make([]error, len(installs))
 	revokeErrs = make([]error, len(revokes))
-	req := ApplyBatchReq{Revokes: revokes}
-	for i, ext := range installs {
-		signed, err := b.signedFor(ext)
-		if err != nil {
-			installErrs[i] = err
-			continue
-		}
-		req.Installs = append(req.Installs, InstallReq{
+	if len(installs)+len(revokes) == 0 {
+		return installErrs, revokeErrs
+	}
+	req := ApplyBatchReq{Installs: make([]InstallReq, len(installs)), Revokes: revokes}
+	for i, signed := range installs {
+		req.Installs[i] = InstallReq{
 			Signed:    signed,
 			BaseAddr:  b.cfg.Addr,
 			DurMillis: b.cfg.LeaseDur.Milliseconds(),
-		})
-	}
-	if len(req.Installs)+len(req.Revokes) == 0 {
-		return installErrs, revokeErrs
+		}
 	}
 
 	m := b.metricsRef()
@@ -329,9 +334,7 @@ func (b *Base) applyToNode(ctx context.Context, n *adaptedNode, installs []Exten
 	if err != nil {
 		err = fmt.Errorf("core: apply batch to %s: %w", n.addr, err)
 		for i := range installErrs {
-			if installErrs[i] == nil {
-				installErrs[i] = err
-			}
+			installErrs[i] = err
 		}
 		for i := range revokeErrs {
 			revokeErrs[i] = err
@@ -340,25 +343,20 @@ func (b *Base) applyToNode(ctx context.Context, n *adaptedNode, installs []Exten
 	}
 	m.pushBatches.Inc()
 
-	next := 0 // the response's item for installs[i]: unsigned installs were not sent
-	for i, ext := range installs {
-		if installErrs[i] != nil {
-			continue
-		}
-		item := next
-		next++
+	for i := range installs {
+		ext := &installs[i].Ext
 		switch {
-		case item >= len(resp.Installs):
+		case i >= len(resp.Installs):
 			installErrs[i] = fmt.Errorf("core: apply batch to %s: truncated response", n.addr)
 			continue
-		case resp.Installs[item].Err != "":
-			installErrs[i] = fmt.Errorf("core: push %q to %s: %w", ext.Name, n.addr, transport.NewRemoteError(MethodApplyBatch, resp.Installs[item].Err))
+		case resp.Installs[i].Err != "":
+			installErrs[i] = fmt.Errorf("core: push %q to %s: %w", ext.Name, n.addr, transport.NewRemoteError(MethodApplyBatch, resp.Installs[i].Err))
 			continue
 		}
 		b.log("push", n.id, ext.Name, "")
 		g := grantInfo{
 			version:  ext.Version,
-			leaseID:  lease.ID(resp.Installs[item].LeaseID),
+			leaseID:  lease.ID(resp.Installs[i].LeaseID),
 			dur:      b.cfg.LeaseDur,
 			deadline: b.cfg.Clock.Now().Add(b.cfg.LeaseDur),
 		}

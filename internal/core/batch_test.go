@@ -413,6 +413,8 @@ func newAllocBase(t *testing.T, nExts int, tr *trace.Tracer) (*Base, []lease.Bat
 	b, err := NewBase(BaseConfig{
 		Name: "hall-1", Addr: "base-1", Caller: fabric.Node("base-1"), Signer: signer,
 		Clock: clock.NewManual(time.Unix(1000, 0)), LeaseDur: time.Minute, CallTimeout: time.Hour,
+		// The largest batch a budget below covers.
+		RenewBatch: 128,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -498,6 +500,21 @@ func TestRenewNodeBatch64AllocBudget(t *testing.T) {
 	t.Logf("%.0f allocs per 64-lease renew call", allocs)
 	if allocs > renewBatchAllocBudget {
 		t.Errorf("64-lease renew call: %.0f allocs, budget %d (the 2-lease budget)", allocs, renewBatchAllocBudget)
+	}
+}
+
+// TestRenewNodeBatch128AllocBudget holds a 128-lease batch (RenewBatch 128)
+// to the same budget: the batch span's leases tag is a count string the base
+// formatted once, not a strconv.Itoa that allocates from 100 on.
+func TestRenewNodeBatch128AllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the wire codec's buffer pool drops items at random under -race")
+	}
+	b, items := newAllocBase(t, 128, nil)
+	allocs := renewAllocs(t, b, items)
+	t.Logf("%.0f allocs per 128-lease renew call", allocs)
+	if allocs > renewBatchAllocBudget {
+		t.Errorf("128-lease renew call: %.0f allocs, budget %d (the 2-lease budget)", allocs, renewBatchAllocBudget)
 	}
 }
 
@@ -662,11 +679,12 @@ func TestRenewExtRespUnmarshalAllocs(t *testing.T) {
 // path of every single-extension push (AddExtension, ReplaceExtension), and a
 // one-revoke midas.applyBatch, the path of RemoveExtension's per-node revoke.
 // An install pays for its lease's renewal schedule, its sampled-out root span
-// and the signed extension the node decodes; a revoke only for its call. The
-// apply span tags its item counts instead of annotating them, so a
+// and the signed extension the node decodes, but not for signing: the base
+// pushes the signed form its policy set holds. A revoke pays only for its
+// call. The apply span tags its item counts instead of annotating them, so a
 // sampled-out apply formats no text.
 const (
-	applyOneInstallAllocBudget = 32
+	applyOneInstallAllocBudget = 30
 	applyOneRevokeAllocBudget  = 10
 )
 
@@ -692,9 +710,10 @@ func TestApplyOneInstallAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the wire codec's buffer pool drops items at random under -race")
 	}
-	installs := []Extension{noopExt("e00", 1)}
 	allocs := applyAllocs(t, func(b *Base, n *adaptedNode) error {
-		errs, _ := b.applyToNode(context.Background(), n, installs, nil)
+		// Re-push e00@1 as a policy change does: its signed form from the
+		// policy set.
+		errs, _ := b.applyToNode(context.Background(), n, b.extensions[:1], nil)
 		return errs[0]
 	})
 	t.Logf("%.0f allocs per one-install apply", allocs)

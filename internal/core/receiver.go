@@ -99,7 +99,7 @@ type Receiver struct {
 
 	mu        sync.Mutex
 	installed map[string]*installedExt // by extension Name
-	activity  []Activity
+	activity  ring[Activity]
 	reg       *metrics.Registry
 	m         receiverMetrics
 	tracer    *trace.Tracer
@@ -676,13 +676,12 @@ func (r *Receiver) Has(name string) bool {
 	return ok
 }
 
-// Activity returns the adaptation log.
+// Activity returns the newest entries of the adaptation log (at most
+// activityLogCap), oldest first.
 func (r *Receiver) Activity() []Activity {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Activity, len(r.activity))
-	copy(out, r.activity)
-	return out
+	return r.activity.entries()
 }
 
 func (r *Receiver) log(event, ext, base, detail string) {
@@ -693,7 +692,7 @@ func (r *Receiver) log(event, ext, base, detail string) {
 
 // logLocked is log for a caller that holds r.mu.
 func (r *Receiver) logLocked(event, ext, base, detail string) {
-	r.activity = append(r.activity, Activity{
+	r.activity.add(Activity{
 		AtMillis: r.cfg.Clock.Now().UnixMilli(),
 		Event:    event,
 		Ext:      ext,

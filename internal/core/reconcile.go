@@ -153,7 +153,7 @@ func (b *Base) reconcileNode(ctx context.Context, addr string) ReconcileResult {
 	id, wasDegraded := s.degraded[addr]
 	s.mu.Unlock()
 	b.mu.Lock()
-	desired := append([]Extension(nil), b.extensions...)
+	desired := append([]SignedExtension(nil), b.extensions...)
 	b.mu.Unlock()
 	if b.closed.Load() {
 		sp.End(nil)
@@ -192,15 +192,16 @@ func (b *Base) reconcileNode(ctx context.Context, addr string) ReconcileResult {
 	}
 
 	now := b.cfg.Clock.Now()
-	var missing []Extension
-	for _, ext := range desired {
+	var missing []SignedExtension
+	for _, signed := range desired {
+		ext := &signed.Ext
 		it, have := mine[ext.Name]
 		delete(mine, ext.Name)
 		switch {
 		case !have || it.Version < ext.Version:
 			// Missing (wiped, expired during the partition) or outdated:
 			// collected for one batched re-push below.
-			missing = append(missing, ext)
+			missing = append(missing, signed)
 		case it.Version == ext.Version:
 			s.mu.Lock()
 			_, hasGrant := n.grants[ext.Name]
@@ -247,15 +248,15 @@ func (b *Base) reconcileNode(ctx context.Context, addr string) ReconcileResult {
 
 	// The whole repair — missing re-pushes and orphan revokes — rides one apply.
 	installErrs, revokeErrs := b.applyToNode(rctx, n, missing, orphans)
-	for i, ext := range missing {
+	for i, signed := range missing {
 		if err := installErrs[i]; err != nil {
 			if res.Err == "" {
 				res.Err = err.Error()
 			}
-			b.log("push", n.id, ext.Name, "failed: "+err.Error())
+			b.log("push", n.id, signed.Ext.Name, "failed: "+err.Error())
 			continue
 		}
-		res.Repushed = append(res.Repushed, ext.Name)
+		res.Repushed = append(res.Repushed, signed.Ext.Name)
 	}
 	for i, name := range orphans {
 		if err := revokeErrs[i]; err != nil {
@@ -306,7 +307,7 @@ func (b *Base) Status() BaseStatusResp {
 	b.mu.Lock()
 	resp := BaseStatusResp{Name: b.cfg.Name, Addr: b.cfg.Addr, Drift: b.stats}
 	for _, e := range b.extensions {
-		resp.Extensions = append(resp.Extensions, fmt.Sprintf("%s@v%d", e.Name, e.Version))
+		resp.Extensions = append(resp.Extensions, fmt.Sprintf("%s@v%d", e.Ext.Name, e.Ext.Version))
 	}
 	last := make(map[string]ReconcileResult, len(b.lastReconcile))
 	for addr, r := range b.lastReconcile {

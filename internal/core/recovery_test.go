@@ -199,9 +199,16 @@ func newRecoveryBase(t testing.TB, fabric *transport.InProc, clk clock.Clock, si
 	return b, reg
 }
 
-// serveReceiver wires a journal-less receiver onto the fabric and returns it
-// with its stop function.
+// serveReceiver wires a journal-less receiver robot1 onto the fabric and
+// returns it with its stop function.
 func serveReceiver(t testing.TB, fabric *transport.InProc, clk clock.Clock, signer *sign.Signer) (*Receiver, *metrics.Registry, func()) {
+	t.Helper()
+	return serveNamedReceiver(t, fabric, clk, signer, "robot1")
+}
+
+// serveNamedReceiver is serveReceiver for the node named (and addressed)
+// name.
+func serveNamedReceiver(t testing.TB, fabric *transport.InProc, clk clock.Clock, signer *sign.Signer, name string) (*Receiver, *metrics.Registry, func()) {
 	t.Helper()
 	trust := sign.NewTrustStore()
 	trust.Trust(signer.Name, signer.PublicKey())
@@ -210,8 +217,8 @@ func serveReceiver(t testing.TB, fabric *transport.InProc, clk clock.Clock, sign
 		return aop.BodyFunc(func(*aop.Context) error { return nil }), nil
 	})
 	r, err := NewReceiver(ReceiverConfig{
-		NodeName: "robot1",
-		Addr:     "robot1",
+		NodeName: name,
+		Addr:     name,
 		Weaver:   weave.New(),
 		Trust:    trust,
 		Policy:   sandbox.AllowAll(),
@@ -226,7 +233,7 @@ func serveReceiver(t testing.TB, fabric *transport.InProc, clk clock.Clock, sign
 	r.Instrument(reg)
 	mux := transport.NewMux()
 	r.ServeOn(mux)
-	stop, err := fabric.Serve("robot1", mux)
+	stop, err := fabric.Serve(name, mux)
 	if err != nil {
 		t.Fatal(err)
 	}
