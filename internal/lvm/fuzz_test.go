@@ -1,10 +1,26 @@
 package lvm
 
 import (
-	"strings"
+	"encoding/json"
+	"os"
 	"testing"
 	"testing/quick"
 )
+
+// adversarialFragments loads the assembler's adversarial inputs: grammar
+// edge cases plus one fragment per operand check and error path.
+func adversarialFragments(t *testing.T) []string {
+	t.Helper()
+	data, err := os.ReadFile("testdata/asm_fragments.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var frags []string
+	if err := json.Unmarshal(data, &frags); err != nil {
+		t.Fatal(err)
+	}
+	return frags
+}
 
 // TestAssembleNeverPanics feeds arbitrary text to the assembler: mobile
 // extension code arrives from the network, so the toolchain must reject
@@ -23,18 +39,9 @@ func TestAssembleNeverPanics(t *testing.T) {
 	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
-	// Adversarial fragments around the grammar.
-	for _, src := range []string{
-		"class", "class \n end", "method", "end", "end\nend",
-		"class C\nmethod void m(\nend\nend",
-		"class C\nmethod void m()\npush\nend\nend",
-		"class C\nmethod void m()\npush \"unterminated\nend\nend",
-		"class C\nmethod void m()\nhandler a b\nend\nend",
-		"class C\nmethod void m()\nlabel:\nlabel:\njmp label\nend\nend",
-		"class C\nfield\nend",
-		"class C\nmethod void m()\ncall x\nend\nend",
-		strings.Repeat("class C\n", 50),
-	} {
+	// Adversarial fragments around the grammar. The analysis package's
+	// verdict golden pins the exact error each of them gets.
+	for _, src := range adversarialFragments(t) {
 		check(src)
 	}
 }
