@@ -245,7 +245,6 @@ func (b *Base) Instrument(reg *metrics.Registry) {
 		return
 	}
 	b.sched.Instrument(reg)
-	nAdapted, nDegraded := b.nodes.counts()
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.reg = reg
@@ -272,8 +271,8 @@ func (b *Base) Instrument(reg *metrics.Registry) {
 		adapted:          reg.Gauge("base.adapted_nodes"),
 		degraded:         reg.Gauge("base.degraded_nodes"),
 	}
-	b.m.adapted.Set(int64(nAdapted))
-	b.m.degraded.Set(int64(nDegraded))
+	b.m.adapted.Set(b.nodes.nAdapted.Load())
+	b.m.degraded.Set(b.nodes.nDegraded.Load())
 	b.cfg.Breaker.Instrument(reg)
 	// Every outbound RPC gains per-method RED instruments (rpc.client.*), and
 	// an instrumented base starts asking nodes for piggybacked fleet deltas.
@@ -653,7 +652,7 @@ func (b *Base) AdaptNodeCtx(ctx context.Context, nodeID, nodeAddr string) error 
 		return nil
 	}
 	n := newAdaptedNode(nodeID, nodeAddr)
-	s.adapted[nodeAddr] = n
+	s.setAdapted(nodeAddr, n)
 	s.mu.Unlock()
 	b.mu.Lock()
 	exts := append([]SignedExtension(nil), b.extensions...)
@@ -681,7 +680,7 @@ func (b *Base) AdaptNodeCtx(ctx context.Context, nodeID, nodeAddr string) error 
 		// attempt can retry cleanly.
 		s.mu.Lock()
 		if len(n.grants) == 0 && s.adapted[nodeAddr] == n {
-			delete(s.adapted, nodeAddr)
+			s.dropAdapted(nodeAddr)
 		}
 		s.mu.Unlock()
 	}
@@ -708,11 +707,9 @@ func (b *Base) Release(nodeAddr string) {
 	s := b.nodes.shard(nodeAddr)
 	s.mu.Lock()
 	n, ok := s.adapted[nodeAddr]
-	if ok {
-		delete(s.adapted, nodeAddr)
-	}
+	s.dropAdapted(nodeAddr)
 	_, wasDegraded := s.degraded[nodeAddr]
-	delete(s.degraded, nodeAddr)
+	s.dropDegraded(nodeAddr)
 	s.mu.Unlock()
 	b.sched.CancelNode(nodeAddr)
 	if ok || wasDegraded {
@@ -781,7 +778,7 @@ func (b *Base) Recover() (int, error) {
 		if rec.Degraded {
 			s.mu.Lock()
 			if _, dup := s.adapted[addr]; !dup {
-				s.degraded[addr] = rec.ID
+				s.setDegraded(addr, rec.ID)
 			}
 			s.mu.Unlock()
 			b.log("degrade", rec.ID, "", "restored from journal; awaiting reconciliation")
@@ -793,7 +790,7 @@ func (b *Base) Recover() (int, error) {
 			s.mu.Unlock()
 			continue
 		}
-		s.adapted[addr] = n
+		s.setAdapted(addr, n)
 		s.mu.Unlock()
 		names := make([]string, 0, len(rec.Exts))
 		for name := range rec.Exts {
@@ -925,9 +922,9 @@ func (b *Base) nodeDeparted(nodeAddr string) {
 	s.mu.Lock()
 	n, ok := s.adapted[nodeAddr]
 	if ok {
-		delete(s.adapted, nodeAddr)
+		s.dropAdapted(nodeAddr)
 		if degrade {
-			s.degraded[nodeAddr] = n.id
+			s.setDegraded(nodeAddr, n.id)
 		}
 	}
 	s.mu.Unlock()
@@ -1016,9 +1013,6 @@ func (b *Base) stopTracking(nodeAddr, extName string) trace.SpanContext {
 }
 
 func (b *Base) log(ev, node, ext, detail string) {
-	// Gauge values come from the shard table; compute them before taking
-	// b.mu (lock order: shard locks never follow b.mu).
-	nAdapted, nDegraded := b.nodes.counts()
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.activity.add(BaseActivity{
@@ -1048,8 +1042,10 @@ func (b *Base) log(ev, node, ext, detail string) {
 	case "recover":
 		b.m.recovers.Inc()
 	}
-	b.m.adapted.Set(int64(nAdapted))
-	b.m.degraded.Set(int64(nDegraded))
+	// The node counts are read under b.mu, so the last entry logged after a
+	// change of the node table leaves the gauges at the table's counts.
+	b.m.adapted.Set(b.nodes.nAdapted.Load())
+	b.m.degraded.Set(b.nodes.nDegraded.Load())
 }
 
 // ServeOn registers the base's RPC surface on mux: the monitoring record

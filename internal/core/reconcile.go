@@ -175,8 +175,8 @@ func (b *Base) reconcileNode(ctx context.Context, addr string) ReconcileResult {
 		if cur, dup := s.adapted[addr]; dup {
 			n = cur
 		} else {
-			delete(s.degraded, addr)
-			s.adapted[addr] = n
+			s.dropDegraded(addr)
+			s.setAdapted(addr, n)
 		}
 		s.mu.Unlock()
 		res.Promoted = true

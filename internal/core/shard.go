@@ -4,6 +4,7 @@ import (
 	"hash/fnv"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // nodeTable shards the base's node state (adapted and degraded maps) by a
@@ -13,12 +14,19 @@ import (
 // the other way around; no path holds two shard locks at once.
 type nodeTable struct {
 	shards []nodeShard
+	// nAdapted and nDegraded are the sizes of every shard's adapted and
+	// degraded maps together. They change with the maps, under the shard's
+	// lock, so reading them takes no lock at all.
+	nAdapted, nDegraded atomic.Int64
 }
 
+// nodeShard's maps change only through setAdapted, dropAdapted, setDegraded
+// and dropDegraded, with mu held, so the table's counts follow them.
 type nodeShard struct {
 	mu       sync.Mutex
 	adapted  map[string]*adaptedNode // by node addr
 	degraded map[string]string       // node addr -> node id
+	t        *nodeTable
 }
 
 func newNodeTable(n int) *nodeTable {
@@ -29,26 +37,47 @@ func newNodeTable(n int) *nodeTable {
 	for i := range t.shards {
 		t.shards[i].adapted = make(map[string]*adaptedNode)
 		t.shards[i].degraded = make(map[string]string)
+		t.shards[i].t = t
 	}
 	return t
+}
+
+// setAdapted records n as the adapted node at addr. s.mu must be held.
+func (s *nodeShard) setAdapted(addr string, n *adaptedNode) {
+	if _, ok := s.adapted[addr]; !ok {
+		s.t.nAdapted.Add(1)
+	}
+	s.adapted[addr] = n
+}
+
+// dropAdapted forgets the adapted node at addr, if any. s.mu must be held.
+func (s *nodeShard) dropAdapted(addr string) {
+	if _, ok := s.adapted[addr]; ok {
+		delete(s.adapted, addr)
+		s.t.nAdapted.Add(-1)
+	}
+}
+
+// setDegraded parks the node id at addr as degraded. s.mu must be held.
+func (s *nodeShard) setDegraded(addr, id string) {
+	if _, ok := s.degraded[addr]; !ok {
+		s.t.nDegraded.Add(1)
+	}
+	s.degraded[addr] = id
+}
+
+// dropDegraded forgets the degraded node at addr, if any. s.mu must be held.
+func (s *nodeShard) dropDegraded(addr string) {
+	if _, ok := s.degraded[addr]; ok {
+		delete(s.degraded, addr)
+		s.t.nDegraded.Add(-1)
+	}
 }
 
 func (t *nodeTable) shard(addr string) *nodeShard {
 	h := fnv.New32a()
 	h.Write([]byte(addr))
 	return &t.shards[h.Sum32()%uint32(len(t.shards))]
-}
-
-// counts sums the adapted and degraded populations across shards.
-func (t *nodeTable) counts() (adapted, degraded int) {
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.Lock()
-		adapted += len(s.adapted)
-		degraded += len(s.degraded)
-		s.mu.Unlock()
-	}
-	return adapted, degraded
 }
 
 // adaptedAddrs lists adapted node addresses, sorted.
@@ -112,6 +141,8 @@ func (t *nodeTable) clear() []*adaptedNode {
 		for _, n := range s.adapted {
 			out = append(out, n)
 		}
+		t.nAdapted.Add(-int64(len(s.adapted)))
+		t.nDegraded.Add(-int64(len(s.degraded)))
 		s.adapted = make(map[string]*adaptedNode)
 		s.degraded = make(map[string]string)
 		s.mu.Unlock()

@@ -35,27 +35,46 @@ func (r *Report) Method(class, method string) *MethodReport {
 }
 
 // analyzer holds the per-program artifacts shared by the client analyses:
-// typed-verification results, devirtualised call targets, and the cost memo.
+// every method's typed-verification result, devirtualised call targets and
+// cost memo, in one record per method.
 type analyzer struct {
 	p       *lvm.Program
-	types   map[*lvm.Method]*TypeInfo
-	targets map[*lvm.Method]map[int][]*lvm.Method
-	byName  map[string]*lvm.Method
-	cost    *costState
+	classes []string     // class names, sorted
+	methods []methodInfo // every method, by class then method name
+	info    map[*lvm.Method]*methodInfo
+	byName  map[string]*methodInfo
 	taintW  *taintWorld
-	reach   map[*lvm.Method][]bool
+}
+
+// methodInfo is what the analyzer derives for one method of the program.
+type methodInfo struct {
+	name    string // "Class.method"
+	m       *lvm.Method
+	types   *TypeInfo
+	targets map[int][]*lvm.Method // call pc -> the methods it may invoke
+	reach   []bool                // CFG.Reachable, computed on first use
+	callees []*lvm.Method         // methods reachable through calls, on first use
+	fuel    Fuel
+	fuelAt  fuelMark
+	taint   taintSummary
 }
 
 // newAnalyzer type-checks every method of p (rejecting the program on the
 // first failure) and resolves call targets.
 func newAnalyzer(p *lvm.Program) (*analyzer, error) {
+	classes := sortedClassNames(p)
+	total := 0
+	for _, c := range p.Classes {
+		total += len(c.Methods)
+	}
 	a := &analyzer{
 		p:       p,
-		types:   make(map[*lvm.Method]*TypeInfo),
-		targets: make(map[*lvm.Method]map[int][]*lvm.Method),
-		byName:  make(map[string]*lvm.Method),
+		classes: classes,
+		methods: make([]methodInfo, 0, total),
+		info:    make(map[*lvm.Method]*methodInfo, total),
+		byName:  make(map[string]*methodInfo, total),
 	}
-	for _, cls := range sortedClassNames(p) {
+	for _, cls := range classes {
 		c := p.Classes[cls]
 		for _, name := range sortedMethodNames(c) {
 			m := c.Methods[name]
@@ -63,14 +82,24 @@ func newAnalyzer(p *lvm.Program) (*analyzer, error) {
 			if err != nil {
 				return nil, fmt.Errorf("analysis: %s: %w", m, err)
 			}
-			a.types[m] = ti
-			a.byName[cls+"."+name] = m
+			a.methods = append(a.methods, methodInfo{name: cls + "." + name, m: m, types: ti})
 		}
 	}
-	for m, ti := range a.types {
-		a.targets[m] = callTargets(p, m, ti)
+	for i := range a.methods {
+		mi := &a.methods[i]
+		mi.targets = callTargets(p, classes, mi.m, mi.types)
+		a.info[mi.m] = mi
+		a.byName[mi.name] = mi
 	}
 	return a, nil
+}
+
+// reachablePCs caches CFG.Reachable per method.
+func (mi *methodInfo) reachablePCs() []bool {
+	if mi.reach == nil {
+		mi.reach = mi.types.CFG.Reachable()
+	}
+	return mi.reach
 }
 
 func sortedMethodNames(c *lvm.Class) []string {
@@ -92,24 +121,23 @@ func AnalyzeProgram(p *lvm.Program) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep := &Report{Methods: make(map[string]*MethodReport)}
-	for _, cls := range sortedClassNames(p) {
-		c := p.Classes[cls]
-		for _, name := range sortedMethodNames(c) {
-			m := c.Methods[name]
-			mr := &MethodReport{Method: cls + "." + name}
-			mr.HostCalls, mr.Caps = a.InferCaps(m)
-			if mr.Flows, err = a.Flows(m); err != nil {
-				return nil, err
-			}
-			mr.Fuel = a.MethodFuel(m)
-			mr.Unreachable = a.types[m].CFG.Unreachable()
-			for _, pc := range mr.Unreachable {
-				rep.Warnings = append(rep.Warnings,
-					fmt.Sprintf("%s: pc %d unreachable (%s)", mr.Method, pc, m.Code[pc].Op))
-			}
-			rep.Methods[mr.Method] = mr
+	rep := &Report{Methods: make(map[string]*MethodReport, len(a.methods))}
+	mrs := make([]MethodReport, len(a.methods))
+	for i := range a.methods {
+		mi := &a.methods[i]
+		mr := &mrs[i]
+		mr.Method = mi.name
+		mr.HostCalls, mr.Caps = a.InferCaps(mi.m)
+		if mr.Flows, err = a.Flows(mi.m); err != nil {
+			return nil, err
 		}
+		mr.Fuel = a.MethodFuel(mi.m)
+		mr.Unreachable = unreachablePCs(mi.reachablePCs())
+		for _, pc := range mr.Unreachable {
+			rep.Warnings = append(rep.Warnings,
+				fmt.Sprintf("%s: pc %d unreachable (%s)", mr.Method, pc, mi.m.Code[pc].Op))
+		}
+		rep.Methods[mr.Method] = mr
 	}
 	return rep, nil
 }

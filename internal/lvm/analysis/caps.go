@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/lvm"
@@ -10,14 +11,18 @@ import (
 // callTargets resolves every OpCall in m to the set of methods it may invoke.
 // Where typed verification pinned the receiver to a known class, the call
 // devirtualises to exactly that class's method; otherwise the closed world of
-// the program supplies every method sharing the name. Calls in dead code
-// resolve by name too — dead code cannot run, but counting it keeps the
-// inferred set an over-approximation even if the verifier ever changes.
-func callTargets(p *lvm.Program, m *lvm.Method, ti *TypeInfo) map[int][]*lvm.Method {
-	out := make(map[int][]*lvm.Method)
+// the program (classes, sorted) supplies every method sharing the name.
+// Calls in dead code resolve by name too — dead code cannot run, but
+// counting it keeps the inferred set an over-approximation even if the
+// verifier ever changes. A method without calls gets a nil map.
+func callTargets(p *lvm.Program, classes []string, m *lvm.Method, ti *TypeInfo) map[int][]*lvm.Method {
+	var out map[int][]*lvm.Method
 	for pc, ins := range m.Code {
 		if ins.Op != lvm.OpCall {
 			continue
+		}
+		if out == nil {
+			out = make(map[int][]*lvm.Method)
 		}
 		if recv, ok := ti.ReceiverAt(pc); ok && recv.K == AObj && recv.Class != "" {
 			if callee := p.Method(recv.Class, ins.Sym); callee != nil {
@@ -26,7 +31,7 @@ func callTargets(p *lvm.Program, m *lvm.Method, ti *TypeInfo) map[int][]*lvm.Met
 			}
 		}
 		var callees []*lvm.Method
-		for _, name := range sortedClassNames(p) {
+		for _, name := range classes {
 			if callee := p.Classes[name].Methods[ins.Sym]; callee != nil {
 				callees = append(callees, callee)
 			}
@@ -46,25 +51,37 @@ func sortedClassNames(p *lvm.Program) []string {
 }
 
 // reachableMethods walks the call graph from entry and returns every method
-// that may execute, entry included.
+// that may execute, entry included. The walk runs once per entry.
 func (a *analyzer) reachableMethods(entry *lvm.Method) []*lvm.Method {
+	mi := a.info[entry]
+	if mi != nil && mi.callees != nil {
+		return mi.callees
+	}
 	seen := map[*lvm.Method]bool{entry: true}
-	queue := []*lvm.Method{entry}
-	var out []*lvm.Method
-	for len(queue) > 0 {
-		m := queue[0]
-		queue = queue[1:]
-		out = append(out, m)
-		for _, callees := range a.targets[m] {
+	out := []*lvm.Method{entry}
+	for next := 0; next < len(out); next++ {
+		for _, callees := range a.targetsOf(out[next]) {
 			for _, callee := range callees {
 				if !seen[callee] {
 					seen[callee] = true
-					queue = append(queue, callee)
+					out = append(out, callee)
 				}
 			}
 		}
 	}
+	if mi != nil {
+		mi.callees = out
+	}
 	return out
+}
+
+// targetsOf returns m's resolved call targets (nil for a method outside the
+// program).
+func (a *analyzer) targetsOf(m *lvm.Method) map[int][]*lvm.Method {
+	if mi := a.info[m]; mi != nil {
+		return mi.targets
+	}
+	return nil
 }
 
 // InferCaps computes the host calls and sandbox capabilities reachable from
@@ -72,23 +89,18 @@ func (a *analyzer) reachableMethods(entry *lvm.Method) []*lvm.Method {
 // sandbox's own (sandbox.CapabilityOf), so whatever this returns is exactly
 // what the run-time gate would demand.
 func (a *analyzer) InferCaps(entry *lvm.Method) (hostCalls []string, caps []sandbox.Capability) {
-	fns := make(map[string]bool)
 	for _, m := range a.reachableMethods(entry) {
 		for _, ins := range m.Code {
 			if ins.Op == lvm.OpHostCall {
-				fns[ins.Sym] = true
+				hostCalls = append(hostCalls, ins.Sym)
 			}
 		}
 	}
-	capSet := make(map[sandbox.Capability]bool)
-	for fn := range fns {
-		hostCalls = append(hostCalls, fn)
-		capSet[sandbox.CapabilityOf(fn)] = true
+	slices.Sort(hostCalls)
+	hostCalls = slices.Compact(hostCalls)
+	for _, fn := range hostCalls {
+		caps = append(caps, sandbox.CapabilityOf(fn))
 	}
-	sort.Strings(hostCalls)
-	for c := range capSet {
-		caps = append(caps, c)
-	}
-	sort.Slice(caps, func(i, j int) bool { return caps[i] < caps[j] })
-	return hostCalls, caps
+	slices.Sort(caps)
+	return hostCalls, slices.Compact(caps)
 }

@@ -13,7 +13,6 @@ package analysis
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/lvm"
 )
@@ -89,7 +88,13 @@ func BuildCFG(m *lvm.Method) (*CFG, error) {
 		}
 	}
 
-	g := &CFG{Method: m, blockOf: make([]int, n)}
+	nblocks := 0
+	for _, l := range leader {
+		if l {
+			nblocks++
+		}
+	}
+	g := &CFG{Method: m, Blocks: make([]Block, 0, nblocks), blockOf: make([]int, n)}
 	start := 0
 	for pc := 1; pc <= n; pc++ {
 		if pc == n || leader[pc] {
@@ -102,21 +107,28 @@ func BuildCFG(m *lvm.Method) (*CFG, error) {
 			g.blockOf[pc] = i
 		}
 	}
+	// A block has at most two successors; all lists share one array, each
+	// capped at its own length.
+	succs := make([]int, 0, 2*len(g.Blocks))
 	for i := range g.Blocks {
 		b := &g.Blocks[i]
+		from := len(succs)
 		last := m.Code[b.End-1]
 		switch last.Op {
 		case lvm.OpJump:
-			b.Succs = append(b.Succs, g.blockOf[last.A])
+			succs = append(succs, g.blockOf[last.A])
 		case lvm.OpJumpFalse:
-			b.Succs = append(b.Succs, g.blockOf[last.A])
+			succs = append(succs, g.blockOf[last.A])
 			if b.End < n {
-				b.Succs = append(b.Succs, g.blockOf[b.End])
+				succs = append(succs, g.blockOf[b.End])
 			}
 		case lvm.OpReturn, lvm.OpReturnVoid, lvm.OpThrow:
 			// terminal: no successors
 		default:
-			b.Succs = append(b.Succs, g.blockOf[b.End])
+			succs = append(succs, g.blockOf[b.End])
+		}
+		if len(succs) > from {
+			b.Succs = succs[from:len(succs):len(succs)]
 		}
 	}
 	return g, nil
@@ -165,14 +177,17 @@ func (g *CFG) Reachable() []bool {
 
 // Unreachable returns the pcs of dead instructions, sorted.
 func (g *CFG) Unreachable() []int {
-	reach := g.Reachable()
+	return unreachablePCs(g.Reachable())
+}
+
+// unreachablePCs lists, in order, the pcs reach marks false.
+func unreachablePCs(reach []bool) []int {
 	var out []int
 	for pc, r := range reach {
 		if !r {
 			out = append(out, pc)
 		}
 	}
-	sort.Ints(out)
 	return out
 }
 
@@ -216,6 +231,12 @@ func (g *CFG) HasCycle() bool {
 // handler's target block.
 func (g *CFG) succsWithHandlers() [][]int {
 	out := make([][]int, len(g.Blocks))
+	if len(g.Method.Handlers) == 0 {
+		for i, b := range g.Blocks {
+			out[i] = b.Succs // read-only: nothing is added without handlers
+		}
+		return out
+	}
 	for i, b := range g.Blocks {
 		out[i] = append([]int(nil), b.Succs...)
 	}

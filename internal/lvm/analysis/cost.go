@@ -16,35 +16,39 @@ type Fuel struct {
 // Unbounded is the verdict for cyclic or recursive code.
 func Unbounded() Fuel { return Fuel{} }
 
-// costState tracks the memoized per-method cost during call-graph traversal.
-type costState struct {
-	memo     map[*lvm.Method]Fuel
-	visiting map[*lvm.Method]bool
-}
+// fuelMark is where a method's cost bound stands during the call-graph
+// traversal.
+type fuelMark uint8
+
+const (
+	fuelUnknown  fuelMark = iota
+	fuelVisiting          // on the traversal stack
+	fuelKnown             // memoized in methodInfo.fuel
+)
 
 // MethodFuel returns the static cost bound of one invocation of m, including
 // everything it may call. Recursion — even potential recursion through an
 // imprecisely resolved call — yields Unbounded.
 func (a *analyzer) MethodFuel(m *lvm.Method) Fuel {
-	if a.cost == nil {
-		a.cost = &costState{memo: make(map[*lvm.Method]Fuel), visiting: make(map[*lvm.Method]bool)}
+	mi := a.info[m]
+	if mi == nil {
+		return Unbounded()
 	}
-	return a.fuelOf(m)
+	return a.fuelOf(mi)
 }
 
-func (a *analyzer) fuelOf(m *lvm.Method) Fuel {
-	if f, ok := a.cost.memo[m]; ok {
-		return f
-	}
-	if a.cost.visiting[m] {
+func (a *analyzer) fuelOf(mi *methodInfo) Fuel {
+	switch mi.fuelAt {
+	case fuelKnown:
+		return mi.fuel
+	case fuelVisiting:
 		// Back edge in the call graph: (potential) recursion.
 		return Unbounded()
 	}
-	a.cost.visiting[m] = true
-	f := a.localFuel(m)
-	delete(a.cost.visiting, m)
-	a.cost.memo[m] = f
-	return f
+	mi.fuelAt = fuelVisiting
+	mi.fuel = a.localFuel(mi)
+	mi.fuelAt = fuelKnown
+	return mi.fuel
 }
 
 // localFuel bounds one invocation of m. blockMultipliers says how many times
@@ -53,11 +57,8 @@ func (a *analyzer) fuelOf(m *lvm.Method) Fuel {
 // cycle, including exception edges that can loop through repeated throws.
 // The sum of per-instruction costs scaled by their block's multiplier is a
 // sound — if conservative — upper bound that needs no path enumeration.
-func (a *analyzer) localFuel(m *lvm.Method) Fuel {
-	ti := a.types[m]
-	if ti == nil {
-		return Unbounded()
-	}
+func (a *analyzer) localFuel(mi *methodInfo) Fuel {
+	m, ti := mi.m, mi.types
 	mult, ok := blockMultipliers(ti.CFG)
 	if !ok {
 		return Unbounded()
@@ -69,7 +70,7 @@ func (a *analyzer) localFuel(m *lvm.Method) Fuel {
 		if ins.Op != lvm.OpCall {
 			continue
 		}
-		callees := a.targets[m][pc]
+		callees := mi.targets[pc]
 		if len(callees) == 0 {
 			// Unresolvable call: at run time it would throw "no method",
 			// costing nothing further. Charge only the instruction.
@@ -77,7 +78,7 @@ func (a *analyzer) localFuel(m *lvm.Method) Fuel {
 		}
 		worst := 0
 		for _, callee := range callees {
-			cf := a.fuelOf(callee)
+			cf := a.MethodFuel(callee)
 			if !cf.Bounded {
 				return Unbounded()
 			}

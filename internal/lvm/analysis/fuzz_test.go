@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -129,12 +130,68 @@ func instrAt(p *lvm.Program, step FlowStep) *lvm.Instr {
 	return &m.Code[step.PC]
 }
 
+// checkForwardErrors is the oracle for Forward's recorded errors: after the
+// fixpoint it applies every visited pc once more to its final in-state, and
+// the first error found that way, pc and text, must be the first error the
+// fixpoint recorded.
+func checkForwardErrors[S any](t *testing.T, g *CFG, tf Transfer[S]) {
+	t.Helper()
+	in, seen, errs, err := forward(g, tf)
+	if err != nil {
+		return // a Merge error ends the run before any state is final
+	}
+	var recorded, reapplied error
+	for pc, e := range errs {
+		if e != nil {
+			recorded = fmt.Errorf("pc %d: %w", pc, e)
+			break
+		}
+	}
+	for pc, visited := range seen {
+		if !visited {
+			continue
+		}
+		if _, e := tf.Apply(pc, g.Method.Code[pc], in[pc]); e != nil {
+			reapplied = fmt.Errorf("pc %d: %w", pc, e)
+			break
+		}
+	}
+	if fmt.Sprint(recorded) != fmt.Sprint(reapplied) {
+		t.Fatalf("%s: recorded first error %v, re-applying the fixpoint finds %v", g.Method, recorded, reapplied)
+	}
+}
+
+// checkForwardInvariant runs checkForwardErrors over every method of p: for
+// the typed verifier, and, when p passes it, for the taint analysis over its
+// fixpoint world.
+func checkForwardInvariant(t *testing.T, p *lvm.Program) {
+	t.Helper()
+	p.EachMethod(func(m *lvm.Method) {
+		if g, err := BuildCFG(m); err == nil {
+			checkForwardErrors(t, g, &typeFlow{p: p, m: m})
+		}
+	})
+	a, err := newAnalyzer(p)
+	if err != nil {
+		return
+	}
+	w, err := a.taintAnalysis()
+	if err != nil {
+		return
+	}
+	for i := range a.methods {
+		mi := &a.methods[i]
+		checkForwardErrors(t, mi.types.CFG, &taintFlow{w: w, mi: mi})
+	}
+}
+
 // FuzzAnalyze checks the safety properties of the admission analyzer: it
 // never panics on arbitrary bytecode, anything it accepts also passes the
 // depth-only lvm.VerifyMethod (analysis is strictly stronger, so an admitted
-// extension can never be bounced by the receiver's verifier), and the taint
+// extension can never be bounced by the receiver's verifier), the taint
 // verdict is sound — deterministic across runs, with every reported flow
-// carrying a reachable source-to-sink witness chain.
+// carrying a reachable source-to-sink witness chain — and Forward's recorded
+// per-pc errors agree with re-applying its fixpoint.
 func FuzzAnalyze(f *testing.F) {
 	f.Add([]byte{0, byte(lvm.OpReturnVoid), 0, 0, 0})
 	f.Add([]byte{1, byte(lvm.OpConst), 0, 0, 0, byte(lvm.OpPop), 0, 0, 0, byte(lvm.OpReturnVoid), 0, 0, 0})
@@ -146,6 +203,7 @@ func FuzzAnalyze(f *testing.F) {
 		if p == nil {
 			return
 		}
+		checkForwardInvariant(t, p)
 		rep, err := AnalyzeProgram(p)
 		if err != nil {
 			return // rejected is fine; panicking is not
@@ -290,6 +348,7 @@ func FuzzTaint(f *testing.F) {
 		if p == nil {
 			return
 		}
+		checkForwardInvariant(t, p)
 		rep, err := AnalyzeProgram(p)
 		if err != nil {
 			return // rejected is fine; panicking is not

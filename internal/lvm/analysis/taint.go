@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -158,33 +159,38 @@ type sinkHit struct {
 }
 
 // taintWorld is the interprocedural state shared across per-method passes:
-// origins, the flow-insensitive field map, per-method parameter/return/throw
-// summaries, and the sink hits. dirty flags any summary growth, driving the
-// outer fixpoint.
+// origins, the flow-insensitive field map, the per-method parameter, return
+// and throw summaries (methodInfo.taint), and the sink hits. dirty flags any
+// summary growth, driving the outer fixpoint. Its maps are made on first
+// write, so code without fields, sources or sinks allocates none of them.
 type taintWorld struct {
 	a        *analyzer
 	origins  []*taintOrigin
 	originAt map[FlowStep]int
 	fields   map[string]taintSet
-	entry    map[*lvm.Method][]taintSet // slot 0 = receiver, 1.. = params
-	ret      map[*lvm.Method]taintSet
-	esc      map[*lvm.Method]taintSet // thrown taint, callees included
-	stored   map[*lvm.Method][]taintSet
-	hits     map[string]sinkHit
+	hits     map[sinkHit]bool
+	sorted   []sinkHit // hits in report order, once the fixpoint is reached
 	dirty    bool
+	// arena backs the in-states of the running per-method pass; each pass
+	// recycles it, since the analysis keeps only the world between passes.
+	arena []taintSet
+	out   taintState // taintFlow.Apply's result, rebuilt on every call
 }
 
-func newTaintWorld(a *analyzer) *taintWorld {
-	return &taintWorld{
-		a:        a,
-		originAt: make(map[FlowStep]int),
-		fields:   make(map[string]taintSet),
-		entry:    make(map[*lvm.Method][]taintSet),
-		ret:      make(map[*lvm.Method]taintSet),
-		esc:      make(map[*lvm.Method]taintSet),
-		stored:   make(map[*lvm.Method][]taintSet),
-		hits:     make(map[string]sinkHit),
+// taintSummary is one method's interprocedural taint summary.
+type taintSummary struct {
+	entry  []taintSet // slot 0 = receiver, 1.. = params
+	ret    taintSet
+	esc    taintSet   // thrown taint, callees included
+	stored []taintSet // per local slot, everything ever stored there
+}
+
+// put sets (*m)[k] = v, making the map on first use.
+func put[K comparable, V any](m *map[K]V, k K, v V) {
+	if *m == nil {
+		*m = make(map[K]V)
 	}
+	(*m)[k] = v
 }
 
 func (w *taintWorld) originFor(fn string, site FlowStep) int {
@@ -198,7 +204,7 @@ func (w *taintWorld) originFor(fn string, site FlowStep) int {
 		trail:   []FlowStep{site},
 		inTrail: map[FlowStep]bool{site: true},
 	})
-	w.originAt[site] = id
+	put(&w.originAt, site, id)
 	return id
 }
 
@@ -216,14 +222,14 @@ func (w *taintWorld) noteTrail(t taintSet, step FlowStep) {
 func (w *taintWorld) joinField(key string, t taintSet) {
 	merged, grew := unionTaint(w.fields[key], t)
 	if grew {
-		w.fields[key] = merged
+		put(&w.fields, key, merged)
 		w.dirty = true
 	}
 }
 
-func (w *taintWorld) joinEntry(callee *lvm.Method, vals []taintSet) {
-	ent := w.entry[callee]
-	n := 1 + callee.Arity()
+func (w *taintWorld) joinEntry(callee *methodInfo, vals []taintSet) {
+	ent := callee.taint.entry
+	n := 1 + callee.m.Arity()
 	if len(ent) < n {
 		ent = append(ent, make([]taintSet, n-len(ent))...)
 	}
@@ -234,27 +240,27 @@ func (w *taintWorld) joinEntry(callee *lvm.Method, vals []taintSet) {
 			w.dirty = true
 		}
 	}
-	w.entry[callee] = ent
+	callee.taint.entry = ent
 }
 
-func (w *taintWorld) joinRet(m *lvm.Method, t taintSet) {
-	merged, grew := unionTaint(w.ret[m], t)
+func (w *taintWorld) joinRet(mi *methodInfo, t taintSet) {
+	merged, grew := unionTaint(mi.taint.ret, t)
 	if grew {
-		w.ret[m] = merged
+		mi.taint.ret = merged
 		w.dirty = true
 	}
 }
 
-func (w *taintWorld) joinEsc(m *lvm.Method, t taintSet) {
-	merged, grew := unionTaint(w.esc[m], t)
+func (w *taintWorld) joinEsc(mi *methodInfo, t taintSet) {
+	merged, grew := unionTaint(mi.taint.esc, t)
 	if grew {
-		w.esc[m] = merged
+		mi.taint.esc = merged
 		w.dirty = true
 	}
 }
 
-func (w *taintWorld) noteStored(m *lvm.Method, slot int, t taintSet) {
-	st := w.stored[m]
+func (w *taintWorld) noteStored(mi *methodInfo, slot int, t taintSet) {
+	st := mi.taint.stored
 	if len(st) <= slot {
 		st = append(st, make([]taintSet, slot+1-len(st))...)
 	}
@@ -263,19 +269,16 @@ func (w *taintWorld) noteStored(m *lvm.Method, slot int, t taintSet) {
 		st[slot] = merged
 		w.dirty = true
 	}
-	w.stored[m] = st
+	mi.taint.stored = st
 }
 
 func (w *taintWorld) noteHit(originID int, sinkFn string, site FlowStep) {
-	key := fmt.Sprintf("%d|%s|%s|%d", originID, sinkFn, site.Method, site.PC)
-	if _, ok := w.hits[key]; !ok {
-		w.hits[key] = sinkHit{originID: originID, sinkFn: sinkFn, site: site}
-	}
+	put(&w.hits, sinkHit{originID: originID, sinkFn: sinkFn, site: site}, true)
 }
 
 func (w *taintWorld) sortedHits() []sinkHit {
 	out := make([]sinkHit, 0, len(w.hits))
-	for _, h := range w.hits {
+	for h := range w.hits {
 		out = append(out, h)
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -312,26 +315,28 @@ type taintState struct {
 	locals []taintSet
 }
 
-func (s taintState) clone() taintState {
-	return taintState{
-		stack:  append([]taintSet(nil), s.stack...),
-		locals: append([]taintSet(nil), s.locals...),
-	}
-}
-
 // taintFlow is the per-method Transfer of the taint analysis. Apply both
 // transforms the local state and joins into the shared world (fields, callee
 // entries, returns, throws, sink hits) — those joins are monotone, so
 // re-applying during the fixpoint is harmless.
 type taintFlow struct {
-	w    *taintWorld
-	m    *lvm.Method
-	name string
+	w  *taintWorld
+	mi *methodInfo
+}
+
+// Copy implements Transfer: locals and stack share one array cut from the
+// arena, each capped so that nothing appended to one can reach the other.
+func (t *taintFlow) Copy(s taintState) taintState {
+	nl := len(s.locals)
+	buf := carve(&t.w.arena, nl+len(s.stack))
+	copy(buf, s.locals)
+	copy(buf[nl:], s.stack)
+	return taintState{locals: buf[:nl:nl], stack: buf[nl:]}
 }
 
 func (t *taintFlow) Entry() taintState {
-	locals := make([]taintSet, t.m.FrameSize())
-	copy(locals, t.w.entry[t.m])
+	locals := carve(&t.w.arena, t.mi.m.FrameSize())
+	copy(locals, t.mi.taint.entry)
 	return taintState{locals: locals}
 }
 
@@ -339,47 +344,44 @@ func (t *taintFlow) HandlerEntry() taintState {
 	// The interpreter clears the stack and pushes the exception message; a
 	// tainted thrown value taints the message. Locals may be in any
 	// write-state, so join the parameter taints with everything ever stored.
-	locals := make([]taintSet, t.m.FrameSize())
-	copy(locals, t.w.entry[t.m])
-	for i, st := range t.w.stored[t.m] {
+	nl := t.mi.m.FrameSize()
+	buf := carve(&t.w.arena, nl+1)
+	locals := buf[:nl:nl]
+	copy(locals, t.mi.taint.entry)
+	for i, st := range t.mi.taint.stored {
 		if i < len(locals) {
 			locals[i], _ = unionTaint(locals[i], st)
 		}
 	}
-	return taintState{stack: []taintSet{t.w.esc[t.m]}, locals: locals}
+	buf[nl] = t.mi.taint.esc
+	return taintState{stack: buf[nl:], locals: locals}
 }
 
-func (t *taintFlow) Merge(a, b taintState) (taintState, bool, error) {
+func (t *taintFlow) Merge(a *taintState, b taintState) (bool, error) {
 	if len(a.stack) != len(b.stack) {
-		return taintState{}, false, fmt.Errorf("taint: inconsistent stack depth (%d vs %d)", len(a.stack), len(b.stack))
+		return false, fmt.Errorf("taint: inconsistent stack depth (%d vs %d)", len(a.stack), len(b.stack))
 	}
-	merged := a
 	changed := false
 	for i := range a.stack {
-		m, grew := unionTaint(a.stack[i], b.stack[i])
-		if grew {
-			if !changed {
-				merged = a.clone()
-				changed = true
-			}
-			merged.stack[i] = m
+		if m, grew := unionTaint(a.stack[i], b.stack[i]); grew {
+			a.stack[i] = m
+			changed = true
 		}
 	}
 	for i := range a.locals {
-		m, grew := unionTaint(merged.locals[i], b.locals[i])
-		if grew {
-			if !changed {
-				merged = a.clone()
-				changed = true
-			}
-			merged.locals[i] = m
+		if m, grew := unionTaint(a.locals[i], b.locals[i]); grew {
+			a.locals[i] = m
+			changed = true
 		}
 	}
-	return merged, changed, nil
+	return changed, nil
 }
 
-func (t *taintFlow) Apply(pc int, ins lvm.Instr, s0 taintState) (taintState, error) {
-	s := s0.clone()
+func (t *taintFlow) Apply(pc int, ins lvm.Instr, in taintState) (taintState, error) {
+	s := &t.w.out
+	// One instruction pushes at most one value more than it pops.
+	s.stack = append(slices.Grow(s.stack[:0], len(in.stack)+1), in.stack...)
+	s.locals = append(s.locals[:0], in.locals...)
 	pop := func(want int) ([]taintSet, error) {
 		if len(s.stack) < want {
 			return nil, fmt.Errorf("taint: stack underflow (%s needs %d, have %d)", ins.Op, want, len(s.stack))
@@ -403,94 +405,95 @@ func (t *taintFlow) Apply(pc int, ins lvm.Instr, s0 taintState) (taintState, err
 		push(nil)
 	case lvm.OpLoad:
 		if ins.A < 0 || ins.A >= len(s.locals) {
-			return s, fmt.Errorf("taint: load slot %d out of range", ins.A)
+			return *s, fmt.Errorf("taint: load slot %d out of range", ins.A)
 		}
 		push(s.locals[ins.A])
 	case lvm.OpStore:
 		v, err := pop(1)
 		if err != nil {
-			return s, err
+			return *s, err
 		}
 		if ins.A < 0 || ins.A >= len(s.locals) {
-			return s, fmt.Errorf("taint: store slot %d out of range", ins.A)
+			return *s, fmt.Errorf("taint: store slot %d out of range", ins.A)
 		}
 		s.locals[ins.A] = v[0]
-		t.w.noteStored(t.m, ins.A, v[0])
+		t.w.noteStored(t.mi, ins.A, v[0])
 	case lvm.OpGetField:
 		v, err := pop(1)
 		if err != nil {
-			return s, err
+			return *s, err
 		}
 		ft := t.w.fields[fieldKey(ins)]
-		t.w.noteTrail(ft, FlowStep{Method: t.name, PC: pc})
+		t.w.noteTrail(ft, FlowStep{Method: t.mi.name, PC: pc})
 		out, _ := unionTaint(ft, v[0])
 		push(out)
 	case lvm.OpSetField:
 		v, err := pop(2)
 		if err != nil {
-			return s, err
+			return *s, err
 		}
-		t.w.noteTrail(v[1], FlowStep{Method: t.name, PC: pc})
+		t.w.noteTrail(v[1], FlowStep{Method: t.mi.name, PC: pc})
 		t.w.joinField(fieldKey(ins), v[1])
 	case lvm.OpGetSelf:
 		ft := t.w.fields[fieldKey(ins)]
-		t.w.noteTrail(ft, FlowStep{Method: t.name, PC: pc})
+		t.w.noteTrail(ft, FlowStep{Method: t.mi.name, PC: pc})
 		push(ft)
 	case lvm.OpSetSelf:
 		v, err := pop(1)
 		if err != nil {
-			return s, err
+			return *s, err
 		}
-		t.w.noteTrail(v[0], FlowStep{Method: t.name, PC: pc})
+		t.w.noteTrail(v[0], FlowStep{Method: t.mi.name, PC: pc})
 		t.w.joinField(fieldKey(ins), v[0])
 	case lvm.OpAdd, lvm.OpSub, lvm.OpMul, lvm.OpDiv, lvm.OpMod,
 		lvm.OpEq, lvm.OpNe, lvm.OpLt, lvm.OpLe, lvm.OpGt, lvm.OpGe,
 		lvm.OpAnd, lvm.OpOr, lvm.OpConcat:
 		v, err := pop(2)
 		if err != nil {
-			return s, err
+			return *s, err
 		}
 		push(union(v))
 	case lvm.OpNeg, lvm.OpNot, lvm.OpLen:
 		v, err := pop(1)
 		if err != nil {
-			return s, err
+			return *s, err
 		}
 		push(v[0])
 	case lvm.OpJumpFalse:
 		// The condition is consumed; branching on tainted data is an implicit
 		// flow, which this analysis deliberately does not track.
 		if _, err := pop(1); err != nil {
-			return s, err
+			return *s, err
 		}
 	case lvm.OpCall:
 		if ins.B < 0 {
-			return s, fmt.Errorf("taint: negative argc")
+			return *s, fmt.Errorf("taint: negative argc")
 		}
 		v, err := pop(ins.B + 1)
 		if err != nil {
-			return s, err
+			return *s, err
 		}
-		step := FlowStep{Method: t.name, PC: pc}
+		step := FlowStep{Method: t.mi.name, PC: pc}
 		var result taintSet
-		for _, callee := range t.w.a.targets[t.m][pc] {
-			t.w.joinEntry(callee, v)
-			result, _ = unionTaint(result, t.w.ret[callee])
+		for _, callee := range t.mi.targets[pc] {
+			ci := t.w.a.info[callee]
+			t.w.joinEntry(ci, v)
+			result, _ = unionTaint(result, ci.taint.ret)
 			// Exceptions escaping the callee surface at this call site.
-			t.w.joinEsc(t.m, t.w.esc[callee])
+			t.w.joinEsc(t.mi, ci.taint.esc)
 		}
 		t.w.noteTrail(union(v), step)
 		t.w.noteTrail(result, step)
 		push(result)
 	case lvm.OpHostCall:
 		if ins.B < 0 {
-			return s, fmt.Errorf("taint: negative argc")
+			return *s, fmt.Errorf("taint: negative argc")
 		}
 		v, err := pop(ins.B)
 		if err != nil {
-			return s, err
+			return *s, err
 		}
-		site := FlowStep{Method: t.name, PC: pc}
+		site := FlowStep{Method: t.mi.name, PC: pc}
 		args := union(v)
 		if IsSinkFn(ins.Sym) {
 			for _, id := range args {
@@ -508,30 +511,30 @@ func (t *taintFlow) Apply(pc int, ins lvm.Instr, s0 taintState) (taintState, err
 	case lvm.OpThrow:
 		v, err := pop(1)
 		if err != nil {
-			return s, err
+			return *s, err
 		}
-		t.w.joinEsc(t.m, v[0])
+		t.w.joinEsc(t.mi, v[0])
 	case lvm.OpReturn:
 		v, err := pop(1)
 		if err != nil {
-			return s, err
+			return *s, err
 		}
-		t.w.joinRet(t.m, v[0])
+		t.w.joinRet(t.mi, v[0])
 	case lvm.OpPop:
 		if _, err := pop(1); err != nil {
-			return s, err
+			return *s, err
 		}
 	case lvm.OpDup:
 		v, err := pop(1)
 		if err != nil {
-			return s, err
+			return *s, err
 		}
 		push(v[0])
 		push(v[0])
 	default:
-		return s, fmt.Errorf("taint: unknown opcode %d", ins.Op)
+		return *s, fmt.Errorf("taint: unknown opcode %d", ins.Op)
 	}
-	return s, nil
+	return *s, nil
 }
 
 // taintAnalysis runs the interprocedural taint fixpoint over the whole
@@ -543,53 +546,49 @@ func (a *analyzer) taintAnalysis() (*taintWorld, error) {
 	if a.taintW != nil {
 		return a.taintW, nil
 	}
-	w := newTaintWorld(a)
-	type nm struct {
-		name string
-		m    *lvm.Method
-	}
-	var methods []nm
-	for _, cls := range sortedClassNames(a.p) {
-		c := a.p.Classes[cls]
-		for _, name := range sortedMethodNames(c) {
-			methods = append(methods, nm{name: cls + "." + name, m: c.Methods[name]})
-		}
+	w := &taintWorld{a: a}
+	flows := make([]taintFlow, len(a.methods))
+	for i := range a.methods {
+		flows[i] = taintFlow{w: w, mi: &a.methods[i]}
 	}
 	for {
 		w.dirty = false
-		for _, e := range methods {
-			tf := &taintFlow{w: w, m: e.m, name: e.name}
-			if _, _, err := Forward[taintState](a.types[e.m].CFG, tf); err != nil {
-				return nil, fmt.Errorf("taint: %s: %w", e.name, err)
+		for i := range flows {
+			tf := &flows[i]
+			clear(w.arena)
+			w.arena = w.arena[:0]
+			in, seen, err := Forward[taintState](tf.mi.types.CFG, tf)
+			if err != nil {
+				return nil, fmt.Errorf("taint: %s: %w", tf.mi.name, err)
+			}
+			// Apply also joins into the world, which may have grown since a
+			// pc's last Apply in the worklist. One more Apply per visited pc,
+			// in pc order over the fixpoint states, makes those joins, and so
+			// the order of every witness trail, independent of the order the
+			// worklist happened to visit pcs in. It cannot fail: Forward
+			// already applied every pc to these very states.
+			code := tf.mi.m.Code
+			for pc, visited := range seen {
+				if visited {
+					_, _ = tf.Apply(pc, code[pc], in[pc])
+				}
 			}
 		}
 		if !w.dirty {
 			break
 		}
 	}
+	w.sorted = w.sortedHits()
 	a.taintW = w
 	return w, nil
 }
 
-// reachablePCs caches CFG.Reachable per method.
-func (a *analyzer) reachablePCs(m *lvm.Method) []bool {
-	if a.reach == nil {
-		a.reach = make(map[*lvm.Method][]bool)
-	}
-	if r, ok := a.reach[m]; ok {
-		return r
-	}
-	r := a.types[m].CFG.Reachable()
-	a.reach[m] = r
-	return r
-}
-
 func (a *analyzer) stepReachable(s FlowStep) bool {
-	m := a.byName[s.Method]
-	if m == nil || s.PC < 0 || s.PC >= len(m.Code) {
+	mi := a.byName[s.Method]
+	if mi == nil || s.PC < 0 || s.PC >= len(mi.m.Code) {
 		return false
 	}
-	return a.reachablePCs(m)[s.PC]
+	return mi.reachablePCs()[s.PC]
 }
 
 // Flows returns the source→sink flows reachable from entry, sorted
@@ -602,16 +601,16 @@ func (a *analyzer) Flows(entry *lvm.Method) ([]Flow, error) {
 	if err != nil {
 		return nil, err
 	}
-	reach := make(map[string]bool)
-	for _, m := range a.reachableMethods(entry) {
-		cls := "?"
-		if m.Class != nil {
-			cls = m.Class.Name
-		}
-		reach[cls+"."+m.Name] = true
+	if len(w.sorted) == 0 {
+		return nil, nil
+	}
+	callees := a.reachableMethods(entry)
+	reach := make(map[string]bool, len(callees))
+	for _, m := range callees {
+		reach[a.info[m].name] = true
 	}
 	var out []Flow
-	for _, h := range w.sortedHits() {
+	for _, h := range w.sorted {
 		o := w.origins[h.originID]
 		if !reach[o.site.Method] || !reach[h.site.Method] {
 			continue

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/lvm"
 )
@@ -64,23 +65,42 @@ func joinVal(a, b AbsVal) AbsVal {
 }
 
 // typeState is the abstract machine state at one pc: operand stack and local
-// slots. States are persistent: Apply and Merge copy before writing.
+// slots.
 type typeState struct {
 	stack  []AbsVal
 	locals []AbsVal
 }
 
-func (s typeState) clone() typeState {
-	return typeState{
-		stack:  append([]AbsVal(nil), s.stack...),
-		locals: append([]AbsVal(nil), s.locals...),
-	}
-}
-
 // typeFlow is the Transfer of the typed stack verifier.
 type typeFlow struct {
-	p *lvm.Program
-	m *lvm.Method
+	p     *lvm.Program
+	m     *lvm.Method
+	arena []AbsVal  // backs the states Copy returns
+	out   typeState // Apply's result, rebuilt on every call
+}
+
+// Copy implements Transfer: locals and stack share one array cut from the
+// arena, each capped so that nothing appended to one can reach the other.
+func (t *typeFlow) Copy(s typeState) typeState {
+	nl, ns := len(s.locals), len(s.stack)
+	buf := carve(&t.arena, nl+ns)
+	copy(buf, s.locals)
+	copy(buf[nl:], s.stack)
+	return typeState{locals: buf[:nl:nl], stack: buf[nl:]}
+}
+
+// carve cuts n zeroed elements off the front of *arena's spare capacity,
+// refilling it with a larger block when it runs short, so a Forward run
+// allocates its in-states in a few blocks rather than one array per visited
+// pc. Once every state cut from an arena is dead, clearing it and truncating
+// it to length 0 recycles it.
+func carve[T any](arena *[]T, n int) []T {
+	a := *arena
+	if cap(a)-len(a) < n {
+		a = make([]T, 0, max(n, 2*cap(a), 64))
+	}
+	*arena = a[:len(a)+n]
+	return a[len(a) : len(a)+n : len(a)+n]
 }
 
 func absKindOf(v lvm.Value) AbsVal {
@@ -120,7 +140,7 @@ func paramVal(typ string) AbsVal {
 }
 
 func (t *typeFlow) Entry() typeState {
-	locals := make([]AbsVal, t.m.FrameSize())
+	locals := carve(&t.arena, t.m.FrameSize())
 	cls := ""
 	if t.m.Class != nil {
 		cls = t.m.Class.Name
@@ -138,40 +158,33 @@ func (t *typeFlow) Entry() typeState {
 func (t *typeFlow) HandlerEntry() typeState {
 	// The interpreter clears the stack and pushes the exception message. The
 	// locals could be in any write-state when the exception fired.
-	locals := make([]AbsVal, t.m.FrameSize())
-	for i := range locals {
-		locals[i] = AbsVal{K: Any}
+	nl := t.m.FrameSize()
+	buf := carve(&t.arena, nl+1)
+	for i := range nl {
+		buf[i] = AbsVal{K: Any}
 	}
-	return typeState{stack: []AbsVal{{K: AStr}}, locals: locals}
+	buf[nl] = AbsVal{K: AStr}
+	return typeState{stack: buf[nl:], locals: buf[:nl:nl]}
 }
 
-func (t *typeFlow) Merge(a, b typeState) (typeState, bool, error) {
+func (t *typeFlow) Merge(a *typeState, b typeState) (bool, error) {
 	if len(a.stack) != len(b.stack) {
-		return typeState{}, false, fmt.Errorf("inconsistent stack depth (%d vs %d)", len(a.stack), len(b.stack))
+		return false, fmt.Errorf("inconsistent stack depth (%d vs %d)", len(a.stack), len(b.stack))
 	}
-	merged := a
 	changed := false
 	for i := range a.stack {
-		j := joinVal(a.stack[i], b.stack[i])
-		if j != a.stack[i] {
-			if !changed {
-				merged = a.clone()
-				changed = true
-			}
-			merged.stack[i] = j
+		if j := joinVal(a.stack[i], b.stack[i]); j != a.stack[i] {
+			a.stack[i] = j
+			changed = true
 		}
 	}
 	for i := range a.locals {
-		j := joinVal(a.locals[i], b.locals[i])
-		if j != merged.locals[i] {
-			if !changed {
-				merged = a.clone()
-				changed = true
-			}
-			merged.locals[i] = j
+		if j := joinVal(a.locals[i], b.locals[i]); j != a.locals[i] {
+			a.locals[i] = j
+			changed = true
 		}
 	}
-	return merged, changed, nil
+	return changed, nil
 }
 
 // intish reports whether v may legally feed integer arithmetic: definite
@@ -186,8 +199,11 @@ func objish(v AbsVal) bool {
 	return v.K == AObj || v.K == Any || v.K == ANil
 }
 
-func (t *typeFlow) Apply(pc int, ins lvm.Instr, s0 typeState) (typeState, error) {
-	s := s0.clone()
+func (t *typeFlow) Apply(pc int, ins lvm.Instr, in typeState) (typeState, error) {
+	s := &t.out
+	// One instruction pushes at most one value more than it pops.
+	s.stack = append(slices.Grow(s.stack[:0], len(in.stack)+1), in.stack...)
+	s.locals = append(s.locals[:0], in.locals...)
 	pop := func(want int) ([]AbsVal, error) {
 		if len(s.stack) < want {
 			return nil, fmt.Errorf("stack underflow (%s needs %d, have %d)", ins.Op, want, len(s.stack))
@@ -202,177 +218,177 @@ func (t *typeFlow) Apply(pc int, ins lvm.Instr, s0 typeState) (typeState, error)
 	case lvm.OpNop:
 	case lvm.OpConst:
 		if ins.A < 0 || ins.A >= len(t.m.Consts) {
-			return s, fmt.Errorf("const index %d out of range", ins.A)
+			return *s, fmt.Errorf("const index %d out of range", ins.A)
 		}
 		push(absKindOf(t.m.Consts[ins.A]))
 	case lvm.OpLoad:
 		if ins.A < 0 || ins.A >= len(s.locals) {
-			return s, fmt.Errorf("load slot %d out of range", ins.A)
+			return *s, fmt.Errorf("load slot %d out of range", ins.A)
 		}
 		push(s.locals[ins.A])
 	case lvm.OpStore:
 		v, err := pop(1)
 		if err != nil {
-			return s, err
+			return *s, err
 		}
 		if ins.A < 0 || ins.A >= len(s.locals) {
-			return s, fmt.Errorf("store slot %d out of range", ins.A)
+			return *s, fmt.Errorf("store slot %d out of range", ins.A)
 		}
 		s.locals[ins.A] = v[0]
 	case lvm.OpGetField:
 		v, err := pop(1)
 		if err != nil {
-			return s, err
+			return *s, err
 		}
 		if !objish(v[0]) {
-			return s, fmt.Errorf("getfield on %s", v[0].K)
+			return *s, fmt.Errorf("getfield on %s", v[0].K)
 		}
 		push(AbsVal{K: Any})
 	case lvm.OpSetField:
 		v, err := pop(2)
 		if err != nil {
-			return s, err
+			return *s, err
 		}
 		if !objish(v[0]) {
-			return s, fmt.Errorf("setfield on %s", v[0].K)
+			return *s, fmt.Errorf("setfield on %s", v[0].K)
 		}
 	case lvm.OpGetSelf:
 		push(AbsVal{K: Any})
 	case lvm.OpSetSelf:
 		if _, err := pop(1); err != nil {
-			return s, err
+			return *s, err
 		}
 	case lvm.OpAdd, lvm.OpSub, lvm.OpMul, lvm.OpDiv, lvm.OpMod:
 		v, err := pop(2)
 		if err != nil {
-			return s, err
+			return *s, err
 		}
 		if !intish(v[0]) || !intish(v[1]) {
-			return s, fmt.Errorf("%s on %s, %s", ins.Op, v[0].K, v[1].K)
+			return *s, fmt.Errorf("%s on %s, %s", ins.Op, v[0].K, v[1].K)
 		}
 		push(AbsVal{K: AInt})
 	case lvm.OpNeg:
 		v, err := pop(1)
 		if err != nil {
-			return s, err
+			return *s, err
 		}
 		if !intish(v[0]) {
-			return s, fmt.Errorf("neg on %s", v[0].K)
+			return *s, fmt.Errorf("neg on %s", v[0].K)
 		}
 		push(AbsVal{K: AInt})
 	case lvm.OpEq, lvm.OpNe:
 		if _, err := pop(2); err != nil {
-			return s, err
+			return *s, err
 		}
 		push(AbsVal{K: ABool})
 	case lvm.OpLt, lvm.OpLe, lvm.OpGt, lvm.OpGe:
 		v, err := pop(2)
 		if err != nil {
-			return s, err
+			return *s, err
 		}
 		a, b := v[0], v[1]
 		if a.K == ABytes || a.K == AObj || b.K == ABytes || b.K == AObj {
-			return s, fmt.Errorf("%s on %s, %s", ins.Op, a.K, b.K)
+			return *s, fmt.Errorf("%s on %s, %s", ins.Op, a.K, b.K)
 		}
 		// Ordering a definite string against a definite number silently
 		// compares the string's zero I field — type confusion.
 		aStr, bStr := a.K == AStr, b.K == AStr
 		aNum, bNum := a.K == AInt || a.K == ABool, b.K == AInt || b.K == ABool
 		if (aStr && bNum) || (aNum && bStr) {
-			return s, fmt.Errorf("%s on %s, %s", ins.Op, a.K, b.K)
+			return *s, fmt.Errorf("%s on %s, %s", ins.Op, a.K, b.K)
 		}
 		push(AbsVal{K: ABool})
 	case lvm.OpAnd, lvm.OpOr:
 		if _, err := pop(2); err != nil {
-			return s, err
+			return *s, err
 		}
 		push(AbsVal{K: ABool})
 	case lvm.OpNot:
 		if _, err := pop(1); err != nil {
-			return s, err
+			return *s, err
 		}
 		push(AbsVal{K: ABool})
 	case lvm.OpConcat:
 		if _, err := pop(2); err != nil {
-			return s, err
+			return *s, err
 		}
 		push(AbsVal{K: AStr})
 	case lvm.OpLen:
 		v, err := pop(1)
 		if err != nil {
-			return s, err
+			return *s, err
 		}
 		switch v[0].K {
 		case AStr, ABytes, Any, ANil:
 			// nil throws a catchable exception at run time; definite ints,
 			// bools and objects are rejected here.
 		default:
-			return s, fmt.Errorf("len on %s", v[0].K)
+			return *s, fmt.Errorf("len on %s", v[0].K)
 		}
 		push(AbsVal{K: AInt})
 	case lvm.OpJump:
 		// no stack effect
 	case lvm.OpJumpFalse:
 		if _, err := pop(1); err != nil {
-			return s, err
+			return *s, err
 		}
 	case lvm.OpCall:
 		if ins.B < 0 {
-			return s, fmt.Errorf("negative argc")
+			return *s, fmt.Errorf("negative argc")
 		}
 		v, err := pop(ins.B + 1)
 		if err != nil {
-			return s, err
+			return *s, err
 		}
 		recv := v[0]
 		if !objish(recv) {
-			return s, fmt.Errorf("call %s on %s", ins.Sym, recv.K)
+			return *s, fmt.Errorf("call %s on %s", ins.Sym, recv.K)
 		}
 		if recv.K == AObj && recv.Class != "" && t.p != nil {
 			if c := t.p.Class(recv.Class); c != nil {
 				if c.Methods[ins.Sym] == nil {
-					return s, fmt.Errorf("no method %s.%s", recv.Class, ins.Sym)
+					return *s, fmt.Errorf("no method %s.%s", recv.Class, ins.Sym)
 				}
 			}
 		}
 		push(AbsVal{K: Any})
 	case lvm.OpHostCall:
 		if ins.B < 0 {
-			return s, fmt.Errorf("negative argc")
+			return *s, fmt.Errorf("negative argc")
 		}
 		if _, err := pop(ins.B); err != nil {
-			return s, err
+			return *s, err
 		}
 		push(AbsVal{K: Any})
 	case lvm.OpNew:
 		if t.p != nil && t.p.Class(ins.Sym) == nil {
-			return s, fmt.Errorf("unknown class %q", ins.Sym)
+			return *s, fmt.Errorf("unknown class %q", ins.Sym)
 		}
 		push(AbsVal{K: AObj, Class: ins.Sym})
 	case lvm.OpThrow:
 		if _, err := pop(1); err != nil {
-			return s, err
+			return *s, err
 		}
 	case lvm.OpReturn:
 		if _, err := pop(1); err != nil {
-			return s, err
+			return *s, err
 		}
 	case lvm.OpReturnVoid:
 	case lvm.OpPop:
 		if _, err := pop(1); err != nil {
-			return s, err
+			return *s, err
 		}
 	case lvm.OpDup:
 		v, err := pop(1)
 		if err != nil {
-			return s, err
+			return *s, err
 		}
 		push(v[0])
 		push(v[0])
 	default:
-		return s, fmt.Errorf("unknown opcode %d", ins.Op)
+		return *s, fmt.Errorf("unknown opcode %d", ins.Op)
 	}
-	return s, nil
+	return *s, nil
 }
 
 // TypeInfo is the result of typed verification: the abstract in-state of

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // Assemble parses LVM assembler source into a Program. The syntax is
@@ -38,57 +40,70 @@ func Assemble(src string) (*Program, error) {
 
 	prog := NewProgram()
 	// Pass 1: declare classes, fields and method headers so that forward
-	// references (new, getfield) resolve.
+	// references (new, getfield) resolve, and count each method's body lines
+	// so pass 2 can size its code once.
 	var cur *Class
-	inMethod := false
-	for _, ln := range lines {
-		f := strings.Fields(ln.text)
+	var hdr *srcLine // the open method's header line
+	for i := range lines {
+		ln := &lines[i]
 		switch {
-		case len(f) >= 2 && f[0] == "class" && !inMethod:
-			cur = NewClass(f[1])
+		case ln.nf >= 2 && ln.f0 == "class" && hdr == nil:
+			cur = NewClass(ln.f1)
 			prog.AddClass(cur)
-		case len(f) >= 2 && f[0] == "field" && !inMethod:
+		case ln.nf >= 2 && ln.f0 == "field" && hdr == nil:
 			if cur == nil {
 				return nil, ln.errf("field outside class")
 			}
-			cur.AddField(f[1])
-		case len(f) >= 1 && f[0] == "method":
+			cur.AddField(ln.f1)
+		case ln.f0 == "method":
 			if cur == nil {
 				return nil, ln.errf("method outside class")
 			}
-			m, _, err := parseMethodHeader(ln.text)
+			m, err := parseMethodHeader(ln.text)
 			if err != nil {
 				return nil, ln.errf("%v", err)
 			}
 			cur.AddMethod(m)
-			inMethod = true
-		case len(f) == 1 && f[0] == "end":
-			if inMethod {
-				inMethod = false
+			ln.method = m
+			hdr = ln
+		case ln.nf == 1 && ln.f0 == "end":
+			if hdr != nil {
+				hdr = nil
 			} else {
 				cur = nil
+			}
+		default:
+			if hdr != nil {
+				hdr.body++
+				if ln.f0 == "push" {
+					hdr.pushes++
+				}
 			}
 		}
 	}
 
 	// Pass 2: assemble method bodies.
 	cur = nil
-	var asm *methodAsm
-	for _, ln := range lines {
-		f := strings.Fields(ln.text)
+	var asm *methodAsm // the method being assembled, nil between methods
+	ma := methodAsm{prog: prog, tok: make([]string, 0, 8)}
+	for i := range lines {
+		ln := &lines[i]
 		switch {
-		case len(f) >= 2 && f[0] == "class" && asm == nil:
-			cur = prog.Class(f[1])
-		case len(f) >= 2 && f[0] == "field" && asm == nil:
+		case ln.nf >= 2 && ln.f0 == "class" && asm == nil:
+			cur = prog.Class(ln.f1)
+		case ln.nf >= 2 && ln.f0 == "field" && asm == nil:
 			// already handled
-		case len(f) >= 1 && f[0] == "method" && asm == nil:
-			_, name, err := parseMethodHeader(ln.text)
-			if err != nil {
-				return nil, ln.errf("%v", err)
+		case ln.f0 == "method" && asm == nil:
+			// The class's method of that name: a later duplicate wins.
+			m := cur.Methods[ln.method.Name]
+			if m == nil {
+				// A later declaration of the class replaced the one
+				// that declared this method.
+				return nil, ln.errf("class %s redeclared after method %s", cur.Name, ln.method.Name)
 			}
-			asm = newMethodAsm(prog, cur, cur.Methods[name])
-			asm.bindParams(paramNames(ln.text))
-		case len(f) == 1 && f[0] == "end":
+			asm = &ma
+			asm.begin(cur, m, ln)
+		case ln.nf == 1 && ln.f0 == "end":
 			if asm != nil {
 				if err := asm.finish(); err != nil {
 					return nil, ln.errf("%v", err)
@@ -121,19 +136,31 @@ func MustAssemble(src string) *Program {
 	return p
 }
 
+// srcLine is one non-blank source line, comment stripped and trimmed. f0
+// and f1 are its first two fields as strings.Fields splits them, and nf is
+// its field count, capped at three: enough for both passes to recognise the
+// class, field, method and end directives without splitting the line again.
 type srcLine struct {
-	no   int
-	text string
+	no     int
+	text   string
+	f0, f1 string
+	nf     int
+	method *Method // method lines: the method pass 1 declared
+	body   int     // method lines: lines up to the method's end
+	pushes int     // method lines: push lines up to the method's end
 }
 
 func (l srcLine) errf(format string, args ...any) error {
 	return fmt.Errorf("lvm asm line %d: %s", l.no, fmt.Sprintf(format, args...))
 }
 
+// splitLines cuts src into its non-blank lines. Every string it returns is a
+// substring of src.
 func splitLines(src string) []srcLine {
-	var out []srcLine
-	for i, raw := range strings.Split(src, "\n") {
-		text := raw
+	out := make([]srcLine, 0, strings.Count(src, "\n")+1)
+	for no, more := 1, true; more; no++ {
+		var text string
+		text, src, more = strings.Cut(src, "\n")
 		// Strip comments, respecting string literals.
 		inStr := false
 		for j := 0; j < len(text); j++ {
@@ -150,60 +177,85 @@ func splitLines(src string) []srcLine {
 		if text == "" {
 			continue
 		}
-		out = append(out, srcLine{no: i + 1, text: text})
+		f0, f1, nf := headFields(text)
+		out = append(out, srcLine{no: no, text: text, f0: f0, f1: f1, nf: nf})
 	}
 	return out
 }
 
+// headFields returns the first two fields of s as strings.Fields splits it
+// (around Unicode white space) and the number of fields, counting at most
+// three.
+func headFields(s string) (f0, f1 string, n int) {
+	start := -1
+	for i := 0; i < len(s); {
+		c, w := rune(s[i]), 1
+		if c >= utf8.RuneSelf {
+			c, w = utf8.DecodeRuneInString(s[i:])
+		}
+		if unicode.IsSpace(c) {
+			if start >= 0 {
+				if n == 0 {
+					f0 = s[start:i]
+				} else {
+					f1 = s[start:i]
+				}
+				n++
+				start = -1
+				if n == 3 {
+					return f0, f1, n
+				}
+			}
+		} else if start < 0 {
+			if n == 2 {
+				return f0, f1, 3
+			}
+			start = i
+		}
+		i += w
+	}
+	if start >= 0 {
+		if n == 0 {
+			f0 = s[start:]
+		} else {
+			f1 = s[start:]
+		}
+		n++
+	}
+	return f0, f1, n
+}
+
 // parseMethodHeader parses "method RET NAME(TYPE [name], ...)".
-func parseMethodHeader(line string) (*Method, string, error) {
+func parseMethodHeader(line string) (*Method, error) {
 	rest := strings.TrimSpace(strings.TrimPrefix(line, "method"))
 	open := strings.IndexByte(rest, '(')
 	closeIdx := strings.LastIndexByte(rest, ')')
 	if open < 0 || closeIdx < open {
-		return nil, "", fmt.Errorf("bad method header %q", line)
+		return nil, fmt.Errorf("bad method header %q", line)
 	}
-	head := strings.Fields(rest[:open])
-	if len(head) != 2 {
-		return nil, "", fmt.Errorf("method header needs return type and name: %q", line)
+	ret, name, n := headFields(rest[:open])
+	if n != 2 {
+		return nil, fmt.Errorf("method header needs return type and name: %q", line)
 	}
-	m := &Method{Name: head[1], Return: head[0]}
+	m := &Method{Name: name, Return: ret}
 	params := strings.TrimSpace(rest[open+1 : closeIdx])
 	if params != "" {
-		for _, p := range strings.Split(params, ",") {
-			pf := strings.Fields(strings.TrimSpace(p))
-			if len(pf) == 0 || len(pf) > 2 {
-				return nil, "", fmt.Errorf("bad parameter %q", p)
+		m.Params = make([]string, 0, strings.Count(params, ",")+1)
+		for more := true; more; {
+			var p string
+			p, params, more = strings.Cut(params, ",")
+			typ, _, n := headFields(p)
+			if n == 0 || n > 2 {
+				return nil, fmt.Errorf("bad parameter %q", p)
 			}
-			m.Params = append(m.Params, pf[0])
+			m.Params = append(m.Params, typ)
 		}
 	}
-	return m, m.Name, nil
+	return m, nil
 }
 
-// paramNames re-parses the header's parameter names for named local slots.
-func paramNames(line string) []string {
-	open := strings.IndexByte(line, '(')
-	closeIdx := strings.LastIndexByte(line, ')')
-	if open < 0 || closeIdx < open {
-		return nil
-	}
-	params := strings.TrimSpace(line[open+1 : closeIdx])
-	if params == "" {
-		return nil
-	}
-	var names []string
-	for _, p := range strings.Split(params, ",") {
-		pf := strings.Fields(strings.TrimSpace(p))
-		if len(pf) == 2 {
-			names = append(names, pf[1])
-		} else {
-			names = append(names, "")
-		}
-	}
-	return names
-}
-
+// methodAsm assembles one method body at a time; Assemble reuses one for
+// every method of a program.
 type methodAsm struct {
 	prog       *Program
 	cls        *Class
@@ -212,7 +264,7 @@ type methodAsm struct {
 	labels     map[string]int
 	fixups     []fixup // jump targets to resolve
 	handlerFix []handlerFixup
-	headerLine string
+	tok        []string // the current line's operand fields
 }
 
 type fixup struct {
@@ -224,23 +276,32 @@ type handlerFixup struct {
 	start, end, target string
 }
 
-func newMethodAsm(prog *Program, cls *Class, m *Method) *methodAsm {
-	a := &methodAsm{
-		prog:   prog,
-		cls:    cls,
-		m:      m,
-		slots:  make(map[string]int),
-		labels: make(map[string]int),
+// begin starts assembling m, declared on the header line hdr: it binds self
+// and the named parameters to their slots and sizes m's code for the body.
+func (a *methodAsm) begin(cls *Class, m *Method, hdr *srcLine) {
+	a.cls, a.m = cls, m
+	if a.slots == nil {
+		a.slots = make(map[string]int)
+		a.labels = make(map[string]int)
 	}
+	clear(a.slots)
+	clear(a.labels)
+	a.fixups = a.fixups[:0]
+	a.handlerFix = a.handlerFix[:0]
 	a.slots["self"] = 0
-	return a
-}
-
-// bindParams assigns slots for named parameters from the original header.
-func (a *methodAsm) bindParams(names []string) {
-	for i, n := range names {
-		if n != "" {
-			a.slots[n] = i + 1
+	if m.Code == nil {
+		m.Code = make([]Instr, 0, hdr.body+1) // +1: the implicit return
+		m.Consts = make([]Value, 0, hdr.pushes)
+	}
+	// Named parameters take slots 1..n in declaration order.
+	open := strings.IndexByte(hdr.text, '(')
+	closeIdx := strings.LastIndexByte(hdr.text, ')')
+	params := strings.TrimSpace(hdr.text[open+1 : closeIdx])
+	for i, more := 0, params != ""; more; i++ {
+		var p string
+		p, params, more = strings.Cut(params, ",")
+		if _, name, n := headFields(p); n == 2 {
+			a.slots[name] = i + 1
 		}
 	}
 }
@@ -258,7 +319,7 @@ func (a *methodAsm) constIdx(v Value) int {
 }
 
 func (a *methodAsm) slot(name string) (int, error) {
-	if i, err := strconv.Atoi(name); err == nil {
+	if i, ok := number(name); ok {
 		return i, nil
 	}
 	if s, ok := a.slots[name]; ok {
@@ -268,7 +329,7 @@ func (a *methodAsm) slot(name string) (int, error) {
 }
 
 func (a *methodAsm) fieldSlot(spec string) (int, error) {
-	if i, err := strconv.Atoi(spec); err == nil {
+	if i, ok := number(spec); ok {
 		return i, nil
 	}
 	// Class.field form.
@@ -295,7 +356,8 @@ func (a *methodAsm) line(text string) error {
 		a.labels[label] = len(a.m.Code)
 		return nil
 	}
-	f := fieldsRespectingStrings(text)
+	a.tok = fieldsRespectingStrings(a.tok[:0], text)
+	f := a.tok
 	op := f[0]
 	switch op {
 	case "local":
@@ -431,15 +493,7 @@ func (a *methodAsm) line(text string) error {
 		a.emit(Instr{Op: OpNew, Sym: f[1]})
 		return nil
 	}
-	// Zero-operand ops.
-	simple := map[string]Op{
-		"nop": OpNop, "add": OpAdd, "sub": OpSub, "mul": OpMul, "div": OpDiv,
-		"mod": OpMod, "neg": OpNeg, "eq": OpEq, "ne": OpNe, "lt": OpLt,
-		"le": OpLe, "gt": OpGt, "ge": OpGe, "and": OpAnd, "or": OpOr,
-		"not": OpNot, "concat": OpConcat, "len": OpLen, "throw": OpThrow,
-		"ret": OpReturn, "retv": OpReturnVoid, "pop": OpPop, "dup": OpDup,
-	}
-	if o, ok := simple[op]; ok {
+	if o, ok := zeroOperandOps[op]; ok {
 		if len(f) != 1 {
 			return fmt.Errorf("%s takes no operands", op)
 		}
@@ -471,6 +525,15 @@ func (a *methodAsm) finish() error {
 		a.emit(Instr{Op: OpReturnVoid})
 	}
 	return nil
+}
+
+// zeroOperandOps maps the mnemonics of the operand-less instructions.
+var zeroOperandOps = map[string]Op{
+	"nop": OpNop, "add": OpAdd, "sub": OpSub, "mul": OpMul, "div": OpDiv,
+	"mod": OpMod, "neg": OpNeg, "eq": OpEq, "ne": OpNe, "lt": OpLt,
+	"le": OpLe, "gt": OpGt, "ge": OpGe, "and": OpAnd, "or": OpOr,
+	"not": OpNot, "concat": OpConcat, "len": OpLen, "throw": OpThrow,
+	"ret": OpReturn, "retv": OpReturnVoid, "pop": OpPop, "dup": OpDup,
 }
 
 func isTerminator(o Op) bool {
@@ -505,15 +568,27 @@ func parseLiteral(s string) (Value, error) {
 // "Motor.speed") on the instruction so that the JIT can register named field
 // join points; purely numeric slot references carry no symbol.
 func symbolicField(spec string) string {
-	if _, err := strconv.Atoi(spec); err == nil {
+	if _, ok := number(spec); ok {
 		return ""
 	}
 	return spec
 }
 
-func fieldsRespectingStrings(s string) []string {
-	var out []string
-	cur := strings.Builder{}
+// number is strconv.Atoi for operands that may also be names: a name cannot
+// start with a sign or a digit, so it is turned down without Atoi building
+// an error for it.
+func number(s string) (int, bool) {
+	if s == "" || (s[0] != '+' && s[0] != '-' && (s[0] < '0' || s[0] > '9')) {
+		return 0, false
+	}
+	i, err := strconv.Atoi(s)
+	return i, err == nil
+}
+
+// fieldsRespectingStrings appends to out the blank- and tab-separated fields
+// of s, keeping double-quoted literals whole. The fields are substrings of s.
+func fieldsRespectingStrings(out []string, s string) []string {
+	start := -1
 	inStr := false
 	for i := 0; i < len(s); i++ {
 		c := s[i]
@@ -521,16 +596,18 @@ func fieldsRespectingStrings(s string) []string {
 			inStr = !inStr
 		}
 		if !inStr && (c == ' ' || c == '\t') {
-			if cur.Len() > 0 {
-				out = append(out, cur.String())
-				cur.Reset()
+			if start >= 0 {
+				out = append(out, s[start:i])
+				start = -1
 			}
 			continue
 		}
-		cur.WriteByte(c)
+		if start < 0 {
+			start = i
+		}
 	}
-	if cur.Len() > 0 {
-		out = append(out, cur.String())
+	if start >= 0 {
+		out = append(out, s[start:])
 	}
 	return out
 }

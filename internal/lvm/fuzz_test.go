@@ -46,6 +46,17 @@ func TestAssembleNeverPanics(t *testing.T) {
 	}
 }
 
+// TestAssembleRejectsMethodOfReplacedClass: a second declaration of a class
+// replaces the first, and assembling a method only the first declared used
+// to dereference a nil method.
+func TestAssembleRejectsMethodOfReplacedClass(t *testing.T) {
+	src := "class A\n method void m()\n retv\n end\nend\nclass A\nend\n"
+	_, err := Assemble(src)
+	if want := "lvm asm line 2: class A redeclared after method m"; err == nil || err.Error() != want {
+		t.Errorf("Assemble(%q) = %v, want %q", src, err, want)
+	}
+}
+
 // TestInterpNeverPanicsOnAssembled runs any program that assembles through
 // the interpreter with a small budget; type confusion must surface as errors.
 func TestInterpNeverPanicsOnAssembled(t *testing.T) {
