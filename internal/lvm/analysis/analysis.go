@@ -34,12 +34,10 @@ func (r *Report) Method(class, method string) *MethodReport {
 	return r.Methods[class+"."+method]
 }
 
-// analyzer holds the per-program artifacts shared by the client analyses:
-// every method's typed-verification result, devirtualised call targets and
-// cost memo, in one record per method.
+// analyzer holds the per-program artifacts shared by the client analyses, in
+// one record per method: its typed-verification result, devirtualised call
+// targets, cost memo and taint summary.
 type analyzer struct {
-	p       *lvm.Program
-	classes []string     // class names, sorted
 	methods []methodInfo // every method, by class then method name
 	info    map[*lvm.Method]*methodInfo
 	byName  map[string]*methodInfo
@@ -68,8 +66,6 @@ func newAnalyzer(p *lvm.Program) (*analyzer, error) {
 		total += len(c.Methods)
 	}
 	a := &analyzer{
-		p:       p,
-		classes: classes,
 		methods: make([]methodInfo, 0, total),
 		info:    make(map[*lvm.Method]*methodInfo, total),
 		byName:  make(map[string]*methodInfo, total),
@@ -127,11 +123,11 @@ func AnalyzeProgram(p *lvm.Program) (*Report, error) {
 		mi := &a.methods[i]
 		mr := &mrs[i]
 		mr.Method = mi.name
-		mr.HostCalls, mr.Caps = a.InferCaps(mi.m)
-		if mr.Flows, err = a.Flows(mi.m); err != nil {
+		mr.HostCalls, mr.Caps = a.InferCaps(mi)
+		if mr.Flows, err = a.Flows(mi); err != nil {
 			return nil, err
 		}
-		mr.Fuel = a.MethodFuel(mi.m)
+		mr.Fuel = a.fuelOf(mi)
 		mr.Unreachable = unreachablePCs(mi.reachablePCs())
 		for _, pc := range mr.Unreachable {
 			rep.Warnings = append(rep.Warnings,

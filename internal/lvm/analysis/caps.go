@@ -50,17 +50,16 @@ func sortedClassNames(p *lvm.Program) []string {
 	return names
 }
 
-// reachableMethods walks the call graph from entry and returns every method
-// that may execute, entry included. The walk runs once per entry.
-func (a *analyzer) reachableMethods(entry *lvm.Method) []*lvm.Method {
-	mi := a.info[entry]
-	if mi != nil && mi.callees != nil {
+// reachableMethods walks the call graph from mi's method and returns every
+// method that may execute, mi's own included. The walk runs once per method.
+func (a *analyzer) reachableMethods(mi *methodInfo) []*lvm.Method {
+	if mi.callees != nil {
 		return mi.callees
 	}
-	seen := map[*lvm.Method]bool{entry: true}
-	out := []*lvm.Method{entry}
+	seen := map[*lvm.Method]bool{mi.m: true}
+	out := []*lvm.Method{mi.m}
 	for next := 0; next < len(out); next++ {
-		for _, callees := range a.targetsOf(out[next]) {
+		for _, callees := range a.info[out[next]].targets {
 			for _, callee := range callees {
 				if !seen[callee] {
 					seen[callee] = true
@@ -69,26 +68,15 @@ func (a *analyzer) reachableMethods(entry *lvm.Method) []*lvm.Method {
 			}
 		}
 	}
-	if mi != nil {
-		mi.callees = out
-	}
+	mi.callees = out
 	return out
-}
-
-// targetsOf returns m's resolved call targets (nil for a method outside the
-// program).
-func (a *analyzer) targetsOf(m *lvm.Method) map[int][]*lvm.Method {
-	if mi := a.info[m]; mi != nil {
-		return mi.targets
-	}
-	return nil
 }
 
 // InferCaps computes the host calls and sandbox capabilities reachable from
 // entry, transitively through the call graph. The capability mapping is the
 // sandbox's own (sandbox.CapabilityOf), so whatever this returns is exactly
 // what the run-time gate would demand.
-func (a *analyzer) InferCaps(entry *lvm.Method) (hostCalls []string, caps []sandbox.Capability) {
+func (a *analyzer) InferCaps(entry *methodInfo) (hostCalls []string, caps []sandbox.Capability) {
 	for _, m := range a.reachableMethods(entry) {
 		for _, ins := range m.Code {
 			if ins.Op == lvm.OpHostCall {

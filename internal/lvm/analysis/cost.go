@@ -26,17 +26,9 @@ const (
 	fuelKnown             // memoized in methodInfo.fuel
 )
 
-// MethodFuel returns the static cost bound of one invocation of m, including
-// everything it may call. Recursion — even potential recursion through an
-// imprecisely resolved call — yields Unbounded.
-func (a *analyzer) MethodFuel(m *lvm.Method) Fuel {
-	mi := a.info[m]
-	if mi == nil {
-		return Unbounded()
-	}
-	return a.fuelOf(mi)
-}
-
+// fuelOf returns the static cost bound of one invocation of mi's method,
+// including everything it may call. Recursion — even potential recursion
+// through an imprecisely resolved call — yields Unbounded.
 func (a *analyzer) fuelOf(mi *methodInfo) Fuel {
 	switch mi.fuelAt {
 	case fuelKnown:
@@ -78,7 +70,7 @@ func (a *analyzer) localFuel(mi *methodInfo) Fuel {
 		}
 		worst := 0
 		for _, callee := range callees {
-			cf := a.MethodFuel(callee)
+			cf := a.fuelOf(a.info[callee])
 			if !cf.Bounded {
 				return Unbounded()
 			}

@@ -596,7 +596,7 @@ func (a *analyzer) stepReachable(s FlowStep) bool {
 // sink sites lie in methods reachable through entry's call graph; witness
 // steps in unreachable code are pruned (code that cannot run cannot flow),
 // and a flow whose source or sink site itself is unreachable is dropped.
-func (a *analyzer) Flows(entry *lvm.Method) ([]Flow, error) {
+func (a *analyzer) Flows(entry *methodInfo) ([]Flow, error) {
 	w, err := a.taintAnalysis()
 	if err != nil {
 		return nil, err
