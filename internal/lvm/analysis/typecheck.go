@@ -429,7 +429,9 @@ func TypeCheck(p *lvm.Program, m *lvm.Method) (*TypeInfo, error) {
 	if err != nil {
 		return nil, err
 	}
-	tf := &typeFlow{p: p, m: m}
+	// Room for every pc's frame plus a shallow stack: most methods need no
+	// second arena block.
+	tf := &typeFlow{p: p, m: m, arena: make([]AbsVal, 0, len(m.Code)*(m.FrameSize()+2))}
 	in, seen, err := Forward[typeState](g, tf)
 	if err != nil {
 		return nil, err

@@ -189,11 +189,13 @@ func splitLines(src string) []srcLine {
 func headFields(s string) (f0, f1 string, n int) {
 	start := -1
 	for i := 0; i < len(s); {
-		c, w := rune(s[i]), 1
-		if c >= utf8.RuneSelf {
-			c, w = utf8.DecodeRuneInString(s[i:])
+		space, w := asciiSpace[s[i]], 1
+		if s[i] >= utf8.RuneSelf {
+			var r rune
+			r, w = utf8.DecodeRuneInString(s[i:])
+			space = unicode.IsSpace(r)
 		}
-		if unicode.IsSpace(c) {
+		if space {
 			if start >= 0 {
 				if n == 0 {
 					f0 = s[start:i]
@@ -224,6 +226,9 @@ func headFields(s string) (f0, f1 string, n int) {
 	}
 	return f0, f1, n
 }
+
+// asciiSpace marks the ASCII bytes unicode.IsSpace reports as space.
+var asciiSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
 
 // parseMethodHeader parses "method RET NAME(TYPE [name], ...)".
 func parseMethodHeader(line string) (*Method, error) {
