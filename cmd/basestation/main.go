@@ -74,9 +74,8 @@ func run() error {
 		brkCool   = flag.Duration("breaker-cooldown", 5*time.Second, "circuit open time before a half-open probe")
 		admission = flag.String("admission", "", "comma-separated capability allowlist enforced at admission (empty = declared caps only)")
 		admFlows  = flag.String("admission-flows", "", "comma-separated information-flow allowlist, e.g. store->net,session->log (empty = any declared flow; undeclared flows are always refused)")
-		shards    = flag.Int("shards", 16, "node-table shards (parallel adapt/reconcile lock domains)")
+		shards    = flag.Int("shards", 16, "node-table shards (lock stripes for adapt, renewal and reconcile)")
 		renewBat  = flag.Int("renew-batch", 64, "max leases coalesced into one batched renewal RPC per node")
-		renewTick = flag.Duration("renew-tick", 0, "renewal timer-wheel granularity (0 = lease*fraction/4)")
 		renewWrk  = flag.Int("renew-workers", 8, "concurrent renewal RPC workers")
 		ovlOn     = flag.Bool("overload", true, "enable the overload control plane (adaptive concurrency limit, priority shedding)")
 		ovlInit   = flag.Int("overload-initial", 16, "starting concurrency limit")
@@ -177,7 +176,6 @@ func run() error {
 		Admission:      admissionPolicy,
 		AdmissionFlows: flowAllow,
 		Shards:         *shards,
-		RenewTick:      *renewTick,
 		RenewBatch:     *renewBat,
 		RenewWorkers:   *renewWrk,
 	})

@@ -158,8 +158,8 @@ func BenchmarkFleetAdapt(b *testing.B) {
 }
 
 // BenchmarkFleetReconcile measures one anti-entropy round over a fully
-// adapted, in-sync fleet: an inventory RPC per node, diffed per shard in
-// parallel.
+// adapted, in-sync fleet: an inventory RPC per node, diffed by the base's
+// bounded fan-out, 16 nodes at a time whatever the shard count.
 func BenchmarkFleetReconcile(b *testing.B) {
 	for _, n := range fleetBenchSizes(b) {
 		b.Run(fmt.Sprintf("nodes=%d", n), func(b *testing.B) {

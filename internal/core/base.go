@@ -98,16 +98,13 @@ type BaseConfig struct {
 	AdmissionFlows []string
 	// Shards splits the base's node table by consistent hash so adapt,
 	// renewal and reconcile traffic for different nodes proceeds under
-	// different locks, and reconcile rounds run one goroutine per shard
-	// (default 8).
+	// different locks (default 8). It is lock striping only: how many nodes
+	// a policy change or a reconcile round works on at once is policyFanOut.
 	Shards int
-	// RenewTick is the renewal timer wheel's granularity (default
-	// LeaseDur*RenewFraction/4, so a fresh lease's first renewal lands on its
-	// familiar window*fraction instant). One wheel goroutine plus RenewWorkers
-	// workers keep every extension lease alive, not one goroutine per lease.
-	RenewTick time.Duration
 	// RenewBatch caps how many of a node's due leases coalesce into one
-	// batched midas.renewBatch RPC (default 64). RenewWorkers bounds
+	// batched midas.renewBatch RPC (default 64). One timer wheel plus
+	// RenewWorkers workers keep every extension lease alive, not one
+	// goroutine per lease. RenewWorkers bounds
 	// concurrent renew RPCs (default 1, which keeps traced scenarios
 	// deterministic; fleet-scale deployments raise it).
 	RenewBatch   int
@@ -193,8 +190,7 @@ type Base struct {
 	reconcileStop chan struct{}
 	reconcileDone chan struct{}
 
-	departures chan string
-	onDepart   func(nodeAddr string)
+	onDepart func(nodeAddr string)
 
 	// fleet merges the observability deltas nodes piggyback on renewBatch
 	// responses (see fleet.go). Zero value ready; own lock, no ordering ties.
@@ -271,8 +267,7 @@ func (b *Base) Instrument(reg *metrics.Registry) {
 		adapted:          reg.Gauge("base.adapted_nodes"),
 		degraded:         reg.Gauge("base.degraded_nodes"),
 	}
-	b.m.adapted.Set(b.nodes.nAdapted.Load())
-	b.m.degraded.Set(b.nodes.nDegraded.Load())
+	b.setNodeGauges()
 	b.cfg.Breaker.Instrument(reg)
 	// Every outbound RPC gains per-method RED instruments (rpc.client.*), and
 	// an instrumented base starts asking nodes for piggybacked fleet deltas.
@@ -319,15 +314,6 @@ func NewBase(cfg BaseConfig) (*Base, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 8
 	}
-	if cfg.RenewTick <= 0 {
-		// A quarter of the renewal window: a fresh lease's first renewal
-		// quantises to exactly window*fraction (4 ticks), and the retry gap
-		// for small retry counts stays inside the remaining slack.
-		cfg.RenewTick = time.Duration(float64(cfg.LeaseDur) * cfg.RenewFraction / 4)
-	}
-	if cfg.RenewTick < time.Millisecond {
-		cfg.RenewTick = time.Millisecond
-	}
 	if cfg.RenewBatch <= 0 {
 		cfg.RenewBatch = 64
 	}
@@ -346,7 +332,10 @@ func NewBase(cfg BaseConfig) (*Base, error) {
 		countTags:     countTags,
 	}
 	b.sched = lease.NewScheduler(cfg.Clock, lease.SchedulerConfig{
-		Tick:     cfg.RenewTick,
+		// A quarter of the renewal window: a fresh lease's first renewal
+		// quantises to exactly window*fraction (4 ticks), and the retry gap
+		// for small retry counts stays inside the remaining slack.
+		Tick:     max(time.Duration(float64(cfg.LeaseDur)*cfg.RenewFraction/4), time.Millisecond),
 		Fraction: cfg.RenewFraction,
 		Retries:  cfg.RenewRetries,
 		MaxBatch: cfg.RenewBatch,
@@ -508,30 +497,26 @@ func (b *Base) pushToAllNodes(signed SignedExtension) {
 	})
 }
 
-// policyFanOut is how many nodes one policy change works on at once. Each
-// node's change is one apply round trip that mostly waits on the network and
-// the receiver, so overlapping them makes a change cost about one round trip
-// up to this many nodes, while bounding the goroutines and in-flight calls a
-// change spawns whatever the fleet's size.
+// policyFanOut is how many nodes a policy change or a reconcile round works
+// on at once. Each node's part is one round trip that mostly waits on the
+// network and the receiver, so overlapping them makes a change cost about one
+// round trip up to this many nodes, while bounding the goroutines and
+// in-flight calls it spawns whatever the fleet's size.
 const policyFanOut = 16
 
-// eachAdapted runs fn once on every adapted node and returns when all calls
-// have. It snapshots the adapted nodes across shards (one shard lock at a
-// time, never b.mu) in address order, and policyFanOut workers, the calling
-// goroutine among them, take the next node from the snapshot until it is
-// used up: at most policyFanOut calls run at once, and each node's one at a
-// time.
-func (b *Base) eachAdapted(fn func(n *adaptedNode)) {
-	nodes := b.nodes.allAdapted()
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].addr < nodes[j].addr })
+// fanOut runs fn(i) once for every i in [0, n) and returns when all calls
+// have. policyFanOut workers, the calling goroutine among them, take the next
+// index until none is left: at most policyFanOut calls run at once, and they
+// start in index order.
+func fanOut(n int, fn func(i int)) {
 	var next atomic.Int64
 	work := func() {
-		for i := next.Add(1) - 1; i < int64(len(nodes)); i = next.Add(1) - 1 {
-			fn(nodes[i])
+		for i := next.Add(1) - 1; i < int64(n); i = next.Add(1) - 1 {
+			fn(int(i))
 		}
 	}
 	var wg sync.WaitGroup
-	for range min(policyFanOut, len(nodes)) - 1 {
+	for range min(policyFanOut, n) - 1 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -540,6 +525,17 @@ func (b *Base) eachAdapted(fn func(n *adaptedNode)) {
 	}
 	work()
 	wg.Wait()
+}
+
+// eachAdapted runs fn once on every adapted node of a node-table snapshot,
+// in address order through fanOut, and returns when all calls have.
+func (b *Base) eachAdapted(fn func(n *adaptedNode)) {
+	nodes := b.nodes.snapshot()
+	fanOut(len(nodes), func(i int) {
+		if n := nodes[i].n; n != nil {
+			fn(n)
+		}
+	})
 }
 
 // ReplaceExtension swaps in a newer version of an existing extension, signed
@@ -683,13 +679,30 @@ func (b *Base) AdaptNodeCtx(ctx context.Context, nodeID, nodeAddr string) error 
 			s.dropAdapted(nodeAddr)
 		}
 		s.mu.Unlock()
+		b.refreshNodeGauges()
 	}
 	return firstErr
 }
 
 // Adapted lists the addresses of currently adapted nodes, sorted.
 func (b *Base) Adapted() []string {
-	return b.nodes.adaptedAddrs()
+	return b.addrs(true)
+}
+
+// Degraded lists the addresses of nodes parked for reconciliation, sorted.
+func (b *Base) Degraded() []string {
+	return b.addrs(false)
+}
+
+// addrs lists the adapted, or else the degraded, node addresses, sorted.
+func (b *Base) addrs(adapted bool) []string {
+	var out []string
+	for _, e := range b.nodes.snapshot() {
+		if (e.n != nil) == adapted {
+			out = append(out, e.addr)
+		}
+	}
+	return out
 }
 
 // Activity returns the newest entries of the distribution log (at most
@@ -719,6 +732,8 @@ func (b *Base) Release(nodeAddr string) {
 	}
 	if ok {
 		b.log("depart", n.id, "", "released")
+	} else if wasDegraded {
+		b.refreshNodeGauges()
 	}
 }
 
@@ -746,9 +761,7 @@ func (b *Base) Close() {
 	for _, n := range nodes {
 		b.log("depart", n.id, "", "released")
 	}
-	m := b.metricsRef()
-	m.adapted.Set(0)
-	m.degraded.Set(0)
+	b.refreshNodeGauges()
 }
 
 // Recover replays the base journal after a crash or restart: every
@@ -814,11 +827,6 @@ func (b *Base) Recover() (int, error) {
 		b.log("recover", rec.ID, "", fmt.Sprintf("%d leases resumed", len(rec.Exts)))
 	}
 	return restored, nil
-}
-
-// Degraded lists the addresses of nodes parked for reconciliation, sorted.
-func (b *Base) Degraded() []string {
-	return b.nodes.degradedAddrs()
 }
 
 // trackGrant records the lease granted for ext at n and hands it to the
@@ -891,7 +899,14 @@ func (b *Base) journalNode(n *adaptedNode) {
 	if b.cfg.Journal == nil {
 		return
 	}
-	rec := NodeRecord{ID: n.id, Exts: make(map[string]GrantRecord, len(n.grants))}
+	if err := b.cfg.Journal.PutNode(n.addr, nodeRecord(n, false)); err != nil {
+		b.metricsRef().journalErrs.Inc()
+	}
+}
+
+// nodeRecord builds n's journal record. Callers hold the node's shard lock.
+func nodeRecord(n *adaptedNode, degraded bool) NodeRecord {
+	rec := NodeRecord{ID: n.id, Degraded: degraded, Exts: make(map[string]GrantRecord, len(n.grants))}
 	for name, g := range n.grants {
 		rec.Exts[name] = GrantRecord{
 			Version:        g.version,
@@ -900,9 +915,7 @@ func (b *Base) journalNode(n *adaptedNode) {
 			DeadlineMillis: g.deadline.UnixMilli(),
 		}
 	}
-	if err := b.cfg.Journal.PutNode(n.addr, rec); err != nil {
-		b.metricsRef().journalErrs.Inc()
-	}
+	return rec
 }
 
 func (b *Base) nodeDeparted(nodeAddr string) {
@@ -947,15 +960,7 @@ func (b *Base) nodeDeparted(nodeAddr string) {
 		// reconcile rather than resume renewals.
 		if b.cfg.Journal != nil {
 			s.mu.Lock()
-			rec := NodeRecord{ID: n.id, Degraded: true, Exts: make(map[string]GrantRecord, len(n.grants))}
-			for name, g := range n.grants {
-				rec.Exts[name] = GrantRecord{
-					Version:        g.version,
-					LeaseID:        string(g.leaseID),
-					DurMillis:      g.dur.Milliseconds(),
-					DeadlineMillis: g.deadline.UnixMilli(),
-				}
-			}
+			rec := nodeRecord(n, true)
 			s.mu.Unlock()
 			if err := b.cfg.Journal.PutNode(nodeAddr, rec); err != nil {
 				b.metricsRef().journalErrs.Inc()
@@ -1042,8 +1047,21 @@ func (b *Base) log(ev, node, ext, detail string) {
 	case "recover":
 		b.m.recovers.Inc()
 	}
-	// The node counts are read under b.mu, so the last entry logged after a
-	// change of the node table leaves the gauges at the table's counts.
+	b.setNodeGauges()
+}
+
+// refreshNodeGauges sets the node gauges to the node table's counts. A node
+// leaving the table without an activity entry calls it.
+func (b *Base) refreshNodeGauges() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.setNodeGauges()
+}
+
+// setNodeGauges sets the node gauges to the node table's counts; b.mu must be
+// held. The counts are read under b.mu, so whichever refresh follows the last
+// change of the table leaves the gauges at its counts.
+func (b *Base) setNodeGauges() {
 	b.m.adapted.Set(b.nodes.nAdapted.Load())
 	b.m.degraded.Set(b.nodes.nDegraded.Load())
 }

@@ -14,14 +14,15 @@ import (
 	"repro/internal/transport"
 )
 
-// parkingCaller is the storm fabric with every midas.applyBatch parked until
-// a second one is in flight, recording the peak number in flight. A fan-out
-// that applies to one node at a time never has a second apply in flight: its
-// first apply gives up after overlapWait, marks the change stalled and
-// releases every later apply, so the test fails fast instead of waiting out
+// parkingCaller is the storm fabric with every call of one method parked
+// until a second one is in flight, recording the peak number in flight. A
+// fan-out that calls one node at a time never has a second call in flight:
+// its first call gives up after overlapWait, marks the change stalled and
+// releases every later call, so the test fails fast instead of waiting out
 // one timeout per node.
 type parkingCaller struct {
 	*stormCaller
+	method string // the parked method
 
 	mu       sync.Mutex
 	inFlight int
@@ -41,14 +42,14 @@ func (c *parkingCaller) reset() {
 	c.overlap = make(chan struct{})
 }
 
-// result reports the change's peak in-flight applies and whether one stalled.
+// result reports the change's peak in-flight calls and whether one stalled.
 func (c *parkingCaller) result() (peak int, stalled bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.peak, c.stalled
 }
 
-// releaseLocked opens the gate for every parked and later apply.
+// releaseLocked opens the gate for every parked and later call.
 func (c *parkingCaller) releaseLocked() {
 	if !c.released {
 		c.released = true
@@ -57,7 +58,7 @@ func (c *parkingCaller) releaseLocked() {
 }
 
 func (c *parkingCaller) Call(ctx context.Context, to, method string, req, resp any) error {
-	if method != MethodApplyBatch {
+	if method != c.method {
 		return c.stormCaller.Call(ctx, to, method, req, resp)
 	}
 	c.mu.Lock()
@@ -98,19 +99,9 @@ func TestPolicyChangeFansOutConcurrently(t *testing.T) {
 
 func testPolicyChangeFansOut(t *testing.T, shards int) {
 	const nodes = 100
-	clk := clock.NewManual(time.Unix(1000, 0))
-	caller := &parkingCaller{stormCaller: newStormCaller()}
+	caller := &parkingCaller{stormCaller: newStormCaller(), method: MethodApplyBatch}
 	caller.reset()
-	b, _ := newStormBase(t, clk, caller, nil, 8, 1)
-	b.nodes = newNodeTable(shards) // before any node is adapted
-	addrs := make([]string, nodes)
-	for i := range addrs {
-		addrs[i] = fmt.Sprintf("robot-%03d", i)
-		// An empty policy set: adapting sends nothing.
-		if err := b.AdaptNode(addrs[i], addrs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
+	b, addrs := newFanOutBase(t, caller, shards, nodes)
 	for _, step := range []struct {
 		name string
 		do   func() error
@@ -142,6 +133,55 @@ func testPolicyChangeFansOut(t *testing.T, shards int) {
 	}
 	if got := b.ScheduledRenewals(); got != 0 {
 		t.Fatalf("%d renewals scheduled after the remove, want 0", got)
+	}
+}
+
+// newFanOutBase adapts n nodes, under an empty policy set, to a base whose
+// node table has the given number of shards.
+func newFanOutBase(t *testing.T, caller transport.Caller, shards, n int) (*Base, []string) {
+	t.Helper()
+	b, _ := newStormBase(t, clock.NewManual(time.Unix(1000, 0)), caller, nil, 8, 1)
+	b.nodes = newNodeTable(shards) // before any node is adapted
+	addrs := make([]string, n)
+	for i := range addrs {
+		addrs[i] = fmt.Sprintf("robot-%03d", i)
+		// An empty policy set: adapting sends nothing.
+		if err := b.AdaptNode(addrs[i], addrs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return b, addrs
+}
+
+// TestReconcileFansOutConcurrently checks that a reconcile round over 100
+// adapted nodes overlaps the nodes' inventory calls, never runs more than
+// policyFanOut of them at once, and asks every node exactly once — with the
+// nodes in one shard of the node table, and spread over eight: how many
+// nodes a round works on at once does not depend on the shards.
+func TestReconcileFansOutConcurrently(t *testing.T) {
+	for _, shards := range []int{1, 8} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			const nodes = 100
+			caller := &parkingCaller{stormCaller: newStormCaller(), method: MethodInventory}
+			caller.reset()
+			b, addrs := newFanOutBase(t, caller, shards, nodes)
+			res := b.ReconcileNow(context.Background())
+			peak, stalled := caller.result()
+			if stalled {
+				t.Errorf("an inventory call waited %v for a second one in flight: the nodes were reconciled one at a time", overlapWait)
+			}
+			if peak < 2 || peak > policyFanOut {
+				t.Errorf("peak %d inventory calls in flight, want 2..%d", peak, policyFanOut)
+			}
+			for _, a := range addrs {
+				if got := caller.nodeCount(a, MethodInventory); got != 1 {
+					t.Errorf("%s got %d inventory calls, want 1", a, got)
+				}
+				if r, ok := res[a]; !ok || r.Err != "" {
+					t.Errorf("%s: round result %+v (present %v), want an error-free result", a, r, ok)
+				}
+			}
+		})
 	}
 }
 

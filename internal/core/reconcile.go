@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/lease"
@@ -88,10 +87,9 @@ func (b *Base) reconcileLoop() {
 }
 
 // ReconcileNow runs one anti-entropy round over every adapted and degraded
-// node, returning the per-node results keyed by address. The round fans out
-// one goroutine per node-table shard: nodes in different shards reconcile
-// concurrently (they share no lock), while each shard's nodes are visited in
-// address order.
+// node, returning the per-node results keyed by address. The round works on
+// a node-table snapshot through fanOut, as a policy change does: up to
+// policyFanOut nodes reconcile at once, started in address order.
 func (b *Base) ReconcileNow(ctx context.Context) map[string]ReconcileResult {
 	if b.closed.Load() {
 		return nil
@@ -102,28 +100,13 @@ func (b *Base) ReconcileNow(ctx context.Context) map[string]ReconcileResult {
 	b.mu.Unlock()
 	rounds.Inc()
 
-	groups := b.nodes.perShardTargets()
-	var (
-		mu  sync.Mutex
-		wg  sync.WaitGroup
-		out = make(map[string]ReconcileResult)
-	)
-	for _, group := range groups {
-		if len(group) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(addrs []string) {
-			defer wg.Done()
-			for _, addr := range addrs {
-				res := b.reconcileNode(ctx, addr)
-				mu.Lock()
-				out[addr] = res
-				mu.Unlock()
-			}
-		}(group)
+	nodes := b.nodes.snapshot()
+	results := make([]ReconcileResult, len(nodes))
+	fanOut(len(nodes), func(i int) { results[i] = b.reconcileNode(ctx, nodes[i].addr) })
+	out := make(map[string]ReconcileResult, len(nodes))
+	for i, e := range nodes {
+		out[e.addr] = results[i]
 	}
-	wg.Wait()
 	return out
 }
 
@@ -314,36 +297,32 @@ func (b *Base) Status() BaseStatusResp {
 		last[addr] = r
 	}
 	b.mu.Unlock()
-	for i := range b.nodes.shards {
-		sh := &b.nodes.shards[i]
-		sh.mu.Lock()
-		for addr, n := range sh.adapted {
-			exts := make([]string, 0, len(n.grants))
-			for name := range n.grants {
-				exts = append(exts, name)
-			}
-			sort.Strings(exts)
-			resp.Nodes = append(resp.Nodes, NodeStatus{
-				ID:            n.id,
-				Addr:          addr,
-				State:         "adapted",
-				Exts:          exts,
-				LastReconcile: last[addr],
-			})
+	for _, e := range b.nodes.snapshot() {
+		st := NodeStatus{
+			ID:            e.id,
+			Addr:          e.addr,
+			State:         "degraded",
+			Breaker:       b.cfg.Breaker.State(e.addr).String(),
+			LastReconcile: last[e.addr],
 		}
-		for addr, id := range sh.degraded {
-			resp.Nodes = append(resp.Nodes, NodeStatus{
-				ID:            id,
-				Addr:          addr,
-				State:         "degraded",
-				LastReconcile: last[addr],
-			})
+		if e.n != nil {
+			st.State, st.Exts = "adapted", b.extNames(e.n)
 		}
-		sh.mu.Unlock()
+		resp.Nodes = append(resp.Nodes, st)
 	}
-	for i := range resp.Nodes {
-		resp.Nodes[i].Breaker = b.cfg.Breaker.State(resp.Nodes[i].Addr).String()
-	}
-	sort.Slice(resp.Nodes, func(i, j int) bool { return resp.Nodes[i].Addr < resp.Nodes[j].Addr })
 	return resp
+}
+
+// extNames lists the extensions the base keeps alive at n, sorted; empty,
+// not nil, when there are none.
+func (b *Base) extNames(n *adaptedNode) []string {
+	s := b.nodes.shard(n.addr)
+	s.mu.Lock()
+	exts := make([]string, 0, len(n.grants))
+	for name := range n.grants {
+		exts = append(exts, name)
+	}
+	s.mu.Unlock()
+	sort.Strings(exts)
+	return exts
 }

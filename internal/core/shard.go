@@ -80,56 +80,31 @@ func (t *nodeTable) shard(addr string) *nodeShard {
 	return &t.shards[h.Sum32()%uint32(len(t.shards))]
 }
 
-// adaptedAddrs lists adapted node addresses, sorted.
-func (t *nodeTable) adaptedAddrs() []string {
-	var out []string
+// nodeEntry is one row of a node-table snapshot: the adapted node n at
+// addr, or, when n is nil, the degraded node id.
+type nodeEntry struct {
+	addr string
+	id   string
+	n    *adaptedNode
+}
+
+// snapshot lists every adapted and degraded node, sorted by address. It
+// takes one shard lock at a time and never b.mu.
+func (t *nodeTable) snapshot() []nodeEntry {
+	out := make([]nodeEntry, 0, t.nAdapted.Load()+t.nDegraded.Load())
 	for i := range t.shards {
 		s := &t.shards[i]
 		s.mu.Lock()
-		for addr := range s.adapted {
-			out = append(out, addr)
+		for addr, n := range s.adapted {
+			out = append(out, nodeEntry{addr: addr, id: n.id, n: n})
+		}
+		for addr, id := range s.degraded {
+			out = append(out, nodeEntry{addr: addr, id: id})
 		}
 		s.mu.Unlock()
 	}
-	sort.Strings(out)
+	sort.Slice(out, func(i, j int) bool { return out[i].addr < out[j].addr })
 	return out
-}
-
-// degradedAddrs lists degraded node addresses, sorted.
-func (t *nodeTable) degradedAddrs() []string {
-	var out []string
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.Lock()
-		for addr := range s.degraded {
-			out = append(out, addr)
-		}
-		s.mu.Unlock()
-	}
-	sort.Strings(out)
-	return out
-}
-
-// allAdapted snapshots every adapted node.
-func (t *nodeTable) allAdapted() []*adaptedNode {
-	var out []*adaptedNode
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.Lock()
-		for _, n := range s.adapted {
-			out = append(out, n)
-		}
-		s.mu.Unlock()
-	}
-	return out
-}
-
-// get returns the adapted node at addr, or nil.
-func (t *nodeTable) get(addr string) *adaptedNode {
-	s := t.shard(addr)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.adapted[addr]
 }
 
 // clear empties every shard and returns the nodes that were adapted.
@@ -146,27 +121,6 @@ func (t *nodeTable) clear() []*adaptedNode {
 		s.adapted = make(map[string]*adaptedNode)
 		s.degraded = make(map[string]string)
 		s.mu.Unlock()
-	}
-	return out
-}
-
-// perShardTargets groups adapted+degraded addresses by shard, each group
-// sorted — the unit of parallelism for reconcile rounds.
-func (t *nodeTable) perShardTargets() [][]string {
-	out := make([][]string, len(t.shards))
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.Lock()
-		group := make([]string, 0, len(s.adapted)+len(s.degraded))
-		for addr := range s.adapted {
-			group = append(group, addr)
-		}
-		for addr := range s.degraded {
-			group = append(group, addr)
-		}
-		s.mu.Unlock()
-		sort.Strings(group)
-		out[i] = group
 	}
 	return out
 }

@@ -2,17 +2,27 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/metrics"
 	"repro/internal/transport"
 )
 
 // revive undoes crash.
 func (c *stormCaller) revive(node string) { c.mu.Lock(); delete(c.crashed, node); c.mu.Unlock() }
+
+// get returns the adapted node at addr, or nil.
+func (t *nodeTable) get(addr string) *adaptedNode {
+	s := t.shard(addr)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.adapted[addr]
+}
 
 // scanCounts counts the adapted and degraded nodes shard by shard.
 func (t *nodeTable) scanCounts() (adapted, degraded int64) {
@@ -26,10 +36,12 @@ func (t *nodeTable) scanCounts() (adapted, degraded int64) {
 	return adapted, degraded
 }
 
-// TestNodeGaugesMatchShardsAfterChurn adapts, releases, degrades and
-// recovers nodes from concurrent goroutines, and then requires the node
-// table's counts and the base.adapted_nodes and base.degraded_nodes gauges
-// to equal a full scan of the shards.
+// TestNodeGaugesMatchShardsAfterChurn adapts, releases, degrades, recovers
+// and releases degraded nodes from concurrent goroutines, and then requires
+// the node table's counts and the base.adapted_nodes and base.degraded_nodes
+// gauges to equal a full scan of the shards. It checks again after releasing
+// every node still degraded: a release logs nothing for a node that is only
+// degraded, so the gauges must follow the table without an activity entry.
 func TestNodeGaugesMatchShardsAfterChurn(t *testing.T) {
 	const workers, nodesPer, rounds = 4, 6, 5
 	clk := clock.NewManual(time.Unix(1000, 0))
@@ -67,13 +79,16 @@ func TestNodeGaugesMatchShardsAfterChurn(t *testing.T) {
 						caller.crash(addr)
 						_ = b.caller.Call(context.Background(), addr, MethodInventory, EmptyResp{}, &InventoryResp{})
 						b.nodeDeparted(addr)
-						if i%2 == 0 { // and recover: the probe after the cooldown lands
+						switch {
+						case i%2 == 0: // and recover: the probe after the cooldown lands
 							caller.revive(addr)
 							clk.Advance(time.Second)
 							if res := b.reconcileNode(context.Background(), addr); res.Err != "" || !res.Promoted {
 								errs <- fmt.Errorf("%s: reconcile %+v, want a promotion", addr, res)
 								return
 							}
+						case w%2 == 1: // or release while degraded
+							b.Release(addr)
 						}
 					}
 				}
@@ -90,17 +105,77 @@ func TestNodeGaugesMatchShardsAfterChurn(t *testing.T) {
 	if adapted == 0 || degraded == 0 {
 		t.Fatalf("scan found %d adapted and %d degraded nodes; the churn should leave both", adapted, degraded)
 	}
+	checkNodeGauges(t, "after the churn", b, reg)
+	for _, addr := range b.Degraded() {
+		b.Release(addr)
+	}
+	if _, degraded := b.nodes.scanCounts(); degraded != 0 {
+		t.Fatalf("scan found %d degraded nodes after releasing them all", degraded)
+	}
+	checkNodeGauges(t, "after releasing the degraded nodes", b, reg)
+}
+
+// checkNodeGauges requires the node table's counts and both node gauges to
+// equal a full scan of the shards.
+func checkNodeGauges(t *testing.T, stage string, b *Base, reg *metrics.Registry) {
+	t.Helper()
+	adapted, degraded := b.nodes.scanCounts()
 	if got := b.nodes.nAdapted.Load(); got != adapted {
-		t.Errorf("table counts %d adapted nodes, shards hold %d", got, adapted)
+		t.Errorf("%s: table counts %d adapted nodes, shards hold %d", stage, got, adapted)
 	}
 	if got := b.nodes.nDegraded.Load(); got != degraded {
-		t.Errorf("table counts %d degraded nodes, shards hold %d", got, degraded)
+		t.Errorf("%s: table counts %d degraded nodes, shards hold %d", stage, got, degraded)
 	}
 	snap := reg.Snapshot()
 	if got := snap.Gauges["base.adapted_nodes"]; got != adapted {
-		t.Errorf("base.adapted_nodes = %d, shards hold %d", got, adapted)
+		t.Errorf("%s: base.adapted_nodes = %d, shards hold %d", stage, got, adapted)
 	}
 	if got := snap.Gauges["base.degraded_nodes"]; got != degraded {
-		t.Errorf("base.degraded_nodes = %d, shards hold %d", got, degraded)
+		t.Errorf("%s: base.degraded_nodes = %d, shards hold %d", stage, got, degraded)
+	}
+}
+
+// TestStatusDocumentFromSnapshot pins the /status document a node-table
+// snapshot renders: nodes sorted by address, an adapted node's extensions
+// sorted and "[]" when it holds none, a degraded node with no extension list
+// and its open circuit.
+func TestStatusDocumentFromSnapshot(t *testing.T) {
+	clk := clock.NewManual(time.Unix(1000, 0))
+	caller := newStormCaller()
+	breaker := transport.NewBreakerSet(1, transport.BreakerConfig{Threshold: 1, Cooldown: time.Hour, Clock: clk})
+	b, _ := newStormBase(t, clk, caller, breaker, 8, 1)
+	for _, addr := range []string{"robot-d", "robot-b"} {
+		if err := b.AdaptNode("id-"+addr, addr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, name := range []string{"telemetry", "policy"} {
+		if err := b.AddExtension(noopExt(name, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, addr := range []string{"robot-c", "robot-a"} {
+		if err := b.AdaptNode("id-"+addr, addr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b.stopTracking("robot-c", "policy")
+	b.stopTracking("robot-c", "telemetry")
+	caller.crash("robot-d")
+	_ = b.caller.Call(context.Background(), "robot-d", MethodInventory, EmptyResp{}, &InventoryResp{})
+	b.nodeDeparted("robot-d")
+
+	got, err := json.Marshal(b.Status().Nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const never = `"LastReconcile":{"AtMillis":0,"Err":"","Repushed":null,"Revoked":null,"Adopted":null,"Promoted":false,"InSync":false}`
+	want := `[` +
+		`{"ID":"id-robot-a","Addr":"robot-a","State":"adapted","Breaker":"closed","Exts":["policy","telemetry"],` + never + `},` +
+		`{"ID":"id-robot-b","Addr":"robot-b","State":"adapted","Breaker":"closed","Exts":["policy","telemetry"],` + never + `},` +
+		`{"ID":"id-robot-c","Addr":"robot-c","State":"adapted","Breaker":"closed","Exts":[],` + never + `},` +
+		`{"ID":"id-robot-d","Addr":"robot-d","State":"degraded","Breaker":"open","Exts":null,` + never + `}]`
+	if string(got) != want {
+		t.Errorf("status nodes:\n got %s\nwant %s", got, want)
 	}
 }

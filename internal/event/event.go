@@ -1,8 +1,7 @@
 // Package event implements Jini-style remote events: leased listener
 // registrations receiving sequenced, asynchronously delivered notifications.
 // The lookup service uses it to tell extension bases about newly arrived
-// adaptation services; the monitoring extensions use it to stream state
-// changes to base stations.
+// adaptation services.
 package event
 
 import (

@@ -17,7 +17,7 @@ import (
 // is b.mu, on a *Scheduler receiver is sched.mu, and a mu reached through a
 // `shard(...)` result or a `shards` slice element is a shard lock. Method
 // calls through a `.nodes` or `.sched` field are treated as transiently
-// acquiring the corresponding lock class, so `b.nodes.allAdapted()` under b.mu is
+// acquiring the corresponding lock class, so `b.nodes.snapshot()` under b.mu is
 // flagged even though the Lock call lives in another function.
 var LockOrder = &Analyzer{
 	Name: "lockorder",

@@ -365,6 +365,37 @@ func TestTypeCheckRejectsDeadBadOperand(t *testing.T) {
 	}
 }
 
+// TestAnalyzeRefusesOversizedFrames: a method's frame size comes from its
+// declared locals, and the analyzer keeps a frame per instruction. A
+// negative count, a huge one, or a frame whose size times the code length
+// passes the cell bound is refused before anything is sized from it.
+func TestAnalyzeRefusesOversizedFrames(t *testing.T) {
+	long := make([]lvm.Instr, 2000)
+	for i := range long {
+		long[i] = lvm.Instr{Op: lvm.OpNop}
+	}
+	long[len(long)-1] = lvm.Instr{Op: lvm.OpReturnVoid}
+	for _, tc := range []struct {
+		name      string
+		code      []lvm.Instr
+		numLocals int
+		wantErr   string
+	}{
+		{"negative", []lvm.Instr{{Op: lvm.OpReturnVoid}}, -5, "(-5 locals) out of range"},
+		{"huge", []lvm.Instr{{Op: lvm.OpReturnVoid}}, 1 << 40, "out of range"},
+		{"code times frame", long, 1000, "2000 instructions of 1001 frame slots"},
+	} {
+		p, _ := buildProg(tc.code, nil, tc.numLocals)
+		if _, err := AnalyzeProgram(p); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("%s: AnalyzeProgram = %v, want an error containing %q", tc.name, err, tc.wantErr)
+		}
+	}
+	p, _ := buildProg(long, nil, 500)
+	if _, err := AnalyzeProgram(p); err != nil {
+		t.Errorf("2000 instructions of 501 frame slots: %v", err)
+	}
+}
+
 func TestInferCapsTransitive(t *testing.T) {
 	src := `class C
   method void m()

@@ -425,6 +425,9 @@ func (ti *TypeInfo) ReceiverAt(pc int) (AbsVal, bool) {
 // stronger than lvm.VerifyMethod's depth-only pass. Dead instructions still
 // get their operands validated.
 func TypeCheck(p *lvm.Program, m *lvm.Method) (*TypeInfo, error) {
+	if err := checkFrame(m); err != nil {
+		return nil, err
+	}
 	g, err := BuildCFG(m)
 	if err != nil {
 		return nil, err
@@ -447,6 +450,26 @@ func TypeCheck(p *lvm.Program, m *lvm.Method) (*TypeInfo, error) {
 		}
 	}
 	return &TypeInfo{CFG: g, In: in, Visited: seen}, nil
+}
+
+// maxFrame bounds a method's frame (self, params and locals), and
+// maxFrameCells its code length times its frame size: the verifier and the
+// taint analysis keep an abstract frame per instruction, so a method past
+// either bound is refused before anything is sized from it.
+const (
+	maxFrame      = 1 << 16
+	maxFrameCells = 1 << 20
+)
+
+func checkFrame(m *lvm.Method) error {
+	frame := m.FrameSize()
+	if m.NumLocals < 0 || frame > maxFrame {
+		return fmt.Errorf("frame of %d slots (%d locals) out of range 1..%d", frame, m.NumLocals, maxFrame)
+	}
+	if len(m.Code) > maxFrameCells/frame {
+		return fmt.Errorf("%d instructions of %d frame slots exceed %d cells", len(m.Code), frame, maxFrameCells)
+	}
+	return nil
 }
 
 // validateOperands checks an instruction's static operands without abstract

@@ -369,6 +369,9 @@ func (a *methodAsm) line(text string) error {
 		if len(f) != 2 {
 			return fmt.Errorf("local needs a name")
 		}
+		if a.m.NumLocals == MaxLocals {
+			return fmt.Errorf("local %s: a method declares 0..%d locals", f[1], MaxLocals)
+		}
 		a.slots[f[1]] = 1 + len(a.m.Params) + a.m.NumLocals
 		a.m.NumLocals++
 		return nil
@@ -379,6 +382,9 @@ func (a *methodAsm) line(text string) error {
 		n, err := strconv.Atoi(f[1])
 		if err != nil {
 			return err
+		}
+		if n < 0 || n > MaxLocals-a.m.NumLocals {
+			return fmt.Errorf("locals %d: a method declares 0..%d locals", n, MaxLocals)
 		}
 		a.m.NumLocals += n
 		return nil

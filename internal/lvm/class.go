@@ -44,6 +44,10 @@ func (c *Class) New() *Object {
 	return &Object{Class: c, Fields: make([]Value, len(c.Fields))}
 }
 
+// MaxLocals bounds the locals one method declares beyond self and params.
+// Frames are sized from the count, so the assembler refuses a larger one.
+const MaxLocals = 1<<16 - 1
+
 // Method is a single LVM method: a signature, a constant pool, bytecode and
 // an exception handler table.
 type Method struct {

@@ -2,7 +2,6 @@ package registry
 
 import (
 	"context"
-	"sync"
 	"time"
 
 	"repro/internal/clock"
@@ -83,9 +82,6 @@ type (
 type Server struct {
 	lookup     *Lookup
 	dispatcher *event.Dispatcher
-
-	mu   sync.Mutex
-	subs map[string]string // watchID -> dispatcher subscription id
 }
 
 // NewServer wires lookup into mux. caller is used to deliver watcher events;
@@ -94,7 +90,6 @@ func NewServer(name string, lookup *Lookup, mux *transport.Mux, caller transport
 	s := &Server{
 		lookup:     lookup,
 		dispatcher: event.NewDispatcher(name, caller, clk),
-		subs:       make(map[string]string),
 	}
 
 	transport.Register(mux, MethodRegister, func(ctx context.Context, req RegisterReq) (LeaseResp, error) {
@@ -138,23 +133,14 @@ func (s *Server) watch(req WatchReq) (WatchResp, error) {
 	// Event delivery is leased implicitly through the lookup watcher; the
 	// dispatcher subscription lives until the watcher is removed.
 	subID, _ := s.dispatcher.Subscribe(req.Addr, req.Method, 365*24*time.Hour)
-	var watchID string
-	watchID, _ = s.lookup.WatchFull(req.Tmpl, time.Duration(req.DurMillis)*time.Millisecond,
+	watchID, _ := s.lookup.WatchFull(req.Tmpl, time.Duration(req.DurMillis)*time.Millisecond,
 		func(ev Event) {
 			// Deliver under the registrant's span context so the watcher's
 			// reaction joins its trace.
 			ectx := trace.NewContext(context.Background(), ev.Trace)
 			_ = s.dispatcher.PublishTo(ectx, subID, "registry."+ev.Kind.String(), ev)
 		},
-		func() {
-			s.dispatcher.Cancel(subID)
-			s.mu.Lock()
-			delete(s.subs, watchID)
-			s.mu.Unlock()
-		})
-	s.mu.Lock()
-	s.subs[watchID] = subID
-	s.mu.Unlock()
+		func() { s.dispatcher.Cancel(subID) })
 	return WatchResp{WatchID: watchID, DurMillis: req.DurMillis}, nil
 }
 
