@@ -98,9 +98,6 @@ func NewWheel(clk Clock, tick time.Duration, slots int) *Wheel {
 	return w
 }
 
-// Tick returns the wheel's granularity.
-func (w *Wheel) Tick() time.Duration { return w.tick }
-
 // Len reports how many timers are armed.
 func (w *Wheel) Len() int {
 	w.mu.Lock()

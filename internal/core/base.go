@@ -726,7 +726,7 @@ func (b *Base) Release(nodeAddr string) {
 	s.mu.Unlock()
 	b.sched.CancelNode(nodeAddr)
 	if ok || wasDegraded {
-		if err := b.cfg.Journal.DeleteNode(nodeAddr); err != nil {
+		if err := b.cfg.Journal.Delete(nodeAddr); err != nil {
 			b.metricsRef().journalErrs.Inc()
 		}
 	}
@@ -771,19 +771,14 @@ func (b *Base) Close() {
 // nodes stay parked for reconciliation. Returns the number of nodes whose
 // renewals were resumed.
 func (b *Base) Recover() (int, error) {
-	recs, err := b.cfg.Journal.Nodes()
+	addrs, recs, err := b.cfg.Journal.All()
 	if err != nil {
 		return 0, err
 	}
-	addrs := make([]string, 0, len(recs))
-	for a := range recs {
-		addrs = append(addrs, a)
-	}
-	sort.Strings(addrs)
 	now := b.cfg.Clock.Now()
 	restored := 0
-	for _, addr := range addrs {
-		rec := recs[addr]
+	for i, addr := range addrs {
+		rec := recs[i]
 		if b.closed.Load() {
 			break
 		}
@@ -899,7 +894,7 @@ func (b *Base) journalNode(n *adaptedNode) {
 	if b.cfg.Journal == nil {
 		return
 	}
-	if err := b.cfg.Journal.PutNode(n.addr, nodeRecord(n, false)); err != nil {
+	if err := b.cfg.Journal.Put(n.addr, nodeRecord(n, false)); err != nil {
 		b.metricsRef().journalErrs.Inc()
 	}
 }
@@ -962,13 +957,13 @@ func (b *Base) nodeDeparted(nodeAddr string) {
 			s.mu.Lock()
 			rec := nodeRecord(n, true)
 			s.mu.Unlock()
-			if err := b.cfg.Journal.PutNode(nodeAddr, rec); err != nil {
+			if err := b.cfg.Journal.Put(nodeAddr, rec); err != nil {
 				b.metricsRef().journalErrs.Inc()
 			}
 		}
 		return
 	}
-	if err := b.cfg.Journal.DeleteNode(nodeAddr); err != nil {
+	if err := b.cfg.Journal.Delete(nodeAddr); err != nil {
 		b.metricsRef().journalErrs.Inc()
 	}
 	_, dsp := tr.StartSpan(context.Background(), "base.depart")

@@ -358,11 +358,10 @@ func TestRenewalJournalsOncePerCall(t *testing.T) {
 			t.Fatalf("window %d: %d journal writes for %d renew calls of %d leases, want one per call",
 				window, got, calls, nExts)
 		}
-		recs, err := journal.Nodes()
+		rec, _, err := journal.Get("robot1")
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec := recs["robot1"]
 		if len(rec.Exts) != nExts {
 			t.Fatalf("window %d: journal holds %d grants, want %d", window, len(rec.Exts), nExts)
 		}

@@ -13,12 +13,12 @@ import (
 
 // This file is the durable-state layer of the MIDAS lifecycle: both sides of
 // the advertise→push→lease→revoke protocol checkpoint their runtime tables
-// into a store.KV journal (journal + compact machinery reused from the
-// movement database) so a crashed base or node restarts into the state it
-// held, instead of stranding extensions or re-pushing everything from
-// scratch. All deadlines are persisted as absolute instants — replaying a
-// grant after a crash longer than its lease window restores it expired, so
-// recovery converges exactly like an uninterrupted run.
+// into a store.KV (the same journal file as the movement database) so a
+// crashed base or node restarts into the state it held, instead of stranding
+// extensions or re-pushing everything from scratch. All deadlines are
+// persisted as absolute instants — replaying a grant after a crash longer
+// than its lease window restores it expired, so recovery converges exactly
+// like an uninterrupted run.
 //
 // Journal layout (one KV key per entity, JSON values):
 //
@@ -26,9 +26,8 @@ import (
 //	                                                per-extension grants)
 //	receiver journal  ext/<name>   -> InstallRecord (signed extension, lease)
 //
-// Both journals auto-compact, so the files stay proportional to the live
-// state, not the update history. All journal types are nil-safe: a nil
-// journal is a no-op, so bases and receivers persist unconditionally.
+// Both are one Journal type over different records. They auto-compact, so the
+// files stay proportional to the live state, not the update history.
 
 // journalAutoCompactEvery bounds journal growth: after this many writes the
 // KV rewrites itself to one line per live key.
@@ -68,8 +67,35 @@ type InstallRecord struct {
 	DeadlineMillis int64           `json:"deadline"`
 }
 
-// openStateKV opens (creating dir if needed) one journal file.
-func openStateKV(dir, file string) (*store.KV, error) {
+// Journal is a durable table of JSON records of type T, one store.KV key
+// (the table's key prefix plus the record's key) per record. A nil journal is
+// a no-op, so bases and receivers persist unconditionally.
+type Journal[T any] struct {
+	kv     *store.KV
+	prefix string
+}
+
+// BaseJournal persists a base's distribution state: one NodeRecord per node
+// address.
+type BaseJournal = Journal[NodeRecord]
+
+// ReceiverJournal persists a receiver's installed-extension state: one
+// InstallRecord per extension name.
+type ReceiverJournal = Journal[InstallRecord]
+
+// OpenBaseJournal opens dir/base-state.kv, creating the directory as needed
+// and replaying any existing journal.
+func OpenBaseJournal(dir string) (*BaseJournal, error) {
+	return openJournal[NodeRecord](dir, "base-state.kv", nodeKeyPrefix)
+}
+
+// OpenReceiverJournal opens dir/receiver-state.kv, creating the directory as
+// needed and replaying any existing journal.
+func OpenReceiverJournal(dir string) (*ReceiverJournal, error) {
+	return openJournal[InstallRecord](dir, "receiver-state.kv", extKeyPrefix)
+}
+
+func openJournal[T any](dir, file, prefix string) (*Journal[T], error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("core: state dir %s: %w", dir, err)
 	}
@@ -78,181 +104,71 @@ func openStateKV(dir, file string) (*store.KV, error) {
 		return nil, err
 	}
 	kv.SetAutoCompact(journalAutoCompactEvery)
-	return kv, nil
+	return &Journal[T]{kv: kv, prefix: prefix}, nil
 }
 
-// BaseJournal persists a base's distribution state under a state directory.
-type BaseJournal struct {
-	kv *store.KV
-}
-
-// OpenBaseJournal opens dir/base-state.kv, creating the directory as needed
-// and replaying any existing journal.
-func OpenBaseJournal(dir string) (*BaseJournal, error) {
-	kv, err := openStateKV(dir, "base-state.kv")
-	if err != nil {
-		return nil, err
-	}
-	return &BaseJournal{kv: kv}, nil
-}
-
-// PutNode checkpoints one node's record. A nil journal is a no-op.
-func (j *BaseJournal) PutNode(addr string, rec NodeRecord) error {
+// Put checkpoints one record.
+func (j *Journal[T]) Put(key string, rec T) error {
 	if j == nil {
 		return nil
 	}
 	v, err := json.Marshal(rec)
 	if err != nil {
-		return fmt.Errorf("core: journal node %s: %w", addr, err)
+		return fmt.Errorf("core: journal %s%s: %w", j.prefix, key, err)
 	}
-	return j.kv.Put(nodeKeyPrefix+addr, v)
+	return j.kv.Put(j.prefix+key, v)
 }
 
-// DeleteNode drops one node's record. A nil journal is a no-op.
-func (j *BaseJournal) DeleteNode(addr string) error {
+// Get returns one record and whether it exists.
+func (j *Journal[T]) Get(key string) (rec T, ok bool, err error) {
 	if j == nil {
-		return nil
+		return rec, false, nil
 	}
-	return j.kv.Delete(nodeKeyPrefix + addr)
-}
-
-// Nodes returns all journalled node records by address.
-func (j *BaseJournal) Nodes() (map[string]NodeRecord, error) {
-	if j == nil {
-		return nil, nil
-	}
-	out := make(map[string]NodeRecord)
-	for _, k := range j.kv.Keys() {
-		addr, ok := strings.CutPrefix(k, nodeKeyPrefix)
-		if !ok {
-			continue
-		}
-		raw, ok := j.kv.Get(k)
-		if !ok {
-			continue
-		}
-		var rec NodeRecord
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			return nil, fmt.Errorf("core: journal node %s: %w", addr, err)
-		}
-		out[addr] = rec
-	}
-	return out, nil
-}
-
-// Compact rewrites the journal to the live state. A nil journal is a no-op.
-func (j *BaseJournal) Compact() error {
-	if j == nil {
-		return nil
-	}
-	return j.kv.Compact()
-}
-
-// Close flushes and closes the journal. A nil journal is a no-op.
-func (j *BaseJournal) Close() error {
-	if j == nil {
-		return nil
-	}
-	return j.kv.Close()
-}
-
-// ReceiverJournal persists a receiver's installed-extension state under a
-// state directory.
-type ReceiverJournal struct {
-	kv *store.KV
-}
-
-// OpenReceiverJournal opens dir/receiver-state.kv, creating the directory as
-// needed and replaying any existing journal.
-func OpenReceiverJournal(dir string) (*ReceiverJournal, error) {
-	kv, err := openStateKV(dir, "receiver-state.kv")
-	if err != nil {
-		return nil, err
-	}
-	return &ReceiverJournal{kv: kv}, nil
-}
-
-// PutExt checkpoints one installed extension. A nil journal is a no-op.
-func (j *ReceiverJournal) PutExt(name string, rec InstallRecord) error {
-	if j == nil {
-		return nil
-	}
-	v, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("core: journal ext %s: %w", name, err)
-	}
-	return j.kv.Put(extKeyPrefix+name, v)
-}
-
-// UpdateDeadline rewrites one extension record's lease deadline (renewals are
-// far more frequent than installs, so this avoids re-marshalling the signed
-// payload at every call site). Unknown names are a no-op. A nil journal is a
-// no-op.
-func (j *ReceiverJournal) UpdateDeadline(name string, deadlineMillis int64) error {
-	if j == nil {
-		return nil
-	}
-	raw, ok := j.kv.Get(extKeyPrefix + name)
+	raw, ok := j.kv.Get(j.prefix + key)
 	if !ok {
-		return nil
+		return rec, false, nil
 	}
-	var rec InstallRecord
 	if err := json.Unmarshal(raw, &rec); err != nil {
-		return fmt.Errorf("core: journal ext %s: %w", name, err)
+		return rec, false, fmt.Errorf("core: journal %s%s: %w", j.prefix, key, err)
 	}
-	rec.DeadlineMillis = deadlineMillis
-	v, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("core: journal ext %s: %w", name, err)
-	}
-	return j.kv.Put(extKeyPrefix+name, v)
+	return rec, true, nil
 }
 
-// DeleteExt drops one extension's record. A nil journal is a no-op.
-func (j *ReceiverJournal) DeleteExt(name string) error {
+// Delete drops one record.
+func (j *Journal[T]) Delete(key string) error {
 	if j == nil {
 		return nil
 	}
-	return j.kv.Delete(extKeyPrefix + name)
+	return j.kv.Delete(j.prefix + key)
 }
 
-// Exts returns all journalled install records, sorted by extension name so
-// replay order is deterministic.
-func (j *ReceiverJournal) Exts() ([]InstallRecord, error) {
+// All returns every record with its key, sorted by key so replay order is
+// deterministic.
+func (j *Journal[T]) All() (keys []string, recs []T, err error) {
 	if j == nil {
-		return nil, nil
+		return nil, nil, nil
 	}
-	keys := j.kv.Keys()
-	sort.Strings(keys)
-	var out []InstallRecord
-	for _, k := range keys {
-		name, ok := strings.CutPrefix(k, extKeyPrefix)
+	all := j.kv.Keys()
+	sort.Strings(all)
+	for _, k := range all {
+		key, ok := strings.CutPrefix(k, j.prefix)
 		if !ok {
 			continue
 		}
-		raw, ok := j.kv.Get(k)
-		if !ok {
-			continue
+		rec, ok, err := j.Get(key)
+		if err != nil {
+			return nil, nil, err
 		}
-		var rec InstallRecord
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			return nil, fmt.Errorf("core: journal ext %s: %w", name, err)
+		if ok {
+			keys = append(keys, key)
+			recs = append(recs, rec)
 		}
-		out = append(out, rec)
 	}
-	return out, nil
+	return keys, recs, nil
 }
 
-// Compact rewrites the journal to the live state. A nil journal is a no-op.
-func (j *ReceiverJournal) Compact() error {
-	if j == nil {
-		return nil
-	}
-	return j.kv.Compact()
-}
-
-// Close flushes and closes the journal. A nil journal is a no-op.
-func (j *ReceiverJournal) Close() error {
+// Close closes the journal.
+func (j *Journal[T]) Close() error {
 	if j == nil {
 		return nil
 	}

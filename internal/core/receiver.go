@@ -255,7 +255,7 @@ func (r *Receiver) journalExt(signed SignedExtension, baseAddr string, id lease.
 		return
 	}
 	deadline, _ := r.grantor.Deadline(id)
-	err := r.cfg.Journal.PutExt(signed.Ext.Name, InstallRecord{
+	err := r.cfg.Journal.Put(signed.Ext.Name, InstallRecord{
 		Signed:         signed,
 		BaseAddr:       baseAddr,
 		LeaseID:        string(id),
@@ -452,7 +452,13 @@ func (r *Receiver) renewLease(ctx context.Context, id lease.ID, dur time.Duratio
 		return l, err
 	}
 	if r.cfg.Journal != nil {
-		if err := r.cfg.Journal.UpdateDeadline(r.extNameByLease(id), l.Expiry.UnixMilli()); err != nil {
+		name := r.extNameByLease(id)
+		rec, ok, err := r.cfg.Journal.Get(name)
+		if ok {
+			rec.DeadlineMillis = l.Expiry.UnixMilli()
+			err = r.cfg.Journal.Put(name, rec)
+		}
+		if err != nil {
 			r.mu.Lock()
 			je := r.m.journalErrs
 			r.mu.Unlock()
@@ -482,7 +488,7 @@ func (r *Receiver) extNameByLease(id lease.ID) string {
 // set matches what an uninterrupted node would hold. Call after trust keys
 // are loaded and before serving. Returns the number of extensions restored.
 func (r *Receiver) Recover() (int, error) {
-	recs, err := r.cfg.Journal.Exts()
+	_, recs, err := r.cfg.Journal.All()
 	if err != nil {
 		return 0, err
 	}
@@ -530,7 +536,7 @@ func (r *Receiver) recoverOne(rec InstallRecord) error {
 	if err != nil {
 		// The record did not survive re-verification (key rotated, builtin
 		// gone): drop it so the next restart is not haunted by it.
-		_ = r.cfg.Journal.DeleteExt(ext.Name)
+		_ = r.cfg.Journal.Delete(ext.Name)
 		return err
 	}
 	r.log("recover", ext.Name, rec.BaseAddr, fmt.Sprintf("version %d", ext.Version))
@@ -614,7 +620,7 @@ func (r *Receiver) remove(ctx context.Context, name, event string) error {
 
 	// System extensions are never journalled, so skip the tombstone write.
 	if !system {
-		_ = r.cfg.Journal.DeleteExt(name)
+		_ = r.cfg.Journal.Delete(name)
 	}
 
 	if leaseID != "" {

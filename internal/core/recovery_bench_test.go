@@ -82,7 +82,7 @@ func BenchmarkBaseRecover(b *testing.B) {
 						DurMillis: time.Hour.Milliseconds(), DeadlineMillis: deadline,
 					}
 				}
-				if err := j.PutNode(fmt.Sprintf("addr-%03d", i), rec); err != nil {
+				if err := j.Put(fmt.Sprintf("addr-%03d", i), rec); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,7 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -156,7 +160,7 @@ func TestReceiverRecoverExpiresLapsedLease(t *testing.T) {
 		t.Fatal("lapsed lease survived recovery")
 	}
 	// The expiry also cleaned the journal: a second restart recovers nothing.
-	recs, err := j2.Exts()
+	_, recs, err := j2.All()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -498,11 +502,121 @@ func TestReceiverRecoverSkipsUntrustedRecord(t *testing.T) {
 	if got := r2.Installed(); len(got) != 0 {
 		t.Fatalf("installed after recover = %+v, want none", got)
 	}
-	recs, err := j2.Exts()
+	_, recs, err := j2.All()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(recs) != 0 {
 		t.Fatalf("journal still holds %d record(s); rejected records must be dropped", len(recs))
 	}
+}
+
+// tearLastLine cuts the file at path halfway through its last line, as a
+// crash in the middle of a journal write leaves it.
+func tearLastLine(t *testing.T, path string) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := bytes.TrimSuffix(data, []byte("\n"))
+	start := bytes.LastIndexByte(body, '\n') + 1
+	if err := os.Truncate(path, int64(start+(len(body)-start)/2)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestJournalTornTailRestartTwice: after a crash tears the last journal line,
+// a restarted receiver and a restarted base each make one more change, and a
+// second restart recovers it. The torn write itself is lost, never the
+// writes made after it.
+func TestJournalTornTailRestartTwice(t *testing.T) {
+	clk := clock.NewManual(time.Unix(1000, 0))
+	signer, err := sign.NewSigner("hall-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	t.Run("receiver", func(t *testing.T) {
+		dir := t.TempDir()
+		install := func(r *Receiver, name string) {
+			t.Helper()
+			signed, err := Sign(signer, recoveryExt(name, 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := r.Install(signed, "base-1", time.Hour); err != nil {
+				t.Fatal(err)
+			}
+		}
+		restart := func() *Receiver {
+			t.Helper()
+			r, _ := newJournaledReceiver(t, dir, clk, signer)
+			if _, err := r.Recover(); err != nil {
+				t.Fatal(err)
+			}
+			return r
+		}
+		r1, j1 := newJournaledReceiver(t, dir, clk, signer)
+		install(r1, "first")
+		install(r1, "torn")
+		if err := j1.Close(); err != nil {
+			t.Fatal(err)
+		}
+		tearLastLine(t, filepath.Join(dir, "receiver-state.kv"))
+
+		r2 := restart()
+		if !r2.Has("first") || r2.Has("torn") {
+			t.Fatalf("first restart: first=%v torn=%v, want only the complete write", r2.Has("first"), r2.Has("torn"))
+		}
+		install(r2, "after")
+		r3 := restart()
+		if !r3.Has("first") || !r3.Has("after") {
+			t.Fatalf("second restart: first=%v after=%v; the install after the first restart was lost", r3.Has("first"), r3.Has("after"))
+		}
+	})
+
+	t.Run("base", func(t *testing.T) {
+		dir := t.TempDir()
+		fabric := transport.NewInProc()
+		for _, name := range []string{"robot1", "robot2", "robot3"} {
+			_, _, stop := serveNamedReceiver(t, fabric, clk, signer, name)
+			t.Cleanup(stop)
+		}
+		start := func() *Base {
+			t.Helper()
+			b, _ := newRecoveryBase(t, fabric, clk, signer, dir, nil)
+			if err := b.AddExtension(recoveryExt("policy", 1)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := b.Recover(); err != nil {
+				t.Fatal(err)
+			}
+			return b
+		}
+		b1 := start()
+		for _, node := range []string{"robot1", "robot2"} {
+			if err := b1.AdaptNode(node, node); err != nil {
+				t.Fatal(err)
+			}
+		}
+		b1.Close()
+		b1.cfg.Journal.Close()
+		tearLastLine(t, filepath.Join(dir, "base-state.kv"))
+
+		b2 := start()
+		if got := b2.Adapted(); !reflect.DeepEqual(got, []string{"robot1"}) {
+			t.Fatalf("first restart adapted %v, want only the complete write's robot1", got)
+		}
+		if err := b2.AdaptNode("robot3", "robot3"); err != nil {
+			t.Fatal(err)
+		}
+		b2.Close()
+		b2.cfg.Journal.Close()
+
+		b3 := start()
+		if got := b3.Adapted(); !reflect.DeepEqual(got, []string{"robot1", "robot3"}) {
+			t.Fatalf("second restart adapted %v; the node adapted after the first restart was lost", got)
+		}
+	})
 }

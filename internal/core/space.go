@@ -1,11 +1,9 @@
 package core
 
 import (
-	"context"
 	"strconv"
 	"time"
 
-	"repro/internal/clock"
 	"repro/internal/lease"
 	"repro/internal/sign"
 	"repro/internal/tuplespace"
@@ -54,53 +52,18 @@ func extensionTemplate() tuplespace.Tuple {
 }
 
 // SpaceListener keeps one receiver synchronised with the extensions present
-// in a tuple space.
+// in a tuple space; its owner calls Scan periodically.
 type SpaceListener struct {
 	Space    *tuplespace.Space
 	Receiver *Receiver
-	// Poll is the space scan interval (default 50ms).
-	Poll time.Duration
-	// LeaseDur is the local lease granted per installed extension; it must
-	// comfortably exceed Poll (default 4×Poll).
-	LeaseDur time.Duration
-	// Clock paces the scan loop (default: the real clock).
-	Clock clock.Clock
 
 	leases map[string]string // "name@version" -> lease id
 }
 
-// Run scans the space until ctx is cancelled: new extension tuples are
-// verified and installed; known ones have their local leases renewed. When a
-// tuple disappears, renewals stop and the receiver expires the extension on
-// its own.
-func (l *SpaceListener) Run(ctx context.Context) error {
-	poll := l.Poll
-	if poll <= 0 {
-		poll = 50 * time.Millisecond
-	}
-	leaseDur := l.LeaseDur
-	if leaseDur <= 0 {
-		leaseDur = 4 * poll
-	}
-	if l.leases == nil {
-		l.leases = make(map[string]string)
-	}
-	clk := l.Clock
-	if clk == nil {
-		clk = clock.Real{}
-	}
-	for {
-		l.Scan(leaseDur)
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-clk.After(poll):
-		}
-	}
-}
-
-// Scan performs one synchronisation round; Run calls it periodically, and
-// deterministic tests or manual pollers may call it directly.
+// Scan performs one synchronisation round: new extension tuples are verified
+// and installed under local leases of leaseDur; known ones have their leases
+// renewed. When a tuple disappears, renewals stop and the receiver expires
+// the extension on its own.
 func (l *SpaceListener) Scan(leaseDur time.Duration) {
 	if l.leases == nil {
 		l.leases = make(map[string]string)

@@ -14,8 +14,6 @@ import (
 	"time"
 
 	"repro/internal/clock"
-	"repro/internal/metrics"
-	"repro/internal/trace"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -52,31 +50,6 @@ type Bus struct {
 	mu     sync.Mutex
 	subs   map[int]*busSub
 	nextID int
-	m      busMetrics
-	tracer *trace.Tracer
-}
-
-// busMetrics counts announcement traffic; nil-safe no-ops until Instrument.
-type busMetrics struct {
-	announces   *metrics.Counter
-	deliveries  *metrics.Counter
-	subscribers *metrics.Gauge
-}
-
-// Instrument records published announcements, per-subscriber deliveries (after
-// filtering) and the live-subscriber gauge in reg. A nil reg is a no-op.
-func (b *Bus) Instrument(reg *metrics.Registry) {
-	if reg == nil {
-		return
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.m = busMetrics{
-		announces:   reg.Counter("discovery.announces"),
-		deliveries:  reg.Counter("discovery.deliveries"),
-		subscribers: reg.Gauge("discovery.subscribers"),
-	}
-	b.m.subscribers.Set(int64(len(b.subs)))
 }
 
 type busSub struct {
@@ -89,17 +62,6 @@ func NewBus() *Bus {
 	return &Bus{subs: make(map[int]*busSub)}
 }
 
-// Trace logs published announcements to tr's structured event ring under the
-// "discovery" component. A nil tr is a no-op.
-func (b *Bus) Trace(tr *trace.Tracer) {
-	if tr == nil {
-		return
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.tracer = tr
-}
-
 // Announce publishes a to all current subscribers (synchronously).
 func (b *Bus) Announce(a Announcement) {
 	b.mu.Lock()
@@ -107,14 +69,9 @@ func (b *Bus) Announce(a Announcement) {
 	for _, s := range b.subs {
 		subs = append(subs, s)
 	}
-	m := b.m
-	tr := b.tracer
 	b.mu.Unlock()
-	m.announces.Inc()
-	tr.Eventf(nil, "discovery", "announce %s (lookup %s, area %q) to %d subscribers", a.Name, a.LookupAddr, a.Area, len(subs))
 	for _, s := range subs {
 		if s.filter == nil || s.filter(a) {
-			m.deliveries.Inc()
 			s.fn(a)
 		}
 	}
@@ -127,12 +84,10 @@ func (b *Bus) Subscribe(fn func(Announcement), filter func(Announcement) bool) f
 	b.nextID++
 	id := b.nextID
 	b.subs[id] = &busSub{fn: fn, filter: filter}
-	b.m.subscribers.Set(int64(len(b.subs)))
 	b.mu.Unlock()
 	return func() {
 		b.mu.Lock()
 		delete(b.subs, id)
-		b.m.subscribers.Set(int64(len(b.subs)))
 		b.mu.Unlock()
 	}
 }
@@ -188,15 +143,6 @@ func StartFuncAnnouncer(announce func(context.Context) error, interval time.Dura
 		}
 	}()
 	return an
-}
-
-// StartUDPAnnouncer beacons a to target every interval until Stop, retrying
-// failed sends per pol (which should carry a RetryIf suited to UDP send
-// errors).
-func StartUDPAnnouncer(target string, a Announcement, interval time.Duration, pol *transport.Policy) *Announcer {
-	return StartFuncAnnouncer(func(context.Context) error {
-		return AnnounceUDP(target, a)
-	}, interval, pol, nil)
 }
 
 // Stop halts the announcer and waits for it to exit.

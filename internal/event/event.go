@@ -87,9 +87,6 @@ func NewDispatcher(source string, caller transport.Caller, clk clock.Clock) *Dis
 	}
 }
 
-// Grantor exposes the lease grantor so callers can drive expiry sweeps.
-func (d *Dispatcher) Grantor() *lease.Grantor { return d.grantor }
-
 // Subscribe registers a leased listener and returns its id and lease.
 func (d *Dispatcher) Subscribe(addr, method string, dur time.Duration) (string, lease.Lease) {
 	d.mu.Lock()

@@ -59,10 +59,8 @@ type monitorBody struct {
 	queue chan record
 	done  chan struct{}
 
-	mu      sync.Mutex
-	dropped int64
-	posted  int64
-	closed  bool
+	mu     sync.Mutex
+	closed bool
 }
 
 // Exec implements aop.Body.
@@ -98,8 +96,7 @@ func (m *monitorBody) Exec(ctx *aop.Context) error {
 	}
 	select {
 	case m.queue <- rec:
-	default:
-		m.dropped++
+	default: // queue full: the record is dropped, posting is best effort
 	}
 	return nil
 }
@@ -120,11 +117,6 @@ func (m *monitorBody) post(rec record) error {
 	_, err := hostCall(m.host, "net.post",
 		lvm.Str(m.baseAddr), lvm.Str(m.robot), lvm.Str(rec.device),
 		lvm.Str(rec.action), lvm.Int(rec.value), lvm.Int(rec.at), lvm.Int(0))
-	if err == nil {
-		m.mu.Lock()
-		m.posted++
-		m.mu.Unlock()
-	}
 	return err
 }
 
@@ -150,11 +142,4 @@ func (m *monitorBody) Shutdown() {
 	m.mu.Unlock()
 	close(m.queue)
 	<-m.done
-}
-
-// Stats reports posted and dropped record counts (for tests and benches).
-func (m *monitorBody) Stats() (posted, dropped int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.posted, m.dropped
 }

@@ -15,11 +15,9 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/aop"
 	"repro/internal/lvm"
-	"repro/internal/metrics"
 	"repro/internal/weave"
 )
 
@@ -36,26 +34,7 @@ type Machine struct {
 	mu    sync.Mutex
 	cache map[*lvm.Method]*compiled
 
-	// Compile-time accounting (nil until Instrument). Compilation happens
-	// once per method under mu; invocation itself is never counted here so
-	// the compiled execution path stays untouched.
-	compiles  *metrics.Counter
-	compileNs *metrics.Histogram
-
 	framePool sync.Pool
-}
-
-// Instrument records method compilations (count and latency) in reg. Safe to
-// call at any time; a nil reg is a no-op. Interception dispatches are counted
-// by the weaver's sites, not here, so the hot invoke path is unchanged.
-func (m *Machine) Instrument(reg *metrics.Registry) {
-	if reg == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.compiles = reg.Counter("jit.compiles")
-	m.compileNs = reg.Histogram("jit.compile_ns", nil)
 }
 
 // NewMachine returns a Machine over prog. weaver may be nil for an
@@ -123,17 +102,9 @@ func (m *Machine) compiledFor(meth *lvm.Method) (*compiled, error) {
 	if c, ok := m.cache[meth]; ok {
 		return c, nil
 	}
-	start := time.Time{}
-	if m.compiles != nil {
-		start = time.Now() //lint:allow clockcheck (measures real compile latency)
-	}
 	c, err := m.compile(meth)
 	if err != nil {
 		return nil, err
-	}
-	if m.compiles != nil {
-		m.compiles.Inc()
-		m.compileNs.Since(start)
 	}
 	m.cache[meth] = c
 	return c, nil

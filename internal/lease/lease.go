@@ -118,12 +118,6 @@ func (g *Grantor) Trace(tr *trace.Tracer) {
 	g.tracer = tr
 }
 
-func (g *Grantor) traceRef() *trace.Tracer {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.tracer
-}
-
 // Grant issues a lease for d. onExpire (may be nil) runs when the lease
 // lapses without renewal; it does not run on Cancel. The grant event is
 // stamped with the trace carried by ctx (normally the install that holds the

@@ -6,9 +6,10 @@ import "testing"
 // mobile extension code arrives from the network, so the assembler must
 // reject garbage with errors, never panics — and anything it accepts must
 // disassemble into text it accepts again. Programs that additionally pass
-// the static verifier (the production install pipeline is Assemble →
-// VerifyProgram → run, see core.InstallBody) must run in the interpreter
-// without panicking under a small step budget.
+// VerifyProgram must run in the interpreter without panicking under a small
+// step budget. The production install pipeline is Assemble →
+// analysis.AnalyzeProgram → interpreter, and AnalyzeProgram accepts only
+// what VerifyProgram accepts, so this covers every program a receiver runs.
 func FuzzAssemble(f *testing.F) {
 	for _, seed := range []string{
 		lvmFixtureA,

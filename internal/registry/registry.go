@@ -288,14 +288,10 @@ func (l *Lookup) metricsRef() lookupMetrics {
 }
 
 // Watch registers notify to run for every future registration change
-// matching tmpl, under a lease. It returns the watcher id and lease.
-func (l *Lookup) Watch(tmpl Template, dur time.Duration, notify func(Event)) (string, lease.Lease) {
-	return l.WatchFull(tmpl, dur, notify, nil)
-}
-
-// WatchFull is Watch with an additional cleanup callback invoked exactly once
-// when the watcher is removed (explicitly or by lease expiry).
-func (l *Lookup) WatchFull(tmpl Template, dur time.Duration, notify func(Event), onRemoved func()) (string, lease.Lease) {
+// matching tmpl, under a lease. onRemoved (may be nil) runs exactly once when
+// the watcher is removed, explicitly or by lease expiry. It returns the
+// watcher id and lease.
+func (l *Lookup) Watch(tmpl Template, dur time.Duration, notify func(Event), onRemoved func()) (string, lease.Lease) {
 	l.mu.Lock()
 	l.nextW++
 	id := "w" + strconv.Itoa(l.nextW)

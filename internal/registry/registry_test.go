@@ -116,7 +116,7 @@ func TestWatchNotifiesAddAndRemove(t *testing.T) {
 		mu.Lock()
 		events = append(events, ev)
 		mu.Unlock()
-	})
+	}, nil)
 
 	if _, err := l.Register(context.Background(), item("r1", "midas.adaptation", nil), 10*time.Second); err != nil {
 		t.Fatal(err)
@@ -150,7 +150,7 @@ func TestWatchSeesLeaseExpiryAsRemoval(t *testing.T) {
 		mu.Lock()
 		kinds = append(kinds, ev.Kind)
 		mu.Unlock()
-	})
+	}, nil)
 	if _, err := l.Register(context.Background(), item("r1", "svc", nil), time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestUnwatchStopsNotifications(t *testing.T) {
 	l := NewLookup(clock.NewManual(time.Unix(0, 0)))
 	count := 0
 	removed := false
-	id, _ := l.WatchFull(Template{}, time.Hour, func(Event) { count++ }, func() { removed = true })
+	id, _ := l.Watch(Template{}, time.Hour, func(Event) { count++ }, func() { removed = true })
 	l.Unwatch(id)
 	if !removed {
 		t.Error("onRemoved did not run")
@@ -184,7 +184,7 @@ func TestWatcherLeaseExpiry(t *testing.T) {
 	clk := clock.NewManual(time.Unix(0, 0))
 	l := NewLookup(clk)
 	count := 0
-	l.Watch(Template{}, time.Second, func(Event) { count++ })
+	l.Watch(Template{}, time.Second, func(Event) { count++ }, nil)
 	clk.Advance(2 * time.Second)
 	l.ExpireNow()
 	if _, err := l.Register(context.Background(), item("r1", "svc", nil), time.Minute); err != nil {

@@ -133,7 +133,7 @@ func (s *Server) watch(req WatchReq) (WatchResp, error) {
 	// Event delivery is leased implicitly through the lookup watcher; the
 	// dispatcher subscription lives until the watcher is removed.
 	subID, _ := s.dispatcher.Subscribe(req.Addr, req.Method, 365*24*time.Hour)
-	watchID, _ := s.lookup.WatchFull(req.Tmpl, time.Duration(req.DurMillis)*time.Millisecond,
+	watchID, _ := s.lookup.Watch(req.Tmpl, time.Duration(req.DurMillis)*time.Millisecond,
 		func(ev Event) {
 			// Deliver under the registrant's span context so the watcher's
 			// reaction joins its trace.

@@ -44,21 +44,3 @@ func Drive(clk *clock.Manual, step time.Duration) (stop func()) {
 		<-done
 	}
 }
-
-// Settle advances a manual clock while timers are pending and returns once
-// none have appeared for a few scheduling rounds — i.e. the simulated world
-// has gone quiet. Only useful when no component keeps a perpetual timer
-// armed (a lease.Scheduler wheel and a grantor sweeper re-arm forever; use
-// Advance for those).
-func Settle(clk *clock.Manual, step time.Duration) {
-	idle := 0
-	for idle < 20 {
-		if clk.PendingTimers() > 0 {
-			clk.Advance(step)
-			idle = 0
-		} else {
-			idle++
-		}
-		time.Sleep(time.Millisecond) //lint:allow clockcheck (real pause while polling for quiescence)
-	}
-}

@@ -1,12 +1,6 @@
 package store
 
-import (
-	"bufio"
-	"encoding/json"
-	"fmt"
-	"os"
-	"sync"
-)
+import "sync"
 
 // KV is a small versioned key-value store. The orthogonal-persistence
 // extension snapshots intercepted field writes into it, and the transaction
@@ -16,8 +10,7 @@ type KV struct {
 	data     map[string][]byte
 	versions map[string]int64
 
-	f      *os.File
-	w      *bufio.Writer
+	j      *journal // nil for in-memory KVs
 	closed bool
 
 	autoCompactEvery int // journal writes between automatic compactions (0 = never)
@@ -35,36 +28,15 @@ func NewKV() *KV {
 	return &KV{data: make(map[string][]byte), versions: make(map[string]int64)}
 }
 
-// OpenKV returns a KV journalled to path, replaying existing entries.
+// OpenKV returns a KV journalled to path, replaying existing entries with
+// the same torn-write rules as Open.
 func OpenKV(path string) (*KV, error) {
 	kv := NewKV()
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+	j, err := openJournal(path, kv.applyLocked)
 	if err != nil {
-		return nil, fmt.Errorf("store: open kv %s: %w", path, err)
+		return nil, err
 	}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var e kvEntry
-		if err := json.Unmarshal(line, &e); err != nil {
-			break // tolerate a torn tail
-		}
-		kv.applyLocked(e)
-	}
-	if err := sc.Err(); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("store: scan kv %s: %w", path, err)
-	}
-	if _, err := f.Seek(0, 2); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("store: seek kv %s: %w", path, err)
-	}
-	kv.f = f
-	kv.w = bufio.NewWriter(f)
+	kv.j = j
 	return kv, nil
 }
 
@@ -98,12 +70,7 @@ func (kv *KV) Put(key string, value []byte) error {
 	// deletion in the journal.
 	cp := make([]byte, len(value))
 	copy(cp, value)
-	e := kvEntry{Key: key, Value: cp, Version: kv.versions[key] + 1}
-	if err := kv.journalLocked(e); err != nil {
-		return err
-	}
-	kv.applyLocked(e)
-	return kv.maybeAutoCompactLocked()
+	return kv.writeLocked(kvEntry{Key: key, Value: cp, Version: kv.versions[key] + 1})
 }
 
 // Delete removes key.
@@ -113,18 +80,21 @@ func (kv *KV) Delete(key string) error {
 	if kv.closed {
 		return ErrClosed
 	}
-	e := kvEntry{Key: key, Version: kv.versions[key] + 1}
-	if err := kv.journalLocked(e); err != nil {
+	return kv.writeLocked(kvEntry{Key: key, Version: kv.versions[key] + 1})
+}
+
+// writeLocked journals and applies e, then compacts once the configured write
+// budget is spent. Callers hold kv.mu.
+func (kv *KV) writeLocked(e kvEntry) error {
+	if kv.j == nil {
+		kv.applyLocked(e)
+		return nil
+	}
+	if err := kv.j.append(e); err != nil {
 		return err
 	}
 	kv.applyLocked(e)
-	return kv.maybeAutoCompactLocked()
-}
-
-// maybeAutoCompactLocked compacts once the configured write budget is spent.
-// Callers hold kv.mu.
-func (kv *KV) maybeAutoCompactLocked() error {
-	if kv.w == nil || kv.autoCompactEvery <= 0 {
+	if kv.autoCompactEvery <= 0 {
 		return nil
 	}
 	kv.writesSinceComp++
@@ -172,7 +142,31 @@ func (kv *KV) Keys() []string {
 	return out
 }
 
-// Close flushes and closes the journal.
+// Compact rewrites the journal to one entry per live key, atomically
+// replacing the old file. Versions are preserved so optimistic transactions
+// keep validating correctly across compaction.
+func (kv *KV) Compact() error {
+	kv.mu.Lock()
+	defer kv.mu.Unlock()
+	if kv.closed {
+		return ErrClosed
+	}
+	return kv.compactLocked()
+}
+
+// compactLocked does the journal rewrite. Callers hold kv.mu.
+func (kv *KV) compactLocked() error {
+	if kv.j == nil {
+		return nil // in-memory KV has nothing to compact
+	}
+	live := make([]kvEntry, 0, len(kv.data))
+	for key, val := range kv.data {
+		live = append(live, kvEntry{Key: key, Value: val, Version: kv.versions[key]})
+	}
+	return rewrite(kv.j, live)
+}
+
+// Close closes the journal (no-op for in-memory KVs).
 func (kv *KV) Close() error {
 	kv.mu.Lock()
 	defer kv.mu.Unlock()
@@ -180,26 +174,5 @@ func (kv *KV) Close() error {
 		return nil
 	}
 	kv.closed = true
-	if kv.w != nil {
-		if err := kv.w.Flush(); err != nil {
-			kv.f.Close()
-			return err
-		}
-		return kv.f.Close()
-	}
-	return nil
-}
-
-func (kv *KV) journalLocked(e kvEntry) error {
-	if kv.w == nil {
-		return nil
-	}
-	line, err := json.Marshal(e)
-	if err != nil {
-		return fmt.Errorf("store: marshal kv: %w", err)
-	}
-	if _, err := kv.w.Write(append(line, '\n')); err != nil {
-		return fmt.Errorf("store: write kv: %w", err)
-	}
-	return kv.w.Flush()
+	return kv.j.close()
 }

@@ -6,11 +6,7 @@
 package store
 
 import (
-	"bufio"
-	"encoding/json"
 	"errors"
-	"fmt"
-	"os"
 	"sync"
 )
 
@@ -65,8 +61,7 @@ type Store struct {
 	nextSeq int64
 	byRobot map[string][]int // indexes into recs
 
-	f      *os.File
-	w      *bufio.Writer
+	j      *journal // nil for in-memory stores
 	closed bool
 }
 
@@ -75,38 +70,16 @@ func NewMemory() *Store {
 	return &Store{nextSeq: 1, byRobot: make(map[string][]int)}
 }
 
-// Open returns a store journalled to path, loading any existing records.
+// Open returns a store journalled to path, loading any existing records. A
+// record torn by a crash mid-write is dropped and one that does not decode is
+// skipped; every other record loads.
 func Open(path string) (*Store, error) {
 	s := NewMemory()
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+	j, err := openJournal(path, s.index)
 	if err != nil {
-		return nil, fmt.Errorf("store: open %s: %w", path, err)
+		return nil, err
 	}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var r Record
-		if err := json.Unmarshal(line, &r); err != nil {
-			// A torn final line (crash mid-write) is tolerated; anything
-			// mid-file is corruption.
-			break
-		}
-		s.appendLocked(r, false)
-	}
-	if err := sc.Err(); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("store: scan %s: %w", path, err)
-	}
-	if _, err := f.Seek(0, 2); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("store: seek %s: %w", path, err)
-	}
-	s.f = f
-	s.w = bufio.NewWriter(f)
+	s.j = j
 	return s, nil
 }
 
@@ -117,31 +90,29 @@ func (s *Store) Append(r Record) (int64, error) {
 	if s.closed {
 		return 0, ErrClosed
 	}
-	return s.appendLocked(r, true)
+	if r.Seq == 0 {
+		r.Seq = s.nextSeq
+	}
+	if s.j != nil {
+		if err := s.j.append(r); err != nil {
+			return 0, err
+		}
+	}
+	s.index(r)
+	return r.Seq, nil
 }
 
-func (s *Store) appendLocked(r Record, persist bool) (int64, error) {
+// index adds r to the in-memory log, numbering it when it has no sequence
+// number yet. Callers hold s.mu or own s exclusively.
+func (s *Store) index(r Record) {
 	if r.Seq == 0 {
 		r.Seq = s.nextSeq
 	}
 	if r.Seq >= s.nextSeq {
 		s.nextSeq = r.Seq + 1
 	}
-	if persist && s.w != nil {
-		line, err := json.Marshal(r)
-		if err != nil {
-			return 0, fmt.Errorf("store: marshal: %w", err)
-		}
-		if _, err := s.w.Write(append(line, '\n')); err != nil {
-			return 0, fmt.Errorf("store: write: %w", err)
-		}
-		if err := s.w.Flush(); err != nil {
-			return 0, fmt.Errorf("store: flush: %w", err)
-		}
-	}
 	s.byRobot[r.Robot] = append(s.byRobot[r.Robot], len(s.recs))
 	s.recs = append(s.recs, r)
-	return r.Seq, nil
 }
 
 // Query returns all records matching f in append order.
@@ -183,7 +154,35 @@ func (s *Store) Len() int {
 	return len(s.recs)
 }
 
-// Close flushes and closes the journal (no-op for in-memory stores).
+// Compact rewrites the journal to contain only the live state, atomically
+// replacing the old file. It drops records older than keepSince (AtMillis; 0
+// keeps everything, making Compact a defragmenting rewrite); for long-running
+// base stations this is how the movement history is pruned after it has been
+// archived or replayed.
+func (s *Store) Compact(keepSince int64) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return ErrClosed
+	}
+	var kept []Record
+	for _, r := range s.recs {
+		if keepSince == 0 || r.AtMillis >= keepSince {
+			kept = append(kept, r)
+		}
+	}
+	if err := rewrite(s.j, kept); err != nil {
+		return err
+	}
+	s.recs = nil
+	s.byRobot = make(map[string][]int, len(s.byRobot))
+	for _, r := range kept {
+		s.index(r)
+	}
+	return nil
+}
+
+// Close closes the journal (no-op for in-memory stores).
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -191,12 +190,5 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
-	if s.w != nil {
-		if err := s.w.Flush(); err != nil {
-			s.f.Close()
-			return err
-		}
-		return s.f.Close()
-	}
-	return nil
+	return s.j.close()
 }

@@ -235,9 +235,32 @@ func TestOpenToleratesTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s2.Close()
 	if s2.Len() != 1 {
 		t.Errorf("Len = %d, want 1 (torn line dropped)", s2.Len())
+	}
+	// Records appended after the restart start a line of their own and
+	// survive the next restart.
+	for v := int64(2); v <= 3; v++ {
+		if _, err := s2.Append(rec("r", "d", "a", v, v*100)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s3, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s3.Close()
+	got := s3.Query(Filter{})
+	if len(got) != 3 {
+		t.Fatalf("after second restart: %d records, want 3: %+v", len(got), got)
+	}
+	for i, r := range got {
+		if r.Value != int64(i+1) || r.Seq != int64(i+1) {
+			t.Errorf("record %d = %+v", i, r)
+		}
 	}
 }
 
@@ -266,9 +289,26 @@ func TestKVOpenToleratesTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer kv2.Close()
 	if v, ok := kv2.Get("k"); !ok || string(v) != "v" {
 		t.Errorf("reload = %q, %v", v, ok)
+	}
+	// A key put after the restart survives the next restart.
+	if err := kv2.Put("k2", []byte("after")); err != nil {
+		t.Fatal(err)
+	}
+	if err := kv2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	kv3, err := OpenKV(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer kv3.Close()
+	if v, ok := kv3.Get("k"); !ok || string(v) != "v" {
+		t.Errorf("second reload k = %q, %v", v, ok)
+	}
+	if v, ok := kv3.Get("k2"); !ok || string(v) != "after" {
+		t.Errorf("second reload k2 = %q, %v; want the put after the first restart", v, ok)
 	}
 }
 
