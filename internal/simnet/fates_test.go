@@ -1,8 +1,6 @@
 package simnet
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -10,9 +8,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/metrics"
-	"repro/internal/transport"
 )
 
 var updateFates = flag.Bool("update", false, "rewrite testdata/fates.golden from the current code")
@@ -44,53 +39,17 @@ func (f fate) String() string {
 func netFate(n *Net, from, to string) fate {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	p := n.planLocked(n.linkLocked(from, to))
-	return fate{p.lost, p.dup, p.reordered, p.latency}
+	return fateOf(n.linkLocked(from, to).plan(&n.def))
 }
 
-// recClock fires every timer at once and records the durations asked for.
-type recClock struct{ waits []time.Duration }
-
-func (c *recClock) Now() time.Time { return time.Unix(0, 0) }
-
-func (c *recClock) After(d time.Duration) <-chan time.Time {
-	c.waits = append(c.waits, d)
-	ch := make(chan time.Time, 1)
-	ch <- time.Unix(0, 0)
-	return ch
+// chaosFate draws the fate of c's next call, as Call does.
+func chaosFate(c *Chaos) fate {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return fateOf(c.link.plan(nil))
 }
 
-// countCaller counts the calls that reach it and answers each with success.
-type countCaller struct{ calls int }
-
-func (c *countCaller) Call(context.Context, string, string, any, any) error {
-	c.calls++
-	return nil
-}
-
-// chaosFate sends one call through c and reads its fate off what happened:
-// whether the inner caller saw it, how often, how long it waited and whether
-// the reorder counter moved.
-func chaosFate(t *testing.T, c *Chaos, inner *countCaller, clk *recClock, reg *metrics.Registry) fate {
-	t.Helper()
-	inner.calls, clk.waits = 0, nil
-	reorders := reg.Snapshot().Counters["simnet.reorders"]
-	err := c.Call(context.Background(), "b", "m", nil, nil)
-	f := fate{reordered: reg.Snapshot().Counters["simnet.reorders"] != reorders}
-	switch {
-	case errors.Is(err, transport.ErrUnreachable) && inner.calls == 0:
-		f.lost = true
-	case err != nil:
-		t.Fatalf("chaos call: %v", err)
-	default:
-		f.dup = inner.calls == 2
-		if len(clk.waits) != 1 {
-			t.Fatalf("chaos call waited %v, want one latency wait", clk.waits)
-		}
-		f.latency = clk.waits[0]
-	}
-	return f
-}
+func fateOf(p sendPlan) fate { return fate{p.lost, p.dup, p.reordered, p.latency} }
 
 // TestFateStreamGolden pins the fault stream: the first 200 fates of links
 // a→b and b→a of a Net, and of a Chaos wrapper, for three seeds. A change to
@@ -109,13 +68,10 @@ func TestFateStreamGolden(t *testing.T) {
 		}
 		n.Close()
 
-		inner, clk, reg := &countCaller{}, &recClock{}, metrics.New()
-		c := NewChaos(inner, seed, fateProfile)
-		c.clk = clk
-		c.Instrument(reg)
+		c := NewChaos(nil, seed, fateProfile)
 		fmt.Fprintf(&b, "seed %d chaos\n", seed)
 		for i := 0; i < 200; i++ {
-			fmt.Fprintln(&b, chaosFate(t, c, inner, clk, reg))
+			fmt.Fprintln(&b, chaosFate(c))
 		}
 	}
 	path := filepath.Join("testdata", "fates.golden")

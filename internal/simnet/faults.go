@@ -6,11 +6,9 @@ import (
 	"math/rand"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/clock"
-	"repro/internal/metrics"
 	"repro/internal/transport"
 )
 
@@ -27,6 +25,9 @@ func ParseFaults(spec string) (LinkProfile, error) {
 	if spec == "" {
 		return p, nil
 	}
+	prob := map[string]*float64{"loss": &p.Loss, "dup": &p.Dup, "reorder": &p.Reorder}
+	dur := map[string]*time.Duration{"latmin": &p.LatencyMin, "latmax": &p.LatencyMax,
+		"dupdelay": &p.DupDelay, "reorderdelay": &p.ReorderDelay}
 	for _, kv := range strings.Split(spec, ",") {
 		key, val, ok := strings.Cut(strings.TrimSpace(kv), "=")
 		if !ok {
@@ -34,36 +35,19 @@ func ParseFaults(spec string) (LinkProfile, error) {
 		}
 		key = strings.ToLower(strings.TrimSpace(key))
 		val = strings.TrimSpace(val)
-		switch key {
-		case "loss", "dup", "reorder":
-			f, err := strconv.ParseFloat(val, 64)
-			if err != nil || f < 0 || f > 1 {
+		if f, ok := prob[key]; ok {
+			v, err := strconv.ParseFloat(val, 64)
+			if err != nil || v < 0 || v > 1 {
 				return p, fmt.Errorf("simnet: fault %s=%q: want probability in [0,1]", key, val)
 			}
-			switch key {
-			case "loss":
-				p.Loss = f
-			case "dup":
-				p.Dup = f
-			case "reorder":
-				p.Reorder = f
-			}
-		case "latmin", "latmax", "dupdelay", "reorderdelay":
-			d, err := time.ParseDuration(val)
-			if err != nil || d < 0 {
+			*f = v
+		} else if d, ok := dur[key]; ok {
+			v, err := time.ParseDuration(val)
+			if err != nil || v < 0 {
 				return p, fmt.Errorf("simnet: fault %s=%q: want non-negative duration", key, val)
 			}
-			switch key {
-			case "latmin":
-				p.LatencyMin = d
-			case "latmax":
-				p.LatencyMax = d
-			case "dupdelay":
-				p.DupDelay = d
-			case "reorderdelay":
-				p.ReorderDelay = d
-			}
-		default:
+			*d = v
+		} else {
 			return p, fmt.Errorf("simnet: unknown fault key %q", key)
 		}
 	}
@@ -75,81 +59,31 @@ func ParseFaults(spec string) (LinkProfile, error) {
 
 // Chaos wraps a real transport.Caller with seeded fault injection — loss,
 // latency, duplication, reordering — for manual chaos runs against live
-// fabrics (cmd/node -faults). Unlike Net it sits caller-side only: a dropped
+// fabrics (cmd/node -faults). It draws every call's fate on one link seeded
+// from seed and applies it with Net's send step, caller-side only: a dropped
 // message surfaces as ErrUnreachable without touching the wire, a duplicated
-// one is sent twice.
+// one is sent again, DupDelay after the original.
 type Chaos struct {
-	inner transport.Caller
-	prof  LinkProfile
-	clk   clock.Clock
-
-	mu  sync.Mutex
-	rng *rand.Rand
-
-	m netMetrics
+	faults // its mu also guards link
+	inner  transport.Caller
+	link   link
 }
 
 // NewChaos returns a chaos wrapper around inner drawing faults from seed.
 func NewChaos(inner transport.Caller, seed int64, prof LinkProfile) *Chaos {
 	return &Chaos{
-		inner: inner,
-		prof:  prof,
-		clk:   clock.Real{},
-		rng:   rand.New(rand.NewSource(seed)),
+		faults: faults{clk: clock.Real{}},
+		inner:  inner,
+		link:   link{prof: &prof, rng: rand.New(rand.NewSource(seed))},
 	}
-}
-
-// Instrument records injected faults in reg under the simnet.* names. A nil
-// reg is a no-op.
-func (c *Chaos) Instrument(reg *metrics.Registry) {
-	if reg == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.m = newNetMetrics(reg)
 }
 
 // Call implements transport.Caller.
 func (c *Chaos) Call(ctx context.Context, to, method string, req, resp any) error {
 	c.mu.Lock()
 	c.m.calls.Inc()
-	p := c.prof
-	lost := c.rng.Float64() < p.Loss
-	dup := c.rng.Float64() < p.Dup
-	reordered := c.rng.Float64() < p.Reorder
-	u := c.rng.Float64()
+	plan := c.link.plan(nil)
 	c.mu.Unlock()
-
-	latency := p.LatencyMin
-	if p.LatencyMax > p.LatencyMin {
-		latency += time.Duration(u * float64(p.LatencyMax-p.LatencyMin))
-	}
-	if reordered {
-		c.m.reorders.Inc()
-		extra := p.ReorderDelay
-		if extra <= 0 {
-			extra = p.LatencyMax
-		}
-		latency += extra
-	}
-	if lost {
-		c.m.losses.Inc()
-		return fmt.Errorf("%w: %s (chaos: message lost)", transport.ErrUnreachable, to)
-	}
-	if latency > 0 {
-		select {
-		case <-c.clk.After(latency):
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
-	err := c.inner.Call(ctx, to, method, req, resp)
-	c.m.delivered.Inc()
-	if dup && err == nil {
-		// Retransmit: the duplicate's response is discarded.
-		c.m.dups.Inc()
-		_ = c.inner.Call(ctx, to, method, req, nil)
-	}
+	_, err := c.send(ctx, c.inner, plan, "chaos", to, method, req, resp)
 	return err
 }

@@ -1,9 +1,10 @@
 // Package simnet is a deterministic, seeded network simulator for testing
 // the platform under the hostile conditions of the paper's testbed: nodes
 // roam out of coverage, wireless links lose, delay, duplicate and reorder
-// messages, and bases or nodes crash and restart. It implements the
-// transport.Caller/server surface, so every distributed component (bases,
-// receivers, lookup services, event dispatchers) runs over it unmodified.
+// messages, and bases or nodes crash and restart. It is a fault layer over a
+// private transport.InProc, which delivers every call, so every distributed
+// component (bases, receivers, lookup services, event dispatchers) runs over
+// it unmodified, through the same delivery code as on the in-proc fabric.
 //
 // All randomness comes from per-link RNGs derived from one seed, and all
 // delays run on an injected clock (typically clock.Manual), so a scenario's
@@ -13,6 +14,7 @@ package simnet
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
@@ -22,6 +24,7 @@ import (
 	"repro/internal/clock"
 	"repro/internal/metrics"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // LinkProfile describes the fault behaviour of one directed link.
@@ -58,9 +61,42 @@ type link struct {
 	partitioned bool
 }
 
-type simNode struct {
-	h    transport.Handler
-	down bool
+// sendPlan is one message's fate, drawn up front so each link's RNG is
+// consumed in a fixed order per message regardless of the outcome.
+type sendPlan struct {
+	lost      bool
+	dup       bool
+	dupDelay  time.Duration
+	reordered bool
+	latency   time.Duration
+}
+
+// plan draws a message's fate from the link's RNG, under the link's own
+// profile or def when it has none. Callers serialise draws on one link.
+func (l *link) plan(def *LinkProfile) sendPlan {
+	p := l.prof
+	if p == nil {
+		p = def
+	}
+	var plan sendPlan
+	// Fixed draw order: loss, dup, reorder, latency.
+	plan.lost = l.rng.Float64() < p.Loss
+	plan.dup = l.rng.Float64() < p.Dup
+	plan.dupDelay = p.DupDelay
+	plan.reordered = l.rng.Float64() < p.Reorder
+	u := l.rng.Float64()
+	plan.latency = p.LatencyMin
+	if p.LatencyMax > p.LatencyMin {
+		plan.latency += time.Duration(u * float64(p.LatencyMax-p.LatencyMin))
+	}
+	if plan.reordered {
+		extra := p.ReorderDelay
+		if extra <= 0 {
+			extra = p.LatencyMax
+		}
+		plan.latency += extra
+	}
+	return plan
 }
 
 // netMetrics counts simulated network events; nil-safe until Instrument.
@@ -88,20 +124,146 @@ func newNetMetrics(reg *metrics.Registry) netMetrics {
 	}
 }
 
+// faults applies drawn fates to messages on a clock: the send step Net and
+// Chaos share.
+type faults struct {
+	clk   clock.Clock
+	stop  chan struct{}        // closed by Net.Close; nil (never) for Chaos
+	alive func(to string) bool // nil: every destination takes duplicates
+
+	mu      sync.Mutex // guards m, closed and the owner's links
+	m       netMetrics
+	closed  bool
+	pending sync.WaitGroup // delayed duplicates not yet delivered
+}
+
+// Instrument records simulated traffic and injected faults in reg under the
+// simnet.* names. A nil reg is a no-op.
+func (f *faults) Instrument(reg *metrics.Registry) {
+	if reg == nil {
+		return
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.m = newNetMetrics(reg)
+}
+
+// suffer applies a fate to a message short of delivering it: it counts a
+// reorder, fails a lost message and waits out the latency.
+func (f *faults) suffer(ctx context.Context, plan sendPlan, what, from, to string) error {
+	if plan.reordered {
+		f.m.reorders.Inc()
+	}
+	if plan.lost {
+		f.m.losses.Inc()
+		return fmt.Errorf("%w: %s -> %s (%s lost)", transport.ErrUnreachable, from, to, what)
+	}
+	if plan.latency <= 0 {
+		return nil
+	}
+	select {
+	case <-f.clk.After(plan.latency):
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-f.stop:
+		return fmt.Errorf("%w: simnet closed", transport.ErrUnreachable)
+	}
+}
+
+// send carries a request whose fate is plan from → to, delivering it through
+// c with the caller's own ctx, req and resp. A duplicated request reaches to
+// again through c, carrying the bytes the original did. reached reports
+// whether the request got to the handler.
+func (f *faults) send(ctx context.Context, c transport.Caller, plan sendPlan, from, to, method string, req, resp any) (reached bool, err error) {
+	if err := f.suffer(ctx, plan, "message", from, to); err != nil {
+		return false, err
+	}
+	var dup rawFields
+	if plan.dup {
+		dup = fieldsOf(req) // now: callers reuse req once Call returns
+	}
+	err = c.Call(ctx, to, method, req, resp)
+	var re *transport.RemoteError
+	if err != nil && !errors.As(err, &re) && !errors.Is(err, transport.ErrDecode) {
+		return false, err
+	}
+	f.m.delivered.Inc()
+	if dup != nil {
+		f.redeliver(c, to, method, dup, plan.dupDelay)
+	}
+	return true, err
+}
+
+// redeliver sends a duplicate through c, modelling a retransmitted datagram:
+// immediately (back to back with the original) or after delay on the clock.
+// Through c it keeps the original sender's identity, so it does not slip
+// past per-peer admission control. Its response is discarded.
+func (f *faults) redeliver(c transport.Caller, to, method string, dup rawFields, delay time.Duration) {
+	if delay > 0 {
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		if !f.closed {
+			f.pending.Add(1)
+			go func() {
+				defer f.pending.Done()
+				select {
+				case <-f.clk.After(delay):
+					f.redeliver(c, to, method, dup, 0)
+				case <-f.stop:
+				}
+			}()
+		}
+		return
+	}
+	if f.alive != nil && !f.alive(to) {
+		return // crashed or wiped between original and duplicate
+	}
+	f.m.dups.Inc()
+	_ = c.Call(context.Background(), to, method, dup, nil)
+}
+
+// rawFields is a request's encoded fields, framed again verbatim for each
+// delivery of its duplicate.
+type rawFields []byte
+
+// MarshalWire implements wire.Marshaler.
+func (r rawFields) MarshalWire(e *wire.Encoder) {
+	for _, b := range r {
+		e.Byte(b)
+	}
+}
+
+// fieldsOf encodes req's fields, or returns nil when req has no wire codec,
+// which fails the original delivery anyway.
+func fieldsOf(req any) rawFields {
+	m, ok := req.(wire.Marshaler)
+	if !ok {
+		return nil
+	}
+	e := wire.GetEncoder()
+	m.MarshalWire(e)
+	out := append(rawFields{}, e.Data()...)
+	wire.PutEncoder(e)
+	return out
+}
+
+// simNode is one served address: its InProc attachment and crash flag.
+type simNode struct {
+	detach func() // leaves the InProc fabric; nil once wiped
+	down   bool
+}
+
+func (nd *simNode) up() bool { return !nd.down && nd.detach != nil }
+
 // Net is the simulated network fabric.
 type Net struct {
-	clk  clock.Clock
-	seed int64
-
-	mu     sync.Mutex
+	faults                   // its mu also guards the fields below
+	fab    *transport.InProc // delivers every call simnet lets through
+	seed   int64
 	nodes  map[string]*simNode
 	links  map[linkKey]*link
 	def    LinkProfile
-	m      netMetrics
-	closed bool
-
-	stop chan struct{}
-	wg   sync.WaitGroup
 }
 
 // New returns a fully connected, fault-free network on clk, deriving all
@@ -110,24 +272,20 @@ func New(clk clock.Clock, seed int64) *Net {
 	if clk == nil {
 		clk = clock.Real{}
 	}
-	return &Net{
-		clk:   clk,
-		seed:  seed,
-		nodes: make(map[string]*simNode),
-		links: make(map[linkKey]*link),
-		stop:  make(chan struct{}),
+	n := &Net{
+		faults: faults{clk: clk, stop: make(chan struct{})},
+		fab:    transport.NewInProc(),
+		seed:   seed,
+		nodes:  make(map[string]*simNode),
+		links:  make(map[linkKey]*link),
 	}
-}
-
-// Instrument records simulated traffic and injected faults in reg. A nil reg
-// is a no-op.
-func (n *Net) Instrument(reg *metrics.Registry) {
-	if reg == nil {
-		return
+	n.alive = func(to string) bool {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		nd, ok := n.nodes[to]
+		return ok && nd.up()
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.m = newNetMetrics(reg)
+	return n
 }
 
 // Close stops pending duplicate deliveries and waits for them to drain.
@@ -140,7 +298,7 @@ func (n *Net) Close() {
 	n.closed = true
 	n.mu.Unlock()
 	close(n.stop)
-	n.wg.Wait()
+	n.pending.Wait()
 }
 
 // Serve attaches h at addr, or re-attaches a fresh handler to a wiped node
@@ -148,29 +306,40 @@ func (n *Net) Close() {
 func (n *Net) Serve(addr string, h transport.Handler) (func(), error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	nd, ok := n.nodes[addr]
-	if ok && nd.h != nil {
-		return nil, fmt.Errorf("simnet: address %q in use", addr)
+	detach, err := n.fab.Serve(addr, h) // fails while addr is attached
+	if err != nil {
+		return nil, err
 	}
+	nd, ok := n.nodes[addr]
 	if !ok {
 		nd = &simNode{}
 		n.nodes[addr] = nd
 	}
-	nd.h = h
-	nd.down = false
+	nd.detach, nd.down = detach, false
 	return func() {
 		n.mu.Lock()
 		defer n.mu.Unlock()
-		if cur, ok := n.nodes[addr]; ok && cur == nd {
+		if n.nodes[addr] == nd {
 			delete(n.nodes, addr)
+			nd.wipe()
 		}
 	}, nil
+}
+
+// wipe detaches the node from the InProc fabric, if attached, and marks it
+// down.
+func (nd *simNode) wipe() {
+	if nd.detach != nil {
+		nd.detach()
+		nd.detach = nil
+	}
+	nd.down = true
 }
 
 // Node returns a Caller whose calls originate from addr, so partitions and
 // crash state are evaluated against the correct link endpoints.
 func (n *Net) Node(addr string) transport.Caller {
-	return &caller{net: n, from: addr}
+	return &caller{net: n, from: addr, inner: n.fab.Node(addr)}
 }
 
 // SetDefault installs the fault profile of every link without an explicit
@@ -185,8 +354,7 @@ func (n *Net) SetDefault(p LinkProfile) {
 func (n *Net) SetLink(from, to string, p LinkProfile) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	cp := p
-	n.linkLocked(from, to).prof = &cp
+	n.linkLocked(from, to).prof = &p
 }
 
 // SetLinkBoth overrides both directions between a and b.
@@ -245,7 +413,7 @@ func (n *Net) Crash(addr string) {
 func (n *Net) Restart(addr string) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if nd, ok := n.nodes[addr]; ok && nd.h != nil {
+	if nd, ok := n.nodes[addr]; ok && nd.detach != nil {
 		nd.down = false
 	}
 }
@@ -256,8 +424,7 @@ func (n *Net) Wipe(addr string) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if nd, ok := n.nodes[addr]; ok {
-		nd.h = nil
-		nd.down = true
+		nd.wipe()
 	}
 }
 
@@ -277,46 +444,10 @@ func (n *Net) linkLocked(from, to string) *link {
 	return l
 }
 
-// sendPlan is one message's fate, drawn up front so each link's RNG is
-// consumed in a fixed order per message regardless of the outcome.
-type sendPlan struct {
-	lost      bool
-	dup       bool
-	dupDelay  time.Duration
-	reordered bool
-	latency   time.Duration
-}
-
-// planLocked draws a message's fate from the link's RNG. Callers hold n.mu.
-func (n *Net) planLocked(l *link) sendPlan {
-	p := l.prof
-	if p == nil {
-		p = &n.def
-	}
-	var plan sendPlan
-	// Fixed draw order: loss, dup, reorder, latency.
-	plan.lost = l.rng.Float64() < p.Loss
-	plan.dup = l.rng.Float64() < p.Dup
-	plan.dupDelay = p.DupDelay
-	plan.reordered = l.rng.Float64() < p.Reorder
-	u := l.rng.Float64()
-	plan.latency = p.LatencyMin
-	if p.LatencyMax > p.LatencyMin {
-		plan.latency += time.Duration(u * float64(p.LatencyMax-p.LatencyMin))
-	}
-	if plan.reordered {
-		extra := p.ReorderDelay
-		if extra <= 0 {
-			extra = p.LatencyMax
-		}
-		plan.latency += extra
-	}
-	return plan
-}
-
 type caller struct {
-	net  *Net
-	from string
+	net   *Net
+	from  string
+	inner transport.Caller // the InProc fabric's caller from the same address
 }
 
 // Call implements transport.Caller. The request traverses the from→to link
@@ -326,137 +457,55 @@ type caller struct {
 func (c *caller) Call(ctx context.Context, to, method string, req, resp any) error {
 	n := c.net
 	n.mu.Lock()
-	n.m.calls.Inc()
-	if src, ok := n.nodes[c.from]; ok && (src.down || src.h == nil) {
-		n.m.downDrops.Inc()
-		n.mu.Unlock()
-		return fmt.Errorf("%w: %s is down", transport.ErrUnreachable, c.from)
-	}
-	dst, ok := n.nodes[to]
-	if !ok || dst.down || dst.h == nil {
-		n.m.downDrops.Inc()
-		n.mu.Unlock()
-		return fmt.Errorf("%w: %s", transport.ErrUnreachable, to)
-	}
-	fwd := n.linkLocked(c.from, to)
-	if c.from != to && fwd.partitioned {
-		n.m.partitionDrops.Inc()
-		n.mu.Unlock()
-		return fmt.Errorf("%w: %s -> %s (partitioned)", transport.ErrUnreachable, c.from, to)
-	}
-	var plan sendPlan
-	if c.from != to {
-		plan = n.planLocked(fwd)
-	}
-	h := dst.h
-	if plan.reordered {
-		n.m.reorders.Inc()
-	}
+	plan, err := n.requestLocked(c.from, to)
 	n.mu.Unlock()
-
-	if plan.lost {
-		n.m.losses.Inc()
-		return fmt.Errorf("%w: %s -> %s (message lost)", transport.ErrUnreachable, c.from, to)
-	}
-	if err := n.wait(ctx, plan.latency); err != nil {
-		return err
-	}
-	body, _, err := transport.EncodeBody(req, true)
 	if err != nil {
 		return err
 	}
-
-	out, herr := h.Handle(transport.WithPeer(ctx, c.from), method, body)
-	n.m.delivered.Inc()
-	if plan.dup {
-		n.deliverDup(c.from, to, method, body, plan.dupDelay)
+	reached, err := n.send(ctx, c.inner, plan, c.from, to, method, req, resp)
+	if !reached || c.from == to {
+		return err
 	}
-
 	// Response path: the reverse link's partition and faults apply, so the
 	// handler may have executed while the caller still sees a failure.
-	if c.from != to {
-		n.mu.Lock()
-		rev := n.linkLocked(to, c.from)
-		if rev.partitioned {
-			n.m.partitionDrops.Inc()
-			n.mu.Unlock()
-			return fmt.Errorf("%w: %s -> %s (response partitioned)", transport.ErrUnreachable, to, c.from)
-		}
-		rplan := n.planLocked(rev)
-		n.mu.Unlock()
-		if rplan.lost {
-			n.m.losses.Inc()
-			return fmt.Errorf("%w: %s -> %s (response lost)", transport.ErrUnreachable, to, c.from)
-		}
-		if rplan.reordered {
-			n.m.reorders.Inc()
-		}
-		if err := n.wait(ctx, rplan.latency); err != nil {
-			return err
-		}
-	}
-
-	if herr != nil {
-		return transport.NewRemoteError(method, herr.Error())
-	}
-	if resp == nil {
-		return nil
-	}
-	return transport.Decode(out, resp)
-}
-
-// wait sleeps d on the simulated clock, honouring ctx.
-func (n *Net) wait(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return nil
-	}
-	select {
-	case <-n.clk.After(d):
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-n.stop:
-		return fmt.Errorf("%w: simnet closed", transport.ErrUnreachable)
-	}
-}
-
-// deliverDup re-delivers a request body, modelling a retransmitted datagram:
-// immediately (back to back with the original) or after dupDelay of
-// simulated time. The duplicate's response is discarded either way.
-func (n *Net) deliverDup(from, to, method string, body []byte, dupDelay time.Duration) {
-	redeliver := func() {
-		n.mu.Lock()
-		dst, ok := n.nodes[to]
-		var h transport.Handler
-		if ok && !dst.down {
-			h = dst.h
-		}
-		n.mu.Unlock()
-		if h == nil {
-			return // crashed or wiped between original and duplicate
-		}
-		n.m.dups.Inc()
-		// The duplicate keeps the original sender's identity: a retransmitted
-		// datagram must not slip past per-peer admission control.
-		_, _ = h.Handle(transport.WithPeer(context.Background(), from), method, body)
-	}
-	if dupDelay <= 0 {
-		redeliver()
-		return
-	}
 	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		return
-	}
-	n.wg.Add(1)
+	rplan, ferr := n.fateLocked(to, c.from, "response")
 	n.mu.Unlock()
-	go func() {
-		defer n.wg.Done()
-		select {
-		case <-n.clk.After(dupDelay):
-			redeliver()
-		case <-n.stop:
-		}
-	}()
+	if ferr == nil {
+		ferr = n.suffer(ctx, rplan, "response", to, c.from)
+	}
+	if ferr != nil {
+		return ferr
+	}
+	return err
+}
+
+// requestLocked counts a call from → to and draws its request's fate,
+// failing it when either end is down or the link is partitioned. A node's
+// calls to itself take no link. Callers hold n.mu.
+func (n *Net) requestLocked(from, to string) (sendPlan, error) {
+	n.m.calls.Inc()
+	if src, ok := n.nodes[from]; ok && !src.up() {
+		n.m.downDrops.Inc()
+		return sendPlan{}, fmt.Errorf("%w: %s is down", transport.ErrUnreachable, from)
+	}
+	if dst, ok := n.nodes[to]; !ok || !dst.up() {
+		n.m.downDrops.Inc()
+		return sendPlan{}, fmt.Errorf("%w: %s", transport.ErrUnreachable, to)
+	}
+	if from == to {
+		return sendPlan{}, nil
+	}
+	return n.fateLocked(from, to, "message")
+}
+
+// fateLocked draws the fate of a message from → to, failing it when the link
+// is partitioned. Callers hold n.mu.
+func (n *Net) fateLocked(from, to, what string) (sendPlan, error) {
+	l := n.linkLocked(from, to)
+	if l.partitioned {
+		n.m.partitionDrops.Inc()
+		return sendPlan{}, fmt.Errorf("%w: %s -> %s (%s partitioned)", transport.ErrUnreachable, from, to, what)
+	}
+	return l.plan(&n.def), nil
 }

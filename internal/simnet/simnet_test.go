@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -299,5 +300,59 @@ func TestChaosWrapperInjectsFaults(t *testing.T) {
 	}
 	if dups := snap.Counters["simnet.dups"]; int64(count.Load()) != int64(okCalls)+int64(dups) {
 		t.Fatalf("handler ran %d times, want %d ok + %d dups", count.Load(), okCalls, dups)
+	}
+}
+
+// TestChaosDelayedDuplicate: a Chaos duplicate reaches the handler only once
+// DupDelay has passed, and carries the request the caller sent, although the
+// caller rewrote its request buffer as soon as Call returned.
+func TestChaosDelayedDuplicate(t *testing.T) {
+	clk := clock.NewManual(time.Unix(0, 0))
+	n := New(clk, 1)
+	defer n.Close()
+	var mu sync.Mutex
+	var got []string
+	mux := transport.NewMux()
+	transport.Register(mux, "echo", func(_ context.Context, req testutil.WireReq) (testutil.WireResp, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		got = append(got, req.Msg)
+		return testutil.WireResp{Msg: req.Msg}, nil
+	})
+	if _, err := n.Serve("b", mux); err != nil {
+		t.Fatal(err)
+	}
+	received := func() []string {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]string(nil), got...)
+	}
+
+	const d = 5 * time.Second
+	chaos := NewChaos(n.Node("a"), 1, LinkProfile{Dup: 1, DupDelay: d})
+	chaos.clk = clk
+	req := &testutil.WireReq{Msg: "sent"}
+	var resp testutil.WireResp
+	if err := chaos.Call(context.Background(), "b", "echo", req, &resp); err != nil {
+		t.Fatal(err)
+	}
+	req.Msg = "reused"
+	if r := received(); len(r) != 1 {
+		t.Fatalf("handler saw %q before DupDelay elapsed, want only the original", r)
+	}
+	Advance(clk, d-time.Second, time.Second)
+	if r := received(); len(r) != 1 {
+		t.Fatalf("handler saw %q %v into a %v DupDelay", r, d-time.Second, d)
+	}
+	Advance(clk, 2*time.Second, time.Second)
+	deadline := time.Now().Add(5 * time.Second)
+	for len(received()) < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("delayed duplicate never delivered")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if r := received(); !reflect.DeepEqual(r, []string{"sent", "sent"}) {
+		t.Fatalf("handler saw %q, want the original request twice", r)
 	}
 }

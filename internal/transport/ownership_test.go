@@ -149,7 +149,10 @@ func TestHandlerKeepsDecodedIDsTCP(t *testing.T) {
 }
 
 // TestHandlerKeepsDecodedIDsSimnet runs with every request duplicated, so
-// two Handle calls share each body.
+// each request reaches the handler twice: once through the InProc delivery
+// simnet layers its faults over, under the caller's CallDeadline, and once
+// as the duplicate, whose request bytes simnet encoded before the original
+// was sent and InProc frames into a body of its own.
 func TestHandlerKeepsDecodedIDsSimnet(t *testing.T) {
 	k, mux := newKeeper()
 	n := simnet.New(clock.NewManual(time.Unix(0, 0)), 1)
