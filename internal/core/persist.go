@@ -29,10 +29,6 @@ import (
 // Both are one Journal type over different records. They auto-compact, so the
 // files stay proportional to the live state, not the update history.
 
-// journalAutoCompactEvery bounds journal growth: after this many writes the
-// KV rewrites itself to one line per live key.
-const journalAutoCompactEvery = 4096
-
 const (
 	nodeKeyPrefix = "node/"
 	extKeyPrefix  = "ext/"
@@ -103,7 +99,6 @@ func openJournal[T any](dir, file, prefix string) (*Journal[T], error) {
 	if err != nil {
 		return nil, err
 	}
-	kv.SetAutoCompact(journalAutoCompactEvery)
 	return &Journal[T]{kv: kv, prefix: prefix}, nil
 }
 

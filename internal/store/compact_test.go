@@ -3,6 +3,7 @@ package store
 import (
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -142,16 +143,16 @@ func TestKVCompactInMemoryNoop(t *testing.T) {
 	}
 }
 
-// TestKVAutoCompact: after the configured write budget, the journal is
-// rewritten to one line per live key without losing state.
+// TestKVAutoCompact: once its journal has grown by compactEvery lines, the
+// KV rewrites it to one line per live key without losing state.
 func TestKVAutoCompact(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "auto.kv")
 	kv, err := OpenKV(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	kv.SetAutoCompact(10)
-	for i := 0; i < 25; i++ {
+	const writes = compactEvery + 25
+	for i := 0; i < writes; i++ {
 		if err := kv.Put("hot", []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
@@ -159,15 +160,9 @@ func TestKVAutoCompact(t *testing.T) {
 	if err := kv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Count(string(raw), "\n")
-	// 25 writes with compaction every 10: never more than ~10 journal lines
-	// survive, instead of 25.
-	if lines > 10 {
-		t.Fatalf("journal has %d lines after auto-compaction, want <= 10", lines)
+	// The compaction at write compactEvery left one line; 25 writes followed.
+	if lines := journalLines(t, path); lines != 26 {
+		t.Fatalf("journal has %d lines after %d writes, want 26", lines, writes)
 	}
 	kv2, err := OpenKV(path)
 	if err != nil {
@@ -175,10 +170,54 @@ func TestKVAutoCompact(t *testing.T) {
 	}
 	defer kv2.Close()
 	v, ok := kv2.Get("hot")
-	if !ok || v[0] != 24 {
-		t.Fatalf("reloaded value = %v, %v; want [24]", v, ok)
+	if want := byte((writes - 1) % 256); !ok || v[0] != want {
+		t.Fatalf("reloaded value = %v, %v; want [%d]", v, ok, want)
 	}
-	if kv2.Version("hot") != 25 {
-		t.Fatalf("version = %d, want 25 (preserved across compaction)", kv2.Version("hot"))
+	if kv2.Version("hot") != writes {
+		t.Fatalf("version = %d, want %d (preserved across compaction)", kv2.Version("hot"), writes)
 	}
+}
+
+// TestKVFileStaysBounded: 10 000 puts of one key, split across restarts,
+// leave at most compactEvery journal lines, and the file replays to the last
+// value. Replayed lines count toward the bound, so a KV that restarts before
+// each run reaches compactEvery writes still compacts.
+func TestKVFileStaysBounded(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "node.kv")
+	const puts, perRun = 10000, 3000
+	for done := 0; done < puts; {
+		kv, err := OpenKV(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < perRun && done < puts; i++ {
+			if err := kv.Put("field", []byte(strconv.Itoa(done))); err != nil {
+				t.Fatal(err)
+			}
+			done++
+		}
+		if err := kv.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if lines := journalLines(t, path); lines > compactEvery {
+			t.Fatalf("journal has %d lines after %d puts, want <= %d", lines, done, compactEvery)
+		}
+	}
+	kv, err := OpenKV(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer kv.Close()
+	if v, ok := kv.Get("field"); !ok || string(v) != strconv.Itoa(puts-1) {
+		t.Fatalf("replayed value = %q, %v; want %q", v, ok, strconv.Itoa(puts-1))
+	}
+}
+
+func journalLines(t *testing.T, path string) int {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return strings.Count(string(raw), "\n")
 }

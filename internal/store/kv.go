@@ -12,10 +12,15 @@ type KV struct {
 
 	j      *journal // nil for in-memory KVs
 	closed bool
-
-	autoCompactEvery int // journal writes between automatic compactions (0 = never)
-	writesSinceComp  int
+	lines  int // journal lines since the last compaction, replayed ones included
 }
+
+// compactEvery bounds a file-backed KV's growth: once its journal holds this
+// many lines since the last compaction, counting those replayed at open, the
+// KV rewrites it to one line per live key. Callers that update the same keys
+// forever (field snapshots, lease-deadline checkpoints) keep a file
+// proportional to the live state, however often they restart.
+const compactEvery = 4096
 
 type kvEntry struct {
 	Key     string `json:"k"`
@@ -32,22 +37,15 @@ func NewKV() *KV {
 // the same torn-write rules as Open.
 func OpenKV(path string) (*KV, error) {
 	kv := NewKV()
-	j, err := openJournal(path, kv.applyLocked)
+	j, err := openJournal(path, func(e kvEntry) {
+		kv.applyLocked(e)
+		kv.lines++
+	})
 	if err != nil {
 		return nil, err
 	}
 	kv.j = j
 	return kv, nil
-}
-
-// SetAutoCompact makes the KV rewrite its journal to the live state after
-// every n journaled writes, bounding file growth for callers that update the
-// same keys forever (e.g. lease-deadline checkpoints). n <= 0 disables
-// automatic compaction. No-op for in-memory KVs.
-func (kv *KV) SetAutoCompact(n int) {
-	kv.mu.Lock()
-	defer kv.mu.Unlock()
-	kv.autoCompactEvery = n
 }
 
 func (kv *KV) applyLocked(e kvEntry) {
@@ -83,8 +81,8 @@ func (kv *KV) Delete(key string) error {
 	return kv.writeLocked(kvEntry{Key: key, Version: kv.versions[key] + 1})
 }
 
-// writeLocked journals and applies e, then compacts once the configured write
-// budget is spent. Callers hold kv.mu.
+// writeLocked journals and applies e, then compacts once the journal has
+// grown by compactEvery lines. Callers hold kv.mu.
 func (kv *KV) writeLocked(e kvEntry) error {
 	if kv.j == nil {
 		kv.applyLocked(e)
@@ -94,14 +92,11 @@ func (kv *KV) writeLocked(e kvEntry) error {
 		return err
 	}
 	kv.applyLocked(e)
-	if kv.autoCompactEvery <= 0 {
+	kv.lines++
+	if kv.lines < compactEvery {
 		return nil
 	}
-	kv.writesSinceComp++
-	if kv.writesSinceComp < kv.autoCompactEvery {
-		return nil
-	}
-	kv.writesSinceComp = 0
+	kv.lines = 0
 	return kv.compactLocked()
 }
 
