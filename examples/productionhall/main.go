@@ -21,6 +21,7 @@ import (
 	"repro/internal/sign"
 	"repro/internal/store"
 	"repro/internal/svc"
+	"repro/internal/task"
 	"repro/internal/transport"
 	"repro/internal/weave"
 )
@@ -92,16 +93,20 @@ func run() error {
 		return err
 	}
 
-	// The robot node: a one-armed robot exporting Robot.moveArm as m_R.
+	// The robot node: a one-armed robot exporting Robot.moveArm as m_R. Each
+	// call runs as a one-macro task on the robot's task layer (Fig. 3a), which
+	// hands the macro to the device layer.
 	weaver := weave.New()
 	ctrl := robot.NewController(weaver, nil)
 	arm, err := ctrl.AddMotor("arm")
 	if err != nil {
 		return err
 	}
+	tasks := task.NewRunner(ctrl)
 	services := svc.NewRegistry(weaver)
 	services.Register("Robot", "moveArm", []string{"int"}, "int", func(args []lvm.Value) (lvm.Value, error) {
-		if err := arm.Rotate(args[0].AsInt()); err != nil {
+		move := &task.Task{Name: "moveArm", Macros: []robot.Macro{{Motor: "arm", Delta: args[0].AsInt()}}}
+		if err := tasks.Run(move); err != nil {
 			return lvm.Nil(), err
 		}
 		return lvm.Int(arm.Position()), nil
