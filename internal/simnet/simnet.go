@@ -13,6 +13,7 @@
 package simnet
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -131,7 +132,7 @@ type faults struct {
 	stop  chan struct{}        // closed by Net.Close; nil (never) for Chaos
 	alive func(to string) bool // nil: every destination takes duplicates
 
-	mu      sync.Mutex // guards m, closed and the owner's links
+	mu      sync.Mutex // guards Instrument's write of m, closed and the owner's links
 	m       netMetrics
 	closed  bool
 	pending sync.WaitGroup // delayed duplicates not yet delivered
@@ -173,24 +174,29 @@ func (f *faults) suffer(ctx context.Context, plan sendPlan, what, from, to strin
 
 // send carries a request whose fate is plan from → to, delivering it through
 // c with the caller's own ctx, req and resp. A duplicated request reaches to
-// again through c, carrying the bytes the original did. reached reports
-// whether the request got to the handler.
+// again through c, carrying the bytes and the deadline budget the original
+// did. reached reports whether the request got to the handler.
 func (f *faults) send(ctx context.Context, c transport.Caller, plan sendPlan, from, to, method string, req, resp any) (reached bool, err error) {
 	if err := f.suffer(ctx, plan, "message", from, to); err != nil {
 		return false, err
 	}
 	var dup rawFields
+	var budget time.Duration
 	if plan.dup {
-		dup = fieldsOf(req) // now: callers reuse req once Call returns
+		dup = fieldsOf(req) // before delivery: callers reuse req once Call returns
+		if d, ok := ctx.Deadline(); ok {
+			budget = time.Until(d) //lint:allow clockcheck (real budget of an RPC)
+		}
 	}
 	err = c.Call(ctx, to, method, req, resp)
-	var re *transport.RemoteError
-	if err != nil && !errors.As(err, &re) && !errors.Is(err, transport.ErrDecode) {
+	// A failure still got to the handler when the handler failed or its
+	// response did not decode.
+	if err != nil && !errors.As(err, new(*transport.RemoteError)) && !errors.Is(err, transport.ErrDecode) {
 		return false, err
 	}
 	f.m.delivered.Inc()
 	if dup != nil {
-		f.redeliver(c, to, method, dup, plan.dupDelay)
+		f.redeliver(c, to, method, dup, budget, plan.dupDelay)
 	}
 	return true, err
 }
@@ -198,8 +204,9 @@ func (f *faults) send(ctx context.Context, c transport.Caller, plan sendPlan, fr
 // redeliver sends a duplicate through c, modelling a retransmitted datagram:
 // immediately (back to back with the original) or after delay on the clock.
 // Through c it keeps the original sender's identity, so it does not slip
-// past per-peer admission control. Its response is discarded.
-func (f *faults) redeliver(c transport.Caller, to, method string, dup rawFields, delay time.Duration) {
+// past per-peer admission control, and a budget > 0 bounds it as the
+// original was bounded. Its response is discarded.
+func (f *faults) redeliver(c transport.Caller, to, method string, dup rawFields, budget, delay time.Duration) {
 	if delay > 0 {
 		f.mu.Lock()
 		defer f.mu.Unlock()
@@ -209,7 +216,7 @@ func (f *faults) redeliver(c transport.Caller, to, method string, dup rawFields,
 				defer f.pending.Done()
 				select {
 				case <-f.clk.After(delay):
-					f.redeliver(c, to, method, dup, 0)
+					f.redeliver(c, to, method, dup, budget, 0)
 				case <-f.stop:
 				}
 			}()
@@ -220,14 +227,23 @@ func (f *faults) redeliver(c transport.Caller, to, method string, dup rawFields,
 		return // crashed or wiped between original and duplicate
 	}
 	f.m.dups.Inc()
-	_ = c.Call(context.Background(), to, method, dup, nil)
+	ctx := context.Background()
+	if budget > 0 {
+		cd := transport.WithCallDeadline(ctx, budget)
+		defer cd.Cancel()
+		ctx = cd
+	}
+	_ = c.Call(ctx, to, method, dup, nil)
 }
 
 // rawFields is a request's encoded fields, framed again verbatim for each
 // delivery of its duplicate.
 type rawFields []byte
 
-// MarshalWire implements wire.Marshaler.
+// MarshalWire implements wire.Marshaler. rawFields has no UnmarshalWire: the
+// handler decodes the bytes as the original request's type.
+//
+//lint:allow wirecover (encode-only: the bytes are another type's fields)
 func (r rawFields) MarshalWire(e *wire.Encoder) {
 	for _, b := range r {
 		e.Byte(b)
@@ -291,13 +307,11 @@ func New(clk clock.Clock, seed int64) *Net {
 // Close stops pending duplicate deliveries and waits for them to drain.
 func (n *Net) Close() {
 	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		return
+	if !n.closed {
+		n.closed = true
+		close(n.stop)
 	}
-	n.closed = true
 	n.mu.Unlock()
-	close(n.stop)
 	n.pending.Wait()
 }
 
@@ -474,10 +488,7 @@ func (c *caller) Call(ctx context.Context, to, method string, req, resp any) err
 	if ferr == nil {
 		ferr = n.suffer(ctx, rplan, "response", to, c.from)
 	}
-	if ferr != nil {
-		return ferr
-	}
-	return err
+	return cmp.Or(ferr, err)
 }
 
 // requestLocked counts a call from → to and draws its request's fate,

@@ -305,7 +305,8 @@ func TestChaosWrapperInjectsFaults(t *testing.T) {
 
 // TestChaosDelayedDuplicate: a Chaos duplicate reaches the handler only once
 // DupDelay has passed, and carries the request the caller sent, although the
-// caller rewrote its request buffer as soon as Call returned.
+// caller rewrote its request buffer as soon as Call returned, and a deadline
+// as the original did.
 func TestChaosDelayedDuplicate(t *testing.T) {
 	clk := clock.NewManual(time.Unix(0, 0))
 	n := New(clk, 1)
@@ -313,9 +314,12 @@ func TestChaosDelayedDuplicate(t *testing.T) {
 	var mu sync.Mutex
 	var got []string
 	mux := transport.NewMux()
-	transport.Register(mux, "echo", func(_ context.Context, req testutil.WireReq) (testutil.WireResp, error) {
+	transport.Register(mux, "echo", func(ctx context.Context, req testutil.WireReq) (testutil.WireResp, error) {
 		mu.Lock()
 		defer mu.Unlock()
+		if _, ok := ctx.Deadline(); !ok {
+			req.Msg += " (no deadline)"
+		}
 		got = append(got, req.Msg)
 		return testutil.WireResp{Msg: req.Msg}, nil
 	})
@@ -333,9 +337,11 @@ func TestChaosDelayedDuplicate(t *testing.T) {
 	chaos.clk = clk
 	req := &testutil.WireReq{Msg: "sent"}
 	var resp testutil.WireResp
-	if err := chaos.Call(context.Background(), "b", "echo", req, &resp); err != nil {
+	ctx := transport.WithCallDeadline(context.Background(), time.Minute)
+	if err := chaos.Call(ctx, "b", "echo", req, &resp); err != nil {
 		t.Fatal(err)
 	}
+	ctx.Cancel()
 	req.Msg = "reused"
 	if r := received(); len(r) != 1 {
 		t.Fatalf("handler saw %q before DupDelay elapsed, want only the original", r)

@@ -26,8 +26,7 @@ import (
 // Handle is handed over for good. No fabric writes to it or reuses its
 // memory afterwards, so a handler may keep views into it (Register decodes
 // StringView fields as views) for as long as it likes. Several Handle calls
-// may share one body, as simnet's duplicate delivery does, so a handler must
-// not write to it either. The response body Handle returns is handed to the
+// may share one body, so a handler must not write to it either. The response body Handle returns is handed to the
 // fabric in turn: a wrapper passes it on unchanged or replaces it, and keeps
 // no reference to it, because a fabric may recycle a body Register encoded
 // once it has read it.
