@@ -128,7 +128,7 @@ func run() error {
 	lookup := registry.NewLookup(clock.Real{})
 	lookup.Grantor().Start(time.Second)
 	defer lookup.Grantor().Stop()
-	lookupSrv := registry.NewServer(*name+"/lookup", lookup, mux, caller, clock.Real{})
+	lookupSrv := registry.NewServer(lookup, mux, caller, clock.Real{})
 	defer lookupSrv.Close()
 
 	var journal *core.BaseJournal

@@ -49,7 +49,7 @@ func run() error {
 	lookup.Grantor().Start(10 * time.Millisecond)
 	defer lookup.Grantor().Stop()
 	lookupMux := transport.NewMux()
-	lookupSrv := registry.NewServer("lookup-1", lookup, lookupMux, fabric.Node("lookup-1"), clock.Real{})
+	lookupSrv := registry.NewServer(lookup, lookupMux, fabric.Node("lookup-1"), clock.Real{})
 	defer lookupSrv.Close()
 	if _, err := fabric.Serve("lookup-1", lookupMux); err != nil {
 		return err

@@ -20,8 +20,6 @@ import (
 	"repro/internal/store"
 	"repro/internal/trace"
 	"repro/internal/transport"
-
-	"repro/internal/event"
 )
 
 // RPC method names served by a base.
@@ -1072,11 +1070,7 @@ func (b *Base) ServeOn(mux *transport.Mux) {
 		_, err := b.cfg.Store.Append(req.Record)
 		return EmptyResp{}, err
 	})
-	transport.Register(mux, MethodBaseOnService, func(ctx context.Context, n event.Notification) (event.Ack, error) {
-		var ev registry.Event
-		if err := n.DecodeBody(&ev); err != nil {
-			return event.Ack{}, err
-		}
+	transport.Register(mux, MethodBaseOnService, func(ctx context.Context, ev registry.Event) (registry.Empty, error) {
 		if ev.Kind == registry.Added && ev.Item.Name == AdaptationService {
 			// Adapt inside the trace of the discovery announcement: prefer
 			// the span context delivered with the request, falling back to
@@ -1087,7 +1081,7 @@ func (b *Base) ServeOn(mux *transport.Mux) {
 			}
 			go func() { _ = b.AdaptNodeCtx(actx, ev.Item.ID, ev.Item.Addr) }()
 		}
-		return event.Ack{}, nil
+		return registry.Empty{}, nil
 	})
 	transport.Register(mux, MethodBaseRoam, func(ctx context.Context, req RoamReq) (EmptyResp, error) {
 		actx := trace.Detach(ctx)

@@ -65,7 +65,7 @@ func newCluster(t *testing.T, leaseDur time.Duration) *cluster {
 	c.lookup.Grantor().Start(5 * time.Millisecond)
 	c.stops = append(c.stops, c.lookup.Grantor().Stop)
 	lookupMux := transport.NewMux()
-	lookupSrv := registry.NewServer("lookup-1", c.lookup, lookupMux, c.fabric.Node("lookup-1"), clock.Real{})
+	lookupSrv := registry.NewServer(c.lookup, lookupMux, c.fabric.Node("lookup-1"), clock.Real{})
 	stop, err := c.fabric.Serve("lookup-1", lookupMux)
 	if err != nil {
 		t.Fatal(err)
@@ -352,9 +352,10 @@ func TestRoamingHandoff(t *testing.T) {
 	waitUntil(t, "hall-2 adaptation", func() bool { return c.receiver.Has("hall2-policy") })
 }
 
-// TestLossyLinkSurvivesWithRetries injects deterministic message loss into
-// the fabric: without renewal retries the base spuriously declares the node
-// departed; with retries the adaptation survives (§2.1's wireless setting).
+// TestLossyLinkSurvivesWithRetries injects deterministic message loss through
+// the fabric's link oracle: without renewal retries the base spuriously
+// declares the node departed; with retries the adaptation survives (§2.1's
+// wireless setting).
 func TestLossyLinkSurvivesWithRetries(t *testing.T) {
 	run := func(retries int) (stillAdapted bool) {
 		c := newCluster(t, 120*time.Millisecond)
@@ -381,10 +382,14 @@ func TestLossyLinkSurvivesWithRetries(t *testing.T) {
 		}
 		waitUntil(t, "install", func() bool { return c.receiver.Has("policy") })
 
-		// Drop every second message.
-		c.fabric.SetLoss(1, 2)
+		// Drop every second message on the in-range links.
+		inRange := c.world.LinkFunc()
+		var calls atomic.Uint64
+		c.fabric.SetLinkFunc(func(from, to string) bool {
+			return inRange(from, to) && calls.Add(1)%2 != 0
+		})
 		time.Sleep(500 * time.Millisecond)
-		c.fabric.SetLoss(0, 0)
+		c.fabric.SetLinkFunc(inRange)
 		return c.receiver.Has("policy")
 	}
 
@@ -483,7 +488,7 @@ func serveLookup(t *testing.T, fabric *transport.InProc, clk clock.Clock) *regis
 	lookup.Grantor().Start(time.Second)
 	t.Cleanup(lookup.Grantor().Stop)
 	mux := transport.NewMux()
-	srv := registry.NewServer("lookup-1", lookup, mux, fabric.Node("lookup-1"), clock.Real{})
+	srv := registry.NewServer(lookup, mux, fabric.Node("lookup-1"), clock.Real{})
 	stop, err := fabric.Serve("lookup-1", mux)
 	if err != nil {
 		t.Fatal(err)

@@ -32,7 +32,7 @@ func TestAutoJoin(t *testing.T) {
 	newLookup := func(addr string) *registry.Lookup {
 		lookup := registry.NewLookup(clk)
 		mux := transport.NewMux()
-		srv := registry.NewServer(addr, lookup, mux, fabric.Node(addr), clk)
+		srv := registry.NewServer(lookup, mux, fabric.Node(addr), clk)
 		t.Cleanup(srv.Close)
 		stop, err := fabric.Serve(addr, mux)
 		if err != nil {

@@ -428,10 +428,13 @@ func (r *Receiver) install(ctx context.Context, ext Extension, signer, baseAddr 
 			ie.leaseID = l.ID
 		}
 	}
+	detail := fmt.Sprintf("version %d, perms %s", ext.Version, gated.Perms())
+	// Logged under the same lock as the install, so a reader that sees the
+	// extension installed also sees it counted.
 	r.mu.Lock()
 	r.installed[ext.Name] = ie
+	r.logLocked(event, ext.Name, baseAddr, detail)
 	r.mu.Unlock()
-	r.log(event, ext.Name, baseAddr, fmt.Sprintf("version %d, perms %s", ext.Version, gated.Perms()))
 	if ie.leaseID != "" {
 		return ie.leaseID, event, nil
 	}

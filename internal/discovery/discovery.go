@@ -7,14 +7,10 @@
 package discovery
 
 import (
-	"context"
 	"fmt"
 	"net"
 	"sync"
-	"time"
 
-	"repro/internal/clock"
-	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -90,65 +86,6 @@ func (b *Bus) Subscribe(fn func(Announcement), filter func(Announcement) bool) f
 		delete(b.subs, id)
 		b.mu.Unlock()
 	}
-}
-
-// Announcer periodically re-publishes an announcement, the way a Jini lookup
-// service beacons its presence.
-type Announcer struct {
-	stop chan struct{}
-	done chan struct{}
-}
-
-// StartAnnouncer announces a on bus every interval until Stop.
-func StartAnnouncer(bus *Bus, a Announcement, interval time.Duration) *Announcer {
-	return StartFuncAnnouncer(func(context.Context) error {
-		bus.Announce(a)
-		return nil
-	}, interval, nil, nil)
-}
-
-// StartFuncAnnouncer runs announce immediately and then every interval until
-// Stop, timed by clk (default the real clock). A non-nil pol retries each
-// failed announcement with backoff — note pol's RetryIf decides what is worth
-// retrying; announce carriers whose errors are not transport-level should set
-// it. The context passed to announce is canceled on Stop, so an in-flight
-// attempt or backoff wait aborts promptly.
-func StartFuncAnnouncer(announce func(context.Context) error, interval time.Duration, pol *transport.Policy, clk clock.Clock) *Announcer {
-	if clk == nil {
-		clk = clock.Real{}
-	}
-	an := &Announcer{stop: make(chan struct{}), done: make(chan struct{})}
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		<-an.stop
-		cancel()
-	}()
-	once := func() {
-		if pol != nil {
-			_ = pol.Do(ctx, announce)
-			return
-		}
-		_ = announce(ctx)
-	}
-	go func() {
-		defer close(an.done)
-		once()
-		for {
-			select {
-			case <-an.stop:
-				return
-			case <-clk.After(interval):
-				once()
-			}
-		}
-	}()
-	return an
-}
-
-// Stop halts the announcer and waits for it to exit.
-func (a *Announcer) Stop() {
-	close(a.stop)
-	<-a.done
 }
 
 // UDPListener receives announcements over UDP.

@@ -2,17 +2,12 @@ package discovery
 
 import (
 	"bytes"
-	"context"
 	"encoding/gob"
-	"errors"
 	"net"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/clock"
-	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -53,33 +48,6 @@ func TestBusFilter(t *testing.T) {
 	if len(got) != 1 || got[0].Name != "a" {
 		t.Fatalf("got = %v", got)
 	}
-}
-
-func TestAnnouncerRepeats(t *testing.T) {
-	bus := NewBus()
-	var mu sync.Mutex
-	count := 0
-	bus.Subscribe(func(Announcement) {
-		mu.Lock()
-		count++
-		mu.Unlock()
-	}, nil)
-	an := StartAnnouncer(bus, Announcement{Name: "hall"}, 5*time.Millisecond)
-	deadline := time.After(2 * time.Second)
-	for {
-		mu.Lock()
-		n := count
-		mu.Unlock()
-		if n >= 3 {
-			break
-		}
-		select {
-		case <-deadline:
-			t.Fatal("announcer did not repeat")
-		case <-time.After(time.Millisecond):
-		}
-	}
-	an.Stop()
 }
 
 func TestUDPAnnounceListen(t *testing.T) {
@@ -163,71 +131,4 @@ func TestUDPListenerDropsMalformedDatagrams(t *testing.T) {
 		}
 	}
 	t.Fatal("valid announcement not received after malformed datagrams")
-}
-
-// A failing announcement is retried with backoff by the policy and recovers
-// within one interval — a node entering a hall on a lossy link still finds
-// the lookup service without waiting a full announce period.
-func TestFuncAnnouncerRetriesFailedAnnounce(t *testing.T) {
-	clk := clock.NewManual(time.Unix(0, 0))
-	var calls atomic.Int64
-	announce := func(context.Context) error {
-		if calls.Add(1) < 3 {
-			return errors.New("send failed")
-		}
-		return nil
-	}
-	pol := transport.NewPolicy(1)
-	pol.BaseDelay = 0 // retry back-to-back; the test drives no clock
-	pol.MaxAttempts = 5
-	pol.RetryIf = func(error) bool { return true }
-	an := StartFuncAnnouncer(announce, time.Minute, pol, clk)
-	defer an.Stop()
-
-	deadline := time.Now().Add(5 * time.Second)
-	for calls.Load() != 3 {
-		if time.Now().After(deadline) {
-			t.Fatalf("announce attempts = %d, want 3 (two retries)", calls.Load())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	// Success reached: no further attempts until the next interval.
-	time.Sleep(20 * time.Millisecond)
-	if calls.Load() != 3 {
-		t.Fatalf("announcer kept retrying after success: %d", calls.Load())
-	}
-}
-
-// Stop aborts an in-flight retry backoff instead of waiting it out.
-func TestFuncAnnouncerStopCancelsInFlightRetry(t *testing.T) {
-	clk := clock.NewManual(time.Unix(0, 0))
-	var calls atomic.Int64
-	announce := func(context.Context) error {
-		calls.Add(1)
-		return errors.New("always failing")
-	}
-	pol := transport.NewPolicy(1)
-	pol.BaseDelay = time.Hour // backoff the manual clock will never run out
-	pol.Clock = clk
-	pol.MaxAttempts = 10
-	pol.RetryIf = func(error) bool { return true }
-	an := StartFuncAnnouncer(announce, time.Minute, pol, clk)
-
-	deadline := time.Now().Add(5 * time.Second)
-	for calls.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("announcer never attempted")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	stopped := make(chan struct{})
-	go func() {
-		an.Stop()
-		close(stopped)
-	}()
-	select {
-	case <-stopped:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Stop hung on an in-flight retry backoff")
-	}
 }

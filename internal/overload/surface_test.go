@@ -32,7 +32,7 @@ func servedMethods(t *testing.T) map[string]bool {
 	}
 	t.Cleanup(base.Close)
 	baseMux := transport.NewMux()
-	lookup := registry.NewServer("hall-1/lookup", registry.NewLookup(clock.Real{}), baseMux, caller, clock.Real{})
+	lookup := registry.NewServer(registry.NewLookup(clock.Real{}), baseMux, caller, clock.Real{})
 	t.Cleanup(lookup.Close)
 	base.ServeOn(baseMux)
 	transport.ServeOps(baseMux, nil)

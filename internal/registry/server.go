@@ -2,10 +2,11 @@ package registry
 
 import (
 	"context"
+	"errors"
+	"sync"
 	"time"
 
 	"repro/internal/clock"
-	"repro/internal/event"
 	"repro/internal/lease"
 	"repro/internal/trace"
 	"repro/internal/transport"
@@ -51,8 +52,8 @@ type (
 	FindResp struct {
 		Items []ServiceItem
 	}
-	// WatchReq registers a remote watcher; events are delivered to
-	// Addr/Method as event.Notification with an Event payload.
+	// WatchReq registers a remote watcher; each Event is delivered to
+	// Addr/Method, which answers Empty.
 	WatchReq struct {
 		Tmpl      Template
 		DurMillis int64
@@ -77,21 +78,101 @@ type (
 	Empty struct{}
 )
 
-// Server exposes a Lookup over a transport Mux, delivering watcher events as
-// remote events through an event.Dispatcher.
+// Server exposes a Lookup over a transport Mux and delivers each remote
+// watcher's events to its listener.
 type Server struct {
-	lookup     *Lookup
-	dispatcher *event.Dispatcher
+	lookup *Lookup
+	caller transport.Caller
+	clk    clock.Clock
+
+	mu      sync.Mutex
+	watches map[*remoteWatch]struct{}
+	closed  bool
+	loops   sync.WaitGroup
 }
 
-// NewServer wires lookup into mux. caller is used to deliver watcher events;
-// name identifies this lookup service as an event source.
-func NewServer(name string, lookup *Lookup, mux *transport.Mux, caller transport.Caller, clk clock.Clock) *Server {
-	s := &Server{
-		lookup:     lookup,
-		dispatcher: event.NewDispatcher(name, caller, clk),
-	}
+// errServerClosed refuses a watch on a closed Server.
+var errServerClosed = errors.New("registry: server closed")
 
+const (
+	// maxFailures ends a remote watch after this many failed sends of one
+	// event in a row.
+	maxFailures = 3
+	// deliveryTimeout bounds one remote notify call.
+	deliveryTimeout = 2 * time.Second
+	// minShedWait paces resends to a listener that sheds without a hint.
+	minShedWait = 10 * time.Millisecond
+)
+
+// remoteWatch is one remote watcher's delivery state: a FIFO of the
+// lookup's events, drained in order by one goroutine (Server.deliver).
+type remoteWatch struct {
+	id           string
+	addr, method string
+	ctx          context.Context // done once the watch has ended
+	end          context.CancelFunc
+	wake         chan struct{} // signalled by push; capacity 1
+
+	mu    sync.Mutex
+	queue []Event
+}
+
+// push queues ev for delivery. The queue has no fixed bound, so a burst
+// never ends a watch. It holds at most the events the lookup produced since
+// the loop's last delivery: each entry is a registration change the lookup
+// has already made (a register, deregister or expiry), and each delivery
+// removes one. When the watch ends, the queue goes with it.
+func (w *remoteWatch) push(ev Event) {
+	if w.ctx.Err() != nil {
+		return
+	}
+	w.mu.Lock()
+	w.queue = append(w.queue, ev)
+	w.mu.Unlock()
+	select {
+	case w.wake <- struct{}{}:
+	default:
+	}
+}
+
+// head waits for the oldest undelivered event. It reports false once the
+// watch has ended.
+func (w *remoteWatch) head() (Event, bool) {
+	for {
+		if w.ctx.Err() != nil {
+			return Event{}, false
+		}
+		w.mu.Lock()
+		if len(w.queue) > 0 {
+			ev := w.queue[0]
+			w.mu.Unlock()
+			return ev, true
+		}
+		w.mu.Unlock()
+		select {
+		case <-w.wake:
+		case <-w.ctx.Done():
+		}
+	}
+}
+
+// pop drops the delivered head.
+func (w *remoteWatch) pop() {
+	w.mu.Lock()
+	w.queue[0] = Event{}
+	w.queue = w.queue[1:]
+	w.mu.Unlock()
+}
+
+// NewServer wires lookup into mux. caller delivers watcher events; clk times
+// the waits a listener's load shed asks for.
+func NewServer(lookup *Lookup, mux *transport.Mux, caller transport.Caller, clk clock.Clock) *Server {
+	s := &Server{
+		lookup:  lookup,
+		caller:  caller,
+		clk:     clk,
+		watches: make(map[*remoteWatch]struct{}),
+	}
 	transport.Register(mux, MethodRegister, func(ctx context.Context, req RegisterReq) (LeaseResp, error) {
 		l, err := lookup.Register(ctx, req.Item, time.Duration(req.DurMillis)*time.Millisecond)
 		if err != nil {
@@ -130,22 +211,86 @@ func NewServer(name string, lookup *Lookup, mux *transport.Mux, caller transport
 }
 
 func (s *Server) watch(req WatchReq) (WatchResp, error) {
-	// Event delivery is leased implicitly through the lookup watcher; the
-	// dispatcher subscription lives until the watcher is removed.
-	subID, _ := s.dispatcher.Subscribe(req.Addr, req.Method, 365*24*time.Hour)
-	watchID, _ := s.lookup.Watch(req.Tmpl, time.Duration(req.DurMillis)*time.Millisecond,
-		func(ev Event) {
-			// Deliver under the registrant's span context so the watcher's
-			// reaction joins its trace.
-			ectx := trace.NewContext(context.Background(), ev.Trace)
-			_ = s.dispatcher.PublishTo(ectx, subID, "registry."+ev.Kind.String(), ev)
-		},
-		func() { s.dispatcher.Cancel(subID) })
-	return WatchResp{WatchID: watchID, DurMillis: req.DurMillis}, nil
+	ctx, end := context.WithCancel(context.Background())
+	w := &remoteWatch{addr: req.Addr, method: req.Method, ctx: ctx, end: end, wake: make(chan struct{}, 1)}
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		end()
+		return WatchResp{}, errServerClosed
+	}
+	s.watches[w] = struct{}{}
+	s.loops.Add(1)
+	s.mu.Unlock()
+	w.id, _ = s.lookup.Watch(req.Tmpl, time.Duration(req.DurMillis)*time.Millisecond, w.push, end)
+	go s.deliver(w)
+	return WatchResp{WatchID: w.id, DurMillis: req.DurMillis}, nil
 }
 
-// Close releases dispatcher resources.
-func (s *Server) Close() { s.dispatcher.Close() }
+// deliver sends w's events to its listener in order until the watch ends:
+// by Unwatch or lease expiry at the lookup, by Close, or here after
+// maxFailures failed sends of one event in a row. Whichever way it ends, the
+// lookup's watcher goes too, so the holder's next RenewWatch fails.
+func (s *Server) deliver(w *remoteWatch) {
+	defer func() {
+		w.end()
+		s.lookup.Unwatch(w.id)
+		s.mu.Lock()
+		delete(s.watches, w)
+		s.mu.Unlock()
+		s.loops.Done()
+	}()
+	for {
+		ev, ok := w.head()
+		if !ok {
+			return
+		}
+		for failures := 0; ; {
+			err := s.send(w, ev)
+			if err == nil {
+				break
+			}
+			if w.ctx.Err() != nil {
+				return // ended mid-send: not the listener's failure
+			}
+			// A shed means the listener answered: wait as long as it asks and
+			// resend, without counting a failure (BreakerSet's rule).
+			if hint, shed := transport.RetryAfterHint(err); shed {
+				select {
+				case <-s.clk.After(max(hint, minShedWait)):
+				case <-w.ctx.Done():
+					return
+				}
+				continue
+			}
+			if failures++; failures >= maxFailures {
+				return
+			}
+		}
+		w.pop()
+	}
+}
+
+// send makes one notify call under the registrant's span context, so the
+// listener's reaction joins its trace.
+func (s *Server) send(w *remoteWatch, ev Event) error {
+	ctx, cancel := context.WithTimeout(trace.NewContext(w.ctx, ev.Trace), deliveryTimeout)
+	defer cancel()
+	return s.caller.Call(ctx, w.addr, w.method, ev, nil)
+}
+
+// Close ends every remote watch this server delivers, removing its watcher
+// from the lookup, and waits for the delivery loops to exit. Later Watch
+// calls fail.
+func (s *Server) Close() {
+	s.mu.Lock()
+	s.closed = true
+	for w := range s.watches {
+		w.end()
+	}
+	s.mu.Unlock()
+	s.loops.Wait()
+}
 
 // Client is a typed lookup-service client bound to one lookup address.
 type Client struct {

@@ -19,7 +19,6 @@ type fabricMetrics struct {
 	calls    *metrics.Counter
 	errors   *metrics.Counter
 	timeouts *metrics.Counter
-	losses   *metrics.Counter
 	bytesOut *metrics.Counter
 	bytesIn  *metrics.Counter
 	callNs   *metrics.Histogram
@@ -30,7 +29,6 @@ func newFabricMetrics(reg *metrics.Registry) *fabricMetrics {
 		calls:    reg.Counter("transport.calls"),
 		errors:   reg.Counter("transport.call_errors"),
 		timeouts: reg.Counter("transport.timeouts"),
-		losses:   reg.Counter("transport.injected_losses"),
 		bytesOut: reg.Counter("transport.bytes_sent"),
 		bytesIn:  reg.Counter("transport.bytes_received"),
 		callNs:   reg.Histogram("transport.call_ns", nil),
@@ -55,23 +53,20 @@ func (fm *fabricMetrics) finishCall(start time.Time, err error) {
 
 // InProc is an in-process RPC fabric. It simulates the wireless network of
 // the paper's testbed: a LinkFunc (typically wired to the mobility
-// simulator's range oracle) decides which node pairs can currently talk, and
-// SetLoss drops calls deterministically. Delivery is instant: simnet is the
-// fabric that models link latency.
+// simulator's range oracle) decides which node pairs can currently talk.
+// Delivery is instant and lossless: simnet is the fabric that models link
+// latency and loss.
 //
 // Calls read the fabric's state from an immutable snapshot behind an atomic
 // pointer, so they take no lock. Every change (Serve, a stop, SetLinkFunc,
-// SetLoss, Instrument) happens under the mutex and drops the snapshot; the
+// Instrument) happens under the mutex and drops the snapshot; the
 // next call publishes a fresh copy. A fleet served node by node before its
 // first call is copied once, not once per node.
 type InProc struct {
-	mu       sync.Mutex
-	nodes    map[string]Handler
-	linked   func(from, to string) bool
-	lossNum  uint64 // drop lossNum out of every lossDen calls
-	lossDen  uint64
-	lossTick uint64
-	m        *fabricMetrics
+	mu     sync.Mutex
+	nodes  map[string]Handler
+	linked func(from, to string) bool
+	m      *fabricMetrics
 
 	snap atomic.Pointer[inprocSnap] // nil: changed since the last call
 }
@@ -81,7 +76,6 @@ type inprocSnap struct {
 	nodes  map[string]Handler // a copy, never written once published
 	linked func(from, to string) bool
 	m      *fabricMetrics
-	lossy  bool
 }
 
 // state returns the current snapshot, publishing one if a change dropped it.
@@ -98,15 +92,13 @@ func (n *InProc) state() *inprocSnap {
 		nodes:  maps.Clone(n.nodes),
 		linked: n.linked,
 		m:      n.m,
-		lossy:  n.lossNum != 0 && n.lossDen != 0,
 	}
 	n.snap.Store(s)
 	return s
 }
 
 // Instrument records every call through the fabric (count, errors, timeouts,
-// payload bytes, latency) and each deterministically injected loss in reg. A
-// nil reg is a no-op.
+// payload bytes, latency) in reg. A nil reg is a no-op.
 func (n *InProc) Instrument(reg *metrics.Registry) {
 	if reg == nil {
 		return
@@ -129,33 +121,6 @@ func (n *InProc) SetLinkFunc(f func(from, to string) bool) {
 	defer n.mu.Unlock()
 	n.linked = f
 	n.snap.Store(nil)
-}
-
-// SetLoss drops num out of every den calls deterministically (evenly
-// spread), modelling a lossy wireless link. SetLoss(0, 0) disables loss.
-func (n *InProc) SetLoss(num, den uint64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.lossNum, n.lossDen, n.lossTick = num, den, 0
-	n.snap.Store(nil)
-}
-
-// dropCall reports whether the current call falls into a loss slot. Call
-// takes it, and with it the mutex, only while loss is on.
-func (n *InProc) dropCall() bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.lossDen == 0 || n.lossNum == 0 {
-		return false
-	}
-	tick := n.lossTick
-	n.lossTick++
-	// Evenly spread: drop when the scaled counter crosses a unit boundary.
-	drop := (tick*n.lossNum)/n.lossDen != ((tick+1)*n.lossNum)/n.lossDen
-	if drop && n.m != nil {
-		n.m.losses.Inc()
-	}
-	return drop
 }
 
 // Serve attaches h at addr. The returned stop function detaches it.
@@ -205,9 +170,6 @@ func (c *inprocCaller) Call(ctx context.Context, to, method string, req, resp an
 	}
 	if st.linked != nil && c.from != to && !st.linked(c.from, to) {
 		return fmt.Errorf("%w: %s -> %s (out of range)", ErrUnreachable, c.from, to)
-	}
-	if st.lossy && c.net.dropCall() {
-		return fmt.Errorf("%w: %s -> %s (message lost)", ErrUnreachable, c.from, to)
 	}
 	body, _, err := EncodeBody(req, true)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -201,16 +202,13 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestInProcConcurrentCallsLossOff drives concurrent calls with loss off,
-// for the race detector, while the test itself holds the fabric's mutex once
-// the snapshot is published: a call that took the lock would block behind
-// it.
+// TestInProcConcurrentCallsLossOff drives concurrent calls for the race
+// detector, while the test itself holds the fabric's mutex once the snapshot
+// is published: a call that took the lock would block behind it.
 func TestInProcConcurrentCallsLossOff(t *testing.T) {
 	fabric := NewInProc()
 	stop, _ := fabric.Serve("b", newEchoMux())
 	defer stop()
-	fabric.SetLoss(1, 2)
-	fabric.SetLoss(0, 0)
 
 	fabric.state()
 	fabric.mu.Lock()
@@ -241,34 +239,6 @@ func TestInProcConcurrentCallsLossOff(t *testing.T) {
 	}
 }
 
-// TestInProcSetLossDropsDeterministically pins the loss schedule: SetLoss(1, 3)
-// drops exactly every third call, and SetLoss(0, 0) stops the drops.
-func TestInProcSetLossDropsDeterministically(t *testing.T) {
-	fabric := NewInProc()
-	stop, _ := fabric.Serve("b", newEchoMux())
-	defer stop()
-	caller := fabric.Node("a")
-	call := func() error {
-		_, err := Invoke[wireReq, wireResp](context.Background(), caller, "b", "echo", wireReq{Msg: "x", N: 1})
-		return err
-	}
-	for round := 0; round < 2; round++ {
-		fabric.SetLoss(1, 3) // also restarts the schedule
-		for i := 1; i <= 9; i++ {
-			err := call()
-			if dropped := i%3 == 0; dropped != errors.Is(err, ErrUnreachable) {
-				t.Fatalf("round %d call %d: err = %v, want dropped=%v", round, i, err, dropped)
-			}
-		}
-	}
-	fabric.SetLoss(0, 0)
-	for i := 0; i < 9; i++ {
-		if err := call(); err != nil {
-			t.Fatalf("call %d with loss off: %v", i, err)
-		}
-	}
-}
-
 // TestInProcChangesReachTheNextCall: calls read a published snapshot without
 // a lock, and every change — a node served or stopped, a link oracle, loss —
 // reaches the very next call. Calls race the changes for the race detector.
@@ -295,12 +265,15 @@ func TestInProcChangesReachTheNextCall(t *testing.T) {
 	if err := call("c"); !errors.Is(err, ErrUnreachable) {
 		t.Fatalf("call over a cut link = %v, want ErrUnreachable", err)
 	}
-	fabric.SetLinkFunc(nil)
-	fabric.SetLoss(1, 1)
-	if err := call("c"); !errors.Is(err, ErrUnreachable) {
-		t.Fatalf("call under total loss = %v, want ErrUnreachable", err)
+	var refused atomic.Int64
+	fabric.SetLinkFunc(func(from, to string) bool {
+		refused.Add(1)
+		return false
+	})
+	if err := call("c"); !errors.Is(err, ErrUnreachable) || refused.Load() != 1 {
+		t.Fatalf("call under total loss = %v after %d refusals, want ErrUnreachable after 1", err, refused.Load())
 	}
-	fabric.SetLoss(0, 0)
+	fabric.SetLinkFunc(nil)
 
 	var wg sync.WaitGroup
 	done := make(chan struct{})

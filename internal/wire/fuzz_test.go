@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/discovery"
-	"repro/internal/event"
 	"repro/internal/lvm"
 	"repro/internal/registry"
 	"repro/internal/sign"
@@ -83,8 +82,6 @@ func buildMessages(s1, s2, s3 string, i1, i2 int64, b1 []byte, ok bool) []wire.M
 		svc.InvokeResp{Result: lvm.Bytes(b1)},
 		core.PostReq{Record: store.Record{Seq: i1, Robot: s1, Device: s2, Action: s3, Value: i2, AtMillis: i1, DurMilli: i2}},
 		core.RoamReq{NodeID: s1, NodeAddr: s2},
-		event.Notification{Source: s1, Seq: i1, Kind: s2, Body: b1, Trace: trace.SpanContext{TraceID: s3, SpanID: s1}},
-		event.Ack{},
 		registry.Event{Kind: registry.EventKind(i1), Item: registry.ServiceItem{ID: s1, Name: s2, Addr: s3, Attrs: map[string]string{s3: s1}},
 			Trace: trace.SpanContext{TraceID: s2, SpanID: s3}},
 		transport.OpsReq{Path: s1},
@@ -147,8 +144,6 @@ func FuzzWireDecode(f *testing.F) {
 			&discovery.Announcement{},
 			&core.PostReq{},
 			&core.RoamReq{},
-			&event.Notification{},
-			&event.Ack{},
 			&registry.Event{},
 			&transport.OpsReq{},
 			&transport.OpsResp{},

@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/discovery"
-	"repro/internal/event"
 	"repro/internal/lvm"
 	"repro/internal/registry"
 	"repro/internal/sign"
@@ -105,11 +104,8 @@ func goldenMessages() map[string]wire.Marshaler {
 		"post_req": core.PostReq{Record: store.Record{Seq: 7, Robot: "robot:1:1", Device: "motor:x", Action: "rotate",
 			Value: -120, AtMillis: 1_060_000, DurMilli: 250}},
 		"roam_req": core.RoamReq{NodeID: "svc-9", NodeAddr: "10.0.0.9:4410"},
-		// Remote events: the notification envelope, its ack, and the lookup's
-		// watcher event carried in its body.
-		"notification": event.Notification{Source: "hall-1/lookup", Seq: 3, Kind: "registry.added",
-			Body: []byte{0x00, 0xC6, 0x02, 0x01}, Trace: trace.SpanContext{TraceID: "t-0123456789abcdef", SpanID: "s-00ff"}},
-		"notification_ack": event.Ack{},
+		// Remote events: the lookup's watcher event, delivered to the
+		// listener as the request body.
 		"registry_event": registry.Event{Kind: registry.Added,
 			Item:  registry.ServiceItem{ID: "svc-9", Name: "midas.adaptation", Addr: "10.0.0.9:4410", Attrs: map[string]string{"kind": "plotter"}},
 			Trace: trace.SpanContext{TraceID: "t-0123456789abcdef", SpanID: "s-00ff"}},

@@ -113,7 +113,7 @@ func TestScenarioTracedLifecycle(t *testing.T) {
 	lookup.Grantor().Start(time.Second)
 	t.Cleanup(lookup.Grantor().Stop)
 	lookupMux := transport.NewMux()
-	lookupSrv := registry.NewServer("lookup-1", lookup, lookupMux, w.net.Node("lookup-1"), w.clk)
+	lookupSrv := registry.NewServer(lookup, lookupMux, w.net.Node("lookup-1"), w.clk)
 	t.Cleanup(lookupSrv.Close)
 	stop, err := w.net.Serve("lookup-1", lookupMux)
 	if err != nil {
