@@ -72,24 +72,15 @@ func (w *simWorld) newAdmissionBase(name string, admission sandbox.Policy) *scen
 	if err != nil {
 		w.t.Fatal(err)
 	}
-	pol := transport.NewPolicy(w.seed)
-	pol.Clock = w.clk
-	pol.BaseDelay = 0
-	pol.MaxAttempts = 8
-	b := &scenarioBase{name: name, reg: metrics.New(), signer: signer, pol: pol}
-	pol.Instrument(b.reg)
+	b := &scenarioBase{name: name, reg: metrics.New(), signer: signer}
 	b.base, err = core.NewBase(core.BaseConfig{
-		Name:          name,
-		Addr:          name,
-		Caller:        w.net.Node(name),
-		Signer:        signer,
-		Clock:         w.clk,
-		LeaseDur:      10 * time.Second,
-		RenewFraction: 0.5,
-		RenewRetries:  2,
-		CallTimeout:   time.Hour,
-		Policy:        pol,
-		Admission:     admission,
+		Name:        name,
+		Addr:        name,
+		Caller:      w.net.Node(name),
+		Signer:      signer,
+		Clock:       w.clk,
+		CallTimeout: time.Hour, // the simulated clock governs; simnet fails lost calls at once
+		Admission:   admission,
 	})
 	if err != nil {
 		w.t.Fatal(err)

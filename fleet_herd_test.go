@@ -78,7 +78,6 @@ func runFleetHerd(t *testing.T, seed int64, nNodes int) herdRun {
 		Breaker:       breaker,
 		LeaseDur:      time.Minute,
 		RenewFraction: 0.5,
-		RenewRetries:  1,
 		CallTimeout:   time.Hour, // simulated time governs
 		Shards:        16,
 		RenewBatch:    64,

@@ -326,7 +326,6 @@ func runFleet(t *testing.T, seed int64, nNodes int, withFaults bool) fleetRun {
 		Breaker:       breaker,
 		LeaseDur:      time.Minute,
 		RenewFraction: 0.5,
-		RenewRetries:  1,
 		CallTimeout:   time.Hour, // simulated time governs
 		Shards:        16,
 		RenewBatch:    64,
@@ -561,7 +560,6 @@ func runObsFleet(t *testing.T, seed int64, nNodes int) obsFleetRun {
 		Clock:         clk,
 		LeaseDur:      time.Minute,
 		RenewFraction: 0.5,
-		RenewRetries:  1,
 		CallTimeout:   time.Hour,
 		Shards:        16,
 		RenewBatch:    64,

@@ -168,6 +168,33 @@ func (w *Wheel) ResetAll(rs []Rearm) bool {
 	return ok
 }
 
+// ResetNext arms t for the wheel's next firing if a full tick is left
+// between that firing and limit, and reports whether one is. The next firing
+// is the next tick boundary, or now when the wheel lags behind the clock and
+// fires t on its catch-up advance. A renewal scheduler retries a failed
+// renewal this way: on the tick grid, and never at or past the lease's end.
+// On a stopped wheel t is left unarmed.
+func (t *WheelTimer) ResetNext(limit time.Time) bool {
+	w := t.w
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	now := w.clk.Now()
+	next := w.lastTick.Add(w.tick)
+	if next.Add(w.tick).After(limit) || now.Add(w.tick).After(limit) {
+		return false
+	}
+	w.resetLocked(t, now, next.Sub(now))
+	return true
+}
+
+// Deadline reports the instant t was last armed for: now plus d at its last
+// Reset, before quantisation to the tick.
+func (t *WheelTimer) Deadline() time.Time {
+	t.w.mu.Lock()
+	defer t.w.mu.Unlock()
+	return t.deadline
+}
+
 // resetLocked arms t for d from now; see Reset.
 func (w *Wheel) resetLocked(t *WheelTimer, now time.Time, d time.Duration) bool {
 	if t.armed {

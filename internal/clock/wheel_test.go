@@ -309,3 +309,36 @@ func (c *countingClock) Now() time.Time {
 	c.nows.Add(1)
 	return c.Manual.Now()
 }
+
+// TestWheelResetNextStaysInsideLimit: ResetNext arms a timer for the next
+// tick boundary, counted from the last processed tick rather than from now,
+// and only while a full tick is left between that boundary and the limit.
+func TestWheelResetNextStaysInsideLimit(t *testing.T) {
+	start := time.Unix(0, 0)
+	clk := NewManual(start)
+	w := NewWheel(clk, time.Second, 64)
+	var fired atomic.Int64
+	tm := w.NewTimer(func() { fired.Add(1) })
+	limit := start.Add(4 * time.Second)
+
+	clk.Advance(1500 * time.Millisecond) // the 1s boundary is processed
+	waitUntilWheel(t, w.Synced)
+	for i, at := range []time.Duration{2 * time.Second, 3 * time.Second} {
+		if !tm.ResetNext(limit) {
+			t.Fatalf("ResetNext #%d refused with a tick left before the limit", i)
+		}
+		if got := tm.Deadline(); !got.Equal(start.Add(at)) {
+			t.Fatalf("ResetNext #%d armed for %v, want %v", i, got.Sub(start), at)
+		}
+		clk.Set(start.Add(at))
+		waitUntilWheel(t, func() bool { return fired.Load() == int64(i+1) })
+	}
+	// At 3s the next boundary is 4s: no tick is left before the limit.
+	if tm.ResetNext(limit) || tm.armed {
+		t.Fatal("ResetNext armed a timer with no tick left before the limit")
+	}
+	w.Stop()
+	if tm.ResetNext(start.Add(time.Hour)); tm.armed {
+		t.Fatal("ResetNext armed a timer on a stopped wheel")
+	}
+}

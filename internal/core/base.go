@@ -52,22 +52,17 @@ type BaseConfig struct {
 	Store  *store.Store // optional sink for monitoring records
 
 	// LeaseDur is the lease granted per pushed extension (default 10s);
-	// RenewFraction controls when renewals fire (default 0.5); RenewRetries
-	// retries failed renewals within the lease before declaring the node
-	// departed (for lossy wireless links; default 0).
+	// RenewFraction controls when renewals fire (default 0.5). A failed
+	// renewal is retried on each later tick of the renewal wheel (an eighth
+	// of the renewal window) that still leaves a tick before the lease ends,
+	// so a lost message on a lossy wireless link does not depart the node.
 	LeaseDur      time.Duration
 	RenewFraction float64
-	RenewRetries  int
-	// CallTimeout bounds each RPC (default 2s). With a Policy set it bounds
-	// the whole retried call, so it should cover the policy's backoff budget.
+	// CallTimeout bounds each RPC attempt (default 2s); a renewal that times
+	// out is retried like any other failed renewal.
 	CallTimeout time.Duration
-	// Policy, when set, routes every outgoing RPC (pushes, renewals, revokes,
-	// roaming hints) through retry-with-backoff. Retried installs/revokes are
-	// safe: the receiver wire surface is idempotent.
-	Policy *transport.Policy
-	// Breaker, when set, wraps the outgoing caller (outside Policy, so an open
-	// circuit fast-fails before any retry budget is spent) with per-node
-	// circuit breaking. A node whose circuit is open when its renewals fail is
+	// Breaker, when set, wraps the outgoing caller with per-node circuit
+	// breaking. A node whose circuit is open when its renewals fail is
 	// marked degraded and reconciled — not blindly re-pushed — when it
 	// returns.
 	Breaker *transport.BreakerSet
@@ -113,7 +108,7 @@ type BaseConfig struct {
 // keeps track of what nodes were adapted, at what point in time).
 type BaseActivity struct {
 	AtMillis int64
-	Event    string // "adapt", "push", "depart", "revoke", "roam-hint", "roam-adopt", "degrade", "recover", "reconcile"
+	Event    string // "adapt", "push", "depart", "revoke", "roam-hint", "roam-adopt", "degrade", "recover", "reconcile", "rewatch"
 	Node     string
 	Ext      string
 	Detail   string
@@ -153,7 +148,7 @@ func newAdaptedNode(id, addr string) *adaptedNode {
 // and notices departures through failing renewals.
 type Base struct {
 	cfg    BaseConfig
-	caller transport.Caller // cfg.Caller, wrapped by cfg.Policy when set
+	caller transport.Caller // cfg.Caller, wrapped by cfg.Breaker when set
 	// countTags holds strconv.Itoa(i) for every renewal batch size i up to
 	// cfg.RenewBatch, so a batch span's leases tag never formats a number
 	// (strconv.Itoa allocates from 100 on). Read-only after NewBase.
@@ -185,7 +180,9 @@ type Base struct {
 	m             baseMetrics
 	tracer        *trace.Tracer
 
-	reconcileStop chan struct{}
+	// stop is closed by Close: it ends the reconcile loop (which closes
+	// reconcileDone when it runs) and a lost lookup watch's re-watch waits.
+	stop          chan struct{}
 	reconcileDone chan struct{}
 
 	onDepart func(nodeAddr string)
@@ -320,22 +317,21 @@ func NewBase(cfg BaseConfig) (*Base, error) {
 		countTags[i] = strconv.Itoa(i)
 	}
 	b := &Base{
-		cfg: cfg,
-		// nil Policy / nil Breaker leave the caller bare. The breaker wraps
-		// outermost so an open circuit fast-fails before the retry loop runs.
-		caller:        cfg.Breaker.Wrap(cfg.Policy.Wrap(cfg.Caller)),
+		cfg:           cfg,
+		caller:        cfg.Breaker.Wrap(cfg.Caller), // a nil Breaker leaves it bare
 		nodes:         newNodeTable(cfg.Shards),
 		reports:       make(map[string]AnalysisReport),
 		lastReconcile: make(map[string]ReconcileResult),
 		countTags:     countTags,
+		stop:          make(chan struct{}),
 	}
 	b.sched = lease.NewScheduler(cfg.Clock, lease.SchedulerConfig{
-		// A quarter of the renewal window: a fresh lease's first renewal
-		// quantises to exactly window*fraction (4 ticks), and the retry gap
-		// for small retry counts stays inside the remaining slack.
-		Tick:     max(time.Duration(float64(cfg.LeaseDur)*cfg.RenewFraction/4), time.Millisecond),
+		// An eighth of the renewal window: a fresh lease's first renewal
+		// quantises to exactly window*fraction (8 ticks), and at the default
+		// fraction seven retries fit in the slack before the lease ends, as
+		// for a registry.Keep keeper.
+		Tick:     max(time.Duration(float64(cfg.LeaseDur)*cfg.RenewFraction/8), time.Millisecond),
 		Fraction: cfg.RenewFraction,
-		Retries:  cfg.RenewRetries,
 		MaxBatch: cfg.RenewBatch,
 		Workers:  cfg.RenewWorkers,
 		Renew:    b.renewNodeBatch,
@@ -348,7 +344,6 @@ func NewBase(cfg BaseConfig) (*Base, error) {
 		},
 	})
 	if cfg.ReconcileEvery > 0 {
-		b.reconcileStop = make(chan struct{})
 		b.reconcileDone = make(chan struct{})
 		go b.reconcileLoop()
 	}
@@ -378,10 +373,9 @@ func (b *Base) RenewalBacklog() int { return b.sched.Backlog() }
 func (b *Base) Signer() *sign.Signer { return b.cfg.Signer }
 
 // Trace records the base's lifecycle (adapt, push, renew, revoke, depart) as
-// spans in tr, wraps the base's outbound caller so calls carry trace context
-// across the fabric, and — when a Policy is configured — makes each retry
-// attempt a child span. Call before the base starts serving; a nil tr is a
-// no-op.
+// spans in tr, and wraps the base's outbound caller so calls carry trace
+// context across the fabric. Call before the base starts serving; a nil tr
+// is a no-op.
 func (b *Base) Trace(tr *trace.Tracer) {
 	if tr == nil {
 		return
@@ -390,7 +384,6 @@ func (b *Base) Trace(tr *trace.Tracer) {
 	b.tracer = tr
 	b.mu.Unlock()
 	b.caller = transport.TraceCalls(b.caller, tr)
-	b.cfg.Policy.Trace(tr)
 	b.cfg.Breaker.Trace(tr)
 }
 
@@ -742,13 +735,9 @@ func (b *Base) Close() {
 	if b.closed.Swap(true) {
 		return
 	}
-	b.mu.Lock()
-	stop := b.reconcileStop
-	done := b.reconcileDone
-	b.mu.Unlock()
-	if stop != nil {
-		close(stop)
-		<-done
+	close(b.stop)
+	if b.reconcileDone != nil {
+		<-b.reconcileDone
 	}
 	if w := b.watch.Swap(nil); w != nil {
 		w.Stop()
@@ -1093,15 +1082,31 @@ func (b *Base) ServeOn(mux *transport.Mux) {
 // WatchLookup subscribes the base to adaptation-service arrivals at the
 // lookup service behind client, and adapts all already-registered nodes. The
 // watch is leased for watchDur and kept alive on a registry.Keep scheduler
-// until Close. The base must already be served on its own mux (ServeOn) so
-// the watcher callback can reach it.
+// until Close, counted in the base's metrics registry. When the keeper loses
+// the watch (the lookup ended it after failed deliveries, or it lapsed), the
+// base watches again and re-runs the Find, so the nodes that arrived while it
+// was deaf are adapted too. The base must already be served on its own mux
+// (ServeOn) so the watcher callback can reach it.
 func (b *Base) WatchLookup(client *registry.Client, watchDur time.Duration) (string, error) {
 	watchID, err := client.Watch(registry.Template{Name: AdaptationService}, watchDur, b.cfg.Addr, MethodBaseOnService)
 	if err != nil {
 		return "", fmt.Errorf("core: watch lookup: %w", err)
 	}
-	if old := b.watch.Swap(registry.Keep(b.cfg.Clock, nil, watchID, watchDur, client.RenewWatch)); old != nil {
+	b.mu.Lock()
+	reg := b.reg
+	b.mu.Unlock()
+	keeper := registry.Keep(b.cfg.Clock, reg, watchID, watchDur, client.RenewWatch, func(error) {
+		go b.rewatch(client, watchDur)
+	})
+	if old := b.watch.Swap(keeper); old != nil {
 		old.Stop()
+	}
+	if b.closed.Load() {
+		// Close may have swapped the watch out before this keeper went in.
+		if w := b.watch.Swap(nil); w != nil {
+			w.Stop()
+		}
+		return watchID, fmt.Errorf("core: base %s is closed", b.cfg.Name)
 	}
 	items, err := client.Find(registry.Template{Name: AdaptationService})
 	if err != nil {
@@ -1111,4 +1116,21 @@ func (b *Base) WatchLookup(client *registry.Client, watchDur time.Duration) (str
 		go func(it registry.ServiceItem) { _ = b.AdaptNode(it.ID, it.Addr) }(it)
 	}
 	return watchID, nil
+}
+
+// rewatch re-establishes a lookup watch its keeper lost. While the lookup
+// stays out of reach it tries again every half watchDur, until Close.
+func (b *Base) rewatch(client *registry.Client, watchDur time.Duration) {
+	for {
+		_, err := b.WatchLookup(client, watchDur)
+		if err == nil {
+			b.log("rewatch", "", "", "lookup watch re-established")
+			return
+		}
+		select {
+		case <-b.stop:
+			return
+		case <-b.cfg.Clock.After(watchDur / 2):
+		}
+	}
 }

@@ -2,14 +2,15 @@ package core
 
 import (
 	"context"
+	"errors"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/aop"
 	"repro/internal/clock"
+	"repro/internal/lease"
 	"repro/internal/lvm"
-	"repro/internal/metrics"
 	"repro/internal/mobility"
 	"repro/internal/registry"
 	"repro/internal/sandbox"
@@ -353,130 +354,33 @@ func TestRoamingHandoff(t *testing.T) {
 }
 
 // TestLossyLinkSurvivesWithRetries injects deterministic message loss through
-// the fabric's link oracle: without renewal retries the base spuriously
-// declares the node departed; with retries the adaptation survives (§2.1's
-// wireless setting).
+// the fabric's link oracle: every second message is dropped, and the base's
+// in-lease renewal retries keep the adaptation alive (§2.1's wireless
+// setting).
 func TestLossyLinkSurvivesWithRetries(t *testing.T) {
-	run := func(retries int) (stillAdapted bool) {
-		c := newCluster(t, 120*time.Millisecond)
-		defer c.close()
-		if err := c.base.AddExtension(noopExt("policy", 1)); err != nil {
-			t.Fatal(err)
-		}
-		// Reconfigure the base with the retry budget under test.
-		base2, err := NewBase(BaseConfig{
-			Name: "base-1b", Addr: "base-1", Caller: c.fabric.Node("base-1"),
-			Signer: c.base.Signer(), LeaseDur: 120 * time.Millisecond,
-			RenewFraction: 0.5, RenewRetries: retries,
-			CallTimeout: 300 * time.Millisecond,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer base2.Close()
-		if err := base2.AddExtension(noopExt("policy", 1)); err != nil {
-			t.Fatal(err)
-		}
-		if err := base2.AdaptNode("robot1", "robot1"); err != nil {
-			t.Fatal(err)
-		}
-		waitUntil(t, "install", func() bool { return c.receiver.Has("policy") })
-
-		// Drop every second message on the in-range links.
-		inRange := c.world.LinkFunc()
-		var calls atomic.Uint64
-		c.fabric.SetLinkFunc(func(from, to string) bool {
-			return inRange(from, to) && calls.Add(1)%2 != 0
-		})
-		time.Sleep(500 * time.Millisecond)
-		c.fabric.SetLinkFunc(inRange)
-		return c.receiver.Has("policy")
+	c := newCluster(t, 120*time.Millisecond)
+	defer c.close()
+	if err := c.base.AddExtension(noopExt("policy", 1)); err != nil {
+		t.Fatal(err)
 	}
-
-	if run(0) {
-		t.Log("note: without retries the adaptation happened to survive 50% loss this run")
+	if err := c.base.AdaptNode("robot1", "robot1"); err != nil {
+		t.Fatal(err)
 	}
-	if !run(3) {
-		t.Error("adaptation lost despite 3 renewal retries")
-	}
-}
+	waitUntil(t, "install", func() bool { return c.receiver.Has("policy") })
 
-// A node that is transiently unreachable while the base pushes its policy set
-// still converges: the retry policy re-sends the install once the link heals,
-// and the receiver's idempotent surface absorbs any duplicate delivery.
-func TestAdaptNodeRetriesThroughTransientPartition(t *testing.T) {
-	fabric := transport.NewInProc()
-	var down atomic.Bool
-	fabric.SetLinkFunc(func(from, to string) bool {
-		return !down.Load() || from != "base-1" || to != "robot1"
+	// Drop every second message on the in-range links.
+	inRange := c.world.LinkFunc()
+	var calls atomic.Uint64
+	c.fabric.SetLinkFunc(func(from, to string) bool {
+		return inRange(from, to) && calls.Add(1)%2 != 0
 	})
-
-	signer, err := sign.NewSigner("hall-1")
-	if err != nil {
-		t.Fatal(err)
+	time.Sleep(500 * time.Millisecond)
+	c.fabric.SetLinkFunc(inRange)
+	if !c.receiver.Has("policy") {
+		t.Error("adaptation lost despite the in-lease renewal retries")
 	}
-	trust := sign.NewTrustStore()
-	trust.Trust("hall-1", signer.PublicKey())
-	builtins := NewBuiltins()
-	builtins.Register("noop", func(*Env, map[string]string) (aop.Body, error) {
-		return aop.BodyFunc(func(*aop.Context) error { return nil }), nil
-	})
-	recv, err := NewReceiver(ReceiverConfig{
-		NodeName: "robot1",
-		Addr:     "robot1",
-		Weaver:   weave.New(),
-		Trust:    trust,
-		Policy:   sandbox.AllowAll(),
-		Host:     lvm.HostMap{},
-		Builtins: builtins,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	recvMux := transport.NewMux()
-	recv.ServeOn(recvMux)
-	stop, err := fabric.Serve("robot1", recvMux)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stop()
-
-	pol := transport.NewPolicy(7)
-	pol.MaxAttempts = 20
-	pol.BaseDelay = 10 * time.Millisecond
-	pol.MaxDelay = 20 * time.Millisecond
-	reg := metrics.New()
-	pol.Instrument(reg)
-	base, err := NewBase(BaseConfig{
-		Name:        "base-1",
-		Addr:        "base-1",
-		Caller:      fabric.Node("base-1"),
-		Signer:      signer,
-		CallTimeout: 5 * time.Second,
-		Policy:      pol,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer base.Close()
-	if err := base.AddExtension(noopExt("policy", 1)); err != nil {
-		t.Fatal(err)
-	}
-
-	down.Store(true)
-	adapted := make(chan error, 1)
-	go func() { adapted <- base.AdaptNode("robot1", "robot1") }()
-	time.Sleep(30 * time.Millisecond) // let a few attempts fail
-	down.Store(false)
-
-	if err := <-adapted; err != nil {
-		t.Fatalf("AdaptNode through transient partition: %v", err)
-	}
-	if !recv.Has("policy") {
-		t.Fatal("extension not installed after link healed")
-	}
-	if got := reg.Snapshot().Counters["transport.retries"]; got == 0 {
-		t.Fatal("partition never forced a retry")
+	if got := len(c.base.Adapted()); got != 1 {
+		t.Errorf("adapted nodes = %d, want 1: a lost message departed the node", got)
 	}
 }
 
@@ -572,4 +476,82 @@ func TestBaseWatchOutlivesItsLease(t *testing.T) {
 	defer stopAdv()
 	waitUntil(t, "node adapted after the watch's first lease", func() bool { return len(b.Adapted()) == 1 })
 	waitUntil(t, "extension installed", func() bool { return r.Has("policy") })
+}
+
+// TestBaseRewatchesAfterLookupEndsWatch: the lookup ends a watch whose
+// deliveries failed three times in a row. The base's keeper learns it at its
+// next renewal (ErrUnknownLease, counted in the base's registry), and the
+// base watches again and re-runs its Find: the node whose arrival was lost
+// and a node that arrives later are both adapted.
+func TestBaseRewatchesAfterLookupEndsWatch(t *testing.T) {
+	clk := clock.NewManual(time.Unix(0, 0))
+	fabric := transport.NewInProc()
+	var deaf atomic.Bool
+	var refused atomic.Int64
+	fabric.SetLinkFunc(func(from, to string) bool {
+		if deaf.Load() && from == "lookup-1" && to == "base-1" {
+			refused.Add(1)
+			return false
+		}
+		return true
+	})
+	serveLookup(t, fabric, clk)
+	signer, err := sign.NewSigner("hall-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, reg := newRecoveryBase(t, fabric, clk, signer, "", nil)
+	baseMux := transport.NewMux()
+	b.ServeOn(baseMux)
+	stopBase, err := fabric.Serve("base-1", baseMux)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stopBase()
+	if err := b.AddExtension(recoveryExt("policy", 1)); err != nil {
+		t.Fatal(err)
+	}
+	client := &registry.Client{Caller: fabric.Node("base-1"), Addr: "lookup-1"}
+	watchID, err := b.WatchLookup(client, time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	advertise := func(name string) *Receiver {
+		r, _, stop := serveNamedReceiver(t, fabric, clk, signer, name)
+		t.Cleanup(stop)
+		stopAdv, err := r.Advertise(&registry.Client{Caller: fabric.Node(name), Addr: "lookup-1"}, time.Minute, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(stopAdv)
+		return r
+	}
+
+	// robot1's arrival never reaches the base, and the lookup ends the watch.
+	deaf.Store(true)
+	r1 := advertise("robot1")
+	waitUntil(t, "three failed deliveries", func() bool { return refused.Load() >= 3 })
+	waitUntil(t, "the lookup to end the watch", func() bool {
+		return errors.Is(client.RenewWatch(watchID, time.Minute), lease.ErrUnknownLease)
+	})
+	deaf.Store(false)
+	if got := len(b.Adapted()); got != 0 {
+		t.Fatalf("%d nodes adapted while the base was deaf", got)
+	}
+
+	// The keeper's renewal at 30s finds the watch gone.
+	for elapsed := time.Duration(0); elapsed < 31*time.Second; elapsed += time.Second {
+		clk.Advance(time.Second)
+		waitUntil(t, "renewals quiesced", b.RenewalsQuiesced)
+	}
+	waitUntil(t, "robot1 adapted by the re-run Find", func() bool { return r1.Has("policy") })
+	if got := reg.CounterValue("lease.renew_failures"); got != 1 {
+		t.Errorf("lease.renew_failures = %d, want 1 (the lost watch)", got)
+	}
+
+	r2 := advertise("robot2")
+	waitUntil(t, "robot2 adapted through the new watch", func() bool { return r2.Has("policy") })
+	if got := len(b.Adapted()); got != 2 {
+		t.Errorf("%d nodes adapted, want 2", got)
+	}
 }

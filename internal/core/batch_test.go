@@ -140,7 +140,6 @@ func newStormBase(t *testing.T, clk clock.Clock, caller transport.Caller, breake
 		Breaker:       breaker,
 		LeaseDur:      time.Minute,
 		RenewFraction: 0.5,
-		RenewRetries:  1,
 		RenewBatch:    batch,
 		RenewWorkers:  workers,
 		CallTimeout:   time.Hour,
@@ -249,8 +248,9 @@ func TestPolicyChangesRideOneApply(t *testing.T) {
 }
 
 // TestRenewalStormCrashParksNodeWithoutStallingOthers crashes one node in a
-// two-node storm: its batch fails, retries exhaust, and the breaker parks it
-// degraded — while the healthy node's renewals in the same ticks all land.
+// two-node storm: its batch fails, the failure opens its circuit, and the
+// base parks it degraded without waiting out the in-lease retries — while
+// the healthy node's renewals in the same ticks all land.
 func TestRenewalStormCrashParksNodeWithoutStallingOthers(t *testing.T) {
 	const nExts = 6
 	clk := clock.NewManual(time.Unix(1000, 0))
@@ -277,8 +277,8 @@ func TestRenewalStormCrashParksNodeWithoutStallingOthers(t *testing.T) {
 		t.Fatalf("scheduled renewals = %d, want %d", got, 2*nExts)
 	}
 
-	// robot-a dies mid-flight; its renewal batch at t+30s fails, the retry at
-	// t+45s fast-fails on the open circuit, and the node parks degraded.
+	// robot-a dies mid-flight; its renewal batch at t+30s fails and opens
+	// its circuit (threshold 1), so the node parks degraded at once.
 	caller.crash("robot-a")
 	drainRenewals(t, clk, b, 50*time.Second, 10*time.Second)
 	waitUntil(t, "robot-a degraded", func() bool {

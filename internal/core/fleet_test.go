@@ -202,7 +202,6 @@ func newStormBaseUninstrumented(t *testing.T, clk clock.Clock, caller transport.
 		Clock:         clk,
 		LeaseDur:      time.Minute,
 		RenewFraction: 0.5,
-		RenewRetries:  1,
 		RenewBatch:    8,
 		RenewWorkers:  2,
 		CallTimeout:   time.Hour,

@@ -760,7 +760,7 @@ func (r *Receiver) Advertise(client *registry.Client, dur time.Duration, attrs m
 	r.mu.Unlock()
 	keeper := registry.Keep(r.cfg.Clock, reg, string(leaseID), dur, func(id string, d time.Duration) error {
 		return client.Renew(lease.ID(id), d)
-	})
+	}, nil)
 	return func() {
 		keeper.Stop()
 		_ = client.Deregister(item.ID)

@@ -78,7 +78,7 @@ func (b *Base) reconcileLoop() {
 	defer close(b.reconcileDone)
 	for {
 		select {
-		case <-b.reconcileStop:
+		case <-b.stop:
 			return
 		case <-b.cfg.Clock.After(b.cfg.ReconcileEvery):
 			b.ReconcileNow(context.Background())

@@ -2,6 +2,7 @@ package lease
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -50,10 +51,8 @@ type SchedulerConfig struct {
 	Tick  time.Duration
 	Slots int
 	// Fraction controls when a renewal fires relative to the lease duration
-	// (default 0.5); Retries how many in-lease retries follow a failed
-	// renewal, spaced evenly across the slack left before the lease lapses.
+	// (default 0.5).
 	Fraction float64
-	Retries  int
 	// MaxBatch caps how many leases ride in one batched renew call (default
 	// 64); Workers how many renew calls may be in flight at once (default 1,
 	// which keeps traffic ordering deterministic for traced scenarios).
@@ -76,10 +75,11 @@ type SchedulerConfig struct {
 //
 // A renewal fires at Fraction of the lease's current window, and a shorter
 // grant returned by the renew func is adopted for the next one. A failed
-// renewal gets Retries more attempts, spaced slack/(Retries+1) apart, where
-// slack is the (1-Fraction) share of the window left before the lease
-// lapses. When they are spent the lease is dropped and OnNodeFail reports
-// the node failed, once per renew call.
+// renewal is retried on every following tick while a full tick is still left
+// before the lease's deadline, so every attempt lands inside the lease: with
+// the window spanning 2k ticks at Fraction 0.5, that is k-1 retries. An
+// ErrUnknownLease answer is final. When no retry fits, the lease is dropped
+// and OnNodeFail reports the node failed, once per renew call.
 //
 // Each tracked lease owns one wheel timer for its whole life, re-armed in
 // place after every renewal, and carries its own removed flag, so the
@@ -112,15 +112,18 @@ type Scheduler struct {
 
 	m         renewerMetrics
 	scheduled *metrics.Gauge
+	published int64 // this scheduler's share of scheduled
 }
 
 type schedEntry struct {
-	node     string
-	id       ID
-	name     string
-	granted  time.Duration // current lease window; retry slack derives from it
-	attempts int           // retries consumed for the renewal in progress
-	timer    *clock.WheelTimer
+	node    string
+	id      ID
+	name    string
+	granted time.Duration // current lease window; retry slack derives from it
+	// retryUntil is the lease's end in Unix nanoseconds while a failed
+	// renewal is being retried, and 0 otherwise.
+	retryUntil int64
+	timer      *clock.WheelTimer
 	// removed is set, under the scheduler lock, when the entry stops being
 	// tracked (cancelled, replaced by a re-Add, or failed for good). A fired,
 	// queued or in-flight entry checks it instead of looking itself up.
@@ -197,7 +200,8 @@ func (s *Scheduler) Instrument(reg *metrics.Registry) {
 		failures: reg.Counter("lease.renew_failures"),
 	}
 	s.scheduled = reg.Gauge("lease.scheduled")
-	s.scheduled.Set(int64(s.n))
+	s.published = 0
+	s.gaugeLocked()
 }
 
 // Add tracks one lease held at node; name labels it on every BatchItem and
@@ -289,7 +293,8 @@ func (s *Scheduler) Quiesced() bool {
 // Stop halts the wheel and the workers and returns once they have exited.
 // Armed renewals and pending retries never fire again and queued work is
 // dropped, so none of them reports a failure. An in-flight renew call is
-// waited for, and its outcome is settled as usual.
+// waited for, and its outcome is settled as usual. The scheduler's leases
+// leave the lease.scheduled gauge.
 func (s *Scheduler) Stop() {
 	s.wheel.Stop()
 	s.mu.Lock()
@@ -298,6 +303,10 @@ func (s *Scheduler) Stop() {
 		return
 	}
 	s.stopped = true
+	// A stopped scheduler keeps nothing alive: withdraw its share of the
+	// gauge for good.
+	s.scheduled.Add(-s.published)
+	s.scheduled, s.published = nil, 0
 	s.pending -= len(s.queue) - s.qhead
 	s.queue, s.qhead = nil, 0
 	s.qcond.Broadcast()
@@ -319,9 +328,13 @@ func (s *Scheduler) removeLocked(e *schedEntry) {
 	}
 }
 
+// gaugeLocked adds the change in tracked leases to lease.scheduled, so
+// schedulers sharing one registry (a base's renewals and its lookup watch)
+// sum into it.
 func (s *Scheduler) gaugeLocked() {
-	if s.scheduled != nil {
-		s.scheduled.Set(int64(s.n))
+	if d := int64(s.n) - s.published; d != 0 && s.scheduled != nil {
+		s.scheduled.Add(d)
+		s.published = int64(s.n)
 	}
 }
 
@@ -445,9 +458,10 @@ func (s *Scheduler) worker() {
 }
 
 // settle applies one renew call's outcome to b.live: successes re-arm at
-// granted*fraction, failures retry across the slack, exhausted retries drop
-// the lease and report the node failed (once per call). Every timer the call
-// re-arms is re-armed in one wheel acquisition, in the order of b.live.
+// granted*fraction, failures retry on the next tick while one fits inside the
+// lease, and a failure with no retry left drops the lease and reports the
+// node failed (once per call). Every success's timer is re-armed in one wheel
+// acquisition, in the order of b.live.
 func (s *Scheduler) settle(node string, b *workerBufs, callErr error) {
 	var failErr error
 	b.renewed, b.rearm = b.renewed[:0], b.rearm[:0]
@@ -466,23 +480,21 @@ func (s *Scheduler) settle(node string, b *workerBufs, callErr error) {
 					granted = e.granted
 				}
 				e.granted = granted
-				e.attempts = 0
+				e.retryUntil = 0
 				s.m.renews.Inc()
 				b.rearm = append(b.rearm, clock.Rearm{T: e.timer, D: time.Duration(float64(granted) * s.cfg.Fraction)})
 				b.renewed = append(b.renewed, Renewal{BatchItem: BatchItem{ID: e.id, Name: e.name}, Granted: granted})
 				continue
 			}
 		}
-		if e.attempts < s.cfg.Retries {
-			// Space the retries across the slack remaining before expiry.
-			e.attempts++
+		if e.retryUntil == 0 {
+			// The failed renewal was armed Fraction of the window after the
+			// lease was last granted, so the lease ends the slack after it.
+			slack := e.granted - time.Duration(float64(e.granted)*s.cfg.Fraction)
+			e.retryUntil = e.timer.Deadline().Add(slack).UnixNano()
+		}
+		if !errors.Is(rerr, ErrUnknownLease) && e.timer.ResetNext(time.Unix(0, e.retryUntil)) {
 			s.m.retries.Inc()
-			slack := time.Duration(float64(e.granted) * (1 - s.cfg.Fraction))
-			gap := slack / time.Duration(s.cfg.Retries+1)
-			if gap <= 0 {
-				gap = time.Millisecond
-			}
-			b.rearm = append(b.rearm, clock.Rearm{T: e.timer, D: gap})
 			continue
 		}
 		s.m.failures.Inc()

@@ -77,7 +77,6 @@ func runSchedulerLifecycle(t *testing.T, seed int64, workers int) {
 		Tick:     tick,
 		Slots:    16,
 		Fraction: 0.5,
-		Retries:  1,
 		MaxBatch: 3,
 		Workers:  workers,
 		Renew: func(node string, items []BatchItem, results []BatchResult) error {

@@ -162,7 +162,6 @@ func TestSchedulerRetriesThenFailsNode(t *testing.T) {
 	s := NewScheduler(clk, SchedulerConfig{
 		Tick:       time.Second,
 		Fraction:   0.5,
-		Retries:    2,
 		Renew:      h.renew,
 		OnRenew:    h.onRenew,
 		OnNodeFail: h.onFail,
@@ -173,8 +172,9 @@ func TestSchedulerRetriesThenFailsNode(t *testing.T) {
 	s.Add("node-a", "lease-1", "", 10*time.Second)
 	s.Add("node-b", "lease-2", "", 10*time.Second)
 
-	// First attempt at 5s; retries spaced slack/(retries+1) land within the
-	// remaining 5s of lease. node-b renews fine throughout.
+	// First attempt at 5s, then one retry per tick at 6s to 9s: each leaves
+	// a full tick before the lease ends at 10s. node-b renews fine
+	// throughout.
 	for i := 0; i < 10; i++ {
 		clk.Advance(time.Second)
 		waitSched(t, "tick settle", s.Quiesced)
@@ -186,8 +186,8 @@ func TestSchedulerRetriesThenFailsNode(t *testing.T) {
 		t.Fatalf("failed nodes = %v, want exactly [node-a]", failed)
 	}
 	snap := reg.Snapshot()
-	if got := snap.Counters["lease.renew_retries"]; got != 2 {
-		t.Errorf("renew_retries = %d, want 2", got)
+	if got := snap.Counters["lease.renew_retries"]; got != 4 {
+		t.Errorf("renew_retries = %d, want 4", got)
 	}
 	if got := snap.Counters["lease.renew_failures"]; got != 1 {
 		t.Errorf("renew_failures = %d, want 1", got)
@@ -406,30 +406,25 @@ func TestRenewerFailureCallback(t *testing.T) {
 }
 
 // TestRenewerRetriesExhaustedReportsOnce renews, through the scheduler, a
-// lease its grantor no longer knows: every retry stays inside the lease,
-// and once the retries are exhausted ErrUnknownLease reaches OnNodeFail
-// exactly once.
+// grantor's lease over a link that is down: every retry stays inside the
+// lease, and once no retry fits the link's error reaches OnNodeFail exactly
+// once.
 func TestRenewerRetriesExhaustedReportsOnce(t *testing.T) {
 	clk := clock.NewManual(time.Unix(0, 0))
 	g := NewGrantor(clk)
 	l := g.Grant(context.Background(), 8*time.Second, nil)
-	if err := g.Cancel(l.ID); err != nil {
-		t.Fatal(err)
-	}
+	linkDown := errors.New("link down")
 	var mu sync.Mutex
 	var attempts []time.Time
 	var failures []error
 	s := NewScheduler(clk, SchedulerConfig{
 		Tick:     time.Second,
 		Fraction: 0.5,
-		Retries:  3,
 		Renew: func(_ string, items []BatchItem, results []BatchResult) error {
 			mu.Lock()
 			attempts = append(attempts, clk.Now())
 			mu.Unlock()
-			_, err := g.Renew(context.Background(), items[0].ID, 8*time.Second)
-			results[0] = BatchResult{ID: items[0].ID, Err: err}
-			return nil
+			return linkDown
 		},
 		OnNodeFail: func(_ string, err error) {
 			mu.Lock()
@@ -443,8 +438,8 @@ func TestRenewerRetriesExhaustedReportsOnce(t *testing.T) {
 	stepSched(t, clk, s, 20*time.Second)
 	mu.Lock()
 	defer mu.Unlock()
-	// The first attempt at 4s; the 4s of slack space the 3 retries 1s apart,
-	// all inside the 8s lease.
+	// The first attempt at 4s, then a retry on each tick that leaves a full
+	// tick before the lease ends at 8s: 5s, 6s and 7s.
 	if len(attempts) != 4 {
 		t.Fatalf("attempts at %v, want 4 (1 + 3 retries)", attempts)
 	}
@@ -452,9 +447,12 @@ func TestRenewerRetriesExhaustedReportsOnce(t *testing.T) {
 		if want := time.Unix(int64(4+i), 0); !at.Equal(want) {
 			t.Errorf("attempt %d at %v, want %v", i, at, want)
 		}
+		if !at.Before(l.Expiry) {
+			t.Errorf("attempt %d at %v, not before the lease's end %v", i, at, l.Expiry)
+		}
 	}
-	if len(failures) != 1 || !errors.Is(failures[0], ErrUnknownLease) {
-		t.Fatalf("failures = %v, want exactly one ErrUnknownLease", failures)
+	if len(failures) != 1 || !errors.Is(failures[0], linkDown) {
+		t.Fatalf("failures = %v, want exactly one link error", failures)
 	}
 }
 
@@ -465,11 +463,10 @@ func TestRenewerRetriesExhaustedReportsOnce(t *testing.T) {
 func TestSchedulerStopDuringRetryReportsNoFailure(t *testing.T) {
 	clk := clock.NewManual(time.Unix(0, 0))
 	h := newSchedHarness(10 * time.Second)
-	h.failIDs["l"] = ErrUnknownLease
+	h.failIDs["l"] = errors.New("item refused")
 	s := NewScheduler(clk, SchedulerConfig{
 		Tick:       time.Second,
 		Fraction:   0.5,
-		Retries:    3,
 		Renew:      h.renew,
 		OnNodeFail: h.onFail,
 	})
@@ -493,4 +490,111 @@ func TestSchedulerStopDuringRetryReportsNoFailure(t *testing.T) {
 	if len(h.calls) != 1 {
 		t.Fatalf("renew calls = %d after Stop, want 1", len(h.calls))
 	}
+}
+
+// failingRenewals is a scheduler whose every renewal fails with err,
+// recording when each attempt fired and what OnNodeFail reported.
+type failingRenewals struct {
+	*Scheduler
+	mu       sync.Mutex
+	attempts []time.Time
+	failed   chan error
+}
+
+func newFailingRenewals(t *testing.T, clk clock.Clock, tick time.Duration, err error) *failingRenewals {
+	f := &failingRenewals{failed: make(chan error, 4)}
+	f.Scheduler = NewScheduler(clk, SchedulerConfig{
+		Tick:     tick,
+		Fraction: 0.5,
+		Renew: func(string, []BatchItem, []BatchResult) error {
+			f.mu.Lock()
+			f.attempts = append(f.attempts, clk.Now())
+			f.mu.Unlock()
+			return err
+		},
+		OnNodeFail: func(_ string, err error) { f.failed <- err },
+	})
+	t.Cleanup(f.Stop)
+	return f
+}
+
+// wait returns the attempts once the node failure is reported, which must
+// happen exactly once and carry want.
+func (f *failingRenewals) wait(t *testing.T, want error) []time.Time {
+	t.Helper()
+	select {
+	case err := <-f.failed:
+		if !errors.Is(err, want) {
+			t.Errorf("OnNodeFail err = %v, want %v", err, want)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the failing renewal was never reported")
+	}
+	f.Stop()
+	if n := len(f.failed); n != 0 {
+		t.Errorf("%d more failure reports, want exactly one", n)
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return append([]time.Time(nil), f.attempts...)
+}
+
+// TestSchedulerRetriesLandInsideLease fails every renewal of one lease and
+// checks that every attempt fires strictly before the lease ends: on a
+// manual clock stepped finer than the tick, one stepped nearly a tick at a
+// time, and the real clock. An ErrUnknownLease answer is final: the renewal
+// ends after one attempt.
+func TestSchedulerRetriesLandInsideLease(t *testing.T) {
+	unreachable := errors.New("unreachable")
+	// A 10s lease renewed at half, with four ticks of slack.
+	const lease, tick = 10 * time.Second, 1250 * time.Millisecond
+	for _, step := range []time.Duration{250 * time.Millisecond, time.Second} {
+		t.Run(fmt.Sprintf("manual/step=%v", step), func(t *testing.T) {
+			start := time.Unix(0, 0)
+			clk := clock.NewManual(start)
+			f := newFailingRenewals(t, clk, tick, unreachable)
+			f.Add("node-a", "l", "", lease)
+			for clk.Now().Sub(start) < lease+5*time.Second {
+				clk.Advance(step)
+				waitSched(t, "tick settle", f.Quiesced)
+			}
+			attempts := f.wait(t, unreachable)
+			// The renewal at 5s and a retry on each of the three ticks that
+			// leave a full tick before 10s.
+			if len(attempts) != 4 {
+				t.Fatalf("attempts at %v, want 4 (1 + 3 retries)", attempts)
+			}
+			for i, at := range attempts {
+				if !at.Before(start.Add(lease)) {
+					t.Errorf("attempt %d at %v, not before the lease's end %v", i, at.Sub(start), lease)
+				}
+			}
+		})
+	}
+
+	t.Run("real", func(t *testing.T) {
+		const lease = 800 * time.Millisecond
+		f := newFailingRenewals(t, clock.Real{}, lease/8, unreachable)
+		end := time.Now().Add(lease)
+		f.Add("node-a", "l", "", lease)
+		attempts := f.wait(t, unreachable)
+		if len(attempts) < 2 {
+			t.Errorf("attempts at %v, want at least one retry", attempts)
+		}
+		for i, at := range attempts {
+			if !at.Before(end) {
+				t.Errorf("attempt %d at %v, past the lease's end by %v", i, at, at.Sub(end))
+			}
+		}
+	})
+
+	t.Run("unknown-lease", func(t *testing.T) {
+		clk := clock.NewManual(time.Unix(0, 0))
+		f := newFailingRenewals(t, clk, tick, ErrUnknownLease)
+		f.Add("node-a", "l", "", lease)
+		stepSched(t, clk, f.Scheduler, lease)
+		if attempts := f.wait(t, ErrUnknownLease); len(attempts) != 1 {
+			t.Fatalf("attempts at %v, want 1: ErrUnknownLease is final", attempts)
+		}
+	})
 }

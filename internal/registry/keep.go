@@ -11,10 +11,13 @@ import (
 // Keep keeps one lookup lease alive from the holder side until the returned
 // scheduler is stopped: a node's registration (renew is Client.Renew) or a
 // base's watch (renew is Client.RenewWatch). renew(id, dur) runs at half of
-// each dur window. A failed renewal is not retried, and the lease lapses at
-// the lookup. reg (nil-safe) receives the scheduler's lease.* series,
-// lease.renew_failures among them.
-func Keep(clk clock.Clock, reg *metrics.Registry, id string, dur time.Duration, renew func(id string, dur time.Duration) error) *lease.Scheduler {
+// each dur window. A failed renewal is retried on each later tick of the
+// keeper's wheel while the lease has a tick left (up to 7 retries); an
+// ErrUnknownLease answer is final. Once the lease is lost, lost (nil-safe)
+// runs with the last error, on the keeper's worker: it must not Stop the
+// keeper itself. reg (nil-safe) receives the scheduler's lease.* series,
+// lease.renew_retries and lease.renew_failures among them.
+func Keep(clk clock.Clock, reg *metrics.Registry, id string, dur time.Duration, renew func(id string, dur time.Duration) error, lost func(error)) *lease.Scheduler {
 	s := lease.NewScheduler(clk, lease.SchedulerConfig{
 		Tick:     keepTick(dur),
 		Fraction: 0.5,
@@ -24,6 +27,11 @@ func Keep(clk clock.Clock, reg *metrics.Registry, id string, dur time.Duration, 
 			}
 			results[0].ID = items[0].ID
 			return nil
+		},
+		OnNodeFail: func(_ string, err error) {
+			if lost != nil {
+				lost(err)
+			}
 		},
 	})
 	s.Instrument(reg)

@@ -27,7 +27,7 @@ func TestKeepTickScalesWithLease(t *testing.T) {
 		t.Fatalf("keepTick(30s) = %v, want >= 1s", got)
 	}
 	clk := &wakeCounter{}
-	s := Keep(clk, nil, "lease-1", 30*time.Second, func(string, time.Duration) error { return nil })
+	s := Keep(clk, nil, "lease-1", 30*time.Second, func(string, time.Duration) error { return nil }, nil)
 	time.Sleep(100 * time.Millisecond)
 	s.Stop()
 	// The wheel arms its first wake-up at one tick; a 10ms tick would have

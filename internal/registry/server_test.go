@@ -346,7 +346,7 @@ func TestServerWatchEndsAfterFailures(t *testing.T) {
 	}
 
 	reg := metrics.New()
-	keeper := Keep(clock.Real{}, reg, watchID, 40*time.Millisecond, client.RenewWatch)
+	keeper := Keep(clock.Real{}, reg, watchID, 40*time.Millisecond, client.RenewWatch, nil)
 	defer keeper.Stop()
 	waitFor(t, "lease.renew_failures", func() bool { return reg.CounterValue("lease.renew_failures") >= 1 })
 }

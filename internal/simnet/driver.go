@@ -8,9 +8,8 @@ import (
 
 // Advance moves a manual clock forward by total in increments of step,
 // yielding real time between increments so goroutines woken by one increment
-// (renewal scheduler wheels, grantor sweepers, retry backoffs) run before the
-// next. It is the
-// scenario driver's "let simulated time pass" primitive.
+// (renewal scheduler wheels, grantor sweepers, reconcile loops) run before
+// the next. It is the scenario driver's "let simulated time pass" primitive.
 func Advance(clk *clock.Manual, total, step time.Duration) {
 	if step <= 0 {
 		step = total
@@ -23,8 +22,8 @@ func Advance(clk *clock.Manual, total, step time.Duration) {
 
 // Drive advances clk by step on every real-time tick until the returned stop
 // function is called. Use it when a scenario blocks synchronously on work
-// that waits on the simulated clock (e.g. a retry policy backing off) and no
-// explicit Advance schedule fits.
+// that waits on the simulated clock (e.g. a call whose delivery the
+// simulator delays) and no explicit Advance schedule fits.
 func Drive(clk *clock.Manual, step time.Duration) (stop func()) {
 	halt := make(chan struct{})
 	done := make(chan struct{})

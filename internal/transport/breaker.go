@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"net"
 	"sort"
 	"sync"
 	"time"
@@ -16,10 +17,27 @@ import (
 
 // ErrBreakerOpen is returned without touching the network when the circuit
 // to a destination is open. It is deliberately not an ErrUnreachable (and not
-// a net.Error), so retry policies never burn attempts on it: the whole point
-// of the breaker is that a persistently unreachable node stops consuming
-// retry budget.
+// a net.Error), so it never counts as a transport failure itself: the whole
+// point of the breaker is that a persistently unreachable node stops
+// consuming calls.
 var ErrBreakerOpen = errors.New("transport: circuit open")
+
+// transient reports whether err is a transport-level failure: no route to
+// the destination, a timed-out attempt, or a network timeout. Remote
+// application errors are deterministic and do not count.
+func transient(err error) bool {
+	if err == nil {
+		return false
+	}
+	var re *RemoteError
+	if errors.As(err, &re) {
+		return false
+	}
+	var ne net.Error
+	return errors.Is(err, ErrUnreachable) ||
+		errors.Is(err, context.DeadlineExceeded) ||
+		(errors.As(err, &ne) && ne.Timeout())
+}
 
 // BreakerState is one destination's circuit state.
 type BreakerState int
@@ -59,8 +77,8 @@ type BreakerConfig struct {
 	// Clock times the cooldown (default the real clock). Point it at a manual
 	// clock to drive the breaker deterministically in simulation.
 	Clock clock.Clock
-	// FailIf decides which errors count toward tripping (default
-	// RetryTransient: transport-level failures only, so deterministic remote
+	// FailIf decides which errors count toward tripping (default: the
+	// transport-level failures of transient, so deterministic remote
 	// application errors never open a circuit).
 	FailIf func(error) bool
 }
@@ -126,7 +144,7 @@ func NewBreakerSet(seed int64, cfg BreakerConfig) *BreakerSet {
 		cfg.Clock = clock.Real{}
 	}
 	if cfg.FailIf == nil {
-		cfg.FailIf = RetryTransient
+		cfg.FailIf = transient
 	}
 	return &BreakerSet{
 		cfg:   cfg,

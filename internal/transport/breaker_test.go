@@ -58,9 +58,9 @@ func TestBreakerOpensFastFailsAndRecloses(t *testing.T) {
 	if got := reg.Snapshot().Counters["transport.breaker_fastfails"]; got != 5 {
 		t.Fatalf("breaker_fastfails = %d, want 5", got)
 	}
-	// ErrBreakerOpen is not retryable: it must never consume retry budget.
-	if RetryTransient(fmt.Errorf("%w: robot1", ErrBreakerOpen)) {
-		t.Fatal("RetryTransient retries ErrBreakerOpen")
+	// ErrBreakerOpen is not itself a transport failure.
+	if transient(fmt.Errorf("%w: robot1", ErrBreakerOpen)) {
+		t.Fatal("ErrBreakerOpen counts as a transient failure")
 	}
 
 	// After the cooldown one probe is admitted; it fails, re-opening.

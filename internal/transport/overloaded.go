@@ -15,9 +15,10 @@ import (
 // an optional retry-after hint as plain text in the error message, because
 // every fabric transmits a remote failure as its error text.
 //
-// The rest of the transport layer treats sheds specially in two ways:
-//   - Policy retries an overloaded call, but only after the hinted delay
-//     (cooperative backpressure instead of hammering a struggling server).
+// Sheds are treated specially in two places:
+//   - A lookup's watch delivery (registry.Server) resends a shed event only
+//     after the hinted delay (cooperative backpressure instead of hammering
+//     a struggling server), and without counting a failure.
 //   - BreakerSet never counts a shed toward tripping a circuit: an
 //     overloaded-but-healthy server answered, so the link is fine.
 var ErrOverloaded = errors.New("transport: overloaded")

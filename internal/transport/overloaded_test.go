@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/clock"
-	"repro/internal/metrics"
 	"repro/internal/wire"
 )
 
@@ -110,62 +109,6 @@ func (c *shedThenOKCaller) Call(ctx context.Context, to, method string, req, res
 		return NewRemoteError(method, Overloaded(c.hint).Error())
 	}
 	return nil
-}
-
-// TestPolicyRetriesOverloadedAfterHint proves cooperative backpressure on
-// the caller: a shed is retried — even though remote application errors are
-// not — and the retry waits exactly the server's hint, not the policy's own
-// backoff.
-func TestPolicyRetriesOverloadedAfterHint(t *testing.T) {
-	clk := clock.NewManual(time.Unix(0, 0))
-	reg := metrics.New()
-	pol := testPolicy(3, clk) // BaseDelay 0: any wait comes from the hint
-	pol.MaxAttempts = 3
-	pol.Instrument(reg)
-	inner := &shedThenOKCaller{n: 1, hint: 250 * time.Millisecond}
-
-	done := make(chan error, 1)
-	go func() {
-		done <- pol.Wrap(inner).Call(context.Background(), "base", "base.query", nil, nil)
-	}()
-	waitTimers(t, clk, 1)
-	clk.Advance(249 * time.Millisecond)
-	select {
-	case err := <-done:
-		t.Fatalf("retried before the hinted delay elapsed: %v", err)
-	case <-time.After(20 * time.Millisecond):
-	}
-	clk.Advance(time.Millisecond)
-	if err := <-done; err != nil {
-		t.Fatalf("call after hinted retry: %v", err)
-	}
-	if inner.calls != 2 {
-		t.Fatalf("calls = %d, want 2", inner.calls)
-	}
-	snap := reg.Snapshot()
-	if got := snap.Counters["transport.retry_overloads"]; got != 1 {
-		t.Fatalf("transport.retry_overloads = %d, want 1", got)
-	}
-	if got := snap.Counters["transport.retries"]; got != 1 {
-		t.Fatalf("transport.retries = %d, want 1", got)
-	}
-}
-
-// TestPolicyOverloadedGivesUpAtMaxAttempts proves a persistently shedding
-// server still exhausts the attempt budget rather than retrying forever.
-func TestPolicyOverloadedGivesUpAtMaxAttempts(t *testing.T) {
-	clk := clock.NewManual(time.Unix(0, 0))
-	pol := testPolicy(3, clk)
-	pol.MaxAttempts = 3
-	inner := &shedThenOKCaller{n: 100, hint: 0} // hint 0: no wait, synchronous
-
-	err := pol.Wrap(inner).Call(context.Background(), "base", "base.query", nil, nil)
-	if !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("err = %v, want ErrOverloaded", err)
-	}
-	if inner.calls != 3 {
-		t.Fatalf("calls = %d, want 3 (attempt budget)", inner.calls)
-	}
 }
 
 // TestBreakerIgnoresOverloadSheds proves sheds never open a circuit, even

@@ -74,7 +74,7 @@ func TestTCPCancelMidCallUnblocks(t *testing.T) {
 }
 
 // A deadline expiring mid-round-trip surfaces context.DeadlineExceeded, which
-// the retry policy treats as transient.
+// counts as a transient transport failure.
 func TestTCPDeadlineMidCallIsTransient(t *testing.T) {
 	h := &slowHandler{release: make(chan struct{})}
 	var once sync.Once
@@ -99,8 +99,8 @@ func TestTCPDeadlineMidCallIsTransient(t *testing.T) {
 	if took := time.Since(start); took > 2*time.Second {
 		t.Fatalf("deadline call took %v", took)
 	}
-	if !RetryTransient(callErr) {
-		t.Fatal("timed-out call should be retryable")
+	if !transient(callErr) {
+		t.Fatal("timed-out call should be transient")
 	}
 	// Nothing came back on the connection before the deadline, so it was
 	// retired as silent: a fresh call dials anew and works once the handlers

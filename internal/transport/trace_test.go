@@ -57,10 +57,10 @@ func TestRegisterRemoteSentinel(t *testing.T) {
 	if errors.Is(NewRemoteError("m", "unrelated"), errCustom) {
 		t.Fatal("sentinel matched an unrelated message")
 	}
-	// Transient retry classification must not change: remote errors are
-	// never retried even when they unwrap to a sentinel.
-	if RetryTransient(re) {
-		t.Fatal("RemoteError with sentinel became retryable")
+	// The transient classification must not change: a remote error never
+	// counts as a transport failure, even when it unwraps to a sentinel.
+	if transient(re) {
+		t.Fatal("RemoteError with sentinel became transient")
 	}
 }
 
@@ -98,47 +98,6 @@ func TestTraceEnvelopeOverTCP(t *testing.T) {
 	}
 	if sc := <-got; sc.Valid() {
 		t.Fatalf("untraced call leaked span context %+v", sc)
-	}
-}
-
-// TestPolicyAttemptSpans checks that a traced retrying caller opens one
-// child "rpc.attempt" span per attempt under the logical call span.
-func TestPolicyAttemptSpans(t *testing.T) {
-	fails := 2
-	inner := callerFunc(func(ctx context.Context, to, method string, req, resp any) error {
-		if fails > 0 {
-			fails--
-			return ErrUnreachable
-		}
-		return nil
-	})
-	tr := trace.New(2)
-	pol := NewPolicy(1)
-	pol.BaseDelay = 0
-	pol.Trace(tr)
-	wrapped := TraceCalls(pol.Wrap(inner), tr)
-
-	if err := wrapped.Call(context.Background(), "n", "m", nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	calls := tr.Spans(trace.Filter{Name: "rpc.call"})
-	if len(calls) != 1 {
-		t.Fatalf("got %d rpc.call spans, want 1", len(calls))
-	}
-	attempts := tr.Spans(trace.Filter{Name: "rpc.attempt"})
-	if len(attempts) != 3 {
-		t.Fatalf("got %d rpc.attempt spans, want 3", len(attempts))
-	}
-	for i, a := range attempts {
-		if a.ParentID != calls[0].SpanID || a.TraceID != calls[0].TraceID {
-			t.Fatalf("attempt %d not a child of the call span: %+v", i, a)
-		}
-		if i < 2 && a.Err == "" {
-			t.Fatalf("failed attempt %d recorded no error", i)
-		}
-	}
-	if attempts[2].Err != "" {
-		t.Fatalf("final attempt recorded error %q", attempts[2].Err)
 	}
 }
 

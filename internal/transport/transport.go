@@ -57,7 +57,7 @@ var (
 	ErrDecode = errors.New("transport: decode:")
 	// ErrIncompatible indicates the TCP peer acked the handshake with another
 	// envelope or wire.Version. It holds for as long as the two builds do, so
-	// RetryTransient never retries it.
+	// it is not a transient failure.
 	ErrIncompatible = errors.New("transport: incompatible peer")
 )
 

@@ -40,7 +40,6 @@ func TestMetricsLeaseLifecycle(t *testing.T) {
 		Store:         store.NewMemory(),
 		LeaseDur:      100 * time.Millisecond,
 		RenewFraction: 0.5,
-		RenewRetries:  3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -98,8 +97,8 @@ func TestMetricsLeaseLifecycle(t *testing.T) {
 	}
 
 	// Stage 2: renewal under deterministic loss. Dropping every second call
-	// forces in-lease retries, but with 3 retries per cycle the lease
-	// survives and the extension stays installed.
+	// forces in-lease retries, and the retry on the next tick lands, so the
+	// lease survives and the extension stays installed.
 	var calls atomic.Uint64
 	fabric.SetLinkFunc(func(from, to string) bool { return calls.Add(1)%2 != 0 })
 	waitForCounter(t, reg, "lease.renewals", 3)

@@ -6,7 +6,9 @@ package repro
 
 import (
 	"context"
+	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -35,23 +37,14 @@ func (w *simWorld) newRecoveryBase(name string, signer *sign.Signer, o recoveryB
 			w.t.Fatal(err)
 		}
 	}
-	pol := transport.NewPolicy(w.seed)
-	pol.Clock = w.clk
-	pol.BaseDelay = 0 // retry back-to-back; scenarios drive faults, not backoff
-	pol.MaxAttempts = 8
-	b := &scenarioBase{name: name, reg: metrics.New(), signer: signer, pol: pol}
-	pol.Instrument(b.reg)
+	b := &scenarioBase{name: name, reg: metrics.New(), signer: signer}
 	b.base, err = core.NewBase(core.BaseConfig{
 		Name:           name,
 		Addr:           name,
 		Caller:         w.net.Node(name),
 		Signer:         signer,
 		Clock:          w.clk,
-		LeaseDur:       10 * time.Second,
-		RenewFraction:  0.5,
-		RenewRetries:   2,
-		CallTimeout:    time.Hour, // the policy and the simulated clock govern
-		Policy:         pol,
+		CallTimeout:    time.Hour, // the simulated clock governs; simnet fails lost calls at once
 		Breaker:        o.breaker,
 		Journal:        o.journal,
 		ReconcileEvery: o.reconcileEvery,
@@ -171,10 +164,11 @@ func TestScenarioBaseCrashMidPushConverges(t *testing.T) {
 
 // Scenario R2 — receiver wiped during a partition: the node loses the link,
 // the base's renewals trip the circuit breaker and the node is parked as
-// degraded — while the circuit is open, periodic reconcile rounds fast-fail
-// locally and push nothing (no re-push storm into the partition). Meanwhile
-// the node crashes and loses all state. When the link heals, the first
-// inventory diff sees the empty node and re-adapts it from scratch.
+// degraded — while the circuit is open, a reconcile round fast-fails
+// locally, and no round pushes anything (no re-push storm into the
+// partition). Meanwhile the node crashes and loses all state. When the link
+// heals, the first inventory diff sees the empty node and re-adapts it from
+// scratch.
 func TestScenarioReceiverWipedDuringPartition(t *testing.T) {
 	w := newSimWorld(t)
 	breaker := transport.NewBreakerSet(w.seed, transport.BreakerConfig{
@@ -197,31 +191,39 @@ func TestScenarioReceiverWipedDuringPartition(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The node walks out of range; the failed renewal cycle (initial try plus
-	// two retries) trips the breaker, so the base degrades instead of
-	// forgetting the node.
+	// The node walks out of range. The renewal at 5s fails, its retries at
+	// 5.625s and 6.25s run as the clock reaches 6s and 7s, and the reconcile
+	// round at 7s fails too: the third failure trips the breaker, so the base
+	// degrades instead of forgetting the node.
 	w.net.PartitionBoth("base-1", "robot1")
 	w.advance(10*time.Second, time.Second)
 	waitFor(t, "degradation", func() bool { return len(b.base.Degraded()) == 1 })
 	if got := b.counter("base.departures"); got != 0 {
 		t.Fatalf("base.departures = %d, want 0 (degraded, not departed)", got)
 	}
+	// The circuit opened at 7s at the earliest, with a cooldown of at least
+	// 4s, so it is still open: a reconcile round answers locally, and
+	// nothing reaches the dead link.
+	if r := b.base.ReconcileNow(context.Background())["robot1"]; r.Err == "" {
+		t.Fatalf("reconcile through the open circuit succeeded: %+v", r)
+	}
+	if got := b.counter("transport.breaker_fastfails"); got == 0 {
+		t.Fatal("no breaker fast-fails recorded while partitioned")
+	}
 
 	// Mid-partition the node dies and loses everything.
 	w.net.Wipe("robot1")
 	n2 := w.newNode("robot1", b.signer)
 
-	// Two more reconcile periods inside the partition: rounds run but the
-	// open circuit answers locally — nothing is pushed at the dead link.
+	// Two more reconcile periods inside the partition: rounds run, but they
+	// reach the dead link only as the breaker's probes, and nothing is
+	// pushed at it.
 	w.advance(14*time.Second, time.Second)
 	if got := b.counter("base.reconcile_repushes"); got != 0 {
 		t.Fatalf("reconcile_repushes = %d while partitioned, want 0", got)
 	}
 	if got := n2.counter("ext.installs"); got != 0 {
 		t.Fatalf("wiped node saw %d installs while partitioned, want 0", got)
-	}
-	if got := b.counter("transport.breaker_fastfails"); got == 0 {
-		t.Fatal("no breaker fast-fails recorded while partitioned")
 	}
 
 	// The link heals: the next reconcile probe lands, the first inventory
@@ -312,5 +314,84 @@ func TestScenarioMissedRevokeReconciled(t *testing.T) {
 	}
 	if got := n.counter("ext.expiries"); got != 0 {
 		t.Fatalf("ext.expiries = %d after settling, want 0", got)
+	}
+}
+
+// Scenario R4 — a lossy link does not depart a node from the shipped base:
+// the base runs cmd/basestation's defaults (10s leases, breaker 3 / 5s,
+// reconcile every 30s, 16 shards, 8 renewal workers) and keeps 20 nodes for
+// 120s of simulated time while the network loses 1 % or 5 % of all
+// messages. A lost renewal is retried inside its lease, so no node is
+// declared departed. Three failed exchanges in a row open a node's circuit,
+// which parks it degraded until a reconcile round reaches it (at 5 % loss
+// that happens about once in two runs), so every node is adapted or
+// degraded, and every adapted node holds its extension.
+func TestScenarioLossyLinkShippedBaseKeepsNodes(t *testing.T) {
+	for _, loss := range []float64{0.01, 0.05} {
+		t.Run(fmt.Sprintf("loss=%g", loss), func(t *testing.T) {
+			w := newSimWorld(t)
+			signer, err := sign.NewSigner("base-1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := &scenarioBase{name: "base-1", reg: metrics.New(), signer: signer}
+			b.base, err = core.NewBase(core.BaseConfig{
+				Name:   "base-1",
+				Addr:   "base-1",
+				Caller: w.net.Node("base-1"),
+				Signer: signer,
+				Clock:  w.clk,
+				Breaker: transport.NewBreakerSet(w.seed, transport.BreakerConfig{
+					Threshold: 3,
+					Cooldown:  5 * time.Second,
+					Clock:     w.clk,
+				}),
+				ReconcileEvery: 30 * time.Second,
+				Shards:         16,
+				RenewBatch:     64,
+				RenewWorkers:   8,
+				CallTimeout:    time.Hour, // the simulated clock governs; simnet fails lost calls at once
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(b.base.Close)
+			b.base.Instrument(b.reg)
+			if err := b.base.AddExtension(noopScenarioExt("policy", 1)); err != nil {
+				t.Fatal(err)
+			}
+			nodes := make([]*scenarioNode, 20)
+			for i := range nodes {
+				nodes[i] = w.newNode(fmt.Sprintf("robot%02d", i), signer)
+				if err := b.base.AdaptNode(nodes[i].name, nodes[i].name); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			netReg := metrics.New()
+			w.net.Instrument(netReg)
+			w.net.SetDefault(simnet.LinkProfile{Loss: loss})
+			w.advance(120*time.Second, 250*time.Millisecond)
+
+			if got := netReg.CounterValue("simnet.losses"); got == 0 {
+				t.Fatal("the network lost no message")
+			}
+			if got := b.counter("lease.renew_retries"); got == 0 {
+				t.Error("no renewal was retried")
+			}
+			if got := b.counter("base.departures"); got != 0 {
+				t.Errorf("base.departures = %d, want 0", got)
+			}
+			t.Logf("base.degrades = %d", b.counter("base.degrades"))
+			adapted, degraded := b.base.Adapted(), b.base.Degraded()
+			if got := len(adapted) + len(degraded); got != len(nodes) {
+				t.Errorf("%d adapted + %d degraded nodes, want %d", len(adapted), len(degraded), len(nodes))
+			}
+			for _, n := range nodes {
+				if slices.Contains(adapted, n.name) && !n.receiver.Has("policy") {
+					t.Errorf("adapted %s lost its extension", n.name)
+				}
+			}
+		})
 	}
 }

@@ -55,7 +55,7 @@ func newSimWorld(t *testing.T) *simWorld {
 }
 
 // advance moves simulated time forward, yielding so renewers, sweepers and
-// retry backoffs woken along the way get to run.
+// reconcile loops woken along the way get to run.
 func (w *simWorld) advance(total, step time.Duration) {
 	simnet.Advance(w.clk, total, step)
 }
@@ -124,14 +124,12 @@ type trackedBody struct{ node *scenarioNode }
 func (b *trackedBody) Exec(*aop.Context) error { return nil }
 func (b *trackedBody) Shutdown()               { b.node.shutdowns.Add(1) }
 
-// scenarioBase is one extension base with a seeded retry policy on the
-// simulated clock.
+// scenarioBase is one extension base on the simulated clock.
 type scenarioBase struct {
 	name   string
 	base   *core.Base
 	reg    *metrics.Registry
 	signer *sign.Signer
-	pol    *transport.Policy
 }
 
 func (b *scenarioBase) counter(name string) uint64 {
@@ -148,23 +146,14 @@ func (w *simWorld) newBase(name string, signer *sign.Signer) *scenarioBase {
 			w.t.Fatal(err)
 		}
 	}
-	pol := transport.NewPolicy(w.seed)
-	pol.Clock = w.clk
-	pol.BaseDelay = 0 // retry back-to-back; scenarios drive faults, not backoff
-	pol.MaxAttempts = 8
-	b := &scenarioBase{name: name, reg: metrics.New(), signer: signer, pol: pol}
-	pol.Instrument(b.reg)
+	b := &scenarioBase{name: name, reg: metrics.New(), signer: signer}
 	b.base, err = core.NewBase(core.BaseConfig{
-		Name:          name,
-		Addr:          name,
-		Caller:        w.net.Node(name),
-		Signer:        signer,
-		Clock:         w.clk,
-		LeaseDur:      10 * time.Second,
-		RenewFraction: 0.5,
-		RenewRetries:  2,
-		CallTimeout:   time.Hour, // the policy and the simulated clock govern
-		Policy:        pol,
+		Name:        name,
+		Addr:        name,
+		Caller:      w.net.Node(name),
+		Signer:      signer,
+		Clock:       w.clk,
+		CallTimeout: time.Hour, // the simulated clock governs; simnet fails lost calls at once
 	})
 	if err != nil {
 		w.t.Fatal(err)
@@ -202,8 +191,8 @@ func trackedScenarioExt(name string, version int) core.Extension {
 }
 
 // adaptWithRetries keeps calling AdaptNode until it converges; on lossy links
-// a single call can exhaust its retry budget, and a real base would try again
-// on the next discovery beacon.
+// a single push can be lost, and a real base would try again on the next
+// discovery beacon.
 func adaptWithRetries(t *testing.T, b *scenarioBase, nodeID, addr string) {
 	t.Helper()
 	for i := 0; i < 50; i++ {
@@ -497,8 +486,8 @@ func TestScenarioNodeCrashWipedReadapts(t *testing.T) {
 }
 
 // Scenario 8 — lossy wireless link: with 25 % loss in both directions, the
-// retry policy still converges the adaptation and keeps the lease alive
-// across many renewal periods.
+// adaptation still converges and the in-lease renewal retries keep the lease
+// alive across many renewal periods.
 func TestScenarioLossyLinkConverges(t *testing.T) {
 	w := newSimWorld(t)
 	netReg := metrics.New()
@@ -519,6 +508,7 @@ func TestScenarioLossyLinkConverges(t *testing.T) {
 	}
 
 	// Six renewal periods under loss: retries keep the lease alive.
+	lossesBefore := netReg.CounterValue("simnet.losses")
 	w.advance(30*time.Second, 500*time.Millisecond)
 	if !n.receiver.Has("policy") {
 		t.Fatal("lease lapsed on the lossy link")
@@ -526,10 +516,11 @@ func TestScenarioLossyLinkConverges(t *testing.T) {
 	if got := b.base.Adapted(); len(got) != 1 {
 		t.Fatalf("adapted = %v after 30s of loss", got)
 	}
-	// Every message the simulator dropped forced a retry somewhere — the
-	// cluster converged, so the retries must have absorbed all the loss.
-	if netReg.Snapshot().Counters["simnet.losses"] > 0 && b.counter("transport.retries") == 0 {
-		t.Fatal("the network dropped messages but no retry was recorded")
+	// Renewals are the only traffic now, so every message lost failed a
+	// renewal attempt: the lease survived because in-lease retries absorbed
+	// those failures.
+	if netReg.CounterValue("simnet.losses") > lossesBefore && b.counter("lease.renew_retries") == 0 {
+		t.Fatal("the network dropped renewal messages but no renewal was retried")
 	}
 }
 

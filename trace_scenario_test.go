@@ -1,16 +1,14 @@
 // Scenario tests for distributed lifecycle tracing: a node's whole journey —
-// discovery, adaptation push (with per-retry attempt spans under injected
-// loss), weaving, lease renewals and revocation — must read as ONE trace,
-// stitched across the fabric by the span-context envelope. Runs on the
-// deterministic network simulator; set SIMNET_SEED to replay a run exactly.
+// discovery, adaptation push, weaving, lease renewals and revocation — must
+// read as ONE trace, stitched across the fabric by the span-context
+// envelope. Runs on the deterministic network simulator; set SIMNET_SEED to
+// replay a run exactly.
 package repro
 
 import (
 	"context"
 	"errors"
-	"fmt"
 	"reflect"
-	"sync"
 	"testing"
 	"time"
 
@@ -25,31 +23,6 @@ import (
 	"repro/internal/transport"
 )
 
-// respLossCaller executes calls normally but swallows the response of the
-// first call to each listed method, returning ErrUnreachable instead — the
-// classic wireless failure where the install lands but the base never hears
-// back. Sitting UNDER the retry policy, it forces a retry whose re-push the
-// receiver answers as an idempotent refresh, all within one logical call.
-type respLossCaller struct {
-	inner transport.Caller
-	mu    sync.Mutex
-	drop  map[string]bool // method -> still to drop
-}
-
-func (c *respLossCaller) Call(ctx context.Context, to, method string, req, resp any) error {
-	err := c.inner.Call(ctx, to, method, req, resp)
-	if err != nil {
-		return err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.drop[method] {
-		c.drop[method] = false
-		return fmt.Errorf("%w: %s response dropped", transport.ErrUnreachable, method)
-	}
-	return nil
-}
-
 // tracedWorld is a simWorld whose base and node share one tracer (they run in
 // one test process; parenting across them still exercises the wire envelope).
 func newTracedBase(w *simWorld, name string, tr *trace.Tracer, caller transport.Caller) *scenarioBase {
@@ -58,21 +31,14 @@ func newTracedBase(w *simWorld, name string, tr *trace.Tracer, caller transport.
 	if err != nil {
 		w.t.Fatal(err)
 	}
-	pol := transport.NewPolicy(w.seed)
-	pol.Clock = w.clk
-	pol.BaseDelay = 0
-	pol.MaxAttempts = 8
-	b := &scenarioBase{name: name, reg: metrics.New(), signer: signer, pol: pol}
+	b := &scenarioBase{name: name, reg: metrics.New(), signer: signer}
 	base, err := core.NewBase(core.BaseConfig{
-		Name:          name,
-		Addr:          name,
-		Caller:        caller,
-		Signer:        signer,
-		Clock:         w.clk,
-		LeaseDur:      10 * time.Second,
-		RenewFraction: 0.5,
-		CallTimeout:   time.Hour,
-		Policy:        pol,
+		Name:        name,
+		Addr:        name,
+		Caller:      caller,
+		Signer:      signer,
+		Clock:       w.clk,
+		CallTimeout: time.Hour, // the simulated clock governs; simnet fails lost calls at once
 	})
 	if err != nil {
 		w.t.Fatal(err)
@@ -101,9 +67,9 @@ func spansByName(spans []trace.SpanSnapshot) map[string][]trace.SpanSnapshot {
 }
 
 // TestScenarioTracedLifecycle drives the full MIDAS lifecycle — advertise at
-// the lookup, watcher-event adaptation, a push whose first response is lost
-// (retry + idempotent refresh), weaving, a lease renewal, then revocation —
-// and asserts every span of it shares the trace rooted at the advertisement.
+// the lookup, watcher-event adaptation, a push, weaving, a lease renewal,
+// then revocation — and asserts every span of it shares the trace rooted at
+// the advertisement.
 func TestScenarioTracedLifecycle(t *testing.T) {
 	w := newSimWorld(t)
 	tr := trace.New(w.seed)
@@ -121,10 +87,7 @@ func TestScenarioTracedLifecycle(t *testing.T) {
 	}
 	t.Cleanup(stop)
 
-	// Base whose first apply response (the adapt's push) is lost on the
-	// "wireless" link.
-	lossy := &respLossCaller{inner: w.net.Node("base-1"), drop: map[string]bool{core.MethodApplyBatch: true}}
-	b := newTracedBase(w, "base-1", tr, lossy)
+	b := newTracedBase(w, "base-1", tr, w.net.Node("base-1"))
 	if err := b.base.AddExtension(noopScenarioExt("policy", 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -153,8 +116,8 @@ func TestScenarioTracedLifecycle(t *testing.T) {
 	waitFor(t, "adaptation via lookup", func() bool { return n.receiver.Has("policy") })
 	waitFor(t, "base adapted the node", func() bool { return len(b.base.Adapted()) == 1 })
 
-	// The node counts as adapted before the push (and its retry) has
-	// finished and handed the lease to the renewal scheduler. Advancing the
+	// The node counts as adapted before the push has finished and handed the
+	// lease to the renewal scheduler. Advancing the
 	// clock any earlier arms the renewal past the advance, and it never runs.
 	waitFor(t, "the base scheduled the lease's renewal", func() bool { return b.base.ScheduledRenewals() == 1 })
 
@@ -207,21 +170,8 @@ func TestScenarioTracedLifecycle(t *testing.T) {
 		t.Fatalf("trace %s: base.apply spans %+v, want one push and one revoke", root.TraceID, byName["base.apply"])
 	}
 
-	// The lost response forced a retry: two attempts under the push's call,
-	// and two installs at the receiver — a real one and an idempotent refresh.
-	if got := len(byName["rpc.attempt"]); got < 2 {
-		t.Errorf("got %d rpc.attempt spans in the lifecycle trace, want >= 2 (install retry)", got)
-	}
-	installs := byName["ext.install"]
-	if len(installs) != 2 {
-		t.Fatalf("got %d ext.install spans, want 2 (install + refresh)", len(installs))
-	}
-	outcomes := map[string]int{}
-	for _, s := range installs {
-		outcomes[s.Tags["outcome"]]++
-	}
-	if outcomes["install"] != 1 || outcomes["refresh"] != 1 {
-		t.Errorf("install outcomes = %v, want one install and one refresh", outcomes)
+	if installs := byName["ext.install"]; len(installs) != 1 || installs[0].Tags["outcome"] != "install" {
+		t.Errorf("ext.install spans %+v, want one install", installs)
 	}
 	if len(byName["lease.renew"]) < 1 {
 		t.Errorf("no lease.renew span joined the lifecycle trace")
@@ -252,7 +202,7 @@ func TestScenarioTracedLifecycle(t *testing.T) {
 	var spans []trace.SpanSnapshot
 	opsDoc(t, w.net.Node("ctl"), "robot1", "/trace?q=policy", &spans)
 	got := spansByName(spans)
-	if len(got["ext.install"]) != 2 || len(got["base.apply"]) != 2 {
+	if len(got["ext.install"]) != 1 || len(got["base.apply"]) != 2 {
 		t.Errorf("/trace?q=policy returned %v, want the full lifecycle", names(spans))
 	}
 	for _, s := range spans {
