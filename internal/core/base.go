@@ -326,11 +326,7 @@ func NewBase(cfg BaseConfig) (*Base, error) {
 		stop:          make(chan struct{}),
 	}
 	b.sched = lease.NewScheduler(cfg.Clock, lease.SchedulerConfig{
-		// An eighth of the renewal window: a fresh lease's first renewal
-		// quantises to exactly window*fraction (8 ticks), and at the default
-		// fraction seven retries fit in the slack before the lease ends, as
-		// for a registry.Keep keeper.
-		Tick:     max(time.Duration(float64(cfg.LeaseDur)*cfg.RenewFraction/8), time.Millisecond),
+		Tick:     b.renewTick(),
 		Fraction: cfg.RenewFraction,
 		MaxBatch: cfg.RenewBatch,
 		Workers:  cfg.RenewWorkers,
@@ -348,6 +344,22 @@ func NewBase(cfg BaseConfig) (*Base, error) {
 		go b.reconcileLoop()
 	}
 	return b, nil
+}
+
+// renewTick is the renewal wheel's tick, an eighth of the renewal window: a
+// fresh lease's first renewal quantises to exactly window*fraction (8
+// ticks), and at the default fraction seven retries fit in the slack before
+// the lease ends, as for a registry.Keep keeper.
+func (b *Base) renewTick() time.Duration {
+	return max(time.Duration(float64(b.cfg.LeaseDur)*b.cfg.RenewFraction/8), time.Millisecond)
+}
+
+// adoptable reports whether a live lease with window left is worth
+// adopting: its renewal, due at window*fraction, must leave two ticks of
+// slack, room for one in-lease retry. Reconciliation refreshes a shorter one
+// with a re-push instead, so one lost message cannot depart the node.
+func (b *Base) adoptable(window time.Duration) bool {
+	return float64(window)*(1-b.cfg.RenewFraction) >= float64(2*b.renewTick())
 }
 
 // ScheduledRenewals reports how many leases the renewal scheduler is keeping

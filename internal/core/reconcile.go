@@ -192,8 +192,13 @@ func (b *Base) reconcileNode(ctx context.Context, addr string) ReconcileResult {
 			if !hasGrant {
 				// The node still holds a live lease (e.g. the base crashed or
 				// the node just came back): adopt the receiver's lease and
-				// deadline instead of re-pushing.
+				// deadline instead of re-pushing, unless it is too close to
+				// its end to be renewed with a retry.
 				deadline := time.UnixMilli(it.DeadlineMillis)
+				if !b.adoptable(deadline.Sub(now)) {
+					missing = append(missing, signed)
+					continue
+				}
 				g := grantInfo{
 					version:  it.Version,
 					leaseID:  lease.ID(it.LeaseID),

@@ -461,6 +461,61 @@ func TestDegradedNodeReconciledNotRepushed(t *testing.T) {
 	}
 }
 
+// TestReconcileRefreshesLeaseTooShortToAdopt: a node back from a partition
+// whose lease has too little left for its renewal to get a retry is not
+// adopted. The reconcile round re-pushes the extension instead, which the
+// receiver answers with a refreshed lease, so one lost renewal cannot depart
+// the node.
+func TestReconcileRefreshesLeaseTooShortToAdopt(t *testing.T) {
+	clk := clock.NewManual(time.Unix(1000, 0))
+	fabric := transport.NewInProc()
+	signer, err := sign.NewSigner("hall-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	recv, recvReg, stop := serveReceiver(t, fabric, clk, signer)
+	breaker := transport.NewBreakerSet(1, transport.BreakerConfig{
+		Threshold: 1,
+		Cooldown:  5 * time.Second,
+		Jitter:    0,
+		Clock:     clk,
+	})
+	b, _ := newRecoveryBase(t, fabric, clk, signer, "", breaker)
+	if err := b.AddExtension(recoveryExt("policy", 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.AdaptNode("robot1", "robot1"); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, "renewer schedule", func() bool { return clk.PendingTimers() >= 1 })
+	stop()
+	simnet.Advance(clk, 30*time.Second, 5*time.Second)
+	waitUntil(t, "degradation", func() bool { return len(b.Degraded()) == 1 })
+
+	// The node answers again with 5s left on its 1-minute lease: a renewal
+	// due in 2.5s would leave less than a tick for a retry.
+	mux := transport.NewMux()
+	recv.ServeOn(mux)
+	stop2, err := fabric.Serve("robot1", mux)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop2()
+	clk.Advance(25 * time.Second)
+	refreshes := recvReg.Snapshot().Counters["ext.refreshes"]
+	r := b.ReconcileNow(context.Background())["robot1"]
+	if !r.Promoted || len(r.Adopted) != 0 || len(r.Repushed) != 1 {
+		t.Fatalf("reconcile = %+v, want the node promoted and its lease re-pushed, not adopted", r)
+	}
+	if got := recvReg.Snapshot().Counters["ext.refreshes"]; got != refreshes+1 {
+		t.Fatalf("ext.refreshes = %d, want %d: the re-push refreshes the live lease", got, refreshes+1)
+	}
+	simnet.Advance(clk, 2*time.Minute, 5*time.Second)
+	if !recv.Has("policy") {
+		t.Fatal("refreshed lease lapsed")
+	}
+}
+
 // TestReceiverRecoverSkipsUntrustedRecord: a journalled extension that no
 // longer verifies (the base rotated its signing key across a restart, so the
 // trust store only holds the new key) is rejected and dropped — never fatal.
