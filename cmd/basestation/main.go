@@ -11,8 +11,10 @@
 // The signing public key is written to -keyfile; nodes pass it via -trustkey.
 // With -state-dir, adapted nodes and lease grants are journalled and a
 // restarted base resumes its renewals instead of starting blank; -reconcile
-// sets the anti-entropy period and -breaker-threshold/-breaker-cooldown tune
-// the per-node circuit breaker. With -admission, extensions must pass the
+// sets the anti-entropy period. A node whose lease renewals get no answer
+// for a whole renewal cycle is parked degraded until a reconcile round
+// reaches it again; with -reconcile 0, or when the node answered with a
+// refusal, it is departed instead. With -admission, extensions must pass the
 // static capability analysis against the given allowlist (e.g.
 // -admission store,clock) before they join the policy set; -admission-flows
 // additionally restricts the information flows their bytecode may exercise
@@ -70,8 +72,6 @@ func run() error {
 		pprofOn   = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the -http listener")
 		stateDir  = flag.String("state-dir", "", "directory for the durable lifecycle journal (empty = no crash recovery)")
 		reconcile = flag.Duration("reconcile", 30*time.Second, "anti-entropy reconciliation period (0 disables)")
-		brkThresh = flag.Int("breaker-threshold", 3, "consecutive failures before a node's circuit opens")
-		brkCool   = flag.Duration("breaker-cooldown", 5*time.Second, "circuit open time before a half-open probe")
 		admission = flag.String("admission", "", "comma-separated capability allowlist enforced at admission (empty = declared caps only)")
 		admFlows  = flag.String("admission-flows", "", "comma-separated information-flow allowlist, e.g. store->net,session->log (empty = any declared flow; undeclared flows are always refused)")
 		shards    = flag.Int("shards", 16, "node-table shards (lock stripes for adapt, renewal and reconcile)")
@@ -139,10 +139,6 @@ func run() error {
 		}
 		defer journal.Close()
 	}
-	breaker := transport.NewBreakerSet(clock.Real{}.Now().UnixNano(), transport.BreakerConfig{
-		Threshold: *brkThresh,
-		Cooldown:  *brkCool,
-	})
 
 	var admissionPolicy sandbox.Policy
 	if *admission != "" {
@@ -171,7 +167,6 @@ func run() error {
 		Store:          db,
 		LeaseDur:       *leaseDur,
 		Journal:        journal,
-		Breaker:        breaker,
 		ReconcileEvery: *reconcile,
 		Admission:      admissionPolicy,
 		AdmissionFlows: flowAllow,
@@ -268,6 +263,7 @@ func run() error {
 		}
 		return nil
 	})
+	health.Register("lookup", base.LookupWatchErr)
 	health.RegisterValue("base.degraded_nodes", func() int64 { return int64(len(base.Degraded())) })
 	health.RegisterValue("base.renewal_backlog", func() int64 { return int64(base.RenewalBacklog()) })
 	health.RegisterValue("trace.spans_dropped", func() int64 { return int64(tracer.SpansDropped()) })

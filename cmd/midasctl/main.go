@@ -336,7 +336,7 @@ func writeAnalysis(w io.Writer, rep core.AnalysisReport) {
 }
 
 // writeStatus renders a base status report: policy set, one row per node with
-// its circuit state and last reconcile outcome, and the drift totals.
+// its last reconcile outcome, and the drift totals.
 func writeStatus(w io.Writer, st core.BaseStatusResp) {
 	fmt.Fprintf(w, "base %s at %s\n", st.Name, st.Addr)
 	fmt.Fprintf(w, "policy set: %s\n", strings.Join(st.Extensions, ", "))
@@ -344,8 +344,7 @@ func writeStatus(w io.Writer, st core.BaseStatusResp) {
 		fmt.Fprintln(w, "no nodes")
 	}
 	for _, n := range st.Nodes {
-		fmt.Fprintf(w, "%-16s %-10s breaker=%-9s exts=[%s]\n",
-			n.Addr, n.State, n.Breaker, strings.Join(n.Exts, ", "))
+		fmt.Fprintf(w, "%-16s %-10s exts=[%s]\n", n.Addr, n.State, strings.Join(n.Exts, ", "))
 		fmt.Fprintf(w, "%16s last reconcile: %s\n", "", reconcileSummary(n.LastReconcile))
 	}
 	fmt.Fprintf(w, "drift: rounds=%d repushes=%d orphans=%d adopts=%d errors=%d\n",

@@ -62,12 +62,6 @@ func runFleetHerd(t *testing.T, seed int64, nNodes int) herdRun {
 	if err != nil {
 		t.Fatal(err)
 	}
-	breaker := transport.NewBreakerSet(seed, transport.BreakerConfig{
-		Threshold: 1,
-		Cooldown:  time.Minute,
-		Jitter:    0,
-		Clock:     clk,
-	})
 	base, err := core.NewBase(core.BaseConfig{
 		Name:          "fleet-base",
 		Addr:          "fleet-base",
@@ -75,13 +69,15 @@ func runFleetHerd(t *testing.T, seed int64, nNodes int) herdRun {
 		Signer:        signer,
 		Store:         store.NewMemory(),
 		Clock:         clk,
-		Breaker:       breaker,
 		LeaseDur:      time.Minute,
 		RenewFraction: 0.5,
 		CallTimeout:   time.Hour, // simulated time governs
 		Shards:        16,
 		RenewBatch:    64,
 		RenewWorkers:  8,
+		// The period outlasts the run: with a reconciler, a node whose
+		// renewals go unanswered is parked, and base.degrades counts it.
+		ReconcileEvery: time.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -311,25 +311,20 @@ func runFleet(t *testing.T, seed int64, nNodes int, withFaults bool) fleetRun {
 	if err != nil {
 		t.Fatal(err)
 	}
-	breaker := transport.NewBreakerSet(seed, transport.BreakerConfig{
-		Threshold: 1,
-		Cooldown:  time.Minute,
-		Jitter:    0,
-		Clock:     clk,
-	})
 	base, err := core.NewBase(core.BaseConfig{
 		Name:          "fleet-base",
 		Addr:          "fleet-base",
 		Caller:        net.Node("fleet-base"),
 		Signer:        signer,
 		Clock:         clk,
-		Breaker:       breaker,
 		LeaseDur:      time.Minute,
 		RenewFraction: 0.5,
 		CallTimeout:   time.Hour, // simulated time governs
 		Shards:        16,
 		RenewBatch:    64,
 		RenewWorkers:  8,
+		// Rounds start by hand; the period only lets unreachable nodes park.
+		ReconcileEvery: time.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -394,7 +389,7 @@ func runFleet(t *testing.T, seed int64, nNodes int, withFaults bool) fleetRun {
 	}
 
 	// One renewal window plus retry slack: unreachable nodes fail their
-	// renewals, trip their breakers and park degraded; everyone else renews.
+	// renewal cycle unanswered and park degraded; everyone else renews.
 	drain(60*time.Second, 15*time.Second)
 
 	wantDegraded := []string{}
@@ -423,8 +418,8 @@ func runFleet(t *testing.T, seed int64, nNodes int, withFaults bool) fleetRun {
 		t.Fatalf("base.departures = %d, want %d (roamer releases only)", got, wantDeparts)
 	}
 
-	// Heal everything and let the breakers' cooldown elapse; degraded nodes
-	// are parked (no renewal traffic), the rest keep renewing.
+	// Heal everything and let a window pass; degraded nodes are parked (no
+	// renewal traffic), the rest keep renewing.
 	net.HealAll()
 	for _, name := range faults.crashed {
 		net.Restart(name)

@@ -61,11 +61,6 @@ type BaseConfig struct {
 	// CallTimeout bounds each RPC attempt (default 2s); a renewal that times
 	// out is retried like any other failed renewal.
 	CallTimeout time.Duration
-	// Breaker, when set, wraps the outgoing caller with per-node circuit
-	// breaking. A node whose circuit is open when its renewals fail is
-	// marked degraded and reconciled — not blindly re-pushed — when it
-	// returns.
-	Breaker *transport.BreakerSet
 	// Journal, when set, checkpoints the base's distribution state (adapted
 	// nodes, pushed extensions, lease deadlines) so Recover can resume
 	// renewals after a crash.
@@ -73,7 +68,8 @@ type BaseConfig struct {
 	// ReconcileEvery, when > 0, runs the anti-entropy reconciler periodically:
 	// every adapted or degraded node's inventory is diffed against the policy
 	// set, missing extensions re-pushed, orphans revoked and receiver lease
-	// deadlines adopted.
+	// deadlines adopted. With a reconciler, a node whose renewal cycle got no
+	// answer is parked degraded for it instead of departed.
 	ReconcileEvery time.Duration
 	// Admission, when set, is the capability policy extensions must satisfy
 	// at admission time: static analysis infers the exact capability set each
@@ -148,7 +144,7 @@ func newAdaptedNode(id, addr string) *adaptedNode {
 // and notices departures through failing renewals.
 type Base struct {
 	cfg    BaseConfig
-	caller transport.Caller // cfg.Caller, wrapped by cfg.Breaker when set
+	caller transport.Caller // cfg.Caller, wrapped by Instrument and Trace
 	// countTags holds strconv.Itoa(i) for every renewal batch size i up to
 	// cfg.RenewBatch, so a batch span's leases tag never formats a number
 	// (strconv.Itoa allocates from 100 on). Read-only after NewBase.
@@ -162,7 +158,10 @@ type Base struct {
 	sched  *lease.Scheduler
 	closed atomic.Bool
 	// watch keeps the lookup watch (WatchLookup) alive; Close stops it.
-	watch atomic.Pointer[lease.Scheduler]
+	// watchLost holds the error its keeper lost the watch with, until a
+	// re-watch re-establishes it.
+	watch     atomic.Pointer[lease.Scheduler]
+	watchLost atomic.Pointer[error]
 
 	mu sync.Mutex
 	// extensions is the policy set, each extension signed once when
@@ -263,7 +262,6 @@ func (b *Base) Instrument(reg *metrics.Registry) {
 		degraded:         reg.Gauge("base.degraded_nodes"),
 	}
 	b.setNodeGauges()
-	b.cfg.Breaker.Instrument(reg)
 	// Every outbound RPC gains per-method RED instruments (rpc.client.*), and
 	// an instrumented base starts asking nodes for piggybacked fleet deltas.
 	b.caller = transport.REDCalls(b.caller, reg)
@@ -318,7 +316,7 @@ func NewBase(cfg BaseConfig) (*Base, error) {
 	}
 	b := &Base{
 		cfg:           cfg,
-		caller:        cfg.Breaker.Wrap(cfg.Caller), // a nil Breaker leaves it bare
+		caller:        cfg.Caller,
 		nodes:         newNodeTable(cfg.Shards),
 		reports:       make(map[string]AnalysisReport),
 		lastReconcile: make(map[string]ReconcileResult),
@@ -333,10 +331,10 @@ func NewBase(cfg BaseConfig) (*Base, error) {
 		Renew:    b.renewNodeBatch,
 		OnRenew:  b.noteRenewals,
 		OnNodeFail: func(node string, err error) {
-			// Renewals failed for good: the node is out of reach. Handle the
-			// departure asynchronously so a slow roam hint never stalls the
-			// renewal workers serving other nodes.
-			go b.nodeDeparted(node)
+			// A renewal cycle failed for good. Handle the node's departure
+			// asynchronously so a slow roam hint never stalls the renewal
+			// workers serving other nodes.
+			go b.nodeDeparted(node, err)
 		},
 	})
 	if cfg.ReconcileEvery > 0 {
@@ -396,7 +394,6 @@ func (b *Base) Trace(tr *trace.Tracer) {
 	b.tracer = tr
 	b.mu.Unlock()
 	b.caller = transport.TraceCalls(b.caller, tr)
-	b.cfg.Breaker.Trace(tr)
 }
 
 func (b *Base) traceRef() *trace.Tracer {
@@ -912,18 +909,18 @@ func nodeRecord(n *adaptedNode, degraded bool) NodeRecord {
 	return rec
 }
 
-func (b *Base) nodeDeparted(nodeAddr string) {
+// nodeDeparted settles the fate of a node whose renewal cycle failed with
+// cause, the cycle's final error. A cycle that got no answer at all
+// (transport.Transient) leaves a node that may well still be in our space
+// behind a bad link: with a reconciler to bring it back, it is parked
+// degraded, with no roam hints since it did not move. Every other failure
+// departs it: the node answered that it no longer holds the lease, or shed
+// or refused the renewal, or no reconciler would ever reach a parked node.
+func (b *Base) nodeDeparted(nodeAddr string, cause error) {
 	// Whatever the node's fate, its scheduled renewals stop now; degraded
 	// nodes re-enter through reconciliation, which re-arms the scheduler.
 	b.sched.CancelNode(nodeAddr)
-
-	// When the node's circuit is open the link is down but the node may well
-	// still be in our space: park it as degraded for reconciliation instead
-	// of treating it as a departure (no roam hints — it did not move).
-	degrade := b.cfg.Breaker.State(nodeAddr) != transport.BreakerClosed
-	if b.closed.Load() {
-		degrade = false
-	}
+	degrade := b.cfg.ReconcileEvery > 0 && transport.Transient(cause) && !b.closed.Load()
 
 	s := b.nodes.shard(nodeAddr)
 	s.mu.Lock()
@@ -946,10 +943,10 @@ func (b *Base) nodeDeparted(nodeAddr string) {
 	if degrade {
 		_, dsp := tr.StartSpan(context.Background(), "base.degrade")
 		dsp.Tag("node", n.id)
-		dsp.Annotatef("circuit open; parked for reconciliation")
+		dsp.Annotatef("renewal failed: %v; parked for reconciliation", cause)
 		dsp.End(nil)
-		tr.Eventf(nil, "base", "node %s degraded (circuit open); awaiting reconciliation", n.id)
-		b.log("degrade", n.id, "", "circuit open; awaiting reconciliation")
+		tr.Eventf(nil, "base", "node %s degraded (renewal failed: %v); awaiting reconciliation", n.id, cause)
+		b.log("degrade", n.id, "", "renewal failed: "+cause.Error()+"; awaiting reconciliation")
 		// Keep the journal record but flag it, so a restarted base knows to
 		// reconcile rather than resume renewals.
 		if b.cfg.Journal != nil {
@@ -967,10 +964,10 @@ func (b *Base) nodeDeparted(nodeAddr string) {
 	}
 	_, dsp := tr.StartSpan(context.Background(), "base.depart")
 	dsp.Tag("node", n.id)
-	dsp.Annotatef("lease renewal failed")
+	dsp.Annotatef("renewal failed: %v", cause)
 	dsp.End(nil)
-	tr.Eventf(nil, "base", "node %s departed (lease renewal failed)", n.id)
-	b.log("depart", n.id, "", "lease renewal failed")
+	tr.Eventf(nil, "base", "node %s departed (renewal failed: %v)", n.id, cause)
+	b.log("depart", n.id, "", "renewal failed: "+cause.Error())
 
 	// Simple roaming: hint neighbour bases that the node may have entered
 	// their area.
@@ -1107,7 +1104,8 @@ func (b *Base) WatchLookup(client *registry.Client, watchDur time.Duration) (str
 	b.mu.Lock()
 	reg := b.reg
 	b.mu.Unlock()
-	keeper := registry.Keep(b.cfg.Clock, reg, watchID, watchDur, client.RenewWatch, func(error) {
+	keeper := registry.Keep(b.cfg.Clock, reg, watchID, watchDur, client.RenewWatch, func(err error) {
+		b.watchLost.Store(&err)
 		go b.rewatch(client, watchDur)
 	})
 	if old := b.watch.Swap(keeper); old != nil {
@@ -1130,12 +1128,24 @@ func (b *Base) WatchLookup(client *registry.Client, watchDur time.Duration) (str
 	return watchID, nil
 }
 
+// LookupWatchErr reports a lost lookup watch: from the moment its keeper
+// loses it until a re-watch re-establishes it, the base hears of no arriving
+// node. It is nil while the watch stands or when the base never watched.
+// cmd/basestation serves it as the /healthz "lookup" check.
+func (b *Base) LookupWatchErr() error {
+	if err := b.watchLost.Load(); err != nil {
+		return fmt.Errorf("lookup watch lost: %w", *err)
+	}
+	return nil
+}
+
 // rewatch re-establishes a lookup watch its keeper lost. While the lookup
 // stays out of reach it tries again every half watchDur, until Close.
 func (b *Base) rewatch(client *registry.Client, watchDur time.Duration) {
 	for {
 		_, err := b.WatchLookup(client, watchDur)
 		if err == nil {
+			b.watchLost.Store(nil)
 			b.log("rewatch", "", "", "lookup watch re-established")
 			return
 		}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/clock"
 	"repro/internal/lease"
 	"repro/internal/lvm"
+	"repro/internal/metrics"
 	"repro/internal/mobility"
 	"repro/internal/registry"
 	"repro/internal/sandbox"
@@ -447,7 +448,7 @@ func TestBaseWatchOutlivesItsLease(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _ := newRecoveryBase(t, fabric, clk, signer, "", nil)
+	b, _ := newRecoveryBase(t, fabric, clk, signer, "", 0)
 	baseMux := transport.NewMux()
 	b.ServeOn(baseMux)
 	stopBase, err := fabric.Serve("base-1", baseMux)
@@ -500,7 +501,7 @@ func TestBaseRewatchesAfterLookupEndsWatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, reg := newRecoveryBase(t, fabric, clk, signer, "", nil)
+	b, reg := newRecoveryBase(t, fabric, clk, signer, "", 0)
 	baseMux := transport.NewMux()
 	b.ServeOn(baseMux)
 	stopBase, err := fabric.Serve("base-1", baseMux)
@@ -553,5 +554,83 @@ func TestBaseRewatchesAfterLookupEndsWatch(t *testing.T) {
 	waitUntil(t, "robot2 adapted through the new watch", func() bool { return r2.Has("policy") })
 	if got := len(b.Adapted()); got != 2 {
 		t.Errorf("%d nodes adapted, want 2", got)
+	}
+}
+
+// TestLookupHealthFailsWhileWatchLost: the lookup health check (served by
+// cmd/basestation at /healthz) fails from the moment the base's keeper loses
+// the lookup watch until a re-watch re-establishes it. The base is cut off
+// from the lookup, so the keeper's renewal at 30s and its retries fail and
+// the watch is lost at the end of its cycle; the re-watch fails too until
+// the link heals.
+func TestLookupHealthFailsWhileWatchLost(t *testing.T) {
+	clk := clock.NewManual(time.Unix(0, 0))
+	fabric := transport.NewInProc()
+	var cut atomic.Bool
+	fabric.SetLinkFunc(func(from, to string) bool {
+		return !cut.Load() || from != "base-1" || to != "lookup-1"
+	})
+	serveLookup(t, fabric, clk)
+	signer, err := sign.NewSigner("hall-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := newRecoveryBase(t, fabric, clk, signer, "", 0)
+	baseMux := transport.NewMux()
+	b.ServeOn(baseMux)
+	stopBase, err := fabric.Serve("base-1", baseMux)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stopBase()
+	health := metrics.NewHealth()
+	health.Register("lookup", b.LookupWatchErr)
+	lookupErr := func() error {
+		results, _ := health.Check()
+		return results["lookup"]
+	}
+	step := func(d time.Duration) {
+		for elapsed := time.Duration(0); elapsed < d; elapsed += time.Second {
+			clk.Advance(time.Second)
+			waitUntil(t, "renewals quiesced", b.RenewalsQuiesced)
+		}
+	}
+
+	if err := lookupErr(); err != nil {
+		t.Fatalf("lookup check before any watch: %v", err)
+	}
+	if _, err := b.WatchLookup(&registry.Client{Caller: fabric.Node("base-1"), Addr: "lookup-1"}, time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	cut.Store(true)
+	step(50 * time.Second)
+	if err := lookupErr(); err != nil {
+		t.Fatalf("lookup check while the keeper still retries: %v", err)
+	}
+	step(10 * time.Second)
+	waitUntil(t, "the lookup check to fail", func() bool { return lookupErr() != nil })
+	if err := lookupErr(); !errors.Is(err, transport.ErrUnreachable) {
+		t.Errorf("lookup check = %v, want the keeper's last error", err)
+	}
+
+	// Re-watching every 30s fails while the link stays cut.
+	step(40 * time.Second)
+	if lookupErr() == nil {
+		t.Fatal("lookup check passed while the watch could not be re-established")
+	}
+
+	cut.Store(false)
+	for elapsed := time.Duration(0); lookupErr() != nil; elapsed += time.Second {
+		if elapsed > time.Minute {
+			t.Fatalf("lookup check still failing a minute after the heal: %v", lookupErr())
+		}
+		step(time.Second)
+	}
+	var rewatched bool
+	for _, a := range b.Activity() {
+		rewatched = rewatched || a.Event == "rewatch"
+	}
+	if !rewatched {
+		t.Error("lookup check passed with no rewatch logged")
 	}
 }

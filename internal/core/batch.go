@@ -157,7 +157,6 @@ func (b *Base) renewNodeBatch(node string, items []lease.BatchItem, out []lease.
 	rctx.Cancel()
 	sp.End(err)
 	if err != nil {
-		b.parkIfOpen(node)
 		return err
 	}
 	m.renewBatches.Inc()
@@ -273,7 +272,6 @@ func (b *Base) renewOne(node string, id lease.ID, meta renewItemMeta) lease.Batc
 	rctx.Cancel()
 	lsp.End(err)
 	if err != nil {
-		b.parkIfOpen(node)
 		return lease.BatchResult{ID: id, Err: err}
 	}
 	granted := time.Duration(rc.oneResp.DurMillis) * time.Millisecond
@@ -281,18 +279,6 @@ func (b *Base) renewOne(node string, id lease.ID, meta renewItemMeta) lease.Batc
 		granted = b.cfg.LeaseDur
 	}
 	return lease.BatchResult{ID: id, Granted: granted}
-}
-
-// parkIfOpen ends node's renewals at once when a failed renewal left its
-// circuit open: the retries left in the lease would only fast-fail until the
-// breaker's cooldown, and the departure path parks the node degraded for
-// reconciliation either way. The renewals are cancelled before the renew
-// call returns, so the scheduler arms no retry for them.
-func (b *Base) parkIfOpen(node string) {
-	if b.cfg.Breaker.State(node) == transport.BreakerOpen {
-		b.sched.CancelNode(node)
-		go b.nodeDeparted(node)
-	}
 }
 
 // applyToNode delivers installs, signed forms from the policy set, and

@@ -3,7 +3,10 @@ package core
 import (
 	"context"
 	"fmt"
+	"net"
+	"os"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -125,24 +128,24 @@ func (c *stormCaller) Call(_ context.Context, to, method string, req, resp any) 
 	return nil
 }
 
-func newStormBase(t *testing.T, clk clock.Clock, caller transport.Caller, breaker *transport.BreakerSet, batch, workers int) (*Base, *metrics.Registry) {
+func newStormBase(t *testing.T, clk clock.Clock, caller transport.Caller, reconcileEvery time.Duration, batch, workers int) (*Base, *metrics.Registry) {
 	t.Helper()
 	signer, err := sign.NewSigner("hall-1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	b, err := NewBase(BaseConfig{
-		Name:          "hall-1",
-		Addr:          "base-1",
-		Caller:        caller,
-		Signer:        signer,
-		Clock:         clk,
-		Breaker:       breaker,
-		LeaseDur:      time.Minute,
-		RenewFraction: 0.5,
-		RenewBatch:    batch,
-		RenewWorkers:  workers,
-		CallTimeout:   time.Hour,
+		Name:           "hall-1",
+		Addr:           "base-1",
+		Caller:         caller,
+		Signer:         signer,
+		Clock:          clk,
+		LeaseDur:       time.Minute,
+		RenewFraction:  0.5,
+		RenewBatch:     batch,
+		RenewWorkers:   workers,
+		CallTimeout:    time.Hour,
+		ReconcileEvery: reconcileEvery,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -171,7 +174,7 @@ func TestRenewalStormCoalesces(t *testing.T) {
 	const nExts, batch = 24, 8
 	clk := clock.NewManual(time.Unix(1000, 0))
 	caller := newStormCaller()
-	b, reg := newStormBase(t, clk, caller, nil, batch, 1)
+	b, reg := newStormBase(t, clk, caller, 0, batch, 1)
 
 	for i := 0; i < nExts; i++ {
 		if err := b.AddExtension(noopExt(fmt.Sprintf("ext-%02d", i), 1)); err != nil {
@@ -215,7 +218,7 @@ func TestRenewalStormCoalesces(t *testing.T) {
 func TestPolicyChangesRideOneApply(t *testing.T) {
 	clk := clock.NewManual(time.Unix(1000, 0))
 	caller := newStormCaller()
-	b, _ := newStormBase(t, clk, caller, nil, 8, 1)
+	b, _ := newStormBase(t, clk, caller, 0, 8, 1)
 	if err := b.AdaptNode("robot1", "robot1"); err != nil {
 		t.Fatal(err)
 	}
@@ -248,20 +251,14 @@ func TestPolicyChangesRideOneApply(t *testing.T) {
 }
 
 // TestRenewalStormCrashParksNodeWithoutStallingOthers crashes one node in a
-// two-node storm: its batch fails, the failure opens its circuit, and the
-// base parks it degraded without waiting out the in-lease retries — while
-// the healthy node's renewals in the same ticks all land.
+// two-node storm: its batch and every in-lease retry fail unanswered, and the
+// base, which runs a reconciler, parks it degraded at the end of the cycle —
+// while the healthy node's renewals in the same ticks all land.
 func TestRenewalStormCrashParksNodeWithoutStallingOthers(t *testing.T) {
 	const nExts = 6
 	clk := clock.NewManual(time.Unix(1000, 0))
 	caller := newStormCaller()
-	breaker := transport.NewBreakerSet(1, transport.BreakerConfig{
-		Threshold: 1,
-		Cooldown:  time.Hour,
-		Jitter:    0,
-		Clock:     clk,
-	})
-	b, reg := newStormBase(t, clk, caller, breaker, 8, 2)
+	b, reg := newStormBase(t, clk, caller, time.Hour, 8, 2)
 
 	for i := 0; i < nExts; i++ {
 		if err := b.AddExtension(noopExt(fmt.Sprintf("ext-%02d", i), 1)); err != nil {
@@ -277,10 +274,10 @@ func TestRenewalStormCrashParksNodeWithoutStallingOthers(t *testing.T) {
 		t.Fatalf("scheduled renewals = %d, want %d", got, 2*nExts)
 	}
 
-	// robot-a dies mid-flight; its renewal batch at t+30s fails and opens
-	// its circuit (threshold 1), so the node parks degraded at once.
+	// robot-a dies mid-flight; its renewal batch at t+30s and the retries
+	// up to the lease's end fail, so the node parks degraded.
 	caller.crash("robot-a")
-	drainRenewals(t, clk, b, 50*time.Second, 10*time.Second)
+	drainRenewals(t, clk, b, 60*time.Second, 10*time.Second)
 	waitUntil(t, "robot-a degraded", func() bool {
 		d := b.Degraded()
 		return len(d) == 1 && d[0] == "robot-a"
@@ -309,6 +306,104 @@ func TestRenewalStormCrashParksNodeWithoutStallingOthers(t *testing.T) {
 	drainRenewals(t, clk, b, 30*time.Second, 10*time.Second)
 	if got := caller.nodeCount("robot-b", MethodRenewBatch); got <= before {
 		t.Fatalf("robot-b renew batches stuck at %d after another window", got)
+	}
+}
+
+// failRenewals answers the storm surface, but fails every renewal with err.
+type failRenewals struct {
+	*stormCaller
+	err error
+}
+
+func (c failRenewals) Call(ctx context.Context, to, method string, req, resp any) error {
+	if method == MethodRenewE || method == MethodRenewBatch {
+		return c.err
+	}
+	return c.stormCaller.Call(ctx, to, method, req, resp)
+}
+
+// TestFailedRenewalCycleParksOrDeparts decides a node's fate by the final
+// error of its failed renewal cycle. A cycle that got no answer (no route, a
+// passed deadline, a network timeout) parks the node degraded when the base
+// runs a reconciler, and departs it when nothing would ever reconcile it, as
+// for a basestation started with -reconcile 0. A node that answered — it no
+// longer holds the lease, it shed the renewal or it refused it — departs
+// either way. The degrade or depart activity entry carries the error.
+func TestFailedRenewalCycleParksOrDeparts(t *testing.T) {
+	cases := []struct {
+		name string
+		err  error
+		park bool // with a reconciler
+	}{
+		{"unreachable", fmt.Errorf("dial robot-a: %w", transport.ErrUnreachable), true},
+		{"deadline", fmt.Errorf("transport: call robot-a %s: %w", MethodRenewE, context.DeadlineExceeded), true},
+		{"net-timeout", &net.OpError{Op: "read", Net: "tcp", Err: os.ErrDeadlineExceeded}, true},
+		{"unknown-lease", transport.NewRemoteError(MethodRenewE, lease.ErrUnknownLease.Error()), false},
+		{"overloaded", transport.NewRemoteError(MethodRenewE, transport.Overloaded(250*time.Millisecond).Error()), false},
+		{"remote-error", transport.NewRemoteError(MethodRenewE, "receiver: refused"), false},
+	}
+	for _, tc := range cases {
+		for _, reconcile := range []time.Duration{time.Hour, 0} {
+			t.Run(fmt.Sprintf("%s/reconcile=%v", tc.name, reconcile), func(t *testing.T) {
+				clk := clock.NewManual(time.Unix(1000, 0))
+				b, reg := newStormBase(t, clk, failRenewals{newStormCaller(), tc.err}, reconcile, 8, 1)
+				departed := make(chan string, 1)
+				b.OnDepart(func(node string) { departed <- node })
+				if err := b.AddExtension(noopExt("policy", 1)); err != nil {
+					t.Fatal(err)
+				}
+				if err := b.AdaptNode("robot-a", "robot-a"); err != nil {
+					t.Fatal(err)
+				}
+				// The renewal at 30s and its retries fail; the cycle ends
+				// before the lease does, at 60s.
+				drainRenewals(t, clk, b, time.Minute, 10*time.Second)
+
+				park := tc.park && reconcile > 0
+				event, counter := "depart", "base.departures"
+				if park {
+					event, counter = "degrade", "base.degrades"
+				}
+				var entry BaseActivity
+				waitUntil(t, event+" logged", func() bool {
+					for _, a := range b.Activity() {
+						if a.Event == event {
+							entry = a
+							return true
+						}
+					}
+					return false
+				})
+				if entry.Node != "robot-a" || !strings.Contains(entry.Detail, tc.err.Error()) {
+					t.Errorf("%s entry = %+v, want robot-a with the cycle's error %q", event, entry, tc.err)
+				}
+				if got := reg.CounterValue(counter); got != 1 {
+					t.Errorf("%s = %d, want 1", counter, got)
+				}
+				if got := b.Adapted(); len(got) != 0 {
+					t.Errorf("adapted = %v, want none", got)
+				}
+				if park {
+					if got := b.Degraded(); len(got) != 1 || got[0] != "robot-a" {
+						t.Errorf("degraded = %v, want [robot-a]", got)
+					}
+					select {
+					case node := <-departed:
+						t.Errorf("OnDepart(%s) for a parked node", node)
+					default:
+					}
+					return
+				}
+				if got := b.Degraded(); len(got) != 0 {
+					t.Errorf("degraded = %v, want none", got)
+				}
+				select {
+				case <-departed:
+				case <-time.After(5 * time.Second): //lint:allow clockcheck (real-time bound on an async callback)
+					t.Error("OnDepart never ran")
+				}
+			})
+		}
 	}
 }
 

@@ -140,7 +140,7 @@ func testPolicyChangeFansOut(t *testing.T, shards int) {
 // node table has the given number of shards.
 func newFanOutBase(t *testing.T, caller transport.Caller, shards, n int) (*Base, []string) {
 	t.Helper()
-	b, _ := newStormBase(t, clock.NewManual(time.Unix(1000, 0)), caller, nil, 8, 1)
+	b, _ := newStormBase(t, clock.NewManual(time.Unix(1000, 0)), caller, 0, 8, 1)
 	b.nodes = newNodeTable(shards) // before any node is adapted
 	addrs := make([]string, n)
 	for i := range addrs {
@@ -198,7 +198,7 @@ func TestRolloutRetainsNoPerVersionState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, reg := newRecoveryBase(t, fabric, clk, signer, "", nil)
+	b, reg := newRecoveryBase(t, fabric, clk, signer, "", 0)
 	var recvs []*Receiver
 	for _, name := range []string{"robot1", "robot2"} {
 		r, _, stop := serveNamedReceiver(t, fabric, clk, signer, name)
@@ -273,7 +273,7 @@ func TestPolicyChangeRejectedLeavesSetAndNodesUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, reg := newRecoveryBase(t, fabric, clk, signer, "", nil)
+	b, reg := newRecoveryBase(t, fabric, clk, signer, "", 0)
 	recv, _, stop := serveReceiver(t, fabric, clk, signer)
 	defer stop()
 	if err := b.AddExtension(recoveryExt("policy", 1)); err != nil {

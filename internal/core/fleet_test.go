@@ -116,7 +116,7 @@ func TestFleetRollupMatchesNodeTotals(t *testing.T) {
 	clk := clock.NewManual(time.Unix(1000, 0))
 	caller := newStormCaller()
 	caller.obsPerBatch = true
-	b, _ := newStormBase(t, clk, caller, nil, 8, 2)
+	b, _ := newStormBase(t, clk, caller, 0, 8, 2)
 	for i := 0; i < 4; i++ {
 		if err := b.AddExtension(noopExt(fmt.Sprintf("ext-%d", i), 1)); err != nil {
 			t.Fatal(err)

@@ -51,7 +51,6 @@ type (
 		ID            string
 		Addr          string
 		State         string // "adapted" | "degraded"
-		Breaker       string // circuit state: "closed" | "open" | "half-open"
 		Exts          []string
 		LastReconcile ReconcileResult
 	}
@@ -111,8 +110,8 @@ func (b *Base) ReconcileNow(ctx context.Context) map[string]ReconcileResult {
 }
 
 // reconcileNode diffs one node's inventory against the policy set and repairs
-// the drift. For a degraded node the inventory call doubles as the circuit's
-// half-open probe: while the circuit is open it fast-fails locally (no re-push
+// the drift. For a degraded node the inventory call is the probe: while the
+// node stays out of reach it fails and nothing is pushed at it (no re-push
 // storm), and the probe that finally lands promotes the node back.
 func (b *Base) reconcileNode(ctx context.Context, addr string) ReconcileResult {
 	res := ReconcileResult{AtMillis: b.cfg.Clock.Now().UnixMilli()}
@@ -288,9 +287,9 @@ func (b *Base) noteReconcile(addr string, res ReconcileResult) {
 	}
 }
 
-// Status reports the base's per-node state — adapted or degraded, circuit
-// state, held extensions, last reconcile outcome — plus the aggregate drift
-// counters. Served at /status for midasctl status.
+// Status reports the base's per-node state — adapted or degraded, held
+// extensions, last reconcile outcome — plus the aggregate drift counters.
+// Served at /status for midasctl status.
 func (b *Base) Status() BaseStatusResp {
 	b.mu.Lock()
 	resp := BaseStatusResp{Name: b.cfg.Name, Addr: b.cfg.Addr, Drift: b.stats}
@@ -307,7 +306,6 @@ func (b *Base) Status() BaseStatusResp {
 			ID:            e.id,
 			Addr:          e.addr,
 			State:         "degraded",
-			Breaker:       b.cfg.Breaker.State(e.addr).String(),
 			LastReconcile: last[e.addr],
 		}
 		if e.n != nil {

@@ -140,7 +140,7 @@ func BenchmarkReconcileRound(b *testing.B) {
 	}
 	_, _, stop := serveReceiver(b, fabric, clk, signer)
 	defer stop()
-	base, _ := newRecoveryBase(b, fabric, clk, signer, "", nil)
+	base, _ := newRecoveryBase(b, fabric, clk, signer, "", 0)
 	for i := 0; i < 8; i++ {
 		if err := base.AddExtension(recoveryExt(fmt.Sprintf("ext-%d", i), 1)); err != nil {
 			b.Fatal(err)

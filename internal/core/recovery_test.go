@@ -3,9 +3,11 @@ package core
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -170,8 +172,9 @@ func TestReceiverRecoverExpiresLapsedLease(t *testing.T) {
 }
 
 // newRecoveryBase builds a base over fabric whose state is journalled under
-// dir (empty string disables journalling).
-func newRecoveryBase(t testing.TB, fabric *transport.InProc, clk clock.Clock, signer *sign.Signer, dir string, breaker *transport.BreakerSet) (*Base, *metrics.Registry) {
+// dir (empty string disables journalling), reconciling every reconcileEvery
+// (0: no reconciler, so a node whose renewals go unanswered departs).
+func newRecoveryBase(t testing.TB, fabric *transport.InProc, clk clock.Clock, signer *sign.Signer, dir string, reconcileEvery time.Duration) (*Base, *metrics.Registry) {
 	t.Helper()
 	var j *BaseJournal
 	if dir != "" {
@@ -183,16 +186,16 @@ func newRecoveryBase(t testing.TB, fabric *transport.InProc, clk clock.Clock, si
 		t.Cleanup(func() { j.Close() })
 	}
 	b, err := NewBase(BaseConfig{
-		Name:          "hall-1",
-		Addr:          "base-1",
-		Caller:        fabric.Node("base-1"),
-		Signer:        signer,
-		Clock:         clk,
-		LeaseDur:      time.Minute,
-		RenewFraction: 0.5,
-		CallTimeout:   500 * time.Millisecond,
-		Journal:       j,
-		Breaker:       breaker,
+		Name:           "hall-1",
+		Addr:           "base-1",
+		Caller:         fabric.Node("base-1"),
+		Signer:         signer,
+		Clock:          clk,
+		LeaseDur:       time.Minute,
+		RenewFraction:  0.5,
+		CallTimeout:    500 * time.Millisecond,
+		Journal:        j,
+		ReconcileEvery: reconcileEvery,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -258,7 +261,7 @@ func TestBaseRecoverResumesRenewals(t *testing.T) {
 	recv, recvReg, stop := serveReceiver(t, fabric, clk, signer)
 	defer stop()
 
-	b1, _ := newRecoveryBase(t, fabric, clk, signer, dir, nil)
+	b1, _ := newRecoveryBase(t, fabric, clk, signer, dir, 0)
 	if err := b1.AddExtension(recoveryExt("policy", 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +276,7 @@ func TestBaseRecoverResumesRenewals(t *testing.T) {
 
 	// Restart: a fresh base over the same state directory.
 	clk.Advance(10 * time.Second)
-	b2, _ := newRecoveryBase(t, fabric, clk, signer, dir, nil)
+	b2, _ := newRecoveryBase(t, fabric, clk, signer, dir, 0)
 	if err := b2.AddExtension(recoveryExt("policy", 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +322,7 @@ func TestReconcileRepairsDrift(t *testing.T) {
 	recv, _, stop := serveReceiver(t, fabric, clk, signer)
 	defer stop()
 
-	b, reg := newRecoveryBase(t, fabric, clk, signer, "", nil)
+	b, reg := newRecoveryBase(t, fabric, clk, signer, "", 0)
 	if err := b.AddExtension(recoveryExt("policy", 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -371,10 +374,28 @@ func TestReconcileRepairsDrift(t *testing.T) {
 	}
 }
 
-// TestDegradedNodeReconciledNotRepushed: when renewals fail with the node's
-// circuit open, the base parks the node as degraded; while degraded,
-// reconcile attempts fast-fail locally (no re-push storm), and when the node
-// answers again its live lease is adopted — not re-pushed.
+// lostAnswers delivers every call, but while lost is set it reports a call to
+// robot1 as unreachable once the node has handled it: the node's answers
+// never reach the base.
+type lostAnswers struct {
+	transport.Caller
+	lost atomic.Bool
+}
+
+func (c *lostAnswers) Call(ctx context.Context, to, method string, req, resp any) error {
+	err := c.Caller.Call(ctx, to, method, req, resp)
+	if c.lost.Load() && to == "robot1" {
+		return fmt.Errorf("%w: robot1 (answer lost)", transport.ErrUnreachable)
+	}
+	return err
+}
+
+// TestDegradedNodeReconciledNotRepushed: when a node's answers stop reaching
+// the base, its whole renewal cycle goes unanswered and the base, which runs
+// a reconciler, parks the node as degraded; while degraded, a reconcile
+// round fails and pushes nothing (no re-push storm), and when the node
+// answers again its live lease — kept alive by the renewal requests that
+// did arrive — is adopted, not re-pushed.
 func TestDegradedNodeReconciledNotRepushed(t *testing.T) {
 	clk := clock.NewManual(time.Unix(1000, 0))
 	fabric := transport.NewInProc()
@@ -383,14 +404,11 @@ func TestDegradedNodeReconciledNotRepushed(t *testing.T) {
 		t.Fatal(err)
 	}
 	recv, recvReg, stop := serveReceiver(t, fabric, clk, signer)
+	defer stop()
 
-	breaker := transport.NewBreakerSet(1, transport.BreakerConfig{
-		Threshold: 1,
-		Cooldown:  5 * time.Second,
-		Jitter:    0,
-		Clock:     clk,
-	})
-	b, reg := newRecoveryBase(t, fabric, clk, signer, "", breaker)
+	b, reg := newRecoveryBase(t, fabric, clk, signer, "", time.Hour)
+	link := &lostAnswers{Caller: b.caller}
+	b.caller = link
 	if err := b.AddExtension(recoveryExt("policy", 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -398,12 +416,13 @@ func TestDegradedNodeReconciledNotRepushed(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Let the renewer register its wake-up, then drop the node off the
-	// network: the renewal at t=30s fails, trips the breaker (threshold 1)
-	// and the base degrades the node.
-	waitUntil(t, "renewer schedule", func() bool { return clk.PendingTimers() >= 1 })
-	stop()
-	simnet.Advance(clk, 30*time.Second, 5*time.Second)
+	// Let the renewer and the reconciler register their wake-ups, then lose
+	// the node's answers: the renewal at t=30s and its retries up to the
+	// lease's end at t=60s reach the node, which extends its lease, but the
+	// base hears nothing and degrades the node.
+	waitUntil(t, "renewer schedule", func() bool { return clk.PendingTimers() >= 2 })
+	link.lost.Store(true)
+	simnet.Advance(clk, 60*time.Second, 5*time.Second)
 	waitUntil(t, "degradation", func() bool { return len(b.Degraded()) == 1 })
 	if got := b.Adapted(); len(got) != 0 {
 		t.Fatalf("adapted = %v, want none while degraded", got)
@@ -412,28 +431,18 @@ func TestDegradedNodeReconciledNotRepushed(t *testing.T) {
 		t.Fatalf("degradation also counted as departure (%d)", got)
 	}
 
-	// While the circuit is open, a reconcile round fast-fails locally: the
-	// breaker answers, not the network.
+	// While the node's answers are lost, a reconcile round fails and
+	// pushes nothing.
 	installsBefore := recvReg.Snapshot().Counters["ext.installs"]
 	res := b.ReconcileNow(context.Background())
 	if r := res["robot1"]; r.Err == "" {
-		t.Fatalf("reconcile against open circuit succeeded: %+v", r)
-	}
-	if got := reg.Snapshot().Counters["transport.breaker_fastfails"]; got == 0 {
-		t.Fatal("reconcile reached the network instead of fast-failing")
+		t.Fatalf("reconcile against the silent node succeeded: %+v", r)
 	}
 
-	// The node comes back; after the cooldown the reconcile probe lands,
-	// promotes the node and adopts its still-live lease (LeaseDur is 1 min,
-	// only ~36s passed) instead of re-pushing.
-	mux := transport.NewMux()
-	recv.ServeOn(mux)
-	stop2, err := fabric.Serve("robot1", mux)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stop2()
-	clk.Advance(6 * time.Second)
+	// The node's answers come back: the reconcile probe lands, promotes the
+	// node and adopts its still-live lease (the last renewal to arrive, at
+	// ~56s, extended it by a minute) instead of re-pushing.
+	link.lost.Store(false)
 	res = b.ReconcileNow(context.Background())
 	r := res["robot1"]
 	if !r.Promoted {
@@ -474,26 +483,22 @@ func TestReconcileRefreshesLeaseTooShortToAdopt(t *testing.T) {
 		t.Fatal(err)
 	}
 	recv, recvReg, stop := serveReceiver(t, fabric, clk, signer)
-	breaker := transport.NewBreakerSet(1, transport.BreakerConfig{
-		Threshold: 1,
-		Cooldown:  5 * time.Second,
-		Jitter:    0,
-		Clock:     clk,
-	})
-	b, _ := newRecoveryBase(t, fabric, clk, signer, "", breaker)
+	b, _ := newRecoveryBase(t, fabric, clk, signer, "", time.Hour)
 	if err := b.AddExtension(recoveryExt("policy", 1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.AdaptNode("robot1", "robot1"); err != nil {
 		t.Fatal(err)
 	}
-	waitUntil(t, "renewer schedule", func() bool { return clk.PendingTimers() >= 1 })
+	waitUntil(t, "renewer schedule", func() bool { return clk.PendingTimers() >= 2 })
 	stop()
-	simnet.Advance(clk, 30*time.Second, 5*time.Second)
+	// The renewal at t=30s and its retries on the 3.75s tick fail; the last
+	// one, at 56.25s, leaves no retry before the lease ends.
+	simnet.Advance(clk, 56250*time.Millisecond, 3750*time.Millisecond)
 	waitUntil(t, "degradation", func() bool { return len(b.Degraded()) == 1 })
 
-	// The node answers again with 5s left on its 1-minute lease: a renewal
-	// due in 2.5s would leave less than a tick for a retry.
+	// The node answers again with 3.75s left on its 1-minute lease: a
+	// renewal due in 1.875s would leave less than a tick for a retry.
 	mux := transport.NewMux()
 	recv.ServeOn(mux)
 	stop2, err := fabric.Serve("robot1", mux)
@@ -501,7 +506,6 @@ func TestReconcileRefreshesLeaseTooShortToAdopt(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer stop2()
-	clk.Advance(25 * time.Second)
 	refreshes := recvReg.Snapshot().Counters["ext.refreshes"]
 	r := b.ReconcileNow(context.Background())["robot1"]
 	if !r.Promoted || len(r.Adopted) != 0 || len(r.Repushed) != 1 {
@@ -640,7 +644,7 @@ func TestJournalTornTailRestartTwice(t *testing.T) {
 		}
 		start := func() *Base {
 			t.Helper()
-			b, _ := newRecoveryBase(t, fabric, clk, signer, dir, nil)
+			b, _ := newRecoveryBase(t, fabric, clk, signer, dir, 0)
 			if err := b.AddExtension(recoveryExt("policy", 1)); err != nil {
 				t.Fatal(err)
 			}

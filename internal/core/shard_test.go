@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/metrics"
-	"repro/internal/transport"
 )
 
 // revive undoes crash.
@@ -46,13 +45,7 @@ func TestNodeGaugesMatchShardsAfterChurn(t *testing.T) {
 	const workers, nodesPer, rounds = 4, 6, 5
 	clk := clock.NewManual(time.Unix(1000, 0))
 	caller := newStormCaller()
-	breaker := transport.NewBreakerSet(1, transport.BreakerConfig{
-		Threshold: 1,
-		Cooldown:  time.Millisecond,
-		Jitter:    0,
-		Clock:     clk,
-	})
-	b, reg := newStormBase(t, clk, caller, breaker, 8, 1)
+	b, reg := newStormBase(t, clk, caller, time.Hour, 8, 1)
 	b.nodes = newNodeTable(3) // before any node is adapted; fewer shards than nodes
 
 	var wg sync.WaitGroup
@@ -64,8 +57,7 @@ func TestNodeGaugesMatchShardsAfterChurn(t *testing.T) {
 			for r := 0; r < rounds; r++ {
 				for i := 0; i < nodesPer; i++ {
 					addr := fmt.Sprintf("robot-%d-%d", w, i)
-					// Adapting a node degraded in an earlier round recovers
-					// it: the reconcile probe lands once the cooldown passed.
+					// Adapting a node degraded in an earlier round recovers it.
 					caller.revive(addr)
 					clk.Advance(time.Second)
 					if err := b.AdaptNode(addr, addr); err != nil {
@@ -75,14 +67,12 @@ func TestNodeGaugesMatchShardsAfterChurn(t *testing.T) {
 					switch (r + i) % 3 {
 					case 0: // depart
 						b.Release(addr)
-					case 1: // degrade: a failed call opens the node's circuit
+					case 1: // degrade: the node's renewal cycle gets no answer
 						caller.crash(addr)
-						_ = b.caller.Call(context.Background(), addr, MethodInventory, EmptyResp{}, &InventoryResp{})
-						b.nodeDeparted(addr)
+						b.nodeDeparted(addr, b.caller.Call(context.Background(), addr, MethodInventory, EmptyResp{}, &InventoryResp{}))
 						switch {
-						case i%2 == 0: // and recover: the probe after the cooldown lands
+						case i%2 == 0: // and recover: the next probe lands
 							caller.revive(addr)
-							clk.Advance(time.Second)
 							if res := b.reconcileNode(context.Background(), addr); res.Err != "" || !res.Promoted {
 								errs <- fmt.Errorf("%s: reconcile %+v, want a promotion", addr, res)
 								return
@@ -137,13 +127,12 @@ func checkNodeGauges(t *testing.T, stage string, b *Base, reg *metrics.Registry)
 
 // TestStatusDocumentFromSnapshot pins the /status document a node-table
 // snapshot renders: nodes sorted by address, an adapted node's extensions
-// sorted and "[]" when it holds none, a degraded node with no extension list
-// and its open circuit.
+// sorted and "[]" when it holds none, and a degraded node with no extension
+// list.
 func TestStatusDocumentFromSnapshot(t *testing.T) {
 	clk := clock.NewManual(time.Unix(1000, 0))
 	caller := newStormCaller()
-	breaker := transport.NewBreakerSet(1, transport.BreakerConfig{Threshold: 1, Cooldown: time.Hour, Clock: clk})
-	b, _ := newStormBase(t, clk, caller, breaker, 8, 1)
+	b, _ := newStormBase(t, clk, caller, time.Hour, 8, 1)
 	for _, addr := range []string{"robot-d", "robot-b"} {
 		if err := b.AdaptNode("id-"+addr, addr); err != nil {
 			t.Fatal(err)
@@ -162,8 +151,7 @@ func TestStatusDocumentFromSnapshot(t *testing.T) {
 	b.stopTracking("robot-c", "policy")
 	b.stopTracking("robot-c", "telemetry")
 	caller.crash("robot-d")
-	_ = b.caller.Call(context.Background(), "robot-d", MethodInventory, EmptyResp{}, &InventoryResp{})
-	b.nodeDeparted("robot-d")
+	b.nodeDeparted("robot-d", b.caller.Call(context.Background(), "robot-d", MethodInventory, EmptyResp{}, &InventoryResp{}))
 
 	got, err := json.Marshal(b.Status().Nodes)
 	if err != nil {
@@ -171,10 +159,10 @@ func TestStatusDocumentFromSnapshot(t *testing.T) {
 	}
 	const never = `"LastReconcile":{"AtMillis":0,"Err":"","Repushed":null,"Revoked":null,"Adopted":null,"Promoted":false,"InSync":false}`
 	want := `[` +
-		`{"ID":"id-robot-a","Addr":"robot-a","State":"adapted","Breaker":"closed","Exts":["policy","telemetry"],` + never + `},` +
-		`{"ID":"id-robot-b","Addr":"robot-b","State":"adapted","Breaker":"closed","Exts":["policy","telemetry"],` + never + `},` +
-		`{"ID":"id-robot-c","Addr":"robot-c","State":"adapted","Breaker":"closed","Exts":[],` + never + `},` +
-		`{"ID":"id-robot-d","Addr":"robot-d","State":"degraded","Breaker":"open","Exts":null,` + never + `}]`
+		`{"ID":"id-robot-a","Addr":"robot-a","State":"adapted","Exts":["policy","telemetry"],` + never + `},` +
+		`{"ID":"id-robot-b","Addr":"robot-b","State":"adapted","Exts":["policy","telemetry"],` + never + `},` +
+		`{"ID":"id-robot-c","Addr":"robot-c","State":"adapted","Exts":[],` + never + `},` +
+		`{"ID":"id-robot-d","Addr":"robot-d","State":"degraded","Exts":null,` + never + `}]`
 	if string(got) != want {
 		t.Errorf("status nodes:\n got %s\nwant %s", got, want)
 	}

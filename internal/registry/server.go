@@ -254,7 +254,8 @@ func (s *Server) deliver(w *remoteWatch) {
 				return // ended mid-send: not the listener's failure
 			}
 			// A shed means the listener answered: wait as long as it asks and
-			// resend, without counting a failure (BreakerSet's rule).
+			// resend, without counting a failure: a shed is an answer, not a
+			// lost delivery.
 			if hint, shed := transport.RetryAfterHint(err); shed {
 				select {
 				case <-s.clk.After(max(hint, minShedWait)):

@@ -19,7 +19,7 @@ import (
 //   - A lookup's watch delivery (registry.Server) resends a shed event only
 //     after the hinted delay (cooperative backpressure instead of hammering
 //     a struggling server), and without counting a failure.
-//   - BreakerSet never counts a shed toward tripping a circuit: an
+//   - Transient never counts a shed as a call that got no answer: an
 //     overloaded-but-healthy server answered, so the link is fine.
 var ErrOverloaded = errors.New("transport: overloaded")
 

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/clock"
 	"repro/internal/wire"
 )
 
@@ -92,54 +91,6 @@ func TestOverloadedEnvelopeGolden(t *testing.T) {
 
 	if got := hex.EncodeToString(rawEnvelope(t, br)); got != overloadedEnvelopeGolden {
 		t.Fatalf("shed response envelope drifted:\n got: %s\nwant: %s", got, overloadedEnvelopeGolden)
-	}
-}
-
-// shedThenOKCaller returns remote overload errors for the first n calls,
-// then succeeds — a server that recovered after shedding.
-type shedThenOKCaller struct {
-	n     int
-	hint  time.Duration
-	calls int
-}
-
-func (c *shedThenOKCaller) Call(ctx context.Context, to, method string, req, resp any) error {
-	c.calls++
-	if c.calls <= c.n {
-		return NewRemoteError(method, Overloaded(c.hint).Error())
-	}
-	return nil
-}
-
-// TestBreakerIgnoresOverloadSheds proves sheds never open a circuit, even
-// under a hair-trigger breaker whose FailIf counts every error: tripping on
-// backpressure would convert a recoverable overload into minutes of outage.
-func TestBreakerIgnoresOverloadSheds(t *testing.T) {
-	clk := clock.NewManual(time.Unix(0, 0))
-	set := NewBreakerSet(1, BreakerConfig{
-		Threshold: 1, Cooldown: 5 * time.Second, Jitter: 0, Clock: clk,
-		FailIf: func(error) bool { return true },
-	})
-	inner := &shedThenOKCaller{n: 5, hint: 100 * time.Millisecond}
-	c := set.Wrap(inner)
-	ctx := context.Background()
-
-	for i := 0; i < 5; i++ {
-		if err := c.Call(ctx, "base", "base.query", nil, nil); !errors.Is(err, ErrOverloaded) {
-			t.Fatalf("shed %d: %v", i, err)
-		}
-		if got := set.State("base"); got != BreakerClosed {
-			t.Fatalf("breaker %v after %d sheds, want closed", got, i+1)
-		}
-	}
-	// A genuine transport failure still trips the threshold-1 circuit.
-	down := &flakyCaller{down: true}
-	c = set.Wrap(down)
-	if err := c.Call(ctx, "base", "base.query", nil, nil); !errors.Is(err, ErrUnreachable) {
-		t.Fatalf("transport failure: %v", err)
-	}
-	if err := c.Call(ctx, "base", "base.query", nil, nil); !errors.Is(err, ErrBreakerOpen) {
-		t.Fatalf("after transport failure: %v, want ErrBreakerOpen", err)
 	}
 }
 

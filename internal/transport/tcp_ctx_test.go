@@ -99,7 +99,7 @@ func TestTCPDeadlineMidCallIsTransient(t *testing.T) {
 	if took := time.Since(start); took > 2*time.Second {
 		t.Fatalf("deadline call took %v", took)
 	}
-	if !transient(callErr) {
+	if !Transient(callErr) {
 		t.Fatal("timed-out call should be transient")
 	}
 	// Nothing came back on the connection before the deadline, so it was

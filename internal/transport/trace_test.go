@@ -59,7 +59,7 @@ func TestRegisterRemoteSentinel(t *testing.T) {
 	}
 	// The transient classification must not change: a remote error never
 	// counts as a transport failure, even when it unwraps to a sentinel.
-	if transient(re) {
+	if Transient(re) {
 		t.Fatal("RemoteError with sentinel became transient")
 	}
 }

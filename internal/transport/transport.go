@@ -13,6 +13,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"reflect"
 	"strings"
 	"sync"
@@ -60,6 +61,24 @@ var (
 	// it is not a transient failure.
 	ErrIncompatible = errors.New("transport: incompatible peer")
 )
+
+// Transient reports whether err means the call got no answer: no route to
+// the destination, a deadline that passed, or a network timeout. An answer
+// is never transient, whatever it says: a remote application error or a load
+// shed shows the destination is reachable.
+func Transient(err error) bool {
+	if err == nil {
+		return false
+	}
+	var re *RemoteError
+	if errors.As(err, &re) {
+		return false
+	}
+	var ne net.Error
+	return errors.Is(err, ErrUnreachable) ||
+		errors.Is(err, context.DeadlineExceeded) ||
+		(errors.As(err, &ne) && ne.Timeout())
+}
 
 // RemoteError wraps an error string returned by the remote handler. When the
 // remote message matches a registered sentinel (see RegisterRemoteSentinel),

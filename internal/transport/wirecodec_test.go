@@ -232,8 +232,8 @@ func TestTCPIncompatibleAckRefused(t *testing.T) {
 		if !errors.Is(err, ErrIncompatible) {
 			t.Fatalf("call %d: err = %v, want ErrIncompatible", i, err)
 		}
-		if transient(err) {
-			t.Fatalf("call %d: transient(%v) = true, want false", i, err)
+		if Transient(err) {
+			t.Fatalf("call %d: Transient(%v) = true, want false", i, err)
 		}
 		if got := dials.Load(); got != i {
 			t.Fatalf("after call %d: %d dials, want %d", i, got, i)

@@ -1,5 +1,5 @@
 // Crash-recovery scenarios: durable journals, anti-entropy reconciliation and
-// per-node circuit breakers played out over the deterministic network
+// the parking of unreachable nodes played out over the deterministic network
 // simulator. Like the other scenario tests these run on a manual clock with a
 // seeded fault stream; set SIMNET_SEED to replay a failing run exactly.
 package repro
@@ -8,7 +8,6 @@ import (
 	"context"
 	"fmt"
 	"reflect"
-	"slices"
 	"testing"
 	"time"
 
@@ -23,12 +22,11 @@ import (
 // recoveryBaseOpts selects the robustness features a scenario base runs with.
 type recoveryBaseOpts struct {
 	journal        *core.BaseJournal
-	breaker        *transport.BreakerSet
 	reconcileEvery time.Duration
 }
 
-// newRecoveryBase mirrors newBase but wires in a state journal, a per-node
-// circuit breaker and/or the periodic reconciler.
+// newRecoveryBase mirrors newBase but wires in a state journal and/or the
+// periodic reconciler.
 func (w *simWorld) newRecoveryBase(name string, signer *sign.Signer, o recoveryBaseOpts) *scenarioBase {
 	w.t.Helper()
 	var err error
@@ -45,7 +43,6 @@ func (w *simWorld) newRecoveryBase(name string, signer *sign.Signer, o recoveryB
 		Signer:         signer,
 		Clock:          w.clk,
 		CallTimeout:    time.Hour, // the simulated clock governs; simnet fails lost calls at once
-		Breaker:        o.breaker,
 		Journal:        o.journal,
 		ReconcileEvery: o.reconcileEvery,
 	})
@@ -163,22 +160,14 @@ func TestScenarioBaseCrashMidPushConverges(t *testing.T) {
 }
 
 // Scenario R2 — receiver wiped during a partition: the node loses the link,
-// the base's renewals trip the circuit breaker and the node is parked as
-// degraded — while the circuit is open, a reconcile round fast-fails
-// locally, and no round pushes anything (no re-push storm into the
-// partition). Meanwhile the node crashes and loses all state. When the link
-// heals, the first inventory diff sees the empty node and re-adapts it from
-// scratch.
+// the base's renewal cycle gets no answer and the node is parked as degraded
+// — while partitioned, reconcile rounds fail at the inventory probe and no
+// round pushes anything (no re-push storm into the partition). Meanwhile the
+// node crashes and loses all state. When the link heals, the first inventory
+// diff sees the empty node and re-adapts it from scratch.
 func TestScenarioReceiverWipedDuringPartition(t *testing.T) {
 	w := newSimWorld(t)
-	breaker := transport.NewBreakerSet(w.seed, transport.BreakerConfig{
-		Threshold: 3,
-		Cooldown:  5 * time.Second,
-		Jitter:    0.2,
-		Clock:     w.clk,
-	})
 	b := w.newRecoveryBase("base-1", nil, recoveryBaseOpts{
-		breaker:        breaker,
 		reconcileEvery: 7 * time.Second,
 	})
 	w.newNode("robot1", b.signer)
@@ -191,33 +180,26 @@ func TestScenarioReceiverWipedDuringPartition(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The node walks out of range. The renewal at 5s fails, its retries at
-	// 5.625s and 6.25s run as the clock reaches 6s and 7s, and the reconcile
-	// round at 7s fails too: the third failure trips the breaker, so the base
-	// degrades instead of forgetting the node.
+	// The node walks out of range. The renewal at 5s and its retries on the
+	// 0.625s tick up to the lease's end at 10s fail unanswered, so the base,
+	// which runs a reconciler, degrades instead of forgetting the node.
 	w.net.PartitionBoth("base-1", "robot1")
 	w.advance(10*time.Second, time.Second)
 	waitFor(t, "degradation", func() bool { return len(b.base.Degraded()) == 1 })
 	if got := b.counter("base.departures"); got != 0 {
 		t.Fatalf("base.departures = %d, want 0 (degraded, not departed)", got)
 	}
-	// The circuit opened at 7s at the earliest, with a cooldown of at least
-	// 4s, so it is still open: a reconcile round answers locally, and
-	// nothing reaches the dead link.
+	// A reconcile round's inventory probe cannot cross the partition.
 	if r := b.base.ReconcileNow(context.Background())["robot1"]; r.Err == "" {
-		t.Fatalf("reconcile through the open circuit succeeded: %+v", r)
-	}
-	if got := b.counter("transport.breaker_fastfails"); got == 0 {
-		t.Fatal("no breaker fast-fails recorded while partitioned")
+		t.Fatalf("reconcile through the partition succeeded: %+v", r)
 	}
 
 	// Mid-partition the node dies and loses everything.
 	w.net.Wipe("robot1")
 	n2 := w.newNode("robot1", b.signer)
 
-	// Two more reconcile periods inside the partition: rounds run, but they
-	// reach the dead link only as the breaker's probes, and nothing is
-	// pushed at it.
+	// Two more reconcile periods inside the partition: rounds run, but their
+	// inventory probes fail, and nothing is pushed at the node.
 	w.advance(14*time.Second, time.Second)
 	if got := b.counter("base.reconcile_repushes"); got != 0 {
 		t.Fatalf("reconcile_repushes = %d while partitioned, want 0", got)
@@ -317,15 +299,13 @@ func TestScenarioMissedRevokeReconciled(t *testing.T) {
 	}
 }
 
-// Scenario R4 — a lossy link does not depart a node from the shipped base:
-// the base runs cmd/basestation's defaults (10s leases, breaker 3 / 5s,
-// reconcile every 30s, 16 shards, 8 renewal workers) and keeps 20 nodes for
-// 120s of simulated time while the network loses 1 % or 5 % of all
-// messages. A lost renewal is retried inside its lease, so no node is
-// declared departed. Three failed exchanges in a row open a node's circuit,
-// which parks it degraded until a reconcile round reaches it (at 5 % loss
-// that happens in about one run in three), so every node is adapted or
-// degraded, and every node never parked holds its extension.
+// Scenario R4 — a lossy link neither departs nor parks a node of the shipped
+// base: the base runs cmd/basestation's defaults (10s leases, reconcile
+// every 30s, 16 shards, 8 renewal workers) and keeps 20 nodes for 120s of
+// simulated time while the network loses 1 % or 5 % of all messages. A lost
+// renewal is retried inside its lease, and only a renewal cycle that gets no
+// answer at all parks a node, so every node stays adapted and holds its
+// extension.
 func TestScenarioLossyLinkShippedBaseKeepsNodes(t *testing.T) {
 	for _, loss := range []float64{0.01, 0.05} {
 		t.Run(fmt.Sprintf("loss=%g", loss), func(t *testing.T) {
@@ -336,16 +316,11 @@ func TestScenarioLossyLinkShippedBaseKeepsNodes(t *testing.T) {
 			}
 			b := &scenarioBase{name: "base-1", reg: metrics.New(), signer: signer}
 			b.base, err = core.NewBase(core.BaseConfig{
-				Name:   "base-1",
-				Addr:   "base-1",
-				Caller: w.net.Node("base-1"),
-				Signer: signer,
-				Clock:  w.clk,
-				Breaker: transport.NewBreakerSet(w.seed, transport.BreakerConfig{
-					Threshold: 3,
-					Cooldown:  5 * time.Second,
-					Clock:     w.clk,
-				}),
+				Name:           "base-1",
+				Addr:           "base-1",
+				Caller:         w.net.Node("base-1"),
+				Signer:         signer,
+				Clock:          w.clk,
 				ReconcileEvery: 30 * time.Second,
 				Shards:         16,
 				RenewBatch:     64,
@@ -382,22 +357,15 @@ func TestScenarioLossyLinkShippedBaseKeepsNodes(t *testing.T) {
 			if got := b.counter("base.departures"); got != 0 {
 				t.Errorf("base.departures = %d, want 0", got)
 			}
-			t.Logf("base.degrades = %d", b.counter("base.degrades"))
-			adapted, degraded := b.base.Adapted(), b.base.Degraded()
-			if got := len(adapted) + len(degraded); got != len(nodes) {
-				t.Errorf("%d adapted + %d degraded nodes, want %d", len(adapted), len(degraded), len(nodes))
+			if got := b.counter("base.degrades"); got != 0 {
+				t.Errorf("base.degrades = %d, want 0", got)
 			}
-			// A parked node's extension lapses until a reconcile round
-			// re-pushes it; every node never parked keeps its extension.
-			var parked []string
-			for _, a := range b.base.Activity() {
-				if a.Event == "degrade" {
-					parked = append(parked, a.Node)
-				}
+			if got := len(b.base.Adapted()); got != len(nodes) {
+				t.Errorf("%d adapted nodes, want %d", got, len(nodes))
 			}
 			for _, n := range nodes {
-				if !slices.Contains(parked, n.name) && !n.receiver.Has("policy") {
-					t.Errorf("%s lost its extension without being parked", n.name)
+				if !n.receiver.Has("policy") {
+					t.Errorf("%s lost its extension", n.name)
 				}
 			}
 		})
