@@ -84,14 +84,16 @@ func (r *AnalysisReport) Demand() []sandbox.Capability {
 // their registered capability sets. The returned report's Caps is the union,
 // which is exactly what the extension can ever demand from a node's sandbox.
 func AnalyzeExtension(ext Extension) (*AnalysisReport, error) {
-	rep, _, err := analyzeExtension(ext)
+	rep, _, err := analyzeExtension(ext, nil)
 	return rep, err
 }
 
 // analyzeExtension is AnalyzeExtension that also returns each mobile advice
 // as analysed, aligned with ext.Advices (nil for builtins), so a receiver
 // compiles the very programs it vetted instead of assembling them again.
-func analyzeExtension(ext Extension) (*AnalysisReport, []*adviceProgram, error) {
+// Mobile advice is vetted through vetted, which reuses the analysis of a body
+// it has seen before; a nil vetted analyses every body.
+func analyzeExtension(ext Extension, vetted *adviceCache) (*AnalysisReport, []*adviceProgram, error) {
 	rep := &AnalysisReport{Ext: ext.Name, Version: ext.Version, FuelBounded: true}
 	progs := make([]*adviceProgram, len(ext.Advices))
 	capSet := make(map[sandbox.Capability]bool)
@@ -116,7 +118,7 @@ func analyzeExtension(ext Extension) (*AnalysisReport, []*adviceProgram, error) 
 			}
 			continue
 		}
-		a, err := analyzeAdvice(spec.Code)
+		a, err := vetted.vet(spec.Code)
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: extension %q advice %q: %w", ext.Name, spec.Name, err)
 		}

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
 	"testing"
+	"time"
 )
 
 const exampleAdviceDir = "../../examples/advice"
@@ -41,8 +43,8 @@ func readAdvice(tb testing.TB, name string) string {
 }
 
 // BenchmarkAnalyzeAdvice prices what vetting one advice body costs: assemble,
-// shape check and the full static analysis. The base pays it once per advice
-// at admission and every receiver pays it again before weaving.
+// shape check and the full static analysis. The base pays it once per
+// distinct body at admission and every receiver once more before weaving.
 func BenchmarkAnalyzeAdvice(b *testing.B) {
 	names, srcs := exampleAdvice(b)
 	for i, name := range names {
@@ -60,7 +62,8 @@ func BenchmarkAnalyzeAdvice(b *testing.B) {
 
 // analyzeAdviceAllocBudget caps the allocations of vetting one advice body
 // (assemble, shape check and full analysis), which the base pays at
-// admission and every receiver pays again before weaving. Before the
+// admission and every receiver pays again before weaving, once per distinct
+// body each. Before the
 // assembler and the dataflow engine reused their scratch it was 304
 // (movelimit) and 291 (audit).
 const analyzeAdviceAllocBudget = 100
@@ -77,5 +80,39 @@ func TestAnalyzeAdviceAllocBudget(t *testing.T) {
 		if allocs > analyzeAdviceAllocBudget {
 			t.Errorf("%s: analyzeAdvice makes %.0f allocs, budget %d", name, allocs, analyzeAdviceAllocBudget)
 		}
+	}
+}
+
+// BenchmarkReceiverInstall prices one Receiver.Install of a new version of
+// an extension carrying audit.lasm: verify, grant, the pre-weave analysis and
+// checks, compile and the weave replace. In fresh every version carries a
+// body the receiver has not seen (audit.lasm with a distinct trailing
+// comment), so each install analyses it; in vetted every version carries the
+// same body, so each reuses the receiver's analysis. Signing is not timed.
+func BenchmarkReceiverInstall(b *testing.B) {
+	audit := readAdvice(b, "audit.lasm")
+	for _, mode := range []string{"fresh", "vetted"} {
+		b.Run(mode, func(b *testing.B) {
+			n := newTestNode(b)
+			signed := make([]SignedExtension, b.N)
+			for i := range signed {
+				code := audit
+				if mode == "fresh" {
+					code = fmt.Sprintf("%s\n; version %d\n", audit, i+1)
+				}
+				s, err := Sign(n.signer, vettedExt(i+1, auditCaps, code))
+				if err != nil {
+					b.Fatal(err)
+				}
+				signed[i] = s
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for _, s := range signed {
+				if _, err := n.receiver.Install(s, "base-1", time.Hour); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

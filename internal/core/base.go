@@ -162,6 +162,9 @@ type Base struct {
 	// re-watch re-establishes it.
 	watch     atomic.Pointer[lease.Scheduler]
 	watchLost atomic.Pointer[error]
+	// vetted keeps the analysis of advice bodies admission has vetted, so a
+	// version that reuses a body is not analysed again. Own lock.
+	vetted adviceCache
 
 	mu sync.Mutex
 	// extensions is the policy set, each extension signed once when
@@ -261,6 +264,7 @@ func (b *Base) Instrument(reg *metrics.Registry) {
 		adapted:          reg.Gauge("base.adapted_nodes"),
 		degraded:         reg.Gauge("base.degraded_nodes"),
 	}
+	b.vetted.instrument(reg.Counter("base.analyses_reused"))
 	b.setNodeGauges()
 	// Every outbound RPC gains per-method RED instruments (rpc.client.*), and
 	// an instrumented base starts asking nodes for piggybacked fleet deltas.
@@ -418,16 +422,17 @@ func (b *Base) AddNeighbor(addr string) {
 }
 
 // admit runs the static admission pipeline over ext: analyze (typed
-// verification, capability inference, cost bounds), then check the inferred
-// demand against the declaration and the base's Admission policy, and sign an
-// extension that passes. A rejection increments base.admission_rejected. The
-// whole decision is one traced "base.admit" span. The caller stores the
-// signed extension and its report when it changes the policy set.
+// verification, capability inference, cost bounds; a body the base has
+// vetted before reuses its analysis), then check the inferred demand against
+// the declaration and the base's Admission policy, and sign an extension that
+// passes. A rejection increments base.admission_rejected. The whole decision
+// is one traced "base.admit" span. The caller stores the signed extension and
+// its report when it changes the policy set.
 func (b *Base) admit(ext Extension) (SignedExtension, *AnalysisReport, error) {
 	_, sp := b.traceRef().StartSpan(context.Background(), "base.admit")
 	sp.Tag("ext", ext.Name)
 	var signed SignedExtension
-	rep, err := AnalyzeExtension(ext)
+	rep, _, err := analyzeExtension(ext, &b.vetted)
 	if err == nil {
 		sp.Annotatef("inferred caps %v flows %v", rep.Caps, rep.Flows)
 		err = CheckAdmission(ext, rep, b.cfg.Admission, b.cfg.AdmissionFlows, b.cfg.Signer.Name)

@@ -8,6 +8,7 @@ import (
 	"repro/internal/aop"
 	"repro/internal/lvm"
 	"repro/internal/lvm/analysis"
+	"repro/internal/metrics"
 )
 
 // Env is the node-side environment handed to advice bodies: the (gated) host
@@ -136,6 +137,75 @@ func analyzeAdvice(source string) (*adviceProgram, error) {
 		return nil, err
 	}
 	return &adviceProgram{prog: prog, cls: cls, meth: meth, rep: full.Method(AdviceClass, AdviceMethod), warnings: full.Warnings}, nil
+}
+
+// vettedAdviceMax bounds how many analysed advice bodies one base or one
+// receiver keeps for reuse. A policy set rotates a handful of bodies; the
+// bound only caps what a stream of distinct bodies can pin.
+const vettedAdviceMax = 64
+
+// adviceCache remembers the advice bodies one base or one receiver has
+// vetted, keyed by their exact source text, so a push that carries a body
+// this instance has seen before (a new version changing only config, caps,
+// pattern or priority, or a re-install after a lapse) skips assembly and
+// analysis. Only analyses that succeed are kept, at most vettedAdviceMax,
+// the oldest evicted first; a rejected body is analysed, and rejected, on
+// every push. A kept adviceProgram is only ever read, and every
+// per-extension check still runs on each push: the cache saves work, never
+// a decision. The zero value is ready to use.
+type adviceCache struct {
+	mu    sync.Mutex
+	progs map[string]*adviceProgram
+	// order holds the keys in insertion order, as a ring once it is full:
+	// order[next] is then the oldest.
+	order  []string
+	next   int
+	reused *metrics.Counter
+}
+
+// instrument counts every reuse in reused.
+func (c *adviceCache) instrument(reused *metrics.Counter) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.reused = reused
+}
+
+// vet returns the analysis of source, from the cache when this instance has
+// vetted the same text before. A nil cache analyses every body afresh.
+func (c *adviceCache) vet(source string) (*adviceProgram, error) {
+	if c == nil {
+		return analyzeAdvice(source)
+	}
+	c.mu.Lock()
+	a, ok := c.progs[source]
+	if ok {
+		c.reused.Inc()
+	}
+	c.mu.Unlock()
+	if ok {
+		return a, nil
+	}
+	a, err := analyzeAdvice(source)
+	if err != nil {
+		return nil, err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, ok := c.progs[source]; ok {
+		return a, nil // a concurrent push vetted the same body first
+	}
+	if c.progs == nil {
+		c.progs = make(map[string]*adviceProgram)
+	}
+	if len(c.order) < vettedAdviceMax {
+		c.order = append(c.order, source)
+	} else {
+		delete(c.progs, c.order[c.next])
+		c.order[c.next] = source
+		c.next = (c.next + 1) % vettedAdviceMax
+	}
+	c.progs[source] = a
+	return a, nil
 }
 
 // compile wraps the analysed advice as a body dispatching host calls to host.

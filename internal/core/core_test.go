@@ -27,7 +27,7 @@ type testNode struct {
 	hostLog  *[]string
 }
 
-func newTestNode(t *testing.T) *testNode {
+func newTestNode(t testing.TB) *testNode {
 	t.Helper()
 	signer, err := sign.NewSigner("hall-1")
 	if err != nil {

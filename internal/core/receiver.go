@@ -96,6 +96,10 @@ type installedExt struct {
 type Receiver struct {
 	cfg     ReceiverConfig
 	grantor *lease.Grantor
+	// vetted keeps the analysis of advice bodies the pre-weave check has
+	// vetted, so a version that reuses a body is not analysed again. Own
+	// lock.
+	vetted adviceCache
 
 	mu        sync.Mutex
 	installed map[string]*installedExt // by extension Name
@@ -151,6 +155,7 @@ func (r *Receiver) Instrument(reg *metrics.Registry) {
 		journalErrs: reg.Counter("ext.journal_errors"),
 		installed:   reg.Gauge("ext.installed"),
 	}
+	r.vetted.instrument(reg.Counter("ext.analyses_reused"))
 	r.m.installed.Set(int64(len(r.installed)))
 }
 
@@ -328,8 +333,10 @@ func (r *Receiver) install(ctx context.Context, ext Extension, signer, baseAddr 
 	// it, but a compromised base could sign and push code whose inferred
 	// capabilities exceed both its declaration and this node's grant — the
 	// signature would still verify, so the receiver must not take the
-	// declared set at face value.
-	rep, progs, err := analyzeExtension(ext)
+	// declared set at face value. A body this receiver has vetted before
+	// reuses its own analysis; the grant, flow and proof checks below still
+	// run on every install.
+	rep, progs, err := analyzeExtension(ext, &r.vetted)
 	if err != nil {
 		return "", "", fmt.Errorf("core: extension %q rejected by pre-weave analysis: %w", ext.Name, err)
 	}
