@@ -207,7 +207,7 @@ func BenchmarkE3Extension(b *testing.B) {
 		}
 		a := &aop.Aspect{Name: "txn", Advices: []aop.Advice{
 			aop.BeforeCall("Robot.*(..)", body),
-			aop.AfterCall("Robot.*(..)", body),
+			{When: aop.After, Cut: aop.Cut(aop.MethodExit, "Robot.*(..)"), Body: body},
 		}}
 		if err := w.Insert(a); err != nil {
 			b.Fatal(err)
@@ -225,7 +225,7 @@ func BenchmarkE3Extension(b *testing.B) {
 		// Persistence hooks state writes; approximate by running it at the
 		// method boundary over the same call shape.
 		a := &aop.Aspect{Name: "persist", Advices: []aop.Advice{
-			aop.AfterCall("Robot.*(..)", body),
+			{When: aop.After, Cut: aop.Cut(aop.MethodExit, "Robot.*(..)"), Body: body},
 		}}
 		if err := w.Insert(a); err != nil {
 			b.Fatal(err)
@@ -773,7 +773,7 @@ func BenchmarkAblationHookFastPath(b *testing.B) {
 func BenchmarkAblationMatchPerCall(b *testing.B) {
 	patterns := make([]*aop.Pattern, 20)
 	for i := range patterns {
-		patterns[i] = aop.MustParsePattern(fmt.Sprintf("void C%d.m*(int, ..)", i))
+		patterns[i] = aop.Cut(aop.MethodEntry, fmt.Sprintf("void C%d.m*(int, ..)", i)).Pat
 	}
 	sig := aop.Signature{Class: "C7", Method: "move", Return: "void", Params: []string{"int", "int"}}
 

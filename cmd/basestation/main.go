@@ -231,7 +231,7 @@ func run() error {
 				Burst: *ovlPBurst,
 				Methods: []string{
 					core.MethodBasePost, core.MethodBaseOnService,
-					core.MethodBaseRoam, registry.MethodFind,
+					registry.MethodFind,
 				},
 				RetryAfter: *ovlRetry,
 			})

@@ -1,6 +1,7 @@
 // Command prosevet-go runs the platform's custom Go vet suite — clockcheck,
-// ctxtwin, nilsafe, lockorder, spanend and wirecover (see internal/lint) —
-// over a source tree. It needs no
+// ctxtwin, nilsafe, lockorder, spanend, wirecover and shipped (see
+// internal/lint) — over a source tree. shipped needs the whole module: run it
+// over the module root. It needs no
 // module downloads or go/packages driver: files are parsed directly, so it
 // works in hermetic CI.
 //
@@ -38,7 +39,7 @@ func main() {
 		root = "."
 	}
 
-	all := []*lint.Analyzer{lint.ClockCheck, lint.CtxTwin, lint.NilSafe, lint.LockOrder, lint.SpanEnd, lint.WireCover}
+	all := []*lint.Analyzer{lint.ClockCheck, lint.CtxTwin, lint.NilSafe, lint.LockOrder, lint.SpanEnd, lint.WireCover, lint.Shipped}
 	analyzers := all
 	if *only != "" {
 		byName := make(map[string]*lint.Analyzer)

@@ -1,9 +1,11 @@
 // Ad-hoc mode: the symmetric configuration of §2.1/§3.2 — every node embeds
-// BOTH an extension base and an extension receiver. Three devices meet
-// spontaneously; each announces itself, discovers its peers and distributes
-// its own extension to them. The community converges to the union of all
-// extensions without any fixed infrastructure, and when one peer leaves, its
-// extensions disappear from the others through lease expiry.
+// BOTH an extension base and an extension receiver, and a lookup service its
+// base watches. Three devices meet spontaneously; each announces its lookup,
+// and every peer that hears the announcement joins it (Receiver.AutoJoin), so
+// the announcer's base adapts the newcomer with its own extension. The
+// community converges to the union of all extensions without any fixed
+// infrastructure, and when one peer leaves, its extensions disappear from the
+// others through lease expiry.
 package main
 
 import (
@@ -18,6 +20,7 @@ import (
 	"repro/internal/discovery"
 	"repro/internal/lvm"
 	"repro/internal/mobility"
+	"repro/internal/registry"
 	"repro/internal/sandbox"
 	"repro/internal/sign"
 	"repro/internal/transport"
@@ -26,6 +29,8 @@ import (
 
 type peer struct {
 	name     string
+	lookup   *registry.Lookup
+	lookupSv *registry.Server
 	base     *core.Base
 	receiver *core.Receiver
 	weaver   *weave.Weaver
@@ -66,26 +71,32 @@ func run() error {
 		}
 	}
 
-	// Each peer subscribes to announcements and adapts newcomers it can hear.
+	// Each peer joins the lookup of every other peer it can hear; each base
+	// watches its own lookup and adapts whoever joins it.
 	for _, p := range peers {
 		me := p
-		bus.Subscribe(func(a discovery.Announcement) {
-			if a.Name == me.name {
-				return
-			}
-			_ = me.base.AdaptNode(a.Name, a.LookupAddr)
-		}, func(a discovery.Announcement) bool {
-			return world.Linked(me.name, a.LookupAddr)
+		stop := me.receiver.AutoJoin(bus, func(lookupAddr string) *registry.Client {
+			return &registry.Client{Caller: fabric.Node(me.name), Addr: lookupAddr}
+		}, time.Minute, nil, func(a discovery.Announcement) bool {
+			return a.Name != me.name && world.Linked(me.name, a.LookupAddr)
 		})
+		defer stop()
+		if _, err := me.base.WatchLookup(&registry.Client{Caller: fabric.Node(me.name), Addr: me.name}, time.Minute); err != nil {
+			return err
+		}
 	}
 
-	fmt.Println("1. three devices meet and announce themselves")
+	fmt.Println("1. three devices meet and announce their lookups; each peer joins the others'")
 	for _, p := range peers {
 		bus.Announce(discovery.Announcement{Name: p.name, LookupAddr: p.name})
 	}
-	// Announcing twice lets late subscribers hear early announcers.
 	for _, p := range peers {
-		bus.Announce(discovery.Announcement{Name: p.name, LookupAddr: p.name})
+		var joined []string
+		for _, it := range p.lookup.Find(registry.Template{Name: core.AdaptationService}) {
+			joined = append(joined, it.ID)
+		}
+		sort.Strings(joined)
+		fmt.Printf("   %-9s lookup lists %v\n", p.name, joined)
 	}
 
 	waitFor(func() bool {
@@ -119,6 +130,7 @@ func run() error {
 	}
 	for _, p := range peers {
 		p.base.Close()
+		p.lookupSv.Close()
 		p.receiver.Grantor().Stop()
 	}
 	return nil
@@ -169,10 +181,12 @@ func newPeer(fabric *transport.InProc, name string) (*peer, error) {
 	mux := transport.NewMux()
 	receiver.ServeOn(mux)
 	base.ServeOn(mux)
+	lookup := registry.NewLookup(clock.Real{})
+	lookupSv := registry.NewServer(lookup, mux, fabric.Node(name), clock.Real{})
 	if _, err := fabric.Serve(name, mux); err != nil {
 		return nil, err
 	}
-	return &peer{name: name, base: base, receiver: receiver, weaver: weaver, signer: signer, trust: trust}, nil
+	return &peer{name: name, lookup: lookup, lookupSv: lookupSv, base: base, receiver: receiver, weaver: weaver, signer: signer, trust: trust}, nil
 }
 
 func extNames(r *core.Receiver) []string {

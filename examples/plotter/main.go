@@ -3,8 +3,9 @@
 // through the lookup service and pushes the hardware-monitoring extension;
 // the robot draws; every motor action lands in the base-station database;
 // the drawing is then replayed onto a second plotter from the recorded
-// movements; finally the robot leaves and the extension is revoked through
-// lease expiry.
+// movements and the replayed history is pruned from the database; finally the
+// robot drives out of the hall along a waypoint route and the extension is
+// revoked through lease expiry.
 package main
 
 import (
@@ -134,7 +135,7 @@ func run() error {
 	}
 
 	// --- The robot enters the hall and advertises its adaptation service.
-	fmt.Println("1. plotter-1 enters hall-1 and advertises its adaptation service")
+	fmt.Printf("1. plotter-1 enters hall-1 (in range: %v) and advertises its adaptation service\n", world.InArea("plotter-1", "hall-1"))
 	stopAdv, err := receiver.Advertise(&registry.Client{Caller: fabric.Node("plotter-1"), Addr: "lookup-1"}, time.Minute, nil)
 	if err != nil {
 		return err
@@ -178,12 +179,24 @@ func run() error {
 	}
 	fmt.Printf("4. replay onto a fresh plotter reproduces the drawing: %d cells vs %d original\n",
 		canvas2.Count(), canvas.Count())
-
-	// --- The robot leaves the hall; the lease lapses; the extension is
-	// withdrawn autonomously.
-	fmt.Println("5. plotter-1 leaves hall-1")
-	if err := world.MoveNode("plotter-1", mobility.Point{X: 1000, Y: 0}); err != nil {
+	// The replayed history has served its purpose: prune it.
+	if err := movementDB.Compact(recs[len(recs)-1].AtMillis + 1); err != nil {
 		return err
+	}
+	fmt.Printf("   replayed history pruned: %d records left in the database\n", movementDB.Len())
+
+	// --- The robot drives out of the hall; the lease lapses; the extension
+	// is withdrawn autonomously.
+	fmt.Println("5. plotter-1 drives out of hall-1 at 10 m/s")
+	world.OnTransition(func(node string, entered, exited []string) {
+		fmt.Printf("   %s left %v\n", node, exited)
+	})
+	mover := mobility.NewMover(world)
+	if err := mover.SetRoute("plotter-1", []mobility.Point{{X: 30, Y: 0}}, 10, false); err != nil {
+		return err
+	}
+	for mover.Moving("plotter-1") {
+		mover.Step(time.Second)
 	}
 	waitFor(func() bool { return !receiver.Has("hw-monitoring") })
 	fmt.Printf("   extension revoked; receiver activity: %v\n", eventTrail(receiver))

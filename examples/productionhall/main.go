@@ -4,7 +4,10 @@
 // quality-assurance extension that persistently logs every state change.
 // Calls from authorised clients complete; others end with an exception. The
 // hall later evolves its policy: the new version is pushed to the already
-// adapted robot.
+// adapted robot. The robot's own layers (Fig. 3a) run beneath the
+// adaptation: a bumper sensor interrupts a task, the task layer overrides it
+// with a retreat, and an operator parks the arm in direct mode. Finally the
+// hall drops quality assurance from its policy, which revokes it at once.
 package main
 
 import (
@@ -171,7 +174,42 @@ func run() error {
 	callArm("visitor", -10)
 	callArm("intruder", -10)
 
-	fmt.Println("5. robot leaves: base releases its leases; extensions are withdrawn")
+	fmt.Println("5. the bumper fires mid-task; the task layer overrides the sweep with a retreat")
+	bumper, err := ctrl.AddSensor("bumper", 1)
+	if err != nil {
+		return err
+	}
+	sweep := &task.Task{
+		Name:   "sweep",
+		Macros: []robot.Macro{{Motor: "arm", Delta: 10}, {Motor: "arm", Delta: 10}},
+		OnEvent: func(ev robot.SensorEvent) task.Decision {
+			fmt.Printf("   sensor %s reads %d: hardware frozen\n", ev.Sensor, ev.Value)
+			if err := tasks.Override(&task.Task{Name: "retreat", Macros: []robot.Macro{{Motor: "arm", Delta: -20}}}); err != nil {
+				fmt.Printf("   override refused: %v\n", err)
+			}
+			return task.Continue
+		},
+	}
+	bumper.Feed(5)
+	if err := tasks.Run(sweep); err != nil {
+		return err
+	}
+	fmt.Printf("   task history: %v\n", tasks.History())
+
+	fmt.Println("6. an operator parks the arm in direct mode")
+	if err := tasks.Direct(robot.Macro{Motor: "arm", Delta: -arm.Position()}); err != nil {
+		return err
+	}
+	fmt.Printf("   arm at %d; device log holds %d commands\n", arm.Position(), len(ctrl.Trace()))
+
+	fmt.Println("7. the hall drops quality assurance from its policy; the robot loses it")
+	if err := base.RemoveExtension("quality-assurance"); err != nil {
+		return err
+	}
+	waitFor(func() bool { return !receiver.Has("quality-assurance") })
+	fmt.Printf("   installed: %v\n", names(receiver))
+
+	fmt.Println("8. robot leaves: base releases its leases; extensions are withdrawn")
 	base.Release("robot-R")
 	receiver.Grantor().Start(10 * time.Millisecond)
 	defer receiver.Grantor().Stop()

@@ -1,12 +1,15 @@
 // Tuple-space distribution: the paper's future-work idea (§4.6, citing Linda
 // and TSpaces) made concrete. Instead of pushing extensions at discovered
 // nodes, the base writes them into a shared tuple space under a lease; nodes
-// poll the space and install whatever their trust store accepts. Locality
-// still holds: when the base stops renewing the tuple, it vanishes and every
-// node autonomously withdraws the extension.
+// poll the space and install whatever their trust store accepts. The hall
+// renews its tuple's lease, reads the space like any node (Rd) and changes its
+// policy by taking the old tuple out (In) before writing the new one.
+// Locality still holds: when the base stops renewing the tuple, it vanishes
+// and every node autonomously withdraws the extension.
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -30,6 +33,7 @@ func main() {
 func run() error {
 	clk := clock.NewManual(time.Unix(0, 0))
 	space := tuplespace.New(clk)
+	defer space.Close()
 
 	hall, err := sign.NewSigner("hall-1")
 	if err != nil {
@@ -76,7 +80,8 @@ func run() error {
 		ID: "hall-1/policy", Name: "hall-policy", Version: 1,
 		Advices: []core.AdviceSpec{{Name: "a", Kind: core.KindCallBefore, Pattern: "*.*(..)", Builtin: "noop"}},
 	}
-	if _, err := core.PublishExtension(space, hall, extension, "hall-1", 20*time.Second); err != nil {
+	tupleLease, err := core.PublishExtension(space, hall, extension, "hall-1", 20*time.Second)
+	if err != nil {
 		return err
 	}
 
@@ -89,16 +94,35 @@ func run() error {
 	fmt.Println("3. the hall keeps renewing the tuple; pda-a keeps renewing its local lease")
 	for i := 0; i < 3; i++ {
 		clk.Advance(8 * time.Second)
+		if err := space.Renew(tupleLease.ID, 20*time.Second); err != nil {
+			return err
+		}
 		space.ExpireNow()
 		recvA.Grantor().ExpireNow()
-		if space.Len() == 1 {
-			// hall still around: it renews the tuple; the node rescans.
-			listenA.Scan(10 * time.Second)
-		}
+		listenA.Scan(10 * time.Second)
 	}
-	fmt.Printf("   after 24s: pda-a still adapted: %v\n", recvA.Has("hall-policy"))
+	fmt.Printf("   after 24s: pda-a still adapted: %v, tuples in space: %d\n", recvA.Has("hall-policy"), space.Len())
 
-	fmt.Println("4. the hall disappears; the tuple's lease lapses")
+	fmt.Println("4. hall-1 evolves its policy: it reads v1 (Rd), takes it out (In) and writes v2")
+	ctx := context.Background()
+	policy := tuplespace.Tuple{tuplespace.FAny(), tuplespace.FStr("hall-policy"), tuplespace.FAny(), tuplespace.FAny(), tuplespace.FAny()}
+	current, err := space.Rd(ctx, policy)
+	if err != nil {
+		return err
+	}
+	if _, err := space.In(ctx, policy); err != nil {
+		return err
+	}
+	extension.Version = int(current[2].I) + 1
+	if _, err := core.PublishExtension(space, hall, extension, "hall-1", 20*time.Second); err != nil {
+		return err
+	}
+	listenA.Scan(10 * time.Second)
+	for _, i := range recvA.Installed() {
+		fmt.Printf("   pda-a runs %s@v%d\n", i.Name, i.Version)
+	}
+
+	fmt.Println("5. the hall disappears; the tuple's lease lapses")
 	clk.Advance(21 * time.Second)
 	space.ExpireNow()
 	fmt.Printf("   tuples left in space: %d\n", space.Len())

@@ -32,6 +32,11 @@ type plotterNode struct {
 	kv       *store.KV
 }
 
+// rotateX turns the plotter's x motor by delta through its woven join points.
+func rotateX(p *plotter.Plotter, delta int64) error {
+	return p.Replay([]plotter.ReplayCommand{{Device: "motor:x", Action: "rotate", Value: delta}})
+}
+
 func newPlotterNode(t *testing.T, fabric *transport.InProc, name string, trusted *sign.Signer) *plotterNode {
 	t.Helper()
 	weaver := weave.New()
@@ -143,16 +148,15 @@ func TestRemoteReplicationScenario(t *testing.T) {
 	}
 
 	// Drive only the original's x motor; every rotation is mirrored.
-	mx := original.plot.Controller().Motor("x")
 	for i := 0; i < 4; i++ {
-		if err := mx.Rotate(2); err != nil {
+		if err := rotateX(original.plot, 2); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := mx.Position(); got != 8 {
+	if got, _ := original.plot.Position(); got != 8 {
 		t.Fatalf("original x = %d", got)
 	}
-	if got := mirror.plot.Controller().Motor("x").Position(); got != 4 {
+	if got, _ := mirror.plot.Position(); got != 4 {
 		t.Fatalf("mirror x = %d, want 4 (half scale)", got)
 	}
 }
@@ -204,18 +208,17 @@ end`,
 		t.Fatal("mobile-code extension not installed")
 	}
 
-	mx := node.plot.Controller().Motor("x")
 	for i := 0; i < 5; i++ {
-		if err := mx.Rotate(1); err != nil {
+		if err := rotateX(node.plot, 1); err != nil {
 			t.Fatalf("rotate %d: %v", i, err)
 		}
 	}
-	err := mx.Rotate(1) // would move pos to 6
+	err := rotateX(node.plot, 1) // would move pos to 6
 	if err == nil || !strings.Contains(err.Error(), "x limit exceeded") {
 		t.Fatalf("limit not enforced: %v", err)
 	}
-	if mx.Position() != 5 {
-		t.Errorf("pos = %d, want 5", mx.Position())
+	if x, _ := node.plot.Position(); x != 5 {
+		t.Errorf("pos = %d, want 5", x)
 	}
 }
 

@@ -17,7 +17,9 @@ type Kind uint8
 
 // Join point kinds supported by the weaver, matching the stub sites PROSE
 // plants during JIT compilation: method boundaries, field accesses and
-// exception throws/handlers.
+// exception throws/handlers. Field-get advice fires after the load (the value
+// is Result and may be rewritten); exception advice fires at the throw site
+// or at handler entry.
 const (
 	MethodEntry Kind = iota + 1
 	MethodExit

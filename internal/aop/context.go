@@ -49,9 +49,6 @@ func (c *Context) Abortf(format string, args ...any) {
 // Aborted returns the pending veto error, or nil.
 func (c *Context) Aborted() error { return c.abort }
 
-// ClearAbort removes a pending veto (used by the weaver between dispatches).
-func (c *Context) ClearAbort() { c.abort = nil }
-
 // Arg returns argument i, or nil when out of range.
 func (c *Context) Arg(i int) lvm.Value {
 	if i < 0 || i >= len(c.Args) {

@@ -25,9 +25,9 @@ func TestContextAbort(t *testing.T) {
 	if c.Aborted().(*lvm.Thrown).Msg != "denied" {
 		t.Error("second abort should not override first")
 	}
-	c.ClearAbort()
+	c.Reset()
 	if c.Aborted() != nil {
-		t.Error("ClearAbort should reset")
+		t.Error("Reset should clear the veto")
 	}
 	c.Abortf("no access for %s", "bob")
 	if c.Aborted().(*lvm.Thrown).Msg != "no access for bob" {

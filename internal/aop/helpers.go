@@ -1,39 +1,15 @@
 package aop
 
-// Helper constructors covering the advice forms used throughout the paper.
-// Field advice fires once per access — for FieldSet before the store (the new
-// value is Args[0] and may be rewritten or vetoed), for FieldGet after the
-// load (the value is Result and may be rewritten). Exception advice fires at
-// the throw site or at handler entry.
+// Helper constructors covering the advice forms the platform's extensions
+// use. Field-set advice fires before the store: the new value is Args[0] and
+// may be rewritten or vetoed.
 
 // BeforeCall returns advice running at the entry of methods matching pattern.
 func BeforeCall(pattern string, body Body) Advice {
 	return Advice{When: Before, Cut: Cut(MethodEntry, pattern), Body: body}
 }
 
-// AfterCall returns advice running at the exit of methods matching pattern.
-func AfterCall(pattern string, body Body) Advice {
-	return Advice{When: After, Cut: Cut(MethodExit, pattern), Body: body}
-}
-
 // OnFieldSet returns advice running when a matching field is written.
 func OnFieldSet(pattern string, body Body) Advice {
 	return Advice{When: Before, Cut: Cut(FieldSet, pattern), Body: body}
-}
-
-// OnFieldGet returns advice running when a matching field is read.
-func OnFieldGet(pattern string, body Body) Advice {
-	return Advice{When: After, Cut: Cut(FieldGet, pattern), Body: body}
-}
-
-// OnThrow returns advice running when an exception is thrown inside methods
-// matching pattern.
-func OnThrow(pattern string, body Body) Advice {
-	return Advice{When: Before, Cut: Cut(ExceptionThrow, pattern), Body: body}
-}
-
-// OnHandle returns advice running when an exception handler is entered inside
-// methods matching pattern.
-func OnHandle(pattern string, body Body) Advice {
-	return Advice{When: Before, Cut: Cut(ExceptionHandler, pattern), Body: body}
 }

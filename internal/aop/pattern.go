@@ -91,15 +91,6 @@ func ParsePattern(src string) (*Pattern, error) {
 	return p, nil
 }
 
-// MustParsePattern is ParsePattern that panics on error.
-func MustParsePattern(src string) *Pattern {
-	p, err := ParsePattern(src)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 func splitQualified(s string) (class, name string, err error) {
 	dot := strings.LastIndexByte(s, '.')
 	if dot <= 0 || dot == len(s)-1 {

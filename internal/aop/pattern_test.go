@@ -151,7 +151,7 @@ func TestAspectValidate(t *testing.T) {
 		{Name: "nobody", Advices: []Advice{{When: Before, Cut: Cut(MethodEntry, "*.*(..)")}}},
 		{Name: "nopattern", Advices: []Advice{{When: Before, Cut: Crosscut{Kind: MethodEntry}, Body: body}}},
 		{Name: "badwhen", Advices: []Advice{{Cut: Cut(MethodEntry, "*.*(..)"), Body: body}}},
-		{Name: "badkind", Advices: []Advice{{When: Before, Cut: Crosscut{Kind: 0, Pat: MustParsePattern("*.*(..)")}, Body: body}}},
+		{Name: "badkind", Advices: []Advice{{When: Before, Cut: Crosscut{Kind: 0, Pat: Cut(MethodEntry, "*.*(..)").Pat}, Body: body}}},
 	}
 	for _, a := range cases {
 		if err := a.Validate(); err == nil {

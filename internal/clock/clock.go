@@ -119,6 +119,8 @@ func (m *Manual) Advance(d time.Duration) {
 
 // Set jumps the clock to t (which must not move backwards) and fires due
 // timers.
+//
+//lint:allow shipped (test seam: wheel and clock tests jump the manual clock to an absolute time)
 func (m *Manual) Set(t time.Time) {
 	m.mu.Lock()
 	if t.Before(m.now) {
@@ -132,6 +134,8 @@ func (m *Manual) Set(t time.Time) {
 
 // PendingTimers reports how many After timers have not yet fired; useful for
 // deterministic test synchronisation.
+//
+//lint:allow shipped (test seam: tests wait until a goroutine has parked on the manual clock)
 func (m *Manual) PendingTimers() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()

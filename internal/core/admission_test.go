@@ -208,7 +208,10 @@ end`)
 	if _, ok := base.AnalysisFor("leak"); ok {
 		t.Error("rejected extension left a stored analysis report")
 	}
-	if len(base.Extensions()) != 0 {
+	base.mu.Lock()
+	policySet := len(base.extensions)
+	base.mu.Unlock()
+	if policySet != 0 {
 		t.Error("rejected extension joined the policy set")
 	}
 

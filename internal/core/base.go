@@ -26,21 +26,12 @@ import (
 const (
 	MethodBasePost      = "base.post"      // monitoring extensions post records here
 	MethodBaseOnService = "base.onservice" // lookup watcher callback
-	MethodBaseRoam      = "base.roam"      // roaming hint from a neighbour base
 )
 
-// Wire types for the base RPC surface.
-type (
-	// PostReq delivers one monitoring record.
-	PostReq struct {
-		Record store.Record
-	}
-	// RoamReq hints that a node departed a neighbour's area.
-	RoamReq struct {
-		NodeID   string
-		NodeAddr string
-	}
-)
+// PostReq delivers one monitoring record to a base.
+type PostReq struct {
+	Record store.Record
+}
 
 // BaseConfig assembles an extension base.
 type BaseConfig struct {
@@ -104,7 +95,7 @@ type BaseConfig struct {
 // keeps track of what nodes were adapted, at what point in time).
 type BaseActivity struct {
 	AtMillis int64
-	Event    string // "adapt", "push", "depart", "revoke", "roam-hint", "roam-adopt", "degrade", "recover", "reconcile", "rewatch"
+	Event    string // "adapt", "push", "depart", "revoke", "degrade", "recover", "reconcile", "rewatch"
 	Node     string
 	Ext      string
 	Detail   string
@@ -176,7 +167,6 @@ type Base struct {
 	reports       map[string]AnalysisReport
 	lastReconcile map[string]ReconcileResult
 	stats         DriftCounters
-	neighbors     []string
 	activity      ring[BaseActivity]
 	reg           *metrics.Registry
 	m             baseMetrics
@@ -208,7 +198,6 @@ type baseMetrics struct {
 	admFlowRejected *metrics.Counter
 	departures      *metrics.Counter
 	revokes         *metrics.Counter
-	roamHints       *metrics.Counter
 	degrades        *metrics.Counter
 	recovers        *metrics.Counter
 	journalErrs     *metrics.Counter
@@ -229,9 +218,9 @@ type baseMetrics struct {
 }
 
 // Instrument records node adaptations, extension pushes (and push failures),
-// departures, revocations and roaming hints in reg, plus the adapted-node
-// gauge. The renewal scheduler that keeps pushed extensions alive joins the
-// same registry.
+// departures and revocations in reg, plus the adapted-node gauge. The
+// renewal scheduler that keeps pushed extensions alive joins the same
+// registry.
 // A nil reg is a no-op.
 func (b *Base) Instrument(reg *metrics.Registry) {
 	if reg == nil {
@@ -249,7 +238,6 @@ func (b *Base) Instrument(reg *metrics.Registry) {
 		admFlowRejected:  reg.Counter("base.admission_flow_rejected"),
 		departures:       reg.Counter("base.departures"),
 		revokes:          reg.Counter("base.revokes"),
-		roamHints:        reg.Counter("base.roam_hints"),
 		degrades:         reg.Counter("base.degrades"),
 		recovers:         reg.Counter("base.recovers"),
 		journalErrs:      reg.Counter("base.journal_errors"),
@@ -336,8 +324,8 @@ func NewBase(cfg BaseConfig) (*Base, error) {
 		OnRenew:  b.noteRenewals,
 		OnNodeFail: func(node string, err error) {
 			// A renewal cycle failed for good. Handle the node's departure
-			// asynchronously so a slow roam hint never stalls the renewal
-			// workers serving other nodes.
+			// asynchronously so a slow OnDepart callback never stalls the
+			// renewal workers serving other nodes.
 			go b.nodeDeparted(node, err)
 		},
 	})
@@ -382,10 +370,6 @@ func (b *Base) RenewalsQuiesced() bool {
 // keeping up with the wheel; /healthz exposes it for exactly that reason.
 func (b *Base) RenewalBacklog() int { return b.sched.Backlog() }
 
-// Signer returns the base's signing identity (receivers must trust its
-// public key).
-func (b *Base) Signer() *sign.Signer { return b.cfg.Signer }
-
 // Trace records the base's lifecycle (adapt, push, renew, revoke, depart) as
 // spans in tr, and wraps the base's outbound caller so calls carry trace
 // context across the fabric. Call before the base starts serving; a nil tr
@@ -411,14 +395,6 @@ func (b *Base) OnDepart(fn func(nodeAddr string)) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.onDepart = fn
-}
-
-// AddNeighbor registers a neighbour base that receives roaming hints when
-// nodes depart this base's area.
-func (b *Base) AddNeighbor(addr string) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.neighbors = append(b.neighbors, addr)
 }
 
 // admit runs the static admission pipeline over ext: analyze (typed
@@ -612,17 +588,6 @@ func (b *Base) RemoveExtension(name string) error {
 	return nil
 }
 
-// Extensions lists the base's policy set names in order.
-func (b *Base) Extensions() []string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := make([]string, len(b.extensions))
-	for i, e := range b.extensions {
-		out[i] = e.Ext.Name
-	}
-	return out
-}
-
 // AdaptNode pushes every extension of the policy set to the node's
 // adaptation service and starts keeping the leases alive.
 func (b *Base) AdaptNode(nodeID, nodeAddr string) error {
@@ -690,6 +655,8 @@ func (b *Base) AdaptNodeCtx(ctx context.Context, nodeID, nodeAddr string) error 
 }
 
 // Adapted lists the addresses of currently adapted nodes, sorted.
+//
+//lint:allow shipped (test seam: base and scenario tests check which nodes the base holds adapted)
 func (b *Base) Adapted() []string {
 	return b.addrs(true)
 }
@@ -918,7 +885,7 @@ func nodeRecord(n *adaptedNode, degraded bool) NodeRecord {
 // cause, the cycle's final error. A cycle that got no answer at all
 // (transport.Transient) leaves a node that may well still be in our space
 // behind a bad link: with a reconciler to bring it back, it is parked
-// degraded, with no roam hints since it did not move. Every other failure
+// degraded. Every other failure
 // departs it: the node answered that it no longer holds the lease, or shed
 // or refused the renewal, or no reconciler would ever reach a parked node.
 func (b *Base) nodeDeparted(nodeAddr string, cause error) {
@@ -938,7 +905,6 @@ func (b *Base) nodeDeparted(nodeAddr string, cause error) {
 	}
 	s.mu.Unlock()
 	b.mu.Lock()
-	neighbors := append([]string(nil), b.neighbors...)
 	cb := b.onDepart
 	b.mu.Unlock()
 	if !ok {
@@ -973,20 +939,6 @@ func (b *Base) nodeDeparted(nodeAddr string, cause error) {
 	dsp.End(nil)
 	tr.Eventf(nil, "base", "node %s departed (renewal failed: %v)", n.id, cause)
 	b.log("depart", n.id, "", "renewal failed: "+cause.Error())
-
-	// Simple roaming: hint neighbour bases that the node may have entered
-	// their area.
-	for _, nb := range neighbors {
-		ctx := transport.WithCallDeadline(context.Background(), b.cfg.CallTimeout)
-		_, err := transport.Invoke[RoamReq, EmptyResp](ctx, b.caller, nb, MethodBaseRoam,
-			RoamReq{NodeID: n.id, NodeAddr: n.addr})
-		ctx.Cancel()
-		detail := nb
-		if err != nil {
-			detail = nb + " failed: " + err.Error()
-		}
-		b.log("roam-hint", n.id, "", detail)
-	}
 	if cb != nil {
 		cb(nodeAddr)
 	}
@@ -1036,8 +988,6 @@ func (b *Base) log(ev, node, ext, detail string) {
 		b.m.departures.Inc()
 	case "revoke":
 		b.m.revokes.Inc()
-	case "roam-hint":
-		b.m.roamHints.Inc()
 	case "degrade":
 		b.m.degrades.Inc()
 	case "recover":
@@ -1063,7 +1013,7 @@ func (b *Base) setNodeGauges() {
 }
 
 // ServeOn registers the base's RPC surface on mux: the monitoring record
-// sink, the lookup watcher callback and the roaming hint endpoint. Operator
+// sink and the lookup watcher callback. Operator
 // reads are documents (see Mounts), served over the ops RPC.
 func (b *Base) ServeOn(mux *transport.Mux) {
 	transport.Register(mux, MethodBasePost, func(_ context.Context, req PostReq) (EmptyResp, error) {
@@ -1085,11 +1035,6 @@ func (b *Base) ServeOn(mux *transport.Mux) {
 			go func() { _ = b.AdaptNodeCtx(actx, ev.Item.ID, ev.Item.Addr) }()
 		}
 		return registry.Empty{}, nil
-	})
-	transport.Register(mux, MethodBaseRoam, func(ctx context.Context, req RoamReq) (EmptyResp, error) {
-		actx := trace.Detach(ctx)
-		go func() { _ = b.AdaptNodeCtx(actx, req.NodeID, req.NodeAddr) }()
-		return EmptyResp{}, nil
 	})
 }
 

@@ -30,8 +30,7 @@ const (
 type (
 	// RenewBatchReq renews several leases at one node in one exchange.
 	// WantObs asks the node to piggyback its observability delta on the
-	// response; it rides as an optional trailing wire field (encoded only
-	// when true) so requests to and from old peers keep their old bytes.
+	// response.
 	RenewBatchReq struct {
 		Items   []RenewExtReq
 		WantObs bool
@@ -44,8 +43,7 @@ type (
 	}
 	// RenewBatchResp carries the per-item outcomes, aligned with the request.
 	// Obs is the piggybacked observability delta (fleet.go), present only
-	// when the request asked for it — a node must never volunteer trailing
-	// bytes to a base that would reject them.
+	// when the request asked for it.
 	RenewBatchResp struct {
 		Items []RenewItemResp
 		Obs   *ObsReport

@@ -14,13 +14,8 @@ import (
 // doing, without a scrape loop over 100k nodes. Nodes piggyback compact
 // metric deltas (per-method RED counters plus trace-drop stats) on the
 // midas.renewBatch responses they were sending anyway — the base asks with
-// WantObs, so a node never volunteers trailing bytes an old base would choke
-// on — and the base merges them into per-node and fleet-rollup views served
-// at /fleet (rendered live by `midasctl top`).
-//
-// The new fields are optional trailing fields of the existing batch messages,
-// encoded only when set, so a renewal that asks for no report keeps the bytes
-// its golden vector pins.
+// WantObs — and the base merges them into per-node and fleet-rollup views
+// served at /fleet (rendered live by `midasctl top`).
 
 type (
 	// ObsMethodDelta is one method's RED delta since the node's last report:

@@ -51,7 +51,7 @@ func TestAutoJoin(t *testing.T) {
 			return &registry.Client{Caller: fabric.Node("robot1"), Addr: addr}
 		},
 		20*time.Second, nil,
-		func(a discovery.Announcement) bool { return world.NodeHears("robot1", a.Area) },
+		func(a discovery.Announcement) bool { return world.InArea("robot1", a.Area) },
 	)
 	defer stop()
 

@@ -22,11 +22,12 @@ import (
 const extensionTupleTag = "midas.extension"
 
 // PublishExtension signs ext and writes it into sp under a lease of dur:
-// ("midas.extension", name, version, baseAddr, payload).
-func PublishExtension(sp *tuplespace.Space, signer *sign.Signer, ext Extension, baseAddr string, dur time.Duration) (tuplespace.Tuple, error) {
+// ("midas.extension", name, version, baseAddr, payload). The returned lease
+// is the tuple's; the publisher renews it through sp.Renew.
+func PublishExtension(sp *tuplespace.Space, signer *sign.Signer, ext Extension, baseAddr string, dur time.Duration) (lease.Lease, error) {
 	signed, err := Sign(signer, ext)
 	if err != nil {
-		return nil, err
+		return lease.Lease{}, err
 	}
 	payload := wire.Marshal(signed)
 	t := tuplespace.Tuple{
@@ -36,8 +37,7 @@ func PublishExtension(sp *tuplespace.Space, signer *sign.Signer, ext Extension, 
 		tuplespace.FStr(baseAddr),
 		tuplespace.FBytes(payload),
 	}
-	sp.Out(t, dur)
-	return t, nil
+	return sp.Out(t, dur), nil
 }
 
 // extensionTemplate matches all extension tuples.

@@ -376,7 +376,7 @@ func TestVettedAdviceConcurrentInstallsAndRollout(t *testing.T) {
 			for v := 1; v <= versions; v++ {
 				ext := codeExt(fmt.Sprintf("local-%d", g), nil, limit90)
 				ext.Version = v
-				signed, err := Sign(c.base.Signer(), ext)
+				signed, err := Sign(c.base.cfg.Signer, ext)
 				if err != nil {
 					t.Error(err)
 					return

@@ -5,7 +5,7 @@ import "repro/internal/wire"
 // Wire codecs for every MIDAS RPC body: renew/renewBatch (the renewal
 // window's per-lease cost), applyBatch install/revoke items (every push and
 // revoke), the inventory exchange (anti-entropy rounds), and the
-// base's record sink and roaming hint. Each type writes its fields in
+// base's record sink. Each type writes its fields in
 // declaration order; slices and maps go through the codec's count-prefixed,
 // key-sorted forms so equal values always produce equal bytes (golden vectors
 // and same-seed replays depend on it). Operator reads have no message types
@@ -141,17 +141,13 @@ func (r EmptyResp) MarshalWire(e *wire.Encoder) {}
 // UnmarshalWire decodes r from the wire codec.
 func (r *EmptyResp) UnmarshalWire(d *wire.Decoder) error { return d.Err() }
 
-// MarshalWire encodes r with the wire codec. WantObs is a trailing optional
-// field written only when set, so un-instrumented fleets produce the exact
-// bytes of the previous wire generation (golden vectors included).
+// MarshalWire encodes r with the wire codec.
 func (r RenewBatchReq) MarshalWire(e *wire.Encoder) {
 	e.Len(len(r.Items))
 	for _, it := range r.Items {
 		it.MarshalWire(e)
 	}
-	if r.WantObs {
-		e.Bool(true)
-	}
+	e.Bool(r.WantObs)
 }
 
 // UnmarshalWire decodes r from the wire codec.
@@ -166,7 +162,7 @@ func (r *RenewBatchReq) UnmarshalWire(d *wire.Decoder) error {
 	} else {
 		r.Items = nil
 	}
-	r.WantObs = d.More() && d.Bool()
+	r.WantObs = d.Bool()
 	return d.Err()
 }
 
@@ -183,14 +179,14 @@ func (r *RenewItemResp) UnmarshalWire(d *wire.Decoder) error {
 	return d.Err()
 }
 
-// MarshalWire encodes r with the wire codec. The piggybacked ObsReport is a
-// trailing optional field written only when present — a node only attaches it
-// when the request asked (WantObs), so old bases never see the extra bytes.
+// MarshalWire encodes r with the wire codec. The piggybacked ObsReport
+// follows a presence bool.
 func (r RenewBatchResp) MarshalWire(e *wire.Encoder) {
 	e.Len(len(r.Items))
 	for _, it := range r.Items {
 		it.MarshalWire(e)
 	}
+	e.Bool(r.Obs != nil)
 	if r.Obs != nil {
 		r.Obs.MarshalWire(e)
 	}
@@ -215,7 +211,7 @@ func (r *RenewBatchResp) UnmarshalWire(d *wire.Decoder) error {
 		r.Items = nil
 	}
 	r.Obs = nil
-	if d.More() {
+	if d.Bool() {
 		r.Obs = new(ObsReport)
 		if err := r.Obs.UnmarshalWire(d); err != nil {
 			return err
@@ -418,18 +414,5 @@ func (r *PostReq) UnmarshalWire(d *wire.Decoder) error {
 	r.Record.Value = d.Varint()
 	r.Record.AtMillis = d.Varint()
 	r.Record.DurMilli = d.Varint()
-	return d.Err()
-}
-
-// MarshalWire encodes r with the wire codec.
-func (r RoamReq) MarshalWire(e *wire.Encoder) {
-	e.String(r.NodeID)
-	e.String(r.NodeAddr)
-}
-
-// UnmarshalWire decodes r from the wire codec.
-func (r *RoamReq) UnmarshalWire(d *wire.Decoder) error {
-	r.NodeID = d.String()
-	r.NodeAddr = d.String()
 	return d.Err()
 }

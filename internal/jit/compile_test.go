@@ -164,10 +164,10 @@ end`)
 		t.Fatalf("before: %v %v", v, err)
 	}
 	a := &aop.Aspect{Name: "boost", Advices: []aop.Advice{
-		aop.AfterCall("App.val(..)", aop.BodyFunc(func(ctx *aop.Context) error {
+		{When: aop.After, Cut: aop.Cut(aop.MethodExit, "App.val(..)"), Body: aop.BodyFunc(func(ctx *aop.Context) error {
 			ctx.SetResult(lvm.Int(ctx.Result.I * 10))
 			return nil
-		})),
+		})},
 	}}
 	if err := w.Insert(a); err != nil {
 		t.Fatal(err)
@@ -281,9 +281,9 @@ end`)
 		t.Fatalf("unwoven: %v %v", v, err)
 	}
 	a := &aop.Aspect{Name: "exmon", Advices: []aop.Advice{
-		aop.OnThrow("App.*(..)", aop.BodyFunc(func(ctx *aop.Context) error {
+		{When: aop.Before, Cut: aop.Cut(aop.ExceptionThrow, "App.*(..)"), Body: aop.BodyFunc(func(ctx *aop.Context) error {
 			return errors.New("security monitor: exception quarantined")
-		})),
+		})},
 	}}
 	if err := w.Insert(a); err != nil {
 		t.Fatal(err)
@@ -310,12 +310,12 @@ end`)
 			ctx.Put("session.caller", lvm.Str("alice"))
 			return nil
 		})),
-		aop.AfterCall("App.*(..)", aop.BodyFunc(func(ctx *aop.Context) error {
+		{When: aop.After, Cut: aop.Cut(aop.MethodExit, "App.*(..)"), Body: aop.BodyFunc(func(ctx *aop.Context) error {
 			if v, ok := ctx.Get("session.caller"); ok {
 				got = v.S
 			}
 			return nil
-		})),
+		})},
 	}}
 	if err := w.Insert(a); err != nil {
 		t.Fatal(err)

@@ -254,12 +254,12 @@ func TestMethodExitAdviceSeesAndRewritesResult(t *testing.T) {
 	w := weave.New()
 	m := newRobotMachine(t, w)
 	a := &aop.Aspect{Name: "clamp", Advices: []aop.Advice{
-		aop.AfterCall("int Math.sumTo(..)", aop.BodyFunc(func(ctx *aop.Context) error {
+		{When: aop.After, Cut: aop.Cut(aop.MethodExit, "int Math.sumTo(..)"), Body: aop.BodyFunc(func(ctx *aop.Context) error {
 			if ctx.Result.I > 100 {
 				ctx.SetResult(lvm.Int(100))
 			}
 			return nil
-		})),
+		})},
 	}}
 	if err := w.Insert(a); err != nil {
 		t.Fatal(err)
@@ -305,10 +305,10 @@ func TestFieldGetAdviceRewrites(t *testing.T) {
 	w := weave.New()
 	m := newRobotMachine(t, w)
 	a := &aop.Aspect{Name: "spoof", Advices: []aop.Advice{
-		aop.OnFieldGet("Motor.pos", aop.BodyFunc(func(ctx *aop.Context) error {
+		{When: aop.After, Cut: aop.Cut(aop.FieldGet, "Motor.pos"), Body: aop.BodyFunc(func(ctx *aop.Context) error {
 			ctx.SetResult(lvm.Int(999))
 			return nil
-		})),
+		})},
 	}}
 	if err := w.Insert(a); err != nil {
 		t.Fatal(err)
@@ -325,14 +325,14 @@ func TestExceptionThrowAdvice(t *testing.T) {
 	m := newRobotMachine(t, w)
 	var thrownMsgs, handledMsgs []string
 	a := &aop.Aspect{Name: "exmon", Advices: []aop.Advice{
-		aop.OnThrow("Math.*(..)", aop.BodyFunc(func(ctx *aop.Context) error {
+		{When: aop.Before, Cut: aop.Cut(aop.ExceptionThrow, "Math.*(..)"), Body: aop.BodyFunc(func(ctx *aop.Context) error {
 			thrownMsgs = append(thrownMsgs, ctx.ErrMsg)
 			return nil
-		})),
-		aop.OnHandle("Math.*(..)", aop.BodyFunc(func(ctx *aop.Context) error {
+		})},
+		{When: aop.Before, Cut: aop.Cut(aop.ExceptionHandler, "Math.*(..)"), Body: aop.BodyFunc(func(ctx *aop.Context) error {
 			handledMsgs = append(handledMsgs, ctx.ErrMsg)
 			return nil
-		})),
+		})},
 	}}
 	if err := w.Insert(a); err != nil {
 		t.Fatal(err)

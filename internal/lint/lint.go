@@ -143,15 +143,6 @@ func ParseFile(fset *token.FileSet, path string) (*File, error) {
 	return &File{Path: path, AST: astF, allow: waivers(fset, astF)}, nil
 }
 
-// ParseSource parses source text held in memory (used by tests).
-func ParseSource(fset *token.FileSet, filename, src string) (*File, error) {
-	astF, err := parser.ParseFile(fset, filename, src, parser.ParseComments)
-	if err != nil {
-		return nil, err
-	}
-	return &File{Path: filename, AST: astF, allow: waivers(fset, astF)}, nil
-}
-
 // waivers extracts //lint:allow comments by line.
 func waivers(fset *token.FileSet, f *ast.File) map[int]map[string]bool {
 	out := make(map[int]map[string]bool)

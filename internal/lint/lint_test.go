@@ -1,10 +1,21 @@
 package lint
 
 import (
+	"go/parser"
 	"go/token"
 	"strings"
 	"testing"
 )
+
+// parseSource parses source text held in memory, as Load parses a file.
+func parseSource(t *testing.T, fset *token.FileSet, path, src string) *File {
+	t.Helper()
+	astF, err := parser.ParseFile(fset, path, src, parser.ParseComments)
+	if err != nil {
+		t.Fatalf("parse %s: %v", path, err)
+	}
+	return &File{Path: path, AST: astF, allow: waivers(fset, astF)}
+}
 
 // runOn parses the given (path, source) pairs into per-directory packages and
 // runs the analyzers over them.
@@ -13,11 +24,7 @@ func runOn(t *testing.T, sources map[string]string, analyzers ...*Analyzer) []Di
 	fset := token.NewFileSet()
 	byDir := make(map[string]*Package)
 	for path, src := range sources {
-		f, err := ParseSource(fset, path, src)
-		if err != nil {
-			t.Fatalf("parse %s: %v", path, err)
-		}
-		f.Path = path
+		f := parseSource(t, fset, path, src)
 		dir := "."
 		if i := strings.LastIndex(path, "/"); i >= 0 {
 			dir = path[:i]
@@ -229,10 +236,7 @@ func (s *Span) End(err error) {
 
 func TestHasCtxTwinIndex(t *testing.T) {
 	fset := token.NewFileSet()
-	f, err := ParseSource(fset, "internal/api/api.go", twinDecls)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := parseSource(t, fset, "internal/api/api.go", twinDecls)
 	ix := BuildIndex([]*Package{{Dir: "internal/api", Files: []*File{f}}})
 	if !ix.HasCtxTwin("Put") {
 		t.Error("Put should qualify: both Store and Cache declare PutCtx")
@@ -460,5 +464,62 @@ func (f *Full) UnmarshalWire(d *Decoder) error {
 	}, WireCover)
 	if len(diags) != 1 || !strings.Contains(diags[0].Message, "no UnmarshalWire") {
 		t.Fatalf("got %v, want exactly the unpaired Half flagged", messages(diags))
+	}
+}
+
+func TestShippedFlagsUnusedExports(t *testing.T) {
+	diags := runOn(t, map[string]string{
+		"internal/store/store.go": `package store
+type Store struct{}
+func New() *Store { return &Store{} }
+func (s *Store) Put(k string) {}
+func (s *Store) Compact() {}
+func Orphan() {}`,
+		"internal/store/store_test.go": `package store
+import "testing"
+func TestCompact(t *testing.T) { New().Compact() }`,
+		"cmd/app/main.go": `package main
+import "repro/internal/store"
+func main() { store.New().Put("k") }`,
+	}, Shipped)
+	got := strings.Join(messages(diags), "\n")
+	if len(diags) != 2 || !strings.Contains(got, "Compact has no use outside tests") || !strings.Contains(got, "Orphan has no use outside tests") {
+		t.Fatalf("got %v, want Compact (called only from a test) and Orphan flagged", messages(diags))
+	}
+}
+
+func TestShippedAcceptsShippedUses(t *testing.T) {
+	diags := runOn(t, map[string]string{
+		// MarshalWire is reached only through the Marshaler interface.
+		"internal/wire/wire.go": `package wire
+type Encoder struct{}
+type Marshaler interface{ MarshalWire(e *Encoder) }
+func Marshal(m Marshaler) []byte { return nil }`,
+		"internal/core/msg.go": `package core
+import "repro/internal/wire"
+type Msg struct{}
+func (m Msg) MarshalWire(e *wire.Encoder) {}
+func Send() []byte { return wire.Marshal(Msg{}) }
+func Demo() {}
+func CLI() {}
+// Set jumps a test clock.
+//
+//lint:allow shipped (test seam: tests set the clock)
+func Set() {}`,
+		"examples/demo/main.go": `package main
+import "repro/internal/core"
+func main() { core.Demo(); core.Send() }`,
+		"cmd/tool/main.go": `package main
+import "repro/internal/core"
+func main() { core.CLI() }`,
+		// Only tests import testutil, so nothing in it needs a caller.
+		"internal/testutil/testutil.go": `package testutil
+func WaitFor() {}`,
+		"internal/core/msg_test.go": `package core
+import "repro/internal/testutil"
+func helper() { testutil.WaitFor() }`,
+	}, Shipped)
+	if len(diags) != 0 {
+		t.Fatalf("got %v, want none", messages(diags))
 	}
 }

@@ -137,22 +137,3 @@ func AnalyzeProgram(p *lvm.Program) (*Report, error) {
 	}
 	return rep, nil
 }
-
-// AnalyzeMethod analyses a single method in the context of p: typed
-// verification of the whole program is still required (callees must be safe
-// too), but the returned report is scoped to what entry can reach.
-func AnalyzeMethod(p *lvm.Program, entry *lvm.Method) (*MethodReport, error) {
-	rep, err := AnalyzeProgram(p)
-	if err != nil {
-		return nil, err
-	}
-	cls := "?"
-	if entry.Class != nil {
-		cls = entry.Class.Name
-	}
-	mr := rep.Methods[cls+"."+entry.Name]
-	if mr == nil {
-		return nil, fmt.Errorf("analysis: method %s.%s not in program", cls, entry.Name)
-	}
-	return mr, nil
-}

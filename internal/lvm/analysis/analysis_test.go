@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -43,10 +44,10 @@ func TestBuildCFGBlocks(t *testing.T) {
 	if g.BlockOf(4) != g.BlockOf(5)-1 {
 		t.Errorf("blockOf(4)=%d blockOf(5)=%d", g.BlockOf(4), g.BlockOf(5))
 	}
-	if cyc := g.HasCycle(); cyc {
+	if cyc := cyclic(g.succsWithHandlers()); cyc {
 		t.Error("acyclic CFG reported cyclic")
 	}
-	if dead := g.Unreachable(); len(dead) != 0 {
+	if dead := unreachablePCs(g.Reachable()); len(dead) != 0 {
 		t.Errorf("all pcs reachable, got dead %v", dead)
 	}
 }
@@ -76,7 +77,7 @@ func TestCFGUnreachable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dead := g.Unreachable()
+	dead := unreachablePCs(g.Reachable())
 	if len(dead) != 2 || dead[0] != 1 || dead[1] != 2 {
 		t.Errorf("dead = %v, want [1 2]", dead)
 	}
@@ -95,7 +96,7 @@ func TestCFGCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !g.HasCycle() {
+	if !cyclic(g.succsWithHandlers()) {
 		t.Error("loop not detected")
 	}
 }
@@ -114,7 +115,7 @@ func TestCFGHandlerCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !g.HasCycle() {
+	if !cyclic(g.succsWithHandlers()) {
 		t.Error("throw/handler loop not detected")
 	}
 }
@@ -135,7 +136,7 @@ func TestCFGDeadHandlerStaysDead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dead := g.Unreachable()
+	dead := unreachablePCs(g.Reachable())
 	if len(dead) != 3 {
 		t.Errorf("dead = %v, want [1 2 3]", dead)
 	}
@@ -415,7 +416,7 @@ func TestInferCapsTransitive(t *testing.T) {
   end
 end`
 	p, m := mustAssembleMethod(t, src)
-	rep, err := AnalyzeMethod(p, m)
+	rep, err := analyzeMethod(p, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,7 +434,7 @@ end`
 		t.Errorf("caps = %v, want %v", rep.Caps, wantCaps)
 	}
 	// helper alone must not inherit m's ctx call.
-	hr, err := AnalyzeMethod(p, p.Method("C", "helper"))
+	hr, err := analyzeMethod(p, p.Method("C", "helper"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,7 +466,7 @@ end`
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := AnalyzeMethod(p, p.Method("C", "m"))
+	rep, err := analyzeMethod(p, p.Method("C", "m"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -491,7 +492,7 @@ func TestFuelBounds(t *testing.T) {
   end
 end`
 	p, m := mustAssembleMethod(t, straight)
-	rep, err := AnalyzeMethod(p, m)
+	rep, err := analyzeMethod(p, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -508,7 +509,7 @@ end`
   end
 end`
 	p, m = mustAssembleMethod(t, loop)
-	rep, err = AnalyzeMethod(p, m)
+	rep, err = analyzeMethod(p, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -525,7 +526,7 @@ end`
   end
 end`
 	p, m = mustAssembleMethod(t, recursive)
-	rep, err = AnalyzeMethod(p, m)
+	rep, err = analyzeMethod(p, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -547,7 +548,7 @@ end`
   end
 end`
 	p, m = mustAssembleMethod(t, calls)
-	rep, err = AnalyzeMethod(p, m)
+	rep, err = analyzeMethod(p, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -575,4 +576,23 @@ func TestAnalyzeProgramWarnsUnreachable(t *testing.T) {
 	if mr := rep.Method("C", "m"); mr == nil || len(mr.Unreachable) != 1 {
 		t.Errorf("method report missing unreachable pcs: %+v", mr)
 	}
+}
+
+// analyzeMethod analyses a single method in the context of p: typed
+// verification of the whole program is still required (callees must be safe
+// too), but the returned report is scoped to what entry can reach.
+func analyzeMethod(p *lvm.Program, entry *lvm.Method) (*MethodReport, error) {
+	rep, err := AnalyzeProgram(p)
+	if err != nil {
+		return nil, err
+	}
+	cls := "?"
+	if entry.Class != nil {
+		cls = entry.Class.Name
+	}
+	mr := rep.Methods[cls+"."+entry.Name]
+	if mr == nil {
+		return nil, fmt.Errorf("analysis: method %s.%s not in program", cls, entry.Name)
+	}
+	return mr, nil
 }

@@ -175,11 +175,6 @@ func (g *CFG) Reachable() []bool {
 	return out
 }
 
-// Unreachable returns the pcs of dead instructions, sorted.
-func (g *CFG) Unreachable() []int {
-	return unreachablePCs(g.Reachable())
-}
-
 // unreachablePCs lists, in order, the pcs reach marks false.
 func unreachablePCs(reach []bool) []int {
 	var out []int
@@ -189,41 +184,6 @@ func unreachablePCs(reach []bool) []int {
 		}
 	}
 	return out
-}
-
-// HasCycle reports whether the CFG contains a cycle, counting exception
-// edges (a handler whose target lies inside a protected range can loop
-// through repeated throws just like a jump can).
-func (g *CFG) HasCycle() bool {
-	succs := g.succsWithHandlers()
-	const (
-		white = 0
-		grey  = 1
-		black = 2
-	)
-	color := make([]int, len(g.Blocks))
-	var visit func(int) bool
-	visit = func(b int) bool {
-		color[b] = grey
-		for _, s := range succs[b] {
-			switch color[s] {
-			case grey:
-				return true
-			case white:
-				if visit(s) {
-					return true
-				}
-			}
-		}
-		color[b] = black
-		return false
-	}
-	for b := range g.Blocks {
-		if color[b] == white && visit(b) {
-			return true
-		}
-	}
-	return false
 }
 
 // succsWithHandlers returns the successor lists extended with exception

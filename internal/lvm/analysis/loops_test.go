@@ -8,7 +8,7 @@ import (
 func fuelOfSrc(t *testing.T, src string) Fuel {
 	t.Helper()
 	p, m := mustAssembleMethod(t, src)
-	rep, err := AnalyzeMethod(p, m)
+	rep, err := analyzeMethod(p, m)
 	if err != nil {
 		t.Fatalf("analyze: %v", err)
 	}

@@ -11,7 +11,7 @@ import (
 func flowsOf(t *testing.T, src string) []Flow {
 	t.Helper()
 	p, m := mustAssembleMethod(t, src)
-	rep, err := AnalyzeMethod(p, m)
+	rep, err := analyzeMethod(p, m)
 	if err != nil {
 		t.Fatalf("analyze: %v", err)
 	}

@@ -96,16 +96,6 @@ func (w *World) AddNode(name, addr string, pos Point) error {
 	return nil
 }
 
-// RemoveNode deletes a node from the world.
-func (w *World) RemoveNode(name string) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if n, ok := w.nodes[name]; ok {
-		delete(w.addrOwner, n.addr)
-		delete(w.nodes, name)
-	}
-}
-
 // OnTransition registers a listener for area enter/exit events caused by
 // MoveNode.
 func (w *World) OnTransition(fn TransitionFunc) {
@@ -157,17 +147,6 @@ func (w *World) InArea(node, area string) bool {
 	n, ok := w.nodes[node]
 	a, ok2 := w.areas[area]
 	return ok && ok2 && a.Contains(n.pos)
-}
-
-// AreasContaining lists the areas whose coverage includes the node, sorted.
-func (w *World) AreasContaining(node string) []string {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	n, ok := w.nodes[node]
-	if !ok {
-		return nil
-	}
-	return w.areasContainingLocked(n.pos)
 }
 
 func (w *World) areasContainingLocked(p Point) []string {
@@ -228,10 +207,6 @@ func (w *World) nodeInsideAreaOfAddrLocked(n *nodeState, baseAddr string) bool {
 	}
 	return a.Contains(n.pos)
 }
-
-// NodeHears reports whether the node can hear announcements from the named
-// area (i.e. is inside its coverage); used as a discovery bus filter.
-func (w *World) NodeHears(node, area string) bool { return w.InArea(node, area) }
 
 func diff(before, after []string) (entered, exited []string) {
 	inBefore := make(map[string]bool, len(before))

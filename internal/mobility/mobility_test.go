@@ -28,10 +28,6 @@ func TestAreaMembership(t *testing.T) {
 	if w.InArea("robot", "hall-2") {
 		t.Error("robot should not be in hall-2")
 	}
-	areas := w.AreasContaining("robot")
-	if len(areas) != 1 || areas[0] != "hall-1" {
-		t.Errorf("AreasContaining = %v", areas)
-	}
 }
 
 func TestTransitions(t *testing.T) {
@@ -127,25 +123,6 @@ func TestLinkedNodeToNode(t *testing.T) {
 	}
 }
 
-func TestRemoveNode(t *testing.T) {
-	w := twoHallWorld(t)
-	if err := w.AddNode("robot", "r1", Point{}); err != nil {
-		t.Fatal(err)
-	}
-	w.RemoveNode("robot")
-	if _, ok := w.NodePos("robot"); ok {
-		t.Error("removed node still present")
-	}
-	// Its address becomes "infrastructure" (unknown).
-	if !w.Linked("r1", "base-1") {
-		t.Error("unknown addr should be wired")
-	}
-	// Re-adding works.
-	if err := w.AddNode("robot", "r1", Point{}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestDuplicateRegistration(t *testing.T) {
 	w := twoHallWorld(t)
 	if err := w.AddArea(Area{Name: "hall-1"}); err == nil {
@@ -177,17 +154,4 @@ func TestDistProperties(t *testing.T) {
 
 func finite(f float64) bool {
 	return f == f && f < 1e150 && f > -1e150
-}
-
-func TestNodeHears(t *testing.T) {
-	w := twoHallWorld(t)
-	if err := w.AddNode("robot", "r1", Point{X: 0, Y: 0}); err != nil {
-		t.Fatal(err)
-	}
-	if !w.NodeHears("robot", "hall-1") {
-		t.Error("robot should hear hall-1 announcements")
-	}
-	if w.NodeHears("robot", "hall-2") {
-		t.Error("robot should not hear hall-2")
-	}
 }

@@ -53,13 +53,6 @@ func (m *Mover) SetRoute(node string, waypoints []Point, speed float64, loop boo
 	return nil
 }
 
-// ClearRoute stops moving the node.
-func (m *Mover) ClearRoute(node string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	delete(m.routes, node)
-}
-
 // Moving reports whether the node has an active route.
 func (m *Mover) Moving(node string) bool {
 	m.mu.Lock()
@@ -79,11 +72,7 @@ func (m *Mover) Step(dt time.Duration) {
 	}
 	var moves []pending
 	for node, r := range m.routes {
-		pos, ok := m.world.NodePos(node)
-		if !ok {
-			delete(m.routes, node)
-			continue
-		}
+		pos, _ := m.world.NodePos(node) // SetRoute checked the node exists
 		budget := r.speed * dt.Seconds()
 		done := false
 		for budget > 0 {

@@ -107,21 +107,4 @@ func TestMoverValidation(t *testing.T) {
 	if err := m.SetRoute("n", []Point{{X: 1}}, 0, false); err == nil {
 		t.Error("zero speed accepted")
 	}
-	m.ClearRoute("n") // no-op without a route
-}
-
-func TestMoverRemovedNode(t *testing.T) {
-	w := NewWorld()
-	if err := w.AddNode("n", "n", Point{}); err != nil {
-		t.Fatal(err)
-	}
-	m := NewMover(w)
-	if err := m.SetRoute("n", []Point{{X: 100}}, 1, false); err != nil {
-		t.Fatal(err)
-	}
-	w.RemoveNode("n")
-	m.Step(time.Second) // must drop the route rather than panic
-	if m.Moving("n") {
-		t.Error("route for removed node survived")
-	}
 }

@@ -51,11 +51,9 @@ var defaultClasses = map[string]Class{
 	"midas.applyBatch":  ClassMutation,
 	"base.post":         ClassMutation,
 	"base.onservice":    ClassMutation,
-	"base.roam":         ClassMutation,
 	"lookup.register":   ClassMutation,
 	"lookup.deregister": ClassMutation,
 	"lookup.watch":      ClassMutation,
-	"lookup.unwatch":    ClassMutation,
 	"svc.invoke":        ClassMutation,
 
 	// Reads: lookups and the operator documents.

@@ -42,13 +42,6 @@ func (c *Canvas) Mark(x, y int) {
 	}
 }
 
-// Marked reports whether (x, y) is inked.
-func (c *Canvas) Marked(x, y int) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.marked[[2]int{x, y}]
-}
-
 // Count returns the number of inked cells.
 func (c *Canvas) Count() int {
 	c.mu.Lock()
@@ -103,10 +96,6 @@ func New(weaver *weave.Weaver, canvas *Canvas) (*Plotter, error) {
 	}
 	return &Plotter{ctrl: ctrl, canvas: canvas, mx: mx, my: my, mz: mz}, nil
 }
-
-// Controller exposes the underlying device controller (for monitoring tests
-// and the task layer).
-func (p *Plotter) Controller() *robot.Controller { return p.ctrl }
 
 // Position returns the pen's (x, y) position.
 func (p *Plotter) Position() (int64, int64) {

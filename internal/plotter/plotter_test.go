@@ -34,11 +34,11 @@ func TestDrawLine(t *testing.T) {
 		t.Fatal(err)
 	}
 	for x := 2; x <= 5; x++ {
-		if !canvas.Marked(x, 2) {
+		if !canvas.marked[[2]int{x, 2}] {
 			t.Errorf("(%d,2) not inked", x)
 		}
 	}
-	if canvas.Marked(6, 2) {
+	if canvas.marked[[2]int{6, 2}] {
 		t.Error("overshoot")
 	}
 }
@@ -77,7 +77,7 @@ func TestMovementControlExtensionLimitsPlotter(t *testing.T) {
 	if x != 3 {
 		t.Errorf("x = %d, want 3", x)
 	}
-	if canvas.Marked(4, 0) {
+	if canvas.marked[[2]int{4, 0}] {
 		t.Error("forbidden cell inked")
 	}
 }
@@ -99,7 +99,7 @@ func TestServiceDrivesPlotter(t *testing.T) {
 	if _, err := svc.Call(caller, "plotter1", ServiceName, "line", "artist", lvm.Int(3), lvm.Int(0)); err != nil {
 		t.Fatal(err)
 	}
-	if !canvas.Marked(1, 0) {
+	if !canvas.marked[[2]int{1, 0}] {
 		t.Error("remote line not drawn")
 	}
 	pos, err := svc.Call(caller, "plotter1", ServiceName, "position", "artist")
@@ -129,7 +129,7 @@ func TestReplayReproducesDrawing(t *testing.T) {
 
 	// Re-execute the recorded trace on a fresh plotter.
 	var cmds []ReplayCommand
-	for _, c := range p.Controller().Trace() {
+	for _, c := range p.ctrl.Trace() {
 		cmds = append(cmds, ReplayCommand{Device: c.Device, Action: c.Action, Value: c.Value})
 	}
 	_, canvas2, p2 := newPlotter(t)
@@ -140,7 +140,7 @@ func TestReplayReproducesDrawing(t *testing.T) {
 		t.Errorf("replayed %d cells, want %d", canvas2.Count(), want)
 	}
 	for x := 0; x <= 4; x++ {
-		if canvas2.Marked(x, 0) != canvas.Marked(x, 0) {
+		if canvas2.marked[[2]int{x, 0}] != canvas.marked[[2]int{x, 0}] {
 			t.Errorf("cell (%d,0) differs", x)
 		}
 	}
@@ -171,7 +171,7 @@ func TestPenIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	// z motor moved exactly once each way.
-	trace := p.Controller().Trace()
+	trace := p.ctrl.Trace()
 	zMoves := 0
 	for _, c := range trace {
 		if c.Device == "motor:z" {

@@ -20,7 +20,6 @@ const (
 	MethodFind       = "lookup.find"
 	MethodWatch      = "lookup.watch"
 	MethodRenewWatch = "lookup.renewWatch"
-	MethodUnwatch    = "lookup.unwatch"
 )
 
 // Wire types.
@@ -69,10 +68,6 @@ type (
 	RenewWatchReq struct {
 		WatchID   string
 		DurMillis int64
-	}
-	// UnwatchReq removes a watcher.
-	UnwatchReq struct {
-		WatchID string
 	}
 	// Empty is the empty response.
 	Empty struct{}
@@ -202,10 +197,6 @@ func NewServer(lookup *Lookup, mux *transport.Mux, caller transport.Caller, clk 
 			return LeaseResp{}, err
 		}
 		return LeaseResp{LeaseID: string(l.ID), DurMillis: req.DurMillis}, nil
-	})
-	transport.Register(mux, MethodUnwatch, func(_ context.Context, req UnwatchReq) (Empty, error) {
-		lookup.Unwatch(req.WatchID)
-		return Empty{}, nil
 	})
 	return s
 }
@@ -373,14 +364,5 @@ func (c *Client) RenewWatch(watchID string, dur time.Duration) error {
 	defer cancel()
 	_, err := transport.Invoke[RenewWatchReq, LeaseResp](ctx, c.Caller, c.Addr, MethodRenewWatch,
 		RenewWatchReq{WatchID: watchID, DurMillis: dur.Milliseconds()})
-	return err
-}
-
-// Unwatch removes a watcher.
-func (c *Client) Unwatch(watchID string) error {
-	ctx, cancel := c.ctx()
-	defer cancel()
-	_, err := transport.Invoke[UnwatchReq, Empty](ctx, c.Caller, c.Addr, MethodUnwatch,
-		UnwatchReq{WatchID: watchID})
 	return err
 }

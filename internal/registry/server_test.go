@@ -156,10 +156,6 @@ func TestServerWatchDeliversRemoteEvents(t *testing.T) {
 	if events := got.snapshot(); events[0].Kind != Added || events[1].Kind != Removed {
 		t.Errorf("events = %+v", events)
 	}
-
-	if err := client.Unwatch(watchID); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // Events reach the listener in the order the lookup produced them, each
@@ -196,8 +192,8 @@ func TestServerWatchDeliversInOrder(t *testing.T) {
 	}
 }
 
-// Unwatch ends the delivery loop with the watcher: nothing registered later
-// is delivered, and the watch's lease is gone.
+// Unwatch at the lookup ends the delivery loop with the watcher: nothing
+// registered later is delivered, and the watch's lease is gone.
 func TestServerUnwatchStopsDelivery(t *testing.T) {
 	fabric := transport.NewInProc()
 	srv, client := newLookupServer(t, fabric, clock.Real{})
@@ -207,9 +203,7 @@ func TestServerUnwatchStopsDelivery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := client.Unwatch(watchID); err != nil {
-		t.Fatal(err)
-	}
+	srv.lookup.Unwatch(watchID)
 	waitFor(t, "delivery loop exit", func() bool { return srv.liveWatches() == 0 })
 
 	register(t, client, "r1")

@@ -163,15 +163,6 @@ func (r *RenewWatchReq) UnmarshalWire(d *wire.Decoder) error {
 }
 
 // MarshalWire encodes r with the wire codec.
-func (r UnwatchReq) MarshalWire(e *wire.Encoder) { e.String(r.WatchID) }
-
-// UnmarshalWire decodes r from the wire codec.
-func (r *UnwatchReq) UnmarshalWire(d *wire.Decoder) error {
-	r.WatchID = d.String()
-	return d.Err()
-}
-
-// MarshalWire encodes r with the wire codec.
 func (r Empty) MarshalWire(e *wire.Encoder) {}
 
 // UnmarshalWire decodes r from the wire codec.

@@ -33,15 +33,11 @@ type Motor struct {
 	ctrl *Controller
 
 	rotateHooks *weave.MethodHooks
-	stopHooks   *weave.MethodHooks
 	posSite     *weave.Site
 
 	mu  sync.Mutex
 	pos int64
 }
-
-// ID returns the motor identity (e.g. "x").
-func (m *Motor) ID() string { return m.id }
 
 // Position returns the accumulated rotation.
 func (m *Motor) Position() int64 {
@@ -61,15 +57,6 @@ func (m *Motor) Rotate(delta int64) error {
 		}
 		m.ctrl.record(m, "rotate", d)
 		return lvm.Int(m.Position()), nil
-	})
-	return err
-}
-
-// Stop halts the motor (a no-op in the simulation beyond its join points).
-func (m *Motor) Stop() error {
-	_, err := m.stopHooks.Invoke(m.obj, nil, func([]lvm.Value) (lvm.Value, error) {
-		m.ctrl.record(m, "stop", 0)
-		return lvm.Nil(), nil
 	})
 	return err
 }
@@ -114,9 +101,6 @@ type Sensor struct {
 	value int64
 }
 
-// ID returns the sensor identity.
-func (s *Sensor) ID() string { return s.id }
-
 // Read returns the current value.
 func (s *Sensor) Read() int64 {
 	s.mu.Lock()
@@ -155,7 +139,6 @@ type Controller struct {
 
 	motorClass  *lvm.Class
 	rotateHooks *weave.MethodHooks
-	stopHooks   *weave.MethodHooks
 	posSite     *weave.Site
 }
 
@@ -177,9 +160,6 @@ func NewController(weaver *weave.Weaver, clk clock.Clock) *Controller {
 		rotateHooks: weaver.HookMethod(aop.Signature{
 			Class: "Motor", Method: "rotate", Return: "int", Params: []string{"int"},
 		}),
-		stopHooks: weaver.HookMethod(aop.Signature{
-			Class: "Motor", Method: "stop", Return: "void",
-		}),
 		posSite: weaver.RegisterFieldSite(aop.FieldSet, "Motor", "pos"),
 	}
 	return c
@@ -199,7 +179,6 @@ func (c *Controller) AddMotor(id string) (*Motor, error) {
 		obj:         obj,
 		ctrl:        c,
 		rotateHooks: c.rotateHooks,
-		stopHooks:   c.stopHooks,
 		posSite:     c.posSite,
 	}
 	c.motors[id] = m
@@ -216,20 +195,6 @@ func (c *Controller) AddSensor(id string, trigger int64) (*Sensor, error) {
 	s := &Sensor{id: id, trigger: trigger, ctrl: c}
 	c.sensors[id] = s
 	return s, nil
-}
-
-// Motor returns the named motor, or nil.
-func (c *Controller) Motor(id string) *Motor {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.motors[id]
-}
-
-// Sensor returns the named sensor, or nil.
-func (c *Controller) Sensor(id string) *Sensor {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.sensors[id]
 }
 
 // Macro is one hardware macro, e.g. "turn motor x by 30 degrees".

@@ -199,6 +199,8 @@ func (h *Host) Prechecked(fn string) lvm.Host {
 }
 
 // CallCount reports how many times the named host function was invoked.
+//
+//lint:allow shipped (test seam: sandbox tests count host calls an extension made)
 func (h *Host) CallCount(name string) int {
 	h.mu.Lock()
 	defer h.mu.Unlock()

@@ -94,28 +94,12 @@ func (t *TrustStore) Trust(name string, pub ed25519.PublicKey) {
 	t.names[fp] = name
 }
 
-// Revoke removes a key from the store.
-func (t *TrustStore) Revoke(pub ed25519.PublicKey) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	fp := Fingerprint(pub)
-	delete(t.trusted, fp)
-	delete(t.names, fp)
-}
-
 // Trusted reports whether pub is in the store.
 func (t *TrustStore) Trusted(pub ed25519.PublicKey) bool {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	stored, ok := t.trusted[Fingerprint(pub)]
 	return ok && stored.Equal(pub)
-}
-
-// Len returns the number of trusted keys.
-func (t *TrustStore) Len() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.trusted)
 }
 
 // Verify checks that sig is a valid signature over payload by a trusted key.

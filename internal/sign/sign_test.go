@@ -73,27 +73,6 @@ func TestForgedKeyRejected(t *testing.T) {
 	}
 }
 
-func TestRevoke(t *testing.T) {
-	signer, _ := NewSigner("hall-1")
-	store := NewTrustStore()
-	store.Trust("hall-1", signer.PublicKey())
-	if store.Len() != 1 {
-		t.Fatal("trust store should have one key")
-	}
-	payload := []byte("p")
-	sig := signer.Sign(payload)
-	if err := store.Verify(payload, sig); err != nil {
-		t.Fatal(err)
-	}
-	store.Revoke(signer.PublicKey())
-	if err := store.Verify(payload, sig); !errors.Is(err, ErrUntrustedSigner) {
-		t.Fatalf("after revoke: %v", err)
-	}
-	if store.Len() != 0 {
-		t.Error("trust store should be empty")
-	}
-}
-
 func TestVerifyArbitraryPayloads(t *testing.T) {
 	signer, _ := NewSigner("s")
 	store := NewTrustStore()

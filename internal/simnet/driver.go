@@ -10,6 +10,8 @@ import (
 // yielding real time between increments so goroutines woken by one increment
 // (renewal scheduler wheels, grantor sweepers, reconcile loops) run before
 // the next. It is the scenario driver's "let simulated time pass" primitive.
+//
+//lint:allow shipped (test harness: the simulated-mobility scenario suites drive simnet)
 func Advance(clk *clock.Manual, total, step time.Duration) {
 	if step <= 0 {
 		step = total
@@ -24,6 +26,8 @@ func Advance(clk *clock.Manual, total, step time.Duration) {
 // function is called. Use it when a scenario blocks synchronously on work
 // that waits on the simulated clock (e.g. a call whose delivery the
 // simulator delays) and no explicit Advance schedule fits.
+//
+//lint:allow shipped (test harness: the simulated-mobility scenario suites drive simnet)
 func Drive(clk *clock.Manual, step time.Duration) (stop func()) {
 	halt := make(chan struct{})
 	done := make(chan struct{})

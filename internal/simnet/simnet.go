@@ -284,6 +284,8 @@ type Net struct {
 
 // New returns a fully connected, fault-free network on clk, deriving all
 // fault randomness from seed. A nil clk uses the real clock.
+//
+//lint:allow shipped (test harness: the simulated-mobility scenario suites drive simnet)
 func New(clk clock.Clock, seed int64) *Net {
 	if clk == nil {
 		clk = clock.Real{}
@@ -317,6 +319,8 @@ func (n *Net) Close() {
 
 // Serve attaches h at addr, or re-attaches a fresh handler to a wiped node
 // (a restart with state lost). The returned stop function detaches it.
+//
+//lint:allow shipped (test harness: the simulated-mobility scenario suites drive simnet)
 func (n *Net) Serve(addr string, h transport.Handler) (func(), error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -352,12 +356,16 @@ func (nd *simNode) wipe() {
 
 // Node returns a Caller whose calls originate from addr, so partitions and
 // crash state are evaluated against the correct link endpoints.
+//
+//lint:allow shipped (test harness: the simulated-mobility scenario suites drive simnet)
 func (n *Net) Node(addr string) transport.Caller {
 	return &caller{net: n, from: addr, inner: n.fab.Node(addr)}
 }
 
 // SetDefault installs the fault profile of every link without an explicit
 // override.
+//
+//lint:allow shipped (test harness: the simulated-mobility scenario suites drive simnet)
 func (n *Net) SetDefault(p LinkProfile) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -372,6 +380,8 @@ func (n *Net) SetLink(from, to string, p LinkProfile) {
 }
 
 // SetLinkBoth overrides both directions between a and b.
+//
+//lint:allow shipped (test harness: the simulated-mobility scenario suites drive simnet)
 func (n *Net) SetLinkBoth(a, b string, p LinkProfile) {
 	n.SetLink(a, b, p)
 	n.SetLink(b, a, p)
@@ -386,6 +396,8 @@ func (n *Net) Partition(from, to string) {
 }
 
 // PartitionBoth blocks both directions between a and b.
+//
+//lint:allow shipped (test harness: the simulated-mobility scenario suites drive simnet)
 func (n *Net) PartitionBoth(a, b string) {
 	n.Partition(a, b)
 	n.Partition(b, a)
@@ -399,12 +411,16 @@ func (n *Net) Heal(from, to string) {
 }
 
 // HealBoth unblocks both directions between a and b.
+//
+//lint:allow shipped (test harness: the simulated-mobility scenario suites drive simnet)
 func (n *Net) HealBoth(a, b string) {
 	n.Heal(a, b)
 	n.Heal(b, a)
 }
 
 // HealAll removes every partition.
+//
+//lint:allow shipped (test harness: the simulated-mobility scenario suites drive simnet)
 func (n *Net) HealAll() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -415,6 +431,8 @@ func (n *Net) HealAll() {
 
 // Crash takes the node at addr off the network; its state (handler) is
 // retained for Restart.
+//
+//lint:allow shipped (test harness: the simulated-mobility scenario suites drive simnet)
 func (n *Net) Crash(addr string) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -424,6 +442,8 @@ func (n *Net) Crash(addr string) {
 }
 
 // Restart brings a crashed node back with its state retained.
+//
+//lint:allow shipped (test harness: the simulated-mobility scenario suites drive simnet)
 func (n *Net) Restart(addr string) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -434,6 +454,8 @@ func (n *Net) Restart(addr string) {
 
 // Wipe crashes the node at addr and discards its state; a subsequent Serve
 // on the same address models a restart from scratch.
+//
+//lint:allow shipped (test harness: the simulated-mobility scenario suites drive simnet)
 func (n *Net) Wipe(addr string) {
 	n.mu.Lock()
 	defer n.mu.Unlock()

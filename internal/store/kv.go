@@ -137,19 +137,9 @@ func (kv *KV) Keys() []string {
 	return out
 }
 
-// Compact rewrites the journal to one entry per live key, atomically
+// compactLocked rewrites the journal to one entry per live key, atomically
 // replacing the old file. Versions are preserved so optimistic transactions
-// keep validating correctly across compaction.
-func (kv *KV) Compact() error {
-	kv.mu.Lock()
-	defer kv.mu.Unlock()
-	if kv.closed {
-		return ErrClosed
-	}
-	return kv.compactLocked()
-}
-
-// compactLocked does the journal rewrite. Callers hold kv.mu.
+// keep validating correctly across compaction. Callers hold kv.mu.
 func (kv *KV) compactLocked() error {
 	if kv.j == nil {
 		return nil // in-memory KV has nothing to compact

@@ -136,17 +136,6 @@ func (s *Store) Query(f Filter) []Record {
 	return out
 }
 
-// Robots returns the distinct robot identities seen, unordered.
-func (s *Store) Robots() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.byRobot))
-	for r := range s.byRobot {
-		out = append(out, r)
-	}
-	return out
-}
-
 // Len returns the number of stored records.
 func (s *Store) Len() int {
 	s.mu.RLock()

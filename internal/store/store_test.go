@@ -53,8 +53,8 @@ func TestAppendQuery(t *testing.T) {
 	if len(window) != 2 {
 		t.Errorf("time filter = %d: %v", len(window), window)
 	}
-	if len(s.Robots()) != 2 {
-		t.Errorf("Robots = %v", s.Robots())
+	if len(s.byRobot) != 2 {
+		t.Errorf("indexed robots = %d, want 2", len(s.byRobot))
 	}
 }
 
@@ -335,9 +335,6 @@ func TestKVKeysAndDoubleClose(t *testing.T) {
 	}
 	if err := kv.Delete("a"); err != ErrClosed {
 		t.Errorf("Delete after close = %v", err)
-	}
-	if err := kv.Compact(); err != ErrClosed {
-		t.Errorf("Compact after close = %v", err)
 	}
 }
 

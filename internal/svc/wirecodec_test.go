@@ -49,14 +49,17 @@ func TestInvokeCodecRoundTripsEachScalarKind(t *testing.T) {
 	}
 }
 
+// frameHeader returns a fresh wire frame header with no body.
+func frameHeader() []byte { return []byte{0x00, wire.Magic, wire.Version} }
+
 func TestInvokeDecoderRejectsUnknownKinds(t *testing.T) {
 	for _, kind := range []byte{byte(lvm.KObj), 6, 0xff} {
-		data := append(wire.Header(), kind)
+		data := append(frameHeader(), kind)
 		var resp InvokeResp
 		if err := wire.Unmarshal(data, &resp); !errors.Is(err, ErrNotScalar) {
 			t.Fatalf("kind %d: err = %v, want ErrNotScalar", kind, err)
 		}
-		req := append(wire.Header(), 0, 0, 0, 1, kind)
+		req := append(frameHeader(), 0, 0, 0, 1, kind)
 		var r InvokeReq
 		if err := wire.Unmarshal(req, &r); !errors.Is(err, ErrNotScalar) {
 			t.Fatalf("kind %d in args: err = %v, want ErrNotScalar", kind, err)
@@ -64,7 +67,7 @@ func TestInvokeDecoderRejectsUnknownKinds(t *testing.T) {
 	}
 	// A truncated value reports truncation, not a bad kind.
 	var resp InvokeResp
-	if err := wire.Unmarshal(wire.Header(), &resp); !errors.Is(err, wire.ErrTruncated) {
+	if err := wire.Unmarshal(frameHeader(), &resp); !errors.Is(err, wire.ErrTruncated) {
 		t.Fatalf("empty value: err = %v, want wire.ErrTruncated", err)
 	}
 }

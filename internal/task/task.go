@@ -144,13 +144,6 @@ func (r *Runner) Direct(m robot.Macro) error {
 	return r.ctrl.Execute(m)
 }
 
-// Running reports whether a task is executing.
-func (r *Runner) Running() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.running
-}
-
 // History lists executed task names (including "override:" entries).
 func (r *Runner) History() []string {
 	r.mu.Lock()

@@ -9,16 +9,18 @@ import (
 	"repro/internal/weave"
 )
 
-func newRunner(t *testing.T) (*robot.Controller, *Runner) {
+// newRunner returns a runner over a controller with motors x and y.
+func newRunner(t *testing.T) (c *robot.Controller, r *Runner, x, y *robot.Motor) {
 	t.Helper()
-	c := robot.NewController(weave.New(), nil)
-	if _, err := c.AddMotor("x"); err != nil {
+	c = robot.NewController(weave.New(), nil)
+	x, err := c.AddMotor("x")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.AddMotor("y"); err != nil {
+	if y, err = c.AddMotor("y"); err != nil {
 		t.Fatal(err)
 	}
-	return c, NewRunner(c)
+	return c, NewRunner(c), x, y
 }
 
 func square(n int64) *Task {
@@ -31,23 +33,23 @@ func square(n int64) *Task {
 }
 
 func TestRunTask(t *testing.T) {
-	c, r := newRunner(t)
+	c, r, x, y := newRunner(t)
 	if err := r.Run(square(5)); err != nil {
 		t.Fatal(err)
 	}
-	if c.Motor("x").Position() != 0 || c.Motor("y").Position() != 0 {
-		t.Errorf("pos = %d, %d", c.Motor("x").Position(), c.Motor("y").Position())
+	if x.Position() != 0 || y.Position() != 0 {
+		t.Errorf("pos = %d, %d", x.Position(), y.Position())
 	}
 	if len(c.Trace()) != 4 {
 		t.Errorf("trace = %d commands", len(c.Trace()))
 	}
-	if !r.Running() == false {
-		t.Error("Running after completion")
+	if r.running {
+		t.Error("running after completion")
 	}
 }
 
 func TestInterruptAbort(t *testing.T) {
-	c, r := newRunner(t)
+	c, r, _, _ := newRunner(t)
 	s, err := c.AddSensor("touch", 1)
 	if err != nil {
 		t.Fatal(err)
@@ -62,7 +64,7 @@ func TestInterruptAbort(t *testing.T) {
 }
 
 func TestInterruptContinue(t *testing.T) {
-	c, r := newRunner(t)
+	c, r, _, _ := newRunner(t)
 	s, err := c.AddSensor("touch", 1)
 	if err != nil {
 		t.Fatal(err)
@@ -86,17 +88,17 @@ func TestInterruptContinue(t *testing.T) {
 }
 
 func TestDirectMode(t *testing.T) {
-	c, r := newRunner(t)
+	_, r, x, _ := newRunner(t)
 	if err := r.Direct(robot.Macro{Motor: "x", Delta: 7}); err != nil {
 		t.Fatal(err)
 	}
-	if c.Motor("x").Position() != 7 {
-		t.Errorf("pos = %d", c.Motor("x").Position())
+	if x.Position() != 7 {
+		t.Errorf("pos = %d", x.Position())
 	}
 }
 
 func TestDirectModeUnfreezes(t *testing.T) {
-	c, r := newRunner(t)
+	c, r, x, _ := newRunner(t)
 	s, _ := c.AddSensor("touch", 1)
 	s.Feed(5)
 	if !c.Frozen() {
@@ -106,13 +108,13 @@ func TestDirectModeUnfreezes(t *testing.T) {
 	if err := r.Direct(robot.Macro{Motor: "x", Delta: -3}); err != nil {
 		t.Fatal(err)
 	}
-	if c.Motor("x").Position() != -3 {
-		t.Errorf("pos = %d", c.Motor("x").Position())
+	if x.Position() != -3 {
+		t.Errorf("pos = %d", x.Position())
 	}
 }
 
 func TestOverrideReplacesTask(t *testing.T) {
-	c, r := newRunner(t)
+	c, r, _, _ := newRunner(t)
 	long := &Task{Name: "long"}
 	for i := 0; i < 50; i++ {
 		long.Macros = append(long.Macros, robot.Macro{Motor: "x", Delta: 1})
@@ -132,7 +134,7 @@ func TestOverrideReplacesTask(t *testing.T) {
 }
 
 func TestOverrideMidTask(t *testing.T) {
-	c, r := newRunner(t)
+	c, r, _, y := newRunner(t)
 	s, _ := c.AddSensor("touch", 1)
 	replacement := &Task{Name: "retreat", Macros: []robot.Macro{{Motor: "y", Delta: -5}}}
 	task := square(2)
@@ -147,8 +149,8 @@ func TestOverrideMidTask(t *testing.T) {
 	if err := r.Run(task); err != nil {
 		t.Fatal(err)
 	}
-	if c.Motor("y").Position() != -5 {
-		t.Errorf("y = %d, want -5 (override executed)", c.Motor("y").Position())
+	if y.Position() != -5 {
+		t.Errorf("y = %d, want -5 (override executed)", y.Position())
 	}
 	hist := strings.Join(r.History(), ",")
 	if hist != "square,override:retreat" {
@@ -157,11 +159,11 @@ func TestOverrideMidTask(t *testing.T) {
 }
 
 func TestRunWhileRunning(t *testing.T) {
-	_, r := newRunner(t)
+	_, r, _, _ := newRunner(t)
 	blocked := &Task{Name: "b", Macros: []robot.Macro{{Motor: "x", Delta: 1}}}
 	// Direct is refused while a task runs; simulate by checking ErrBusy from
 	// a task's own event handler.
-	c2, r2 := newRunner(t)
+	c2, r2, _, _ := newRunner(t)
 	s, _ := c2.AddSensor("touch", 1)
 	tsk := square(1)
 	tsk.OnEvent = func(robot.SensorEvent) Decision {

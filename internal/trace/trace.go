@@ -367,6 +367,8 @@ func New(seed int64) *Tracer {
 
 // SetNow replaces the tracer's time source (e.g. a manual clock's Now).
 // Call before the tracer is shared. A nil tracer or nil now is a no-op.
+//
+//lint:allow shipped (test seam: trace tests pin span timestamps to a fixed or manual clock)
 func (t *Tracer) SetNow(now func() time.Time) {
 	if t == nil || now == nil {
 		return
@@ -402,24 +404,6 @@ func (t *Tracer) SamplerStats() (sampledOut, tailKept uint64) {
 		return 0, 0
 	}
 	return t.sampledOut.Load(), t.tailKept.Load()
-}
-
-// SetCapacity bounds the span and event rings. Values < 1 keep the current
-// capacity. Existing contents are discarded.
-func (t *Tracer) SetCapacity(spans, events int) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if spans > 0 {
-		t.spanCap = spans
-	}
-	if events > 0 {
-		t.eventCap = events
-	}
-	t.spans, t.spanNext, t.spanFull = nil, 0, false
-	t.events, t.eventNext, t.eventFull = nil, 0, false
 }
 
 func (t *Tracer) nowNanos() int64 {
@@ -716,6 +700,8 @@ func (t *Tracer) SpansDropped() uint64 {
 // RingOccupancy reports how many spans the ring currently holds and its
 // capacity — the gauge pair that shows whether sampling is keeping trace
 // memory bounded.
+//
+//lint:allow shipped (test seam: sampling tests check the span ring stays bounded)
 func (t *Tracer) RingOccupancy() (used, capacity int) {
 	if t == nil {
 		return 0, 0

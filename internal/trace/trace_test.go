@@ -30,7 +30,6 @@ func TestNilSafety(t *testing.T) {
 	}
 	tr.Eventf(ctx, "comp", "event %d", 1)
 	tr.SetNow(time.Now)
-	tr.SetCapacity(10, 10)
 	if got := tr.Spans(Filter{}); got != nil {
 		t.Fatalf("nil tracer Spans = %v, want nil", got)
 	}
@@ -101,7 +100,7 @@ func TestDeterministicIDs(t *testing.T) {
 
 func TestSpanRingBounds(t *testing.T) {
 	tr := New(7)
-	tr.SetCapacity(4, 4)
+	tr.spanCap, tr.eventCap = 4, 4
 	var last SpanContext
 	for i := 0; i < 10; i++ {
 		_, sp := tr.StartSpan(context.Background(), "s")
@@ -122,7 +121,7 @@ func TestSpanRingBounds(t *testing.T) {
 
 func TestEventRingOrderAndFilter(t *testing.T) {
 	tr := New(7)
-	tr.SetCapacity(16, 3)
+	tr.spanCap, tr.eventCap = 16, 3
 	ctx, sp := tr.StartSpan(context.Background(), "s")
 	for i := 0; i < 5; i++ {
 		if i%2 == 0 {
@@ -181,7 +180,7 @@ func TestQuerySpansExpandsTraces(t *testing.T) {
 
 func TestConcurrentSpansAndSnapshots(t *testing.T) {
 	tr := New(3)
-	tr.SetCapacity(64, 64)
+	tr.spanCap, tr.eventCap = 64, 64
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -404,7 +403,7 @@ func TestSamplerDecisionFromLegacyPeer(t *testing.T) {
 // -race, this is also the memory-model check on the sampler fast path.
 func TestRingEvictionUnderConcurrentStartAndSnapshot(t *testing.T) {
 	tr := New(5)
-	tr.SetCapacity(8, 8)
+	tr.spanCap, tr.eventCap = 8, 8
 	tr.SetSampler(SamplerConfig{Rate: 0.5, Seed: 5, SlowThreshold: time.Minute})
 	const writers, perWriter = 8, 200
 	var wg sync.WaitGroup
@@ -447,7 +446,7 @@ func TestRingEvictionUnderConcurrentStartAndSnapshot(t *testing.T) {
 // bounded while errors are never lost.
 func TestSamplerKeepsRingBounded(t *testing.T) {
 	tr := New(17)
-	tr.SetCapacity(64, 8)
+	tr.spanCap, tr.eventCap = 64, 8
 	tr.SetSampler(SamplerConfig{Rate: 0.01, Seed: 17})
 	errs := 0
 	for i := 0; i < 5000; i++ {

@@ -164,7 +164,7 @@ func TestCallDeadlineParentEarlierDeadline(t *testing.T) {
 }
 
 func TestCallDeadlineValuesAndDerivedContexts(t *testing.T) {
-	parent := WithPeer(context.Background(), "node-7")
+	parent := withBoxedPeer(context.Background(), boxPeer("node-7"))
 	c := WithCallDeadline(parent, time.Hour)
 	if got := Peer(c); got != "node-7" {
 		t.Fatalf("Peer through an unarmed deadline = %q", got)
@@ -206,7 +206,7 @@ func TestCallDeadlineAllocs(t *testing.T) {
 // when it serves the call, once.
 func TestCallDeadlineCarriesSpanAndPeer(t *testing.T) {
 	sc := trace.SpanContext{TraceID: "t1", SpanID: "s1", Flags: trace.FlagSampleKnown}
-	parent := WithPeer(context.Background(), "outer")
+	parent := withBoxedPeer(context.Background(), boxPeer("outer"))
 	c := WithCallSpan(parent, time.Hour, sc)
 	defer c.Cancel()
 	if got, ok := trace.FromContext(c); !ok || got != sc {

@@ -5,18 +5,14 @@ import "context"
 // peerKey carries the calling peer's address in a server-side context.
 type peerKey struct{}
 
-// WithPeer stamps the calling peer's address into ctx. Every fabric stamps
-// the addresses it knows — the in-proc and simnet fabrics their caller's node
-// name, the TCP server the connection's remote address — so server-side
-// middleware (per-peer token buckets in internal/overload) can attribute a
-// request without the peer having to claim an identity in the payload.
-func WithPeer(ctx context.Context, addr string) context.Context {
-	return withBoxedPeer(ctx, boxPeer(addr))
-}
-
-// boxPeer converts addr to the context value WithPeer stamps, nil for "". A
-// fabric caller boxes its own address once and stamps it on every call with
-// withBoxedPeer, instead of paying the string's conversion per call.
+// boxPeer converts the calling peer's address to the context value
+// withBoxedPeer stamps, nil for "". Every fabric stamps the addresses it
+// knows — the in-proc and simnet fabrics their caller's node name, the TCP
+// server the connection's remote address — so server-side middleware
+// (per-peer token buckets in internal/overload) can attribute a request
+// without the peer having to claim an identity in the payload. A fabric
+// caller boxes its own address once and stamps it on every call, instead of
+// paying the string's conversion per call.
 func boxPeer(addr string) any {
 	if addr == "" {
 		return nil
@@ -24,7 +20,7 @@ func boxPeer(addr string) any {
 	return addr
 }
 
-// withBoxedPeer is WithPeer for an address already boxed by boxPeer.
+// withBoxedPeer stamps an address boxed by boxPeer into ctx.
 func withBoxedPeer(ctx context.Context, addr any) context.Context {
 	if addr == nil {
 		return ctx
@@ -32,7 +28,7 @@ func withBoxedPeer(ctx context.Context, addr any) context.Context {
 	return context.WithValue(ctx, peerKey{}, addr)
 }
 
-// Peer reports the address WithPeer stamped, "" for unattributed requests.
+// Peer reports the address a fabric stamped, "" for unattributed requests.
 func Peer(ctx context.Context) string {
 	addr, _ := ctx.Value(peerKey{}).(string)
 	return addr

@@ -118,9 +118,6 @@ func New(clk clock.Clock) *Space {
 	}
 }
 
-// Grantor exposes the lease grantor for sweeping.
-func (s *Space) Grantor() *lease.Grantor { return s.grantor }
-
 // Out writes a tuple under a lease (0 = immortal). A blocked In/Rd waiting
 // on a matching template is served immediately — In consumes the tuple.
 func (s *Space) Out(t Tuple, dur time.Duration) lease.Lease {
@@ -172,41 +169,14 @@ func (s *Space) Renew(id lease.ID, dur time.Duration) error {
 	return err
 }
 
-// RdNonBlock returns (a copy of the first) matching tuple without removing
-// it, reporting whether one was found. Matching order is write order.
-func (s *Space) RdNonBlock(tmpl Tuple) (Tuple, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e := s.findLocked(tmpl)
-	if e == nil {
-		return nil, false
-	}
-	return append(Tuple(nil), e.tuple...), true
-}
-
-// InNonBlock removes and returns the first matching tuple.
-func (s *Space) InNonBlock(tmpl Tuple) (Tuple, bool) {
-	s.mu.Lock()
-	e := s.findLocked(tmpl)
-	if e == nil {
-		s.mu.Unlock()
-		return nil, false
-	}
-	delete(s.entries, e.seq)
-	leaseID := e.leaseID
-	s.mu.Unlock()
-	if leaseID != "" {
-		_ = s.grantor.Cancel(leaseID)
-	}
-	return e.tuple, true
-}
-
-// Rd blocks until a matching tuple exists and returns a copy of it.
+// Rd blocks until a matching tuple exists and returns a copy of it. Matching
+// order is write order.
 func (s *Space) Rd(ctx context.Context, tmpl Tuple) (Tuple, error) {
 	return s.wait(ctx, tmpl, false)
 }
 
-// In blocks until a matching tuple exists and removes it.
+// In blocks until a matching tuple exists and removes it, cancelling its
+// lease.
 func (s *Space) In(ctx context.Context, tmpl Tuple) (Tuple, error) {
 	return s.wait(ctx, tmpl, true)
 }

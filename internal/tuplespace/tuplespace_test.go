@@ -18,18 +18,19 @@ func TestOutRdIn(t *testing.T) {
 	}
 
 	// Rd does not consume.
-	got, ok := s.RdNonBlock(Tuple{FStr("ext"), FStr("monitor"), FAny()})
-	if !ok || got[2].I != 1 {
-		t.Fatalf("Rd = %v, %v", got, ok)
+	ctx := context.Background()
+	got, err := s.Rd(ctx, Tuple{FStr("ext"), FStr("monitor"), FAny()})
+	if err != nil || got[2].I != 1 {
+		t.Fatalf("Rd = %v, %v", got, err)
 	}
 	if s.Len() != 2 {
 		t.Error("Rd consumed a tuple")
 	}
 
 	// In consumes.
-	got, ok = s.InNonBlock(Tuple{FStr("ext"), FAny(), FAny()})
-	if !ok {
-		t.Fatal("In found nothing")
+	got, err = s.In(ctx, Tuple{FStr("ext"), FAny(), FAny()})
+	if err != nil {
+		t.Fatalf("In: %v", err)
 	}
 	if s.Len() != 1 {
 		t.Errorf("Len after In = %d", s.Len())
@@ -39,7 +40,9 @@ func TestOutRdIn(t *testing.T) {
 		t.Errorf("In returned %v, want monitor first", got)
 	}
 
-	if _, ok := s.RdNonBlock(Tuple{FStr("nope")}); ok {
+	done, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, err := s.Rd(done, Tuple{FStr("nope")}); err == nil {
 		t.Error("template with wrong arity matched")
 	}
 }
@@ -146,10 +149,10 @@ func TestInCancelsTupleLease(t *testing.T) {
 	clk := clock.NewManual(time.Unix(0, 0))
 	s := New(clk)
 	s.Out(Tuple{FStr("x")}, time.Minute)
-	if _, ok := s.InNonBlock(Tuple{FAny()}); !ok {
-		t.Fatal("In failed")
+	if _, err := s.In(context.Background(), Tuple{FAny()}); err != nil {
+		t.Fatalf("In: %v", err)
 	}
-	if s.Grantor().Len() != 0 {
+	if s.grantor.Len() != 0 {
 		t.Error("consumed tuple's lease not cancelled")
 	}
 }

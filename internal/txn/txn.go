@@ -36,6 +36,8 @@ func NewManager(kv *store.KV) *Manager {
 }
 
 // Stats reports total commits and conflicts.
+//
+//lint:allow shipped (paper surface: the ad-hoc transactions E3 prices (§4.6); the shipped txn extension writes blind, tests read the conflict count)
 func (m *Manager) Stats() (commits, conflicts int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -62,6 +64,8 @@ type Txn struct {
 
 // Get reads a key, observing either the transaction's own pending write or
 // the underlying store (recording the version for validation).
+//
+//lint:allow shipped (paper surface: the ad-hoc transactions E3 prices (§4.6); the shipped txn extension writes blind, reads validated at commit make it a transaction)
 func (t *Txn) Get(key string) ([]byte, bool, error) {
 	if t.finished {
 		return nil, false, ErrFinished
@@ -87,6 +91,8 @@ func (t *Txn) Put(key string, value []byte) error {
 }
 
 // Delete buffers a deletion.
+//
+//lint:allow shipped (paper surface: the ad-hoc transactions E3 prices (§4.6); the shipped txn extension writes blind, a transaction may also delete)
 func (t *Txn) Delete(key string) error {
 	if t.finished {
 		return ErrFinished
@@ -129,6 +135,8 @@ func (t *Txn) Commit() error {
 }
 
 // Abort discards buffered writes.
+//
+//lint:allow shipped (paper surface: the ad-hoc transactions E3 prices (§4.6); the shipped txn extension writes blind, a transaction may also abort)
 func (t *Txn) Abort() {
 	t.finished = true
 	t.writes = nil

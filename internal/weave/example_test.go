@@ -67,10 +67,10 @@ func ExampleMethodHooks() {
 	polite := &aop.Aspect{
 		Name: "politeness",
 		Advices: []aop.Advice{
-			aop.AfterCall("Greeter.*(..)", aop.BodyFunc(func(ctx *aop.Context) error {
+			{When: aop.After, Cut: aop.Cut(aop.MethodExit, "Greeter.*(..)"), Body: aop.BodyFunc(func(ctx *aop.Context) error {
 				ctx.SetResult(lvm.Str(ctx.Result.S + "!"))
 				return nil
-			})),
+			})},
 		},
 	}
 	if err := weaver.Insert(polite); err != nil {

@@ -57,15 +57,6 @@ type chainEntry struct {
 // returns false.
 func (s *Site) Active() bool { return s.chain.Load() != nil }
 
-// AdviceCount returns the number of advice bodies currently attached.
-func (s *Site) AdviceCount() int {
-	c := s.chain.Load()
-	if c == nil {
-		return 0
-	}
-	return len(c.entries)
-}
-
 // Dispatch runs the woven advice chain with ctx. The first advice error (or
 // veto via ctx.Abort) stops the chain and is returned.
 func (s *Site) Dispatch(ctx *aop.Context) error {
@@ -371,31 +362,13 @@ func (w *Weaver) InsertCtx(ctx context.Context, a *aop.Aspect) error {
 }
 
 // Has reports whether the named aspect is active.
+//
+//lint:allow shipped (test seam: tests check a withdrawn aspect left the weaver, not only the receiver's table)
 func (w *Weaver) Has(name string) bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	_, ok := w.aspects[name]
 	return ok
-}
-
-// Aspects returns the names of active aspects in insertion order.
-func (w *Weaver) Aspects() []string {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	type named struct {
-		name string
-		seq  int
-	}
-	out := make([]named, 0, len(w.aspects))
-	for n, ins := range w.aspects {
-		out = append(out, named{n, ins.seq})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].seq < out[j].seq })
-	names := make([]string, len(out))
-	for i, n := range out {
-		names[i] = n.name
-	}
-	return names
 }
 
 // SiteCount returns the number of registered join-point sites.

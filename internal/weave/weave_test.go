@@ -175,8 +175,8 @@ func TestReplaceSwapsAtomically(t *testing.T) {
 	if strings.Join(log, ",") != "v2" {
 		t.Errorf("log = %v", log)
 	}
-	if got := w.Aspects(); len(got) != 1 || got[0] != "policy" {
-		t.Errorf("Aspects = %v", got)
+	if n := len(w.aspects); n != 1 || !w.Has("policy") {
+		t.Errorf("%d aspects after replace, want only policy", n)
 	}
 }
 
@@ -199,17 +199,22 @@ func TestOnActivateFailureBlocksInsert(t *testing.T) {
 	}
 }
 
+// TestAspectsInsertionOrder: aspects of equal priority run at a shared site
+// in the order they were inserted.
 func TestAspectsInsertionOrder(t *testing.T) {
 	w := New()
-	body := aop.BodyFunc(func(*aop.Context) error { return nil })
+	site := w.RegisterMethodSite(aop.MethodEntry, aop.Signature{Class: "C", Method: "m", Return: "void"})
+	var log []string
 	for _, n := range []string{"one", "two", "three"} {
-		if err := w.Insert(simpleAspect(n, "*.*(..)", body)); err != nil {
+		if err := w.Insert(simpleAspect(n, "*.*(..)", traceBody(&log, n))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	got := w.Aspects()
-	if strings.Join(got, ",") != "one,two,three" {
-		t.Errorf("Aspects = %v", got)
+	if err := site.Dispatch(&aop.Context{}); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(log, ","); got != "one,two,three" {
+		t.Errorf("dispatch order = %v", got)
 	}
 }
 
@@ -270,10 +275,10 @@ func TestMethodHooksInvoke(t *testing.T) {
 			ctx.SetArg(0, lvm.Str(strings.ToUpper(ctx.Arg(0).S)))
 			return nil
 		})),
-		aop.AfterCall("Svc.*(..)", aop.BodyFunc(func(ctx *aop.Context) error {
+		{When: aop.After, Cut: aop.Cut(aop.MethodExit, "Svc.*(..)"), Body: aop.BodyFunc(func(ctx *aop.Context) error {
 			ctx.SetResult(lvm.Str(ctx.Result.S + "!"))
 			return nil
-		})),
+		})},
 	}}
 	if err := w.Insert(a); err != nil {
 		t.Fatal(err)
@@ -335,11 +340,19 @@ func TestWeaverRandomizedConsistency(t *testing.T) {
 		for i, site := range sites {
 			want := 0
 			for _, pat := range active {
-				if aop.MustParsePattern(pat).MatchMethod(sigs[i]) {
+				p, err := aop.ParsePattern(pat)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if p.MatchMethod(sigs[i]) {
 					want++
 				}
 			}
-			if got := site.AdviceCount(); got != want {
+			got := 0
+			if c := site.chain.Load(); c != nil {
+				got = len(c.entries)
+			}
+			if got != want {
 				t.Fatalf("site %v: advice count %d, want %d (active %v)", sigs[i], got, want, active)
 			}
 		}

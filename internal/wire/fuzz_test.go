@@ -15,7 +15,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/discovery"
 	"repro/internal/lvm"
 	"repro/internal/registry"
 	"repro/internal/sign"
@@ -54,7 +53,7 @@ func buildMessages(s1, s2, s3 string, i1, i2 int64, b1 []byte, ok bool) []wire.M
 	return []wire.Marshaler{
 		core.RenewExtReq{LeaseID: s1, DurMillis: i1},
 		core.RenewExtResp{DurMillis: i2},
-		core.RenewBatchReq{Items: []core.RenewExtReq{{LeaseID: s1, DurMillis: i1}, {LeaseID: s2, DurMillis: i2}}},
+		core.RenewBatchReq{Items: []core.RenewExtReq{{LeaseID: s1, DurMillis: i1}, {LeaseID: s2, DurMillis: i2}}, WantObs: ok},
 		core.RenewBatchResp{Items: []core.RenewItemResp{{DurMillis: i1, Err: s3}}},
 		core.InstallReq{Signed: signed, BaseAddr: s2, DurMillis: i1},
 		core.InstallResp{LeaseID: s3},
@@ -81,7 +80,8 @@ func buildMessages(s1, s2, s3 string, i1, i2 int64, b1 []byte, ok bool) []wire.M
 		svc.InvokeResp{Result: lvm.Int(i2)},
 		svc.InvokeResp{Result: lvm.Bytes(b1)},
 		core.PostReq{Record: store.Record{Seq: i1, Robot: s1, Device: s2, Action: s3, Value: i2, AtMillis: i1, DurMilli: i2}},
-		core.RoamReq{NodeID: s1, NodeAddr: s2},
+		core.RenewBatchResp{Items: []core.RenewItemResp{{DurMillis: i2}}, Obs: &core.ObsReport{
+			Methods: []core.ObsMethodDelta{{Method: s1, Count: uint64(i1), Errors: uint64(i2), SumNs: i1}}, SpansDropped: uint64(i2)}},
 		registry.Event{Kind: registry.EventKind(i1), Item: registry.ServiceItem{ID: s1, Name: s2, Addr: s3, Attrs: map[string]string{s3: s1}},
 			Trace: trace.SpanContext{TraceID: s2, SpanID: s3}},
 		transport.OpsReq{Path: s1},
@@ -141,9 +141,8 @@ func FuzzWireDecode(f *testing.F) {
 			&trace.SpanContext{},
 			&svc.InvokeReq{},
 			&svc.InvokeResp{},
-			&discovery.Announcement{},
 			&core.PostReq{},
-			&core.RoamReq{},
+			&core.RenewBatchResp{},
 			&registry.Event{},
 			&transport.OpsReq{},
 			&transport.OpsResp{},

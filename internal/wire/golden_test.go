@@ -16,7 +16,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/discovery"
 	"repro/internal/lvm"
 	"repro/internal/registry"
 	"repro/internal/sign"
@@ -91,19 +90,15 @@ func goldenMessages() map[string]wire.Marshaler {
 		"watch_req":        registry.WatchReq{Tmpl: registry.Template{Name: "midas.*"}, DurMillis: 60_000, Addr: "node-3", Method: "lookup.event"},
 		"watch_resp":       registry.WatchResp{WatchID: "w-5", DurMillis: 60_000},
 		"renew_watch_req":  registry.RenewWatchReq{WatchID: "w-5", DurMillis: 60_000},
-		"unwatch_req":      registry.UnwatchReq{WatchID: "w-5"},
 		"span_context":     trace.SpanContext{TraceID: "t-0123456789abcdef", SpanID: "s-00ff"},
 		// The adapted remote call: one argument of every scalar kind.
 		"invoke_req": svc.InvokeReq{Service: "Robot", Method: "moveArm", Caller: "operator", Args: []lvm.Value{
 			lvm.Nil(), lvm.Int(-300), lvm.Bool(true), lvm.Str("arm-2"), lvm.Bytes([]byte{0xCA, 0xFE}),
 		}},
 		"invoke_resp": svc.InvokeResp{Result: lvm.Int(600)},
-		// The UDP discovery beacon.
-		"announcement": discovery.Announcement{Name: "hall-1", LookupAddr: "10.0.0.1:7000", Area: "north"},
-		// The base's record sink and roaming hint.
+		// The base's record sink.
 		"post_req": core.PostReq{Record: store.Record{Seq: 7, Robot: "robot:1:1", Device: "motor:x", Action: "rotate",
 			Value: -120, AtMillis: 1_060_000, DurMilli: 250}},
-		"roam_req": core.RoamReq{NodeID: "svc-9", NodeAddr: "10.0.0.9:4410"},
 		// Remote events: the lookup's watcher event, delivered to the
 		// listener as the request body.
 		"registry_event": registry.Event{Kind: registry.Added,

@@ -32,10 +32,11 @@ import (
 // Version is the wire-format version emitted by this build. Decoders accept
 // exactly this version; bumping it is a format change and must come with new
 // golden vectors. Version 2 added Extension.Flows (declared information-flow
-// rules) between Caps and Meta. Peers of different versions do not talk: the
-// TCP handshake carries Version and refuses a mismatch
-// (transport.ErrIncompatible).
-const Version = 2
+// rules) between Caps and Meta. Version 3 always encodes
+// RenewBatchReq.WantObs and puts RenewBatchResp.Obs behind a presence bool.
+// Peers of different versions do not talk: the TCP handshake carries Version
+// and refuses a mismatch (transport.ErrIncompatible).
+const Version = 3
 
 // Magic is the second frame-header byte. The TCP fabric reuses it in its
 // handshake preface and ack.
@@ -63,11 +64,8 @@ type Unmarshaler interface {
 	UnmarshalWire(d *Decoder) error
 }
 
-// Header returns a fresh copy of the 3-byte frame header.
-func Header() []byte { return []byte{headerZero, Magic, Version} }
-
 // IsFrame reports whether data begins with a wire frame header (any
-// version). Gob bodies never match: a gob stream cannot start with 0x00.
+// version).
 func IsFrame(data []byte) bool {
 	return len(data) >= headerLen && data[0] == headerZero && data[1] == Magic
 }
@@ -164,11 +162,8 @@ func PutEncoder(e *Encoder) {
 	encPool.Put(e)
 }
 
-// Reset empties the encoder, keeping its buffer.
-func (e *Encoder) Reset() { e.buf = e.buf[:0] }
-
 // Data returns the encoded bytes. The slice aliases the encoder's buffer and
-// is invalidated by further writes, Reset or PutEncoder.
+// is invalidated by further writes or PutEncoder.
 func (e *Encoder) Data() []byte { return e.buf }
 
 // Uvarint appends an unsigned varint.
@@ -262,12 +257,6 @@ func (d *Decoder) fail(err error) {
 
 // remaining reports the undecoded byte count.
 func (d *Decoder) remaining() int { return len(d.data) - d.off }
-
-// More reports whether undecoded bytes remain and no error is pending. It is
-// the hook for optional trailing fields: an unmarshaler that has read every
-// field an old encoder wrote can probe More to decode fields a newer encoder
-// appended, keeping old bytes decodable without a version bump.
-func (d *Decoder) More() bool { return d.err == nil && d.off < len(d.data) }
 
 // Uvarint reads an unsigned varint.
 func (d *Decoder) Uvarint() uint64 {

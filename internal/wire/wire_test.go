@@ -140,7 +140,7 @@ func TestDecoderBoundsHostileLengths(t *testing.T) {
 	if s := d.String(); s != "" || d.Err() == nil {
 		t.Fatalf("hostile string length: got %q, err %v", s, d.Err())
 	}
-	e.Reset()
+	e.buf = e.buf[:0]
 	e.Uvarint(1 << 40)
 	d = NewDecoder(e.Data())
 	if n := d.Len(); n != 0 || d.Err() == nil {
