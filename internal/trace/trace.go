@@ -268,7 +268,7 @@ func (s *Span) snapshot() SpanSnapshot {
 	return out
 }
 
-// Default ring capacities; override with SetCapacity before use.
+// Ring capacities of every tracer.
 const (
 	DefaultSpanCapacity  = 4096
 	DefaultEventCapacity = 2048

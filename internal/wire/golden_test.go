@@ -59,9 +59,9 @@ func goldenMessages() map[string]wire.Marshaler {
 		"renew_ext_resp":   core.RenewExtResp{DurMillis: 45_000},
 		"renew_batch_req":  core.RenewBatchReq{Items: []core.RenewExtReq{{LeaseID: "lease-1", DurMillis: 60_000}, {LeaseID: "lease-2", DurMillis: 30_000}}},
 		"renew_batch_resp": core.RenewBatchResp{Items: []core.RenewItemResp{{DurMillis: 60_000}, {DurMillis: 0, Err: "lease: expired"}}},
-		// The observability piggyback rides as optional trailing fields: the
-		// two vectors above pin that their absence keeps the old bytes, these
-		// pin the encoding when present.
+		// The observability piggyback: the two vectors above pin a renewal
+		// that asks for no report, these pin one that asks and one that
+		// carries it.
 		"renew_batch_req_obs": core.RenewBatchReq{Items: []core.RenewExtReq{{LeaseID: "lease-1", DurMillis: 60_000}}, WantObs: true},
 		"renew_batch_resp_obs": core.RenewBatchResp{
 			Items: []core.RenewItemResp{{DurMillis: 60_000}},
