@@ -183,7 +183,7 @@ func run() error {
 		Name:   "sweep",
 		Macros: []robot.Macro{{Motor: "arm", Delta: 10}, {Motor: "arm", Delta: 10}},
 		OnEvent: func(ev robot.SensorEvent) task.Decision {
-			fmt.Printf("   sensor %s reads %d: hardware frozen\n", ev.Sensor, ev.Value)
+			fmt.Printf("   sensor %s reads %d: hardware frozen\n", ev.Sensor, bumper.Read())
 			if err := tasks.Override(&task.Task{Name: "retreat", Macros: []robot.Macro{{Motor: "arm", Delta: -20}}}); err != nil {
 				fmt.Printf("   override refused: %v\n", err)
 			}

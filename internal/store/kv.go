@@ -120,6 +120,8 @@ func (kv *KV) Version(key string) int64 {
 }
 
 // Len returns the number of live keys.
+//
+//lint:allow shipped (test seam: store tests count live keys after replay)
 func (kv *KV) Len() int {
 	kv.mu.RLock()
 	defer kv.mu.RUnlock()
