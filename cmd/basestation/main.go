@@ -77,13 +77,7 @@ func run() error {
 		shards    = flag.Int("shards", 16, "node-table shards (lock stripes for adapt, renewal and reconcile)")
 		renewBat  = flag.Int("renew-batch", 64, "max leases coalesced into one batched renewal RPC per node")
 		renewWrk  = flag.Int("renew-workers", 8, "concurrent renewal RPC workers")
-		ovlOn     = flag.Bool("overload", true, "enable the overload control plane (adaptive concurrency limit, priority shedding)")
-		ovlInit   = flag.Int("overload-initial", 16, "starting concurrency limit")
-		ovlMin    = flag.Int("overload-min", 4, "concurrency limit floor under sustained saturation")
-		ovlMax    = flag.Int("overload-max", 256, "concurrency limit ceiling")
 		ovlQueue  = flag.Int("overload-queue", 128, "bounded wait-queue depth per priority class")
-		ovlTarget = flag.Duration("overload-target", 5*time.Millisecond, "queue-delay target; sustained waits above it halve the limit")
-		ovlEvery  = flag.Duration("overload-interval", 100*time.Millisecond, "limit adaptation interval")
 		ovlRetry  = flag.Duration("overload-retry-after", 250*time.Millisecond, "retry-after hint attached to shed responses")
 		ovlPRate  = flag.Float64("overload-peer-rate", 50, "per-peer token refill rate (calls/s) on governed methods (0 disables)")
 		ovlPBurst = flag.Float64("overload-peer-burst", 100, "per-peer token bucket capacity")
@@ -211,37 +205,24 @@ func run() error {
 
 	// The overload front sits innermost — after tracing has opened the server
 	// span, so sheds are visible in traces, but before any handler runs.
-	var handler transport.Handler = mux
-	var ovl *overload.Handler
-	if *ovlOn {
-		lim := overload.NewLimiter(overload.Config{
-			InitialLimit: *ovlInit,
-			MinLimit:     *ovlMin,
-			MaxLimit:     *ovlMax,
-			QueueDepth:   *ovlQueue,
-			Target:       *ovlTarget,
-			Interval:     *ovlEvery,
-			RetryAfter:   *ovlRetry,
+	lim := overload.NewLimiter(overload.Config{QueueDepth: *ovlQueue, RetryAfter: *ovlRetry})
+	lim.Instrument(reg)
+	var buckets *overload.Buckets
+	if *ovlPRate > 0 {
+		buckets = overload.NewBuckets(overload.BucketConfig{
+			Rate:  *ovlPRate,
+			Burst: *ovlPBurst,
+			Methods: []string{
+				core.MethodBasePost, core.MethodBaseOnService,
+				registry.MethodFind,
+			},
+			RetryAfter: *ovlRetry,
 		})
-		lim.Instrument(reg)
-		var buckets *overload.Buckets
-		if *ovlPRate > 0 {
-			buckets = overload.NewBuckets(overload.BucketConfig{
-				Rate:  *ovlPRate,
-				Burst: *ovlPBurst,
-				Methods: []string{
-					core.MethodBasePost, core.MethodBaseOnService,
-					registry.MethodFind,
-				},
-				RetryAfter: *ovlRetry,
-			})
-			buckets.Instrument(reg)
-		}
-		ovl = overload.Wrap(mux, lim, buckets, tracer)
-		handler = ovl
-		base.SetOverload(ovl.Snapshot)
+		buckets.Instrument(reg)
 	}
-	srv, err := transport.ServeTCP(*addr, transport.REDHandling(transport.TraceHandling(handler, tracer, *name), reg))
+	ovl := overload.Wrap(mux, lim, buckets, tracer)
+	base.SetOverload(ovl.Snapshot)
+	srv, err := transport.ServeTCP(*addr, transport.REDHandling(transport.TraceHandling(ovl, tracer, *name), reg))
 	if err != nil {
 		return err
 	}
@@ -267,12 +248,9 @@ func run() error {
 	health.RegisterValue("base.degraded_nodes", func() int64 { return int64(len(base.Degraded())) })
 	health.RegisterValue("base.renewal_backlog", func() int64 { return int64(base.RenewalBacklog()) })
 	health.RegisterValue("trace.spans_dropped", func() int64 { return int64(tracer.SpansDropped()) })
-	if ovl != nil {
-		health.RegisterValue("overload.limit", func() int64 { return int64(ovl.Snapshot().Limit) })
-		health.RegisterValue("overload.queued", func() int64 { return int64(ovl.Snapshot().Queued) })
-		health.RegisterValue("overload.sheds", func() int64 { return int64(ovl.Snapshot().Sheds()) })
-		health.RegisterValue("overload.expired_drops", func() int64 { return int64(ovl.Snapshot().ExpiredDrops) })
-	}
+	health.RegisterValue("overload.queued", func() int64 { return int64(ovl.Snapshot().Queued) })
+	health.RegisterValue("overload.sheds", func() int64 { return int64(ovl.Snapshot().Sheds()) })
+	health.RegisterValue("overload.expired_drops", func() int64 { return int64(ovl.Snapshot().ExpiredDrops) })
 	// One observability handler serves the ops RPC and the -http listener.
 	docs := metrics.NewHandler(reg, health, append([]metrics.Mount{
 		{Pattern: "/trace", Handler: trace.Handler(tracer)},

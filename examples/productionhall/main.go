@@ -138,7 +138,7 @@ func run() error {
 	callArm := func(who string, deg int64) {
 		v, err := svc.Call(fabric.Node(who), "robot-R", "Robot", "moveArm", who, lvm.Int(deg))
 		if err != nil {
-			fmt.Printf("   %-9s moveArm(%3d) -> DENIED (%v)\n", who, deg, shortErr(err))
+			fmt.Printf("   %-9s moveArm(%3d) -> DENIED (%v)\n", who, deg, err)
 			return
 		}
 		fmt.Printf("   %-9s moveArm(%3d) -> arm at %s\n", who, deg, v)
@@ -228,14 +228,6 @@ func names(r *core.Receiver) []string {
 		out = append(out, fmt.Sprintf("%s@v%d%s", i.Name, i.Version, tag))
 	}
 	return out
-}
-
-func shortErr(err error) string {
-	s := err.Error()
-	if len(s) > 70 {
-		s = s[len(s)-70:]
-	}
-	return s
 }
 
 func waitFor(cond func() bool) {

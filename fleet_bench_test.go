@@ -248,14 +248,16 @@ func benchRenewScheduler(b *testing.B, name string, observed bool) {
 	}
 }
 
-// BenchmarkFleetOverloadGoodput prices the overload control plane's core
-// promise: keepalive goodput holds under excess read load. Each op measures
+// BenchmarkFleetOverloadGoodput prices what the overload front costs the
+// base's keepalive work under excess read load. Each op measures
 // renewal-window wall time twice — uncontended, then with an open-loop read
 // flood offering 2× the rate the base-edge token buckets admit against the
-// overload-fronted query surface. The bucket sheds half the offered calls
-// before they touch the handler; cheap rejection is what keeps the contended
-// number within ~10% of the uncontended one. goodput_ratio in
-// BENCH_fleet.json records it.
+// overload-fronted query surface (/records over ops). The renewals are the
+// base's own midas.renewBatch calls to its nodes and never cross the front;
+// they compete with the flood only for the base's CPU. The bucket sheds half
+// the offered calls before they touch the handler; cheap rejection is what
+// keeps the contended number within ~10% of the uncontended one.
+// goodput_ratio in BENCH_fleet.json records it.
 func BenchmarkFleetOverloadGoodput(b *testing.B) {
 	// Each load generator is its own peer: the bucket admits floodAdmitRate
 	// queries/sec per peer, and the generator offers exactly twice that on a
@@ -271,13 +273,9 @@ func BenchmarkFleetOverloadGoodput(b *testing.B) {
 	for _, n := range fleetBenchSizes(b) {
 		b.Run(fmt.Sprintf("nodes=%d", n), func(b *testing.B) {
 			f := newBenchFleet(b, n, false)
-			// Real clock on the limiter and buckets: the AIMD controller and
-			// the refill arithmetic see the actual delays the flood produces.
-			lim := overload.NewLimiter(overload.Config{
-				InitialLimit: 16, MinLimit: 4, MaxLimit: 32,
-				QueueDepth: 16, Target: time.Millisecond,
-				Interval: 10 * time.Millisecond, RetryAfter: 5 * time.Millisecond,
-			})
+			// Real clock on the buckets: the refill arithmetic sees the
+			// actual pace of the flood.
+			lim := overload.NewLimiter(overload.Config{QueueDepth: 16, RetryAfter: 5 * time.Millisecond})
 			bk := overload.NewBuckets(overload.BucketConfig{
 				Rate: floodAdmitRate, Burst: floodBurst,
 				Methods: []string{transport.MethodOps},
@@ -392,7 +390,6 @@ func BenchmarkFleetOverloadGoodput(b *testing.B) {
 				"flood_sheds":               float64(floodSheds),
 				"peer_sheds":                float64(bk.Sheds()),
 				"expired_drops":             float64(snap.ExpiredDrops),
-				"limit_end":                 float64(snap.Limit),
 			})
 		})
 	}

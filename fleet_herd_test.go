@@ -1,10 +1,12 @@
-// Herd scenario: the overload control plane under the worst synchronized
-// burst a base station sees — an entire 10k-node fleet healing from a
-// partition at once, so every lease renewal lands in the same wheel tick,
-// while a read flood hammers the base's query surface. The run is seeded and
+// Herd scenario: the worst synchronized burst a base station sees — an
+// entire 10k-node fleet healing from a partition at once, so every lease
+// renewal lands in the same wheel tick — while a read flood hammers the
+// base's query surface. The renewals are the base's own midas.renewBatch
+// calls to its nodes, so they never cross the base's overload front; the
+// front sees only the flood's /records reads over ops. The run is seeded and
 // driven by the manual clock: every renewal must succeed (zero degrades,
-// zero expiries), the low-priority reads must shed, and a same-seed replay
-// must reproduce the shed counters bit for bit.
+// zero expiries), the per-peer buckets must shed the flood's excess reads,
+// and a same-seed replay must reproduce the shed counters bit for bit.
 package repro
 
 import (
@@ -86,16 +88,11 @@ func runFleetHerd(t *testing.T, seed int64, nNodes int) herdRun {
 	reg := metrics.New()
 	base.Instrument(reg)
 
-	// The overload front on the base's server side: adaptive limiter on the
-	// manual clock, plus per-peer token buckets on the query surface. Flood
-	// calls run sequentially in simulated time, so every bucket decision —
-	// and therefore every shed counter — is exactly reproducible.
-	lim := overload.NewLimiter(overload.Config{
-		InitialLimit: 64, MinLimit: 8, MaxLimit: 256,
-		QueueDepth: 64, Target: 5 * time.Millisecond,
-		Interval: 100 * time.Millisecond, RetryAfter: 250 * time.Millisecond,
-		Clock: clk,
-	})
+	// The overload front on the base's server side: the shipped limiter,
+	// plus per-peer token buckets on the query surface on the manual clock.
+	// Flood calls run sequentially in simulated time, so every bucket
+	// decision — and therefore every shed counter — is exactly reproducible.
+	lim := overload.NewLimiter(overload.Config{})
 	lim.Instrument(reg)
 	buckets := overload.NewBuckets(overload.BucketConfig{
 		Rate: 1, Burst: 5,
@@ -208,8 +205,8 @@ func runFleetHerd(t *testing.T, seed int64, nNodes int) herdRun {
 		fn.mu.Unlock()
 	}
 
-	// The low-priority class shed — and only it. Keepalives and mutations
-	// went untouched.
+	// Only the flood's reads shed, each at the per-peer buckets; nothing
+	// else crossing the front was shed or dropped.
 	snap := ovl.Snapshot()
 	wantSheds := uint64(3 * flooders)
 	if snap.ShedRead != wantSheds || snap.PeerSheds != wantSheds {
@@ -234,10 +231,12 @@ func runFleetHerd(t *testing.T, seed int64, nNodes int) herdRun {
 	return herdRun{snap: final, counters: snapMetrics.Counters, gauges: snapMetrics.Gauges}
 }
 
-// TestFleetHerdOverload is the fleet-scale proof for the overload control
-// plane: a synchronized 10k-node renewal herd rides through untouched while
-// the concurrent read flood sheds deterministically, and a same-seed replay
-// reproduces every shed counter bit for bit.
+// TestFleetHerdOverload runs a synchronized 10k-node renewal herd beside a
+// read flood on the base: every outbound renewal succeeds, the front sheds
+// only the flood's excess reads at the per-peer buckets, and a same-seed
+// replay reproduces every shed counter bit for bit. The herd's renewals do
+// not cross the front; TestRenewalStormBehindStalledStore (internal/overload)
+// gates keepalives that do.
 func TestFleetHerdOverload(t *testing.T) {
 	seed := testutil.SeedFromEnv(t, "FLEET_SEED", fleetSeedDefault)
 	nNodes := fleetNodeCount(t)

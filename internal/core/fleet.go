@@ -65,8 +65,8 @@ type (
 		Degraded []string
 		Reports  uint64
 		// Overload is the base's overload-control status (concurrency limit,
-		// queue depth, shed counters) when the control plane is enabled; nil
-		// otherwise.
+		// queue depth, shed counters) once SetOverload installed its source;
+		// nil otherwise.
 		Overload *overload.Snapshot
 	}
 )

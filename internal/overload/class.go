@@ -10,11 +10,11 @@ type Class int
 
 // Priority bands, highest first.
 const (
-	// ClassKeepalive is lease-keeping traffic: renewals and the anti-entropy
-	// inventory sweep. Shedding it converts congestion into expiries.
+	// ClassKeepalive is lease-keeping traffic: lookup registration and watch
+	// renewals. Shedding it converts congestion into expiries.
 	ClassKeepalive Class = iota
-	// ClassMutation is state-changing traffic: pushes, adaptations, revokes,
-	// registrations.
+	// ClassMutation is state-changing traffic: posts, service notices,
+	// registrations and watches.
 	ClassMutation
 	// ClassRead is observational traffic: lookups, status, metrics, analyses.
 	ClassRead
@@ -34,27 +34,22 @@ func (c Class) String() string {
 	}
 }
 
-// defaultClasses maps the platform's RPC surface onto the bands. The method
-// names are string literals rather than the core/registry constants so this
-// package sits below both (core imports overload for the fleet view).
+// defaultClasses maps the RPC surface the overload front serves — the base
+// station's lookup service, base and ops methods — onto the bands. The
+// method names are string literals rather than the core/registry constants
+// so this package sits below both (core imports overload for the fleet view).
 var defaultClasses = map[string]Class{
-	// Keepalive: lease renewals (singleton, batched, lookup-service) and the
-	// reconciliation inventory sweep.
-	"midas.renewBatch":  ClassKeepalive,
-	"midas.renew":       ClassKeepalive,
-	"midas.inventory":   ClassKeepalive,
+	// Keepalive: the lookup leases that nodes and the base's own watch renew.
 	"lookup.renew":      ClassKeepalive,
 	"lookup.renewWatch": ClassKeepalive,
 
-	// Mutations: extension pushes and revokes, adaptation lifecycle, service
-	// registry writes, and the adapted application calls a node serves.
-	"midas.applyBatch":  ClassMutation,
+	// Mutations: nodes' posts and service notices, and lookup registry
+	// writes.
 	"base.post":         ClassMutation,
 	"base.onservice":    ClassMutation,
 	"lookup.register":   ClassMutation,
 	"lookup.deregister": ClassMutation,
 	"lookup.watch":      ClassMutation,
-	"svc.invoke":        ClassMutation,
 
 	// Reads: lookups and the operator documents.
 	"ops":         ClassRead,

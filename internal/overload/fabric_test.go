@@ -47,7 +47,7 @@ func (h *blockingHandler) callCount() int {
 // handler ever running.
 func testDeadlineShed(t *testing.T, serve func(t *testing.T, h transport.Handler) (newCaller func() transport.Caller, addr string, stop func())) {
 	inner := &blockingHandler{release: make(chan struct{})}
-	lim := NewLimiter(Config{InitialLimit: 1, MinLimit: 1, MaxLimit: 1, QueueDepth: 4})
+	lim := NewLimiter(Config{Limit: 1, QueueDepth: 4})
 	newCaller, addr, stop := serve(t, Wrap(inner, lim, nil, nil))
 	defer stop()
 
@@ -132,7 +132,7 @@ func TestHandlerPeerRateShed(t *testing.T) {
 	clk := clock.NewManual(t0)
 	inner := &blockingHandler{} // nil release: never blocks
 	bk := NewBuckets(BucketConfig{Rate: 1, Burst: 2, Methods: []string{"ops"}, Clock: clk})
-	lim := NewLimiter(Config{Clock: clk})
+	lim := NewLimiter(Config{})
 	h := Wrap(inner, lim, bk, nil)
 
 	net := transport.NewInProc()

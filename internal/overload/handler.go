@@ -9,9 +9,9 @@ import (
 
 // Handler fronts a transport.Handler with the overload control plane:
 // per-peer token buckets first (cheapest check, and a misbehaving peer
-// shouldn't consume shared queue space), then the adaptive concurrency
-// limiter with its priority queues and deadline-aware drops, and only then
-// the wrapped handler. Because every fabric — in-proc, simnet, TCP — invokes
+// shouldn't consume shared queue space), then the concurrency limiter with
+// its priority queues and deadline-aware drops, and only then the wrapped
+// handler. Because every fabric — in-proc, simnet, TCP — invokes
 // servers through transport.Handler, one wrapper protects all three.
 type Handler struct {
 	inner   transport.Handler

@@ -1,21 +1,20 @@
-// Package overload is the server-side overload control plane: an adaptive
-// concurrency limiter with bounded per-priority queues, deadline-aware
-// shedding, and per-peer token buckets, fronting the Handler side of every
-// RPC fabric (in-proc, simnet, TCP — they all deliver through
-// transport.Handler.Handle, so one wrapper covers all three).
+// Package overload is the server-side overload control plane: a fixed
+// concurrency cap with bounded per-priority queues, deadline-aware shedding,
+// and per-peer token buckets, fronting the Handler side of every RPC fabric
+// (in-proc, simnet, TCP — they all deliver through transport.Handler.Handle,
+// so one wrapper covers all three).
 //
-// The concurrency limit adapts by AIMD on observed queue delay with a
-// CoDel-style target: each control interval, the limiter looks at the *best*
-// queue delay any admission saw — if even the best-treated request waited
-// past the target, the server is genuinely saturated (not just bursty) and
-// the limit halves; otherwise it creeps up by one. Requests beyond the limit
-// wait in one bounded FIFO per priority class, granted strictly
-// keepalive > mutation > read, so a renewal storm cuts the line past a
-// dashboard's reads. Requests that overflow their class queue are shed
-// immediately with transport.ErrOverloaded carrying a retry-after hint, and
-// requests whose deadline lapses before a slot frees are dropped without
+// Requests beyond the cap wait in one bounded FIFO per priority class,
+// granted strictly keepalive > mutation > read, so a renewal storm cuts the
+// line past a dashboard's reads. Requests that overflow their class queue are
+// shed immediately with transport.ErrOverloaded carrying a retry-after hint,
+// and requests whose deadline lapses before a slot frees are dropped without
 // invoking the handler — work for a caller that already gave up is the purest
 // waste an overloaded server can cut.
+//
+// The cap is fixed rather than adapted to queue delay: a slow handler is not
+// a saturated server, and a controller that halves the cap under slow
+// handlers overflows the keepalive queue it exists to protect.
 package overload
 
 import (
@@ -24,35 +23,19 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/clock"
 	"repro/internal/metrics"
 	"repro/internal/transport"
 )
 
 // Config tunes a Limiter. The zero value gets serviceable defaults.
 type Config struct {
-	// InitialLimit is the starting concurrency limit (default 16, clamped
-	// into [MinLimit, MaxLimit]).
-	InitialLimit int
-	// MinLimit is the AIMD floor — the limit a saturated server decays to
-	// (default 4).
-	MinLimit int
-	// MaxLimit is the AIMD ceiling (default 256).
-	MaxLimit int
+	// Limit caps the requests the wrapped handler runs at once (default 256).
+	Limit int
 	// QueueDepth bounds each priority class's wait queue; an arrival past it
 	// is shed (default 128).
 	QueueDepth int
-	// Target is the CoDel-style queue-delay target: when an interval's
-	// minimum observed queue delay exceeds it, the limit halves (default 5ms).
-	Target time.Duration
-	// Interval is the AIMD control interval (default 100ms).
-	Interval time.Duration
 	// RetryAfter is the hint attached to queue-overflow sheds (default 250ms).
 	RetryAfter time.Duration
-	// Clock times queue delays and control intervals (default the real
-	// clock). Point it at a manual clock to drive the limiter
-	// deterministically in simulation.
-	Clock clock.Clock
 }
 
 // waiter is one queued request. ready is closed by the granter after it has
@@ -61,7 +44,6 @@ type Config struct {
 type waiter struct {
 	class   Class
 	ready   chan struct{}
-	enq     time.Time
 	granted bool
 }
 
@@ -71,26 +53,20 @@ type limiterMetrics struct {
 	sheds    [numClasses]*metrics.Counter
 	expired  *metrics.Counter
 	admits   *metrics.Counter
-	limit    *metrics.Gauge
 	inflight *metrics.Gauge
 	queued   *metrics.Gauge
 }
 
-// Limiter is the adaptive concurrency limiter. Acquire blocks until the
-// request is admitted, sheds it, or its context dies; every successful
-// Acquire must be paired with exactly one Release.
+// Limiter is the concurrency limiter. Acquire blocks until the request is
+// admitted, sheds it, or its context dies; every successful Acquire must be
+// paired with exactly one Release.
 type Limiter struct {
 	cfg Config
-	clk clock.Clock
 
-	mu            sync.Mutex
-	limit         int
-	inflight      int
-	queues        [numClasses][]*waiter
-	queued        int
-	intervalStart time.Time
-	minDelay      time.Duration
-	haveSample    bool
+	mu       sync.Mutex
+	inflight int
+	queues   [numClasses][]*waiter
+	queued   int
 
 	sheds    [numClasses]uint64
 	expired  uint64
@@ -101,44 +77,20 @@ type Limiter struct {
 
 // NewLimiter returns a Limiter with cfg's gaps filled by defaults.
 func NewLimiter(cfg Config) *Limiter {
-	if cfg.MinLimit <= 0 {
-		cfg.MinLimit = 4
-	}
-	if cfg.MaxLimit < cfg.MinLimit {
-		cfg.MaxLimit = 256
-		if cfg.MaxLimit < cfg.MinLimit {
-			cfg.MaxLimit = cfg.MinLimit
-		}
-	}
-	if cfg.InitialLimit <= 0 {
-		cfg.InitialLimit = 16
-	}
-	if cfg.InitialLimit < cfg.MinLimit {
-		cfg.InitialLimit = cfg.MinLimit
-	}
-	if cfg.InitialLimit > cfg.MaxLimit {
-		cfg.InitialLimit = cfg.MaxLimit
+	if cfg.Limit <= 0 {
+		cfg.Limit = 256
 	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 128
 	}
-	if cfg.Target <= 0 {
-		cfg.Target = 5 * time.Millisecond
-	}
-	if cfg.Interval <= 0 {
-		cfg.Interval = 100 * time.Millisecond
-	}
 	if cfg.RetryAfter <= 0 {
 		cfg.RetryAfter = 250 * time.Millisecond
 	}
-	if cfg.Clock == nil {
-		cfg.Clock = clock.Real{}
-	}
-	return &Limiter{cfg: cfg, clk: cfg.Clock, limit: cfg.InitialLimit}
+	return &Limiter{cfg: cfg}
 }
 
-// Instrument mirrors shed/drop counters and the limit/inflight/queue gauges
-// into reg. A nil limiter or nil reg is a no-op.
+// Instrument mirrors shed/drop counters and the inflight/queue gauges into
+// reg. A nil limiter or nil reg is a no-op.
 func (l *Limiter) Instrument(reg *metrics.Registry) {
 	if l == nil || reg == nil {
 		return
@@ -150,14 +102,12 @@ func (l *Limiter) Instrument(reg *metrics.Registry) {
 	}
 	l.m.expired = reg.Counter("overload.expired_drops")
 	l.m.admits = reg.Counter("overload.admitted")
-	l.m.limit = reg.Gauge("overload.limit")
 	l.m.inflight = reg.Gauge("overload.inflight")
 	l.m.queued = reg.Gauge("overload.queued")
-	l.m.limit.Set(int64(l.limit))
 }
 
 // Acquire admits one request of the given class, blocking in the class's
-// bounded queue while the server is at its limit. It returns nil when the
+// bounded queue while the server is at its cap. It returns nil when the
 // caller owns an inflight slot (pair with Release), transport.ErrOverloaded
 // (with the retry-after hint) when the request is shed, or a wrapped context
 // error when the request's deadline died before a slot freed.
@@ -168,19 +118,13 @@ func (l *Limiter) Acquire(ctx context.Context, class Class) error {
 	// Deadline-aware shedding, step one: a request that arrives already dead
 	// is dropped before it queues — let alone runs.
 	if err := ctx.Err(); err != nil {
-		l.mu.Lock()
-		l.expired++
-		l.mu.Unlock()
-		l.m.expired.Inc()
+		l.countExpired()
 		return fmt.Errorf("overload: request expired before admission: %w", err)
 	}
-	now := l.clk.Now()
 	l.mu.Lock()
-	l.tickLocked(now)
-	if l.inflight < l.limit && l.queued == 0 {
+	if l.inflight < l.cfg.Limit && l.queued == 0 {
 		l.inflight++
 		l.admitted++
-		l.observeLocked(now, 0)
 		l.gaugesLocked()
 		l.mu.Unlock()
 		l.m.admits.Inc()
@@ -192,7 +136,7 @@ func (l *Limiter) Acquire(ctx context.Context, class Class) error {
 		l.m.sheds[class].Inc()
 		return transport.Overloaded(l.cfg.RetryAfter)
 	}
-	w := &waiter{class: class, ready: make(chan struct{}), enq: now}
+	w := &waiter{class: class, ready: make(chan struct{})}
 	l.queues[class] = append(l.queues[class], w)
 	l.queued++
 	l.gaugesLocked()
@@ -205,10 +149,7 @@ func (l *Limiter) Acquire(ctx context.Context, class Class) error {
 		// drop without invoking the handler.
 		if err := ctx.Err(); err != nil {
 			l.Release()
-			l.mu.Lock()
-			l.expired++
-			l.mu.Unlock()
-			l.m.expired.Inc()
+			l.countExpired()
 			return fmt.Errorf("overload: deadline expired in queue: %w", err)
 		}
 		return nil
@@ -224,12 +165,17 @@ func (l *Limiter) Acquire(ctx context.Context, class Class) error {
 			l.gaugesLocked()
 			l.mu.Unlock()
 		}
-		l.mu.Lock()
-		l.expired++
-		l.mu.Unlock()
-		l.m.expired.Inc()
+		l.countExpired()
 		return fmt.Errorf("overload: deadline expired in queue: %w", ctx.Err())
 	}
+}
+
+// countExpired records one deadline drop.
+func (l *Limiter) countExpired() {
+	l.mu.Lock()
+	l.expired++
+	l.mu.Unlock()
+	l.m.expired.Inc()
 }
 
 // shed records a shed that happened outside the limiter's own queues (the
@@ -246,24 +192,22 @@ func (l *Limiter) shed(class Class) {
 }
 
 // Release returns one inflight slot, handing it to the highest-priority
-// queued waiter if the limit allows.
+// queued waiter.
 func (l *Limiter) Release() {
 	if l == nil {
 		return
 	}
-	now := l.clk.Now()
 	l.mu.Lock()
 	l.inflight--
-	l.tickLocked(now)
-	l.pumpLocked(now)
+	l.pumpLocked()
 	l.gaugesLocked()
 	l.mu.Unlock()
 }
 
-// pumpLocked grants freed or newly raised capacity to queued waiters,
-// highest class first, FIFO within a class.
-func (l *Limiter) pumpLocked(now time.Time) {
-	for l.inflight < l.limit && l.queued > 0 {
+// pumpLocked grants freed capacity to queued waiters, highest class first,
+// FIFO within a class.
+func (l *Limiter) pumpLocked() {
+	for l.inflight < l.cfg.Limit && l.queued > 0 {
 		var w *waiter
 		for c := 0; c < numClasses; c++ {
 			if q := l.queues[c]; len(q) > 0 {
@@ -279,7 +223,6 @@ func (l *Limiter) pumpLocked(now time.Time) {
 		l.inflight++
 		l.admitted++
 		w.granted = true
-		l.observeLocked(now, now.Sub(w.enq))
 		close(w.ready)
 		l.m.admits.Inc()
 	}
@@ -297,51 +240,8 @@ func (l *Limiter) removeLocked(w *waiter) {
 	}
 }
 
-// observeLocked feeds one admission's queue delay into the controller. CoDel
-// tracks the interval *minimum*: a high minimum means every request waited —
-// standing saturation — while a high p99 alone is just a burst.
-func (l *Limiter) observeLocked(now time.Time, delay time.Duration) {
-	if !l.haveSample || delay < l.minDelay {
-		l.minDelay = delay
-		l.haveSample = true
-	}
-	l.tickLocked(now)
-}
-
-// tickLocked closes out an elapsed control interval: multiplicative decrease
-// when even the best-treated admission waited past Target, additive increase
-// otherwise. Intervals with no admissions adjust nothing.
-func (l *Limiter) tickLocked(now time.Time) {
-	if l.intervalStart.IsZero() {
-		l.intervalStart = now
-		return
-	}
-	if now.Sub(l.intervalStart) < l.cfg.Interval {
-		return
-	}
-	// Close the interval before acting on it: pumpLocked re-enters here via
-	// observeLocked, and a stale intervalStart would double-adjust.
-	sampled, minDelay := l.haveSample, l.minDelay
-	l.intervalStart = now
-	l.haveSample = false
-	if !sampled {
-		return
-	}
-	if minDelay > l.cfg.Target {
-		l.limit /= 2
-		if l.limit < l.cfg.MinLimit {
-			l.limit = l.cfg.MinLimit
-		}
-	} else if l.limit < l.cfg.MaxLimit {
-		l.limit++
-		l.pumpLocked(now)
-	}
-	l.m.limit.Set(int64(l.limit))
-}
-
 // gaugesLocked refreshes the instantaneous instruments.
 func (l *Limiter) gaugesLocked() {
-	l.m.limit.Set(int64(l.limit))
 	l.m.inflight.Set(int64(l.inflight))
 	l.m.queued.Set(int64(l.queued))
 }
@@ -370,7 +270,7 @@ func (s Snapshot) Sheds() uint64 {
 	return s.ShedKeepalive + s.ShedMutation + s.ShedRead
 }
 
-// Snapshot returns the limiter's current state and cumulative counters.
+// Snapshot returns the limiter's cap, current state and cumulative counters.
 // Nil-safe.
 func (l *Limiter) Snapshot() Snapshot {
 	if l == nil {
@@ -379,7 +279,7 @@ func (l *Limiter) Snapshot() Snapshot {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return Snapshot{
-		Limit:         l.limit,
+		Limit:         l.cfg.Limit,
 		Inflight:      l.inflight,
 		Queued:        l.queued,
 		Admitted:      l.admitted,

@@ -4,11 +4,11 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/clock"
-	"repro/internal/metrics"
 	"repro/internal/testutil"
 	"repro/internal/transport"
 )
@@ -19,8 +19,7 @@ var t0 = time.Date(2003, 9, 1, 0, 0, 0, 0, time.UTC)
 // grant order: with one slot held and one waiter queued per class (enqueued
 // lowest-priority first), releases grant in class order, not arrival order.
 func TestLimiterPriorityOrder(t *testing.T) {
-	clk := clock.NewManual(t0)
-	lim := NewLimiter(Config{InitialLimit: 1, MinLimit: 1, MaxLimit: 1, Clock: clk})
+	lim := NewLimiter(Config{Limit: 1})
 	if err := lim.Acquire(context.Background(), ClassRead); err != nil {
 		t.Fatalf("initial acquire: %v", err)
 	}
@@ -55,11 +54,7 @@ func TestLimiterPriorityOrder(t *testing.T) {
 // TestLimiterQueueShed proves a bounded queue sheds its overflow with the
 // overload sentinel and the configured retry-after hint.
 func TestLimiterQueueShed(t *testing.T) {
-	clk := clock.NewManual(t0)
-	lim := NewLimiter(Config{
-		InitialLimit: 1, MinLimit: 1, MaxLimit: 1,
-		QueueDepth: 1, RetryAfter: 250 * time.Millisecond, Clock: clk,
-	})
+	lim := NewLimiter(Config{Limit: 1, QueueDepth: 1, RetryAfter: 250 * time.Millisecond})
 	if err := lim.Acquire(context.Background(), ClassRead); err != nil {
 		t.Fatalf("initial acquire: %v", err)
 	}
@@ -90,72 +85,92 @@ func TestLimiterQueueShed(t *testing.T) {
 	wg.Wait()
 }
 
-// TestLimiterAIMD drives the controller through both branches on a manual
-// clock: an interval whose best admission was instant raises the limit by
-// one, an interval whose best admission still waited past Target halves it.
-func TestLimiterAIMD(t *testing.T) {
-	clk := clock.NewManual(t0)
-	lim := NewLimiter(Config{
-		InitialLimit: 2, MinLimit: 1, MaxLimit: 8,
-		Interval: 100 * time.Millisecond, Target: 5 * time.Millisecond,
-		QueueDepth: 10, Clock: clk,
-	})
-	reg := metrics.New()
-	lim.Instrument(reg)
+// stalledStore stands in for a base station whose movement store has
+// stalled: base.post blocks until release closes, and every other method is
+// answered at once. It counts the lookup.renew calls it ran.
+type stalledStore struct {
+	release chan struct{}
+	renews  atomic.Int64
+}
 
-	// Two fast-path admissions at t0 observe zero queue delay.
-	for i := 0; i < 2; i++ {
-		if err := lim.Acquire(context.Background(), ClassRead); err != nil {
-			t.Fatalf("acquire %d: %v", i, err)
-		}
+func (h *stalledStore) Handle(ctx context.Context, method string, body []byte) ([]byte, error) {
+	switch method {
+	case "base.post":
+		<-h.release
+	case "lookup.renew":
+		h.renews.Add(1)
 	}
-	// Two waiters queue behind them.
-	release := make(chan struct{})
+	return nil, nil
+}
+
+// TestRenewalStormBehindStalledStore is the gate for the shipped cap: with 64
+// posts held by a stalled store, a storm of 200 lookup renewals arriving
+// behind them must land in full, none shed. A cap that had shrunk to the
+// posts it holds would queue the storm behind them and overflow the
+// keepalive queue.
+func TestRenewalStormBehindStalledStore(t *testing.T) {
+	const posts, renews = 64, 200
+	inner := &stalledStore{release: make(chan struct{})}
+	lim := NewLimiter(Config{})
+	h := Wrap(inner, lim, nil, nil)
+	call := func(method string) error {
+		_, err := h.Handle(context.Background(), method, nil)
+		return err
+	}
+
 	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
+	for i := 0; i < posts; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := lim.Acquire(context.Background(), ClassRead); err != nil {
-				t.Errorf("queued acquire: %v", err)
-				return
+			if err := call("base.post"); err != nil {
+				t.Errorf("post: %v", err)
 			}
-			<-release
-			lim.Release()
 		}()
 	}
-	testutil.WaitFor(t, "two queued", func() bool { return lim.Snapshot().Queued == 2 })
+	testutil.WaitFor(t, "posts held", func() bool {
+		s := lim.Snapshot()
+		return s.Inflight+s.Queued == posts
+	})
 
-	// Interval 1 closes with min delay 0 → additive increase, and the raised
-	// limit pumps both waiters, each having queued 120ms.
-	clk.Advance(120 * time.Millisecond)
-	lim.Release()
-	testutil.WaitFor(t, "waiters granted", func() bool { return lim.Snapshot().Queued == 0 })
-	if s := lim.Snapshot(); s.Limit != 3 {
-		t.Fatalf("limit after uncongested interval = %d, want 3", s.Limit)
+	queuedBefore := lim.Snapshot().Queued
+	errs := make(chan error, renews)
+	for i := 0; i < renews; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs <- call("lookup.renew")
+		}()
 	}
-
-	// Interval 2 closes with min delay 120ms > target → multiplicative
-	// decrease.
-	clk.Advance(120 * time.Millisecond)
-	lim.Release()
-	if s := lim.Snapshot(); s.Limit != 1 {
-		t.Fatalf("limit after congested interval = %d, want 1", s.Limit)
-	}
-	if g := testutil.Gauge(reg, "overload.limit"); g != 1 {
-		t.Fatalf("overload.limit gauge = %d, want 1", g)
-	}
-	close(release)
+	testutil.WaitFor(t, "storm landed, shed or queued", func() bool {
+		s := lim.Snapshot()
+		return int(inner.renews.Load())+int(s.ShedKeepalive)+s.Queued-queuedBefore == renews
+	})
+	snap := lim.Snapshot()
+	close(inner.release)
 	wg.Wait()
-	if s := lim.Snapshot(); s.Inflight != 0 {
-		t.Fatalf("inflight after drain = %d, want 0", s.Inflight)
+	close(errs)
+
+	landed, shed := 0, 0
+	for err := range errs {
+		switch {
+		case err == nil:
+			landed++
+		case errors.Is(err, transport.ErrOverloaded):
+			shed++
+		default:
+			t.Errorf("renew: %v", err)
+		}
+	}
+	if landed != renews || shed != 0 {
+		t.Fatalf("renewals landed %d, shed %d; want %d, 0 (limiter during the storm: %+v)", landed, shed, renews, snap)
 	}
 }
 
 // TestLimiterExpiredBeforeAdmission proves a request that arrives already
 // past its deadline is dropped without consuming a slot.
 func TestLimiterExpiredBeforeAdmission(t *testing.T) {
-	lim := NewLimiter(Config{Clock: clock.NewManual(t0)})
+	lim := NewLimiter(Config{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	err := lim.Acquire(ctx, ClassKeepalive)
@@ -170,8 +185,7 @@ func TestLimiterExpiredBeforeAdmission(t *testing.T) {
 // TestLimiterExpiredInQueue proves a waiter whose context dies while queued
 // is unlinked and counted, and the queue keeps flowing afterwards.
 func TestLimiterExpiredInQueue(t *testing.T) {
-	clk := clock.NewManual(t0)
-	lim := NewLimiter(Config{InitialLimit: 1, MinLimit: 1, MaxLimit: 1, Clock: clk})
+	lim := NewLimiter(Config{Limit: 1})
 	if err := lim.Acquire(context.Background(), ClassRead); err != nil {
 		t.Fatalf("initial acquire: %v", err)
 	}
@@ -196,17 +210,14 @@ func TestLimiterExpiredInQueue(t *testing.T) {
 // TestClassify pins the method→class table and the unknown-method default.
 func TestClassify(t *testing.T) {
 	cases := map[string]Class{
-		"midas.renewBatch": ClassKeepalive,
-		"midas.renew":      ClassKeepalive,
-		"midas.inventory":  ClassKeepalive,
-		"lookup.renew":     ClassKeepalive,
-		"midas.applyBatch": ClassMutation,
-		"base.post":        ClassMutation,
-		"lookup.register":  ClassMutation,
-		"svc.invoke":       ClassMutation,
-		"ops":              ClassRead,
-		"lookup.find":      ClassRead,
-		"no.such.method":   ClassMutation, // unknown defaults to the middle band
+		"lookup.renew":      ClassKeepalive,
+		"lookup.renewWatch": ClassKeepalive,
+		"base.post":         ClassMutation,
+		"lookup.register":   ClassMutation,
+		"ops":               ClassRead,
+		"lookup.find":       ClassRead,
+		"midas.renewBatch":  ClassMutation, // a node's method: the front never serves it
+		"no.such.method":    ClassMutation, // unknown defaults to the middle band
 	}
 	for m, want := range cases {
 		if got := Classify(m); got != want {

@@ -6,19 +6,15 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/core"
-	"repro/internal/lvm"
 	"repro/internal/overload"
 	"repro/internal/registry"
-	"repro/internal/sandbox"
 	"repro/internal/sign"
-	"repro/internal/svc"
 	"repro/internal/transport"
-	"repro/internal/weave"
 )
 
-// servedMethods lists every method a base station's mux (cmd/basestation:
-// lookup service, base, ops) or a node's mux (cmd/node: services, receiver,
-// ops) serves.
+// servedMethods lists every method a base station's mux serves
+// (cmd/basestation: lookup service, base, ops), the one surface the overload
+// front wraps.
 func servedMethods(t *testing.T) map[string]bool {
 	t.Helper()
 	caller := transport.NewInProc().Node("hall-1")
@@ -31,30 +27,15 @@ func servedMethods(t *testing.T) map[string]bool {
 		t.Fatal(err)
 	}
 	t.Cleanup(base.Close)
-	baseMux := transport.NewMux()
-	lookup := registry.NewServer(registry.NewLookup(clock.Real{}), baseMux, caller, clock.Real{})
+	mux := transport.NewMux()
+	lookup := registry.NewServer(registry.NewLookup(clock.Real{}), mux, caller, clock.Real{})
 	t.Cleanup(lookup.Close)
-	base.ServeOn(baseMux)
-	transport.ServeOps(baseMux, nil)
-
-	weaver := weave.New()
-	receiver, err := core.NewReceiver(core.ReceiverConfig{
-		NodeName: "robot-1", Addr: "robot-1", Weaver: weaver, Trust: sign.NewTrustStore(),
-		Policy: sandbox.AllowAll(), Host: lvm.HostMap{},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	nodeMux := transport.NewMux()
-	svc.NewRegistry(weaver).ServeOn(nodeMux)
-	receiver.ServeOn(nodeMux)
-	transport.ServeOps(nodeMux, nil)
+	base.ServeOn(mux)
+	transport.ServeOps(mux, nil)
 
 	served := make(map[string]bool)
-	for _, mux := range []*transport.Mux{baseMux, nodeMux} {
-		for _, m := range mux.Methods() {
-			served[m] = true
-		}
+	for _, m := range mux.Methods() {
+		served[m] = true
 	}
 	return served
 }
