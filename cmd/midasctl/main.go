@@ -328,7 +328,7 @@ func writeAnalysis(w io.Writer, rep core.AnalysisReport) {
 	if rep.FuelBounded {
 		fmt.Fprintf(w, "fuel: bounded, <= %d steps per activation\n", rep.FuelSteps)
 	} else {
-		fmt.Fprintln(w, "fuel: unbounded (interpreter cap applies)")
+		fmt.Fprintln(w, "fuel: unbounded (default step cap applies)")
 	}
 	for _, warn := range rep.Warnings {
 		fmt.Fprintf(w, "warning: %s\n", warn)

@@ -16,7 +16,11 @@ type Context struct {
 	Sig   Signature
 	Field string // field name for field join points
 
-	Self   *lvm.Object
+	Self *lvm.Object
+	// Args is valid only during the join point's dispatch: at an LVM call
+	// it is a view of the caller's operand stack, which the caller reuses
+	// once the call returns. Advice that keeps an argument past its Exec
+	// copies the Value (a Value is safe to keep; the slice is not).
 	Args   []lvm.Value
 	Result lvm.Value
 	ErrMsg string // exception message at throw/handler join points

@@ -292,16 +292,50 @@ func TestAdviceMaxSteps(t *testing.T) {
 func TestCompileAdviceBudgetEnforced(t *testing.T) {
 	// A bounded advice runs within its statically-derived budget; the budget
 	// is tight enough that the analysis, not the legacy cap, set it.
-	body, err := CompileAdvice(auditSource, hostEcho{})
+	a, err := analyzeAdvice(auditSource)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cb := body.(*codeBody)
-	if cb.interp.MaxSteps >= defaultAdviceMaxSteps {
-		t.Errorf("MaxSteps = %d, want a tight static bound", cb.interp.MaxSteps)
+	if got := adviceMaxSteps(a.rep.Fuel); got >= defaultAdviceMaxSteps {
+		t.Errorf("budget = %d, want a tight static bound", got)
 	}
-	if err := cb.Exec(nil); err != nil {
+	body, err := a.compile(hostEcho{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := body.Exec(nil); err != nil {
 		t.Errorf("advice exceeded its statically-derived budget: %v", err)
+	}
+
+	// The compiled body runs under exactly that budget: a three-instruction
+	// loop given a bound of 10 steps (a budget of 18) makes 6 host calls.
+	loop, err := analyzeAdvice(`
+class Ext
+  method void advice()
+  loop:
+    hostcall log.info 0
+    pop
+    jmp loop
+  end
+end`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := *loop.rep
+	rep.Fuel = analysis.Fuel{Bounded: true, Steps: 10}
+	loop.rep = &rep
+	host := sandbox.NewHost(lvm.HostMap{
+		"log.info": func([]lvm.Value) (lvm.Value, error) { return lvm.Nil(), nil },
+	}, sandbox.NewPerms())
+	body, err = loop.compile(host)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := body.Exec(&aop.Context{}); !errors.Is(err, lvm.ErrStepBudget) {
+		t.Fatalf("looping advice: err = %v, want the step budget", err)
+	}
+	if got := host.CallCount("log.info"); got != 6 {
+		t.Errorf("looping advice made %d host calls under an 18-step budget, want 6", got)
 	}
 }
 
@@ -468,8 +502,8 @@ func BenchmarkHostDispatchChecked(b *testing.B) {
 }
 
 // BenchmarkHostDispatchProven measures the same advice after admission
-// analysis proved the capability check dead: the interpreter dispatches
-// store.get straight to the inner host, skipping the gate entirely.
+// analysis proved the capability check dead: the compiled advice calls
+// store.get's function directly, skipping the gate entirely.
 func BenchmarkHostDispatchProven(b *testing.B) {
 	host := sandbox.NewHost(hostEcho{}, sandbox.NewPerms(sandbox.CapStore))
 	host.Prove("store.get")

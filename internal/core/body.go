@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"repro/internal/aop"
+	"repro/internal/jit"
 	"repro/internal/lvm"
 	"repro/internal/lvm/analysis"
 	"repro/internal/metrics"
@@ -84,8 +85,8 @@ const (
 	AdviceMethod = "advice"
 )
 
-// defaultAdviceMaxSteps is the interpreter budget for advice whose cost the
-// static analyzer could not bound (loops, recursion).
+// defaultAdviceMaxSteps is the fuel budget, in executed instructions, for
+// advice whose cost the static analyzer could not bound (loops, recursion).
 const defaultAdviceMaxSteps = 200_000
 
 // CompileAdvice assembles mobile advice source and wraps it as an aop.Body
@@ -96,7 +97,7 @@ func CompileAdvice(source string, host lvm.Host) (aop.Body, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: advice code rejected: %w", err)
 	}
-	return a.compile(host), nil
+	return a.compile(host)
 }
 
 // adviceProgram is one mobile advice, assembled, shape-checked and analysed
@@ -114,8 +115,7 @@ type adviceProgram struct {
 // the static analyzer over it. Mobile code is verified before it is ever
 // executed: the analyzer checks operand ranges, jump targets, stack
 // discipline and typed operand use across all paths (strictly stronger than
-// lvm.VerifyProgram), and its cost analysis sizes the interpreter's fuel
-// budget.
+// lvm.VerifyProgram), and its cost analysis sizes the advice's fuel budget.
 func analyzeAdvice(source string) (*adviceProgram, error) {
 	prog, err := lvm.Assemble(source)
 	if err != nil {
@@ -208,17 +208,25 @@ func (c *adviceCache) vet(source string) (*adviceProgram, error) {
 	return a, nil
 }
 
-// compile wraps the analysed advice as a body dispatching host calls to host.
-func (a *adviceProgram) compile(host lvm.Host) aop.Body {
-	b := &codeBody{prog: a.prog, meth: a.meth, self: a.cls.New()}
-	b.interp = lvm.NewInterp(a.prog, &ctxHost{inner: host, body: b})
-	b.interp.MaxSteps = int64(adviceMaxSteps(a.rep.Fuel))
-	return b
+// compile builds a body running the analysed advice on the JIT: a machine of
+// its own, with no weaver (advice is never woven itself), whose host calls
+// go through host plus the ctx.* join-point accessors. The advice method is
+// compiled and bound here, once per install.
+func (a *adviceProgram) compile(host lvm.Host) (aop.Body, error) {
+	b := &codeBody{}
+	m := jit.NewMachine(a.prog, nil, &ctxHost{inner: host, body: b})
+	m.MaxSteps = int64(adviceMaxSteps(a.rep.Fuel))
+	run, err := m.Bind(a.meth, a.cls.New())
+	if err != nil {
+		return nil, err
+	}
+	b.run = run
+	return b, nil
 }
 
-// adviceMaxSteps converts a static fuel verdict into an interpreter budget:
-// provably bounded advice runs under its exact bound (small slack for the
-// invoke overhead), everything else keeps the legacy fixed cap.
+// adviceMaxSteps converts a static fuel verdict into a step budget: provably
+// bounded advice runs under its exact bound (small slack for the invoke
+// overhead), everything else keeps the legacy fixed cap.
 func adviceMaxSteps(f analysis.Fuel) int {
 	if f.Bounded {
 		return f.Steps + 8
@@ -227,14 +235,12 @@ func adviceMaxSteps(f analysis.Fuel) int {
 }
 
 // codeBody executes one mobile advice method. Executions are serialised per
-// body so the ctx.* host accessors see a consistent join point.
+// body so the ctx.* host accessors see a consistent join point, and so the
+// bound method's execution state is never shared.
 type codeBody struct {
-	mu     sync.Mutex
-	prog   *lvm.Program
-	meth   *lvm.Method
-	self   *lvm.Object
-	interp *lvm.Interp
-	cur    *aop.Context
+	mu  sync.Mutex
+	run *jit.Bound
+	cur *aop.Context
 }
 
 // Exec implements aop.Body.
@@ -243,12 +249,91 @@ func (b *codeBody) Exec(ctx *aop.Context) error {
 	defer b.mu.Unlock()
 	b.cur = ctx
 	defer func() { b.cur = nil }()
-	_, err := b.interp.Invoke(b.meth, b.self, nil)
+	_, err := b.run.Invoke(nil)
 	return err
 }
 
+// ctxFunc is a join-point accessor: it serves one ctx.* host call against the
+// join point the body is executing at.
+type ctxFunc func(ctx *aop.Context, args []lvm.Value) (lvm.Value, error)
+
+// ctxFuncs are the ctx.* host functions of mobile advice.
+var ctxFuncs = map[string]ctxFunc{
+	"ctx.kind": func(ctx *aop.Context, _ []lvm.Value) (lvm.Value, error) {
+		return lvm.Str(ctx.Kind.String()), nil
+	},
+	"ctx.class": func(ctx *aop.Context, _ []lvm.Value) (lvm.Value, error) {
+		return lvm.Str(ctx.Sig.Class), nil
+	},
+	"ctx.method": func(ctx *aop.Context, _ []lvm.Value) (lvm.Value, error) {
+		return lvm.Str(ctx.Sig.Method), nil
+	},
+	"ctx.field": func(ctx *aop.Context, _ []lvm.Value) (lvm.Value, error) {
+		return lvm.Str(ctx.Field), nil
+	},
+	"ctx.errmsg": func(ctx *aop.Context, _ []lvm.Value) (lvm.Value, error) {
+		return lvm.Str(ctx.ErrMsg), nil
+	},
+	"ctx.argc": func(ctx *aop.Context, _ []lvm.Value) (lvm.Value, error) {
+		return lvm.Int(int64(len(ctx.Args))), nil
+	},
+	"ctx.arg": func(ctx *aop.Context, args []lvm.Value) (lvm.Value, error) {
+		if len(args) != 1 {
+			return lvm.Nil(), lvm.Throwf("ctx.arg needs an index")
+		}
+		return ctx.Arg(int(args[0].I)), nil
+	},
+	"ctx.setarg": func(ctx *aop.Context, args []lvm.Value) (lvm.Value, error) {
+		if len(args) != 2 {
+			return lvm.Nil(), lvm.Throwf("ctx.setarg needs index and value")
+		}
+		ctx.SetArg(int(args[0].I), args[1])
+		return lvm.Nil(), nil
+	},
+	"ctx.result": func(ctx *aop.Context, _ []lvm.Value) (lvm.Value, error) {
+		return ctx.Result, nil
+	},
+	"ctx.setresult": func(ctx *aop.Context, args []lvm.Value) (lvm.Value, error) {
+		if len(args) != 1 {
+			return lvm.Nil(), lvm.Throwf("ctx.setresult needs a value")
+		}
+		ctx.SetResult(args[0])
+		return lvm.Nil(), nil
+	},
+	"ctx.abort": func(ctx *aop.Context, args []lvm.Value) (lvm.Value, error) {
+		msg := "aborted by extension"
+		if len(args) > 0 {
+			msg = args[0].String()
+		}
+		ctx.Abort(msg)
+		return lvm.Nil(), nil
+	},
+	"ctx.put": func(ctx *aop.Context, args []lvm.Value) (lvm.Value, error) {
+		if len(args) != 2 {
+			return lvm.Nil(), lvm.Throwf("ctx.put needs key and value")
+		}
+		ctx.Put(args[0].S, args[1])
+		return lvm.Nil(), nil
+	},
+	"ctx.get": func(ctx *aop.Context, args []lvm.Value) (lvm.Value, error) {
+		if len(args) != 1 {
+			return lvm.Nil(), lvm.Throwf("ctx.get needs a key")
+		}
+		v, _ := ctx.Get(args[0].S)
+		return v, nil
+	},
+	"ctx.selfget": func(ctx *aop.Context, args []lvm.Value) (lvm.Value, error) {
+		if len(args) != 1 || ctx.Self == nil {
+			return lvm.Nil(), nil
+		}
+		v, _ := ctx.Self.FieldByName(args[0].S)
+		return v, nil
+	},
+}
+
 // ctxHost layers the ctx.* join-point accessors over the node host. All
-// other calls fall through to the (typically sandbox-gated) inner host.
+// other calls fall through to the (typically sandbox-gated) inner host. It
+// keeps no argument past a call: the accessors copy the Values they store.
 type ctxHost struct {
 	inner lvm.Host
 	body  *codeBody
@@ -256,64 +341,8 @@ type ctxHost struct {
 
 // HostCall implements lvm.Host.
 func (h *ctxHost) HostCall(name string, args []lvm.Value) (lvm.Value, error) {
-	ctx := h.body.cur
-	switch name {
-	case "ctx.kind":
-		return lvm.Str(ctx.Kind.String()), nil
-	case "ctx.class":
-		return lvm.Str(ctx.Sig.Class), nil
-	case "ctx.method":
-		return lvm.Str(ctx.Sig.Method), nil
-	case "ctx.field":
-		return lvm.Str(ctx.Field), nil
-	case "ctx.errmsg":
-		return lvm.Str(ctx.ErrMsg), nil
-	case "ctx.argc":
-		return lvm.Int(int64(len(ctx.Args))), nil
-	case "ctx.arg":
-		if len(args) != 1 {
-			return lvm.Nil(), lvm.Throwf("ctx.arg needs an index")
-		}
-		return ctx.Arg(int(args[0].I)), nil
-	case "ctx.setarg":
-		if len(args) != 2 {
-			return lvm.Nil(), lvm.Throwf("ctx.setarg needs index and value")
-		}
-		ctx.SetArg(int(args[0].I), args[1])
-		return lvm.Nil(), nil
-	case "ctx.result":
-		return ctx.Result, nil
-	case "ctx.setresult":
-		if len(args) != 1 {
-			return lvm.Nil(), lvm.Throwf("ctx.setresult needs a value")
-		}
-		ctx.SetResult(args[0])
-		return lvm.Nil(), nil
-	case "ctx.abort":
-		msg := "aborted by extension"
-		if len(args) > 0 {
-			msg = args[0].String()
-		}
-		ctx.Abort(msg)
-		return lvm.Nil(), nil
-	case "ctx.put":
-		if len(args) != 2 {
-			return lvm.Nil(), lvm.Throwf("ctx.put needs key and value")
-		}
-		ctx.Put(args[0].S, args[1])
-		return lvm.Nil(), nil
-	case "ctx.get":
-		if len(args) != 1 {
-			return lvm.Nil(), lvm.Throwf("ctx.get needs a key")
-		}
-		v, _ := ctx.Get(args[0].S)
-		return v, nil
-	case "ctx.selfget":
-		if len(args) != 1 || ctx.Self == nil {
-			return lvm.Nil(), nil
-		}
-		v, _ := ctx.Self.FieldByName(args[0].S)
-		return v, nil
+	if f, ok := ctxFuncs[name]; ok {
+		return f(h.body.cur, args)
 	}
 	if h.inner == nil {
 		return lvm.Nil(), lvm.Throwf("no host environment for %s", name)
@@ -321,10 +350,15 @@ func (h *ctxHost) HostCall(name string, args []lvm.Value) (lvm.Value, error) {
 	return h.inner.HostCall(name, args)
 }
 
-// Prechecked implements lvm.PrecheckedHost. ctx.* calls are served locally
-// (and need the current join point, so they never bypass this layer); every
-// other function delegates the proof query to the inner host.
-func (h *ctxHost) Prechecked(name string) lvm.Host {
+// Prechecked implements lvm.PrecheckedHost. A ctx.* accessor resolves to a
+// closure over this body, so it still reads the current join point through
+// this layer; every other function delegates the proof query to the inner
+// host.
+func (h *ctxHost) Prechecked(name string) lvm.HostFunc {
+	if f, ok := ctxFuncs[name]; ok {
+		b := h.body
+		return func(args []lvm.Value) (lvm.Value, error) { return f(b.cur, args) }
+	}
 	if strings.HasPrefix(name, "ctx.") {
 		return nil
 	}

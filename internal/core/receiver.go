@@ -365,7 +365,7 @@ func (r *Receiver) install(ctx context.Context, ext Extension, signer, baseAddr 
 		if spec.Builtin != "" {
 			body, err = r.cfg.Builtins.New(spec.Builtin, env, spec.Config)
 		} else {
-			body = progs[i].compile(gated)
+			body, err = progs[i].compile(gated)
 		}
 		if err != nil {
 			return "", "", fmt.Errorf("core: extension %q advice %q: %w", ext.Name, spec.Name, err)

@@ -2,6 +2,9 @@ package jit
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
+	"sync/atomic"
 
 	"repro/internal/aop"
 	"repro/internal/lvm"
@@ -11,18 +14,27 @@ import (
 // compile translates a method's bytecode into a closure chain and, when a
 // weaver is attached, registers its join-point sites and plants stubs.
 func (m *Machine) compile(meth *lvm.Method) (*compiled, error) {
+	// Verified code gets a stack of exactly its depth; code the verifier
+	// rejects (the JIT runs unverified local programs too) starts from a
+	// generous guess and grows on demand.
+	maxStack, err := lvm.MaxStack(m.Prog, meth)
+	if err != nil {
+		maxStack = len(meth.Code) + 2
+	}
 	c := &compiled{
 		m:        meth,
+		sig:      aop.SignatureOf(meth),
 		steps:    make([]stepFn, len(meth.Code)),
-		maxStack: len(meth.Code) + 2,
+		arity:    meth.Arity(),
+		nLocals:  meth.FrameSize(),
+		maxStack: maxStack,
 	}
 	if m.Weaver != nil {
-		sig := aop.SignatureOf(meth)
-		c.entrySite = m.Weaver.RegisterMethodSite(aop.MethodEntry, sig)
-		c.exitSite = m.Weaver.RegisterMethodSite(aop.MethodExit, sig)
-		c.throwSite = m.Weaver.RegisterMethodSite(aop.ExceptionThrow, sig)
+		c.entrySite = m.Weaver.RegisterMethodSite(aop.MethodEntry, c.sig)
+		c.exitSite = m.Weaver.RegisterMethodSite(aop.MethodExit, c.sig)
+		c.throwSite = m.Weaver.RegisterMethodSite(aop.ExceptionThrow, c.sig)
 		if len(meth.Handlers) > 0 {
-			c.handlerSite = m.Weaver.RegisterMethodSite(aop.ExceptionHandler, sig)
+			c.handlerSite = m.Weaver.RegisterMethodSite(aop.ExceptionHandler, c.sig)
 		}
 	}
 	for pc, ins := range meth.Code {
@@ -33,6 +45,36 @@ func (m *Machine) compile(meth *lvm.Method) (*compiled, error) {
 		c.steps[pc] = step
 	}
 	return c, nil
+}
+
+// callSite is the inline cache of one call instruction: the receiver class
+// it last saw and that class's compiled callee.
+type callSite struct {
+	name string
+	last atomic.Pointer[callTarget]
+}
+
+type callTarget struct {
+	cls *lvm.Class
+	cc  *compiled
+}
+
+// target returns the compiled method a call on an instance of cls reaches,
+// filling the cache on a miss.
+func (s *callSite) target(m *Machine, cls *lvm.Class) (*compiled, error) {
+	if t := s.last.Load(); t != nil && t.cls == cls {
+		return t.cc, nil
+	}
+	callee := cls.Methods[s.name]
+	if callee == nil {
+		return nil, lvm.Throwf("no method %s.%s", cls.Name, s.name)
+	}
+	cc, err := m.compiledFor(callee)
+	if err != nil {
+		return nil, err
+	}
+	s.last.Store(&callTarget{cls: cls, cc: cc})
+	return cc, nil
 }
 
 func (m *Machine) compileInstr(c *compiled, pc int, ins lvm.Instr) (stepFn, error) {
@@ -48,7 +90,7 @@ func (m *Machine) compileInstr(c *compiled, pc int, ins lvm.Instr) (stepFn, erro
 		}
 		v := meth.Consts[ins.A]
 		return func(e *env, fr *frame, depth int) (int, error) {
-			fr.stack = append(fr.stack, v)
+			fr.push(v)
 			return next, nil
 		}, nil
 
@@ -58,7 +100,7 @@ func (m *Machine) compileInstr(c *compiled, pc int, ins lvm.Instr) (stepFn, erro
 			return nil, fmt.Errorf("load slot %d out of range", slot)
 		}
 		return func(e *env, fr *frame, depth int) (int, error) {
-			fr.stack = append(fr.stack, fr.locals[slot])
+			fr.push(fr.locals[slot])
 			return next, nil
 		}, nil
 
@@ -68,9 +110,7 @@ func (m *Machine) compileInstr(c *compiled, pc int, ins lvm.Instr) (stepFn, erro
 			return nil, fmt.Errorf("store slot %d out of range", slot)
 		}
 		return func(e *env, fr *frame, depth int) (int, error) {
-			n := len(fr.stack)
-			fr.locals[slot] = fr.stack[n-1]
-			fr.stack = fr.stack[:n-1]
+			fr.locals[slot] = fr.pop()
 			return next, nil
 		}, nil
 
@@ -86,18 +126,17 @@ func (m *Machine) compileInstr(c *compiled, pc int, ins lvm.Instr) (stepFn, erro
 		return func(e *env, fr *frame, depth int) (int, error) {
 			var obj *lvm.Object
 			if onSelf {
-				obj = fr.locals[0].O
-			} else {
-				n := len(fr.stack)
-				top := fr.stack[n-1]
-				fr.stack = fr.stack[:n-1]
-				obj = top.O
-				if top.K != lvm.KObj {
-					obj = nil
+				if obj = fr.locals[0].O; obj == nil {
+					return 0, lvm.Throwf("getself with nil self")
 				}
-			}
-			if obj == nil {
-				return 0, lvm.Throwf("getfield on non-object")
+			} else {
+				top := fr.pop()
+				if top.K == lvm.KObj {
+					obj = top.O
+				}
+				if obj == nil {
+					return 0, lvm.Throwf("getfield on non-object")
+				}
 			}
 			v := obj.Get(idx)
 			if site != nil && site.Active() {
@@ -114,7 +153,7 @@ func (m *Machine) compileInstr(c *compiled, pc int, ins lvm.Instr) (stepFn, erro
 					return 0, err
 				}
 			}
-			fr.stack = append(fr.stack, v)
+			fr.push(v)
 			return next, nil
 		}, nil
 
@@ -128,22 +167,21 @@ func (m *Machine) compileInstr(c *compiled, pc int, ins lvm.Instr) (stepFn, erro
 		}
 		fieldName := ins.Sym
 		return func(e *env, fr *frame, depth int) (int, error) {
-			n := len(fr.stack)
-			v := fr.stack[n-1]
-			fr.stack = fr.stack[:n-1]
+			vsp := fr.sp - 1 // the value's slot
+			v := fr.pop()
 			var obj *lvm.Object
 			if onSelf {
-				obj = fr.locals[0].O
+				if obj = fr.locals[0].O; obj == nil {
+					return 0, lvm.Throwf("setself with nil self")
+				}
 			} else {
-				n := len(fr.stack)
-				top := fr.stack[n-1]
-				fr.stack = fr.stack[:n-1]
+				top := fr.pop()
 				if top.K == lvm.KObj {
 					obj = top.O
 				}
-			}
-			if obj == nil {
-				return 0, lvm.Throwf("setfield on non-object")
+				if obj == nil {
+					return 0, lvm.Throwf("setfield on non-object")
+				}
 			}
 			if site != nil && site.Active() {
 				ctx := weave.GetContext()
@@ -151,7 +189,8 @@ func (m *Machine) compileInstr(c *compiled, pc int, ins lvm.Instr) (stepFn, erro
 				ctx.Sig = aop.Signature{Class: obj.Class.Name}
 				ctx.Field = fieldName
 				ctx.Self = obj
-				ctx.Args = append(ctx.Args[:0], v)
+				// The popped value's slot is the one-element argument list.
+				ctx.Args = fr.stack[vsp : vsp+1 : vsp+1]
 				err := site.Dispatch(ctx)
 				v = ctx.Args[0]
 				weave.PutContext(ctx)
@@ -166,9 +205,8 @@ func (m *Machine) compileInstr(c *compiled, pc int, ins lvm.Instr) (stepFn, erro
 	case lvm.OpAdd, lvm.OpSub, lvm.OpMul:
 		op := ins.Op
 		return func(e *env, fr *frame, depth int) (int, error) {
-			n := len(fr.stack)
-			a, b := fr.stack[n-2].I, fr.stack[n-1].I
-			fr.stack = fr.stack[:n-1]
+			sp := fr.sp - 1
+			a, b := fr.stack[sp-1].I, fr.stack[sp].I
 			var r int64
 			switch op {
 			case lvm.OpAdd:
@@ -178,97 +216,93 @@ func (m *Machine) compileInstr(c *compiled, pc int, ins lvm.Instr) (stepFn, erro
 			default:
 				r = a * b
 			}
-			fr.stack[n-2] = lvm.Int(r)
+			fr.stack[sp-1] = lvm.Int(r)
+			fr.sp = sp
 			return next, nil
 		}, nil
 
 	case lvm.OpDiv, lvm.OpMod:
 		isDiv := ins.Op == lvm.OpDiv
 		return func(e *env, fr *frame, depth int) (int, error) {
-			n := len(fr.stack)
-			a, b := fr.stack[n-2].I, fr.stack[n-1].I
-			fr.stack = fr.stack[:n-1]
+			sp := fr.sp - 1
+			a, b := fr.stack[sp-1].I, fr.stack[sp].I
+			fr.sp = sp
 			if b == 0 {
 				return 0, lvm.Throwf("divide by zero")
 			}
-			var r int64
 			if isDiv {
-				r = a / b
+				fr.stack[sp-1] = lvm.Int(a / b)
 			} else {
-				r = a % b
+				fr.stack[sp-1] = lvm.Int(a % b)
 			}
-			fr.stack[n-2] = lvm.Int(r)
 			return next, nil
 		}, nil
 
 	case lvm.OpNeg:
 		return func(e *env, fr *frame, depth int) (int, error) {
-			n := len(fr.stack)
-			fr.stack[n-1] = lvm.Int(-fr.stack[n-1].I)
+			top := &fr.stack[fr.sp-1]
+			*top = lvm.Int(-top.I)
 			return next, nil
 		}, nil
 
 	case lvm.OpEq, lvm.OpNe:
 		negate := ins.Op == lvm.OpNe
 		return func(e *env, fr *frame, depth int) (int, error) {
-			n := len(fr.stack)
-			eq := fr.stack[n-2].Equal(fr.stack[n-1])
-			fr.stack = fr.stack[:n-1]
-			fr.stack[n-2] = lvm.Bool(eq != negate)
+			sp := fr.sp - 1
+			eq := fr.stack[sp-1].Equal(fr.stack[sp])
+			fr.stack[sp-1] = lvm.Bool(eq != negate)
+			fr.sp = sp
 			return next, nil
 		}, nil
 
 	case lvm.OpLt, lvm.OpLe, lvm.OpGt, lvm.OpGe:
 		op := ins.Op
 		return func(e *env, fr *frame, depth int) (int, error) {
-			n := len(fr.stack)
-			a, b := fr.stack[n-2], fr.stack[n-1]
-			fr.stack = fr.stack[:n-1]
-			fr.stack[n-2] = lvm.Bool(compareValues(op, a, b))
+			sp := fr.sp - 1
+			fr.stack[sp-1] = lvm.Bool(compareValues(op, fr.stack[sp-1], fr.stack[sp]))
+			fr.sp = sp
 			return next, nil
 		}, nil
 
 	case lvm.OpAnd, lvm.OpOr:
 		isAnd := ins.Op == lvm.OpAnd
 		return func(e *env, fr *frame, depth int) (int, error) {
-			n := len(fr.stack)
-			a, b := fr.stack[n-2].AsBool(), fr.stack[n-1].AsBool()
-			fr.stack = fr.stack[:n-1]
+			sp := fr.sp - 1
+			a, b := fr.stack[sp-1].AsBool(), fr.stack[sp].AsBool()
 			if isAnd {
-				fr.stack[n-2] = lvm.Bool(a && b)
+				fr.stack[sp-1] = lvm.Bool(a && b)
 			} else {
-				fr.stack[n-2] = lvm.Bool(a || b)
+				fr.stack[sp-1] = lvm.Bool(a || b)
 			}
+			fr.sp = sp
 			return next, nil
 		}, nil
 
 	case lvm.OpNot:
 		return func(e *env, fr *frame, depth int) (int, error) {
-			n := len(fr.stack)
-			fr.stack[n-1] = lvm.Bool(!fr.stack[n-1].AsBool())
+			top := &fr.stack[fr.sp-1]
+			*top = lvm.Bool(!top.AsBool())
 			return next, nil
 		}, nil
 
 	case lvm.OpConcat:
 		return func(e *env, fr *frame, depth int) (int, error) {
-			n := len(fr.stack)
-			s := fr.stack[n-2].String() + fr.stack[n-1].String()
-			fr.stack = fr.stack[:n-1]
-			fr.stack[n-2] = lvm.Str(s)
+			sp := fr.sp - 1
+			fr.stack[sp-1] = lvm.Str(concat(fr.stack[sp-1], fr.stack[sp]))
+			fr.sp = sp
 			return next, nil
 		}, nil
 
 	case lvm.OpLen:
 		return func(e *env, fr *frame, depth int) (int, error) {
-			n := len(fr.stack)
-			v := fr.stack[n-1]
-			switch v.K {
+			top := &fr.stack[fr.sp-1]
+			switch top.K {
 			case lvm.KStr:
-				fr.stack[n-1] = lvm.Int(int64(len(v.S)))
+				*top = lvm.Int(int64(len(top.S)))
 			case lvm.KBytes:
-				fr.stack[n-1] = lvm.Int(int64(len(v.B)))
+				*top = lvm.Int(int64(len(top.B)))
 			default:
-				return 0, lvm.Throwf("len on %s", v.K)
+				return 0, lvm.Throwf("len on %s", top.K)
 			}
 			return next, nil
 		}, nil
@@ -280,43 +314,37 @@ func (m *Machine) compileInstr(c *compiled, pc int, ins lvm.Instr) (stepFn, erro
 	case lvm.OpJumpFalse:
 		target := ins.A
 		return func(e *env, fr *frame, depth int) (int, error) {
-			n := len(fr.stack)
-			v := fr.stack[n-1]
-			fr.stack = fr.stack[:n-1]
-			if !v.AsBool() {
+			if !fr.pop().AsBool() {
 				return target, nil
 			}
 			return next, nil
 		}, nil
 
 	case lvm.OpCall:
-		name := ins.Sym
+		site := &callSite{name: ins.Sym}
 		argc := ins.B
 		return func(e *env, fr *frame, depth int) (int, error) {
-			n := len(fr.stack)
-			if n < argc+1 {
-				return 0, lvm.Throwf("call %s: stack underflow", name)
+			sp := fr.sp
+			if sp < argc+1 {
+				return 0, lvm.Throwf("call %s: stack underflow", site.name)
 			}
-			args := make([]lvm.Value, argc)
-			copy(args, fr.stack[n-argc:])
-			recv := fr.stack[n-argc-1]
-			fr.stack = fr.stack[:n-argc-1]
+			base := sp - argc - 1
+			recv := fr.stack[base]
+			fr.sp = base
 			if recv.K != lvm.KObj || recv.O == nil {
-				return 0, lvm.Throwf("call %s on non-object", name)
+				return 0, lvm.Throwf("call %s on non-object", site.name)
 			}
-			callee := recv.O.Class.Methods[name]
-			if callee == nil {
-				return 0, lvm.Throwf("no method %s.%s", recv.O.Class.Name, name)
-			}
-			cc, err := e.m.compiledFor(callee)
+			cc, err := site.target(e.m, recv.O.Class)
 			if err != nil {
 				return 0, err
 			}
-			r, err := cc.invoke(e, recv.O, args, depth+1)
+			// The callee reads its arguments in place: the caller's slots
+			// stay untouched until the call returns.
+			r, err := cc.invoke(e, recv.O, fr.stack[base+1:sp:sp], depth+1)
 			if err != nil {
 				return 0, err
 			}
-			fr.stack = append(fr.stack, r)
+			fr.push(r)
 			return next, nil
 		}, nil
 
@@ -324,33 +352,35 @@ func (m *Machine) compileInstr(c *compiled, pc int, ins lvm.Instr) (stepFn, erro
 		name := ins.Sym
 		argc := ins.B
 		// Devirtualise statically-proven calls at compile time: the closure
-		// binds the unchecked inner host directly and the per-dispatch
-		// capability gate disappears from the compiled code. Proofs must be
-		// established (sandbox.Host.Prove) before the method is compiled.
-		var direct lvm.Host
+		// binds the resolved host function directly, so the per-dispatch
+		// capability gate and the name lookup disappear from the compiled
+		// code. Proofs must be established (sandbox.Host.Prove) before the
+		// method is compiled.
+		var direct lvm.HostFunc
 		if ph, ok := m.Host.(lvm.PrecheckedHost); ok {
 			direct = ph.Prechecked(name)
 		}
 		return func(e *env, fr *frame, depth int) (int, error) {
-			n := len(fr.stack)
-			if n < argc {
+			sp := fr.sp
+			if sp < argc {
 				return 0, lvm.Throwf("hostcall %s: stack underflow", name)
 			}
-			args := make([]lvm.Value, argc)
-			copy(args, fr.stack[n-argc:])
-			fr.stack = fr.stack[:n-argc]
-			host := direct
-			if host == nil {
-				host = e.m.Host
-			}
-			if host == nil {
+			base := sp - argc
+			fr.sp = base
+			args := fr.stack[base:sp:sp]
+			var r lvm.Value
+			var err error
+			if direct != nil {
+				r, err = direct(args)
+			} else if host := e.m.Host; host != nil {
+				r, err = host.HostCall(name, args)
+			} else {
 				return 0, lvm.Throwf("no host environment for %s", name)
 			}
-			r, err := host.HostCall(name, args)
 			if err != nil {
 				return 0, err
 			}
-			fr.stack = append(fr.stack, r)
+			fr.push(r)
 			return next, nil
 		}, nil
 
@@ -360,23 +390,18 @@ func (m *Machine) compileInstr(c *compiled, pc int, ins lvm.Instr) (stepFn, erro
 			return nil, fmt.Errorf("unknown class %q", ins.Sym)
 		}
 		return func(e *env, fr *frame, depth int) (int, error) {
-			fr.stack = append(fr.stack, lvm.Obj(cls.New()))
+			fr.push(lvm.Obj(cls.New()))
 			return next, nil
 		}, nil
 
 	case lvm.OpThrow:
 		return func(e *env, fr *frame, depth int) (int, error) {
-			n := len(fr.stack)
-			v := fr.stack[n-1]
-			fr.stack = fr.stack[:n-1]
-			return 0, &lvm.Thrown{Msg: v.String()}
+			return 0, &lvm.Thrown{Msg: fr.pop().String()}
 		}, nil
 
 	case lvm.OpReturn:
 		return func(e *env, fr *frame, depth int) (int, error) {
-			n := len(fr.stack)
-			fr.ret = fr.stack[n-1]
-			fr.stack = fr.stack[:n-1]
+			fr.ret = fr.pop()
 			return retPC, nil
 		}, nil
 
@@ -388,17 +413,54 @@ func (m *Machine) compileInstr(c *compiled, pc int, ins lvm.Instr) (stepFn, erro
 
 	case lvm.OpPop:
 		return func(e *env, fr *frame, depth int) (int, error) {
-			fr.stack = fr.stack[:len(fr.stack)-1]
+			fr.sp--
 			return next, nil
 		}, nil
 
 	case lvm.OpDup:
 		return func(e *env, fr *frame, depth int) (int, error) {
-			fr.stack = append(fr.stack, fr.stack[len(fr.stack)-1])
+			fr.push(fr.stack[fr.sp-1])
 			return next, nil
 		}, nil
 	}
 	return nil, fmt.Errorf("unsupported opcode %s", ins.Op)
+}
+
+// concat renders a+b as lvm.Value.String does. Ints and bools are
+// formatted in place, so the result is the only allocation.
+func concat(a, b lvm.Value) string {
+	var abuf, bbuf [20]byte
+	ad, aok := digits(abuf[:0], a)
+	bd, bok := digits(bbuf[:0], b)
+	if !aok && !bok {
+		return a.String() + b.String()
+	}
+	var as, bs string
+	if !aok {
+		as = a.String()
+	}
+	if !bok {
+		bs = b.String()
+	}
+	var sb strings.Builder
+	sb.Grow(len(ad) + len(as) + len(bd) + len(bs))
+	sb.Write(ad)
+	sb.WriteString(as)
+	sb.Write(bd)
+	sb.WriteString(bs)
+	return sb.String()
+}
+
+// digits appends the text of an int or a bool to buf; ok is false for any
+// other kind.
+func digits(buf []byte, v lvm.Value) (text []byte, ok bool) {
+	switch v.K {
+	case lvm.KInt:
+		return strconv.AppendInt(buf, v.I, 10), true
+	case lvm.KBool:
+		return strconv.AppendBool(buf, v.I != 0), true
+	}
+	return nil, false
 }
 
 func compareValues(op lvm.Op, a, b lvm.Value) bool {

@@ -8,6 +8,10 @@
 // woven advice run at essentially compiled speed; this is the property the
 // paper's 7 %-overhead and 900 ns-per-interception measurements characterise,
 // reproduced here by benchmarks E1 and E2.
+//
+// The same compiler runs extension advice: a receiver compiles each mobile
+// advice body on a machine with no weaver (advice is never woven itself) and
+// binds it once per install (Machine.Bind).
 package jit
 
 import (
@@ -34,7 +38,7 @@ type Machine struct {
 	mu    sync.Mutex
 	cache map[*lvm.Method]*compiled
 
-	framePool sync.Pool
+	envPool sync.Pool
 }
 
 // NewMachine returns a Machine over prog. weaver may be nil for an
@@ -48,7 +52,7 @@ func NewMachine(prog *lvm.Program, weaver *weave.Weaver, host lvm.Host) *Machine
 		MaxDepth: lvm.DefaultMaxDepth,
 		cache:    make(map[*lvm.Method]*compiled),
 	}
-	m.framePool.New = func() any { return &frame{} }
+	m.envPool.New = func() any { return &env{m: m} }
 	return m
 }
 
@@ -76,11 +80,11 @@ func (m *Machine) Invoke(meth *lvm.Method, self *lvm.Object, args []lvm.Value) (
 	if err != nil {
 		return lvm.Nil(), err
 	}
-	e := &env{m: m, steps: m.MaxSteps}
-	if e.steps <= 0 {
-		e.steps = lvm.DefaultMaxSteps
-	}
-	return c.invoke(e, self, args, 0)
+	e := m.envPool.Get().(*env)
+	e.start()
+	v, err := c.invoke(e, self, args, 0)
+	m.envPool.Put(e)
+	return v, err
 }
 
 // Call resolves "Class.method" and invokes it on a fresh instance when self
@@ -94,6 +98,30 @@ func (m *Machine) Call(class, method string, self *lvm.Object, args ...lvm.Value
 		self = m.Prog.Class(class).New()
 	}
 	return m.Invoke(meth, self, args)
+}
+
+// Bound is one compiled method bound to its receiver object, with its own
+// execution state: an invocation takes no pool, no lock and no lookup. It
+// runs one invocation at a time; callers serialise Invoke.
+type Bound struct {
+	c    *compiled
+	self *lvm.Object
+	e    env
+}
+
+// Bind compiles meth and binds it to self.
+func (m *Machine) Bind(meth *lvm.Method, self *lvm.Object) (*Bound, error) {
+	c, err := m.compiledFor(meth)
+	if err != nil {
+		return nil, err
+	}
+	return &Bound{c: c, self: self, e: env{m: m}}, nil
+}
+
+// Invoke runs the bound method under a fresh step budget.
+func (b *Bound) Invoke(args []lvm.Value) (lvm.Value, error) {
+	b.e.start()
+	return b.c.invoke(&b.e, b.self, args, 0)
 }
 
 func (m *Machine) compiledFor(meth *lvm.Method) (*compiled, error) {
@@ -110,39 +138,91 @@ func (m *Machine) compiledFor(meth *lvm.Method) (*compiled, error) {
 	return c, nil
 }
 
-// env carries per-invocation execution state shared across nested calls.
+// env carries one invocation's execution state across its nested calls: the
+// fuel left, the depth limit, and one frame per call depth, which every call
+// made at that depth reuses.
 type env struct {
-	m     *Machine
-	steps int64
+	m        *Machine
+	steps    int64
+	maxDepth int
+	frames   []*frame
 }
 
-type frame struct {
-	locals []lvm.Value
-	stack  []lvm.Value
-	ret    lvm.Value
+// start resets the budgets from the machine's limits for a new invocation.
+func (e *env) start() {
+	e.steps = e.m.MaxSteps
+	if e.steps <= 0 {
+		e.steps = lvm.DefaultMaxSteps
+	}
+	e.maxDepth = e.m.MaxDepth
+	if e.maxDepth <= 0 {
+		e.maxDepth = lvm.DefaultMaxDepth
+	}
 }
 
-func (m *Machine) getFrame(nLocals, maxStack int) *frame {
-	fr := m.framePool.Get().(*frame)
-	if cap(fr.locals) < nLocals {
-		fr.locals = make([]lvm.Value, nLocals)
-	} else {
-		fr.locals = fr.locals[:nLocals]
-		for i := range fr.locals {
-			fr.locals[i] = lvm.Value{}
-		}
+// frame returns the frame for a call to c at depth.
+func (e *env) frame(depth int, c *compiled) *frame {
+	for len(e.frames) <= depth {
+		e.frames = append(e.frames, &frame{})
 	}
-	if cap(fr.stack) < maxStack {
-		fr.stack = make([]lvm.Value, 0, maxStack)
-	} else {
-		fr.stack = fr.stack[:0]
+	fr := e.frames[depth]
+	if cap(fr.locals) < c.nLocals {
+		fr.locals = make([]lvm.Value, c.nLocals)
 	}
-	fr.ret = lvm.Value{}
+	fr.locals = fr.locals[:c.nLocals]
+	if len(fr.stack) < c.maxStack {
+		fr.stack = make([]lvm.Value, c.maxStack)
+	}
+	fr.used = c.maxStack
 	return fr
 }
 
-func (m *Machine) putFrame(fr *frame) {
-	m.framePool.Put(fr)
+// frame is one call's locals, operand stack and join-point context. The
+// stack is indexed by sp; slots at and above sp hold dead values until
+// release clears them.
+type frame struct {
+	locals  []lvm.Value
+	stack   []lvm.Value
+	sp      int
+	used    int // stack slots this call may have written
+	ret     lvm.Value
+	ctx     aop.Context
+	ctxUsed bool
+}
+
+func (fr *frame) push(v lvm.Value) {
+	if fr.sp == len(fr.stack) {
+		fr.grow()
+	}
+	fr.stack[fr.sp] = v
+	fr.sp++
+}
+
+func (fr *frame) pop() lvm.Value {
+	fr.sp--
+	return fr.stack[fr.sp]
+}
+
+// grow doubles the stack of a method whose depth the verifier could not
+// bound (code that never went through lvm.MaxStack successfully).
+func (fr *frame) grow() {
+	stack := make([]lvm.Value, 2*len(fr.stack)+1)
+	copy(stack, fr.stack)
+	fr.stack = stack
+	fr.used = len(stack)
+}
+
+// release clears the slots the call used, so a parked frame keeps no values
+// alive, and leaves the frame ready for the next call at its depth.
+func (fr *frame) release() {
+	clear(fr.locals)
+	clear(fr.stack[:fr.used])
+	fr.sp = 0
+	fr.ret = lvm.Value{}
+	if fr.ctxUsed {
+		fr.ctx.Reset()
+		fr.ctxUsed = false
+	}
 }
 
 // stepFn executes one compiled instruction. It returns the next pc, or
@@ -154,7 +234,10 @@ const retPC = -1
 // compiled is the "native code" of one method plus its planted stub sites.
 type compiled struct {
 	m        *lvm.Method
+	sig      aop.Signature
 	steps    []stepFn
+	arity    int
+	nLocals  int
 	maxStack int
 
 	// Hook stubs; nil when the machine has no weaver.
@@ -165,26 +248,29 @@ type compiled struct {
 }
 
 func (c *compiled) invoke(e *env, self *lvm.Object, args []lvm.Value, depth int) (lvm.Value, error) {
-	maxDepth := e.m.MaxDepth
-	if maxDepth <= 0 {
-		maxDepth = lvm.DefaultMaxDepth
-	}
-	if depth > maxDepth {
+	if depth > e.maxDepth {
 		return lvm.Nil(), lvm.ErrStackDepth
 	}
-	if len(args) != c.m.Arity() {
-		return lvm.Nil(), lvm.Throwf("%s: want %d args, got %d", c.m, c.m.Arity(), len(args))
+	if len(args) != c.arity {
+		return lvm.Nil(), lvm.Throwf("%s: want %d args, got %d", c.m, c.arity, len(args))
 	}
+	fr := e.frame(depth, c)
+	result, err := c.call(e, fr, self, args, depth)
+	fr.release()
+	return result, err
+}
 
+// call runs the method in fr between its entry and exit stubs.
+func (c *compiled) call(e *env, fr *frame, self *lvm.Object, args []lvm.Value, depth int) (lvm.Value, error) {
 	// Method-boundary stubs share one context so advice can pass session
 	// state from the entry interception to the exit interception (Fig. 2).
+	// It lives in the frame, which no other call uses until this one ends.
 	entryActive := c.entrySite != nil && c.entrySite.Active()
 	exitActive := c.exitSite != nil && c.exitSite.Active()
-	var ctx *aop.Context
+	ctx := &fr.ctx
 	if entryActive || exitActive {
-		ctx = weave.GetContext()
-		defer weave.PutContext(ctx)
-		ctx.Sig = aop.SignatureOf(c.m)
+		fr.ctxUsed = true
+		ctx.Sig = c.sig
 		ctx.Self = self
 		ctx.Args = args
 	}
@@ -195,70 +281,11 @@ func (c *compiled) invoke(e *env, self *lvm.Object, args []lvm.Value, depth int)
 		}
 	}
 
-	fr := e.m.getFrame(c.m.FrameSize(), c.maxStack)
 	fr.locals[0] = lvm.Obj(self)
 	copy(fr.locals[1:], args)
-
-	pc := 0
-	var result lvm.Value
-	var finalErr error
-	for pc >= 0 && pc < len(c.steps) {
-		e.steps--
-		if e.steps < 0 {
-			finalErr = lvm.ErrStepBudget
-			break
-		}
-		next, err := c.steps[pc](e, fr, depth)
-		if err != nil {
-			var thrown *lvm.Thrown
-			if errors.As(err, &thrown) {
-				// Exception-throw stub.
-				if c.throwSite != nil && c.throwSite.Active() {
-					ctx := weave.GetContext()
-					ctx.Kind = aop.ExceptionThrow
-					ctx.Sig = aop.SignatureOf(c.m)
-					ctx.Self = self
-					ctx.ErrMsg = thrown.Msg
-					derr := c.throwSite.Dispatch(ctx)
-					weave.PutContext(ctx)
-					if derr != nil {
-						finalErr = derr
-						break
-					}
-				}
-				if h, ok := handlerFor(c.m.Handlers, pc); ok {
-					// Exception-handler stub.
-					if c.handlerSite != nil && c.handlerSite.Active() {
-						ctx := weave.GetContext()
-						ctx.Kind = aop.ExceptionHandler
-						ctx.Sig = aop.SignatureOf(c.m)
-						ctx.Self = self
-						ctx.ErrMsg = thrown.Msg
-						derr := c.handlerSite.Dispatch(ctx)
-						weave.PutContext(ctx)
-						if derr != nil {
-							finalErr = derr
-							break
-						}
-					}
-					fr.stack = fr.stack[:0]
-					fr.stack = append(fr.stack, lvm.Str(thrown.Msg))
-					pc = h.Target
-					continue
-				}
-			}
-			finalErr = err
-			break
-		}
-		if next == retPC {
-			result = fr.ret
-			break
-		}
-		pc = next
-	}
-	e.m.putFrame(fr)
-	if finalErr != nil {
-		return lvm.Nil(), finalErr
+	result, err := c.run(e, fr, self, depth)
+	if err != nil {
+		return lvm.Nil(), err
 	}
 
 	// Method-exit stub.
@@ -271,6 +298,61 @@ func (c *compiled) invoke(e *env, self *lvm.Object, args []lvm.Value, depth int)
 		result = ctx.Result
 	}
 	return result, nil
+}
+
+// run executes the method body in fr, charging one step of fuel per
+// instruction and routing LVM exceptions to the method's handlers.
+func (c *compiled) run(e *env, fr *frame, self *lvm.Object, depth int) (lvm.Value, error) {
+	pc := 0
+	for pc >= 0 && pc < len(c.steps) {
+		e.steps--
+		if e.steps < 0 {
+			return lvm.Nil(), lvm.ErrStepBudget
+		}
+		next, err := c.steps[pc](e, fr, depth)
+		if err != nil {
+			var thrown *lvm.Thrown
+			if !errors.As(err, &thrown) {
+				return lvm.Nil(), err
+			}
+			// Exception-throw stub.
+			if err := c.fire(c.throwSite, aop.ExceptionThrow, self, thrown.Msg); err != nil {
+				return lvm.Nil(), err
+			}
+			h, ok := handlerFor(c.m.Handlers, pc)
+			if !ok {
+				return lvm.Nil(), err
+			}
+			// Exception-handler stub.
+			if err := c.fire(c.handlerSite, aop.ExceptionHandler, self, thrown.Msg); err != nil {
+				return lvm.Nil(), err
+			}
+			fr.sp = 0
+			fr.push(lvm.Str(thrown.Msg))
+			pc = h.Target
+			continue
+		}
+		if next == retPC {
+			return fr.ret, nil
+		}
+		pc = next
+	}
+	return lvm.Nil(), nil
+}
+
+// fire dispatches an exception join point at site, if it is active.
+func (c *compiled) fire(site *weave.Site, kind aop.Kind, self *lvm.Object, msg string) error {
+	if site == nil || !site.Active() {
+		return nil
+	}
+	ctx := weave.GetContext()
+	ctx.Kind = kind
+	ctx.Sig = c.sig
+	ctx.Self = self
+	ctx.ErrMsg = msg
+	err := site.Dispatch(ctx)
+	weave.PutContext(ctx)
+	return err
 }
 
 func handlerFor(hs []lvm.Handler, pc int) (lvm.Handler, bool) {

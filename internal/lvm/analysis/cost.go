@@ -4,10 +4,10 @@ import "repro/internal/lvm"
 
 // Fuel is a static execution-cost verdict for one entry point. Bounded means
 // every reachable cycle is a recognised constant-trip loop (see loops.go) and
-// no recursion is reachable; Steps is then an upper bound on the interpreter
+// no recursion is reachable; Steps is then an upper bound on the engine
 // steps one invocation can consume (each instruction costs one step, scaled
 // by its loop trip counts; calls add the callee's bound). Unbounded code
-// falls back to the interpreter's default budget.
+// falls back to the advice engine's default budget.
 type Fuel struct {
 	Bounded bool
 	Steps   int

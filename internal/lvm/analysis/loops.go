@@ -5,7 +5,7 @@ import "repro/internal/lvm"
 // Natural-loop trip-count analysis for the cost estimator. PR 5's fuel bound
 // covered only acyclic CFGs; this file extends it to the classic counted-loop
 // shape so far more real advice gets a finite Fuel (and so a tight
-// interpreter MaxSteps):
+// MaxSteps on its advice machine):
 //
 //	           push C0 ; store i        (preheader: constant init)
 //	  header:  load i ; push K ; cmp ; jmpf exit   (cmp ∈ lt,le,gt,ge)
@@ -20,7 +20,7 @@ import "repro/internal/lvm"
 // edge. Anything else — irreducible cycles, handler edges into a loop body,
 // multiple back edges per header, non-constant bounds — stays Unbounded.
 // Every accepted loop yields an exact trip count, so the resulting Steps is
-// still a sound upper bound on interpreter steps.
+// still a sound upper bound on engine steps.
 
 // maxFuelSteps caps the computed bound (and every intermediate product) so
 // deeply nested loops cannot overflow; anything larger is Unbounded.

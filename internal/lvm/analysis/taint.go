@@ -341,7 +341,7 @@ func (t *taintFlow) Entry() taintState {
 }
 
 func (t *taintFlow) HandlerEntry() taintState {
-	// The interpreter clears the stack and pushes the exception message; a
+	// The engine clears the stack and pushes the exception message; a
 	// tainted thrown value taints the message. Locals may be in any
 	// write-state, so join the parameter taints with everything ever stored.
 	nl := t.mi.m.FrameSize()

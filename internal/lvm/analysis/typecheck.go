@@ -156,7 +156,7 @@ func (t *typeFlow) Entry() typeState {
 }
 
 func (t *typeFlow) HandlerEntry() typeState {
-	// The interpreter clears the stack and pushes the exception message. The
+	// The engine clears the stack and pushes the exception message. The
 	// locals could be in any write-state when the exception fired.
 	nl := t.m.FrameSize()
 	buf := carve(&t.arena, nl+1)
@@ -188,7 +188,7 @@ func (t *typeFlow) Merge(a *typeState, b typeState) (bool, error) {
 }
 
 // intish reports whether v may legally feed integer arithmetic: definite
-// strings, byte slices and objects are type confusion (the interpreter would
+// strings, byte slices and objects are type confusion (the engine would
 // silently read their zero I field), everything else is admitted.
 func intish(v AbsVal) bool {
 	return v.K != AStr && v.K != ABytes && v.K != AObj

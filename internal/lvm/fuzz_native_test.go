@@ -6,10 +6,11 @@ import "testing"
 // mobile extension code arrives from the network, so the assembler must
 // reject garbage with errors, never panics — and anything it accepts must
 // disassemble into text it accepts again. Programs that additionally pass
-// VerifyProgram must run in the interpreter without panicking under a small
-// step budget. The production install pipeline is Assemble →
-// analysis.AnalyzeProgram → interpreter, and AnalyzeProgram accepts only
-// what VerifyProgram accepts, so this covers every program a receiver runs.
+// VerifyProgram must run in the reference interpreter without panicking
+// under a small step budget. The production install pipeline is Assemble →
+// analysis.AnalyzeProgram → JIT, and AnalyzeProgram accepts only what
+// VerifyProgram accepts; internal/jit's FuzzJITMatchesInterp checks that
+// the JIT agrees with the interpreter on every program the analysis admits.
 func FuzzAssemble(f *testing.F) {
 	for _, seed := range []string{
 		lvmFixtureA,

@@ -8,22 +8,32 @@ import (
 // Host is the gateway through which LVM code reaches the outside world. The
 // sandbox package wraps a Host with capability checks before handing it to
 // foreign extension code.
+//
+// args is valid only during the call: the engines pass a view of the
+// caller's operand stack, which the next instruction overwrites. A host that
+// keeps arguments past its return copies the Values it keeps (a Value itself
+// is safe to keep; the slice is not).
 type Host interface {
 	HostCall(name string, args []Value) (Value, error)
 }
 
+// HostFunc is one host function, resolved ahead of the calls that use it.
+// Its args follow the Host contract: valid only during the call.
+type HostFunc func(args []Value) (Value, error)
+
 // PrecheckedHost is a Host that can prove, ahead of execution, that specific
-// functions need no per-dispatch policy check. Prechecked returns a Host to
-// dispatch fn through directly — skipping the wrapper's checks — or nil when
-// fn still requires the checked path. The interpreter and the JIT consult it
-// so statically-proven host calls bypass the capability gate entirely.
+// functions need no per-dispatch policy check. Prechecked returns the
+// function to dispatch fn through directly — skipping the wrapper's checks —
+// or nil when fn still requires the checked path. The JIT resolves it once
+// per call site at compile time, so statically-proven host calls bypass the
+// capability gate and the name lookup entirely.
 type PrecheckedHost interface {
 	Host
-	Prechecked(fn string) Host
+	Prechecked(fn string) HostFunc
 }
 
 // HostMap is a simple Host backed by a map of named functions.
-type HostMap map[string]func(args []Value) (Value, error)
+type HostMap map[string]HostFunc
 
 // HostCall implements Host.
 func (h HostMap) HostCall(name string, args []Value) (Value, error) {
@@ -62,10 +72,12 @@ const DefaultMaxSteps = 10_000_000
 // DefaultMaxDepth bounds recursive LVM calls.
 const DefaultMaxDepth = 256
 
-// Interp executes LVM bytecode directly (without JIT compilation and
-// therefore without any weaving hooks). It is the execution engine for
-// sandboxed extension advice and the non-instrumented baseline in the
-// overhead experiments.
+// Interp executes LVM bytecode directly, one switch per instruction, without
+// JIT compilation and therefore without any weaving hooks. Nothing ships on
+// it: application code and extension advice both run on the closure JIT
+// (internal/jit). The interpreter is the reference semantics the JIT is
+// tested and fuzzed against, and the interpreted baseline of the engine
+// comparison benchmark.
 type Interp struct {
 	Prog     *Program
 	Host     Host
@@ -74,6 +86,8 @@ type Interp struct {
 }
 
 // NewInterp returns an interpreter over prog using host for host calls.
+//
+//lint:allow shipped (reference semantics: the JIT is tested and fuzzed against it)
 func NewInterp(prog *Program, host Host) *Interp {
 	return &Interp{Prog: prog, Host: host, MaxSteps: DefaultMaxSteps, MaxDepth: DefaultMaxDepth}
 }
@@ -244,14 +258,12 @@ func (in *Interp) run(m *Method, self *Object, args []Value, steps *int64, depth
 				err = Throwf("no host environment for %s", ins.Sym)
 				break
 			}
-			host := in.Host
-			if ph, ok := host.(PrecheckedHost); ok {
-				if direct := ph.Prechecked(ins.Sym); direct != nil {
-					host = direct
-				}
-			}
 			var r Value
-			r, err = host.HostCall(ins.Sym, callArgs)
+			if direct := prechecked(in.Host, ins.Sym); direct != nil {
+				r, err = direct(callArgs)
+			} else {
+				r, err = in.Host.HostCall(ins.Sym, callArgs)
+			}
 			if err == nil {
 				stack = append(stack, r)
 			}
@@ -292,6 +304,15 @@ func (in *Interp) run(m *Method, self *Object, args []Value, steps *int64, depth
 		pc++
 	}
 	return Nil(), nil
+}
+
+// prechecked returns host's direct function for fn, or nil when fn takes
+// the checked path.
+func prechecked(host Host, fn string) HostFunc {
+	if ph, ok := host.(PrecheckedHost); ok {
+		return ph.Prechecked(fn)
+	}
+	return nil
 }
 
 func (in *Interp) maxDepth() int {

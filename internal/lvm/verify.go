@@ -10,16 +10,23 @@ import (
 // paths, including exception handlers). Receivers verify mobile extension
 // code with this before it ever runs, complementing the run-time sandbox.
 func VerifyMethod(p *Program, m *Method) error {
+	_, err := MaxStack(p, m)
+	return err
+}
+
+// MaxStack verifies m as VerifyMethod does and returns the deepest operand
+// stack any path through it reaches. The JIT sizes a method's frame by it.
+func MaxStack(p *Program, m *Method) (int, error) {
 	n := len(m.Code)
 	if n == 0 {
-		return fmt.Errorf("lvm verify: %s: empty body", m)
+		return 0, fmt.Errorf("lvm verify: %s: empty body", m)
 	}
 	for _, h := range m.Handlers {
 		if h.Start < 0 || h.End > n || h.Start >= h.End {
-			return fmt.Errorf("lvm verify: %s: bad handler range [%d,%d)", m, h.Start, h.End)
+			return 0, fmt.Errorf("lvm verify: %s: bad handler range [%d,%d)", m, h.Start, h.End)
 		}
 		if h.Target < 0 || h.Target >= n {
-			return fmt.Errorf("lvm verify: %s: handler target %d out of range", m, h.Target)
+			return 0, fmt.Errorf("lvm verify: %s: handler target %d out of range", m, h.Target)
 		}
 	}
 	// Structural check: the final instruction must be a terminator or an
@@ -29,7 +36,7 @@ func VerifyMethod(p *Program, m *Method) error {
 	switch m.Code[n-1].Op {
 	case OpReturn, OpReturnVoid, OpThrow, OpJump:
 	default:
-		return fmt.Errorf("lvm verify: %s: control can fall off the end at pc %d (%s)", m, n-1, m.Code[n-1].Op)
+		return 0, fmt.Errorf("lvm verify: %s: control can fall off the end at pc %d (%s)", m, n-1, m.Code[n-1].Op)
 	}
 
 	// Abstract interpretation over stack depth. -1 = unvisited.
@@ -39,9 +46,11 @@ func VerifyMethod(p *Program, m *Method) error {
 	}
 	type work struct{ pc, d int }
 	queue := []work{{0, 0}}
+	maxDepth := 0
 	// Handler entries start with exactly the exception message on the stack.
 	for _, h := range m.Handlers {
 		queue = append(queue, work{h.Target, 1})
+		maxDepth = 1
 	}
 
 	frame := m.FrameSize()
@@ -71,33 +80,34 @@ func VerifyMethod(p *Program, m *Method) error {
 
 		pop, pushN, errV := stackEffect(p, m, ins, frame)
 		if errV != nil {
-			return fmt.Errorf("lvm verify: %s pc %d: %w", m, pc, errV)
+			return 0, fmt.Errorf("lvm verify: %s pc %d: %w", m, pc, errV)
 		}
 		if d < pop {
-			return fmt.Errorf("lvm verify: %s pc %d: stack underflow (%s needs %d, have %d)", m, pc, ins.Op, pop, d)
+			return 0, fmt.Errorf("lvm verify: %s pc %d: stack underflow (%s needs %d, have %d)", m, pc, ins.Op, pop, d)
 		}
 		nd := d - pop + pushN
+		maxDepth = max(maxDepth, nd)
 
 		switch ins.Op {
 		case OpReturn, OpReturnVoid, OpThrow:
 			// Terminal: no successors.
 		case OpJump:
 			if queue, err = push(queue, ins.A, nd); err != nil {
-				return err
+				return 0, err
 			}
 		case OpJumpFalse:
 			if queue, err = push(queue, ins.A, nd); err != nil {
-				return err
+				return 0, err
 			}
 			if queue, err = push(queue, pc+1, nd); err != nil {
-				return err
+				return 0, err
 			}
 		default:
 			if pc+1 >= n {
-				return fmt.Errorf("lvm verify: %s: control falls off the end at pc %d", m, pc)
+				return 0, fmt.Errorf("lvm verify: %s: control falls off the end at pc %d", m, pc)
 			}
 			if queue, err = push(queue, pc+1, nd); err != nil {
-				return err
+				return 0, err
 			}
 		}
 	}
@@ -109,10 +119,10 @@ func VerifyMethod(p *Program, m *Method) error {
 			continue
 		}
 		if _, _, errV := stackEffect(p, m, m.Code[pc], frame); errV != nil {
-			return fmt.Errorf("lvm verify: %s pc %d (unreachable): %w", m, pc, errV)
+			return 0, fmt.Errorf("lvm verify: %s pc %d (unreachable): %w", m, pc, errV)
 		}
 	}
-	return nil
+	return maxDepth, nil
 }
 
 // stackEffect returns how many values ins pops and pushes, validating its

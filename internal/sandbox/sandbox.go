@@ -188,14 +188,21 @@ func (h *Host) Prove(fns ...string) {
 	}
 }
 
-// Prechecked implements lvm.PrecheckedHost: proven functions dispatch
-// directly on the inner host. Note the fast path also skips the audit call
-// counter — CallCount only observes checked dispatches.
-func (h *Host) Prechecked(fn string) lvm.Host {
-	if h.proven[fn] {
-		return h.inner
+// Prechecked implements lvm.PrecheckedHost: a proven function resolves once
+// to its function on the inner host, which the caller then dispatches
+// directly. Note the fast path also skips the audit call counter — CallCount
+// only observes checked dispatches.
+func (h *Host) Prechecked(fn string) lvm.HostFunc {
+	if !h.proven[fn] {
+		return nil
 	}
-	return nil
+	if m, ok := h.inner.(lvm.HostMap); ok {
+		if f := m[fn]; f != nil {
+			return f
+		}
+	}
+	inner := h.inner
+	return func(args []lvm.Value) (lvm.Value, error) { return inner.HostCall(fn, args) }
 }
 
 // CallCount reports how many times the named host function was invoked.

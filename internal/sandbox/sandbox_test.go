@@ -176,7 +176,7 @@ func TestProveSkipsCheckAndCounting(t *testing.T) {
 	h.Prove("store.put")
 	if direct := h.Prechecked("store.put"); direct == nil {
 		t.Fatal("proven function should have a direct host")
-	} else if _, err := direct.HostCall("store.put", nil); err != nil {
+	} else if _, err := direct(nil); err != nil {
 		t.Fatalf("direct dispatch failed: %v", err)
 	}
 	// The fast path bypasses the audit counter by contract.
